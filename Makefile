@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet fuzz-smoke bench-smoke ledger-smoke serve-smoke ci
+.PHONY: build test race lint vet fuzz-smoke bench bench-smoke ledger-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -24,12 +24,15 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRLERoundTrip -fuzztime=5s ./internal/colstore/
 	$(GO) test -run=^$$ -fuzz=FuzzDictRoundTrip -fuzztime=5s ./internal/colstore/
 
+# bench is the benchmark of record (bench/README.md): four workloads,
+# every answer checked against the reference evaluator.
+bench:
+	bash bench/run.sh
+
 bench-smoke:
 	$(GO) test -run=^$$ -bench=BenchmarkExecStreamVsMaterialize -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkHashJoinProbe -benchtime=1x -benchmem ./internal/engine/
 	$(GO) run ./cmd/benchobs -out BENCH_obs.json
-	$(GO) run ./cmd/benchparallel -out BENCH_parallel.json
-	$(GO) run ./cmd/benchjoin -out BENCH_join.json
 	$(GO) run ./cmd/benchshard -out BENCH_shard.json
 	$(GO) run ./cmd/benchserve -out BENCH_serve.json
 	$(GO) run ./cmd/benchcolumnar -out BENCH_columnar.json

@@ -108,17 +108,38 @@ func (b *Batch) CloneRow(i int) value.Row {
 
 // Gather compacts the batch in place to the rows named by the selection
 // vector sel, which must be strictly increasing row indices < Len().
+func (b *Batch) Gather(sel []int) { b.gatherFrom(0, sel) }
+
+// gatherFrom compacts the rows at and after base down to those named by
+// sel (strictly increasing indices in [base, Len())); rows before base are
+// left alone.
 //
 //qo:hotpath
-func (b *Batch) Gather(sel []int) {
+func (b *Batch) gatherFrom(base int, sel []int) {
 	for c := range b.cols {
 		col := b.cols[c]
 		for out, in := range sel {
-			col[out] = col[in]
+			col[base+out] = col[in]
 		}
-		b.cols[c] = col[:len(sel)]
+		b.cols[c] = col[:base+len(sel)]
 	}
-	b.n = len(sel)
+	b.n = base + len(sel)
+}
+
+// filterTail keeps, of the rows appended since base, those passing pred.
+// It is how a window worker filters what it just appended without
+// touching earlier windows' survivors in the same batch. sel is the
+// caller's selection-vector scratch, returned for reuse.
+//
+//qo:hotpath
+func (b *Batch) filterTail(base int, pred *expr.Bound, sel []int) ([]int, error) {
+	sel = rangeSel(sel, base, b.n)
+	keep, err := pred.EvalBatch(b.cols, sel)
+	if err != nil {
+		return sel, err
+	}
+	b.gatherFrom(base, keep)
+	return sel, nil
 }
 
 // Truncate drops all rows past the first n.
@@ -181,18 +202,18 @@ func putBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// identSel returns the identity selection vector [0, n), reusing buf's
-// storage when it is large enough. The make runs once per high-water
-// mark, not per call.
+// rangeSel returns the selection vector [lo, hi), reusing buf's storage
+// when it is large enough. The make runs once per high-water mark, not
+// per call.
 //
 //qo:hotpath
-func identSel(buf []int, n int) []int {
-	if cap(buf) < n {
-		buf = make([]int, n)
+func rangeSel(buf []int, lo, hi int) []int {
+	if cap(buf) < hi-lo {
+		buf = make([]int, hi-lo)
 	}
-	buf = buf[:n]
+	buf = buf[:hi-lo]
 	for i := range buf {
-		buf[i] = i
+		buf[i] = lo + i
 	}
 	return buf
 }
@@ -289,29 +310,16 @@ func openAndDrainArena(ctx *Context, n Node, counters *cost.Counters) ([]value.R
 		if b == nil {
 			return rows, nil
 		}
-		rows, arena = appendArenaRows(rows, arena, b)
-	}
-}
-
-// appendArenaRows clones the batch's rows onto rows, drawing row storage
-// from shared arena slabs — one allocation per arenaChunk values instead
-// of one per row. The appended rows are immutable views into the slab;
-// callers thread the returned arena through successive calls so a slab's
-// free tail carries across batches.
-//
-//qo:hotpath
-func appendArenaRows(rows []value.Row, arena []value.Value, b *Batch) ([]value.Row, []value.Value) {
-	cols := b.Cols()
-	w := len(cols)
-	if need := b.Len() * w; cap(arena)-len(arena) < need {
-		arena = make([]value.Value, 0, max(arenaChunk, need))
-	}
-	for i := 0; i < b.Len(); i++ {
-		start := len(arena)
-		for c := 0; c < w; c++ {
-			arena = append(arena, cols[c][i])
+		cols := b.Cols()
+		if need := b.Len() * len(cols); cap(arena)-len(arena) < need {
+			arena = make([]value.Value, 0, max(arenaChunk, need))
 		}
-		rows = append(rows, arena[start:len(arena):len(arena)])
+		for i := 0; i < b.Len(); i++ {
+			start := len(arena)
+			for c := range cols {
+				arena = append(arena, cols[c][i])
+			}
+			rows = append(rows, arena[start:len(arena):len(arena)])
+		}
 	}
-	return rows, arena
 }

@@ -2,14 +2,14 @@ package engine
 
 // Encoded scan path: SeqScan over colstore compressed columnar segments.
 //
-// The encoded path slots in under the row path's window loop — both the
-// serial operator and the morsel workers call encScan.window for each
-// [next, end) row window instead of loading values through
-// storage.Table.Value — and is counter transparent: every window charges
-// the exact sequential-page and tuple counters the row path charges,
-// including windows inside zone-skipped segments. The saving is
-// wall-clock (no decode, no residual evaluation on rows the encoded
-// probes eliminate) and resident bytes, never simulated I/O.
+// The encoded path slots in under the SeqScan window worker: after
+// charging a [next, end) row window the worker calls encScan.window
+// instead of loading values through storage.Table.Value. It is counter
+// transparent because it charges nothing itself — every window, also one
+// inside a zone-skipped segment, has already been charged exactly what
+// the row path charges. The saving is wall-clock (no decode, no residual
+// evaluation on rows the encoded probes eliminate) and resident bytes,
+// never simulated I/O.
 //
 // Semantics parity is structural. ScanLate evaluates the pushable prefix
 // of the filter's conjuncts exactly on encoded data (expr.SplitPushdown
@@ -21,7 +21,6 @@ package engine
 
 import (
 	"robustqo/internal/colstore"
-	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
 	"robustqo/internal/storage"
@@ -55,7 +54,7 @@ func (m ScanMode) String() string {
 
 // encScanSpec is the cold, shareable half of an encoded scan: the table
 // encoding, compiled probes (immutable, safe across workers), and the
-// unbound residual. Built once at Open / openMorsels.
+// unbound residual. Built once, in SeqScan.openMorsels.
 type encScanSpec struct {
 	enc    *colstore.TableEncoding
 	mode   ScanMode
@@ -70,14 +69,21 @@ type encScanSpec struct {
 // prepareEncScan resolves a SeqScan's encoded path, returning nil when
 // the scan must stay on the row path: row mode requested, no encodings
 // in the context, the table missing from the set, or the encoding stale
-// (built at a different row count than the table currently has — the
-// silent-fallback staleness guard).
+// (built at a different row count than the table currently has). The
+// stale case is a degraded path, so it is counted:
+// robustqo_columnar_stale_fallback_total.
 func prepareEncScan(ctx *Context, t *storage.Table, schema expr.RelSchema, s *SeqScan) *encScanSpec {
 	if s.Mode == ScanRows || ctx.Encodings == nil {
 		return nil
 	}
 	enc, ok := ctx.Encodings.For(s.Table)
-	if !ok || enc.Rows() != t.NumRows() {
+	if !ok {
+		return nil
+	}
+	if enc.Rows() != t.NumRows() {
+		if ctx.Metrics != nil {
+			ctx.Metrics.Counter("robustqo_columnar_stale_fallback_total").Inc()
+		}
 		return nil
 	}
 	spec := &encScanSpec{enc: enc, mode: s.Mode, residual: s.Filter}
@@ -116,8 +122,8 @@ func (spec *encScanSpec) late() bool {
 }
 
 // encScan is one consumer's mutable scan state over a shared spec: the
-// bound residual plus selection-vector scratch. One per serial operator
-// or per morsel worker — never shared.
+// bound residual plus selection-vector scratch. One per window worker —
+// never shared.
 type encScan struct {
 	spec     *encScanSpec
 	residual *expr.Bound
@@ -140,23 +146,17 @@ func (spec *encScanSpec) newState(schema expr.RelSchema) (*encScan, error) {
 	return e, nil
 }
 
-// window processes one row window [next, end): charges the row path's
-// exact page and tuple counters, skips or probes encoded segments,
-// materializes survivors into out, and applies the residual (ScanLate)
-// or the caller's full bound filter (ScanEager). out holds the surviving
-// rows on return.
+// window appends the survivors of one row window [next, end) to out:
+// skips or probes encoded segments, materializes what is left, and
+// applies the residual (ScanLate) or the caller's full bound filter
+// (ScanEager). The caller has already charged the window — windows inside
+// zone-skipped segments included, since a row scan would read them.
 //
 //qo:hotpath
-func (e *encScan) window(out *Batch, full *expr.Bound, next, end int, counters *cost.Counters) error {
+func (e *encScan) window(out *Batch, full *expr.Bound, next, end int) error {
 	spec := e.spec
 	enc := spec.enc
-	out.Reset()
-	// Identical charge arithmetic to the row path's window: pages whose
-	// first tuple falls inside [next, end), and one tuple per row — also
-	// for windows in zone-skipped segments, which a row scan would read.
-	const per = storage.TuplesPerPage
-	counters.SeqPages += int64((end+per-1)/per - (next+per-1)/per)
-	counters.Tuples += int64(end - next)
+	base := out.n
 	late := spec.late()
 	for lo := next; lo < end; {
 		si := enc.SegIndex(lo)
@@ -191,7 +191,7 @@ func (e *encScan) window(out *Batch, full *expr.Bound, next, end int, counters *
 			continue
 		}
 		if late {
-			src := identSel(e.sel, stop-lo)
+			src := rangeSel(e.sel, 0, stop-lo)
 			e.sel = src
 			dst := e.sel2
 			for pi := range spec.probes {
@@ -216,18 +216,14 @@ func (e *encScan) window(out *Batch, full *expr.Bound, next, end int, counters *
 		}
 		lo = stop
 	}
-	if out.n == 0 {
+	if out.n == base {
 		return nil
 	}
 	pred := full
 	if late {
 		pred = e.residual
 	}
-	e.sel = identSel(e.sel, out.n)
-	keep, err := pred.EvalBatch(out.Cols(), e.sel)
-	if err != nil {
-		return err
-	}
-	out.Gather(keep)
-	return nil
+	var err error
+	e.sel, err = out.filterTail(base, pred, e.sel)
+	return err
 }

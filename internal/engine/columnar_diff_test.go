@@ -8,6 +8,7 @@ import (
 	"robustqo/internal/colstore"
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
+	"robustqo/internal/obs"
 	"robustqo/internal/stats"
 	"robustqo/internal/storage"
 	"robustqo/internal/testkit"
@@ -212,8 +213,9 @@ func TestColumnarDifferentialProperty(t *testing.T) {
 }
 
 // TestColumnarStaleEncodingFallsBack pins the staleness guard: a table
-// that grows after encoding silently serves from the row path instead of
-// returning rows the encoding no longer covers.
+// that grows after encoding serves from the row path instead of returning
+// rows the encoding no longer covers — same rows and counters as a row
+// scan — and says so in robustqo_columnar_stale_fallback_total.
 func TestColumnarStaleEncodingFallsBack(t *testing.T) {
 	db, ctx := columnarTestDB(t, 2000, 1)
 	encs, err := colstore.BuildAll(db)
@@ -221,6 +223,8 @@ func TestColumnarStaleEncodingFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx.Encodings = encs
+	ctx.Metrics = obs.NewRegistry()
+	stale := ctx.Metrics.Counter("robustqo_columnar_stale_fallback_total")
 	line := testkit.Table(db, "lineitem")
 	if err := line.Append(value.Row{
 		value.Int(2000), value.Int(1), value.Date(99), value.Str("tail"), value.Int(1), value.Float(1),
@@ -235,6 +239,16 @@ func TestColumnarStaleEncodingFallsBack(t *testing.T) {
 	if len(res.Rows) != 2001 {
 		t.Fatalf("stale-encoding scan returned %d rows, want 2001 (row-path fallback)", len(res.Rows))
 	}
+	var rc cost.Counters
+	if _, err := (&SeqScan{Table: "lineitem"}).Execute(ctx, &rc); err != nil {
+		t.Fatal(err)
+	}
+	if c != rc {
+		t.Fatalf("stale-encoding scan counters %+v, row path %+v", c, rc)
+	}
+	if stale.Value() != 1 {
+		t.Fatalf("stale fallback counted %d times, want 1", stale.Value())
+	}
 	if err := encs.Rebuild(db); err != nil {
 		t.Fatal(err)
 	}
@@ -244,5 +258,8 @@ func TestColumnarStaleEncodingFallsBack(t *testing.T) {
 	}
 	if len(res.Rows) != 2001 {
 		t.Fatalf("rebuilt-encoding scan returned %d rows, want 2001", len(res.Rows))
+	}
+	if stale.Value() != 1 {
+		t.Fatalf("fresh encoding counted as stale: %d", stale.Value())
 	}
 }

@@ -12,10 +12,14 @@
 // Batches (see Operator in batch.go): streaming operators charge work only
 // as batches are actually pulled, so a LIMIT terminates its inputs early,
 // while pipeline breakers (sort, aggregation, hash build, merge join, star
-// dimension arms) consume their blocking inputs at Open. Node.Execute is a
-// thin drain-to-Result wrapper kept for callers that want the whole output
-// at once; ExecuteMaterialized in materialize.go preserves the original
-// row-at-a-time engine as an equivalence reference.
+// dimension arms) consume their blocking inputs at Open. The leaf scans
+// have one implementation, the morsel pipeline of parallel.go: a worker
+// turns one window of at most BatchSize rows into rows of a Batch, and
+// the same workers run serially (morselScanOp, DOP 1) or on an Exchange's
+// goroutine pool, which is why counters agree at every DOP. Node.Execute
+// is a thin drain-to-Result wrapper kept for callers that want the whole
+// output at once; ExecuteMaterialized in materialize.go preserves the
+// original row-at-a-time engine as an equivalence reference.
 package engine
 
 import (
@@ -37,13 +41,13 @@ type Context struct {
 	Model   cost.Model
 	// Metrics, when non-nil, receives engine-level operational counters
 	// (robustqo_hashjoin_* build pre-sizing outcomes, robustqo_columnar_*
-	// segment skipping). Nil disables metering; it never affects results
-	// or cost.Counters.
+	// segment skipping and stale-encoding fallbacks). Nil disables
+	// metering; it never affects results or cost.Counters.
 	Metrics *obs.Registry
 	// Encodings, when non-nil, holds compressed columnar segment
 	// encodings that SeqScans with Mode != ScanRows read instead of row
-	// storage. Scans fall back to the row path silently when a table's
-	// encoding is absent or stale.
+	// storage. Scans fall back to the row path when a table's encoding is
+	// absent or stale (the stale case is counted; see prepareEncScan).
 	Encodings *colstore.Set
 }
 

@@ -9,18 +9,18 @@ import (
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
-	"robustqo/internal/value"
 )
 
 // Exchange runs a morselizable source on DOP worker goroutines and merges
 // their output back into the serial Open/Next/Close contract. Workers
-// claim morsels from a shared counter, accumulate into private
-// cost.Counters, and ship (morsel index, rows, counters) back to the
-// coordinator, which re-sequences morsels by index — so rows come out in
-// the source's serial order — and folds the per-worker counters into the
-// shared counters exactly once, in worker order. A full drain is
-// therefore byte-identical, in both rows and counters, to running the
-// source serially.
+// claim morsels from a shared counter, run each morsel's windows into one
+// pooled Batch while accumulating into private cost.Counters, and ship
+// (morsel index, batch) to the coordinator, which re-sequences morsels by
+// index — so rows come out in the source's serial order — emits each
+// batch as it is, and returns it to the pool when it moves on. At the
+// barrier the per-worker counters fold into the shared counters exactly
+// once, in worker order. A full drain is therefore byte-identical, in
+// both rows and counters, to running the source serially.
 //
 // With DOP < 2, or over a source that cannot be morselized, Exchange
 // degrades to a pure pass-through of the source's own operator.
@@ -51,20 +51,34 @@ func (e *Exchange) Execute(ctx *Context, counters *cost.Counters) (*Result, erro
 func (e *Exchange) Stream() Operator { return &exchangeOp{node: e} }
 
 // morselResult carries one finished morsel from a worker to the
-// coordinator.
+// coordinator. Ownership of b travels with it: the receiver puts it back
+// in the pool. b is nil when err is set.
 type morselResult struct {
-	m    int
-	rows []value.Row
-	err  error
+	m   int
+	b   *Batch
+	err error
+}
+
+// runMorsel runs every window of morsel m into one pooled batch, which
+// the caller owns on success.
+func runMorsel(r morselRunner, w morselWorker, m int, counters *cost.Counters) (*Batch, error) {
+	b := getBatch(r.schema())
+	lo, hi := r.morselSpan(m)
+	for next := lo; next < hi; next += BatchSize {
+		if err := w.window(b, next, min(next+BatchSize, hi), counters); err != nil {
+			putBatch(b)
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // workerReport is each worker's final accounting: the counters it
-// accumulated privately, shipped to the coordinator at the barrier.
-// busy/wall are wall-clock utilization figures, populated only when the
-// context carries a metrics registry; they never influence results or
-// cost.Counters.
+// accumulated privately, published into its own slot of
+// exchangeOp.reports as it exits and read by the coordinator after the
+// barrier. busy/wall are wall-clock utilization figures; they never
+// influence results or cost.Counters.
 type workerReport struct {
-	w        int
 	counters cost.Counters
 	morsels  int
 	rows     int64
@@ -86,155 +100,129 @@ type exchangeOp struct {
 	metrics *obs.Registry
 	// shardOf maps a morsel index to its shard; shardRows accumulates
 	// emitted rows per shard for the skew metric. Both nil unless the
-	// runner is sharded and metrics are on.
-	shardOf   func(int) int
+	// runner spans several shards and metrics are on.
+	shardOf   []int
 	shardRows []int64
 
-	runner   morselRunner
+	workers  []morselWorker
 	nMorsels int
-	nWorkers int
 	claim    atomic.Int64
 	stopCh   chan struct{}
-	stopped  bool
+	inflight chan struct{} // semaphore: morsels claimed but not yet emitted
 	results  chan morselResult
-	reports  chan workerReport
+	reports  []workerReport // one slot per worker
 	wg       sync.WaitGroup
 	spans    []*obs.Span
 
 	next    int                  // next morsel index to emit
 	pending map[int]morselResult // received out-of-order morsels
-	cur     []value.Row
-	curPos  int
-	out     *Batch
+	cur     *Batch               // the morsel batch last emitted; ours to put back
 	merged  bool
 }
 
 func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 	o.counters = counters
-	src, ok := morselSourceOf(o.node.Source)
+	src, stats, ok := morselSourceOf(o.node.Source)
 	if o.node.DOP < 2 || !ok {
 		o.passthrough = o.node.Source.Stream()
 		return o.passthrough.Open(ctx, counters)
 	}
-	runner, err := src.openMorsels(ctx, counters, o.node.DOP)
+	runner, err := openMorselSource(ctx, src, stats, counters, o.node.DOP)
 	if err != nil {
 		return err
 	}
-	o.runner = runner
 	o.metrics = ctx.Metrics
 	if o.metrics != nil {
-		if sr, ok := runner.(shardedRunner); ok && sr.numShards() > 1 {
-			o.shardOf = sr.shardOfMorsel
-			o.shardRows = make([]int64, sr.numShards())
+		// Shards ascend, so the last morsel's is the highest.
+		if sr, ok := runner.(shardedRunner); ok {
+			if sh := sr.morselShards(); len(sh) > 0 && sh[len(sh)-1] > 0 {
+				o.shardOf, o.shardRows = sh, make([]int64, sh[len(sh)-1]+1)
+			}
 		}
 	}
-	schema, err := o.node.Source.Schema(ctx)
-	if err != nil {
-		return err
-	}
 	o.nMorsels = runner.numMorsels()
-	o.nWorkers = min(o.node.DOP, o.nMorsels)
-	o.out = getBatch(schema)
-	o.pending = make(map[int]morselResult, o.nWorkers)
-	if o.nWorkers == 0 {
-		return nil
-	}
+	nWorkers := min(o.node.DOP, o.nMorsels)
+	o.pending = make(map[int]morselResult, nWorkers)
 	o.stopCh = make(chan struct{})
-	o.results = make(chan morselResult, o.nWorkers*2)
-	o.reports = make(chan workerReport, o.nWorkers)
-	o.spans = make([]*obs.Span, o.nWorkers)
-	for w := 0; w < o.nWorkers; w++ {
-		mw, err := runner.newWorker()
+	// Two morsels per worker may be in flight — claimed but not yet
+	// emitted — so a worker can fill its next morsel while the previous
+	// one waits its turn, and no more: every in-flight morsel pins a
+	// pooled batch. inflight is the counting semaphore: a worker takes a
+	// slot before it claims a morsel and the coordinator frees one for
+	// each morsel it emits; results is as deep, so a send never blocks.
+	o.inflight = make(chan struct{}, nWorkers*2)
+	o.results = make(chan morselResult, cap(o.inflight))
+	o.reports = make([]workerReport, nWorkers)
+	o.spans = make([]*obs.Span, nWorkers)
+	for w := 0; w < nWorkers; w++ {
+		mw, err := newMorselWorker(runner, stats)
 		if err != nil {
 			o.finish()
 			return err
 		}
+		o.workers = append(o.workers, mw)
 		o.spans[w] = o.node.Trace.StartSpanDetached(fmt.Sprintf("worker-%d", w))
 		o.wg.Add(1)
-		timed := o.metrics != nil
 		go func(w int, mw morselWorker) {
 			defer o.wg.Done()
-			defer mw.release()
 			// Counters stay goroutine-local; they reach the shared
-			// counters only via the report channel, merged at the
+			// counters only via this worker's report slot, merged at the
 			// coordinator's barrier. busy/wall time the morsel work vs the
 			// worker's whole lifetime — the busy fraction's complement is
 			// time spent waiting on the coordinator's backpressure.
 			var wc cost.Counters
 			var rows int64
 			var busy time.Duration
-			var wallStart time.Time
-			if timed {
-				wallStart = time.Now()
-			}
-			morsels := 0
-			wall := func() time.Duration {
-				if timed {
-					return time.Since(wallStart)
-				}
-				return 0
-			}
+			morsels, wallStart := 0, time.Now()
+		claim:
 			for {
 				select {
+				case o.inflight <- struct{}{}:
 				case <-o.stopCh:
-					o.reports <- workerReport{w: w, counters: wc, morsels: morsels, rows: rows, busy: busy, wall: wall()}
-					return
-				default:
+					break claim
 				}
 				m := int(o.claim.Add(1)) - 1
 				if m >= o.nMorsels {
 					break
 				}
-				var start time.Time
-				if timed {
-					start = time.Now()
+				start := time.Now()
+				b, err := runMorsel(runner, mw, m, &wc)
+				busy += time.Since(start)
+				if b != nil {
+					rows += int64(b.Len())
 				}
-				out, err := mw.runMorsel(m, &wc)
-				if timed {
-					busy += time.Since(start)
-				}
-				rows += int64(len(out))
 				morsels++
-				select {
-				case o.results <- morselResult{m: m, rows: out, err: err}:
-				case <-o.stopCh:
-					o.reports <- workerReport{w: w, counters: wc, morsels: morsels, rows: rows, busy: busy, wall: wall()}
-					return
-				}
+				o.results <- morselResult{m: m, b: b, err: err}
 				if err != nil {
 					// Stop claiming; the coordinator surfaces the error
 					// when emission order reaches this morsel.
 					break
 				}
 			}
-			o.reports <- workerReport{w: w, counters: wc, morsels: morsels, rows: rows, busy: busy, wall: wall()}
+			o.reports[w] = workerReport{counters: wc, morsels: morsels, rows: rows, busy: busy, wall: time.Since(wallStart)}
 		}(w, mw)
 	}
 	return nil
 }
 
+// Next emits the next in-order morsel batch. The batch handed out stays
+// the coordinator's: it goes back to the pool on the following call (the
+// Operator contract's validity window) or at Close.
 func (o *exchangeOp) Next() (*Batch, error) {
 	if o.passthrough != nil {
 		return o.passthrough.Next()
 	}
 	for {
-		// Emit the current morsel's survivors in batch-sized chunks.
-		if o.curPos < len(o.cur) {
-			end := min(o.curPos+BatchSize, len(o.cur))
-			o.out.Reset()
-			for _, r := range o.cur[o.curPos:end] {
-				o.out.AppendRow(r)
-			}
-			o.curPos = end
-			return o.out, nil
-		}
+		putBatch(o.cur)
+		o.cur = nil
 		if o.next >= o.nMorsels {
 			o.finish()
 			return nil, nil
 		}
 		// Block until the next in-order morsel arrives; stash any that
-		// arrive ahead of their turn. Every morsel index gets exactly one
-		// result, so this always terminates.
+		// arrive ahead of their turn. Morsels are claimed in index order and
+		// every claimed morsel gets exactly one result, so this always
+		// terminates.
 		res, ok := o.pending[o.next]
 		for !ok {
 			if o.metrics != nil {
@@ -243,18 +231,21 @@ func (o *exchangeOp) Next() (*Batch, error) {
 				o.metrics.Histogram("robustqo_exchange_queue_depth", obs.DepthBuckets).Observe(float64(len(o.results)))
 			}
 			r := <-o.results
-			if o.shardRows != nil {
-				o.shardRows[o.shardOf(r.m)] += int64(len(r.rows))
+			if o.shardRows != nil && r.b != nil {
+				o.shardRows[o.shardOf[r.m]] += int64(r.b.Len())
 			}
 			o.pending[r.m] = r
 			res, ok = o.pending[o.next]
 		}
 		delete(o.pending, o.next)
-		o.next = o.next + 1
+		o.next++
+		<-o.inflight
 		if res.err != nil {
 			return nil, res.err
 		}
-		o.cur, o.curPos = res.rows, 0
+		if o.cur = res.b; o.cur.Len() > 0 {
+			return o.cur, nil
+		}
 	}
 }
 
@@ -264,14 +255,13 @@ func (o *exchangeOp) Close() {
 		return
 	}
 	o.finish()
-	putBatch(o.out)
-	o.out = nil
-	o.cur = nil
-	o.pending = nil
 }
 
-// finish stops the pool, waits for every worker, and merges the
-// per-worker counters into the shared counters — exactly once, in worker
+// finish stops the pool, waits for every worker, returns every morsel
+// batch the exchange still holds — undelivered, out of order, or last
+// emitted — to the batch pool, and merges the per-worker counters into
+// the shared counters and the per-worker tallies into the bypassed
+// Instrumented wrappers' stats (worker.release) — exactly once, in worker
 // order, so repeated drains and early Closes both account every charge
 // deterministically.
 func (o *exchangeOp) finish() {
@@ -279,69 +269,44 @@ func (o *exchangeOp) finish() {
 		return
 	}
 	o.merged = true
-	if o.stopCh != nil && !o.stopped {
-		o.stopped = true
+	if o.stopCh != nil {
 		close(o.stopCh)
 	}
 	o.wg.Wait()
 	for {
-		// Release any undelivered morsels (nil channel: skipped).
+		// Undelivered morsels (nil channel: skipped) still own a batch.
 		select {
-		case <-o.results:
+		case r := <-o.results:
+			putBatch(r.b)
 			continue
 		default:
 		}
 		break
 	}
-	reps := make([]workerReport, o.nWorkers)
-	got := make([]bool, o.nWorkers)
-	for {
-		select {
-		case r := <-o.reports:
-			reps[r.w] = r
-			got[r.w] = true
-			continue
-		default:
-		}
-		break
+	for _, r := range o.pending {
+		putBatch(r.b)
 	}
+	putBatch(o.cur)
+	o.pending, o.cur = nil, nil
 	var totalRows, totalMorsels, maxWorkerRows int64
-	nReported := 0
-	for w := range reps {
-		if got[w] {
-			o.counters.Add(reps[w].counters)
-			totalRows += reps[w].rows
-			totalMorsels += int64(reps[w].morsels)
-			if reps[w].rows > maxWorkerRows {
-				maxWorkerRows = reps[w].rows
-			}
-			nReported++
-			if sp := o.spans[w]; sp != nil {
-				sp.SetAttr("morsels", fmt.Sprintf("%d", reps[w].morsels))
-				sp.SetAttr("rows", fmt.Sprintf("%d", reps[w].rows))
-			}
-			if o.metrics != nil && reps[w].wall > 0 {
-				o.metrics.Histogram("robustqo_exchange_worker_busy_ratio", obs.RatioBuckets).
-					Observe(reps[w].busy.Seconds() / reps[w].wall.Seconds())
-			}
+	for w, mw := range o.workers {
+		mw.release()
+		r := o.reports[w]
+		o.counters.Add(r.counters)
+		totalRows += r.rows
+		totalMorsels += int64(r.morsels)
+		maxWorkerRows = max(maxWorkerRows, r.rows)
+		if sp := o.spans[w]; sp != nil {
+			sp.SetAttr("morsels", fmt.Sprintf("%d", r.morsels))
+			sp.SetAttr("rows", fmt.Sprintf("%d", r.rows))
+			sp.End()
 		}
-		if w < len(o.spans) {
-			o.spans[w].End()
+		if o.metrics != nil && r.wall > 0 {
+			o.metrics.Histogram("robustqo_exchange_worker_busy_ratio", obs.RatioBuckets).
+				Observe(r.busy.Seconds() / r.wall.Seconds())
 		}
 	}
-	o.exportSkew(totalRows, totalMorsels, maxWorkerRows, nReported)
-	// The workers bypass an instrumented source's pass-through wrapper,
-	// so feed the actual totals into its stats here; EXPLAIN ANALYZE then
-	// reports the scan's actuals as usual.
-	if inst, ok := o.node.Source.(*Instrumented); ok && inst.Stats != nil {
-		inst.Stats.Rows += totalRows
-		inst.Stats.Batches += totalMorsels
-	}
-	// Runners that bypass further Instrumented wrappers inside the source
-	// subtree (HashJoin over an instrumented probe) feed those here too.
-	if f, ok := o.runner.(morselStatsFeeder); ok {
-		f.feedStats()
-	}
+	o.exportSkew(totalRows, totalMorsels, maxWorkerRows, len(o.workers))
 }
 
 // exportSkew emits the drain-level utilization series: totals, the

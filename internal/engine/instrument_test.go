@@ -251,3 +251,63 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		t.Errorf("root span rows attr = %q", recs[0].Attrs["rows"])
 	}
 }
+
+// TestExchangeWorkersFeedBypassedStats pins the one route by which
+// operators that run inside the worker pool — and so never see their
+// Instrumented wrapper's Next — report actuals: worker-local tallies
+// folded in at the barrier. A scan→join→join pipeline under an Exchange
+// must record, on every wrapper of the pipeline, the rows and batches
+// (non-empty windows) the serial pipeline records, at every DOP, and its
+// time on the operator that spent it rather than on the Exchange.
+func TestExchangeWorkersFeedBypassedStats(t *testing.T) {
+	_, ctx := testDB(t, 3000, 3, 40)
+	col := func(tab, c string) expr.ColumnRef { return expr.ColumnRef{Table: tab, Column: c} }
+	pipeline := func() Node {
+		return &HashJoin{
+			Build: &SeqScan{Table: "part", Filter: testkit.Expr("p_size < 25")},
+			Probe: &HashJoin{
+				Build:    &SeqScan{Table: "orders", Filter: testkit.Expr("o_total < 600")},
+				Probe:    &SeqScan{Table: "lineitem", Filter: testkit.Expr("l_ship BETWEEN 10 AND 70")},
+				BuildCol: col("orders", "o_orderkey"), ProbeCol: col("lineitem", "l_orderkey"),
+			},
+			BuildCol: col("part", "p_partkey"), ProbeCol: col("lineitem", "l_partkey"),
+		}
+	}
+	type actuals struct{ rows, batches, opens int64 }
+	collect := func(n *Instrumented) []actuals {
+		var out []actuals
+		var walk func(*Instrumented)
+		walk = func(m *Instrumented) {
+			out = append(out, actuals{m.Stats.Rows, m.Stats.Batches, m.Stats.Opens})
+			for _, k := range m.Kids {
+				walk(k)
+			}
+		}
+		walk(n)
+		return out
+	}
+	serial := Instrument(pipeline())
+	var sc cost.Counters
+	if _, err := serial.Execute(ctx, &sc); err != nil {
+		t.Fatal(err)
+	}
+	want := collect(serial)
+	for _, dop := range []int{2, 4} {
+		inst := Instrument(&Exchange{Source: pipeline(), DOP: dop})
+		var c cost.Counters
+		if _, err := inst.Execute(ctx, &c); err != nil {
+			t.Fatal(err)
+		}
+		if c != sc {
+			t.Fatalf("dop=%d: counters diverged", dop)
+		}
+		got := collect(inst.Kids[0])
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("dop=%d: per-operator (rows, batches, opens) under Exchange\n got %v\nwant %v", dop, got, want)
+		}
+		probeScan := inst.Kids[0].Kids[1].Kids[1]
+		if probeScan.Stats.NextTime <= 0 {
+			t.Fatalf("dop=%d: lineitem scan ran in the workers but recorded no time", dop)
+		}
+	}
+}

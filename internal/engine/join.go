@@ -52,57 +52,91 @@ func (j *HashJoin) Execute(ctx *Context, counters *cost.Counters) (*Result, erro
 // Stream implements Node.
 func (j *HashJoin) Stream() Operator { return &hashJoinOp{node: j} }
 
-// hashJoinOp drains the build side into a hash table at Open (the build is
-// inherently blocking) and then streams the probe side, emitting matches a
-// probe batch at a time. The probe is vectorized: it walks the probe
-// batch's key column directly — no per-row materialization into a scratch
-// row, and no boxing the key into an interface — and copies matching rows
-// column-wise out of the batch.
+// builtJoin is a hash join past its blocking half: the finished,
+// read-only table, the probe key's ordinal in the probe schema, and the
+// join's output schema.
+type builtJoin struct {
+	table  *joinTable
+	pIdx   int
+	schema expr.RelSchema
+}
+
+// openBuild is the blocking half of a hash join, shared by the serial
+// operator and the morsel runner: resolve both keys, drain the build side
+// into arena rows, build the table across dop partitions, and charge
+// HashBuilds.
+func (j *HashJoin) openBuild(ctx *Context, counters *cost.Counters, dop int) (*builtJoin, error) {
+	buildSchema, err := j.Build.Schema(ctx)
+	if err != nil {
+		return nil, err
+	}
+	probeSchema, err := j.Probe.Schema(ctx)
+	if err != nil {
+		return nil, err
+	}
+	bIdx, err := buildSchema.Resolve(j.BuildCol)
+	if err != nil {
+		return nil, fmt.Errorf("engine: HashJoin build key: %v", err)
+	}
+	pIdx, err := probeSchema.Resolve(j.ProbeCol)
+	if err != nil {
+		return nil, fmt.Errorf("engine: HashJoin probe key: %v", err)
+	}
+	buildRows, err := openAndDrainArena(ctx, j.Build, counters)
+	if err != nil {
+		return nil, err
+	}
+	table := buildJoinTable(buildRows, bIdx, j.BuildRowsEst, dop)
+	table.recordMetrics(ctx.Metrics)
+	counters.HashBuilds += int64(len(buildRows))
+	return &builtJoin{table: table, pIdx: pIdx, schema: buildSchema.Concat(probeSchema)}, nil
+}
+
+// probeInto joins every row of the probe batch b against the table,
+// appending matches to out column-wise: one HashProbes per probe row, one
+// Tuples per match, each key's build rows in build-input order. The probe
+// is vectorized — it walks b's key column directly, with no per-row
+// materialization and no boxing of the key.
+//
+//qo:hotpath
+func (j *builtJoin) probeInto(out, b *Batch, counters *cost.Counters) {
+	counters.HashProbes += int64(b.Len())
+	t, keys := j.table, b.Cols()[j.pIdx]
+	for r := 0; r < b.Len(); r++ {
+		for idx := t.first(keys[r]); idx >= 0; idx = t.next[idx] {
+			counters.Tuples++
+			out.appendConcatFrom(t.rows[idx], b, r)
+		}
+	}
+}
+
+// hashJoinOp builds at Open (the build is inherently blocking) and then
+// streams the probe side, emitting matches a probe batch at a time. It
+// takes any probe input; when the probe is morselizable an Exchange runs
+// the same two halves through hashJoinMorselWorker instead.
 type hashJoinOp struct {
 	node     *HashJoin
 	counters *cost.Counters
 	probe    Operator
-	table    *joinTable
-	pIdx     int
+	built    *builtJoin
 	out      *Batch
 }
 
 func (o *hashJoinOp) Open(ctx *Context, counters *cost.Counters) error {
-	j := o.node
-	buildSchema, err := j.Build.Schema(ctx)
-	if err != nil {
+	var err error
+	if o.built, err = o.node.openBuild(ctx, counters, 1); err != nil {
 		return err
 	}
-	probeSchema, err := j.Probe.Schema(ctx)
-	if err != nil {
-		return err
-	}
-	bIdx, err := buildSchema.Resolve(j.BuildCol)
-	if err != nil {
-		return fmt.Errorf("engine: HashJoin build key: %v", err)
-	}
-	o.pIdx, err = probeSchema.Resolve(j.ProbeCol)
-	if err != nil {
-		return fmt.Errorf("engine: HashJoin probe key: %v", err)
-	}
-	buildRows, err := openAndDrainArena(ctx, j.Build, counters)
-	if err != nil {
-		return err
-	}
-	o.table = buildJoinTable(buildRows, bIdx, j.BuildRowsEst, 1)
-	o.table.recordMetrics(ctx.Metrics)
-	counters.HashBuilds += int64(len(buildRows))
 	o.counters = counters
-	o.probe = j.Probe.Stream()
+	o.probe = o.node.Probe.Stream()
 	if err := o.probe.Open(ctx, counters); err != nil {
 		return err
 	}
-	o.out = getBatch(buildSchema.Concat(probeSchema))
+	o.out = getBatch(o.built.schema)
 	return nil
 }
 
-// Next probes the table with each surviving probe row, emitting matches
-// column-wise into the operator's pooled batch.
+// Next probes the table with each surviving probe batch.
 //
 //qo:hotpath
 func (o *hashJoinOp) Next() (*Batch, error) {
@@ -114,15 +148,8 @@ func (o *hashJoinOp) Next() (*Batch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		o.counters.HashProbes += int64(b.Len())
 		o.out.Reset()
-		keys := b.Cols()[o.pIdx]
-		for r := 0; r < b.Len(); r++ {
-			for idx := o.table.first(keys[r]); idx >= 0; idx = o.table.next[idx] {
-				o.counters.Tuples++
-				o.out.appendConcatFrom(o.table.rows[idx], b, r)
-			}
-		}
+		o.built.probeInto(o.out, b, o.counters)
 		if o.out.Len() > 0 {
 			return o.out, nil
 		}

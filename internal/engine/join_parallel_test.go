@@ -92,8 +92,8 @@ func TestJoinDifferentialDOPProperty(t *testing.T) {
 				// by their join keys (append order), so the alreadySorted
 				// hints hold and no sort is charged.
 				return &MergeJoin{
-					Left:  wrap(ordScan),
-					Right: wrap(lineScan),
+					Left:    wrap(ordScan),
+					Right:   wrap(lineScan),
 					LeftCol: col("orders", "o_orderkey"), RightCol: col("lineitem", "l_orderkey"),
 					LeftSorted: true, RightSorted: true,
 				}
@@ -215,13 +215,13 @@ func TestHashJoinPresizeMetrics(t *testing.T) {
 	}
 }
 
-// TestMorselProbeAllocs pins the arena discipline of the parallel join
-// path (found by qolint's hotalloc analyzer): hashJoinMorselWorker used
-// to build one fresh value.Row per match, costing an allocation per
-// output row across a drain. With slab-backed output rows and a
-// pre-sized row-header slice, a full drain allocates per arena slab —
-// the ceiling here is one allocation per eight output rows, and the
-// old code exceeded one per row.
+// TestMorselProbeAllocs pins the allocation discipline of the parallel
+// join path on the batch contract: a worker joins each probe window
+// column-wise into a pooled morsel batch, so a full drain allocates for
+// column growth of fresh batches and nothing per match. The ceiling is one
+// allocation per eight output rows; the first morsel worker (found by
+// qolint's hotalloc analyzer) built one value.Row per match and exceeded
+// one per row.
 func TestMorselProbeAllocs(t *testing.T) {
 	_, ctx := testDB(t, 4000, 4, 40)
 	node := &HashJoin{
@@ -244,18 +244,19 @@ func TestMorselProbeAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		total := 0
 		for m := 0; m < runner.numMorsels(); m++ {
-			rows, err := w.runMorsel(m, &c)
+			b, err := runMorsel(runner, w, m, &c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += len(rows)
+			total += b.Len()
+			putBatch(b)
 		}
 		if total != wantRows {
 			t.Fatalf("drained %d joined rows, want %d", total, wantRows)
 		}
 	})
 	if ceiling := float64(wantRows) / 8; allocs > ceiling {
-		t.Fatalf("parallel probe drain allocs %.0f, want <= %.0f (arena slabs, not per-row)", allocs, ceiling)
+		t.Fatalf("parallel probe drain allocs %.0f, want <= %.0f (pooled batches, not per-row)", allocs, ceiling)
 	}
 	t.Logf("allocs per full drain: %.0f for %d joined rows", allocs, wantRows)
 }

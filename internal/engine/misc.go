@@ -73,7 +73,7 @@ func (o *filterOp) Next() (*Batch, error) {
 			return nil, nil
 		}
 		o.counters.Tuples += int64(b.Len())
-		o.sel = identSel(o.sel, b.Len())
+		o.sel = rangeSel(o.sel, 0, b.Len())
 		keep, err := o.pred.EvalBatch(b.Cols(), o.sel)
 		if err != nil {
 			//qo:alloc-ok error path, cold
@@ -465,7 +465,7 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		n := b.Len()
 		counters.Tuples += int64(n)
 		counters.HashBuilds += int64(n)
-		sel = identSel(sel, n)
+		sel = rangeSel(sel, 0, n)
 		cols := b.Cols()
 		for i := range a.Aggs {
 			if argFns[i] == nil {

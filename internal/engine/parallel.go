@@ -1,119 +1,181 @@
 package engine
 
-// Morsel-driven parallelism for the leaf scans. A morselizable source
-// splits its streaming work into fixed-size contiguous morsels that an
-// Exchange worker pool consumes; the blocking Open-phase work (catalog
-// resolution, index seeks, RID intersection) stays on the coordinator and
-// is charged to the shared counters exactly once, just as the serial
-// operator's Open would charge it.
+// The morsel pipeline: the one implementation of the leaf scans, serial
+// and parallel. A morselizable source splits its streaming work into
+// fixed-size contiguous morsels; a worker turns one ≤BatchSize window of
+// a morsel at a time into rows of a Batch. Serial execution is DOP 1 of
+// this pipeline (morselScanOp in scan.go walks morsels × windows in order
+// on the caller's goroutine); under an Exchange the same workers run on a
+// goroutine pool. The blocking Open-phase work (catalog resolution, index
+// seeks, RID intersection, hash build) happens once in openMorsels,
+// charged to the shared counters before any window runs.
 //
-// Counter exactness is the load-bearing property: a full parallel drain
-// must produce byte-identical cost.Counters to the serial pipeline. That
-// holds because every per-morsel charge is tiling-invariant:
+// The window-worker contract: window(out, lo, hi, counters) appends the
+// survivors of the source's rows [lo, hi) to out and charges that
+// window's page and tuple work to counters; hi-lo ≤ BatchSize and [lo, hi)
+// lies inside one morsel. The caller owns out. The serial driver resets
+// its one pooled batch before every window and hands it up the pipeline;
+// an Exchange worker fills one pooled batch per morsel and sends it to
+// the coordinator, which returns it to the pool when it advances past it
+// (or drains it on an early Close); a semaphore bounds how many such
+// batches are in flight. A worker itself owns only scratch —
+// bound predicates, selection vectors, a join's probe-side batch — so
+// workers of one runner run disjoint windows concurrently.
 //
-//   - SeqScan charges pages whose first tuple falls inside the current
-//     row window; morsel boundaries are multiples of BatchSize, so the
-//     windows are exactly the serial pipeline's windows, merely
-//     partitioned across workers.
-//   - RID fetches charge one random page and one tuple per RID, which is
-//     independent of how the RID list is partitioned.
-//
-// int64 addition is commutative, so merging per-worker counters in any
-// order reproduces the serial totals.
+// Counter exactness is the load-bearing property: a full drain produces
+// byte-identical cost.Counters at any DOP because the windows themselves
+// are identical at any DOP. Morsel boundaries are multiples of BatchSize
+// from the source's (or shard's) base, so cutting every morsel into
+// BatchSize windows yields the same windows whether one worker walks all
+// morsels or several split them, and every charge is a property of a
+// window (SeqScan: pages whose first tuple falls inside it) or of a row
+// (one random page per RID fetched; one probe per probe row, one tuple
+// per match). int64 addition is commutative, so merging per-worker
+// counters in any order reproduces the serial totals.
 
 import (
 	"fmt"
+	"time"
 
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/index"
+	"robustqo/internal/obs"
 	"robustqo/internal/storage"
 	"robustqo/internal/value"
 )
 
 // MorselSize is the number of rows (or RIDs) one morsel covers. It is a
-// multiple of BatchSize so parallel sub-batch windows coincide with the
-// serial pipeline's windows, which is what keeps the per-window page
-// charges byte-identical under any partitioning.
+// multiple of BatchSize so a morsel is a whole number of windows.
 const MorselSize = 4 * BatchSize
 
 // morselSource is implemented by nodes whose streaming phase can be
-// partitioned into morsels. openMorsels performs the serial operator's
-// blocking Open work — charged to the shared counters on the coordinator
-// — and returns a runner over the remaining row-fetch work. dop is the
-// worker count the Exchange will run; leaf scans ignore it, while
-// HashJoin uses it to partition its build across that many workers before
-// the probe morsels start.
+// partitioned into morsels. openMorsels performs the node's blocking
+// Open work — charged to the shared counters on the caller's goroutine —
+// and returns a runner over the remaining streaming work. dop is the
+// worker count that will run; leaf scans ignore it, while HashJoin uses
+// it to partition its build across that many workers before the probe
+// morsels start.
 type morselSource interface {
 	Node
 	openMorsels(ctx *Context, counters *cost.Counters, dop int) (morselRunner, error)
 }
 
 // morselRunner partitions a source's streaming work into numMorsels
-// contiguous morsels. newWorker returns an independent worker context;
-// workers run disjoint morsels concurrently, each charging its own
-// counters (bound predicates carry per-evaluation scratch, so every
-// worker binds its own copy).
+// contiguous morsels; morselSpan gives morsel m's extent [lo, hi) in the
+// source's own coordinate (global row ids, or positions in a RID list),
+// ascending in m. newWorker returns an independent worker (bound
+// predicates carry per-evaluation scratch, so every worker binds its own
+// copy). schema is the schema of the batches workers fill.
 type morselRunner interface {
+	schema() expr.RelSchema
 	numMorsels() int
+	morselSpan(m int) (lo, hi int)
 	newWorker() (morselWorker, error)
 }
 
-// morselWorker processes single morsels. runMorsel charges the morsel's
-// page and tuple work into counters and returns the surviving rows,
-// freshly cloned (they outlive the worker's scratch batch). release
-// returns worker-owned scratch to the batch pool.
+// morselWorker processes single windows; see the contract above. release
+// is called once, after the worker's last window, by whoever created it —
+// for an Exchange that is the coordinator, after the barrier.
 type morselWorker interface {
-	runMorsel(m int, counters *cost.Counters) ([]value.Row, error)
+	window(out *Batch, lo, hi int, counters *cost.Counters) error
 	release()
 }
 
 // morselSourceOf unwraps instrumentation and reports whether a node can
-// feed an Exchange worker pool.
-func morselSourceOf(n Node) (morselSource, bool) {
+// feed the morsel pipeline. stats is the unwrapped Instrumented's, nil
+// for a bare node: workers bypass the wrapper's own Stream, so whoever
+// runs them feeds its stats instead (openMorselSource, newMorselWorker).
+func morselSourceOf(n Node) (src morselSource, stats *obs.OpStats, ok bool) {
 	for {
-		inst, ok := n.(*Instrumented)
-		if !ok {
+		inst, isInst := n.(*Instrumented)
+		if !isInst {
 			break
 		}
-		n = inst.Inner
+		n, stats = inst.Inner, inst.Stats
 	}
 	// A HashJoin is morselizable exactly when its probe side is: the
 	// build is blocking Open-phase work either way. Checked before the
 	// plain interface assertion so an ineligible probe disqualifies the
-	// join instead of panicking later.
-	if hj, ok := n.(*HashJoin); ok {
-		if _, ok := morselSourceOf(hj.Probe); !ok {
-			return nil, false
+	// join instead of failing later.
+	if hj, isJoin := n.(*HashJoin); isJoin {
+		if _, _, ok := morselSourceOf(hj.Probe); !ok {
+			return nil, nil, false
 		}
-		return hj, true
+		return hj, stats, true
 	}
-	ms, ok := n.(morselSource)
-	return ms, ok
+	src, ok = n.(morselSource)
+	return src, stats, ok
+}
+
+// openMorselSource is src.openMorsels, timed into the bypassed wrapper's
+// stats when there is one — what instrumentedOp.Open would have recorded.
+func openMorselSource(ctx *Context, src morselSource, stats *obs.OpStats, counters *cost.Counters, dop int) (morselRunner, error) {
+	start := time.Now()
+	r, err := src.openMorsels(ctx, counters, dop)
+	if stats != nil {
+		stats.OpenTime += time.Since(start)
+		stats.Opens++
+	}
+	return r, err
+}
+
+// newMorselWorker is r.newWorker, wrapped to tally into stats when the
+// source node is instrumented.
+func newMorselWorker(r morselRunner, stats *obs.OpStats) (morselWorker, error) {
+	w, err := r.newWorker()
+	if err != nil || stats == nil {
+		return w, err
+	}
+	return &tallyWorker{morselWorker: w, stats: stats}, nil
+}
+
+// tallyWorker records what one worker produced for one instrumented
+// source node: rows, non-empty windows (the batches a serial wrapper
+// would have counted, so Batches agrees at every DOP), and the time spent
+// inside window — inclusive of a join's probe side, as a wrapper's
+// NextTime is. The tallies are worker-local; release folds them into the
+// node's stats, which is race-free and deterministic because release
+// runs on the coordinator, after the barrier, in worker order.
+type tallyWorker struct {
+	morselWorker
+	stats         *obs.OpStats
+	rows, batches int64
+	busy          time.Duration
+}
+
+//qo:hotpath
+func (w *tallyWorker) window(out *Batch, lo, hi int, counters *cost.Counters) error {
+	start, before := time.Now(), out.Len()
+	err := w.morselWorker.window(out, lo, hi, counters)
+	w.busy += time.Since(start)
+	if n := out.Len() - before; n > 0 {
+		w.rows += int64(n)
+		w.batches++
+	}
+	return err
+}
+
+func (w *tallyWorker) release() {
+	w.stats.Rows += w.rows
+	w.stats.Batches += w.batches
+	w.stats.NextTime += w.busy
+	w.morselWorker.release()
 }
 
 // shardedRunner is implemented by runners that know which shard each
-// morsel was tiled from; the Exchange uses it for the per-shard row-skew
-// metric. Runners over unpartitioned sources simply don't implement it.
+// morsel was tiled from (ascending, one entry per morsel); the Exchange
+// uses it for the per-shard row-skew metric. Runners over unpartitioned
+// sources simply don't implement it.
 type shardedRunner interface {
-	numShards() int
-	shardOfMorsel(m int) int
-}
-
-// morselStatsFeeder is implemented by runners that bypass Instrumented
-// wrappers inside their subtree (a HashJoin's probe runs through the
-// worker pool, not through the probe node's own Stream). Exchange calls
-// feedStats at its barrier so EXPLAIN ANALYZE still reports the bypassed
-// operators' actual row counts.
-type morselStatsFeeder interface {
-	feedStats()
+	morselShards() []int
 }
 
 // --- SeqScan ---
 
-// openMorsels implements morselSource. The serial SeqScan charges nothing
-// at Open; the filter is bound once here so malformed predicates fail at
-// Open exactly as they do serially.
+// openMorsels implements morselSource. A SeqScan charges nothing at Open;
+// the filter is bound once here so a malformed predicate fails at Open
+// rather than in a worker.
 func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunner, error) {
 	t, schema, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
@@ -124,7 +186,7 @@ func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunn
 	}
 	morsels, shards := spanMorselsShards(scanSpans(t, s.Partitions))
 	return &seqMorselRunner{
-		node: s, t: t, schema: schema,
+		node: s, t: t, sch: schema,
 		spec:    prepareEncScan(ctx, t, schema, s),
 		morsels: morsels, shards: shards,
 	}, nil
@@ -135,37 +197,31 @@ type seqMorselRunner struct {
 	t    *storage.Table
 	// spec is the shared encoded-scan plan, nil on the row path; each
 	// worker derives its own mutable encScan state from it.
-	spec   *encScanSpec
-	schema expr.RelSchema
+	spec *encScanSpec
+	sch  expr.RelSchema
 	// morsels are the shard-major (shard, morsel) work units: ascending
-	// row-id windows, each inside one surviving shard. The Exchange's
-	// merge-by-morsel-index therefore reproduces global row-id order.
+	// row-id windows, each inside one surviving shard, so walking them in
+	// index order reproduces global row-id order.
 	morsels []rowSpan
 	// shards[m] is the span (shard) index morsel m was tiled from.
 	shards []int
 }
 
-func (r *seqMorselRunner) numMorsels() int { return len(r.morsels) }
+func (r *seqMorselRunner) schema() expr.RelSchema        { return r.sch }
+func (r *seqMorselRunner) numMorsels() int               { return len(r.morsels) }
+func (r *seqMorselRunner) morselSpan(m int) (lo, hi int) { return r.morsels[m].lo, r.morsels[m].hi }
 
-// numShards and shardOfMorsel implement shardedRunner; shards are
-// shard-major, so the last entry is the highest span index.
-func (r *seqMorselRunner) numShards() int {
-	if len(r.shards) == 0 {
-		return 0
-	}
-	return r.shards[len(r.shards)-1] + 1
-}
-
-func (r *seqMorselRunner) shardOfMorsel(m int) int { return r.shards[m] }
+// morselShards implements shardedRunner.
+func (r *seqMorselRunner) morselShards() []int { return r.shards }
 
 func (r *seqMorselRunner) newWorker() (morselWorker, error) {
-	pred, err := bindFilter(r.node.Filter, r.schema)
+	pred, err := bindFilter(r.node.Filter, r.sch)
 	if err != nil {
 		return nil, err
 	}
-	w := &seqMorselWorker{r: r, pred: pred, out: getBatch(r.schema)}
+	w := &seqMorselWorker{r: r, pred: pred}
 	if r.spec != nil {
-		if w.enc, err = r.spec.newState(r.schema); err != nil {
+		if w.enc, err = r.spec.newState(r.sch); err != nil {
 			return nil, err
 		}
 	}
@@ -176,68 +232,47 @@ type seqMorselWorker struct {
 	r    *seqMorselRunner
 	pred *expr.Bound
 	enc  *encScan
-	out  *Batch
 	sel  []int
 }
 
-// runMorsel loads, filters, and clones out the morsel's surviving rows.
-// Survivors are copied into arena slabs rather than one allocation per
-// row, so a full drain allocates per slab, not per tuple.
+// window charges the pages whose first tuple falls inside [lo, hi) — over
+// any disjoint covering of the table this sums to exactly NumPages — and
+// one tuple per row, then loads the window column-wise (or through the
+// encoded path, which charges nothing of its own) and filters it.
 //
 //qo:hotpath
-func (w *seqMorselWorker) runMorsel(m int, counters *cost.Counters) ([]value.Row, error) {
-	t := w.r.t
-	lo, hi := w.r.morsels[m].lo, w.r.morsels[m].hi
-	var rows []value.Row
-	var arena []value.Value
-	for next := lo; next < hi; {
-		end := min(next+BatchSize, hi)
-		if w.enc != nil {
-			// Encoded columnar window — identical counters to the row path.
-			if err := w.enc.window(w.out, w.pred, next, end, counters); err != nil {
-				//qo:alloc-ok error path, cold
-				return nil, fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
-			}
-			rows, arena = appendArenaRows(rows, arena, w.out)
-			next = end
-			continue
-		}
-		w.out.Reset()
-		// Column-wise load of the row window [next, end) — the same
-		// windows, charges, and filter evaluation as seqScanOp.Next.
-		for c := range w.out.cols {
-			col := w.out.cols[c]
-			for r := next; r < end; r++ {
+func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters) error {
+	const per = storage.TuplesPerPage
+	counters.SeqPages += int64((hi+per-1)/per - (lo+per-1)/per)
+	counters.Tuples += int64(hi - lo)
+	var err error
+	if w.enc != nil {
+		err = w.enc.window(out, w.pred, lo, hi)
+	} else {
+		t, base := w.r.t, out.n
+		for c := range out.cols {
+			col := out.cols[c]
+			for r := lo; r < hi; r++ {
 				col = append(col, t.Value(r, c))
 			}
-			w.out.cols[c] = col
+			out.cols[c] = col
 		}
-		w.out.n = end - next
-		const per = storage.TuplesPerPage
-		counters.SeqPages += int64((end+per-1)/per - (next+per-1)/per)
-		counters.Tuples += int64(end - next)
-		w.sel = identSel(w.sel, w.out.Len())
-		keep, err := w.pred.EvalBatch(w.out.Cols(), w.sel)
-		if err != nil {
-			//qo:alloc-ok error path, cold
-			return nil, fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
-		}
-		w.out.Gather(keep)
-		rows, arena = appendArenaRows(rows, arena, w.out)
-		next = end
+		out.n += hi - lo
+		w.sel, err = out.filterTail(base, w.pred, w.sel)
 	}
-	return rows, nil
+	if err != nil {
+		//qo:alloc-ok error path, cold
+		return fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
+	}
+	return nil
 }
 
-func (w *seqMorselWorker) release() {
-	putBatch(w.out)
-	w.out = nil
-}
+func (w *seqMorselWorker) release() {}
 
 // --- RID-list scans (IndexRangeScan, IndexIntersect) ---
 
-// openMorsels implements morselSource: the index seek happens here, on
-// the coordinator, with the same charges as the serial Open.
+// openMorsels implements morselSource: the index seek happens here, once,
+// before any row is fetched.
 func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ int) (morselRunner, error) {
 	t, schema, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
@@ -255,14 +290,13 @@ func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	counters.IndexEntries += int64(scanned)
 	rids = pruneRids(t, s.Partitions, rids)
 	return &ridMorselRunner{
-		t: t, schema: schema, residual: s.Residual, rids: rids,
+		t: t, sch: schema, residual: s.Residual, rids: rids,
 		errCtx: fmt.Sprintf("IndexRangeScan(%s)", s.Table),
 	}, nil
 }
 
-// openMorsels implements morselSource: all probes and the intersection
-// happen here, on the coordinator, with the same charges as the serial
-// Open.
+// openMorsels implements morselSource: all probes and the intersection —
+// inherently blocking — happen here, once.
 func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ int) (morselRunner, error) {
 	if len(s.Ranges) == 0 {
 		return nil, fmt.Errorf("engine: IndexIntersect(%s) with no ranges", s.Table)
@@ -288,79 +322,62 @@ func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	}
 	rids := pruneRids(t, s.Partitions, index.Intersect(lists...))
 	return &ridMorselRunner{
-		t: t, schema: schema, residual: s.Residual, rids: rids,
+		t: t, sch: schema, residual: s.Residual, rids: rids,
 		errCtx: fmt.Sprintf("IndexIntersect(%s)", s.Table),
 	}, nil
 }
 
-// ridMorselRunner partitions a RID list; each RID costs one random page
-// and one tuple wherever it lands, so any partition sums to the serial
-// charges.
+// ridMorselRunner partitions a RID list by position; each RID costs one
+// random page and one tuple wherever it lands.
 type ridMorselRunner struct {
 	t        *storage.Table
-	schema   expr.RelSchema
+	sch      expr.RelSchema
 	residual expr.Expr
 	rids     []int32
 	errCtx   string
 }
 
-func (r *ridMorselRunner) numMorsels() int {
-	return (len(r.rids) + MorselSize - 1) / MorselSize
+func (r *ridMorselRunner) schema() expr.RelSchema { return r.sch }
+func (r *ridMorselRunner) numMorsels() int        { return (len(r.rids) + MorselSize - 1) / MorselSize }
+
+func (r *ridMorselRunner) morselSpan(m int) (lo, hi int) {
+	return m * MorselSize, min((m+1)*MorselSize, len(r.rids))
 }
 
 func (r *ridMorselRunner) newWorker() (morselWorker, error) {
-	pred, err := bindFilter(r.residual, r.schema)
+	pred, err := bindFilter(r.residual, r.sch)
 	if err != nil {
 		return nil, err
 	}
-	return &ridMorselWorker{
-		r: r, pred: pred, out: getBatch(r.schema),
-		buf: make(value.Row, len(r.schema.Fields)),
-	}, nil
+	return &ridMorselWorker{r: r, pred: pred, buf: make(value.Row, len(r.sch.Fields))}, nil
 }
 
 type ridMorselWorker struct {
 	r    *ridMorselRunner
 	pred *expr.Bound
-	out  *Batch
 	buf  value.Row
 	sel  []int
 }
 
-// runMorsel fetches, filters, and clones out the morsel's surviving
-// rows, copying survivors into arena slabs exactly as the SeqScan worker
-// does.
+// window fetches the rows behind RID positions [lo, hi), charging one
+// random page and one tuple per RID as the row is actually fetched, and
+// applies the residual.
 //
 //qo:hotpath
-func (w *ridMorselWorker) runMorsel(m int, counters *cost.Counters) ([]value.Row, error) {
-	rids := w.r.rids
-	lo := m * MorselSize
-	hi := min(lo+MorselSize, len(rids))
-	var rows []value.Row
-	var arena []value.Value
-	for next := lo; next < hi; {
-		end := min(next+BatchSize, hi)
-		w.out.Reset()
-		for _, rid := range rids[next:end] {
-			counters.RandPages++
-			counters.Tuples++
-			w.r.t.ReadRow(int(rid), w.buf)
-			w.out.AppendRow(w.buf)
-		}
-		w.sel = identSel(w.sel, w.out.Len())
-		keep, err := w.pred.EvalBatch(w.out.Cols(), w.sel)
-		if err != nil {
-			//qo:alloc-ok error path, cold
-			return nil, fmt.Errorf("engine: %s: %v", w.r.errCtx, err)
-		}
-		w.out.Gather(keep)
-		rows, arena = appendArenaRows(rows, arena, w.out)
-		next = end
+func (w *ridMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters) error {
+	base := out.n
+	for _, rid := range w.r.rids[lo:hi] {
+		counters.RandPages++
+		counters.Tuples++
+		w.r.t.ReadRow(int(rid), w.buf)
+		out.AppendRow(w.buf)
 	}
-	return rows, nil
+	var err error
+	if w.sel, err = out.filterTail(base, w.pred, w.sel); err != nil {
+		//qo:alloc-ok error path, cold
+		return fmt.Errorf("engine: %s: %v", w.r.errCtx, err)
+	}
+	return nil
 }
 
-func (w *ridMorselWorker) release() {
-	putBatch(w.out)
-	w.out = nil
-}
+func (w *ridMorselWorker) release() {}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"robustqo/internal/colstore"
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/stats"
@@ -153,43 +154,88 @@ func TestExchangeSerialFallback(t *testing.T) {
 	sameRowMultiset(t, res.Rows, sres.Rows, "filter fallback")
 }
 
-// TestExchangeEarlyClose pins that a LIMIT above an Exchange — the
-// pipeline stopping before the source is drained — shuts the worker pool
-// down without leaking goroutines or deadlocking, and still returns the
-// serial prefix of the output.
+// TestExchangeEarlyClose pins, for every morsel source, that a pipeline
+// stopping before the source is drained — a LIMIT above the Exchange, or a
+// worker failing mid-morsel — shuts the worker pool down without leaking
+// goroutines or deadlocking (undelivered morsel batches are drained back
+// to the pool on the way), and returns what the serial pipeline returns:
+// the same prefix of rows, or the same error.
 func TestExchangeEarlyClose(t *testing.T) {
 	_, ctx := testDB(t, 3000, 3, 10)
-	serial := &Limit{Input: &SeqScan{Table: "lineitem"}, N: 7}
-	var sc cost.Counters
-	sres, err := serial.Execute(ctx, &sc)
+	cdb, cctx := columnarTestDB(t, 2*colstore.SegmentRows+2000, 2)
+	encs, err := colstore.BuildAll(cdb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
-	for i := 0; i < 25; i++ {
-		plan := &Limit{Input: &Exchange{Source: &SeqScan{Table: "lineitem"}, DOP: 4}, N: 7}
-		var pc cost.Counters
-		pres, err := plan.Execute(ctx, &pc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pres.Rows) != len(sres.Rows) {
-			t.Fatalf("iter %d: %d rows, want %d", i, len(pres.Rows), len(sres.Rows))
-		}
-		for r := range pres.Rows {
-			if rowKey(pres.Rows[r]) != rowKey(sres.Rows[r]) {
-				t.Fatalf("iter %d: row %d differs", i, r)
+	cctx.Encodings = encs
+	ship := KeyRange{Column: "l_ship", Lo: 10, Hi: 90}
+	cases := []struct {
+		name  string
+		ctx   *Context
+		limit int
+		src   func() Node
+	}{
+		{"SeqScan", ctx, BatchSize + 7, func() Node { return &SeqScan{Table: "lineitem"} }},
+		{"SeqScan/late/2-shard", cctx, BatchSize + 7, func() Node {
+			return &SeqScan{Table: "lineitem", Mode: ScanLate, Filter: testkit.Expr("l_ship >= 20")}
+		}},
+		{"IndexRangeScan", ctx, BatchSize + 7, func() Node { return &IndexRangeScan{Table: "lineitem", Range: ship} }},
+		{"IndexIntersect", ctx, BatchSize + 7, func() Node {
+			return &IndexIntersect{Table: "lineitem", Ranges: []KeyRange{ship, {Column: "l_receipt", Lo: 0, Hi: 200}}}
+		}},
+		{"HashJoin", ctx, BatchSize + 7, func() Node {
+			return &HashJoin{
+				Build: &SeqScan{Table: "orders"}, Probe: &SeqScan{Table: "lineitem"},
+				BuildCol: expr.ColumnRef{Table: "orders", Column: "o_orderkey"},
+				ProbeCol: expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"},
 			}
-		}
+		}},
+		// Row 5000 fails, in the first window of the second morsel; the
+		// limit lies beyond it, so both pipelines must reach the error.
+		{"SeqScan/worker-error", ctx, 6000, func() Node {
+			return &SeqScan{Table: "lineitem", Filter: testkit.Expr("100 / (l_id - 5000) >= 0")}
+		}},
 	}
-	// All pools were shut down at Close; allow the runtime a moment to
-	// retire the exited goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var sc cost.Counters
+			sres, serr := (&Limit{Input: tc.src(), N: tc.limit}).Execute(tc.ctx, &sc)
+			if (serr != nil) != (tc.limit == 6000) || serr == nil && len(sres.Rows) != tc.limit {
+				t.Fatalf("fixture: serial returned %v, %v", sres, serr)
+			}
+			before := runtime.NumGoroutine()
+			for i := 0; i < 25; i++ {
+				plan := &Limit{Input: &Exchange{Source: tc.src(), DOP: 4}, N: tc.limit}
+				var pc cost.Counters
+				pres, err := plan.Execute(tc.ctx, &pc)
+				if serr != nil {
+					if err == nil || err.Error() != serr.Error() {
+						t.Fatalf("iter %d: error %v, want %v", i, err, serr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(pres.Rows) != len(sres.Rows) {
+					t.Fatalf("iter %d: %d rows, want %d", i, len(pres.Rows), len(sres.Rows))
+				}
+				for r := range pres.Rows {
+					if rowKey(pres.Rows[r]) != rowKey(sres.Rows[r]) {
+						t.Fatalf("iter %d: row %d differs", i, r)
+					}
+				}
+			}
+			// All pools were shut down at Close; allow the runtime a moment
+			// to retire the exited goroutines.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before+2 {
+				t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
-	"robustqo/internal/index"
 	"robustqo/internal/storage"
 	"robustqo/internal/value"
 )
@@ -51,97 +50,57 @@ func (s *SeqScan) Execute(ctx *Context, counters *cost.Counters) (*Result, error
 }
 
 // Stream implements Node.
-func (s *SeqScan) Stream() Operator { return &seqScanOp{node: s} }
+func (s *SeqScan) Stream() Operator { return &morselScanOp{src: s} }
 
-// seqScanOp streams the heap a batch of rows at a time, charging each
-// sequential page and tuple as it is actually read so a LIMIT above it
-// stops the scan before the tail of the table is touched.
-type seqScanOp struct {
-	node     *SeqScan
+// morselScanOp is the serial form of every leaf scan — DOP 1 of the
+// morsel pipeline (parallel.go). Open runs the node's blocking work and
+// takes one window worker; Next walks morsels × windows in order on the
+// caller's goroutine, charging the shared counters one window at a time,
+// so a LIMIT above stops the scan — and its charges — at the last window
+// pulled.
+type morselScanOp struct {
+	src      morselSource
 	counters *cost.Counters
-	t        *storage.Table
-	pred     *expr.Bound
-	enc      *encScan
-	spans    []rowSpan
-	span     int
-	next     int
+	runner   morselRunner
+	worker   morselWorker
+	m        int // current morsel
+	next     int // start of the next window, in the runner's coordinate
 	out      *Batch
-	sel      []int
 }
 
-func (o *seqScanOp) Open(ctx *Context, counters *cost.Counters) error {
-	t, schema, err := tableAndSchema(ctx, o.node.Table)
-	if err != nil {
+func (o *morselScanOp) Open(ctx *Context, counters *cost.Counters) error {
+	var err error
+	if o.runner, err = o.src.openMorsels(ctx, counters, 1); err != nil {
 		return err
 	}
-	pred, err := bindFilter(o.node.Filter, schema)
-	if err != nil {
+	if o.worker, err = o.runner.newWorker(); err != nil {
 		return err
 	}
-	if spec := prepareEncScan(ctx, t, schema, o.node); spec != nil {
-		if o.enc, err = spec.newState(schema); err != nil {
-			return err
-		}
-	}
-	o.counters, o.t, o.pred = counters, t, pred
-	o.spans = scanSpans(t, o.node.Partitions)
-	o.out = getBatch(schema)
+	o.counters = counters
+	o.out = getBatch(o.runner.schema())
 	return nil
 }
 
-// Next loads the next row window column-wise and filters it in place,
-// walking the surviving shards' spans in global row-id order.
+// Next returns the first window from the current position with any
+// survivors. Morsel spans ascend, so next only ever moves forward.
 //
 //qo:hotpath
-func (o *seqScanOp) Next() (*Batch, error) {
-	for o.span < len(o.spans) {
-		s := o.spans[o.span]
-		if o.next < s.lo {
-			o.next = s.lo
+func (o *morselScanOp) Next() (*Batch, error) {
+	for o.m < o.runner.numMorsels() {
+		lo, hi := o.runner.morselSpan(o.m)
+		if o.next < lo {
+			o.next = lo
 		}
-		if o.next >= s.hi {
-			o.span++
+		if o.next >= hi {
+			o.m++
 			continue
 		}
-		end := o.next + BatchSize
-		if end > s.hi {
-			end = s.hi
-		}
-		if o.enc != nil {
-			// Encoded columnar window: identical counters, filtered batch.
-			if err := o.enc.window(o.out, o.pred, o.next, end, o.counters); err != nil {
-				//qo:alloc-ok error path, cold
-				return nil, fmt.Errorf("engine: SeqScan(%s): %v", o.node.Table, err)
-			}
-			o.next = end
-			if o.out.Len() > 0 {
-				return o.out, nil
-			}
-			continue
-		}
+		end := min(o.next+BatchSize, hi)
 		o.out.Reset()
-		// Column-wise load of the row window [next, end).
-		for c := range o.out.cols {
-			col := o.out.cols[c]
-			for r := o.next; r < end; r++ {
-				col = append(col, o.t.Value(r, c))
-			}
-			o.out.cols[c] = col
+		if err := o.worker.window(o.out, o.next, end, o.counters); err != nil {
+			return nil, err
 		}
-		o.out.n = end - o.next
-		// Pages whose first tuple falls inside the window are charged now;
-		// across a full scan this sums to exactly NumPages.
-		const per = storage.TuplesPerPage
-		o.counters.SeqPages += int64((end+per-1)/per - (o.next+per-1)/per)
-		o.counters.Tuples += int64(end - o.next)
 		o.next = end
-		o.sel = identSel(o.sel, o.out.Len())
-		keep, err := o.pred.EvalBatch(o.out.Cols(), o.sel)
-		if err != nil {
-			//qo:alloc-ok error path, cold
-			return nil, fmt.Errorf("engine: SeqScan(%s): %v", o.node.Table, err)
-		}
-		o.out.Gather(keep)
 		if o.out.Len() > 0 {
 			return o.out, nil
 		}
@@ -149,7 +108,11 @@ func (o *seqScanOp) Next() (*Batch, error) {
 	return nil, nil
 }
 
-func (o *seqScanOp) Close() {
+func (o *morselScanOp) Close() {
+	if o.worker != nil {
+		o.worker.release()
+		o.worker = nil
+	}
 	putBatch(o.out)
 	o.out = nil
 }
@@ -197,40 +160,10 @@ func (s *IndexRangeScan) Execute(ctx *Context, counters *cost.Counters) (*Result
 	return execStream(ctx, s, counters)
 }
 
-// Stream implements Node.
-func (s *IndexRangeScan) Stream() Operator { return &indexRangeScanOp{node: s} }
-
-// indexRangeScanOp seeks the index at Open (the probe is unavoidable) but
-// defers the random-page fetches to Next, one batch of RIDs at a time.
-type indexRangeScanOp struct {
-	node  *IndexRangeScan
-	fetch ridFetcher
-}
-
-func (o *indexRangeScanOp) Open(ctx *Context, counters *cost.Counters) error {
-	t, schema, err := tableAndSchema(ctx, o.node.Table)
-	if err != nil {
-		return err
-	}
-	ix, ok := ctx.Indexes.Lookup(o.node.Table, o.node.Range.Column)
-	if !ok {
-		return fmt.Errorf("engine: no index on %s.%s", o.node.Table, o.node.Range.Column)
-	}
-	pred, err := bindFilter(o.node.Residual, schema)
-	if err != nil {
-		return err
-	}
-	counters.IndexSeeks++
-	rids, scanned := ix.Range(o.node.Range.Lo, o.node.Range.Hi)
-	counters.IndexEntries += int64(scanned)
-	rids = pruneRids(t, o.node.Partitions, rids)
-	o.fetch.init(counters, t, schema, pred, rids, fmt.Sprintf("IndexRangeScan(%s)", o.node.Table))
-	return nil
-}
-
-func (o *indexRangeScanOp) Next() (*Batch, error) { return o.fetch.nextBatch() }
-
-func (o *indexRangeScanOp) Close() { o.fetch.release() }
+// Stream implements Node: the index seek happens at Open (the probe is
+// unavoidable); the random-page fetches are deferred to Next, one window
+// of RIDs at a time.
+func (s *IndexRangeScan) Stream() Operator { return &morselScanOp{src: s} }
 
 // IndexIntersect is the paper's risky plan: probe one index per range
 // condition, intersect the RID lists, fetch only the surviving rows (one
@@ -269,107 +202,10 @@ func (s *IndexIntersect) Execute(ctx *Context, counters *cost.Counters) (*Result
 	return execStream(ctx, s, counters)
 }
 
-// Stream implements Node.
-func (s *IndexIntersect) Stream() Operator { return &indexIntersectOp{node: s} }
-
-// indexIntersectOp performs all index probes and the RID intersection at
-// Open — that work is inherently blocking — then streams the surviving
-// row fetches.
-type indexIntersectOp struct {
-	node  *IndexIntersect
-	fetch ridFetcher
-}
-
-func (o *indexIntersectOp) Open(ctx *Context, counters *cost.Counters) error {
-	if len(o.node.Ranges) == 0 {
-		return fmt.Errorf("engine: IndexIntersect(%s) with no ranges", o.node.Table)
-	}
-	t, schema, err := tableAndSchema(ctx, o.node.Table)
-	if err != nil {
-		return err
-	}
-	pred, err := bindFilter(o.node.Residual, schema)
-	if err != nil {
-		return err
-	}
-	lists := make([][]int32, len(o.node.Ranges))
-	for i, r := range o.node.Ranges {
-		ix, ok := ctx.Indexes.Lookup(o.node.Table, r.Column)
-		if !ok {
-			return fmt.Errorf("engine: no index on %s.%s", o.node.Table, r.Column)
-		}
-		counters.IndexSeeks++
-		rids, scanned := ix.Range(r.Lo, r.Hi)
-		counters.IndexEntries += int64(scanned)
-		counters.Tuples += int64(scanned) // intersection CPU
-		lists[i] = rids
-	}
-	rids := pruneRids(t, o.node.Partitions, index.Intersect(lists...))
-	o.fetch.init(counters, t, schema, pred, rids, fmt.Sprintf("IndexIntersect(%s)", o.node.Table))
-	return nil
-}
-
-func (o *indexIntersectOp) Next() (*Batch, error) { return o.fetch.nextBatch() }
-
-func (o *indexIntersectOp) Close() { o.fetch.release() }
-
-// ridFetcher streams the rows behind a RID list in batches, charging one
-// random page and one tuple per RID as the row is actually fetched.
-type ridFetcher struct {
-	counters *cost.Counters
-	t        *storage.Table
-	pred     *expr.Bound
-	rids     []int32
-	next     int
-	out      *Batch
-	buf      value.Row
-	sel      []int
-	errCtx   string
-}
-
-func (f *ridFetcher) init(counters *cost.Counters, t *storage.Table, schema expr.RelSchema, pred *expr.Bound, rids []int32, errCtx string) {
-	f.counters, f.t, f.pred, f.rids, f.errCtx = counters, t, pred, rids, errCtx
-	f.out = getBatch(schema)
-	f.buf = make(value.Row, len(schema.Fields))
-}
-
-// release returns the fetcher's batch to the pool; owners call it from
-// Close.
-func (f *ridFetcher) release() {
-	putBatch(f.out)
-	f.out = nil
-}
-
-// nextBatch materializes and filters the next window of the RID list.
-//
-//qo:hotpath
-func (f *ridFetcher) nextBatch() (*Batch, error) {
-	for f.next < len(f.rids) {
-		end := f.next + BatchSize
-		if end > len(f.rids) {
-			end = len(f.rids)
-		}
-		f.out.Reset()
-		for _, rid := range f.rids[f.next:end] {
-			f.counters.RandPages++
-			f.counters.Tuples++
-			f.t.ReadRow(int(rid), f.buf)
-			f.out.AppendRow(f.buf)
-		}
-		f.next = end
-		f.sel = identSel(f.sel, f.out.Len())
-		keep, err := f.pred.EvalBatch(f.out.Cols(), f.sel)
-		if err != nil {
-			//qo:alloc-ok error path, cold
-			return nil, fmt.Errorf("engine: %s: %v", f.errCtx, err)
-		}
-		f.out.Gather(keep)
-		if f.out.Len() > 0 {
-			return f.out, nil
-		}
-	}
-	return nil, nil
-}
+// Stream implements Node: all index probes and the RID intersection
+// happen at Open — that work is inherently blocking — and the surviving
+// row fetches stream.
+func (s *IndexIntersect) Stream() Operator { return &morselScanOp{src: s} }
 
 // fetchFiltered materializes the rows behind rids and keeps those passing
 // the (already bound) predicate. Used by the materialized reference path.

@@ -38,19 +38,12 @@ func scanSpans(t *storage.Table, parts []int) []rowSpan {
 	return spans
 }
 
-// spanMorsels tiles the spans into at-most-MorselSize morsels for the
-// scatter-gather Exchange: shard-major (span order), each morsel fully
-// inside one shard and offset a multiple of MorselSize from its shard's
-// base, so each worker's sub-batch windows coincide with the serial
-// pruned scan's windows and the merged counters stay byte-identical.
-func spanMorsels(spans []rowSpan) []rowSpan {
-	out, _ := spanMorselsShards(spans)
-	return out
-}
-
-// spanMorselsShards is spanMorsels plus, per morsel, the index of the
-// span (shard) it was tiled from — the mapping behind the Exchange's
-// per-shard row-skew metric.
+// spanMorselsShards tiles the spans into at-most-MorselSize morsels:
+// shard-major (span order), each morsel fully inside one shard and offset
+// a multiple of MorselSize from its shard's base, so a morsel's windows
+// are the same windows at any DOP. The second result is, per morsel, the
+// index of the span (shard) it was tiled from — the mapping behind the
+// Exchange's per-shard row-skew metric.
 func spanMorselsShards(spans []rowSpan) ([]rowSpan, []int) {
 	var out []rowSpan
 	var shard []int

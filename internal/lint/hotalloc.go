@@ -126,7 +126,7 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl, waived map[int]bool) {
 
 	// Locals that were demonstrably pre-sized or alias pre-sized
 	// storage: assigned from make, a field or element expression, or a
-	// call (identSel-style grow-to-high-water helpers).
+	// call (rangeSel-style grow-to-high-water helpers).
 	presized := make(map[types.Object]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)

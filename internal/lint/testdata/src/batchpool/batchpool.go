@@ -115,3 +115,62 @@ func suppressed(s schema) {
 }
 
 func consume(b *Batch) { putBatch(b) }
+
+// The Exchange hand-off: a worker fills one pooled batch per morsel and
+// sends it; ownership travels with the message, and the coordinator puts
+// the batch back when it advances past it, or drains it on an early
+// close.
+
+type result struct {
+	m   int
+	b   *Batch
+	err error
+}
+
+var errFailed error
+
+type coordinator struct {
+	results chan result
+	pending map[int]result
+	cur     *Batch
+}
+
+func okWorkerSendsMorsel(s schema, ch chan result, fail bool) {
+	b := getBatch(s)
+	if fail {
+		putBatch(b)
+		ch <- result{err: errFailed}
+		return
+	}
+	ch <- result{b: b}
+}
+
+func (c *coordinator) okNext() *Batch {
+	putBatch(c.cur)
+	c.cur = nil
+	r := <-c.results
+	c.cur = r.b
+	return c.cur
+}
+
+func (c *coordinator) okDrainOnClose() {
+	for {
+		select {
+		case r := <-c.results:
+			putBatch(r.b)
+			continue
+		default:
+		}
+		break
+	}
+	for _, r := range c.pending {
+		putBatch(r.b)
+	}
+	putBatch(c.cur)
+	c.cur = nil
+}
+
+func (c *coordinator) emitAfterPut() *Batch {
+	putBatch(c.cur)
+	return c.cur // want "used after putBatch"
+}

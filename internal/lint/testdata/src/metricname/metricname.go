@@ -30,11 +30,13 @@ func exchangeSeries(reg *obs.Registry) {
 	reg.Histogram("robustqo_exchange_shard_skew", skewBuckets).Observe(1)
 }
 
-// columnarSeries registers the encoded-scan zone-map family: one
-// counter per segment disposition, literal names at the call sites.
+// columnarSeries registers the encoded-scan family: one counter per
+// segment disposition and one for the stale-encoding fallback to the row
+// path, literal names at the call sites.
 func columnarSeries(reg *obs.Registry) {
 	reg.Counter("robustqo_columnar_segments_scanned_total").Inc()
 	reg.Counter("robustqo_columnar_segments_skipped_total").Inc()
+	reg.Counter("robustqo_columnar_stale_fallback_total").Inc()
 }
 
 // ledgerSeries registers the cardinality feedback family.

@@ -135,6 +135,19 @@ func TestOptimizerCacheMetrics(t *testing.T) {
 	if int64(estSpans) >= hits+reg.Counter("robustqo_estimate_cache_misses_total").Value() {
 		t.Fatalf("estimate spans (%d) not reduced by caching", estSpans)
 	}
+	// Twelve enumerations against one estimator: only the first inverts
+	// any posterior, so at least nine lookups in ten are answered from
+	// memory.
+	for i := 2; i < 12; i++ {
+		if _, err := o.Optimize(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qHits := reg.Counter("robustqo_quantile_cache_hits_total").Value()
+	qMisses := reg.Counter("robustqo_quantile_cache_misses_total").Value()
+	if rate := float64(qHits) / float64(qHits+qMisses); rate < 0.90 {
+		t.Fatalf("quantile-cache hit rate %.3f (%d hits, %d misses), want >= 0.90", rate, qHits, qMisses)
+	}
 }
 
 // TestParallelizeWrapsJoinPipeline is a unit test of the post-pass over a
