@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"robustqo/internal/core"
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/obs"
 	"robustqo/internal/obs/ledger"
@@ -224,14 +223,12 @@ func runLedgerQuery(ctx *engine.Context, est core.Estimator, dop int, sqlText st
 		EstRows: plan.EstRows, PartsPruned: q.PartsPruned, PartsTotal: q.PartsTotal,
 		ElapsedUS: time.Since(start).Microseconds()})
 	q.SetPhase(obs.PhaseExecute)
-	var counters cost.Counters
-	res, err := inst.Execute(ctx, &counters)
+	res, counters, _, err := engine.Run(ctx, inst)
 	if err != nil {
 		q.SetPhase(obs.PhaseFailed)
 		events.Emit(obs.Event{QueryID: q.ID, Event: "failed", Detail: err.Error()})
 		return err
 	}
-	counters.Output += int64(len(res.Rows))
 	q.SetPhase(obs.PhaseDone)
 	elapsed := time.Since(start)
 	obs.Default.Histogram("robustqo_query_latency_seconds", obs.LatencyBuckets).

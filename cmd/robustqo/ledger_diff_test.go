@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/obs"
 	"robustqo/internal/obs/ledger"
@@ -54,8 +53,7 @@ func TestLedgerInstrumentationDifferential(t *testing.T) {
 			}
 
 			// Ledger-disabled leg: plain pass-through instrumentation.
-			var cOff cost.Counters
-			resOff, err := engine.Instrument(plan.Root).Execute(ctx, &cOff)
+			resOff, cOff, _, err := engine.Run(ctx, engine.Instrument(plan.Root))
 			if err != nil {
 				t.Fatalf("%s: ledger off: %v", label, err)
 			}
@@ -69,8 +67,7 @@ func TestLedgerInstrumentationDifferential(t *testing.T) {
 				Live:       live,
 			})
 			before := led.Ordinal()
-			var cOn cost.Counters
-			resOn, err := instOn.Execute(ctx, &cOn)
+			resOn, cOn, _, err := engine.Run(ctx, instOn)
 			if err != nil {
 				t.Fatalf("%s: ledger on: %v", label, err)
 			}

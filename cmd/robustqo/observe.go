@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"robustqo/internal/core"
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/histogram"
 	"robustqo/internal/obs"
@@ -75,13 +74,11 @@ func buildEstimator(db *storage.Database, name string, threshold float64, sample
 // default registry, and exports the trace.
 func executePlan(ctx *engine.Context, plan *optimizer.Plan, tr *obs.Trace, f *obsFlags, out io.Writer) (*engine.Result, error) {
 	inst := engine.InstrumentTrace(plan.Root, tr)
-	var counters cost.Counters
-	res, err := inst.Execute(ctx, &counters)
+	res, counters, simTime, err := engine.Run(ctx, inst)
 	if err != nil {
 		return nil, err
 	}
-	counters.Output += int64(len(res.Rows))
-	fmt.Fprintf(out, "simulated execution: %.4f s  (%s)\n", ctx.Model.Time(counters), counters)
+	fmt.Fprintf(out, "simulated execution: %.4f s  (%s)\n", simTime, counters)
 	if f.analyze {
 		fmt.Fprint(out, "EXPLAIN ANALYZE:\n")
 		fmt.Fprint(out, engine.ExplainAnalyze(inst, engine.AnalyzeOptions{

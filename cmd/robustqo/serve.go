@@ -38,7 +38,6 @@ import (
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/core"
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/obs"
 	"robustqo/internal/obs/ledger"
@@ -457,11 +456,10 @@ func (s *server) execute(w http.ResponseWriter, r *http.Request, sqlText string,
 		EstRows: plan.EstRows, PartsPruned: live.PartsPruned, PartsTotal: live.PartsTotal,
 		ElapsedUS: time.Since(start).Microseconds()})
 	live.SetPhase(obs.PhaseExecute)
-	var counters cost.Counters
 	// The cancel guard sits outside the instrumented root: aborting
 	// still closes the instrumented tree, which flushes ledger feedback
 	// for the work that did complete.
-	res, err := engine.Guard(rctx, inst).Execute(s.ctx, &counters)
+	res, counters, simTime, err := engine.Run(s.ctx, engine.Guard(rctx, inst))
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -473,7 +471,6 @@ func (s *server) execute(w http.ResponseWriter, r *http.Request, sqlText string,
 		}
 		return
 	}
-	counters.Output += int64(len(res.Rows))
 	live.SetPhase(obs.PhaseDone)
 	elapsed := time.Since(start)
 	s.reg.Histogram("robustqo_query_latency_seconds", obs.LatencyBuckets).Observe(elapsed.Seconds())
@@ -503,8 +500,7 @@ func (s *server) execute(w http.ResponseWriter, r *http.Request, sqlText string,
 	} else {
 		fmt.Fprintf(w, "plan:\n%s", plan.Explain())
 	}
-	fmt.Fprintf(w, "simulated execution: %.4f s\n(%d rows)\n",
-		s.ctx.Model.Time(counters), len(res.Rows))
+	fmt.Fprintf(w, "simulated execution: %.4f s\n(%d rows)\n", simTime, len(res.Rows))
 }
 
 // handleQueries renders the in-flight queries with posterior-based

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+
+	"robustqo/internal/engine"
+	"robustqo/internal/optimizer"
+	"robustqo/internal/plancache"
+	"robustqo/internal/sqlparse"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -80,6 +86,55 @@ func TestServeQueryMetricsAndPprof(t *testing.T) {
 	code, body = get(t, ts.URL+"/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("pprof index: code %d", code)
+	}
+}
+
+// TestServeChargesOutputOnce pins that a /query response reports what
+// engine.Run reports for the same cached plan: the same row count, and a
+// simulated time whose output-tuple charge is counted exactly once — not
+// dropped, not doubled. The query returns enough rows that either slip
+// would move the printed seconds.
+func TestServeChargesOutputOnce(t *testing.T) {
+	s, err := newServer(5000, "robust", 0.8, 500, 2005, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.mux())
+	defer ts.Close()
+	sqlText := "SELECT l_orderkey FROM lineitem WHERE l_quantity < 20"
+	code, body := get(t, ts.URL+"/query?sql="+url.QueryEscape(sqlText))
+	if code != http.StatusOK {
+		t.Fatalf("query: code %d body %q", code, body)
+	}
+
+	q, err := sqlparse.Parse(sqlText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, outcome, err := s.cache.Plan(plancache.Env{
+		Ctx: s.ctx, Est: s.est, DOP: s.adm.ClampDOP(s.dop),
+		Optimize: func(*optimizer.Query) (*optimizer.Plan, error) {
+			return nil, fmt.Errorf("the served plan was not cached")
+		},
+	}, q)
+	if err != nil || outcome != plancache.Hit {
+		t.Fatalf("cached plan lookup: %v %v, want hit", outcome, err)
+	}
+	res, c, sim, err := engine.Run(s.ctx, plan.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("simulated execution: %.4f s\n(%d rows)\n", sim, len(res.Rows))
+	if !strings.HasSuffix(body, want) {
+		t.Fatalf("response does not end with engine.Run's numbers %q:\n%s", want, body)
+	}
+	for _, slip := range []int64{0, 2 * c.Output} {
+		wrong := c
+		wrong.Output = slip
+		if fmt.Sprintf("%.4f", s.ctx.Model.Time(wrong)) == fmt.Sprintf("%.4f", sim) {
+			t.Fatalf("fixture: %d rows do not move the printed time when %d output tuples are charged",
+				len(res.Rows), slip)
+		}
 	}
 }
 

@@ -236,26 +236,6 @@ type Operator interface {
 	Close()
 }
 
-// execStream drains a node's streaming operator into a materialized
-// Result. It is the shared body of every Node.Execute, keeping the public
-// execute-to-Result API while the real work happens batch-at-a-time.
-func execStream(ctx *Context, n Node, counters *cost.Counters) (*Result, error) {
-	schema, err := n.Schema(ctx)
-	if err != nil {
-		return nil, err
-	}
-	op := n.Stream()
-	defer op.Close()
-	if err := op.Open(ctx, counters); err != nil {
-		return nil, err
-	}
-	rows, err := drainRows(op)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: schema, Rows: rows}, nil
-}
-
 // drainRows pulls an opened operator to exhaustion, cloning every row out
 // of the transient batches.
 func drainRows(op Operator) ([]value.Row, error) {
@@ -274,9 +254,9 @@ func drainRows(op Operator) ([]value.Row, error) {
 	}
 }
 
-// openAndDrain runs a blocking child to completion for pipeline breakers:
-// it opens the child against the shared counters, drains it, and closes it
-// before returning.
+// openAndDrain runs a node to completion — a plan root for Run, a blocking
+// child for pipeline breakers: it opens the node's stream against the
+// shared counters, drains it, and closes it before returning.
 func openAndDrain(ctx *Context, n Node, counters *cost.Counters) ([]value.Row, error) {
 	op := n.Stream()
 	defer op.Close()

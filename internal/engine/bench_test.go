@@ -28,12 +28,12 @@ func BenchmarkExecStreamVsMaterialize(b *testing.B) {
 		b.ReportAllocs()
 		var rows int64
 		for i := 0; i < b.N; i++ {
-			var c cost.Counters
 			var res *Result
 			var err error
 			if stream {
-				res, err = plan.Execute(ctx, &c)
+				res, _, _, err = Run(ctx, plan)
 			} else {
+				var c cost.Counters
 				res, err = ExecuteMaterialized(ctx, plan, &c)
 			}
 			if err != nil {
@@ -54,8 +54,8 @@ func BenchmarkExecStreamVsMaterialize(b *testing.B) {
 		b.Run(bc.name+"/stream", func(b *testing.B) { run(b, plan, true) })
 		b.Run(bc.name+"/materialized", func(b *testing.B) { run(b, plan, false) })
 		// The obs wrapper must stay within a few percent of the bare
-		// streaming path; cmd/benchobs records the overhead in
-		// BENCH_obs.json.
+		// streaming path; the benchmark of record reports the overhead as
+		// obs.instrument_overhead_frac.
 		b.Run(bc.name+"/stream-instrumented", func(b *testing.B) { run(b, Instrument(benchPlan(bc.n)), true) })
 	}
 }
@@ -67,8 +67,7 @@ func TestStreamLimitAllocsFarBelowMaterialized(t *testing.T) {
 	_, ctx := testDB(t, 2000, 3, 10)
 	plan := benchPlan(10)
 	stream := testing.AllocsPerRun(10, func() {
-		var c cost.Counters
-		if _, err := plan.Execute(ctx, &c); err != nil {
+		if _, _, _, err := Run(ctx, plan); err != nil {
 			t.Fatal(err)
 		}
 	})

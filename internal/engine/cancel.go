@@ -45,11 +45,6 @@ func (g *CancelGuard) Schema(ctx *Context) (expr.RelSchema, error) { return g.In
 // Describe implements Node.
 func (g *CancelGuard) Describe() string { return g.Inner.Describe() }
 
-// Execute implements Node.
-func (g *CancelGuard) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, g, counters)
-}
-
 // Stream implements Node.
 func (g *CancelGuard) Stream() Operator { return &cancelOp{node: g} }
 

@@ -137,7 +137,7 @@ type encScan struct {
 func (spec *encScanSpec) newState(schema expr.RelSchema) (*encScan, error) {
 	e := &encScan{spec: spec, lastSeg: -1}
 	if spec.late() {
-		b, err := bindFilter(spec.residual, schema)
+		b, err := expr.Bind(spec.residual, schema)
 		if err != nil {
 			return nil, err
 		}

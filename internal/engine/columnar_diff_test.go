@@ -6,7 +6,6 @@ import (
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/colstore"
-	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
 	"robustqo/internal/stats"
@@ -179,8 +178,7 @@ func TestColumnarDifferentialProperty(t *testing.T) {
 			}
 
 			label := fmt.Sprintf("shards=%d trial %d ship[%d,%d] status %q", shards, trial, sLo, sHi, status)
-			var bc cost.Counters
-			base, err := build(0, ScanRows).Execute(ctx, &bc)
+			base, bc, _, err := Run(ctx, build(0, ScanRows))
 			if err != nil {
 				t.Fatalf("%s: baseline: %v", label, err)
 			}
@@ -189,8 +187,7 @@ func TestColumnarDifferentialProperty(t *testing.T) {
 					if mode == ScanRows && dop == 0 {
 						continue
 					}
-					var c cost.Counters
-					res, err := build(dop, mode).Execute(ctx, &c)
+					res, c, _, err := Run(ctx, build(dop, mode))
 					if err != nil {
 						t.Fatalf("%s: mode=%s dop=%d: %v", label, mode, dop, err)
 					}
@@ -231,16 +228,15 @@ func TestColumnarStaleEncodingFallsBack(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var c cost.Counters
-	res, err := (&SeqScan{Table: "lineitem", Mode: ScanLate}).Execute(ctx, &c)
+	res, c, _, err := Run(ctx, &SeqScan{Table: "lineitem", Mode: ScanLate})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2001 {
 		t.Fatalf("stale-encoding scan returned %d rows, want 2001 (row-path fallback)", len(res.Rows))
 	}
-	var rc cost.Counters
-	if _, err := (&SeqScan{Table: "lineitem"}).Execute(ctx, &rc); err != nil {
+	_, rc, _, err := Run(ctx, &SeqScan{Table: "lineitem"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c != rc {
@@ -252,7 +248,7 @@ func TestColumnarStaleEncodingFallsBack(t *testing.T) {
 	if err := encs.Rebuild(db); err != nil {
 		t.Fatal(err)
 	}
-	res, err = (&SeqScan{Table: "lineitem", Mode: ScanLate}).Execute(ctx, &c)
+	res, _, _, err = Run(ctx, &SeqScan{Table: "lineitem", Mode: ScanLate})
 	if err != nil {
 		t.Fatal(err)
 	}

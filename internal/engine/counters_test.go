@@ -73,8 +73,7 @@ func TestCountersNestedEqualsSumOfParts(t *testing.T) {
 		ProbeCol: expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"},
 	}
 
-	var whole cost.Counters
-	jRes, err := join.Execute(ctx, &whole)
+	jRes, whole, _, err := Run(ctx, join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,22 +81,26 @@ func TestCountersNestedEqualsSumOfParts(t *testing.T) {
 		t.Fatal("join produced no rows")
 	}
 
-	var parts cost.Counters
-	bRes, err := build.Execute(ctx, &parts)
+	bRes, parts, _, err := Run(ctx, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pRes, err := probe.Execute(ctx, &parts)
+	pRes, pc, _, err := Run(ctx, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
+	parts.Add(pc)
 
 	// The join's own contribution on top of its inputs: one hash insert
 	// per build row, one probe per probe row, one CPU charge per output.
+	// Run charged each input's rows as output; inside the join only the
+	// join's rows leave the plan.
+	parts.Output -= int64(len(bRes.Rows) + len(pRes.Rows))
 	parts.Add(cost.Counters{
 		HashBuilds: int64(len(bRes.Rows)),
 		HashProbes: int64(len(pRes.Rows)),
 		Tuples:     int64(len(jRes.Rows)),
+		Output:     int64(len(jRes.Rows)),
 	})
 	if whole != parts {
 		t.Errorf("nested counters %v != sum of parts %v", whole, parts)

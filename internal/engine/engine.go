@@ -16,10 +16,10 @@
 // have one implementation, the morsel pipeline of parallel.go: a worker
 // turns one window of at most BatchSize rows into rows of a Batch, and
 // the same workers run serially (morselScanOp, DOP 1) or on an Exchange's
-// goroutine pool, which is why counters agree at every DOP. Node.Execute
-// is a thin drain-to-Result wrapper kept for callers that want the whole
-// output at once; ExecuteMaterialized in materialize.go preserves the
-// original row-at-a-time engine as an equivalence reference.
+// goroutine pool, which is why counters agree at every DOP. Run is the
+// drain: the one way to execute a plan to a Result, and the one place the
+// root's output tuples are charged. ExecuteMaterialized in materialize.go
+// preserves the original row-at-a-time engine as an equivalence reference.
 package engine
 
 import (
@@ -71,10 +71,6 @@ type Result struct {
 type Node interface {
 	// Schema returns the output schema without executing.
 	Schema(ctx *Context) (expr.RelSchema, error)
-	// Execute runs the operator to completion, accumulating work into
-	// counters. It is a convenience wrapper that drains Stream into a
-	// materialized Result.
-	Execute(ctx *Context, counters *cost.Counters) (*Result, error)
 	// Stream returns a fresh streaming iterator over the operator's
 	// output; see Operator for the Open/Next/Close contract. Each call
 	// returns an independent, unopened instance.
@@ -83,16 +79,25 @@ type Node interface {
 	Describe() string
 }
 
-// Run executes a plan root, charging output cost for the final result, and
-// returns the result together with the counters and the simulated time.
+// Run is the drain: it opens a plan root's stream, pulls it dry, closes
+// it, and charges one output tuple per result row — the cost model's rule
+// for the rows a plan returns, applied here and nowhere else. It returns
+// the result with the counters and their simulated time. On error the
+// counters hold whatever work was charged before it.
 func Run(ctx *Context, root Node) (*Result, cost.Counters, float64, error) {
 	var counters cost.Counters
-	res, err := root.Execute(ctx, &counters)
+	schema, err := root.Schema(ctx)
 	if err != nil {
 		return nil, counters, 0, err
 	}
-	counters.Output += int64(len(res.Rows))
-	return res, counters, ctx.Model.Time(counters), nil
+	// openAndDrain closes the stream before returning, so work an operator
+	// charges at Close (an Exchange's barrier merge) is in the counters.
+	rows, err := openAndDrain(ctx, root, &counters)
+	if err != nil {
+		return nil, counters, 0, err
+	}
+	counters.Output += int64(len(rows))
+	return &Result{Schema: schema, Rows: rows}, counters, ctx.Model.Time(counters), nil
 }
 
 // Explain renders a plan tree as an indented multi-line string.
@@ -148,11 +153,6 @@ func children(n Node) []Node {
 	default:
 		return nil
 	}
-}
-
-// bindFilter binds an optional predicate against a schema.
-func bindFilter(pred expr.Expr, schema expr.RelSchema) (*expr.Bound, error) {
-	return expr.Bind(pred, schema)
 }
 
 // tableAndSchema resolves a table and its qualified scan schema.

@@ -42,11 +42,6 @@ func (e *Exchange) Describe() string {
 	return fmt.Sprintf("Exchange(dop=%d, %s)", e.DOP, e.Source.Describe())
 }
 
-// Execute implements Node.
-func (e *Exchange) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, e, counters)
-}
-
 // Stream implements Node.
 func (e *Exchange) Stream() Operator { return &exchangeOp{node: e} }
 

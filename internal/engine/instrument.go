@@ -221,11 +221,6 @@ func (n *Instrumented) Schema(ctx *Context) (expr.RelSchema, error) {
 	return n.Inner.Schema(ctx)
 }
 
-// Execute implements Node.
-func (n *Instrumented) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, n, counters)
-}
-
 // Stream implements Node.
 func (n *Instrumented) Stream() Operator { return &instrumentedOp{node: n} }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
 	"robustqo/internal/stats"
@@ -67,13 +66,12 @@ func TestInstrumentedParityProperty(t *testing.T) {
 		}
 
 		label := fmt.Sprintf("trial %d ship[%d,%d] cut %.1f plan %s", trial, sLo, sHi, cut, plan.Describe())
-		var pc, ic cost.Counters
-		pres, err := plan.Execute(ctx, &pc)
+		pres, pc, _, err := Run(ctx, plan)
 		if err != nil {
 			t.Fatalf("%s: plain: %v", label, err)
 		}
 		inst := Instrument(plan)
-		ires, err := inst.Execute(ctx, &ic)
+		ires, ic, _, err := Run(ctx, inst)
 		if err != nil {
 			t.Fatalf("%s: instrumented: %v", label, err)
 		}
@@ -114,12 +112,10 @@ func TestInstrumentLeavesOriginalUntouched(t *testing.T) {
 	if inst.Inner == Node(plan) {
 		t.Error("root Inner should be a copy with wrapped children, not the original")
 	}
-	var c cost.Counters
-	if _, err := plan.Execute(ctx, &c); err != nil {
+	if _, _, _, err := Run(ctx, plan); err != nil {
 		t.Fatalf("original plan no longer executes: %v", err)
 	}
-	var ic cost.Counters
-	res, err := inst.Execute(ctx, &ic)
+	res, _, _, err := Run(ctx, inst)
 	if err != nil {
 		t.Fatalf("instrumented: %v", err)
 	}
@@ -147,8 +143,7 @@ func TestInstrumentedStarAndJoinShapes(t *testing.T) {
 				FactFK: "l_partkey"},
 		},
 	}
-	var pc, ic cost.Counters
-	pres, err := star.Execute(ctx, &pc)
+	pres, pc, _, err := Run(ctx, star)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +151,7 @@ func TestInstrumentedStarAndJoinShapes(t *testing.T) {
 	if len(inst.Kids) != 1 {
 		t.Fatalf("star has %d kids, want 1", len(inst.Kids))
 	}
-	ires, err := inst.Execute(ctx, &ic)
+	ires, ic, _, err := Run(ctx, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +197,8 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 	}}
 	tr := obs.NewTrace("q")
 	inst := InstrumentTrace(plan, tr)
-	var c cost.Counters
-	if _, err := inst.Execute(ctx, &c); err != nil {
+	_, c, _, err := Run(ctx, inst)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -287,15 +282,15 @@ func TestExchangeWorkersFeedBypassedStats(t *testing.T) {
 		return out
 	}
 	serial := Instrument(pipeline())
-	var sc cost.Counters
-	if _, err := serial.Execute(ctx, &sc); err != nil {
+	_, sc, _, err := Run(ctx, serial)
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := collect(serial)
 	for _, dop := range []int{2, 4} {
 		inst := Instrument(&Exchange{Source: pipeline(), DOP: dop})
-		var c cost.Counters
-		if _, err := inst.Execute(ctx, &c); err != nil {
+		_, c, _, err := Run(ctx, inst)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if c != sc {

@@ -44,11 +44,6 @@ func (j *HashJoin) Describe() string {
 	return fmt.Sprintf("HashJoin(%s = %s)", j.BuildCol, j.ProbeCol)
 }
 
-// Execute implements Node.
-func (j *HashJoin) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, j, counters)
-}
-
 // Stream implements Node.
 func (j *HashJoin) Stream() Operator { return &hashJoinOp{node: j} }
 
@@ -189,11 +184,6 @@ func (j *MergeJoin) Schema(ctx *Context) (expr.RelSchema, error) {
 // Describe implements Node.
 func (j *MergeJoin) Describe() string {
 	return fmt.Sprintf("MergeJoin(%s = %s)", j.LeftCol, j.RightCol)
-}
-
-// Execute implements Node.
-func (j *MergeJoin) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, j, counters)
 }
 
 // Stream implements Node.
@@ -433,11 +423,6 @@ func (j *INLJoin) Describe() string {
 	return d
 }
 
-// Execute implements Node.
-func (j *INLJoin) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, j, counters)
-}
-
 // Stream implements Node.
 func (j *INLJoin) Stream() Operator { return &inlJoinOp{node: j} }
 
@@ -474,7 +459,7 @@ func (o *inlJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 		return fmt.Errorf("engine: INLJoin outer key: %v", err)
 	}
 	outSchema := outerSchema.Concat(innerSchema)
-	o.pred, err = bindFilter(j.Residual, outSchema)
+	o.pred, err = expr.Bind(j.Residual, outSchema)
 	if err != nil {
 		return err
 	}
@@ -613,11 +598,6 @@ func (j *StarSemiJoin) Describe() string {
 	return fmt.Sprintf("StarSemiJoin(%s, %d dims)", j.Fact, len(j.Dims))
 }
 
-// Execute implements Node.
-func (j *StarSemiJoin) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, j, counters)
-}
-
 // Stream implements Node.
 func (j *StarSemiJoin) Stream() Operator { return &starSemiJoinOp{node: j} }
 
@@ -706,7 +686,7 @@ func (o *starSemiJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 		ridLists[i] = rids
 		outSchema = outSchema.Concat(dimSchema)
 	}
-	o.pred, err = bindFilter(j.Residual, outSchema)
+	o.pred, err = expr.Bind(j.Residual, outSchema)
 	if err != nil {
 		return err
 	}

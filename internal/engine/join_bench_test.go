@@ -47,10 +47,7 @@ func benchInts(name string, n, fanIn int) *benchRowsNode {
 
 func (n *benchRowsNode) Schema(*Context) (expr.RelSchema, error) { return n.schema, nil }
 func (n *benchRowsNode) Describe() string                        { return "benchRows" }
-func (n *benchRowsNode) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, n, counters)
-}
-func (n *benchRowsNode) Stream() Operator { return &benchRowsOp{node: n} }
+func (n *benchRowsNode) Stream() Operator                        { return &benchRowsOp{node: n} }
 
 type benchRowsOp struct {
 	node *benchRowsNode

@@ -22,7 +22,8 @@ import (
 // ExecuteMaterialized runs a plan with the materialize-everything engine:
 // every operator fully computes its input before doing any work of its
 // own. It exists for equivalence testing and allocation benchmarking; the
-// production path is Node.Execute, which streams.
+// production path is Run, which streams. Unlike Run it charges no output
+// tuples, so a caller comparing the two adds Output for the root's rows.
 func ExecuteMaterialized(ctx *Context, n Node, counters *cost.Counters) (*Result, error) {
 	switch t := n.(type) {
 	case *SeqScan:
@@ -63,7 +64,7 @@ func (s *SeqScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	pred, err := bindFilter(s.Filter, schema)
+	pred, err := expr.Bind(s.Filter, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +100,7 @@ func (s *IndexRangeScan) runMaterialized(ctx *Context, counters *cost.Counters) 
 	if !ok {
 		return nil, fmt.Errorf("engine: no index on %s.%s", s.Table, s.Range.Column)
 	}
-	pred, err := bindFilter(s.Residual, schema)
+	pred, err := expr.Bind(s.Residual, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +125,7 @@ func (s *IndexIntersect) runMaterialized(ctx *Context, counters *cost.Counters) 
 	if err != nil {
 		return nil, err
 	}
-	pred, err := bindFilter(s.Residual, schema)
+	pred, err := expr.Bind(s.Residual, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +156,7 @@ func (f *Filter) runMaterialized(ctx *Context, counters *cost.Counters) (*Result
 	if err != nil {
 		return nil, err
 	}
-	pred, err := bindFilter(f.Pred, in.Schema)
+	pred, err := expr.Bind(f.Pred, in.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +441,7 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 		return nil, fmt.Errorf("engine: INLJoin outer key: %v", err)
 	}
 	outSchema := outer.Schema.Concat(innerSchema)
-	pred, err := bindFilter(j.Residual, outSchema)
+	pred, err := expr.Bind(j.Residual, outSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -527,7 +528,7 @@ func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*
 		ridLists[i] = rids
 		outSchema = outSchema.Concat(dimRes.Schema)
 	}
-	pred, err := bindFilter(j.Residual, outSchema)
+	pred, err := expr.Bind(j.Residual, outSchema)
 	if err != nil {
 		return nil, err
 	}

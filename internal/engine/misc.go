@@ -24,11 +24,6 @@ func (f *Filter) Schema(ctx *Context) (expr.RelSchema, error) { return f.Input.S
 // Describe implements Node.
 func (f *Filter) Describe() string { return fmt.Sprintf("Filter(%s)", f.Pred) }
 
-// Execute implements Node.
-func (f *Filter) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, f, counters)
-}
-
 // Stream implements Node.
 func (f *Filter) Stream() Operator { return &filterOp{node: f} }
 
@@ -47,7 +42,7 @@ func (o *filterOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return err
 	}
-	pred, err := bindFilter(o.node.Pred, schema)
+	pred, err := expr.Bind(o.node.Pred, schema)
 	if err != nil {
 		return err
 	}
@@ -122,11 +117,6 @@ func (p *Project) Describe() string {
 		parts[i] = c.String()
 	}
 	return "Project(" + strings.Join(parts, ", ") + ")"
-}
-
-// Execute implements Node.
-func (p *Project) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, p, counters)
 }
 
 // Stream implements Node.
@@ -388,11 +378,6 @@ func (a *Aggregate) finalize(st *aggState, width int) value.Row {
 		}
 	}
 	return out
-}
-
-// Execute implements Node.
-func (a *Aggregate) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, a, counters)
 }
 
 // Stream implements Node.

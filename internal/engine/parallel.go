@@ -64,9 +64,9 @@ type morselSource interface {
 // morselRunner partitions a source's streaming work into numMorsels
 // contiguous morsels; morselSpan gives morsel m's extent [lo, hi) in the
 // source's own coordinate (global row ids, or positions in a RID list),
-// ascending in m. newWorker returns an independent worker (bound
-// predicates carry per-evaluation scratch, so every worker binds its own
-// copy). schema is the schema of the batches workers fill.
+// ascending in m. newWorker returns an independent worker; it is only
+// ever called on the coordinator (see takeBound). schema is the schema of
+// the batches workers fill.
 type morselRunner interface {
 	schema() expr.RelSchema
 	numMorsels() int
@@ -171,22 +171,35 @@ type shardedRunner interface {
 	morselShards() []int
 }
 
+// takeBound hands a worker its bound predicate. A scan binds its filter
+// at Open, so a malformed predicate fails there even when no worker ever
+// runs (a zero-morsel scan); the first worker — which the coordinator
+// creates, serially or before an Exchange launches its pool — takes that
+// binding, and each later worker binds its own copy, because a bound
+// predicate carries evaluation scratch.
+func takeBound(open **expr.Bound, pred expr.Expr, schema expr.RelSchema) (*expr.Bound, error) {
+	if b := *open; b != nil {
+		*open = nil
+		return b, nil
+	}
+	return expr.Bind(pred, schema)
+}
+
 // --- SeqScan ---
 
-// openMorsels implements morselSource. A SeqScan charges nothing at Open;
-// the filter is bound once here so a malformed predicate fails at Open
-// rather than in a worker.
+// openMorsels implements morselSource. A SeqScan charges nothing at Open.
 func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunner, error) {
 	t, schema, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := bindFilter(s.Filter, schema); err != nil {
+	pred, err := expr.Bind(s.Filter, schema)
+	if err != nil {
 		return nil, err
 	}
 	morsels, shards := spanMorselsShards(scanSpans(t, s.Partitions))
 	return &seqMorselRunner{
-		node: s, t: t, sch: schema,
+		node: s, t: t, sch: schema, pred: pred,
 		spec:    prepareEncScan(ctx, t, schema, s),
 		morsels: morsels, shards: shards,
 	}, nil
@@ -194,6 +207,8 @@ func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunn
 
 type seqMorselRunner struct {
 	node *SeqScan
+	// pred is the Open-time filter binding until the first worker takes it.
+	pred *expr.Bound
 	t    *storage.Table
 	// spec is the shared encoded-scan plan, nil on the row path; each
 	// worker derives its own mutable encScan state from it.
@@ -215,7 +230,7 @@ func (r *seqMorselRunner) morselSpan(m int) (lo, hi int) { return r.morsels[m].l
 func (r *seqMorselRunner) morselShards() []int { return r.shards }
 
 func (r *seqMorselRunner) newWorker() (morselWorker, error) {
-	pred, err := bindFilter(r.node.Filter, r.sch)
+	pred, err := takeBound(&r.pred, r.node.Filter, r.sch)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +297,8 @@ func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	if !ok {
 		return nil, fmt.Errorf("engine: no index on %s.%s", s.Table, s.Range.Column)
 	}
-	if _, err := bindFilter(s.Residual, schema); err != nil {
+	pred, err := expr.Bind(s.Residual, schema)
+	if err != nil {
 		return nil, err
 	}
 	counters.IndexSeeks++
@@ -290,7 +306,7 @@ func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	counters.IndexEntries += int64(scanned)
 	rids = pruneRids(t, s.Partitions, rids)
 	return &ridMorselRunner{
-		t: t, sch: schema, residual: s.Residual, rids: rids,
+		t: t, sch: schema, residual: s.Residual, pred: pred, rids: rids,
 		errCtx: fmt.Sprintf("IndexRangeScan(%s)", s.Table),
 	}, nil
 }
@@ -305,7 +321,8 @@ func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	if err != nil {
 		return nil, err
 	}
-	if _, err := bindFilter(s.Residual, schema); err != nil {
+	pred, err := expr.Bind(s.Residual, schema)
+	if err != nil {
 		return nil, err
 	}
 	lists := make([][]int32, len(s.Ranges))
@@ -322,7 +339,7 @@ func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	}
 	rids := pruneRids(t, s.Partitions, index.Intersect(lists...))
 	return &ridMorselRunner{
-		t: t, sch: schema, residual: s.Residual, rids: rids,
+		t: t, sch: schema, residual: s.Residual, pred: pred, rids: rids,
 		errCtx: fmt.Sprintf("IndexIntersect(%s)", s.Table),
 	}, nil
 }
@@ -333,8 +350,10 @@ type ridMorselRunner struct {
 	t        *storage.Table
 	sch      expr.RelSchema
 	residual expr.Expr
-	rids     []int32
-	errCtx   string
+	// pred is the Open-time residual binding until the first worker takes it.
+	pred   *expr.Bound
+	rids   []int32
+	errCtx string
 }
 
 func (r *ridMorselRunner) schema() expr.RelSchema { return r.sch }
@@ -345,7 +364,7 @@ func (r *ridMorselRunner) morselSpan(m int) (lo, hi int) {
 }
 
 func (r *ridMorselRunner) newWorker() (morselWorker, error) {
-	pred, err := bindFilter(r.residual, r.sch)
+	pred, err := takeBound(&r.pred, r.residual, r.sch)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,8 +83,7 @@ func TestExchangeDifferentialDOPProperty(t *testing.T) {
 
 		serial := build(0)
 		label := fmt.Sprintf("trial %d ship[%d,%d] cut %.1f plan %s", trial, sLo, sHi, cut, serial.Describe())
-		var sc cost.Counters
-		sres, err := serial.Execute(ctx, &sc)
+		sres, sc, _, err := Run(ctx, serial)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", label, err)
 		}
@@ -92,6 +92,7 @@ func TestExchangeDifferentialDOPProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: materialized: %v", label, err)
 		}
+		mc.Output += int64(len(mres.Rows)) // Run charges the root's output; the reference does not
 		compare := func(res *Result, c cost.Counters, leg string) {
 			t.Helper()
 			if len(res.Rows) != len(sres.Rows) {
@@ -108,8 +109,7 @@ func TestExchangeDifferentialDOPProperty(t *testing.T) {
 		}
 		compare(mres, mc, "materialized")
 		for _, dop := range []int{1, 2, 4} {
-			var pc cost.Counters
-			pres, err := build(dop).Execute(ctx, &pc)
+			pres, pc, _, err := Run(ctx, build(dop))
 			if err != nil {
 				t.Fatalf("%s: dop=%d: %v", label, dop, err)
 			}
@@ -125,8 +125,7 @@ func TestExchangeSerialFallback(t *testing.T) {
 	_, ctx := testDB(t, 300, 3, 10)
 	pred := expr.Between{E: expr.C("l_ship"), Lo: expr.IntLit(5), Hi: expr.IntLit(60)}
 	serial := &SeqScan{Table: "lineitem", Filter: pred}
-	var sc cost.Counters
-	sres, err := serial.Execute(ctx, &sc)
+	sres, sc, _, err := Run(ctx, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +136,7 @@ func TestExchangeSerialFallback(t *testing.T) {
 		&Exchange{Source: &Filter{Input: &SeqScan{Table: "lineitem"}, Pred: pred}, DOP: 4},
 	}
 	for i, n := range cases[:2] {
-		var c cost.Counters
-		res, err := n.Execute(ctx, &c)
+		res, c, _, err := Run(ctx, n)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -146,12 +144,50 @@ func TestExchangeSerialFallback(t *testing.T) {
 			t.Fatalf("case %d: rows %d vs %d, counters %+v vs %+v", i, len(res.Rows), len(sres.Rows), c, sc)
 		}
 	}
-	var c cost.Counters
-	res, err := cases[2].Execute(ctx, &c)
+	res, _, _, err := Run(ctx, cases[2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRowMultiset(t, res.Rows, sres.Rows, "filter fallback")
+}
+
+// TestUnbindableFilterFailsAtOpen pins where a scan binds its predicate:
+// once, at Open, with the binding handed to the first worker. A filter or
+// residual that cannot bind must fail the Open serially and under an
+// Exchange — including on a zero-morsel scan, where no worker is ever
+// created to bind it.
+func TestUnbindableFilterFailsAtOpen(t *testing.T) {
+	_, ctx := testDB(t, 300, 3, 10)
+	bad := testkit.Expr("no_such_col < 5")
+	ship := KeyRange{Column: "l_ship", Lo: 10, Hi: 60}
+	scans := map[string]func(parts []int) Node{
+		"SeqScan": func(parts []int) Node {
+			return &SeqScan{Table: "lineitem", Filter: bad, Partitions: parts}
+		},
+		"IndexRangeScan": func(parts []int) Node {
+			return &IndexRangeScan{Table: "lineitem", Range: ship, Residual: bad, Partitions: parts}
+		},
+		"IndexIntersect": func(parts []int) Node {
+			return &IndexIntersect{Table: "lineitem", Ranges: []KeyRange{ship}, Residual: bad, Partitions: parts}
+		},
+	}
+	for name, scan := range scans {
+		for _, parts := range [][]int{nil, {}} {
+			for _, dop := range []int{0, 2} {
+				n := scan(parts)
+				if dop > 0 {
+					n = &Exchange{Source: n, DOP: dop}
+				}
+				op := n.Stream()
+				var c cost.Counters
+				err := op.Open(ctx, &c)
+				op.Close()
+				if err == nil || !strings.Contains(err.Error(), "no_such_col") {
+					t.Errorf("%s parts=%v dop=%d: Open returned %v, want the bind error", name, parts, dop, err)
+				}
+			}
+		}
+	}
 }
 
 // TestExchangeEarlyClose pins, for every morsel source, that a pipeline
@@ -198,16 +234,14 @@ func TestExchangeEarlyClose(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var sc cost.Counters
-			sres, serr := (&Limit{Input: tc.src(), N: tc.limit}).Execute(tc.ctx, &sc)
+			sres, _, _, serr := Run(tc.ctx, &Limit{Input: tc.src(), N: tc.limit})
 			if (serr != nil) != (tc.limit == 6000) || serr == nil && len(sres.Rows) != tc.limit {
 				t.Fatalf("fixture: serial returned %v, %v", sres, serr)
 			}
 			before := runtime.NumGoroutine()
 			for i := 0; i < 25; i++ {
 				plan := &Limit{Input: &Exchange{Source: tc.src(), DOP: 4}, N: tc.limit}
-				var pc cost.Counters
-				pres, err := plan.Execute(tc.ctx, &pc)
+				pres, _, _, err := Run(tc.ctx, plan)
 				if serr != nil {
 					if err == nil || err.Error() != serr.Error() {
 						t.Fatalf("iter %d: error %v, want %v", i, err, serr)

@@ -82,15 +82,16 @@ func TestPartialPullCounters(t *testing.T) {
 	for _, l := range legs {
 		for _, n := range []int{1, BatchSize, BatchSize + 1} {
 			t.Run(fmt.Sprintf("%s/limit=%d", l.name, n), func(t *testing.T) {
-				var c cost.Counters
-				res, err := (&Limit{Input: l.scan(), N: n}).Execute(l.ctx, &c)
+				res, c, _, err := Run(l.ctx, &Limit{Input: l.scan(), N: n})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(res.Rows) != n {
 					t.Fatalf("%d rows, want %d", len(res.Rows), n)
 				}
-				if want := l.want((n + BatchSize - 1) / BatchSize); c != want {
+				want := l.want((n + BatchSize - 1) / BatchSize)
+				want.Output = int64(n) // the drain's charge for the n rows returned
+				if c != want {
 					t.Fatalf("counters\n got %+v\nwant %+v", c, want)
 				}
 			})

@@ -222,8 +222,7 @@ func TestPartitionedExchangeDifferentialProperty(t *testing.T) {
 
 			label := fmt.Sprintf("shards=%d trial %d ship[%d,%d] cut %.1f", shards, trial, sLo, sHi, cut)
 			// The baseline: unpartitioned, serial, streaming.
-			var sc cost.Counters
-			sres, err := build(0, nil).Execute(bctx, &sc)
+			sres, sc, _, err := Run(bctx, build(0, nil))
 			if err != nil {
 				t.Fatalf("%s: baseline: %v", label, err)
 			}
@@ -248,10 +247,10 @@ func TestPartitionedExchangeDifferentialProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: materialized: %v", label, err)
 			}
+			mc.Output += int64(len(mres.Rows)) // Run charges the root's output; the reference does not
 			compare(mres, mc, sres, sc, "materialized")
 			for _, dop := range []int{0, 1, 2, 4} {
-				var pc cost.Counters
-				pres, err := build(dop, nil).Execute(pctx, &pc)
+				pres, pc, _, err := Run(pctx, build(dop, nil))
 				if err != nil {
 					t.Fatalf("%s: dop=%d: %v", label, dop, err)
 				}
@@ -269,8 +268,7 @@ func TestPartitionedExchangeDifferentialProperty(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: pruning refused", label)
 			}
-			var prunedSC cost.Counters
-			prunedSerial, err := build(0, parts).Execute(pctx, &prunedSC)
+			prunedSerial, prunedSC, _, err := Run(pctx, build(0, parts))
 			if err != nil {
 				t.Fatalf("%s: pruned serial: %v", label, err)
 			}
@@ -285,8 +283,7 @@ func TestPartitionedExchangeDifferentialProperty(t *testing.T) {
 				}
 			}
 			for _, dop := range []int{2, 4} {
-				var pc cost.Counters
-				pres, err := build(dop, parts).Execute(pctx, &pc)
+				pres, pc, _, err := Run(pctx, build(dop, parts))
 				if err != nil {
 					t.Fatalf("%s: pruned dop=%d: %v", label, dop, err)
 				}

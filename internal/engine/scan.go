@@ -44,11 +44,6 @@ func (s *SeqScan) Describe() string {
 	return fmt.Sprintf("SeqScan(%s, filter=%s%s%s)", s.Table, s.Filter, mode, partsSuffix(s.Partitions))
 }
 
-// Execute implements Node.
-func (s *SeqScan) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, s, counters)
-}
-
 // Stream implements Node.
 func (s *SeqScan) Stream() Operator { return &morselScanOp{src: s} }
 
@@ -155,11 +150,6 @@ func (s *IndexRangeScan) Describe() string {
 	return d + partsSuffix(s.Partitions) + ")"
 }
 
-// Execute implements Node.
-func (s *IndexRangeScan) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, s, counters)
-}
-
 // Stream implements Node: the index seek happens at Open (the probe is
 // unavoidable); the random-page fetches are deferred to Next, one window
 // of RIDs at a time.
@@ -195,11 +185,6 @@ func (s *IndexIntersect) Describe() string {
 		d += ", residual=" + s.Residual.String()
 	}
 	return d + partsSuffix(s.Partitions) + ")"
-}
-
-// Execute implements Node.
-func (s *IndexIntersect) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, s, counters)
 }
 
 // Stream implements Node: all index probes and the RID intersection

@@ -51,11 +51,6 @@ func (s *Sort) Describe() string {
 	return d
 }
 
-// Execute implements Node.
-func (s *Sort) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, s, counters)
-}
-
 // Stream implements Node.
 func (s *Sort) Stream() Operator { return &sortOp{node: s} }
 
@@ -239,11 +234,6 @@ func (l *Limit) Schema(ctx *Context) (expr.RelSchema, error) { return l.Input.Sc
 
 // Describe implements Node.
 func (l *Limit) Describe() string { return fmt.Sprintf("Limit(%d)", l.N) }
-
-// Execute implements Node.
-func (l *Limit) Execute(ctx *Context, counters *cost.Counters) (*Result, error) {
-	return execStream(ctx, l, counters)
-}
 
 // Stream implements Node.
 func (l *Limit) Stream() Operator { return &limitOp{node: l} }

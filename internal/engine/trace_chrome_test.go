@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
 )
@@ -46,8 +45,7 @@ func TestChromeTraceParallelPartitionedGolden(t *testing.T) {
 		By: []SortKey{{Col: expr.ColumnRef{Table: "lineitem", Column: "l_id"}}},
 	}
 	inst := InstrumentOpts(plan, InstrumentOptions{Trace: tr, QueryID: "q7"})
-	var c cost.Counters
-	if _, err := inst.Execute(ctx, &c); err != nil {
+	if _, _, _, err := Run(ctx, inst); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"robustqo/internal/core"
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/obs"
 	"robustqo/internal/sample"
@@ -42,8 +41,7 @@ func analyzeRun(t *testing.T, threshold float64, tr *obs.Trace) string {
 		t.Fatal(err)
 	}
 	inst := engine.InstrumentTrace(plan.Root, tr)
-	var c cost.Counters
-	if _, err := inst.Execute(ctx, &c); err != nil {
+	if _, _, _, err := engine.Run(ctx, inst); err != nil {
 		t.Fatal(err)
 	}
 	return engine.ExplainAnalyze(inst, engine.AnalyzeOptions{EstimateOf: plan.EstimateOf})

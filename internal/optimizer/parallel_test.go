@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"robustqo/internal/core"
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
@@ -57,12 +56,11 @@ func TestParallelizeWrapsLargeScan(t *testing.T) {
 	if strings.Contains(serialPlan.Explain(), "Exchange") {
 		t.Fatalf("Exchange in serial plan:\n%s", serialPlan.Explain())
 	}
-	var sc, pc cost.Counters
-	sres, err := serialPlan.Root.Execute(o.Ctx, &sc)
+	sres, sc, _, err := engine.Run(o.Ctx, serialPlan.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := plan.Root.Execute(o.Ctx, &pc)
+	pres, pc, _, err := engine.Run(o.Ctx, plan.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +183,11 @@ func TestParallelizeWrapsJoinPipeline(t *testing.T) {
 	if strings.Contains(engine.Explain(outer), "Exchange") {
 		t.Fatalf("inner Exchange inside the wrapped pipeline:\n%s", engine.Explain(outer))
 	}
-	var sc, pc cost.Counters
-	sres, err := mkPlan().Execute(o.Ctx, &sc)
+	sres, sc, _, err := engine.Run(o.Ctx, mkPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := got.Execute(o.Ctx, &pc)
+	pres, pc, _, err := engine.Run(o.Ctx, got)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/core"
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/sample"
 	"robustqo/internal/stats"
@@ -127,8 +126,8 @@ func TestPruningScansOneShard(t *testing.T) {
 			t.Fatalf("%v: snapshot partitions %d/%d (ok=%v), want 1/4", kind, est.PartsScanned, est.PartsTotal, ok)
 		}
 		inst := engine.Instrument(plan.Root)
-		var c cost.Counters
-		if _, err := inst.Execute(ctx, &c); err != nil {
+		_, c, _, err := engine.Run(ctx, inst)
+		if err != nil {
 			t.Fatal(err)
 		}
 		// The scan charges exactly the surviving shard's pages and tuples
@@ -184,8 +183,7 @@ func TestRangePruningThroughJoin(t *testing.T) {
 	if !found {
 		t.Fatalf("no fact SeqScan in plan:\n%s", plan.Explain())
 	}
-	var c cost.Counters
-	if _, err := inst.Execute(ctx, &c); err != nil {
+	if _, _, _, err := engine.Run(ctx, inst); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -215,8 +213,8 @@ func TestHashPartitionRangeNotPruned(t *testing.T) {
 		t.Fatalf("snapshot partitions %d/%d (ok=%v), want 4/4", est.PartsScanned, est.PartsTotal, ok)
 	}
 	inst := engine.Instrument(plan.Root)
-	var c cost.Counters
-	if _, err := inst.Execute(ctx, &c); err != nil {
+	_, c, _, err := engine.Run(ctx, inst)
+	if err != nil {
 		t.Fatal(err)
 	}
 	fact := testkit.Table(db, "fact")

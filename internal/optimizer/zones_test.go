@@ -7,7 +7,6 @@ import (
 	"robustqo/internal/catalog"
 	"robustqo/internal/colstore"
 	"robustqo/internal/core"
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/sample"
 	"robustqo/internal/stats"
@@ -114,8 +113,7 @@ func TestZoneSkippingPlansLateScan(t *testing.T) {
 			est.SegsSkipped, est.SegsTotal, est.Strategy, ok)
 	}
 	inst := engine.Instrument(plan.Root)
-	var c cost.Counters
-	res, err := inst.Execute(ctx, &c)
+	res, c, _, err := engine.Run(ctx, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +281,7 @@ func TestZonePassComposesWithPruning(t *testing.T) {
 			est.SegsSkipped, est.SegsTotal)
 	}
 	inst := engine.Instrument(plan.Root)
-	var c cost.Counters
-	res, err := inst.Execute(ctx, &c)
+	res, _, _, err := engine.Run(ctx, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

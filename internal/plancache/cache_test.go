@@ -118,6 +118,70 @@ func TestCacheHitRebindReject(t *testing.T) {
 	}
 }
 
+// TestCachedOutcomesDoNoPlanningWork states the plan cache's reason to
+// exist as a count instead of a timing: a Hit or Rebind never calls the
+// cold-path optimizer and never inverts a posterior (the estimator's
+// quantile cache sees no lookups at all), while a Miss or Reject
+// optimizes exactly once.
+func TestCachedOutcomesDoNoPlanningWork(t *testing.T) {
+	db, ctx := cacheDB(t, 8000, 1)
+	est := bayes(t, db, 0.8, 512, 11)
+	opt, err := optimizer.New(ctx, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(64, obs.NewRegistry())
+	env := testEnv(t, ctx, opt)
+	optimizes := 0
+	cold := env.Optimize
+	env.Optimize = func(q *optimizer.Query) (*optimizer.Plan, error) {
+		optimizes++
+		return cold(q)
+	}
+	quantileLookups := func() int64 {
+		hits, misses := est.Quantiles.Stats()
+		return hits + misses
+	}
+	// The TestCacheHitRebindReject ladder, then a repeat of the rejected
+	// binding, which its new variant now serves.
+	for _, step := range []struct {
+		lo, hi int
+		want   Outcome
+	}{
+		{100, 300, Miss}, {100, 300, Hit}, {200, 400, Rebind}, {0, 950, Reject}, {0, 950, Hit},
+	} {
+		optBefore, quantBefore := optimizes, quantileLookups()
+		_, out, err := c.Plan(env, &optimizer.Query{
+			Tables: []string{"lineitem"},
+			Pred:   testkit.Expr(fmt.Sprintf("l_ship BETWEEN %d AND %d", step.lo, step.hi)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != step.want {
+			t.Fatalf("[%d,%d]: %v, want %v", step.lo, step.hi, out, step.want)
+		}
+		calls := optimizes - optBefore
+		if out.Cached() {
+			if calls != 0 {
+				t.Errorf("%v called Optimize %d times, want 0", out, calls)
+			}
+			if q := quantileLookups(); q != quantBefore {
+				t.Errorf("%v made %d quantile-cache lookups, want 0", out, q-quantBefore)
+			}
+		} else {
+			if calls != 1 {
+				t.Errorf("%v called Optimize %d times, want 1", out, calls)
+			}
+			// The cold path does look quantiles up, so the zero above is a
+			// live counter standing still.
+			if quantileLookups() == quantBefore {
+				t.Errorf("%v made no quantile-cache lookups; the counter is not wired", out)
+			}
+		}
+	}
+}
+
 func TestCacheVariantsKeepHotBinding(t *testing.T) {
 	db, ctx := cacheDB(t, 8000, 1)
 	est := bayes(t, db, 0.8, 512, 11)
