@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"robustqo/internal/catalog"
+	"robustqo/internal/expr"
 	"robustqo/internal/storage"
 	"robustqo/internal/value"
 )
@@ -124,7 +125,7 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 	for name, vals := range intCases {
 		e := encOfInts(vals, catalog.Int)
 		for _, iv := range [][2]int64{{0, 40}, {5, 5}, {-10, -1}, {80, 200}, {3, 2}} {
-			pr, ok := e.CompileProbe(Pred{Col: 0, Lo: iv[0], Hi: iv[1]})
+			pr, ok := e.CompileProbe(expr.ColBound{Col: 0, Lo: iv[0], Hi: iv[1]})
 			if !ok {
 				t.Fatalf("%s: probe [%d,%d] did not compile", name, iv[0], iv[1])
 			}
@@ -150,7 +151,7 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 	strs := []string{"ca", "ab", "bb", "ca", "da", "ab", "ee", "bb", "bb"}
 	e := encOfStrings(strs)
 	for _, iv := range [][2]string{{"bb", "da"}, {"ca", "ca"}, {"x", "z"}, {"", "a"}} {
-		pr, ok := e.CompileProbe(Pred{Col: 0, IsStr: true, StrLo: iv[0], StrHi: iv[1], HasStrLo: true, HasStrHi: true})
+		pr, ok := e.CompileProbe(expr.ColBound{Col: 0, IsStr: true, StrLo: iv[0], StrHi: iv[1], HasStrLo: true, HasStrHi: true})
 		if !ok {
 			t.Fatalf("string probe [%q,%q] did not compile", iv[0], iv[1])
 		}
@@ -167,6 +168,30 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("string probe [%q,%q]: got %v want %v", iv[0], iv[1], got, want)
+		}
+	}
+}
+
+// TestCompilePushdown: the pushable prefix becomes probes plus the
+// residual; no prefix, or a bound the encoding cannot probe, leaves the
+// whole filter to the row domain with no probes at all.
+func TestCompilePushdown(t *testing.T) {
+	schema := expr.RelSchema{Fields: []expr.Field{{Table: "t", Column: "a", Type: catalog.Int}}}
+	between := expr.Between{E: expr.C("a"), Lo: expr.IntLit(0), Hi: expr.IntLit(40)}
+	ne := expr.Cmp{Op: expr.NE, L: expr.C("a"), R: expr.IntLit(3)}
+	ints := encOfInts([]int64{1, 2, 3, 50}, catalog.Int)
+	probes, residual, ok := ints.CompilePushdown(expr.Conj(between, ne), schema)
+	if !ok || len(probes) != 1 || fmt.Sprint(residual) != fmt.Sprint(ne) {
+		t.Errorf("prefix: %d probes, residual %v, ok %v", len(probes), residual, ok)
+	}
+	floats := encOfInts([]int64{1, 2, 3, 50}, catalog.Float)
+	for _, c := range []struct {
+		enc    *TableEncoding
+		filter expr.Expr
+	}{{ints, ne}, {ints, nil}, {floats, expr.Conj(between, ne)}} {
+		probes, residual, ok := c.enc.CompilePushdown(c.filter, schema)
+		if ok || probes != nil || fmt.Sprint(residual) != fmt.Sprint(c.filter) {
+			t.Errorf("%v: %d probes, residual %v, ok %v", c.filter, len(probes), residual, ok)
 		}
 	}
 }

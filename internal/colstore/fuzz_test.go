@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"robustqo/internal/catalog"
+	"robustqo/internal/expr"
 )
 
 // Fuzz round-trip harnesses: each steers the fuzzed bytes toward one
@@ -37,7 +38,7 @@ func fuzzCheckInts(t *testing.T, vals []int64) {
 	// Probe the zone midpoint interval and compare with row-domain eval;
 	// unsigned midpoint arithmetic avoids overflow on extreme zones.
 	mid := int64(uint64(zone.Min) + (uint64(zone.Max)-uint64(zone.Min))/2)
-	pr, _ := e.CompileProbe(Pred{Col: 0, Lo: zone.Min, Hi: mid})
+	pr, _ := e.CompileProbe(expr.ColBound{Col: 0, Lo: zone.Min, Hi: mid})
 	sel := make([]int, len(vals))
 	for i := range sel {
 		sel[i] = i
@@ -127,7 +128,7 @@ func FuzzDictRoundTrip(f *testing.F) {
 		}
 		// Equality probe per distinct value must select exactly its rows.
 		for _, needle := range dict {
-			pr, ok := e.CompileProbe(Pred{Col: 0, IsStr: true, StrLo: needle, StrHi: needle, HasStrLo: true, HasStrHi: true})
+			pr, ok := e.CompileProbe(expr.ColBound{Col: 0, IsStr: true, StrLo: needle, StrHi: needle, HasStrLo: true, HasStrHi: true})
 			if !ok {
 				t.Fatalf("probe for %q did not compile", needle)
 			}

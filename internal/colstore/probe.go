@@ -4,19 +4,29 @@ import (
 	"sort"
 
 	"robustqo/internal/catalog"
+	"robustqo/internal/expr"
 )
 
-// Pred is one pushable single-column bound in table-ordinal space, as
-// produced by expr.SplitPushdown after the engine resolves the column
-// reference. Int/Date bounds use the closed interval [Lo, Hi]; String
-// bounds use [StrLo, StrHi] with each side gated by its Has flag
-// (an ungated side is unbounded).
-type Pred struct {
-	Col                int
-	Lo, Hi             int64
-	StrLo, StrHi       string
-	HasStrLo, HasStrHi bool
-	IsStr              bool
+// CompilePushdown compiles the pushable prefix of a scan filter over a
+// table of this encoding: expr.SplitPushdown factors the filter into
+// per-column bounds plus a residual, and each bound becomes a Probe. ok
+// is false — and no probe is returned — when the filter has no pushable
+// prefix or any bound cannot be probed on encoded data; the caller then
+// evaluates the whole filter on decoded rows.
+func (e *TableEncoding) CompilePushdown(filter expr.Expr, schema expr.RelSchema) (probes []Probe, residual expr.Expr, ok bool) {
+	bounds, residual := expr.SplitPushdown(filter, schema)
+	if len(bounds) == 0 {
+		return nil, filter, false
+	}
+	probes = make([]Probe, 0, len(bounds))
+	for _, b := range bounds {
+		pr, ok := e.CompileProbe(b)
+		if !ok {
+			return nil, filter, false
+		}
+		probes = append(probes, pr)
+	}
+	return probes, residual, true
 }
 
 // Probe is a compiled encoded-data predicate: a closed interval in the
@@ -31,11 +41,12 @@ type Probe struct {
 	empty bool
 }
 
-// CompileProbe translates a bound into encoded domain terms. ok is
-// false when the column cannot be probed on encoded data (Float
-// columns, or a kind mismatch between bound and column); such bounds
-// must stay in the row-domain residual predicate.
-func (e *TableEncoding) CompileProbe(p Pred) (Probe, bool) {
+// CompileProbe translates one expr.SplitPushdown bound (a closed interval
+// over a table column ordinal; for strings, each side gated by its Has
+// flag) into encoded domain terms. ok is false when the column cannot be
+// probed on encoded data (Float columns, or a kind mismatch between bound
+// and column); such bounds must stay in the row-domain residual predicate.
+func (e *TableEncoding) CompileProbe(p expr.ColBound) (Probe, bool) {
 	if p.Col < 0 || p.Col >= len(e.cols) {
 		return Probe{}, false
 	}

@@ -66,11 +66,11 @@ func GroupByCardinality(syn *sample.Synopsis, groupBy []expr.ColumnRef) (float64
 		}
 		idxs[i] = idx
 	}
-	keys := make([]string, len(syn.Rows))
-	for r, row := range syn.Rows {
+	keys := make([]string, syn.Size())
+	for r := range keys {
 		var sb strings.Builder
 		for _, idx := range idxs {
-			sb.WriteString(row[idx].String())
+			sb.WriteString(syn.Cols[idx][r].String())
 			sb.WriteByte('\x00')
 		}
 		keys[r] = sb.String()

@@ -88,24 +88,7 @@ func prepareEncScan(ctx *Context, t *storage.Table, schema expr.RelSchema, s *Se
 	}
 	spec := &encScanSpec{enc: enc, mode: s.Mode, residual: s.Filter}
 	if s.Mode == ScanLate {
-		bounds, residual := expr.SplitPushdown(s.Filter, schema)
-		probes := make([]colstore.Probe, 0, len(bounds))
-		for _, b := range bounds {
-			pr, ok := enc.CompileProbe(colstore.Pred{
-				Col: b.Col, Lo: b.Lo, Hi: b.Hi,
-				StrLo: b.StrLo, StrHi: b.StrHi,
-				HasStrLo: b.HasStrLo, HasStrHi: b.HasStrHi,
-				IsStr: b.IsStr,
-			})
-			if !ok {
-				// A bound the encoding cannot probe (defensive; SplitPushdown
-				// and the encoder agree on kinds): keep the full filter.
-				probes = nil
-				break
-			}
-			probes = append(probes, pr)
-		}
-		if len(probes) > 0 {
+		if probes, residual, ok := enc.CompilePushdown(s.Filter, schema); ok {
 			spec.probes, spec.residual = probes, residual
 		}
 	}

@@ -19,7 +19,8 @@
 // goroutine pool, which is why counters agree at every DOP. Run is the
 // drain: the one way to execute a plan to a Result, and the one place the
 // root's output tuples are charged. ExecuteMaterialized in materialize.go
-// preserves the original row-at-a-time engine as an equivalence reference.
+// preserves the original materialize-everything engine as an equivalence
+// reference.
 package engine
 
 import (

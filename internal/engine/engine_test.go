@@ -120,7 +120,7 @@ func naiveSelect(t *testing.T, db *storage.Database, table string, pred expr.Exp
 	var out []value.Row
 	for r := 0; r < tab.NumRows(); r++ {
 		row := tab.Row(r)
-		ok, err := b.Eval(row)
+		ok, err := evalRow(b, row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,6 +129,16 @@ func naiveSelect(t *testing.T, db *storage.Database, table string, pred expr.Exp
 		}
 	}
 	return out
+}
+
+// evalRow evaluates a bound predicate over one row, as a one-row batch.
+func evalRow(b *expr.Bound, row value.Row) (bool, error) {
+	cols := make([][]value.Value, len(row))
+	for c, v := range row {
+		cols[c] = []value.Value{v}
+	}
+	keep, err := b.EvalBatch(cols, []int{0})
+	return len(keep) == 1, err
 }
 
 func rowKey(r value.Row) string {

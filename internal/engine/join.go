@@ -427,8 +427,11 @@ func (j *INLJoin) Describe() string {
 func (j *INLJoin) Stream() Operator { return &inlJoinOp{node: j} }
 
 // inlJoinOp streams its outer input, probing the inner access path for
-// each outer row as the row flows past. Nothing is buffered, so a LIMIT
-// above stops both the outer scan and the inner probes early.
+// each row of an outer batch and filtering the combined rows by the
+// residual whenever BatchSize of them are pending, so the output batch
+// holds at most one outer row's fanout beyond BatchSize unfiltered rows.
+// Nothing else is buffered, so a LIMIT above stops both the outer scan
+// and the inner probes early.
 type inlJoinOp struct {
 	node     *INLJoin
 	counters *cost.Counters
@@ -440,7 +443,7 @@ type inlJoinOp struct {
 	ix       *index.Index
 	oBuf     value.Row
 	innerBuf value.Row
-	combined value.Row
+	sel      []int
 	out      *Batch
 }
 
@@ -479,28 +482,20 @@ func (o *inlJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	}
 	o.oBuf = make(value.Row, len(outerSchema.Fields))
 	o.innerBuf = make(value.Row, len(innerSchema.Fields))
-	o.combined = make(value.Row, 0, len(outSchema.Fields))
 	o.out = getBatch(outSchema)
 	return nil
 }
 
-// probe fetches one inner row by RID, applies the residual over the
-// combined row, and appends it to the output batch if it passes.
-func (o *inlJoinOp) probe(oRow value.Row, rid int) error {
+// probe fetches one inner row by RID and appends the combined row to the
+// output batch; Next applies the residual.
+func (o *inlJoinOp) probe(oRow value.Row, rid int) {
 	o.inner.ReadRow(rid, o.innerBuf)
-	combined := append(o.combined[:0], oRow...)
-	combined = append(combined, o.innerBuf...)
-	ok, err := o.pred.Eval(combined)
-	if err != nil {
-		return err
-	}
-	if ok {
-		o.counters.Tuples++
-		o.out.AppendRow(combined)
-	}
-	return nil
+	o.out.appendConcat(oRow, o.innerBuf)
 }
 
+// Next probes for every row of the next outer batch, filtering the
+// combined rows by the residual a window at a time, and charges one tuple
+// per survivor.
 func (o *inlJoinOp) Next() (*Batch, error) {
 	for {
 		b, err := o.outer.Next()
@@ -511,7 +506,14 @@ func (o *inlJoinOp) Next() (*Batch, error) {
 			return nil, nil
 		}
 		o.out.Reset()
+		base := 0 // first combined row the residual has not yet seen
 		for r := 0; r < b.Len(); r++ {
+			if o.out.Len()-base >= BatchSize {
+				if o.sel, err = o.out.filterTail(base, o.pred, o.sel); err != nil {
+					return nil, err
+				}
+				base = o.out.Len()
+			}
 			b.Row(r, o.oBuf)
 			key := o.oBuf[o.oIdx]
 			if !key.Numeric() {
@@ -520,12 +522,8 @@ func (o *inlJoinOp) Next() (*Batch, error) {
 			if o.usePK {
 				o.counters.RandPages++
 				o.counters.Tuples++
-				rid, ok := o.inner.LookupPK(key.I)
-				if !ok {
-					continue
-				}
-				if err := o.probe(o.oBuf, rid); err != nil {
-					return nil, err
+				if rid, ok := o.inner.LookupPK(key.I); ok {
+					o.probe(o.oBuf, rid)
 				}
 			} else {
 				o.counters.IndexSeeks++
@@ -534,12 +532,14 @@ func (o *inlJoinOp) Next() (*Batch, error) {
 				o.counters.RandPages += int64(len(rids))
 				o.counters.Tuples += int64(len(rids))
 				for _, rid := range rids {
-					if err := o.probe(o.oBuf, int(rid)); err != nil {
-						return nil, err
-					}
+					o.probe(o.oBuf, int(rid))
 				}
 			}
 		}
+		if o.sel, err = o.out.filterTail(base, o.pred, o.sel); err != nil {
+			return nil, err
+		}
+		o.counters.Tuples += int64(o.out.Len())
 		if o.out.Len() > 0 {
 			return o.out, nil
 		}
@@ -643,7 +643,9 @@ func (j *StarSemiJoin) semijoinDim(ctx *Context, i int, d StarDim, fact *storage
 
 // starSemiJoinOp runs every dimension semijoin and the RID intersection at
 // Open (the semijoins are inherently blocking), then streams the surviving
-// fact-row fetches, charging each random page as the row is pulled.
+// fact-row fetches a RID window at a time, charging each random page as
+// the row is pulled and filtering the window's combined rows by the
+// residual at once.
 type starSemiJoinOp struct {
 	node      *StarSemiJoin
 	counters  *cost.Counters
@@ -654,6 +656,7 @@ type starSemiJoinOp struct {
 	pred      *expr.Bound
 	factBuf   value.Row
 	combined  value.Row
+	sel       []int
 	out       *Batch
 }
 
@@ -721,18 +724,15 @@ func (o *starSemiJoinOp) Next() (*Batch, error) {
 				}
 				combined = append(combined, dimRow...)
 			}
-			if !complete {
-				continue
-			}
-			ok, err := o.pred.Eval(combined)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
+			if complete {
 				o.out.AppendRow(combined)
 			}
 		}
 		o.next = end
+		var err error
+		if o.sel, err = o.out.filterTail(0, o.pred, o.sel); err != nil {
+			return nil, err
+		}
 		if o.out.Len() > 0 {
 			return o.out, nil
 		}

@@ -13,11 +13,80 @@ import (
 	"robustqo/internal/value"
 )
 
-// This file preserves the pre-streaming row-at-a-time engine verbatim as a
+// This file preserves the pre-streaming materialize-everything engine as a
 // reference implementation. The streaming pipeline (batch.go and the
 // per-operator *Op types) must produce identical rows and, on full drains,
 // byte-identical cost.Counters; the equivalence tests and
 // BenchmarkExecStreamVsMaterialize hold the two paths against each other.
+// Its operators pass whole row slices. Expressions reach the batch
+// evaluator a window of at most BatchSize rows at a time, through one
+// reusable Batch, so the scratch an operator holds beyond its output stays
+// one batch wide: rowFilter filters rows as an operator produces them,
+// eachWindow walks rows already materialized.
+
+// eachWindow copies rows into one reusable Batch a window at a time and
+// calls fn with the batch, the selection of all its rows, and the window.
+func eachWindow(rows []value.Row, schema expr.RelSchema, fn func(b *Batch, sel []int, window []value.Row) error) error {
+	b := NewBatch(schema)
+	var sel []int
+	for lo := 0; lo < len(rows); lo += BatchSize {
+		window := rows[lo:min(lo+BatchSize, len(rows))]
+		b.Reset()
+		for _, row := range window {
+			b.AppendRow(row)
+		}
+		sel = rangeSel(sel, 0, len(window))
+		if err := fn(b, sel, window); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rowFilter keeps the produced rows passing pred. add copies a row into a
+// reusable Batch, which is filtered every BatchSize rows and at done; the
+// survivors are copied out. After an error later rows are dropped and done
+// reports it.
+type rowFilter struct {
+	pred *expr.Bound
+	b    *Batch
+	sel  []int
+	rows []value.Row
+	err  error
+}
+
+// add queues row, which the caller may reuse afterwards.
+func (f *rowFilter) add(row value.Row) {
+	f.b.AppendRow(row)
+	if f.b.Len() == BatchSize {
+		f.done()
+	}
+}
+
+// done filters the queued rows and returns, in order, every survivor so
+// far and the first error.
+func (f *rowFilter) done() ([]value.Row, error) {
+	if f.err == nil {
+		f.sel, f.err = f.b.filterTail(0, f.pred, f.sel)
+	}
+	for r := 0; f.err == nil && r < f.b.Len(); r++ {
+		f.rows = append(f.rows, f.b.CloneRow(r))
+	}
+	f.b.Reset()
+	return f.rows, f.err
+}
+
+// fetchFiltered reads the rows behind rids and keeps those passing the
+// (already bound) predicate.
+func fetchFiltered(t *storage.Table, schema expr.RelSchema, rids []int32, pred *expr.Bound) ([]value.Row, error) {
+	f := &rowFilter{pred: pred, b: NewBatch(schema)}
+	buf := make(value.Row, len(schema.Fields))
+	for _, rid := range rids {
+		t.ReadRow(int(rid), buf)
+		f.add(buf)
+	}
+	return f.done()
+}
 
 // ExecuteMaterialized runs a plan with the materialize-everything engine:
 // every operator fully computes its input before doing any work of its
@@ -68,9 +137,8 @@ func (s *SeqScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	nCols := len(schema.Fields)
-	buf := make(value.Row, nCols)
-	var rows []value.Row
+	f := &rowFilter{pred: pred, b: NewBatch(schema)}
+	buf := make(value.Row, len(schema.Fields))
 	// Walk the surviving shards' spans; the per-span first-tuple-in-window
 	// page charge sums to exactly NumPages when nothing is pruned.
 	const per = storage.TuplesPerPage
@@ -79,14 +147,12 @@ func (s *SeqScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 		counters.Tuples += int64(sp.hi - sp.lo)
 		for r := sp.lo; r < sp.hi; r++ {
 			t.ReadRow(r, buf)
-			ok, err := pred.Eval(buf)
-			if err != nil {
-				return nil, fmt.Errorf("engine: SeqScan(%s): %v", s.Table, err)
-			}
-			if ok {
-				rows = append(rows, buf.Clone())
-			}
+			f.add(buf)
 		}
+	}
+	rows, err := f.done()
+	if err != nil {
+		return nil, fmt.Errorf("engine: SeqScan(%s): %v", s.Table, err)
 	}
 	return &Result{Schema: schema, Rows: rows}, nil
 }
@@ -162,14 +228,15 @@ func (f *Filter) runMaterialized(ctx *Context, counters *cost.Counters) (*Result
 	}
 	counters.Tuples += int64(len(in.Rows))
 	var rows []value.Row
-	for _, r := range in.Rows {
-		ok, err := pred.Eval(r)
-		if err != nil {
-			return nil, fmt.Errorf("engine: Filter: %v", err)
+	err = eachWindow(in.Rows, in.Schema, func(b *Batch, sel []int, window []value.Row) error {
+		keep, err := pred.EvalBatch(b.Cols(), sel)
+		for _, r := range keep {
+			rows = append(rows, window[r])
 		}
-		if ok {
-			rows = append(rows, r)
-		}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("engine: Filter: %v", err)
 	}
 	return &Result{Schema: in.Schema, Rows: rows}, nil
 }
@@ -249,27 +316,41 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 		}
 		return sb.String()
 	}
-	for _, row := range in.Rows {
-		k := keyOf(row)
-		st, ok := groups[k]
-		if !ok {
-			st = a.newAggState(groupIdxs, row)
-			groups[k] = st
-			order = append(order, k)
-		}
-		st.count++
-		for i, spec := range a.Aggs {
-			if spec.Func == Count && spec.Arg == nil {
+	argVecs := make([][]value.Value, len(a.Aggs))
+	for i := range argVecs {
+		argVecs[i] = make([]value.Value, BatchSize)
+	}
+	err = eachWindow(in.Rows, in.Schema, func(b *Batch, sel []int, window []value.Row) error {
+		for i, fn := range argFns {
+			if fn == nil {
 				continue
 			}
-			v, err := argFns[i].Eval(row)
-			if err != nil {
-				return nil, fmt.Errorf("engine: Aggregate: %v", err)
-			}
-			if err := st.accumulate(i, spec.Func, v); err != nil {
-				return nil, err
+			if err := fn.EvalBatch(b.Cols(), sel, argVecs[i]); err != nil {
+				return fmt.Errorf("engine: Aggregate: %v", err)
 			}
 		}
+		for r, row := range window {
+			k := keyOf(row)
+			st, ok := groups[k]
+			if !ok {
+				st = a.newAggState(groupIdxs, row)
+				groups[k] = st
+				order = append(order, k)
+			}
+			st.count++
+			for i, spec := range a.Aggs {
+				if spec.Func == Count && spec.Arg == nil {
+					continue
+				}
+				if err := st.accumulate(i, spec.Func, argVecs[i][r]); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// A global aggregate over empty input still yields one row.
 	if len(groupIdxs) == 0 && len(groups) == 0 {
@@ -446,21 +527,13 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 		return nil, err
 	}
 	usePK := inner.Schema().PrimaryKey == j.InnerCol
-	var rows []value.Row
+	f := &rowFilter{pred: pred, b: NewBatch(outSchema)}
 	innerBuf := make(value.Row, len(innerSchema.Fields))
-	emit := func(oRow value.Row, rid int) error {
+	out := make(value.Row, 0, len(outSchema.Fields))
+	emit := func(oRow value.Row, rid int) {
 		inner.ReadRow(rid, innerBuf)
-		out := make(value.Row, 0, len(oRow)+len(innerBuf))
-		out = append(out, oRow...)
-		out = append(out, innerBuf...)
-		ok, err := pred.Eval(out)
-		if err != nil {
-			return err
-		}
-		if ok {
-			rows = append(rows, out)
-		}
-		return nil
+		out = append(append(out[:0], oRow...), innerBuf...)
+		f.add(out)
 	}
 	if usePK {
 		for _, oRow := range outer.Rows {
@@ -470,12 +543,8 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 			}
 			counters.RandPages++
 			counters.Tuples++
-			rid, ok := inner.LookupPK(key.I)
-			if !ok {
-				continue
-			}
-			if err := emit(oRow, rid); err != nil {
-				return nil, err
+			if rid, ok := inner.LookupPK(key.I); ok {
+				emit(oRow, rid)
 			}
 		}
 	} else {
@@ -494,11 +563,13 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 			counters.RandPages += int64(len(rids))
 			counters.Tuples += int64(len(rids))
 			for _, rid := range rids {
-				if err := emit(oRow, int(rid)); err != nil {
-					return nil, err
-				}
+				emit(oRow, int(rid))
 			}
 		}
+	}
+	rows, err := f.done()
+	if err != nil {
+		return nil, err
 	}
 	counters.Tuples += int64(len(rows))
 	return &Result{Schema: outSchema, Rows: rows}, nil
@@ -535,12 +606,12 @@ func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*
 	surviving := intersectSorted(ridLists)
 	counters.RandPages += int64(len(surviving))
 	counters.Tuples += int64(len(surviving))
+	f := &rowFilter{pred: pred, b: NewBatch(outSchema)}
 	factBuf := make(value.Row, len(factSchema.Fields))
-	var rows []value.Row
+	out := make(value.Row, 0, len(outSchema.Fields))
 	for _, rid := range surviving {
 		fact.ReadRow(int(rid), factBuf)
-		out := make(value.Row, 0, len(outSchema.Fields))
-		out = append(out, factBuf...)
+		out = append(out[:0], factBuf...)
 		complete := true
 		for _, st := range states {
 			dimRow, ok := st.rowsByPK[factBuf[st.fkIdx].I]
@@ -550,16 +621,13 @@ func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*
 			}
 			out = append(out, dimRow...)
 		}
-		if !complete {
-			continue
+		if complete {
+			f.add(out)
 		}
-		ok, err := pred.Eval(out)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			rows = append(rows, out)
-		}
+	}
+	rows, err := f.done()
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Schema: outSchema, Rows: rows}, nil
 }

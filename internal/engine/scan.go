@@ -6,8 +6,6 @@ import (
 
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
-	"robustqo/internal/storage"
-	"robustqo/internal/value"
 )
 
 // SeqScan reads every page of a table sequentially, applying an optional
@@ -191,21 +189,3 @@ func (s *IndexIntersect) Describe() string {
 // happen at Open — that work is inherently blocking — and the surviving
 // row fetches stream.
 func (s *IndexIntersect) Stream() Operator { return &morselScanOp{src: s} }
-
-// fetchFiltered materializes the rows behind rids and keeps those passing
-// the (already bound) predicate. Used by the materialized reference path.
-func fetchFiltered(t *storage.Table, schema expr.RelSchema, rids []int32, pred *expr.Bound) ([]value.Row, error) {
-	buf := make(value.Row, len(schema.Fields))
-	var rows []value.Row
-	for _, rid := range rids {
-		t.ReadRow(int(rid), buf)
-		ok, err := pred.Eval(buf)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			rows = append(rows, buf.Clone())
-		}
-	}
-	return rows, nil
-}

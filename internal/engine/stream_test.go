@@ -155,6 +155,11 @@ func streamEquivalencePlans(cut float64) map[string]Node {
 			Right: &SeqScan{Table: "lineitem", Filter: ship}, LeftCol: okey, RightCol: lkey},
 		"inljoin": &INLJoin{Outer: &SeqScan{Table: "lineitem", Filter: ship},
 			OuterCol: lkey, InnerTable: "orders", InnerCol: "o_orderkey", Residual: filter},
+		// Secondary-index probes whose residual rejects part of each outer
+		// batch's matches.
+		"inljoin-index": &INLJoin{Outer: &SeqScan{Table: "part"},
+			OuterCol: expr.ColumnRef{Table: "part", Column: "p_partkey"}, InnerTable: "lineitem", InnerCol: "l_partkey",
+			Residual: ship},
 		"sort": &Sort{Input: &SeqScan{Table: "lineitem", Filter: ship},
 			By: []SortKey{{Col: expr.C("l_receipt").Ref}, {Col: expr.C("l_id").Ref, Desc: true}}},
 		"aggregate": &Aggregate{Input: &SeqScan{Table: "lineitem"},
@@ -166,6 +171,13 @@ func streamEquivalencePlans(cut float64) map[string]Node {
 			Scan:   &SeqScan{Table: "part", Filter: expr.Cmp{Op: expr.LT, L: expr.C("p_size"), R: expr.IntLit(25)}},
 			DimPK:  expr.ColumnRef{Table: "part", Column: "p_partkey"},
 			FactFK: "l_partkey"}}},
+		"star-residual": &StarSemiJoin{Fact: "lineitem", Dims: []StarDim{{
+			Scan:   &SeqScan{Table: "part"},
+			DimPK:  expr.ColumnRef{Table: "part", Column: "p_partkey"},
+			FactFK: "l_partkey"}},
+			Residual: expr.Conj(
+				expr.Cmp{Op: expr.LT, L: expr.C("l_price"), R: expr.IntLit(50)},
+				expr.Cmp{Op: expr.GT, L: expr.C("l_ship"), R: expr.C("p_size")})},
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package expr provides typed predicate and scalar expression trees, name
-// binding against relation schemas, evaluation over rows, and a small
-// SQL-like predicate parser.
+// binding against relation schemas, vectorized evaluation over column
+// batches, and a small SQL-like predicate parser.
 //
 // Expressions are deliberately general — comparisons, BETWEEN, boolean
 // connectives, arithmetic, and substring matching — because one of the

@@ -2,22 +2,29 @@ package expr
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/value"
 )
 
-// This file is the vectorized twin of bind.go: every expression compiles
-// to a second evaluator that runs over column vectors and selection
-// vectors instead of one row at a time. Selection vectors are strictly
-// increasing row indices into the columns; predicate evaluators return the
-// matching subset as a NEW slice (never aliasing their input), which is
-// what lets Or track matched/remaining sets without corruption. Boolean
-// connectives preserve row-at-a-time short-circuit semantics exactly: a
-// row filtered out by an earlier term is never evaluated by later terms,
-// so data-dependent errors (division by zero, type mismatches) surface for
-// precisely the same rows as Bound.Eval.
+// The predicate compiler. Every expression compiles to one closure tree
+// that runs over column vectors and selection vectors: selection vectors
+// are strictly increasing row indices into the columns, and predicate
+// evaluators return the matching subset as a NEW slice (never aliasing
+// their input), which is what lets Or track matched/remaining sets without
+// corruption. Boolean connectives short-circuit over the selection: a row
+// filtered out by an earlier And term (or accepted by an earlier Or term)
+// is never evaluated by later terms, so data-dependent errors (division by
+// zero, type mismatches) surface only for rows a term actually sees. Each
+// term runs over its selection in row order, and the first error of the
+// first failing term is the one returned.
+//
+// Comparisons of a column against a literal — the shapes SplitPushdown
+// pushes and the estimator counts — compile to kernels that read the
+// column in place instead of filling full-width scratch vectors; every
+// other shape takes the generic path. Both report the same errors.
 
 // batchPredFn evaluates a predicate over the rows in sel, returning the
 // indices that pass in ascending order.
@@ -84,9 +91,96 @@ func diffSorted(a, b []int) []int {
 	return out
 }
 
+// column returns column idx of cols after checking that it covers every
+// row in sel: the bounds errors every column read reports.
+func column(cols [][]value.Value, idx int, sel []int) ([]value.Value, error) {
+	if idx >= len(cols) {
+		return nil, fmt.Errorf("expr: batch too narrow for column ordinal %d", idx)
+	}
+	col := cols[idx]
+	if n := len(sel); n > 0 && sel[n-1] >= len(col) {
+		return nil, fmt.Errorf("expr: batch too short for row %d", sel[sort.SearchInts(sel, len(col))])
+	}
+	return col, nil
+}
+
+// holds reports whether a three-way comparison result satisfies op.
+func holds(op CmpOp, c int) bool {
+	switch op {
+	case EQ:
+		return c == 0
+	case NE:
+		return c != 0
+	case LT:
+		return c < 0
+	case LE:
+		return c <= 0
+	case GT:
+		return c > 0
+	default:
+		return c >= 0
+	}
+}
+
+// cmpColLit is the Cmp{L: Col, R: Lit} kernel.
+type cmpColLit struct {
+	col int
+	op  CmpOp
+	lit value.Value
+}
+
+//qo:hotpath
+func (k *cmpColLit) eval(cols [][]value.Value, sel []int) ([]int, error) {
+	return k.filter(cols, sel, make([]int, 0, len(sel)))
+}
+
+// filter appends the rows of sel that satisfy the comparison to out,
+// which may alias sel's storage.
+//
+//qo:hotpath
+func (k *cmpColLit) filter(cols [][]value.Value, sel, out []int) ([]int, error) {
+	col, err := column(cols, k.col, sel)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range sel {
+		c, err := value.Compare(col[row], k.lit)
+		if err != nil {
+			return nil, err
+		}
+		if holds(k.op, c) {
+			out = append(out, row)
+		}
+	}
+	return out, nil
+}
+
+// betweenColLit is the Between{E: Col, Lo: Lit, Hi: Lit} kernel. Like the
+// generic path it compares every selected row against lo first, and only
+// the rows that clear lo against hi.
+type betweenColLit struct{ lo, hi cmpColLit }
+
+//qo:hotpath
+func (k *betweenColLit) eval(cols [][]value.Value, sel []int) ([]int, error) {
+	pass, err := k.lo.eval(cols, sel)
+	if err != nil {
+		return nil, err
+	}
+	return k.hi.filter(cols, pass, pass[:0])
+}
+
 func bindPredBatch(e Expr, schema RelSchema) (batchPredFn, error) {
 	switch n := e.(type) {
 	case Cmp:
+		if c, ok := n.L.(Col); ok {
+			if lit, ok := n.R.(Lit); ok {
+				idx, err := schema.Resolve(c.Ref)
+				if err != nil {
+					return nil, err
+				}
+				return (&cmpColLit{col: idx, op: n.Op, lit: lit.Val}).eval, nil
+			}
+		}
 		l, err := bindScalarBatch(n.L, schema)
 		if err != nil {
 			return nil, err
@@ -112,81 +206,28 @@ func bindPredBatch(e Expr, schema RelSchema) (batchPredFn, error) {
 				if err != nil {
 					return nil, err
 				}
-				keep := false
-				switch op {
-				case EQ:
-					keep = c == 0
-				case NE:
-					keep = c != 0
-				case LT:
-					keep = c < 0
-				case LE:
-					keep = c <= 0
-				case GT:
-					keep = c > 0
-				default:
-					keep = c >= 0
-				}
-				if keep {
+				if holds(op, c) {
 					out = append(out, row)
 				}
 			}
 			return out, nil
 		}, nil
 	case Between:
-		v, err := bindScalarBatch(n.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := bindScalarBatch(n.Lo, schema)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := bindScalarBatch(n.Hi, schema)
-		if err != nil {
-			return nil, err
-		}
-		var vbuf, lobuf, hibuf []value.Value
-		return func(cols [][]value.Value, sel []int) ([]int, error) {
-			m := scratchLen(cols, sel)
-			vbuf, lobuf = growVec(vbuf, m), growVec(lobuf, m)
-			if err := v(cols, sel, vbuf); err != nil {
-				return nil, err
-			}
-			if err := lo(cols, sel, lobuf); err != nil {
-				return nil, err
-			}
-			// The hi bound is only evaluated for rows that clear the lo
-			// bound, mirroring the row path's short circuit.
-			pass := make([]int, 0, len(sel))
-			for _, row := range sel {
-				cLo, err := value.Compare(vbuf[row], lobuf[row])
+		if c, ok := n.E.(Col); ok {
+			lo, okLo := n.Lo.(Lit)
+			hi, okHi := n.Hi.(Lit)
+			if okLo && okHi {
+				idx, err := schema.Resolve(c.Ref)
 				if err != nil {
 					return nil, err
 				}
-				if cLo >= 0 {
-					pass = append(pass, row)
-				}
+				return (&betweenColLit{lo: cmpColLit{idx, GE, lo.Val}, hi: cmpColLit{idx, LE, hi.Val}}).eval, nil
 			}
-			if len(pass) == 0 {
-				return pass, nil
-			}
-			hibuf = growVec(hibuf, m)
-			if err := hi(cols, pass, hibuf); err != nil {
-				return nil, err
-			}
-			out := pass[:0]
-			for _, row := range pass {
-				cHi, err := value.Compare(vbuf[row], hibuf[row])
-				if err != nil {
-					return nil, err
-				}
-				if cHi <= 0 {
-					out = append(out, row)
-				}
-			}
-			return out, nil
-		}, nil
+		}
+		// Generically, e BETWEEN lo AND hi is e >= lo AND e <= hi: the And
+		// evaluates e and lo over every selected row first, and e and hi
+		// only over the rows that clear lo, so it reports the same errors.
+		return bindPredBatch(And{Terms: []Expr{Cmp{Op: GE, L: n.E, R: n.Lo}, Cmp{Op: LE, L: n.E, R: n.Hi}}}, schema)
 	case And:
 		terms, err := bindPredBatchList(n.Terms, schema)
 		if err != nil {
@@ -322,14 +363,11 @@ func bindScalarBatch(e Expr, schema RelSchema) (batchScalarFn, error) {
 			return nil, err
 		}
 		return func(cols [][]value.Value, sel []int, out []value.Value) error {
-			if idx >= len(cols) {
-				return fmt.Errorf("expr: batch too narrow for column ordinal %d", idx)
+			col, err := column(cols, idx, sel)
+			if err != nil {
+				return err
 			}
-			col := cols[idx]
 			for _, row := range sel {
-				if row >= len(col) {
-					return fmt.Errorf("expr: batch too short for row %d", row)
-				}
 				out[row] = col[row]
 			}
 			return nil

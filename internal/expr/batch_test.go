@@ -2,8 +2,10 @@ package expr
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"robustqo/internal/catalog"
 	"robustqo/internal/stats"
 	"robustqo/internal/value"
 )
@@ -16,8 +18,8 @@ func intn(rng *stats.RNG, n int) int {
 }
 
 // batchColumns builds n rows of the testRelSchema shape as column vectors
-// plus the same data as rows, so batch and row evaluation can be compared
-// on identical inputs.
+// plus the same data as rows, so batch evaluation can be compared with the
+// reference interpreter on identical inputs.
 func batchColumns(rng *stats.RNG, n int) ([][]value.Value, []value.Row) {
 	words := []string{"hello world", "alpha", "robust plan", "hello", ""}
 	cols := make([][]value.Value, 5)
@@ -38,11 +40,127 @@ func batchColumns(rng *stats.RNG, n int) ([][]value.Value, []value.Row) {
 	return cols, rows
 }
 
+// refPred is the differential tests' reference: a direct interpreter of
+// the Expr AST over one row, with no binding, no closures and no shared
+// evaluation code.
+func refPred(e Expr, schema RelSchema, row value.Row) (bool, error) {
+	switch n := e.(type) {
+	case Cmp:
+		l, err := refScalar(n.L, schema, row)
+		if err != nil {
+			return false, err
+		}
+		r, err := refScalar(n.R, schema, row)
+		if err != nil {
+			return false, err
+		}
+		c, err := value.Compare(l, r)
+		if err != nil {
+			return false, err
+		}
+		return map[CmpOp]bool{EQ: c == 0, NE: c != 0, LT: c < 0, LE: c <= 0, GT: c > 0, GE: c >= 0}[n.Op], nil
+	case Between:
+		return refPred(And{Terms: []Expr{Cmp{Op: GE, L: n.E, R: n.Lo}, Cmp{Op: LE, L: n.E, R: n.Hi}}}, schema, row)
+	case And:
+		for _, t := range n.Terms {
+			if ok, err := refPred(t, schema, row); err != nil || !ok {
+				return false, err
+			}
+		}
+		return true, nil
+	case Or:
+		for _, t := range n.Terms {
+			if ok, err := refPred(t, schema, row); err != nil || ok {
+				return ok, err
+			}
+		}
+		return false, nil
+	case Not:
+		ok, err := refPred(n.E, schema, row)
+		return !ok, err
+	case Contains:
+		v, err := refScalar(n.E, schema, row)
+		if err != nil || v.Kind != catalog.String {
+			return false, fmt.Errorf("reference: CONTAINS over %v (%v)", v, err)
+		}
+		return strings.Contains(v.S, n.Substr), nil
+	case In:
+		for _, c := range n.Vals {
+			if ok, err := refPred(Cmp{Op: EQ, L: n.E, R: Lit{Val: c}}, schema, row); err != nil || ok {
+				return ok, err
+			}
+		}
+		return false, nil
+	}
+	return false, fmt.Errorf("reference: %T is not a predicate", e)
+}
+
+// refScalar interprets a scalar subtree over one row. Arithmetic is
+// integral when neither operand is a float, with date-ness kept.
+func refScalar(e Expr, schema RelSchema, row value.Row) (value.Value, error) {
+	switch n := e.(type) {
+	case Col:
+		idx, err := schema.Resolve(n.Ref)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return row[idx], nil
+	case Lit:
+		return n.Val, nil
+	case Arith:
+		l, err := refScalar(n.L, schema, row)
+		if err != nil {
+			return value.Value{}, err
+		}
+		r, err := refScalar(n.R, schema, row)
+		if err != nil {
+			return value.Value{}, err
+		}
+		if !l.Numeric() || !r.Numeric() {
+			return value.Value{}, fmt.Errorf("reference: arithmetic over %v, %v", l, r)
+		}
+		if l.Kind != catalog.Float && r.Kind != catalog.Float {
+			kind := l.Kind
+			if r.Kind == catalog.Date {
+				kind = catalog.Date
+			}
+			switch n.Op {
+			case Add:
+				return value.Value{Kind: kind, I: l.I + r.I}, nil
+			case Sub:
+				return value.Value{Kind: kind, I: l.I - r.I}, nil
+			case Mul:
+				return value.Value{Kind: kind, I: l.I * r.I}, nil
+			}
+			if r.I == 0 {
+				return value.Value{}, fmt.Errorf("reference: division by zero")
+			}
+			return value.Value{Kind: kind, I: l.I / r.I}, nil
+		}
+		lf, rf := l.AsFloat(), r.AsFloat()
+		switch n.Op {
+		case Add:
+			return value.Float(lf + rf), nil
+		case Sub:
+			return value.Float(lf - rf), nil
+		case Mul:
+			return value.Float(lf * rf), nil
+		}
+		if rf == 0 {
+			return value.Value{}, fmt.Errorf("reference: division by zero")
+		}
+		return value.Float(lf / rf), nil
+	}
+	return value.Value{}, fmt.Errorf("reference: %T is not a scalar", e)
+}
+
 // batchPredCases enumerates predicate shapes covering every vectorized
-// node: comparisons, BETWEEN, AND/OR/NOT nesting, CONTAINS, IN, and
-// arithmetic inside comparisons.
+// node — comparisons, BETWEEN, AND/OR/NOT nesting, CONTAINS, IN, and
+// arithmetic inside comparisons — plus the Col-vs-Lit kernels on every
+// operator, the shapes that must fall back to the generic path, and a
+// kernel that fails on every row.
 func batchPredCases() []Expr {
-	return []Expr{
+	cases := []Expr{
 		Cmp{Op: LT, L: TC("t", "a"), R: IntLit(5)},
 		Cmp{Op: GE, L: C("b"), R: FloatLit(0)},
 		Cmp{Op: EQ, L: TC("u", "a"), R: IntLit(3)},
@@ -65,12 +183,32 @@ func batchPredCases() []Expr {
 		}}},
 		In{E: TC("u", "a"), Vals: []value.Value{value.Int(1), value.Int(4), value.Int(8)}},
 		Cmp{Op: GT, L: Arith{Op: Mul, L: TC("t", "a"), R: IntLit(2)}, R: Arith{Op: Sub, L: C("d"), R: IntLit(5)}},
+		// Literal on the left: the generic path.
+		Cmp{Op: GT, L: IntLit(3), R: TC("t", "a")},
+		// An empty interval.
+		Between{E: TC("t", "a"), Lo: IntLit(8), Hi: IntLit(-2)},
+		Between{E: C("s"), Lo: StrLit("alpha"), Hi: StrLit("hello")},
+		// Kernels under OR and NOT.
+		Or{Terms: []Expr{
+			Between{E: C("d"), Lo: DateLit(5), Hi: DateLit(9)},
+			Not{E: Between{E: TC("t", "a"), Lo: IntLit(-5), Hi: IntLit(10)}},
+		}},
+		// A string column against an int literal errors on every row.
+		Cmp{Op: EQ, L: C("s"), R: IntLit(1)},
 	}
+	for op := EQ; op <= GE; op++ {
+		cases = append(cases,
+			Cmp{Op: op, L: TC("t", "a"), R: IntLit(4)},
+			Cmp{Op: op, L: C("b"), R: IntLit(1)},
+			Cmp{Op: op, L: C("s"), R: StrLit("hello")})
+	}
+	return cases
 }
 
 // TestEvalBatchAgreesWithEval: for every predicate shape, the batch
 // evaluator over full and partial selection vectors must select exactly
-// the rows the row-at-a-time evaluator accepts.
+// the rows the reference interpreter accepts, and fail with the
+// reference's first error when a selected row errors.
 func TestEvalBatchAgreesWithEval(t *testing.T) {
 	rng := stats.NewRNG(777)
 	schema := testRelSchema()
@@ -89,29 +227,37 @@ func TestEvalBatchAgreesWithEval(t *testing.T) {
 					sel = append(sel, r)
 				}
 			}
-			got, err := b.EvalBatch(cols, sel)
-			if err != nil {
-				t.Fatalf("case %d (%s): EvalBatch: %v", ci, e, err)
-			}
 			var want []int
+			var wantErr error
 			for _, r := range sel {
-				ok, err := b.Eval(rows[r])
+				ok, err := refPred(e, schema, rows[r])
 				if err != nil {
-					t.Fatalf("case %d (%s): Eval row %d: %v", ci, e, r, err)
+					wantErr = err
+					break
 				}
 				if ok {
 					want = append(want, r)
 				}
 			}
+			got, err := b.EvalBatch(cols, sel)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("case %d (%s): EvalBatch error %v, reference error %v", ci, e, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("case %d (%s): EvalBatch: %v", ci, e, err)
+			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("case %d (%s): batch selected %v, rows selected %v", ci, e, got, want)
+				t.Fatalf("case %d (%s): batch selected %v, reference selected %v", ci, e, got, want)
 			}
 		}
 	}
 }
 
 // TestEvalBatchScalarAgreesWithEval compares the vectorized scalar path
-// (column loads and arithmetic) against row-at-a-time evaluation.
+// (column loads and arithmetic) against the reference interpreter.
 func TestEvalBatchScalarAgreesWithEval(t *testing.T) {
 	rng := stats.NewRNG(778)
 	schema := testRelSchema()
@@ -139,21 +285,21 @@ func TestEvalBatchScalarAgreesWithEval(t *testing.T) {
 			t.Fatalf("case %d (%s): EvalBatch: %v", ci, e, err)
 		}
 		for _, r := range sel {
-			want, err := b.Eval(rows[r])
+			want, err := refScalar(e, schema, rows[r])
 			if err != nil {
-				t.Fatalf("case %d (%s): Eval row %d: %v", ci, e, r, err)
+				t.Fatalf("case %d (%s): reference row %d: %v", ci, e, r, err)
 			}
 			if out[r] != want {
-				t.Fatalf("case %d (%s): row %d batch=%v row=%v", ci, e, r, out[r], want)
+				t.Fatalf("case %d (%s): row %d batch=%v reference=%v", ci, e, r, out[r], want)
 			}
 		}
 	}
 }
 
-// TestEvalBatchErrorParity: data-dependent errors must surface from the
-// batch path exactly when the row path would hit them — a row already
-// rejected by an earlier AND term (or accepted by an earlier OR term)
-// must not have later terms evaluated against it.
+// TestEvalBatchErrorParity: data-dependent errors surface only for rows a
+// term actually sees — a row already rejected by an earlier AND term (or
+// accepted by an earlier OR term) must not have later terms evaluated
+// against it — and the kernels report exactly the generic path's errors.
 func TestEvalBatchErrorParity(t *testing.T) {
 	schema := testRelSchema()
 	// a / u.a errors when u.a == 0; the guard term filters those rows out.
@@ -190,5 +336,43 @@ func TestEvalBatchErrorParity(t *testing.T) {
 	}
 	if _, err := ub.EvalBatch(cols, []int{0, 1}); err == nil {
 		t.Fatal("unguarded division by zero must error in the batch path too")
+	}
+
+	// The Col-vs-Lit kernels report exactly the generic path's errors:
+	// type mismatches, a hi bound that fails only on rows clearing lo,
+	// and batches too narrow or too short for the column. Wrapping an
+	// operand in "+ 0" forces the generic path without changing values.
+	generic := func(e Expr) Expr { return Arith{Op: Add, L: e, R: IntLit(0)} }
+	pairs := [][2]Expr{
+		{Cmp{Op: EQ, L: C("s"), R: IntLit(1)}, Cmp{Op: EQ, L: C("s"), R: generic(IntLit(1))}},
+		{Cmp{Op: LT, L: TC("u", "a"), R: IntLit(1)}, Cmp{Op: LT, L: TC("u", "a"), R: generic(IntLit(1))}},
+		{Between{E: TC("t", "a"), Lo: IntLit(5), Hi: StrLit("x")}, Between{E: generic(TC("t", "a")), Lo: IntLit(5), Hi: StrLit("x")}},
+		{Between{E: TC("u", "a"), Lo: IntLit(0), Hi: IntLit(9)}, Between{E: generic(TC("u", "a")), Lo: IntLit(0), Hi: IntLit(9)}},
+	}
+	inputs := []struct {
+		cols [][]value.Value
+		sel  []int
+	}{
+		{cols, []int{0, 1}},
+		{cols[:3], []int{0, 1}}, // too narrow for u.a
+		{[][]value.Value{cols[0][:1], cols[1], cols[2], cols[3], cols[4][:1]}, []int{0, 1}}, // too short
+		{cols, nil},
+	}
+	for _, p := range pairs {
+		kb, err := Bind(p[0], schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := Bind(p[1], schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ii, in := range inputs {
+			kgot, kerr := kb.EvalBatch(in.cols, in.sel)
+			ggot, gerr := gb.EvalBatch(in.cols, in.sel)
+			if fmt.Sprint(kerr) != fmt.Sprint(gerr) || fmt.Sprint(kgot) != fmt.Sprint(ggot) {
+				t.Errorf("%s input %d: kernel (%v, %v), generic (%v, %v)", p[0], ii, kgot, kerr, ggot, gerr)
+			}
+		}
 	}
 }

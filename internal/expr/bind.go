@@ -77,20 +77,18 @@ func (rs RelSchema) String() string {
 	return "[" + strings.Join(parts, ", ") + "]"
 }
 
-// Bound is a predicate compiled against a specific schema, ready for
-// repeated evaluation over rows — or column-vector batches — of that
-// schema.
+// Bound is a predicate compiled once against a specific schema, ready for
+// repeated evaluation over column-vector batches of that schema. It is the
+// system's one predicate evaluator: scans, filters, join residuals and
+// synopsis counting all run through EvalBatch. A Bound carries evaluation
+// scratch, so it must not be shared between goroutines.
 type Bound struct {
-	eval      func(row value.Row) (bool, error)
 	evalBatch batchPredFn
 	src       Expr
 }
 
 // Expr returns the source expression the predicate was bound from.
 func (b *Bound) Expr() Expr { return b.src }
-
-// Eval evaluates the predicate over a row.
-func (b *Bound) Eval(row value.Row) (bool, error) { return b.eval(row) }
 
 // EvalBatch evaluates the predicate over the rows of the column vectors
 // named by the selection vector sel (strictly increasing row indices),
@@ -106,32 +104,21 @@ func (b *Bound) EvalBatch(cols [][]value.Value, sel []int) ([]int, error) {
 // binds to the always-true predicate.
 func Bind(e Expr, schema RelSchema) (*Bound, error) {
 	if e == nil {
-		return &Bound{
-			eval: func(value.Row) (bool, error) { return true, nil },
-			evalBatch: func(cols [][]value.Value, sel []int) ([]int, error) {
-				return append([]int(nil), sel...), nil
-			},
-		}, nil
+		return &Bound{evalBatch: func(cols [][]value.Value, sel []int) ([]int, error) {
+			return append([]int(nil), sel...), nil
+		}}, nil
 	}
-	f, err := bindPred(e, schema)
+	f, err := bindPredBatch(e, schema)
 	if err != nil {
 		return nil, err
 	}
-	bf, err := bindPredBatch(e, schema)
-	if err != nil {
-		return nil, err
-	}
-	return &Bound{eval: f, evalBatch: bf, src: e}, nil
+	return &Bound{evalBatch: f, src: e}, nil
 }
 
 // BoundScalar is a scalar expression compiled against a schema.
 type BoundScalar struct {
-	eval      func(row value.Row) (value.Value, error)
 	evalBatch batchScalarFn
 }
-
-// Eval evaluates the scalar over a row.
-func (b *BoundScalar) Eval(row value.Row) (value.Value, error) { return b.eval(row) }
 
 // EvalBatch evaluates the scalar for the rows in sel, writing each result
 // at out[row]. out must cover every row id in sel.
@@ -143,245 +130,11 @@ func (b *BoundScalar) EvalBatch(cols [][]value.Value, sel []int, out []value.Val
 
 // BindScalar compiles a scalar expression against a schema.
 func BindScalar(e Expr, schema RelSchema) (*BoundScalar, error) {
-	f, err := bindScalar(e, schema)
+	f, err := bindScalarBatch(e, schema)
 	if err != nil {
 		return nil, err
 	}
-	bf, err := bindScalarBatch(e, schema)
-	if err != nil {
-		return nil, err
-	}
-	return &BoundScalar{eval: f, evalBatch: bf}, nil
-}
-
-type predFn func(value.Row) (bool, error)
-
-type scalarFn func(value.Row) (value.Value, error)
-
-func bindPred(e Expr, schema RelSchema) (predFn, error) {
-	switch n := e.(type) {
-	case Cmp:
-		l, err := bindScalar(n.L, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindScalar(n.R, schema)
-		if err != nil {
-			return nil, err
-		}
-		op := n.Op
-		return func(row value.Row) (bool, error) {
-			lv, err := l(row)
-			if err != nil {
-				return false, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return false, err
-			}
-			c, err := value.Compare(lv, rv)
-			if err != nil {
-				return false, err
-			}
-			switch op {
-			case EQ:
-				return c == 0, nil
-			case NE:
-				return c != 0, nil
-			case LT:
-				return c < 0, nil
-			case LE:
-				return c <= 0, nil
-			case GT:
-				return c > 0, nil
-			default:
-				return c >= 0, nil
-			}
-		}, nil
-	case Between:
-		v, err := bindScalar(n.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := bindScalar(n.Lo, schema)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := bindScalar(n.Hi, schema)
-		if err != nil {
-			return nil, err
-		}
-		return func(row value.Row) (bool, error) {
-			vv, err := v(row)
-			if err != nil {
-				return false, err
-			}
-			lov, err := lo(row)
-			if err != nil {
-				return false, err
-			}
-			cLo, err := value.Compare(vv, lov)
-			if err != nil {
-				return false, err
-			}
-			if cLo < 0 {
-				return false, nil
-			}
-			hiv, err := hi(row)
-			if err != nil {
-				return false, err
-			}
-			cHi, err := value.Compare(vv, hiv)
-			if err != nil {
-				return false, err
-			}
-			return cHi <= 0, nil
-		}, nil
-	case And:
-		terms, err := bindPredList(n.Terms, schema)
-		if err != nil {
-			return nil, err
-		}
-		return func(row value.Row) (bool, error) {
-			for _, t := range terms {
-				ok, err := t(row)
-				if err != nil || !ok {
-					return false, err
-				}
-			}
-			return true, nil
-		}, nil
-	case Or:
-		terms, err := bindPredList(n.Terms, schema)
-		if err != nil {
-			return nil, err
-		}
-		return func(row value.Row) (bool, error) {
-			for _, t := range terms {
-				ok, err := t(row)
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					return true, nil
-				}
-			}
-			return false, nil
-		}, nil
-	case Not:
-		inner, err := bindPred(n.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		return func(row value.Row) (bool, error) {
-			ok, err := inner(row)
-			return !ok, err
-		}, nil
-	case Contains:
-		v, err := bindScalar(n.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		sub := n.Substr
-		return func(row value.Row) (bool, error) {
-			vv, err := v(row)
-			if err != nil {
-				return false, err
-			}
-			if vv.Kind != catalog.String {
-				return false, fmt.Errorf("expr: CONTAINS over non-string value %s", vv)
-			}
-			return strings.Contains(vv.S, sub), nil
-		}, nil
-	case In:
-		if len(n.Vals) == 0 {
-			return nil, fmt.Errorf("expr: IN with an empty value list")
-		}
-		v, err := bindScalar(n.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		vals := n.Vals
-		return func(row value.Row) (bool, error) {
-			vv, err := v(row)
-			if err != nil {
-				return false, err
-			}
-			for _, candidate := range vals {
-				c, err := value.Compare(vv, candidate)
-				if err != nil {
-					return false, err
-				}
-				if c == 0 {
-					return true, nil
-				}
-			}
-			return false, nil
-		}, nil
-	case Col, Lit, Arith:
-		return nil, fmt.Errorf("expr: %s is not a predicate", e)
-	default:
-		return nil, fmt.Errorf("expr: unsupported predicate node %T", e)
-	}
-}
-
-func bindPredList(terms []Expr, schema RelSchema) ([]predFn, error) {
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("expr: empty boolean connective")
-	}
-	out := make([]predFn, len(terms))
-	for i, t := range terms {
-		f, err := bindPred(t, schema)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = f
-	}
-	return out, nil
-}
-
-func bindScalar(e Expr, schema RelSchema) (scalarFn, error) {
-	switch n := e.(type) {
-	case Col:
-		idx, err := schema.Resolve(n.Ref)
-		if err != nil {
-			return nil, err
-		}
-		return func(row value.Row) (value.Value, error) {
-			if idx >= len(row) {
-				return value.Value{}, fmt.Errorf("expr: row too short for column ordinal %d", idx)
-			}
-			return row[idx], nil
-		}, nil
-	case Lit:
-		v := n.Val
-		return func(value.Row) (value.Value, error) { return v, nil }, nil
-	case Arith:
-		l, err := bindScalar(n.L, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindScalar(n.R, schema)
-		if err != nil {
-			return nil, err
-		}
-		op := n.Op
-		return func(row value.Row) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Value{}, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return value.Value{}, err
-			}
-			return applyArith(op, lv, rv)
-		}, nil
-	case Cmp, Between, And, Or, Not, Contains, In:
-		return nil, fmt.Errorf("expr: predicate %s used as scalar", e)
-	default:
-		return nil, fmt.Errorf("expr: unsupported scalar node %T", e)
-	}
+	return &BoundScalar{evalBatch: f}, nil
 }
 
 func applyArith(op ArithOp, l, r value.Value) (value.Value, error) {

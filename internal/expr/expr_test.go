@@ -24,11 +24,21 @@ func evalPred(t *testing.T, e Expr, row value.Row) bool {
 	if err != nil {
 		t.Fatalf("Bind(%s): %v", e, err)
 	}
-	ok, err := b.Eval(row)
+	ok, err := evalRow(b, row)
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", e, err)
 	}
 	return ok
+}
+
+// evalRow evaluates a bound predicate over one row, as a one-row batch.
+func evalRow(b *Bound, row value.Row) (bool, error) {
+	cols := make([][]value.Value, len(row))
+	for c, v := range row {
+		cols[c] = []value.Value{v}
+	}
+	keep, err := b.EvalBatch(cols, []int{0})
+	return len(keep) == 1, err
 }
 
 func sampleRow() value.Row {
@@ -160,14 +170,14 @@ func TestArithmetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Eval(row); err == nil {
+	if _, err := evalRow(b, row); err == nil {
 		t.Error("integer division by zero succeeded")
 	}
 	b2, err := Bind(Cmp{EQ, Arith{Div, C("b"), FloatLit(0)}, FloatLit(1)}, testRelSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b2.Eval(row); err == nil {
+	if _, err := evalRow(b2, row); err == nil {
 		t.Error("float division by zero succeeded")
 	}
 }
@@ -181,7 +191,7 @@ func TestContains(t *testing.T) {
 		t.Error("absent substring found")
 	}
 	b, _ := Bind(Contains{TC("t", "a"), "x"}, testRelSchema())
-	if _, err := b.Eval(row); err == nil {
+	if _, err := evalRow(b, row); err == nil {
 		t.Error("CONTAINS over int succeeded")
 	}
 }
@@ -210,7 +220,7 @@ func TestBindNilIsTrue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := b.Eval(sampleRow())
+	ok, err := evalRow(b, sampleRow())
 	if err != nil || !ok {
 		t.Errorf("nil predicate = %v, %v", ok, err)
 	}
@@ -221,11 +231,11 @@ func TestTypeMismatchAtEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Eval(sampleRow()); err == nil {
+	if _, err := evalRow(b, sampleRow()); err == nil {
 		t.Error("string = int comparison succeeded")
 	}
 	b2, _ := Bind(Cmp{GT, Arith{Add, C("s"), IntLit(1)}, IntLit(0)}, testRelSchema())
-	if _, err := b2.Eval(sampleRow()); err == nil {
+	if _, err := evalRow(b2, sampleRow()); err == nil {
 		t.Error("string arithmetic succeeded")
 	}
 }
@@ -273,7 +283,7 @@ func TestEvalShortRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Eval(value.Row{value.Int(1)}); err == nil {
+	if _, err := evalRow(b, value.Row{value.Int(1)}); err == nil {
 		t.Error("short row accepted")
 	}
 }
@@ -298,7 +308,7 @@ func TestInEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Eval(row); err == nil {
+	if _, err := evalRow(b, row); err == nil {
 		t.Error("int IN strings accepted")
 	}
 	// Empty lists rejected at bind time.

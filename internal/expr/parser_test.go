@@ -233,12 +233,12 @@ func TestParseEndToEndEval(t *testing.T) {
 	}
 	ship := mustDate("1997-08-15")
 	row := value.Row{value.Date(ship), value.Date(ship + 3), value.Float(3)}
-	ok, err := b.Eval(row)
+	ok, err := evalRow(b, row)
 	if err != nil || !ok {
 		t.Errorf("eval = %v, %v", ok, err)
 	}
 	row[1] = value.Date(ship + 1) // violates receipt >= ship + 2
-	ok, err = b.Eval(row)
+	ok, err = evalRow(b, row)
 	if err != nil || ok {
 		t.Errorf("eval2 = %v, %v", ok, err)
 	}

@@ -12,11 +12,11 @@ import (
 // without decoding, plus a residual predicate for the surviving rows.
 //
 // The factoring is prefix-only and exact. Only the longest pushable
-// PREFIX of the top-level AND conjuncts is extracted: the row path
-// evaluates conjuncts left to right with short-circuiting, so running
-// the residual (the remaining conjuncts, in order) on exactly the rows
-// where the pushed prefix holds reproduces the row path's evaluation
-// order, results, and error behavior. Pushed terms are comparisons of an
+// PREFIX of the top-level AND conjuncts is extracted: the evaluator runs
+// conjuncts left to right, each over the rows earlier ones kept, so
+// running the residual (the remaining conjuncts, in order) on exactly the
+// rows where the pushed prefix holds reproduces the unsplit filter's
+// evaluation order, results, and error behavior. Pushed terms are comparisons of an
 // Int/Date/String column against a same-family literal — value.Compare
 // is exact and error-free for those pairs — so pushed evaluation can
 // never diverge from row-domain evaluation.

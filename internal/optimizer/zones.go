@@ -1,9 +1,6 @@
 package optimizer
 
-import (
-	"robustqo/internal/colstore"
-	"robustqo/internal/expr"
-)
+import "robustqo/internal/expr"
 
 // Zone-map scan strategy is a planner pre-pass layered on partition
 // pruning: for each query table with a fresh columnar encoding, the
@@ -50,22 +47,8 @@ func (p *planner) computeScanStrategies() {
 			continue // stale encoding: execution would fall back anyway
 		}
 		tz := &tableZones{maxSel: 1}
-		bounds, _ := expr.SplitPushdown(p.a.predOnly(i), expr.SchemaForTable(t.Schema()))
-		probes := make([]colstore.Probe, 0, len(bounds))
-		for _, b := range bounds {
-			pr, ok := enc.CompileProbe(colstore.Pred{
-				Col: b.Col, Lo: b.Lo, Hi: b.Hi,
-				StrLo: b.StrLo, StrHi: b.StrHi,
-				HasStrLo: b.HasStrLo, HasStrHi: b.HasStrHi,
-				IsStr: b.IsStr,
-			})
-			if !ok {
-				probes = probes[:0]
-				break
-			}
-			probes = append(probes, pr)
-		}
-		tz.pushable = len(probes) > 0
+		probes, _, pushable := enc.CompilePushdown(p.a.predOnly(i), expr.SchemaForTable(t.Schema()))
+		tz.pushable = pushable
 		// Shards surviving partition pruning; nil means all of them.
 		var inShard []bool
 		if tp := p.parts[i]; tp != nil && tp.strict {

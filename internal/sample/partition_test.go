@@ -117,9 +117,9 @@ func TestBuildPartitionSynopses(t *testing.T) {
 				qtyIdx = i
 			}
 		}
-		for _, row := range syn.Rows {
-			if got, _ := line.ShardOfKey(row[qtyIdx].I); got != p {
-				t.Fatalf("shard %d sampled qty %d belonging to shard %d", p, row[qtyIdx].I, got)
+		for _, v := range syn.Cols[qtyIdx] {
+			if got, _ := line.ShardOfKey(v.I); got != p {
+				t.Fatalf("shard %d sampled qty %d belonging to shard %d", p, v.I, got)
 			}
 		}
 		popSum += syn.N

@@ -86,15 +86,41 @@ func (s *Set) Save(w io.Writer) error {
 	return nil
 }
 
+// saveSynopsis builds the wire form, transposing the column-major sample
+// back to the row-major Rows the format has always carried.
 func saveSynopsis(syn *Synopsis, part int) savedSynopsis {
+	rows := make([]value.Row, syn.Size())
+	for i := range rows {
+		rows[i] = make(value.Row, len(syn.Cols))
+		for c, col := range syn.Cols {
+			rows[i][c] = col[i]
+		}
+	}
 	return savedSynopsis{
 		Root:      syn.Root,
 		Tables:    syn.Tables,
 		Fields:    syn.Schema.Fields,
-		Rows:      syn.Rows,
+		Rows:      rows,
 		N:         syn.N,
 		Partition: part,
 	}
+}
+
+// loadColumns transposes saved rows into column-major storage, refusing
+// any row whose width is not the schema's. Every row is checked before
+// anything is allocated, so the columns hold exactly the values decoded
+// and an unvalidated schema width cannot inflate memory.
+func loadColumns(root string, rows []value.Row, width int) ([][]value.Value, error) {
+	for i, row := range rows {
+		if len(row) != width {
+			return nil, fmt.Errorf("sample: synopsis %q row %d has %d values, want %d", root, i, len(row), width)
+		}
+	}
+	cols := newColumns(width, len(rows))
+	for _, row := range rows {
+		appendRow(cols, row)
+	}
+	return cols, nil
 }
 
 // LoadSet deserializes a set saved with Save. The catalog must describe
@@ -139,11 +165,15 @@ func LoadSet(r io.Reader, cat *catalog.Catalog) (*Set, error) {
 		s.partitioned[root] = make([]*Synopsis, n)
 	}
 	for _, saved := range in.Synopses {
+		cols, err := loadColumns(saved.Root, saved.Rows, len(saved.Fields))
+		if err != nil {
+			return nil, err
+		}
 		syn := &Synopsis{
 			Root:   saved.Root,
 			Tables: saved.Tables,
 			Schema: expr.RelSchema{Fields: saved.Fields},
-			Rows:   saved.Rows,
+			Cols:   cols,
 			N:      saved.N,
 		}
 		if err := validateAgainstCatalog(syn, cat); err != nil {
@@ -187,9 +217,12 @@ func validateAgainstCatalog(syn *Synopsis, cat *catalog.Catalog) error {
 	if width != len(syn.Schema.Fields) {
 		return fmt.Errorf("sample: synopsis %q schema wider than catalog", syn.Root)
 	}
-	for i, row := range syn.Rows {
-		if len(row) != width {
-			return fmt.Errorf("sample: synopsis %q row %d has %d values, want %d", syn.Root, i, len(row), width)
+	if len(syn.Cols) != width {
+		return fmt.Errorf("sample: synopsis %q has %d columns, want %d", syn.Root, len(syn.Cols), width)
+	}
+	for c, col := range syn.Cols {
+		if len(col) != syn.Size() {
+			return fmt.Errorf("sample: synopsis %q column %d has %d values, want %d", syn.Root, c, len(col), syn.Size())
 		}
 	}
 	if syn.N < 0 {

@@ -2,10 +2,13 @@ package sample
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"strings"
 	"testing"
 
 	"robustqo/internal/catalog"
+	"robustqo/internal/expr"
 	"robustqo/internal/stats"
 	"robustqo/internal/storage"
 	"robustqo/internal/testkit"
@@ -92,18 +95,52 @@ func TestLoadSetValidatesCatalog(t *testing.T) {
 	}
 }
 
+// encodeWire writes a versioned statistics stream carrying the given
+// synopses, bypassing Save so tests can hand LoadSet malformed payloads.
+func encodeWire(t *testing.T, syns ...savedSynopsis) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(setWireMagic[:])
+	if err := binary.Write(&buf, binary.BigEndian, uint32(setWireVersion)); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&buf).Encode(savedSet{Version: setWireVersion, Synopses: syns}); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
 func TestLoadSetRejectsCorruptRows(t *testing.T) {
 	db := chainDB(t, 5, 2, 2)
 	set, _ := BuildAll(db, 20, stats.NewRNG(1))
-	// Corrupt a synopsis in memory, save, and confirm load rejects it.
 	syn, _ := set.Synopsis("customer")
-	syn.Rows[0] = value.Row{value.Int(1)} // wrong width? customer width is 2
-	syn.Rows[0] = syn.Rows[0][:1]
-	var buf bytes.Buffer
-	if err := set.Save(&buf); err != nil {
-		t.Fatal(err)
+	if _, err := LoadSet(encodeWire(t, saveSynopsis(syn, -1)), db.Catalog); err != nil {
+		t.Fatalf("valid synopsis rejected: %v", err)
 	}
-	if _, err := LoadSet(&buf, db.Catalog); err == nil {
-		t.Error("corrupt row width accepted")
+
+	// One bad row among full-width rows (customer width is 2). An empty
+	// row adds nothing to any column, so only a per-row width check sees it.
+	for name, corrupt := range map[string]func([]value.Row){
+		"short row": func(rows []value.Row) { rows[0] = rows[0][:1] },
+		"empty row": func(rows []value.Row) { rows[1] = value.Row{} },
+		"both":      func(rows []value.Row) { rows[0] = rows[0][:1]; rows[1] = value.Row{} },
+	} {
+		saved := saveSynopsis(syn, -1)
+		corrupt(saved.Rows)
+		if _, err := LoadSet(encodeWire(t, saved), db.Catalog); err == nil {
+			t.Errorf("%s: corrupt row width accepted", name)
+		}
+	}
+
+	// A hostile stream: a schema 10^5 fields wide over 10^5 empty rows is
+	// a few hundred KB of gob but would be 400 GB of column capacity if the
+	// transposition sized columns from the schema. It must fail validation.
+	const wide = 100000
+	hostile := savedSynopsis{
+		Root: "customer", Tables: []string{"customer"}, Partition: -1,
+		Fields: make([]expr.Field, wide), Rows: make([]value.Row, wide),
+	}
+	if _, err := LoadSet(encodeWire(t, hostile), db.Catalog); err == nil {
+		t.Error("schema wider than the catalog accepted")
 	}
 }

@@ -8,6 +8,7 @@ package sample
 
 import (
 	"fmt"
+	"slices"
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/expr"
@@ -22,17 +23,24 @@ const DefaultSize = 500
 // Synopsis is a precomputed uniform random sample of a root table, each
 // sample tuple widened with the matching rows of every table reachable via
 // foreign keys. For a plain table sample (no expansion), the schema covers
-// only the root's columns.
+// only the root's columns. The sample is stored column-major, one vector
+// per schema field, so it is evaluated by the same batch kernels that
+// filter the table.
 type Synopsis struct {
 	Root   string
 	Tables []string // all tables folded in, root first, expansion order
 	Schema expr.RelSchema
-	Rows   []value.Row
-	N      int // root table population size the sample represents
+	Cols   [][]value.Value // Cols[c][i] is field c of sample tuple i
+	N      int             // root table population size the sample represents
 }
 
 // Size returns the number of sample tuples n.
-func (s *Synopsis) Size() int { return len(s.Rows) }
+func (s *Synopsis) Size() int {
+	if len(s.Cols) == 0 {
+		return 0
+	}
+	return len(s.Cols[0])
+}
 
 // Count evaluates a predicate over the sample and returns the number of
 // matching tuples k. The fraction k/Size is the maximum-likelihood
@@ -42,17 +50,31 @@ func (s *Synopsis) Count(pred expr.Expr) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
 	}
-	k := 0
-	for _, row := range s.Rows {
-		ok, err := bound.Eval(row)
-		if err != nil {
-			return 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
-		}
-		if ok {
-			k++
-		}
+	sel := make([]int, s.Size())
+	for i := range sel {
+		sel[i] = i
 	}
-	return k, nil
+	keep, err := bound.EvalBatch(s.Cols, sel)
+	if err != nil {
+		return 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
+	}
+	return len(keep), nil
+}
+
+// newColumns returns width empty column vectors with room for n values.
+func newColumns(width, n int) [][]value.Value {
+	cols := make([][]value.Value, width)
+	for c := range cols {
+		cols[c] = make([]value.Value, 0, n)
+	}
+	return cols
+}
+
+// appendRow appends one tuple to column-major storage.
+func appendRow(cols [][]value.Value, row value.Row) {
+	for c, v := range row {
+		cols[c] = append(cols[c], v)
+	}
 }
 
 // BuildTableSample draws a uniform with-replacement sample of n rows from
@@ -71,19 +93,21 @@ func buildTableSampleSpan(t *storage.Table, n int, rng *stats.RNG, lo, hi int) (
 		return nil, fmt.Errorf("sample: table %q is empty", t.Name())
 	}
 	schema := expr.SchemaForTable(t.Schema())
-	rows := make([]value.Row, n)
-	for i := range rows {
+	cols := newColumns(len(schema.Fields), n)
+	for i := 0; i < n; i++ {
 		rid, err := rng.Intn(hi - lo)
 		if err != nil {
 			return nil, err
 		}
-		rows[i] = t.Row(lo + rid)
+		for c := range cols {
+			cols[c] = append(cols[c], t.Value(lo+rid, c))
+		}
 	}
 	return &Synopsis{
 		Root:   t.Name(),
 		Tables: []string{t.Name()},
 		Schema: schema,
-		Rows:   rows,
+		Cols:   cols,
 		N:      hi - lo,
 	}, nil
 }
@@ -104,6 +128,35 @@ func BuildSynopsis(db *storage.Database, root string, n int, rng *stats.RNG) (*S
 	return buildSynopsisSpan(db, root, n, rng, 0, rootTab.NumRows())
 }
 
+// expansionPlan walks the foreign keys depth-first from root, returning
+// the tables in visit order and the schema of the expanded tuple. A table
+// reachable along two paths (a diamond) makes the expansion ambiguous and
+// is an error.
+func expansionPlan(db *storage.Database, root string) ([]string, expr.RelSchema, error) {
+	var tables []string
+	var schema expr.RelSchema
+	var plan func(name string) error
+	plan = func(name string) error {
+		if slices.Contains(tables, name) {
+			return fmt.Errorf("sample: table %q reachable along multiple foreign-key paths from %q; join synopsis is ambiguous", name, root)
+		}
+		t, ok := db.Table(name)
+		if !ok {
+			return fmt.Errorf("sample: unknown table %q", name)
+		}
+		tables = append(tables, name)
+		schema = schema.Concat(expr.SchemaForTable(t.Schema()))
+		for _, fk := range t.Schema().Foreign {
+			if err := plan(fk.RefTable); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := plan(root)
+	return tables, schema, err
+}
+
 // buildSynopsisSpan builds a join synopsis whose root sample is drawn
 // uniformly from the global row-id span [lo, hi) — one shard of a
 // partitioned root, or the whole table. Foreign-key expansion always runs
@@ -118,76 +171,53 @@ func buildSynopsisSpan(db *storage.Database, root string, n int, rng *stats.RNG,
 	if hi <= lo {
 		return nil, fmt.Errorf("sample: table %q is empty", root)
 	}
-	// Plan the expansion: depth-first over foreign keys, recording the
-	// visit order and detecting diamonds.
-	var tables []string
-	var schema expr.RelSchema
-	seen := make(map[string]bool)
-	var plan func(name string) error
-	plan = func(name string) error {
-		if seen[name] {
-			return fmt.Errorf("sample: table %q reachable along multiple foreign-key paths from %q; join synopsis is ambiguous", name, root)
-		}
-		seen[name] = true
+	tables, schema, err := expansionPlan(db, root)
+	if err != nil {
+		return nil, err
+	}
+	row := make(value.Row, 0, len(schema.Fields))
+	var expand func(name string, rid int) error
+	expand = func(name string, rid int) error {
 		t, ok := db.Table(name)
 		if !ok {
 			return fmt.Errorf("sample: unknown table %q", name)
 		}
-		tables = append(tables, name)
-		schema = schema.Concat(expr.SchemaForTable(t.Schema()))
+		base := t.Row(rid)
+		row = append(row, base...)
 		for _, fk := range t.Schema().Foreign {
-			if err := plan(fk.RefTable); err != nil {
+			fkIdx := t.Schema().ColumnIndex(fk.Column)
+			ref, ok := db.Table(fk.RefTable)
+			if !ok {
+				return fmt.Errorf("sample: unknown table %q", fk.RefTable)
+			}
+			refRID, ok := ref.LookupPK(base[fkIdx].I)
+			if !ok {
+				return fmt.Errorf("sample: dangling foreign key %s.%s = %d into %q",
+					name, fk.Column, base[fkIdx].I, fk.RefTable)
+			}
+			if err := expand(fk.RefTable, refRID); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := plan(root); err != nil {
-		return nil, err
-	}
-
-	rows := make([]value.Row, n)
-	for i := range rows {
-		row := make(value.Row, 0, len(schema.Fields))
-		var expand func(name string, rid int) error
-		expand = func(name string, rid int) error {
-			t, ok := db.Table(name)
-			if !ok {
-				return fmt.Errorf("sample: unknown table %q", name)
-			}
-			base := t.Row(rid)
-			row = append(row, base...)
-			for _, fk := range t.Schema().Foreign {
-				fkIdx := t.Schema().ColumnIndex(fk.Column)
-				ref, ok := db.Table(fk.RefTable)
-				if !ok {
-					return fmt.Errorf("sample: unknown table %q", fk.RefTable)
-				}
-				refRID, ok := ref.LookupPK(base[fkIdx].I)
-				if !ok {
-					return fmt.Errorf("sample: dangling foreign key %s.%s = %d into %q",
-						name, fk.Column, base[fkIdx].I, fk.RefTable)
-				}
-				if err := expand(fk.RefTable, refRID); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+	cols := newColumns(len(schema.Fields), n)
+	for i := 0; i < n; i++ {
 		rid, err := rng.Intn(hi - lo)
 		if err != nil {
 			return nil, err
 		}
+		row = row[:0]
 		if err := expand(root, lo+rid); err != nil {
 			return nil, err
 		}
-		rows[i] = row
+		appendRow(cols, row)
 	}
 	return &Synopsis{
 		Root:   root,
 		Tables: tables,
 		Schema: schema,
-		Rows:   rows,
+		Cols:   cols,
 		N:      hi - lo,
 	}, nil
 }
@@ -235,31 +265,6 @@ func BuildPartitionSynopses(db *storage.Database, root string, n int, rng *stats
 		syns[p] = syn
 	}
 	return syns, nil
-}
-
-// Reservoir draws a uniform without-replacement sample of up to n row ids
-// from a population of size total using Vitter's Algorithm R. It is
-// exported for callers that prefer distinct tuples (the Bayesian posterior
-// in package core assumes with-replacement draws, but for n << N the
-// difference is negligible).
-func Reservoir(total, n int, rng *stats.RNG) []int {
-	if n <= 0 || total <= 0 {
-		return nil
-	}
-	if n > total {
-		n = total
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = i
-	}
-	for i := n; i < total; i++ {
-		j, _ := rng.Intn(i + 1) // i+1 > n > 0: the bound error is impossible
-		if j < n {
-			out[j] = i
-		}
-	}
-	return out
 }
 
 // Set holds one join synopsis per table of a database — the full
@@ -414,34 +419,12 @@ func ExactFraction(db *storage.Database, tables []string, pred expr.Expr) (float
 	if rootTab.NumRows() == 0 {
 		return 0, fmt.Errorf("sample: table %q is empty", root)
 	}
-	// Reuse the synopsis expansion plan for the schema.
-	var schema expr.RelSchema
-	var order []string
-	seen := make(map[string]bool)
-	var plan func(name string) error
-	plan = func(name string) error {
-		if seen[name] {
-			return fmt.Errorf("sample: table %q reachable along multiple foreign-key paths from %q", name, root)
-		}
-		seen[name] = true
-		t, ok := db.Table(name)
-		if !ok {
-			return fmt.Errorf("sample: unknown table %q", name)
-		}
-		order = append(order, name)
-		schema = schema.Concat(expr.SchemaForTable(t.Schema()))
-		for _, fk := range t.Schema().Foreign {
-			if err := plan(fk.RefTable); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := plan(root); err != nil {
+	order, schema, err := expansionPlan(db, root)
+	if err != nil {
 		return 0, err
 	}
 	for _, t := range tables {
-		if !seen[t] {
+		if !slices.Contains(order, t) {
 			return 0, fmt.Errorf("sample: table %q not in the foreign-key closure of %q", t, root)
 		}
 	}
@@ -475,20 +458,32 @@ func ExactFraction(db *storage.Database, tables []string, pred expr.Expr) (float
 		}
 		return nil
 	}
-	matches := 0
+	// Expanded rows are evaluated a column chunk at a time, so memory is
+	// bounded by the chunk rather than the table.
+	const exactChunk = 1024
 	full := make(value.Row, len(schema.Fields))
-	for r := 0; r < rootTab.NumRows(); r++ {
-		row = full[:0]
-		if err := expand(root, r); err != nil {
-			return 0, err
+	cols := newColumns(len(full), exactChunk)
+	sel := make([]int, 0, exactChunk)
+	matches := 0
+	for lo := 0; lo < rootTab.NumRows(); lo += exactChunk {
+		hi := min(lo+exactChunk, rootTab.NumRows())
+		for c := range cols {
+			cols[c] = cols[c][:0]
 		}
-		ok, err := bound.Eval(full)
+		sel = sel[:0]
+		for r := lo; r < hi; r++ {
+			row = full[:0]
+			if err := expand(root, r); err != nil {
+				return 0, err
+			}
+			appendRow(cols, full)
+			sel = append(sel, r-lo)
+		}
+		keep, err := bound.EvalBatch(cols, sel)
 		if err != nil {
 			return 0, err
 		}
-		if ok {
-			matches++
-		}
+		matches += len(keep)
 	}
 	return float64(matches) / float64(rootTab.NumRows()), nil
 }

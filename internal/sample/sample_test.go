@@ -88,9 +88,12 @@ func TestBuildTableSample(t *testing.T) {
 	if len(syn.Schema.Fields) != 3 {
 		t.Errorf("schema = %v", syn.Schema)
 	}
-	for _, row := range syn.Rows {
-		if len(row) != 3 {
-			t.Fatalf("row width = %d", len(row))
+	if len(syn.Cols) != 3 {
+		t.Fatalf("%d columns, want 3", len(syn.Cols))
+	}
+	for c, col := range syn.Cols {
+		if len(col) != 40 {
+			t.Fatalf("column %d holds %d values", c, len(col))
 		}
 	}
 }
@@ -131,8 +134,8 @@ func TestBuildSynopsisSchemaAndWidth(t *testing.T) {
 	oid, _ := syn.Schema.Resolve(expr.ColumnRef{Table: "orders", Column: "o_id"})
 	cIdx, _ := syn.Schema.Resolve(expr.ColumnRef{Table: "orders", Column: "o_cust"})
 	cid, _ := syn.Schema.Resolve(expr.ColumnRef{Table: "customer", Column: "c_id"})
-	for _, row := range syn.Rows {
-		if row[oIdx].I != row[oid].I || row[cIdx].I != row[cid].I {
+	for i := 0; i < syn.Size(); i++ {
+		if syn.Cols[oIdx][i].I != syn.Cols[oid][i].I || syn.Cols[cIdx][i].I != syn.Cols[cid][i].I {
 			t.Fatal("synopsis row violates join condition")
 		}
 	}
@@ -325,53 +328,6 @@ func TestSetAddAndCatalog(t *testing.T) {
 	}
 }
 
-func TestReservoir(t *testing.T) {
-	rng := stats.NewRNG(11)
-	ids := Reservoir(100, 10, rng)
-	if len(ids) != 10 {
-		t.Fatalf("len = %d", len(ids))
-	}
-	seen := make(map[int]bool)
-	for _, id := range ids {
-		if id < 0 || id >= 100 || seen[id] {
-			t.Fatalf("bad id %d", id)
-		}
-		seen[id] = true
-	}
-	if got := Reservoir(5, 10, rng); len(got) != 5 {
-		t.Errorf("n > total: len = %d", len(got))
-	}
-	if got := Reservoir(0, 10, rng); got != nil {
-		t.Errorf("total 0: %v", got)
-	}
-	if got := Reservoir(10, 0, rng); got != nil {
-		t.Errorf("n 0: %v", got)
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each of 20 items should appear in a 5-item reservoir with
-	// probability 1/4; chi-square test over many trials.
-	const trials = 20000
-	counts := make([]int, 20)
-	rng := stats.NewRNG(13)
-	for i := 0; i < trials; i++ {
-		for _, id := range Reservoir(20, 5, rng) {
-			counts[id]++
-		}
-	}
-	expected := float64(trials) * 5 / 20
-	chi2 := 0.0
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	// 99.9th percentile of chi-square with 19 dof is ~43.8.
-	if chi2 > 43.8 {
-		t.Errorf("chi-square = %g", chi2)
-	}
-}
-
 func TestSampleUniformityChiSquare(t *testing.T) {
 	// With-replacement sampling should hit each row uniformly.
 	db := chainDB(t, 10, 1, 2) // 20 lineitems
@@ -383,8 +339,8 @@ func TestSampleUniformityChiSquare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range syn.Rows {
-		counts[row[0].I]++
+	for _, v := range syn.Cols[0] {
+		counts[v.I]++
 	}
 	expected := float64(n) / 20
 	chi2 := 0.0
