@@ -89,6 +89,30 @@ func TestServeQueryMetricsAndPprof(t *testing.T) {
 	}
 }
 
+// TestServeCountsUnsortedMergeJoinInput pins the counter for lineitem's
+// false Ordered declaration. serve.dashboard's lineitem⋈orders shape plans
+// a MergeJoin that takes lineitem as already sorted on l_orderkey, but the
+// generator assigns l_orderkey cyclically, so every execution sorts that
+// input without a SortTuples charge — and
+// robustqo_mergejoin_unsorted_input_total counts each one.
+func TestServeCountsUnsortedMergeJoinInput(t *testing.T) {
+	ts := testServer(t)
+	sql := url.QueryEscape("SELECT COUNT(*) AS n FROM lineitem, orders WHERE o_totalprice < 50000 AND l_quantity >= 14")
+	for run := 1; run <= 2; run++ {
+		code, body := get(t, ts.URL+"/query?analyze=1&sql="+sql)
+		if code != http.StatusOK {
+			t.Fatalf("query: code %d body %q", code, body)
+		}
+		if !strings.Contains(body, "MergeJoin(orders.o_orderkey = lineitem.l_orderkey)") {
+			t.Fatalf("the dashboard join shape no longer plans a merge join:\n%s", body)
+		}
+		_, metrics := get(t, ts.URL+"/metrics")
+		if want := fmt.Sprintf("robustqo_mergejoin_unsorted_input_total %d\n", run); !strings.Contains(metrics, want) {
+			t.Fatalf("after %d executions, metrics missing %q", run, want)
+		}
+	}
+}
+
 // TestServeChargesOutputOnce pins that a /query response reports what
 // engine.Run reports for the same cached plan: the same row count, and a
 // simulated time whose output-tuple charge is counted exactly once — not

@@ -4,7 +4,7 @@ package engine
 //
 // The encoded path slots in under the SeqScan window worker: after
 // charging a [next, end) row window the worker calls encScan.window
-// instead of loading values through storage.Table.Value. It is counter
+// instead of loading the window from the row store (rowWindow). It is counter
 // transparent because it charges nothing itself — every window, also one
 // inside a zone-skipped segment, has already been charged exactly what
 // the row path charges. The saving is wall-clock (no decode, no residual
@@ -33,7 +33,7 @@ const (
 	// ScanRows is the default row-storage path.
 	ScanRows ScanMode = iota
 	// ScanEager decodes encoded segments fully, then filters — profitable
-	// when most rows survive and decode beats per-cell Value calls.
+	// when most rows survive and decode beats the row store's typed loads.
 	ScanEager
 	// ScanLate probes encoded data first — zone-map segment skipping plus
 	// encoded-domain predicate evaluation — and materializes only the

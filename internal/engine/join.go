@@ -189,26 +189,25 @@ func (j *MergeJoin) Describe() string {
 // Stream implements Node.
 func (j *MergeJoin) Stream() Operator { return &mergeJoinOp{node: j} }
 
-// mergeJoinOp is a pipeline breaker on both sides: it drains and sorts at
-// Open, then merges incrementally as batches are pulled — output tuples
-// are concatenated straight into the pooled output batch, never
-// materialized as standalone rows, and the tuple charge lands only as
-// rows are actually pulled. (ExecuteMaterialized still uses mergeRows,
-// which builds the full row slice; their outputs and charges are
+// mergeJoinOp is a pipeline breaker on both sides: it drains both inputs
+// into packed columns and sorts them at Open, then merges incrementally
+// as batches are pulled — output tuples are written straight into the
+// pooled output batch, never materialized as standalone rows, and the
+// tuple charge lands only as rows are actually pulled. (ExecuteMaterialized
+// drains value.Rows and uses mergeRows; their outputs and charges are
 // identical.)
 //
-// Merge cursor state between pulls: [i, iEnd) x [k, kEnd) is the current
-// equal-key group, and (a, b) is the next pair to emit within it.
+// Merge cursor state between pulls, in sorted positions: [i, iEnd) x
+// [k, kEnd) is the current equal-key group, and (a, b) is the next pair
+// to emit within it.
 type mergeJoinOp struct {
-	node       *MergeJoin
-	counters   *cost.Counters
-	lRows      []value.Row
-	rRows      []value.Row
-	lIdx, rIdx int
-	i, k       int
-	iEnd, kEnd int
-	a, b       int
-	out        *Batch
+	node        *MergeJoin
+	counters    *cost.Counters
+	left, right *mergeInput
+	i, k        int
+	iEnd, kEnd  int
+	a, b        int
+	out         *Batch
 }
 
 func (o *mergeJoinOp) Open(ctx *Context, counters *cost.Counters) error {
@@ -229,32 +228,25 @@ func (o *mergeJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return fmt.Errorf("engine: MergeJoin right key: %v", err)
 	}
-	left, err := openAndDrain(ctx, j.Left, counters)
+	left, err := drainMergeInput(ctx, j.Left, lSchema, lIdx, counters)
 	if err != nil {
 		return err
 	}
-	right, err := openAndDrain(ctx, j.Right, counters)
+	right, err := drainMergeInput(ctx, j.Right, rSchema, rIdx, counters)
 	if err != nil {
 		return err
 	}
-	lRows, err := sortedByKey(left, lIdx, j.LeftSorted)
+	sorted, err := left.sort()
 	if err != nil {
 		return err
 	}
-	if !j.LeftSorted {
-		counters.SortTuples += int64(len(lRows))
-	}
-	rRows, err := sortedByKey(right, rIdx, j.RightSorted)
-	if err != nil {
+	j.chargeInput(ctx, left.n, j.LeftSorted, sorted, counters)
+	if sorted, err = right.sort(); err != nil {
 		return err
 	}
-	if !j.RightSorted {
-		counters.SortTuples += int64(len(rRows))
-	}
-	counters.Tuples += int64(len(lRows) + len(rRows))
+	j.chargeInput(ctx, right.n, j.RightSorted, sorted, counters)
 	o.counters = counters
-	o.lRows, o.rRows = lRows, rRows
-	o.lIdx, o.rIdx = lIdx, rIdx
+	o.left, o.right = left, right
 	o.out = getBatch(lSchema.Concat(rSchema))
 	return nil
 }
@@ -264,13 +256,16 @@ func (o *mergeJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 //qo:hotpath
 func (o *mergeJoinOp) Next() (*Batch, error) {
 	o.out.Reset()
+	l, r, width := o.left, o.right, len(o.left.cols)
 	for o.out.Len() < BatchSize {
 		if o.a < o.iEnd {
 			// Emit the next pair of the current equal-key group: the
 			// cross product in left-major order, exactly as mergeRows
 			// enumerates it.
 			o.counters.Tuples++
-			o.out.appendConcat(o.lRows[o.a], o.rRows[o.b])
+			l.appendRow(o.out, 0, o.a)
+			r.appendRow(o.out, width, o.b)
+			o.out.n++
 			if o.b++; o.b == o.kEnd {
 				o.b = o.k
 				o.a++
@@ -281,8 +276,8 @@ func (o *mergeJoinOp) Next() (*Batch, error) {
 		// the next key match.
 		o.i, o.k = o.iEnd, o.kEnd
 		found := false
-		for o.i < len(o.lRows) && o.k < len(o.rRows) {
-			lk, rk := o.lRows[o.i][o.lIdx].I, o.rRows[o.k][o.rIdx].I
+		for o.i < l.n && o.k < r.n {
+			lk, rk := l.keyAt(o.i), r.keyAt(o.k)
 			if lk < rk {
 				o.i++
 				continue
@@ -292,11 +287,11 @@ func (o *mergeJoinOp) Next() (*Batch, error) {
 				continue
 			}
 			o.iEnd = o.i
-			for o.iEnd < len(o.lRows) && o.lRows[o.iEnd][o.lIdx].I == lk {
+			for o.iEnd < l.n && l.keyAt(o.iEnd) == lk {
 				o.iEnd++
 			}
 			o.kEnd = o.k
-			for o.kEnd < len(o.rRows) && o.rRows[o.kEnd][o.rIdx].I == lk {
+			for o.kEnd < r.n && r.keyAt(o.kEnd) == lk {
 				o.kEnd++
 			}
 			o.a, o.b = o.i, o.k
@@ -320,6 +315,7 @@ func (o *mergeJoinOp) Next() (*Batch, error) {
 func (o *mergeJoinOp) Close() {
 	putBatch(o.out)
 	o.out = nil
+	o.left, o.right = nil, nil
 }
 
 // mergeRows joins two inputs already ordered by their integer keys,
@@ -360,29 +356,105 @@ func mergeRows(lRows, rRows []value.Row, lIdx, rIdx int) []value.Row {
 	return rows
 }
 
-// sortedByKey returns rows ordered by the integer key at idx. The order
-// check is fused into the numeric-validation pass the function must make
-// anyway, so a genuinely sorted input (whether or not alreadySorted says
-// so) costs exactly one scan and zero allocations; an out-of-order input
-// is sorted in place — callers own the drained row slices — which keeps
-// results correct even when a plan mislabels its inputs, while the
-// alreadySorted flag only controls the caller's SortTuples charge.
-func sortedByKey(rows []value.Row, idx int, alreadySorted bool) ([]value.Row, error) {
-	_ = alreadySorted // cost attribution only; see above
+// chargeInput charges one drained, sorted input of n rows as the plan
+// declared it — both engines call it: Tuples for every row, and
+// SortTuples for every row unless the input is marked sorted. An input
+// marked sorted that arrived out of order (sorted reports that it had to
+// be sorted) still gets sorted, so results stay correct, but the cost
+// model priced that sort at zero; robustqo_mergejoin_unsorted_input_total
+// counts each such input.
+func (j *MergeJoin) chargeInput(ctx *Context, n int, declared, sorted bool, counters *cost.Counters) {
+	counters.Tuples += int64(n)
+	if !declared {
+		counters.SortTuples += int64(n)
+	} else if sorted && ctx.Metrics != nil {
+		ctx.Metrics.Counter("robustqo_mergejoin_unsorted_input_total").Inc()
+	}
+}
+
+// sortedByKey orders rows in place by the integer key at idx and reports
+// whether it had to sort. The order check is fused into the
+// numeric-validation pass the function must make anyway, so a genuinely
+// sorted input costs exactly one scan and zero allocations; an
+// out-of-order input is radix sorted in place — callers own the drained
+// row slices.
+func sortedByKey(rows []value.Row, idx int) (sorted bool, err error) {
 	inOrder := true
 	for i, r := range rows {
 		if !r[idx].Numeric() {
-			return nil, fmt.Errorf("engine: merge join over non-numeric key %s", r[idx])
+			return false, fmt.Errorf("engine: merge join over non-numeric key %s", r[idx])
 		}
 		if inOrder && i > 0 && rows[i-1][idx].I > r[idx].I {
 			inOrder = false
 		}
 	}
 	if inOrder {
-		return rows, nil
+		return false, nil
 	}
-	sort.SliceStable(rows, func(a, b int) bool { return rows[a][idx].I < rows[b][idx].I })
-	return rows, nil
+	keys := make([]int64, len(rows))
+	for i, r := range rows {
+		keys[i] = r[idx].I
+	}
+	// Output slot i takes input row order[i]. Follow each cycle of that
+	// permutation once, marking a slot done by pointing it at itself.
+	order := radixOrder(keys)
+	for i := range order {
+		if int(order[i]) == i {
+			continue
+		}
+		tmp, j := rows[i], i
+		for {
+			k := int(order[j])
+			order[j] = uint32(j)
+			if k == i {
+				rows[j] = tmp
+				break
+			}
+			rows[j] = rows[k]
+			j = k
+		}
+	}
+	return true, nil
+}
+
+// radixOrder returns the permutation that stably sorts keys ascending:
+// position i of the sorted order is input keys[order[i]]. It is an LSD
+// radix sort of (key, position) pairs on 8-bit digits of the key with its
+// sign bit flipped, so unsigned digit order is signed key order — the
+// keys stay put and the positions ping-pong between two uint32 buffers —
+// that skips every byte on which all keys agree. Each pass is a stable
+// counting sort, so equal keys keep their input order: the order
+// sort.SliceStable gives. Both merge-join engines sort through it.
+func radixOrder(keys []int64) []uint32 {
+	src, dst := make([]uint32, len(keys)), make([]uint32, len(keys))
+	const sign = 1 << 63
+	var diff uint64
+	for i, k := range keys {
+		src[i] = uint32(i)
+		diff |= uint64(k ^ keys[0])
+	}
+	var counts [256]int
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		counts = [256]int{}
+		for _, k := range keys {
+			counts[byte((uint64(k)^sign)>>shift)]++
+		}
+		sum := 0
+		for d, c := range counts {
+			counts[d] = sum
+			sum += c
+		}
+		for _, p := range src {
+			d := byte((uint64(keys[p]) ^ sign) >> shift)
+			dst[counts[d]] = p
+			counts[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // INLJoin is an indexed nested-loop join: for every outer row it probes an

@@ -487,23 +487,17 @@ func (j *MergeJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 	if err != nil {
 		return nil, fmt.Errorf("engine: MergeJoin right key: %v", err)
 	}
-	lRows, err := sortedByKey(left.Rows, lIdx, j.LeftSorted)
+	sorted, err := sortedByKey(left.Rows, lIdx)
 	if err != nil {
 		return nil, err
 	}
-	if !j.LeftSorted {
-		counters.SortTuples += int64(len(lRows))
-	}
-	rRows, err := sortedByKey(right.Rows, rIdx, j.RightSorted)
-	if err != nil {
+	j.chargeInput(ctx, len(left.Rows), j.LeftSorted, sorted, counters)
+	if sorted, err = sortedByKey(right.Rows, rIdx); err != nil {
 		return nil, err
 	}
-	if !j.RightSorted {
-		counters.SortTuples += int64(len(rRows))
-	}
-	counters.Tuples += int64(len(lRows) + len(rRows))
+	j.chargeInput(ctx, len(right.Rows), j.RightSorted, sorted, counters)
 	outSchema := left.Schema.Concat(right.Schema)
-	rows := mergeRows(lRows, rRows, lIdx, rIdx)
+	rows := mergeRows(left.Rows, right.Rows, lIdx, rIdx)
 	counters.Tuples += int64(len(rows))
 	return &Result{Schema: outSchema, Rows: rows}, nil
 }

@@ -197,12 +197,38 @@ func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunn
 	if err != nil {
 		return nil, err
 	}
+	filterCols, otherCols, err := splitFilterColumns(s.Filter, schema)
+	if err != nil {
+		return nil, err
+	}
 	morsels, shards := spanMorselsShards(scanSpans(t, s.Partitions))
 	return &seqMorselRunner{
 		node: s, t: t, sch: schema, pred: pred,
-		spec:    prepareEncScan(ctx, t, schema, s),
+		spec:       prepareEncScan(ctx, t, schema, s),
+		filterCols: filterCols, otherCols: otherCols,
 		morsels: morsels, shards: shards,
 	}, nil
+}
+
+// splitFilterColumns partitions the schema's ordinals into those the
+// filter reads and the rest, each ascending. A nil filter reads none.
+func splitFilterColumns(filter expr.Expr, schema expr.RelSchema) (read, rest []int, err error) {
+	reads := make([]bool, len(schema.Fields))
+	for _, ref := range expr.Columns(filter) {
+		c, err := schema.Resolve(ref)
+		if err != nil {
+			return nil, nil, err
+		}
+		reads[c] = true
+	}
+	for c, r := range reads {
+		if r {
+			read = append(read, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	return read, rest, nil
 }
 
 type seqMorselRunner struct {
@@ -213,7 +239,11 @@ type seqMorselRunner struct {
 	// spec is the shared encoded-scan plan, nil on the row path; each
 	// worker derives its own mutable encScan state from it.
 	spec *encScanSpec
-	sch  expr.RelSchema
+	// filterCols are the ordinals the filter reads, otherCols the rest:
+	// the row path loads the first for the whole window and the second
+	// for survivors only.
+	filterCols, otherCols []int
+	sch                   expr.RelSchema
 	// morsels are the shard-major (shard, morsel) work units: ascending
 	// row-id windows, each inside one surviving shard, so walking them in
 	// index order reproduces global row-id order.
@@ -252,8 +282,9 @@ type seqMorselWorker struct {
 
 // window charges the pages whose first tuple falls inside [lo, hi) — over
 // any disjoint covering of the table this sums to exactly NumPages — and
-// one tuple per row, then loads the window column-wise (or through the
-// encoded path, which charges nothing of its own) and filters it.
+// one tuple per row, then loads and filters the window from the row store
+// (rowWindow) or through the encoded path; neither charges anything of its
+// own.
 //
 //qo:hotpath
 func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters) error {
@@ -264,21 +295,60 @@ func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters
 	if w.enc != nil {
 		err = w.enc.window(out, w.pred, lo, hi)
 	} else {
-		t, base := w.r.t, out.n
-		for c := range out.cols {
-			col := out.cols[c]
-			for r := lo; r < hi; r++ {
-				col = append(col, t.Value(r, c))
-			}
-			out.cols[c] = col
-		}
-		out.n += hi - lo
-		w.sel, err = out.filterTail(base, w.pred, w.sel)
+		err = w.rowWindow(out, lo, hi)
 	}
 	if err != nil {
 		//qo:alloc-ok error path, cold
 		return fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
 	}
+	return nil
+}
+
+// rowWindow appends the survivors of rows [lo, hi) from the row store,
+// filter first — the row-store analogue of the late encoded scan. It
+// bulk-loads only the columns the filter reads, evaluates the filter once
+// over the window, compacts those columns to the survivors in place, and
+// loads every other column for the survivors only. The filter sees the
+// same values in the same order as over a fully loaded window, so rows
+// and errors are unchanged. A nil filter bulk-loads every column.
+//
+//qo:hotpath
+func (w *seqMorselWorker) rowWindow(out *Batch, lo, hi int) error {
+	r, base := w.r, out.n
+	if r.node.Filter == nil {
+		for c := range out.cols {
+			out.cols[c] = r.t.AppendColumn(out.cols[c], c, lo, hi)
+		}
+		out.n += hi - lo
+		return nil
+	}
+	for _, c := range r.filterCols {
+		out.cols[c] = r.t.AppendColumn(out.cols[c], c, lo, hi)
+	}
+	w.sel = rangeSel(w.sel, base, base+hi-lo)
+	keep, err := w.pred.EvalBatch(out.cols, w.sel)
+	if err != nil {
+		for _, c := range r.filterCols {
+			out.cols[c] = out.cols[c][:base]
+		}
+		return err
+	}
+	for _, c := range r.filterCols {
+		col := out.cols[c]
+		for i, k := range keep {
+			col[base+i] = col[k]
+		}
+		out.cols[c] = col[:base+len(keep)]
+	}
+	// keep is EvalBatch's fresh slice, so it can be rebased in place from
+	// batch positions to offsets from lo.
+	for i := range keep {
+		keep[i] -= base
+	}
+	for _, c := range r.otherCols {
+		out.cols[c] = r.t.AppendColumnSel(out.cols[c], c, lo, keep)
+	}
+	out.n = base + len(keep)
 	return nil
 }
 

@@ -39,6 +39,12 @@ func columnarSeries(reg *obs.Registry) {
 	reg.Counter("robustqo_columnar_stale_fallback_total").Inc()
 }
 
+// mergeJoinSeries registers the merge-join input that a plan declared
+// sorted but that arrived out of order.
+func mergeJoinSeries(reg *obs.Registry) {
+	reg.Counter("robustqo_mergejoin_unsorted_input_total").Inc()
+}
+
 // ledgerSeries registers the cardinality feedback family.
 func ledgerSeries(reg *obs.Registry) {
 	reg.Counter("robustqo_ledger_appends_total").Inc()

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -313,5 +314,68 @@ func TestSinglePartitionDegenerate(t *testing.T) {
 	}
 	if _, ok := tab.PrunePartitions("k", 1, 1); ok {
 		t.Error("1-partition table claimed to prune")
+	}
+}
+
+// TestAppendColumnMatchesValue checks the typed bulk loads against Value,
+// cell by cell, over ranges and selections that straddle shard boundaries
+// — an empty shard included — for every column type.
+func TestAppendColumnMatchesValue(t *testing.T) {
+	tab, err := NewTable(&catalog.TableSchema{
+		Name: "bulk",
+		Columns: []catalog.Column{
+			{Name: "k", Type: catalog.Int},
+			{Name: "d", Type: catalog.Date},
+			{Name: "x", Type: catalog.Float},
+			{Name: "s", Type: catalog.String},
+		},
+		// Shard 1, [300, 300), stays empty.
+		Partition: &catalog.PartitionSpec{Column: "k", Kind: catalog.RangePartition, Partitions: 4, Bounds: []int64{300, 300, 700}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		if err := tab.Append(value.Row{
+			value.Int(int64(rng.Intn(1000))), value.Date(int64(i)),
+			value.Float(rng.Float64()), value.Str(strings.Repeat("y", rng.Intn(4))),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tab.PartitionRows(1) != 0 {
+		t.Fatalf("fixture: shard 1 holds %d rows, want 0", tab.PartitionRows(1))
+	}
+	prefix := []value.Value{value.Int(-1)}
+	for trial := 0; trial < 200; trial++ {
+		lo := rng.Intn(tab.NumRows() + 1)
+		hi := lo + rng.Intn(tab.NumRows()-lo+1)
+		var offs []int
+		for r := lo; r < hi; r++ {
+			if rng.Intn(3) == 0 {
+				offs = append(offs, r-lo)
+			}
+		}
+		for c := 0; c < 4; c++ {
+			got := tab.AppendColumn(slices.Clone(prefix), c, lo, hi)
+			if len(got) != 1+hi-lo || got[0] != prefix[0] {
+				t.Fatalf("AppendColumn(col %d, [%d,%d)) returned %d values", c, lo, hi, len(got))
+			}
+			for r := lo; r < hi; r++ {
+				if got[1+r-lo] != tab.Value(r, c) {
+					t.Fatalf("AppendColumn(col %d, [%d,%d)) row %d = %v, want %v", c, lo, hi, r, got[1+r-lo], tab.Value(r, c))
+				}
+			}
+			sel := tab.AppendColumnSel(slices.Clone(prefix), c, lo, offs)
+			if len(sel) != 1+len(offs) || sel[0] != prefix[0] {
+				t.Fatalf("AppendColumnSel(col %d) returned %d values for %d offsets", c, len(sel), len(offs))
+			}
+			for i, o := range offs {
+				if sel[1+i] != tab.Value(lo+o, c) {
+					t.Fatalf("AppendColumnSel(col %d) row %d = %v, want %v", c, lo+o, sel[1+i], tab.Value(lo+o, c))
+				}
+			}
+		}
 	}
 }

@@ -17,6 +17,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -304,6 +305,80 @@ func (t *Table) Row(row int) value.Row {
 	out := make(value.Row, len(t.schema.Columns))
 	t.ReadRow(row, out)
 	return out
+}
+
+// AppendColumn appends the values of column col for global rows [lo, hi)
+// to dst and returns it: one typed loop per shard the range touches,
+// instead of one Value call per cell. The range may straddle shard
+// boundaries.
+//
+//qo:hotpath
+func (t *Table) AppendColumn(dst []value.Value, col, lo, hi int) []value.Value {
+	dst = slices.Grow(dst, hi-lo)
+	for lo < hi {
+		p, local := t.segOf(lo)
+		n := min(hi-lo, t.segs[p].rows-local)
+		c := &t.segs[p].cols[col]
+		switch c.kind {
+		case catalog.Int:
+			for _, x := range c.ints[local : local+n] {
+				dst = append(dst, value.Int(x))
+			}
+		case catalog.Date:
+			for _, x := range c.ints[local : local+n] {
+				dst = append(dst, value.Date(x))
+			}
+		case catalog.Float:
+			for _, x := range c.floats[local : local+n] {
+				dst = append(dst, value.Float(x))
+			}
+		default:
+			for _, x := range c.strs[local : local+n] {
+				dst = append(dst, value.Str(x))
+			}
+		}
+		lo += n
+	}
+	return dst
+}
+
+// AppendColumnSel appends the values of column col for global rows
+// lo+offs[i] to dst and returns it. offs must be ascending; the rows it
+// names may straddle shard boundaries.
+//
+//qo:hotpath
+func (t *Table) AppendColumnSel(dst []value.Value, col, lo int, offs []int) []value.Value {
+	dst = slices.Grow(dst, len(offs))
+	for len(offs) > 0 {
+		p, local := t.segOf(lo + offs[0])
+		// Rows of shard p are the offsets below end; shift maps an offset to
+		// its segment-local row. offs[0] is always taken, so a row past the
+		// table panics on the index below instead of looping.
+		shift := local - offs[0]
+		end := t.segs[p].rows - shift
+		n := 1 + sort.SearchInts(offs[1:], end)
+		c := &t.segs[p].cols[col]
+		switch c.kind {
+		case catalog.Int:
+			for _, o := range offs[:n] {
+				dst = append(dst, value.Int(c.ints[shift+o]))
+			}
+		case catalog.Date:
+			for _, o := range offs[:n] {
+				dst = append(dst, value.Date(c.ints[shift+o]))
+			}
+		case catalog.Float:
+			for _, o := range offs[:n] {
+				dst = append(dst, value.Float(c.floats[shift+o]))
+			}
+		default:
+			for _, o := range offs[:n] {
+				dst = append(dst, value.Str(c.strs[shift+o]))
+			}
+		}
+		offs = offs[n:]
+	}
+	return dst
 }
 
 // invalidateConcat drops the concatenated payload caches after a mutation.
