@@ -31,8 +31,18 @@ func encOfStrings(vals []string) *TableEncoding {
 	return e
 }
 
+// decodeAll materializes every row of column col, one segment at a time,
+// through the late-materialization kernel with a full selection.
 func decodeAll(e *TableEncoding, col int) []value.Value {
-	return e.AppendColRange(nil, col, 0, e.rows)
+	var out []value.Value
+	for si, seg := range e.segs {
+		sel := make([]int, seg.Rows())
+		for i := range sel {
+			sel[i] = i
+		}
+		out = e.AppendColSel(out, col, si, seg.Lo, sel)
+	}
+	return out
 }
 
 func TestIntCodecChoice(t *testing.T) {

@@ -5,68 +5,12 @@ import (
 	"robustqo/internal/value"
 )
 
-// Decode kernels: the late-materialization path of encoded scans. Both
-// kernels append value.Values identical to what storage.Table.Value
-// returns for the same rows — byte-identical materialization is what
-// lets differential tests compare encoded and row scans directly. They
-// run per batch window on the scan hot path: no closures, no boxing, no
-// per-call allocation beyond growing the caller's pooled destination.
-
-// AppendColRange eagerly decodes column c over the global row-id span
-// [lo, hi) — which may cross segments — appending one value per row.
-//
-//qo:hotpath
-func (e *TableEncoding) AppendColRange(dst []value.Value, c, lo, hi int) []value.Value {
-	ce := &e.cols[c]
-	kind := ce.kind
-	for lo < hi {
-		si := e.SegIndex(lo)
-		seg := e.segs[si]
-		stop := hi
-		if seg.Hi < stop {
-			stop = seg.Hi
-		}
-		sc := &ce.segs[si]
-		base := lo - seg.Lo
-		n := stop - lo
-		switch sc.enc {
-		case encRaw:
-			for i := 0; i < n; i++ {
-				dst = append(dst, value.Value{Kind: catalog.Float, F: sc.floats[base+i]})
-			}
-		case encPacked:
-			if sc.width == 0 {
-				for i := 0; i < n; i++ {
-					dst = append(dst, value.Value{Kind: kind, I: sc.ref})
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					dst = append(dst, value.Value{Kind: kind, I: sc.ref + int64(unpack(sc.words, base+i, sc.width))})
-				}
-			}
-		case encRLE:
-			ri := runIndex(sc.runEnds, base)
-			for i := 0; i < n; i++ {
-				for int32(base+i) >= sc.runEnds[ri] {
-					ri++
-				}
-				dst = append(dst, value.Value{Kind: kind, I: sc.runVals[ri]})
-			}
-		case encDict:
-			if sc.width == 0 {
-				for i := 0; i < n; i++ {
-					dst = append(dst, value.Value{Kind: catalog.String, S: ce.dict[0]})
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					dst = append(dst, value.Value{Kind: catalog.String, S: ce.dict[unpack(sc.words, base+i, sc.width)]})
-				}
-			}
-		}
-		lo = stop
-	}
-	return dst
-}
+// Decode kernel: the late-materialization step of encoded scans. It
+// appends value.Values identical to what storage.Table.Value returns for
+// the same rows — byte-identical materialization is what lets
+// differential tests compare encoded and row scans directly. It runs per
+// batch window on the scan hot path: no closures, no boxing, no per-call
+// allocation beyond growing the caller's pooled destination.
 
 // AppendColSel late-materializes column c for the selected rows of a
 // window inside segment si: sel holds ascending offsets relative to

@@ -2,9 +2,15 @@ package engine
 
 // Encoded scan path: SeqScan over colstore compressed columnar segments.
 //
+// A SeqScan has two storage paths. ScanLate runs when a fresh encoding of
+// the table is present and the filter has a non-empty pushable prefix
+// (colstore.CompilePushdown ok); everything else — row mode, no or stale
+// encoding, no pushable prefix — runs the filter-first row window
+// (seqMorselWorker.rowWindow). No selectivity estimate takes part.
+//
 // The encoded path slots in under the SeqScan window worker: after
 // charging a [next, end) row window the worker calls encScan.window
-// instead of loading the window from the row store (rowWindow). It is counter
+// instead of loading the window from the row store. It is counter
 // transparent because it charges nothing itself — every window, also one
 // inside a zone-skipped segment, has already been charged exactly what
 // the row path charges. The saving is wall-clock (no decode, no residual
@@ -15,9 +21,7 @@ package engine
 // of the filter's conjuncts exactly on encoded data (expr.SplitPushdown
 // guarantees exactness), then runs the bound residual on exactly the
 // rows the row path's left-to-right And short-circuit would reach with
-// the prefix true — same rows, same order, same errors. ScanEager
-// decodes every window fully and runs the caller's full bound filter,
-// the direct analogue of the row path.
+// the prefix true — same rows, same order, same errors.
 
 import (
 	"robustqo/internal/colstore"
@@ -32,35 +36,28 @@ type ScanMode int
 const (
 	// ScanRows is the default row-storage path.
 	ScanRows ScanMode = iota
-	// ScanEager decodes encoded segments fully, then filters — profitable
-	// when most rows survive and decode beats the row store's typed loads.
-	ScanEager
 	// ScanLate probes encoded data first — zone-map segment skipping plus
 	// encoded-domain predicate evaluation — and materializes only the
-	// surviving rows before the residual filter runs.
+	// surviving rows before the residual filter runs. Without a fresh
+	// encoding or a pushable filter prefix it runs the row path.
 	ScanLate
 )
 
 func (m ScanMode) String() string {
-	switch m {
-	case ScanEager:
-		return "eager"
-	case ScanLate:
+	if m == ScanLate {
 		return "late"
-	default:
-		return "rows"
 	}
+	return "rows"
 }
 
 // encScanSpec is the cold, shareable half of an encoded scan: the table
-// encoding, compiled probes (immutable, safe across workers), and the
-// unbound residual. Built once, in SeqScan.openMorsels.
+// encoding, compiled probes (non-empty, immutable, safe across workers),
+// and the unbound residual. Built once, in SeqScan.openMorsels.
 type encScanSpec struct {
 	enc    *colstore.TableEncoding
-	mode   ScanMode
 	probes []colstore.Probe
-	// residual is the filter minus the pushed prefix (ScanLate with
-	// probes); each consumer binds its own copy.
+	// residual is the filter minus the pushed prefix; each consumer binds
+	// its own copy.
 	residual expr.Expr
 	mScanned *obs.Counter
 	mSkipped *obs.Counter
@@ -68,10 +65,10 @@ type encScanSpec struct {
 
 // prepareEncScan resolves a SeqScan's encoded path, returning nil when
 // the scan must stay on the row path: row mode requested, no encodings
-// in the context, the table missing from the set, or the encoding stale
-// (built at a different row count than the table currently has). The
-// stale case is a degraded path, so it is counted:
-// robustqo_columnar_stale_fallback_total.
+// in the context, the table missing from the set, the encoding stale
+// (built at a different row count than the table currently has), or no
+// pushable filter prefix. The stale case is a degraded path, so it is
+// counted: robustqo_columnar_stale_fallback_total.
 func prepareEncScan(ctx *Context, t *storage.Table, schema expr.RelSchema, s *SeqScan) *encScanSpec {
 	if s.Mode == ScanRows || ctx.Encodings == nil {
 		return nil
@@ -86,22 +83,16 @@ func prepareEncScan(ctx *Context, t *storage.Table, schema expr.RelSchema, s *Se
 		}
 		return nil
 	}
-	spec := &encScanSpec{enc: enc, mode: s.Mode, residual: s.Filter}
-	if s.Mode == ScanLate {
-		if probes, residual, ok := enc.CompilePushdown(s.Filter, schema); ok {
-			spec.probes, spec.residual = probes, residual
-		}
+	probes, residual, ok := enc.CompilePushdown(s.Filter, schema)
+	if !ok {
+		return nil
 	}
+	spec := &encScanSpec{enc: enc, probes: probes, residual: residual}
 	if ctx.Metrics != nil {
 		spec.mScanned = ctx.Metrics.Counter("robustqo_columnar_segments_scanned_total")
 		spec.mSkipped = ctx.Metrics.Counter("robustqo_columnar_segments_skipped_total")
 	}
 	return spec
-}
-
-// late reports whether the spec runs the probe + late-materialize path.
-func (spec *encScanSpec) late() bool {
-	return spec.mode == ScanLate && len(spec.probes) > 0
 }
 
 // encScan is one consumer's mutable scan state over a shared spec: the
@@ -118,47 +109,36 @@ type encScan struct {
 
 // newState binds the residual for one consumer.
 func (spec *encScanSpec) newState(schema expr.RelSchema) (*encScan, error) {
-	e := &encScan{spec: spec, lastSeg: -1}
-	if spec.late() {
-		b, err := expr.Bind(spec.residual, schema)
-		if err != nil {
-			return nil, err
-		}
-		e.residual = b
+	b, err := expr.Bind(spec.residual, schema)
+	if err != nil {
+		return nil, err
 	}
-	return e, nil
+	return &encScan{spec: spec, residual: b, lastSeg: -1}, nil
 }
 
 // window appends the survivors of one row window [next, end) to out:
 // skips or probes encoded segments, materializes what is left, and
-// applies the residual (ScanLate) or the caller's full bound filter
-// (ScanEager). The caller has already charged the window — windows inside
-// zone-skipped segments included, since a row scan would read them.
+// applies the residual. The caller has already charged the window —
+// windows inside zone-skipped segments included, since a row scan would
+// read them.
 //
 //qo:hotpath
-func (e *encScan) window(out *Batch, full *expr.Bound, next, end int) error {
+func (e *encScan) window(out *Batch, next, end int) error {
 	spec := e.spec
 	enc := spec.enc
 	base := out.n
-	late := spec.late()
 	for lo := next; lo < end; {
 		si := enc.SegIndex(lo)
-		seg := enc.Segment(si)
-		stop := end
-		if seg.Hi < stop {
-			stop = seg.Hi
-		}
+		stop := min(end, enc.Segment(si).Hi)
 		if si != e.lastSeg {
 			// First window inside this segment: settle the zone-map verdict
 			// once and meter the segment exactly once per consumer.
 			e.lastSeg = si
 			e.segSkip = false
-			if late {
-				for pi := range spec.probes {
-					if spec.probes[pi].SkipSegment(si) {
-						e.segSkip = true
-						break
-					}
+			for pi := range spec.probes {
+				if spec.probes[pi].SkipSegment(si) {
+					e.segSkip = true
+					break
 				}
 			}
 			if e.segSkip {
@@ -173,40 +153,29 @@ func (e *encScan) window(out *Batch, full *expr.Bound, next, end int) error {
 			lo = stop
 			continue
 		}
-		if late {
-			src := rangeSel(e.sel, 0, stop-lo)
-			e.sel = src
-			dst := e.sel2
-			for pi := range spec.probes {
-				dst = spec.probes[pi].FilterWindow(si, lo, src, dst[:0])
-				src, dst = dst, src
-				if len(src) == 0 {
-					break
-				}
+		src := rangeSel(e.sel, 0, stop-lo)
+		e.sel = src
+		dst := e.sel2
+		for pi := range spec.probes {
+			dst = spec.probes[pi].FilterWindow(si, lo, src, dst[:0])
+			src, dst = dst, src
+			if len(src) == 0 {
+				break
 			}
-			e.sel, e.sel2 = src, dst
-			if len(src) > 0 {
-				for c := range out.cols {
-					out.cols[c] = enc.AppendColSel(out.cols[c], c, si, lo, src)
-				}
-				out.n += len(src)
-			}
-		} else {
+		}
+		e.sel, e.sel2 = src, dst
+		if len(src) > 0 {
 			for c := range out.cols {
-				out.cols[c] = enc.AppendColRange(out.cols[c], c, lo, stop)
+				out.cols[c] = enc.AppendColSel(out.cols[c], c, si, lo, src)
 			}
-			out.n += stop - lo
+			out.n += len(src)
 		}
 		lo = stop
 	}
 	if out.n == base {
 		return nil
 	}
-	pred := full
-	if late {
-		pred = e.residual
-	}
 	var err error
-	e.sel, err = out.filterTail(base, pred, e.sel)
+	e.sel, err = out.filterTail(base, e.residual, e.sel)
 	return err
 }

@@ -103,14 +103,15 @@ func columnarTestDB(t testing.TB, rows, shards int) (*storage.Database, *Context
 
 // TestColumnarDifferentialProperty extends the 40-query differential
 // corpus across storage encodings: the same plans run with the lineitem
-// scan on the row path, the eager encoded path, and the late-materialized
-// encoded path, serial and behind Exchanges at DOP 1, 2, and 4, over both
-// an unpartitioned and a 2-shard partitioned layout. Every leg must
-// produce byte-identical rows in identical order AND byte-identical
-// cost.Counters versus the row-path serial baseline — encoded scans are
-// counter transparent even when zone maps skip whole segments. Run with
-// -race this doubles as the proof that shared probe state and the
-// columnar metrics are race-clean under the worker pool.
+// scan on the row path and the late-materialized encoded path, serial and
+// behind Exchanges at DOP 1, 2, and 4, over both an unpartitioned and a
+// 2-shard partitioned layout. Every leg must produce byte-identical rows
+// in identical order AND byte-identical cost.Counters versus the row-path
+// serial baseline — encoded scans are counter transparent even when zone
+// maps skip whole segments. A late scan whose filter has no pushable
+// prefix must run the row path: it meters no segment. Run with -race this
+// doubles as the proof that shared probe state and the columnar metrics
+// are race-clean under the worker pool.
 func TestColumnarDifferentialProperty(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		rows := 2*colstore.SegmentRows*max(shards, 1) + 1500
@@ -120,6 +121,9 @@ func TestColumnarDifferentialProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx.Encodings = encs
+		ctx.Metrics = obs.NewRegistry()
+		scanned := ctx.Metrics.Counter("robustqo_columnar_segments_scanned_total")
+		skipped := ctx.Metrics.Counter("robustqo_columnar_segments_skipped_total")
 		rng := stats.NewRNG(40104)
 		okey := expr.ColumnRef{Table: "orders", Column: "o_orderkey"}
 		lkey := expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"}
@@ -141,7 +145,7 @@ func TestColumnarDifferentialProperty(t *testing.T) {
 					expr.Cmp{Op: expr.EQ, L: expr.C("l_status"), R: expr.StrLit(status)},
 					expr.Cmp{Op: expr.LT, L: expr.C("l_price"), R: expr.FloatLit(cut)},
 				)
-			case 1: // residual first: prefix is empty, late mode degrades gracefully
+			case 1: // residual first: prefix is empty, late mode runs the row path
 				pred = expr.Conj(
 					expr.Contains{E: expr.C("l_status"), Substr: "i"},
 					expr.Between{E: expr.C("l_ship"), Lo: expr.IntLit(sLo), Hi: expr.IntLit(sHi)},
@@ -182,16 +186,21 @@ func TestColumnarDifferentialProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: baseline: %v", label, err)
 			}
-			for _, mode := range []ScanMode{ScanRows, ScanEager, ScanLate} {
+			for _, mode := range []ScanMode{ScanRows, ScanLate} {
 				for _, dop := range []int{0, 1, 2, 4} {
 					if mode == ScanRows && dop == 0 {
 						continue
 					}
+					metered := scanned.Value() + skipped.Value()
 					res, c, _, err := Run(ctx, build(dop, mode))
 					if err != nil {
 						t.Fatalf("%s: mode=%s dop=%d: %v", label, mode, dop, err)
 					}
 					leg := fmt.Sprintf("mode=%s dop=%d", mode, dop)
+					wantEncoded := mode == ScanLate && trial%4 != 1
+					if encoded := scanned.Value()+skipped.Value() > metered; encoded != wantEncoded {
+						t.Fatalf("%s: %s metered segments %v, want %v", label, leg, encoded, wantEncoded)
+					}
 					if len(res.Rows) != len(base.Rows) {
 						t.Fatalf("%s: %s %d rows, want %d", label, leg, len(res.Rows), len(base.Rows))
 					}
@@ -248,7 +257,8 @@ func TestColumnarStaleEncodingFallsBack(t *testing.T) {
 	if err := encs.Rebuild(db); err != nil {
 		t.Fatal(err)
 	}
-	res, _, _, err = Run(ctx, &SeqScan{Table: "lineitem", Mode: ScanLate})
+	// A pushable filter every row passes keeps the rebuilt scan encoded.
+	res, _, _, err = Run(ctx, &SeqScan{Table: "lineitem", Mode: ScanLate, Filter: testkit.Expr("l_ship >= 0")})
 	if err != nil {
 		t.Fatal(err)
 	}

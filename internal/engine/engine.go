@@ -46,9 +46,10 @@ type Context struct {
 	// metering; it never affects results or cost.Counters.
 	Metrics *obs.Registry
 	// Encodings, when non-nil, holds compressed columnar segment
-	// encodings that SeqScans with Mode != ScanRows read instead of row
+	// encodings that SeqScans with Mode ScanLate read instead of row
 	// storage. Scans fall back to the row path when a table's encoding is
-	// absent or stale (the stale case is counted; see prepareEncScan).
+	// absent or stale (the stale case is counted; see prepareEncScan) or
+	// the filter has no pushable prefix.
 	Encodings *colstore.Set
 }
 

@@ -365,9 +365,6 @@ func ExplainAnalyze(root *Instrumented, opts AnalyzeOptions) string {
 				}
 				if est.SegsTotal > 0 {
 					fmt.Fprintf(&b, " segments: %d/%d skipped", est.SegsSkipped, est.SegsTotal)
-					if est.Strategy != "" {
-						fmt.Fprintf(&b, " (%s)", est.Strategy)
-					}
 				}
 				wroteEst = true
 			}

@@ -293,7 +293,7 @@ func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters
 	counters.Tuples += int64(hi - lo)
 	var err error
 	if w.enc != nil {
-		err = w.enc.window(out, w.pred, lo, hi)
+		err = w.enc.window(out, lo, hi)
 	} else {
 		err = w.rowWindow(out, lo, hi)
 	}

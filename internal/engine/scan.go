@@ -18,9 +18,11 @@ type SeqScan struct {
 	// of a partitioned table (the optimizer's pruning pass sets it). nil
 	// scans everything; an empty list scans nothing.
 	Partitions []int
-	// Mode selects the storage path: the default row path, or the eager /
-	// late-materializing encoded columnar paths (see colscan.go). The
-	// optimizer's scan-strategy pass sets it when encodings are present.
+	// Mode selects the storage path: the default row path, or the
+	// late-materializing encoded columnar path (see colscan.go), which
+	// itself runs the row path when the table has no fresh encoding or the
+	// filter no pushable prefix. The optimizer's zone pass sets ScanLate
+	// exactly when both hold.
 	Mode ScanMode
 }
 

@@ -45,12 +45,9 @@ type EstimateSnapshot struct {
 	// SegsSkipped/SegsTotal describe zone-map skipping for encoded
 	// columnar scans: of SegsTotal segments in the surviving shards,
 	// SegsSkipped are provably empty under the pushed predicate bounds.
-	// Zero SegsTotal means the scan runs on the row path. Strategy names
-	// the chosen materialization path ("eager" or "late"); empty when
-	// not an encoded scan.
+	// Zero SegsTotal means the scan runs on the row path.
 	SegsSkipped int
 	SegsTotal   int
-	Strategy    string
 }
 
 // OpStats accumulates actual execution feedback for one operator in an

@@ -17,12 +17,12 @@ import (
 // (internal/plancache): everything a cached plan needs in order to be
 // re-bound to new parameter values without re-running plan enumeration.
 // AnalyzeBinding re-derives the literal-dependent planning inputs —
-// per-conjunct estimator requests, partition-pruning verdicts, and the
-// merged sargable index ranges — for a freshly bound query, and
-// Plan.Rebound transplants a plan's estimate snapshots onto the re-bound
-// node tree. Both run the same code paths Optimize itself uses
-// (analyze, computePruning, sargableRanges), so the cache can never
-// drift from what a cold optimization would have derived.
+// per-conjunct estimator requests, partition-pruning and zone-map
+// verdicts, and the merged sargable index ranges — for a freshly bound
+// query, and Plan.Rebound transplants a plan's estimate snapshots onto the
+// re-bound node tree. Both run the same code paths Optimize itself uses
+// (analyze, computePruning, computeZones, sargableRanges), so the cache
+// can never drift from what a cold optimization would have derived.
 
 // sarg is one merged sargable range: the key range plus the indices
 // (into analysis.conjuncts) of the conjuncts it consumed.
@@ -104,13 +104,17 @@ type BindInfo struct {
 	// Ranges holds the merged sargable key range per table and indexed
 	// column — the values IndexRangeScan/IndexIntersect nodes embed.
 	Ranges map[string]map[string]engine.KeyRange
+	// zones is the zone pass's verdict per table name, for the
+	// "segments: k/n skipped" arithmetic Plan.Rebound restamps.
+	zones map[string]*tableZones
 }
 
 // AnalyzeBinding derives the BindInfo of a query against the context's
-// catalog and partition layout. It runs the optimizer's own analysis and
-// pruning pre-passes but stops before anything data-dependent: no
-// estimator calls, no plan enumeration. Cost is linear in the predicate
-// size — cheap enough for every plan-cache re-bind.
+// catalog, partition layout and columnar encodings. It runs the
+// optimizer's own analysis, pruning and zone pre-passes but stops before
+// anything estimate-dependent: no estimator calls, no plan enumeration.
+// Cost is linear in the predicate size plus one zone-map test per
+// encoded segment — cheap enough for every plan-cache re-bind.
 func AnalyzeBinding(ctx *engine.Context, q *Query) (*BindInfo, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("optimizer: AnalyzeBinding needs an execution context")
@@ -121,8 +125,17 @@ func AnalyzeBinding(ctx *engine.Context, q *Query) (*BindInfo, error) {
 	}
 	p := &planner{opt: &Optimizer{Ctx: ctx}, a: a}
 	p.computePruning()
+	p.computeZones()
 
 	info := &BindInfo{}
+	for i, name := range a.tables {
+		if tz := p.zones[i]; tz != nil {
+			if info.zones == nil {
+				info.zones = make(map[string]*tableZones, len(p.zones))
+			}
+			info.zones[name] = tz
+		}
+	}
 	for _, c := range a.conjuncts {
 		bc := BoundConjunct{Pred: c.pred}
 		if c.mask != 0 {
@@ -228,15 +241,23 @@ func LayoutKey(ctx *engine.Context) string {
 // cardinality, and confidence figures are carried over unchanged: a
 // re-bind is only performed when every changed parameter's point
 // estimate stayed inside the credible interval the plan was optimized
-// under, so the old figures remain the plan's honest belief.
-func (p *Plan) Rebound(root engine.Node, remap map[engine.Node]engine.Node) *Plan {
+// under, so the old figures remain the plan's honest belief. The zone-map
+// arithmetic is not a belief but a fact of the new literals, so each
+// sequential scan's SegsSkipped/SegsTotal is restamped from info — the
+// new binding's AnalyzeBinding — exactly as a cold Optimize records it.
+func (p *Plan) Rebound(root engine.Node, remap map[engine.Node]engine.Node, info *BindInfo) *Plan {
 	cp := *p
 	cp.Root = root
 	cp.estimates = make(map[engine.Node]obs.EstimateSnapshot, len(p.estimates))
 	for old, snap := range p.estimates {
-		if nn, ok := remap[old]; ok {
-			cp.estimates[nn] = snap
+		nn, ok := remap[old]
+		if !ok {
+			continue
 		}
+		if seq, ok := nn.(*engine.SeqScan); ok {
+			snap.SegsSkipped, snap.SegsTotal = info.zones[seq.Table].segs()
+		}
+		cp.estimates[nn] = snap
 	}
 	return &cp
 }

@@ -124,8 +124,9 @@ type planner struct {
 	// from the map are unpartitioned.
 	parts map[int]*tableParts
 	// zones is the zone-map verdict per query table index, filled by
-	// computeScanStrategies after pruning; tables absent from the map
-	// have no fresh columnar encoding and stay on the row path.
+	// computeZones after pruning; tables absent from the map have no fresh
+	// columnar encoding or no pushable predicate prefix and stay on the
+	// row path.
 	zones map[int]*tableZones
 }
 
@@ -172,7 +173,7 @@ func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 		}
 	}
 	p.computePruning()
-	p.computeScanStrategies()
+	p.computeZones()
 	best := make(map[uint32][]candidate)
 	if err := p.seedAccessPaths(best); err != nil {
 		return nil, err

@@ -36,21 +36,13 @@ func (p *planner) accessPaths(i int) ([]candidate, error) {
 
 	fullPred := p.a.predOnly(i)
 	seq := &engine.SeqScan{Table: tName, Filter: fullPred, Partitions: p.scanParts(i)}
-	// Scan strategy: when a fresh columnar encoding exists, pick eager or
-	// late materialization from the posterior selectivity and the zone
-	// evidence. The simulated cost is unchanged by design — encoded scans
-	// are counter transparent — so the mode never distorts plan choice;
-	// it only changes the wall-clock of the plan the cost model picked.
-	selFrac := 1.0
-	if rows > 0 {
-		selFrac = outRows / rows
-	}
-	if mc := p.scanMode(i, selFrac); mc.Encoded {
-		if mc.Late {
-			seq.Mode = engine.ScanLate
-		} else {
-			seq.Mode = engine.ScanEager
-		}
+	// Scan path: late materialization exactly when the zone pass found a
+	// fresh encoding and a pushable predicate prefix; no estimate takes
+	// part. The simulated cost is unchanged by design — encoded scans are
+	// counter transparent — so the mode never distorts plan choice; it
+	// only changes the wall-clock of the plan the cost model picked.
+	if p.zones[i] != nil {
+		seq.Mode = engine.ScanLate
 	}
 	cands := []candidate{{
 		node:    seq,

@@ -142,8 +142,8 @@ func (p *planner) scanParts(i int) []int {
 
 // recordScan is record plus the partition arithmetic for scans of
 // partitioned tables ("partitions: k/n" in EXPLAIN ANALYZE) and, for
-// encoded sequential scans, the zone-map arithmetic ("segments: k/n
-// skipped") with the chosen materialization strategy.
+// late-materialized sequential scans, the zone-map arithmetic
+// ("segments: k/n skipped").
 func (p *planner) recordScan(n engine.Node, rows float64, i int) {
 	s := p.snap
 	s.Rows = rows
@@ -152,12 +152,8 @@ func (p *planner) recordScan(n engine.Node, rows float64, i int) {
 		s.PartsScanned = len(tp.parts)
 		s.PartsTotal = tp.total
 	}
-	if seq, ok := n.(*engine.SeqScan); ok && seq.Mode != engine.ScanRows {
-		if tz := p.zones[i]; tz != nil {
-			s.SegsSkipped = tz.skipped
-			s.SegsTotal = tz.total
-		}
-		s.Strategy = seq.Mode.String()
+	if _, ok := n.(*engine.SeqScan); ok {
+		s.SegsSkipped, s.SegsTotal = p.zones[i].segs()
 	}
 	p.estimates[n] = s
 }

@@ -2,37 +2,45 @@ package optimizer
 
 import "robustqo/internal/expr"
 
-// Zone-map scan strategy is a planner pre-pass layered on partition
-// pruning: for each query table with a fresh columnar encoding, the
-// pushable prefix of its single-table predicate is compiled into encoded
-// probes and tested against every segment zone map in the surviving
-// shards. The pass yields three things downstream consumers share:
+// The zone pass is a planner pre-pass layered on partition pruning: for
+// each query table with a fresh columnar encoding, the pushable prefix of
+// its single-table predicate is compiled into encoded probes and tested
+// against every segment zone map in the surviving shards. A table enters
+// p.zones exactly when that prefix is non-empty (colstore.CompilePushdown
+// ok), and that membership alone is the scan-path rule: its sequential
+// scan runs ScanLate, every other scan the filter-first row path. No
+// selectivity estimate takes part, so the choice cannot hinge on a point
+// estimate near a knee. The pass yields three things downstream consumers
+// share:
 //
+//   - the scan path (ScanLate for tables in p.zones);
 //   - an exact selectivity upper bound (the unskippable row fraction)
 //     that rides the estimator request as MaxSelectivity, tightening the
 //     posterior before its T-quantile is taken — the same principled
 //     move as dropping pruned shards' samples;
-//   - the eager-vs-late materialization choice per sequential scan,
-//     driven by the posterior selectivity and the skip evidence;
 //   - the "segments: k/n skipped" arithmetic EXPLAIN ANALYZE reports.
 
-// lateMaterializationThreshold is the estimated-selectivity knee below
-// which late materialization wins: few enough survivors that probing
-// encoded data and materializing only survivors beats full decode.
-const lateMaterializationThreshold = 0.25
-
 // tableZones is the zone-map verdict for one query table whose encoding
-// is present and fresh.
+// is present and fresh and whose predicate has a pushable prefix.
 type tableZones struct {
-	skipped  int     // segments provably empty under the pushed bounds
-	total    int     // segments in the surviving shards
-	maxSel   float64 // unskippable row fraction of the pruned physical rows
-	pushable bool    // a pushable predicate prefix exists
+	skipped int     // segments provably empty under the pushed bounds
+	total   int     // segments in the surviving shards
+	maxSel  float64 // unskippable row fraction of the pruned physical rows
 }
 
-// computeScanStrategies fills p.zones after computePruning; tables
-// without a fresh encoding are simply absent and keep the row path.
-func (p *planner) computeScanStrategies() {
+// segs returns the "segments: k/n skipped" arithmetic; zero for a table
+// without zones, whose scans run the row path.
+func (tz *tableZones) segs() (skipped, total int) {
+	if tz == nil {
+		return 0, 0
+	}
+	return tz.skipped, tz.total
+}
+
+// computeZones fills p.zones after computePruning; tables without a fresh
+// encoding or a pushable predicate prefix are simply absent and keep the
+// row path.
+func (p *planner) computeZones() {
 	encs := p.opt.Ctx.Encodings
 	if encs == nil {
 		return
@@ -46,9 +54,11 @@ func (p *planner) computeScanStrategies() {
 		if !ok || enc.Rows() != t.NumRows() {
 			continue // stale encoding: execution would fall back anyway
 		}
+		probes, _, ok := enc.CompilePushdown(p.a.predOnly(i), expr.SchemaForTable(t.Schema()))
+		if !ok {
+			continue
+		}
 		tz := &tableZones{maxSel: 1}
-		probes, _, pushable := enc.CompilePushdown(p.a.predOnly(i), expr.SchemaForTable(t.Schema()))
-		tz.pushable = pushable
 		// Shards surviving partition pruning; nil means all of them.
 		var inShard []bool
 		if tp := p.parts[i]; tp != nil && tp.strict {
@@ -116,28 +126,4 @@ func (p *planner) maxSelForMask(mask uint32) float64 {
 		}
 	}
 	return 0
-}
-
-// scanMode picks the sequential scan's materialization strategy for
-// table i. selFrac is the estimated fraction of the scanned physical
-// rows the full predicate keeps.
-func (p *planner) scanMode(i int, selFrac float64) ScanModeChoice {
-	tz := p.zones[i]
-	if tz == nil {
-		return ScanModeChoice{}
-	}
-	c := ScanModeChoice{Encoded: true, SegsSkipped: tz.skipped, SegsTotal: tz.total}
-	if tz.pushable && (selFrac <= lateMaterializationThreshold || tz.skipped > 0) {
-		c.Late = true
-	}
-	return c
-}
-
-// ScanModeChoice is the zone pass's per-scan verdict, consumed when the
-// SeqScan candidate is built and recorded.
-type ScanModeChoice struct {
-	Encoded     bool
-	Late        bool
-	SegsSkipped int
-	SegsTotal   int
 }

@@ -8,6 +8,7 @@ import (
 	"robustqo/internal/colstore"
 	"robustqo/internal/core"
 	"robustqo/internal/engine"
+	"robustqo/internal/expr"
 	"robustqo/internal/sample"
 	"robustqo/internal/stats"
 	"robustqo/internal/storage"
@@ -87,7 +88,7 @@ func buildEncodings(t *testing.T, db *storage.Database) *colstore.Set {
 // TestZoneSkippingPlansLateScan is the issue's optimizer acceptance
 // check: a selective range predicate on the clustered key plans a late-
 // materialized encoded scan, the estimate snapshot carries the segment
-// arithmetic, and EXPLAIN ANALYZE reports "segments: 3/4 skipped (late)".
+// arithmetic, and EXPLAIN ANALYZE reports "segments: 3/4 skipped".
 func TestZoneSkippingPlansLateScan(t *testing.T) {
 	db, ctx := zonesOptDB(t)
 	ctx.Encodings = buildEncodings(t, db)
@@ -108,9 +109,8 @@ func TestZoneSkippingPlansLateScan(t *testing.T) {
 		t.Fatalf("scan mode = %v, want late (pushable prefix + 3 skipped segments)", scan.Mode)
 	}
 	est, ok := plan.EstimateOf(scan)
-	if !ok || est.SegsSkipped != 3 || est.SegsTotal != 4 || est.Strategy != "late" {
-		t.Fatalf("snapshot segments %d/%d strategy %q (ok=%v), want 3/4 \"late\"",
-			est.SegsSkipped, est.SegsTotal, est.Strategy, ok)
+	if !ok || est.SegsSkipped != 3 || est.SegsTotal != 4 {
+		t.Fatalf("snapshot segments %d/%d (ok=%v), want 3/4", est.SegsSkipped, est.SegsTotal, ok)
 	}
 	inst := engine.Instrument(plan.Root)
 	res, c, _, err := engine.Run(ctx, inst)
@@ -137,7 +137,7 @@ func TestZoneSkippingPlansLateScan(t *testing.T) {
 		t.Errorf("encoded scan charged %d tuples, want %d", c.Tuples, wantTuples)
 	}
 	out := engine.ExplainAnalyze(inst, engine.AnalyzeOptions{EstimateOf: plan.EstimateOf})
-	if !strings.Contains(out, "segments: 3/4 skipped (late)") {
+	if !strings.Contains(out, "segments: 3/4 skipped") {
 		t.Errorf("EXPLAIN ANALYZE lacks the zone-map annotation:\n%s", out)
 	}
 }
@@ -190,31 +190,88 @@ func TestZoneBoundTightensEstimate(t *testing.T) {
 	}
 }
 
-// TestZoneEagerWithoutPushablePrefix: a fresh encoding with no pushable
-// predicate still scans encoded (eager decode — the compression win
-// stands) but cannot late-materialize, and no segment is skipped.
-func TestZoneEagerWithoutPushablePrefix(t *testing.T) {
+// TestZoneScanPathRule pins the scan-path rule: with a fresh encoding,
+// a SeqScan plans ScanLate exactly when its filter has a pushable prefix,
+// whatever the estimated selectivity, and otherwise plans the row path
+// with no segment snapshot. Re-binding a late plan from a ~50% selective
+// binding to one under 25% keeps the mode a cold plan of the new binding
+// has and restamps that binding's own zone arithmetic.
+func TestZoneScanPathRule(t *testing.T) {
 	db, ctx := zonesOptDB(t)
 	ctx.Encodings = buildEncodings(t, db)
 	o := zonesOpt(t, db, ctx, 0.8)
-	plan, err := o.Optimize(&Query{
-		Tables: []string{"seg"},
-		Pred:   testkit.Expr("s_a != 7"), // NE is never pushable
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, ok := plan.Root.(*engine.SeqScan)
-	if !ok {
-		t.Fatalf("plan root is %T, want SeqScan", plan.Root)
-	}
-	if scan.Mode != engine.ScanEager {
-		t.Fatalf("scan mode = %v, want eager", scan.Mode)
-	}
-	est, ok := plan.EstimateOf(scan)
-	if !ok || est.SegsSkipped != 0 || est.SegsTotal != 4 || est.Strategy != "eager" {
-		t.Fatalf("snapshot segments %d/%d strategy %q (ok=%v), want 0/4 \"eager\"",
-			est.SegsSkipped, est.SegsTotal, est.Strategy, ok)
+	const rows = 4 * colstore.SegmentRows
+	for _, tc := range []struct {
+		name, pred string
+		mode       engine.ScanMode
+		rebindTo   string // a second binding of the same template, or ""
+	}{
+		{name: "not-equal", pred: "s_a != 7", mode: engine.ScanRows},                           // NE has no single interval
+		{name: "float-literal", pred: "s_a < 50.5", mode: engine.ScanRows},                     // float literals never push
+		{name: "pushable-half", pred: "s_a < 50", mode: engine.ScanLate, rebindTo: "s_a < 10"}, // ~50% selective, nothing skipped
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := &Query{Tables: []string{"seg"}, Pred: testkit.Expr(tc.pred)}
+			plan, err := o.Optimize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, ok := plan.Root.(*engine.SeqScan)
+			if !ok {
+				t.Fatalf("plan root is %T, want SeqScan", plan.Root)
+			}
+			est, ok := plan.EstimateOf(scan)
+			if !ok {
+				t.Fatal("no estimate for the scan")
+			}
+			if tc.mode == engine.ScanRows {
+				if scan.Mode != engine.ScanRows || est.SegsTotal != 0 {
+					t.Fatalf("mode %v, segments %d/%d; want rows with no segment snapshot",
+						scan.Mode, est.SegsSkipped, est.SegsTotal)
+				}
+				return
+			}
+			if frac := est.Rows / rows; frac <= 0.25 {
+				t.Fatalf("fixture: estimated selectivity %.3f, want above 0.25", frac)
+			}
+			if scan.Mode != engine.ScanLate || est.SegsSkipped != 0 || est.SegsTotal != 4 {
+				t.Fatalf("mode %v, segments %d/%d; want late, 0/4 skipped",
+					scan.Mode, est.SegsSkipped, est.SegsTotal)
+			}
+
+			// Re-bind as the plan cache does, then compare with a cold plan
+			// of the new binding.
+			nq := &Query{Tables: []string{"seg"}, Pred: testkit.Expr(tc.rebindTo)}
+			info, err := AnalyzeBinding(ctx, nq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, remap, err := engine.Rebind(plan.Root, engine.RebindOptions{
+				Expr: func(expr.Expr) expr.Expr { return info.Conjuncts[0].Pred },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebound := plan.Rebound(root, remap, info)
+			cold, err := o.Optimize(nq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldScan := cold.Root.(*engine.SeqScan)
+			coldEst, _ := cold.EstimateOf(coldScan)
+			if frac := coldEst.Rows / rows; frac > 0.25 {
+				t.Fatalf("fixture: re-bound estimated selectivity %.3f, want at most 0.25", frac)
+			}
+			reScan := root.(*engine.SeqScan)
+			if reScan.Mode != coldScan.Mode {
+				t.Fatalf("re-bound mode %v, cold plan %v", reScan.Mode, coldScan.Mode)
+			}
+			reEst, _ := rebound.EstimateOf(reScan)
+			if reEst.SegsSkipped != coldEst.SegsSkipped || reEst.SegsTotal != coldEst.SegsTotal {
+				t.Fatalf("re-bound segments %d/%d, cold plan %d/%d",
+					reEst.SegsSkipped, reEst.SegsTotal, coldEst.SegsSkipped, coldEst.SegsTotal)
+			}
+		})
 	}
 }
 
@@ -243,9 +300,8 @@ func TestZoneStaleEncodingKeepsRowPath(t *testing.T) {
 	if scan.Mode != engine.ScanRows {
 		t.Fatalf("scan mode = %v, want rows (stale encoding)", scan.Mode)
 	}
-	if est, ok := plan.EstimateOf(scan); !ok || est.SegsTotal != 0 || est.Strategy != "" {
-		t.Fatalf("stale snapshot reports segments %d/%d strategy %q, want none",
-			est.SegsSkipped, est.SegsTotal, est.Strategy)
+	if est, ok := plan.EstimateOf(scan); !ok || est.SegsTotal != 0 {
+		t.Fatalf("stale snapshot reports segments %d/%d, want none", est.SegsSkipped, est.SegsTotal)
 	}
 }
 
@@ -296,7 +352,7 @@ func TestZonePassComposesWithPruning(t *testing.T) {
 		t.Fatalf("pruned encoded scan returned %d rows, want %d", len(res.Rows), want)
 	}
 	out := engine.ExplainAnalyze(inst, engine.AnalyzeOptions{EstimateOf: plan.EstimateOf})
-	if !strings.Contains(out, "partitions: 1/4") || !strings.Contains(out, "segments: 0/1 skipped (late)") {
+	if !strings.Contains(out, "partitions: 1/4") || !strings.Contains(out, "segments: 0/1 skipped") {
 		t.Errorf("EXPLAIN ANALYZE lacks the combined annotations:\n%s", out)
 	}
 }

@@ -501,7 +501,7 @@ func (c *Cache) tryRebind(env Env, e *entry, q *optimizer.Query, tpl *Template) 
 		if err != nil {
 			return nil, err
 		}
-		plan := v.plan.Rebound(root, remap)
+		plan := v.plan.Rebound(root, remap, info)
 
 		// The variant now serves the new binding; the credible intervals
 		// stay anchored at original plan time so drift accumulates

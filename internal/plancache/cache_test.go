@@ -182,6 +182,58 @@ func TestCachedOutcomesDoNoPlanningWork(t *testing.T) {
 	}
 }
 
+// TestCacheRebindRestampsZones: two bindings of one key-range template
+// with equal selectivity skip different numbers of segments. The second
+// re-binds the first's plan, and its scan must keep the late mode and
+// report its own zone arithmetic, exactly as a cold plan of it does.
+func TestCacheRebindRestampsZones(t *testing.T) {
+	db, ctx := zoneDB(t)
+	opt, err := optimizer.New(ctx, bayes(t, db, 0.8, 512, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(64, obs.NewRegistry())
+	env := testEnv(t, ctx, opt)
+	mk := func(lo int) *optimizer.Query {
+		return &optimizer.Query{
+			Tables: []string{"seg"},
+			Pred:   testkit.Expr(fmt.Sprintf("s_key BETWEEN %d AND %d", lo, lo+2999)),
+		}
+	}
+	// [100, 3099] lies inside segment 0; [3000, 5999] spans segments 0-1.
+	if _, out, err := c.Plan(env, mk(100)); err != nil || out != Miss {
+		t.Fatalf("first: %v %v", out, err)
+	}
+	p, out, err := c.Plan(env, mk(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != Rebind {
+		t.Fatalf("shifted binding: %v, want rebind", out)
+	}
+	cold, err := opt.Optimize(mk(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, ok := p.Root.(*engine.SeqScan)
+	coldScan, coldOK := cold.Root.(*engine.SeqScan)
+	if !ok || !coldOK {
+		t.Fatalf("roots %T / %T, want SeqScans", p.Root, cold.Root)
+	}
+	if scan.Mode != engine.ScanLate || coldScan.Mode != engine.ScanLate {
+		t.Fatalf("modes %v (re-bound) / %v (cold), want late", scan.Mode, coldScan.Mode)
+	}
+	est, _ := p.EstimateOf(scan)
+	coldEst, _ := cold.EstimateOf(coldScan)
+	if coldEst.SegsSkipped != 2 || coldEst.SegsTotal != 4 {
+		t.Fatalf("fixture: cold plan skips %d/%d segments, want 2/4", coldEst.SegsSkipped, coldEst.SegsTotal)
+	}
+	if est.SegsSkipped != coldEst.SegsSkipped || est.SegsTotal != coldEst.SegsTotal {
+		t.Fatalf("re-bound plan reports segments %d/%d skipped, cold plan %d/%d",
+			est.SegsSkipped, est.SegsTotal, coldEst.SegsSkipped, coldEst.SegsTotal)
+	}
+}
+
 func TestCacheVariantsKeepHotBinding(t *testing.T) {
 	db, ctx := cacheDB(t, 8000, 1)
 	est := bayes(t, db, 0.8, 512, 11)
