@@ -23,6 +23,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFORRoundTrip -fuzztime=5s ./internal/colstore/
 	$(GO) test -run=^$$ -fuzz=FuzzRLERoundTrip -fuzztime=5s ./internal/colstore/
 	$(GO) test -run=^$$ -fuzz=FuzzDictRoundTrip -fuzztime=5s ./internal/colstore/
+	$(GO) test -run=^$$ -fuzz=FuzzPlanCacheKey -fuzztime=5s ./internal/plancache/
 
 # bench is the benchmark of record (bench/README.md): four workloads,
 # every answer checked against the reference evaluator.

@@ -11,9 +11,9 @@ package main
 // the standard net/http/pprof endpoints hang off /debug/pprof/.
 //
 // The serve path is built for sustained concurrent load: optimized
-// plans are memoized in a sharded plan cache keyed by query template
-// (prepared statements re-bind parameters under the credible-interval
-// rule instead of re-optimizing), and an admission gate bounds
+// plans are memoized in a sharded plan cache keyed by query template and
+// binding (a repeated statement or prepared binding is served without
+// re-optimizing), and an admission gate bounds
 // concurrent execution with a bounded queue, shedding overload with
 // 429 + Retry-After instead of collapsing. SIGINT/SIGTERM drains
 // in-flight queries and flushes the ledger/event log before exit.
@@ -525,11 +525,10 @@ func (s *server) handleQueries(w http.ResponseWriter, _ *http.Request) {
 
 	fmt.Fprintf(w, "\nplan cache: %d entries, %d prepared statements\n",
 		s.cache.Len(), s.stmts.len())
-	fmt.Fprintf(w, "  hits=%d rebinds=%d misses=%d rejects=%d evictions=%d\n",
+	fmt.Fprintf(w, "  hits=%d misses=%d invalidations=%d evictions=%d\n",
 		s.reg.Counter("robustqo_plancache_hits_total").Value(),
-		s.reg.Counter("robustqo_plancache_rebinds_total").Value(),
 		s.reg.Counter("robustqo_plancache_misses_total").Value(),
-		s.reg.Counter("robustqo_plancache_rejects_total").Value(),
+		s.reg.Counter("robustqo_plancache_invalidations_total").Value(),
 		s.reg.Counter("robustqo_plancache_evictions_total").Value())
 	cfg := s.adm.Config()
 	fmt.Fprintf(w, "admission: %d/%d slots in use, %d queued (max %d)\n",

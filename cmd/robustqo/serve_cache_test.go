@@ -86,12 +86,12 @@ func TestServePrepareExec(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "plan cache: hit") {
 		t.Fatalf("repeat exec: code %d body:\n%s", code, body)
 	}
-	// New binding (day numbers also accepted) skips re-optimization when
-	// the estimate stays inside the interval; any cache outcome is
-	// legitimate, the request itself must succeed.
-	code, body = get(t, ts.URL+"/exec?stmt="+prep.Stmt+"&args="+url.QueryEscape("1995-04-01,1995-06-28"))
-	if code != http.StatusOK {
-		t.Fatalf("rebound exec: code %d body:\n%s", code, body)
+	// A new binding is its own cache entry: optimized cold once, then hit.
+	for _, want := range []string{"plan cache: miss", "plan cache: hit"} {
+		code, body = get(t, ts.URL+"/exec?stmt="+prep.Stmt+"&args="+url.QueryEscape("1995-04-01,1995-06-28"))
+		if code != http.StatusOK || !strings.Contains(body, want) {
+			t.Fatalf("new binding, want %q: code %d body:\n%s", want, code, body)
+		}
 	}
 
 	// Error paths are structured JSON.

@@ -2,34 +2,7 @@ package core
 
 import "fmt"
 
-// Credible intervals are the plan cache's re-bind rule (DESIGN.md §13):
-// when a prepared statement is re-executed with new parameter values, the
-// serving layer must decide — cheaply — whether the plan optimized for the
-// old values is still trustworthy. The paper's machinery answers this
-// directly: every estimate the optimizer consumed was a quantile of a Beta
-// posterior, so the posterior itself delimits the selectivity region the
-// plan was chosen under. A new binding whose point estimate stays inside
-// that credible region cannot move any cost comparison by more than the
-// uncertainty the optimizer already priced in at threshold T; a binding
-// that leaves the region invalidates the plan choice and forces
-// re-optimization. This is the parametric-query-optimization rule of
-// Trummer & Koch (arXiv:1511.01782) expressed in the paper's Bayesian
-// terms.
-
-// DefaultIntervalWidth is the central credible mass the plan cache
-// records per planned estimate: 0.95 leaves a 2.5% tail on each side.
-const DefaultIntervalWidth = 0.95
-
-// IntervalEstimator is the contract the plan cache needs from an
-// estimator to support parameter re-binding: a (relatively expensive)
-// credible interval at plan time, and a cheap point estimate — no
-// quantile inversion — at re-bind time. BayesEstimator implements it;
-// estimators without posteriors simply don't, and the cache treats any
-// parameter change as a miss for them.
-type IntervalEstimator interface {
-	CredibleInterval(req Request, width float64) (lo, hi float64, err error)
-	PointEstimate(req Request) (float64, error)
-}
+// bench/trace.go's traced estimator wraps both methods in this file.
 
 // CredibleInterval returns the central credible interval containing
 // `width` posterior mass for the request's selectivity: the posterior
@@ -61,10 +34,8 @@ func (e *BayesEstimator) CredibleInterval(req Request, width float64) (lo, hi fl
 }
 
 // PointEstimate returns the posterior-mean selectivity (k+a)/(n+a+b) for
-// the request — the cheap re-bind check. It evaluates the predicate on
-// the synopsis (the same Observe the full estimate performs) but skips
-// the inverse-CDF entirely, which is what makes the plan-cache hit path
-// quantiling-free.
+// the request. It evaluates the predicate on the synopsis (the same
+// Observe the full estimate performs) but skips the inverse-CDF.
 func (e *BayesEstimator) PointEstimate(req Request) (float64, error) {
 	k, n, _, err := e.Observe(req)
 	if err != nil {
@@ -72,6 +43,3 @@ func (e *BayesEstimator) PointEstimate(req Request) (float64, error) {
 	}
 	return (float64(k) + e.Prior.A) / (float64(n) + e.Prior.A + e.Prior.B), nil
 }
-
-// Compile-time check that the robust estimator supports re-binding.
-var _ IntervalEstimator = (*BayesEstimator)(nil)

@@ -53,14 +53,10 @@ func ledgerSeries(reg *obs.Registry) {
 }
 
 // plancacheSeries registers the plan-cache outcome family: every
-// serve-path Plan call lands in exactly one of the first four.
+// serve-path Plan call lands in exactly one of the first two.
 func plancacheSeries(reg *obs.Registry) {
 	reg.Counter("robustqo_plancache_hits_total").Inc()
-	reg.Counter("robustqo_plancache_rebinds_total").Inc()
 	reg.Counter("robustqo_plancache_misses_total").Inc()
-	reg.Counter("robustqo_plancache_rejects_total").Inc()
-	reg.Counter("robustqo_plancache_interval_rejects_total").Inc()
-	reg.Counter("robustqo_plancache_pruning_rejects_total").Inc()
 	reg.Counter("robustqo_plancache_invalidations_total").Inc()
 	reg.Counter("robustqo_plancache_evictions_total").Inc()
 }

@@ -1,18 +1,16 @@
-// Package plancache memoizes optimized plans across repeated query
-// templates, extending the memoization pattern of core.QuantileCache up
-// the whole optimize stack: where the quantile cache spares repeated
-// Beta inversions, the plan cache spares repeated plan enumerations.
+// Package plancache memoizes optimized plans, extending the memoization
+// pattern of core.QuantileCache up the whole optimize stack: where the
+// quantile cache spares repeated Beta inversions, the plan cache spares
+// repeated plan enumerations.
 //
 // A template is a query with its predicate literals abstracted to
 // parameter slots (the prepared-statement view). The cache key is the
-// template shape × the estimator identity (which embeds the confidence
-// threshold T) × the requested DOP × the partition layout — everything
-// that can change what Optimize would return. Cached entries remember
-// the posterior credible interval each parameterized estimate was
-// planned under; a re-execution with new literals reuses the plan iff
-// every changed estimate's cheap point check stays inside its interval
-// (DESIGN.md §13), the Bayesian rendering of Trummer & Koch's
-// parametric-query-optimization rule (arXiv:1511.01782).
+// template shape × its binding (the literal values) × the estimator
+// identity (which embeds the confidence threshold T) × the requested
+// DOP × the partition layout — everything that can change what Optimize
+// would return. A lookup either hits an entry built for exactly this
+// binding or misses and optimizes cold, so every served plan is the plan
+// a cold optimization builds for its own literals (DESIGN.md §13).
 package plancache
 
 import (
@@ -40,14 +38,9 @@ type Template struct {
 	// Params holds the literal values of this normalization, in slot
 	// (depth-first predicate traversal) order.
 	Params []value.Value
-	// Kinds holds each slot's value kind; a re-binding must match kinds
+	// Kinds holds each slot's value kind; a binding must match kinds
 	// slot-for-slot or it is a different template.
 	Kinds []catalog.Type
-	// ConjunctOfSlot maps each slot to the index of the top-level AND
-	// term (in expr.SplitConjuncts order — the optimizer's conjunct
-	// order) that contains it. The re-bind check uses it to re-estimate
-	// only the conjuncts whose parameters actually changed.
-	ConjunctOfSlot []int
 
 	q *optimizer.Query
 }
@@ -70,11 +63,7 @@ func Normalize(q *optimizer.Query) *Template {
 		if ci > 0 {
 			b.WriteByte(';')
 		}
-		before := len(t.Params)
 		shapeExpr(&b, term, t)
-		for range t.Params[before:] {
-			t.ConjunctOfSlot = append(t.ConjunctOfSlot, ci)
-		}
 	}
 	b.WriteByte('|')
 	for i, g := range q.GroupBy {
@@ -92,8 +81,8 @@ func Normalize(q *optimizer.Query) *Template {
 		b.WriteByte('(')
 		if a.Arg != nil {
 			// Aggregate arguments stay verbatim in the key: they are
-			// scalar outputs, not selectivity-bearing predicates, so
-			// there is no interval to re-check a slot against.
+			// scalar outputs, not predicates, so Bind never substitutes
+			// into them.
 			b.WriteString(a.Arg.String())
 		}
 		b.WriteByte(')')
@@ -137,10 +126,9 @@ func kindTag(k catalog.Type) byte {
 
 // shapeExpr renders the slotted shape of one predicate subtree, lifting
 // every literal into a parameter slot. The traversal order here defines
-// slot order; Bind and the re-bind rewriter must walk identically.
-// Contains substrings and IN lists stay verbatim in the key: they have
-// no sargable range form, so parameterizing them would add re-bind
-// machinery for shapes the corpus never re-binds.
+// slot order; Bind and Literals must walk identically. Contains
+// substrings and IN lists stay verbatim in the key rather than in slots,
+// so Bind cannot substitute them.
 func shapeExpr(b *strings.Builder, e expr.Expr, t *Template) {
 	switch n := e.(type) {
 	case expr.Col:

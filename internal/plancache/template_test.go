@@ -27,14 +27,6 @@ func TestNormalizeSameShapeSharesKey(t *testing.T) {
 	if t1.Params[0].I != 100 || t1.Params[1].I != 300 || t1.Params[2].I != 10 {
 		t.Errorf("slot values wrong: %v", t1.Params)
 	}
-	// Slots 0 and 1 belong to conjunct 0 (the BETWEEN), slot 2 to
-	// conjunct 1.
-	want := []int{0, 0, 1}
-	for i, ci := range t1.ConjunctOfSlot {
-		if ci != want[i] {
-			t.Errorf("slot %d mapped to conjunct %d, want %d", i, ci, want[i])
-		}
-	}
 }
 
 func TestNormalizeDistinguishesShapes(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"robustqo/internal/catalog"
-	"robustqo/internal/colstore"
 	"robustqo/internal/core"
 	"robustqo/internal/engine"
 	"robustqo/internal/sample"
@@ -15,9 +14,8 @@ import (
 )
 
 // cacheDB builds a lineitem/orders pair with uniform ship dates in
-// [0, 1000) — wide enough that literal windows translate directly into
-// selectivities for interval assertions. parts > 1 range-partitions
-// lineitem on l_ship.
+// [0, 1000), so literal windows translate directly into selectivities.
+// parts > 1 range-partitions lineitem on l_ship.
 func cacheDB(t *testing.T, nLines int, parts int) (*storage.Database, *engine.Context) {
 	t.Helper()
 	cat := catalog.NewCatalog()
@@ -87,42 +85,6 @@ func cacheDB(t *testing.T, nLines int, parts int) (*storage.Database, *engine.Co
 	}
 	ctx, err := engine.NewContext(db)
 	if err != nil {
-		t.Fatal(err)
-	}
-	return db, ctx
-}
-
-// zoneDB builds an unindexed table of four columnar segments whose s_key
-// is clustered (row i holds key i), with its encoding in the context, so
-// an s_key range plans a late-materialized SeqScan whose skipped-segment
-// count depends on where the range falls.
-func zoneDB(t *testing.T) (*storage.Database, *engine.Context) {
-	t.Helper()
-	db := storage.NewDatabase(catalog.NewCatalog())
-	seg, err := db.CreateTable(&catalog.TableSchema{
-		Name: "seg",
-		Columns: []catalog.Column{
-			{Name: "s_id", Type: catalog.Int},
-			{Name: "s_key", Type: catalog.Int},
-		},
-		PrimaryKey: "s_id",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4*colstore.SegmentRows; i++ {
-		if err := seg.Append(value.Row{value.Int(int64(i)), value.Int(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := engine.NewContext(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Encodings, err = colstore.BuildAll(db); err != nil {
 		t.Fatal(err)
 	}
 	return db, ctx

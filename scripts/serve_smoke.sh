@@ -2,7 +2,8 @@
 # serve_smoke.sh boots `robustqo serve` with a deliberately tiny
 # admission gate, then asserts over plain HTTP that (1) a repeated query
 # is served from the plan cache, (2) a prepared statement round-trips
-# through /prepare + /exec as a cache hit, (3) an overload burst is shed
+# through /prepare + /exec as a cache hit, and a new binding misses once
+# and then hits, (3) an overload burst is shed
 # with the robustqo_admission_* counters visible in /metrics, and (4)
 # SIGTERM drains gracefully and persists the feedback ledger.
 set -eu
@@ -40,6 +41,10 @@ STMT=$(curl -fsS "http://$ADDR/prepare?sql=SELECT%20COUNT(*)%20AS%20n%20FROM%20l
 [ -n "$STMT" ] || { echo "serve-smoke: /prepare returned no statement id" >&2; exit 1; }
 curl -fsS "http://$ADDR/exec?stmt=$STMT&args=10" | grep -q 'plan cache: hit' \
     || { echo "serve-smoke: prepared exec was not a cache hit" >&2; exit 1; }
+curl -fsS "http://$ADDR/exec?stmt=$STMT&args=17" | grep -q 'plan cache: miss' \
+    || { echo "serve-smoke: new binding was not a miss" >&2; exit 1; }
+curl -fsS "http://$ADDR/exec?stmt=$STMT&args=17" | grep -q 'plan cache: hit' \
+    || { echo "serve-smoke: repeated new binding was not a hit" >&2; exit 1; }
 
 # Overload burst against 1 slot + 1 queue seat: most requests must shed.
 # The three-way join is slow enough to hold the slot while the burst
@@ -63,4 +68,4 @@ kill -TERM "$PID"
 wait "$PID" || { echo "serve-smoke: server exited non-zero on SIGTERM" >&2; exit 1; }
 PID=""
 [ -s "$TMP/ledger.bin" ] || { echo "serve-smoke: shutdown did not persist the ledger" >&2; exit 1; }
-echo "serve-smoke: plan-cache hits, prepared exec, shedding, and graceful drain all verified"
+echo "serve-smoke: plan-cache hits, prepared exec miss/hit, shedding, and graceful drain all verified"
