@@ -569,6 +569,33 @@ func TestGlobalAggregateOverEmptyInput(t *testing.T) {
 	}
 }
 
+// TestAggregateGroupKeyAllocs bounds what a grouped aggregate allocates:
+// the group key is built in one reused buffer and copied out only for a
+// new group, so a 4,096-row, 50-group aggregate costs allocations per
+// group and per batch, not per row.
+func TestAggregateGroupKeyAllocs(t *testing.T) {
+	_, ctx := testDB(t, 1024, 4, 50)
+	plan := &Aggregate{
+		Input:   &SeqScan{Table: "lineitem"},
+		GroupBy: []expr.ColumnRef{{Table: "lineitem", Column: "l_partkey"}},
+		Aggs:    []AggSpec{{Func: Count, As: "n"}, {Func: Sum, Arg: expr.C("l_price"), As: "s"}},
+	}
+	const rows, groups = 4096, 50
+	allocs := testing.AllocsPerRun(5, func() {
+		res, _, _, err := Run(ctx, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != groups {
+			t.Fatalf("%d groups, want %d", len(res.Rows), groups)
+		}
+	})
+	if ceiling := float64(groups * 16); allocs > ceiling {
+		t.Fatalf("aggregate allocs %.0f for %d rows, want <= %.0f (per group, not per row)", allocs, rows, ceiling)
+	}
+	t.Logf("allocs per run: %.0f for %d rows in %d groups", allocs, rows, groups)
+}
+
 func TestAggregateErrors(t *testing.T) {
 	_, ctx := testDB(t, 5, 1, 3)
 	if _, _, _, err := Run(ctx, &Aggregate{Input: &SeqScan{Table: "orders"}}); err == nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"robustqo/internal/cost"
@@ -471,6 +472,10 @@ type INLJoin struct {
 	InnerTable string
 	InnerCol   string    // join column of the inner table
 	Residual   expr.Expr // evaluated over the combined row
+	// InnerEmit, when non-nil, lists the inner table ordinals the join
+	// outputs after the outer row's values; the residual may read others.
+	// nil outputs every inner column. PruneColumns sets it.
+	InnerEmit []int
 }
 
 // Schema implements Node.
@@ -479,7 +484,7 @@ func (j *INLJoin) Schema(ctx *Context) (expr.RelSchema, error) {
 	if err != nil {
 		return expr.RelSchema{}, err
 	}
-	_, is, err := tableAndSchema(ctx, j.InnerTable)
+	is, err := emitSchema(ctx, j.InnerTable, j.InnerEmit)
 	if err != nil {
 		return expr.RelSchema{}, err
 	}
@@ -504,6 +509,10 @@ func (j *INLJoin) Stream() Operator { return &inlJoinOp{node: j} }
 // holds at most one outer row's fanout beyond BatchSize unfiltered rows.
 // Nothing else is buffered, so a LIMIT above stops both the outer scan
 // and the inner probes early.
+//
+// The combined rows are built in wide: the outer row, the projected inner
+// columns, then the inner columns only the residual reads. out is the
+// view of wide's projected prefix that Next hands up.
 type inlJoinOp struct {
 	node     *INLJoin
 	counters *cost.Counters
@@ -513,10 +522,13 @@ type inlJoinOp struct {
 	oIdx     int
 	usePK    bool
 	ix       *index.Index
-	oBuf     value.Row
-	innerBuf value.Row
-	sel      []int
-	out      *Batch
+	// innerRead are the inner table ordinals each probe fetches.
+	innerRead []int
+	oBuf      value.Row
+	innerBuf  value.Row
+	sel       []int
+	wide      *Batch
+	out       Batch
 }
 
 func (o *inlJoinOp) Open(ctx *Context, counters *cost.Counters) error {
@@ -525,7 +537,7 @@ func (o *inlJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return err
 	}
-	inner, innerSchema, err := tableAndSchema(ctx, j.InnerTable)
+	inner, innerFull, err := tableAndSchema(ctx, j.InnerTable)
 	if err != nil {
 		return err
 	}
@@ -533,8 +545,13 @@ func (o *inlJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return fmt.Errorf("engine: INLJoin outer key: %v", err)
 	}
-	outSchema := outerSchema.Concat(innerSchema)
-	o.pred, err = expr.Bind(j.Residual, outSchema)
+	emit, err := emitOrdinals(len(innerFull.Fields), j.InnerEmit)
+	if err != nil {
+		return err
+	}
+	o.innerRead = withReads(emit, innerFull, expr.Columns(j.Residual))
+	wideSchema := outerSchema.Concat(pickFields(innerFull, o.innerRead))
+	o.pred, err = expr.Bind(j.Residual, wideSchema)
 	if err != nil {
 		return err
 	}
@@ -553,16 +570,18 @@ func (o *inlJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 		return err
 	}
 	o.oBuf = make(value.Row, len(outerSchema.Fields))
-	o.innerBuf = make(value.Row, len(innerSchema.Fields))
-	o.out = getBatch(outSchema)
+	o.innerBuf = make(value.Row, len(o.innerRead))
+	o.wide = getBatch(wideSchema)
+	width := len(outerSchema.Fields) + len(emit)
+	o.out = Batch{Schema: expr.RelSchema{Fields: wideSchema.Fields[:width]}, cols: o.wide.cols[:width]}
 	return nil
 }
 
-// probe fetches one inner row by RID and appends the combined row to the
-// output batch; Next applies the residual.
+// probe fetches one inner row by RID and appends the combined row to
+// wide; Next applies the residual.
 func (o *inlJoinOp) probe(oRow value.Row, rid int) {
-	o.inner.ReadRow(rid, o.innerBuf)
-	o.out.appendConcat(oRow, o.innerBuf)
+	o.inner.ReadCols(rid, o.innerRead, o.innerBuf)
+	o.wide.appendConcat(oRow, o.innerBuf)
 }
 
 // Next probes for every row of the next outer batch, filtering the
@@ -577,14 +596,14 @@ func (o *inlJoinOp) Next() (*Batch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		o.out.Reset()
+		o.wide.Reset()
 		base := 0 // first combined row the residual has not yet seen
 		for r := 0; r < b.Len(); r++ {
-			if o.out.Len()-base >= BatchSize {
-				if o.sel, err = o.out.filterTail(base, o.pred, o.sel); err != nil {
+			if o.wide.Len()-base >= BatchSize {
+				if o.sel, err = o.wide.filterTail(base, o.pred, o.sel); err != nil {
 					return nil, err
 				}
-				base = o.out.Len()
+				base = o.wide.Len()
 			}
 			b.Row(r, o.oBuf)
 			key := o.oBuf[o.oIdx]
@@ -608,12 +627,13 @@ func (o *inlJoinOp) Next() (*Batch, error) {
 				}
 			}
 		}
-		if o.sel, err = o.out.filterTail(base, o.pred, o.sel); err != nil {
+		if o.sel, err = o.wide.filterTail(base, o.pred, o.sel); err != nil {
 			return nil, err
 		}
-		o.counters.Tuples += int64(o.out.Len())
-		if o.out.Len() > 0 {
-			return o.out, nil
+		o.counters.Tuples += int64(o.wide.Len())
+		if o.wide.Len() > 0 {
+			o.out.n = o.wide.Len()
+			return &o.out, nil
 		}
 	}
 }
@@ -622,8 +642,8 @@ func (o *inlJoinOp) Close() {
 	if o.outer != nil {
 		o.outer.Close()
 	}
-	putBatch(o.out)
-	o.out = nil
+	putBatch(o.wide)
+	o.wide = nil
 }
 
 // StarDim describes one dimension arm of a StarSemiJoin: the (filtered)
@@ -646,15 +666,19 @@ type StarSemiJoin struct {
 	Fact     string
 	Dims     []StarDim
 	Residual expr.Expr // over the combined row
+	// FactEmit, when non-nil, lists the fact table ordinals the join
+	// outputs before the dimension rows; the residual and the foreign-key
+	// lookups may read others. nil outputs every fact column. PruneColumns
+	// sets it.
+	FactEmit []int
 }
 
 // Schema implements Node.
 func (j *StarSemiJoin) Schema(ctx *Context) (expr.RelSchema, error) {
-	_, fs, err := tableAndSchema(ctx, j.Fact)
+	out, err := emitSchema(ctx, j.Fact, j.FactEmit)
 	if err != nil {
 		return expr.RelSchema{}, err
 	}
-	out := fs
 	for _, d := range j.Dims {
 		ds, err := d.Scan.Schema(ctx)
 		if err != nil {
@@ -718,6 +742,11 @@ func (j *StarSemiJoin) semijoinDim(ctx *Context, i int, d StarDim, fact *storage
 // fact-row fetches a RID window at a time, charging each random page as
 // the row is pulled and filtering the window's combined rows by the
 // residual at once.
+//
+// The combined rows are built in wide: the projected fact columns, the
+// dimension rows, then the fact columns only the residual or a foreign-key
+// lookup reads. out is the view of wide's projected prefix that Next
+// hands up.
 type starSemiJoinOp struct {
 	node      *StarSemiJoin
 	counters  *cost.Counters
@@ -726,10 +755,17 @@ type starSemiJoinOp struct {
 	surviving []int32
 	next      int
 	pred      *expr.Bound
-	factBuf   value.Row
-	combined  value.Row
-	sel       []int
-	out       *Batch
+	// factRead are the fact table ordinals each fetch reads into factBuf:
+	// the projection, then the rest; fkPos[i] is dimension i's foreign key
+	// in factBuf.
+	factRead []int
+	fkPos    []int
+	nEmit    int
+	factBuf  value.Row
+	combined value.Row
+	sel      []int
+	wide     *Batch
+	out      Batch
 }
 
 func (o *starSemiJoinOp) Open(ctx *Context, counters *cost.Counters) error {
@@ -737,13 +773,17 @@ func (o *starSemiJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if len(j.Dims) == 0 {
 		return fmt.Errorf("engine: StarSemiJoin(%s) with no dimensions", j.Fact)
 	}
-	fact, factSchema, err := tableAndSchema(ctx, j.Fact)
+	fact, factFull, err := tableAndSchema(ctx, j.Fact)
 	if err != nil {
 		return err
 	}
-	outSchema := factSchema
+	emit, err := emitOrdinals(len(factFull.Fields), j.FactEmit)
+	if err != nil {
+		return err
+	}
 	states := make([]starDimState, len(j.Dims))
 	ridLists := make([][]int32, len(j.Dims))
+	var dimsSchema expr.RelSchema
 	for i, d := range j.Dims {
 		dimSchema, err := d.Scan.Schema(ctx)
 		if err != nil {
@@ -759,9 +799,21 @@ func (o *starSemiJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 		}
 		states[i] = st
 		ridLists[i] = rids
-		outSchema = outSchema.Concat(dimSchema)
+		dimsSchema = dimsSchema.Concat(dimSchema)
 	}
-	o.pred, err = expr.Bind(j.Residual, outSchema)
+	refs := expr.Columns(j.Residual)
+	for _, d := range j.Dims {
+		refs = append(refs, expr.ColumnRef{Table: j.Fact, Column: d.FactFK})
+	}
+	o.factRead = withReads(emit, factFull, refs)
+	o.fkPos = make([]int, len(states))
+	for i, st := range states {
+		o.fkPos[i] = slices.Index(o.factRead, st.fkIdx)
+	}
+	o.nEmit = len(emit)
+	outSchema := pickFields(factFull, emit).Concat(dimsSchema)
+	wideSchema := outSchema.Concat(pickFields(factFull, o.factRead[o.nEmit:]))
+	o.pred, err = expr.Bind(j.Residual, wideSchema)
 	if err != nil {
 		return err
 	}
@@ -769,9 +821,10 @@ func (o *starSemiJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	o.fact = fact
 	o.states = states
 	o.surviving = intersectSorted(ridLists)
-	o.factBuf = make(value.Row, len(factSchema.Fields))
-	o.combined = make(value.Row, 0, len(outSchema.Fields))
-	o.out = getBatch(outSchema)
+	o.factBuf = make(value.Row, len(o.factRead))
+	o.combined = make(value.Row, 0, len(wideSchema.Fields))
+	o.wide = getBatch(wideSchema)
+	o.out = Batch{Schema: outSchema, cols: o.wide.cols[:len(outSchema.Fields)]}
 	return nil
 }
 
@@ -781,15 +834,15 @@ func (o *starSemiJoinOp) Next() (*Batch, error) {
 		if end > len(o.surviving) {
 			end = len(o.surviving)
 		}
-		o.out.Reset()
+		o.wide.Reset()
 		for _, rid := range o.surviving[o.next:end] {
 			o.counters.RandPages++
 			o.counters.Tuples++
-			o.fact.ReadRow(int(rid), o.factBuf)
-			combined := append(o.combined[:0], o.factBuf...)
+			o.fact.ReadCols(int(rid), o.factRead, o.factBuf)
+			combined := append(o.combined[:0], o.factBuf[:o.nEmit]...)
 			complete := true
-			for _, st := range o.states {
-				dimRow, ok := st.rowsByPK[o.factBuf[st.fkIdx].I]
+			for i, st := range o.states {
+				dimRow, ok := st.rowsByPK[o.factBuf[o.fkPos[i]].I]
 				if !ok {
 					complete = false
 					break
@@ -797,24 +850,25 @@ func (o *starSemiJoinOp) Next() (*Batch, error) {
 				combined = append(combined, dimRow...)
 			}
 			if complete {
-				o.out.AppendRow(combined)
+				o.wide.AppendRow(append(combined, o.factBuf[o.nEmit:]...))
 			}
 		}
 		o.next = end
 		var err error
-		if o.sel, err = o.out.filterTail(0, o.pred, o.sel); err != nil {
+		if o.sel, err = o.wide.filterTail(0, o.pred, o.sel); err != nil {
 			return nil, err
 		}
-		if o.out.Len() > 0 {
-			return o.out, nil
+		if o.wide.Len() > 0 {
+			o.out.n = o.wide.Len()
+			return &o.out, nil
 		}
 	}
 	return nil, nil
 }
 
 func (o *starSemiJoinOp) Close() {
-	putBatch(o.out)
-	o.out = nil
+	putBatch(o.wide)
+	o.wide = nil
 }
 
 func intersectSorted(lists [][]int32) []int32 {

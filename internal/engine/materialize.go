@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -154,7 +155,17 @@ func (s *SeqScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 	if err != nil {
 		return nil, fmt.Errorf("engine: SeqScan(%s): %v", s.Table, err)
 	}
-	return &Result{Schema: schema, Rows: rows}, nil
+	return narrowLeaf(schema, s.Emit, rows)
+}
+
+// narrowLeaf is a leaf's materialized result: rows over the table schema
+// full, cut down to the projection emit.
+func narrowLeaf(full expr.RelSchema, emit []int, rows []value.Row) (*Result, error) {
+	ords, err := emitOrdinals(len(full.Fields), emit)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Schema: pickFields(full, ords), Rows: narrowRows(rows, emit)}, nil
 }
 
 func (s *IndexRangeScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, error) {
@@ -180,7 +191,7 @@ func (s *IndexRangeScan) runMaterialized(ctx *Context, counters *cost.Counters) 
 	if err != nil {
 		return nil, fmt.Errorf("engine: IndexRangeScan(%s): %v", s.Table, err)
 	}
-	return &Result{Schema: schema, Rows: rows}, nil
+	return narrowLeaf(schema, s.Emit, rows)
 }
 
 func (s *IndexIntersect) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, error) {
@@ -214,7 +225,7 @@ func (s *IndexIntersect) runMaterialized(ctx *Context, counters *cost.Counters) 
 	if err != nil {
 		return nil, fmt.Errorf("engine: IndexIntersect(%s): %v", s.Table, err)
 	}
-	return &Result{Schema: schema, Rows: rows}, nil
+	return narrowLeaf(schema, s.Emit, rows)
 }
 
 func (f *Filter) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, error) {
@@ -566,7 +577,20 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 		return nil, err
 	}
 	counters.Tuples += int64(len(rows))
-	return &Result{Schema: outSchema, Rows: rows}, nil
+	// Keep the outer columns and the projected inner ones.
+	innerEmit, err := emitOrdinals(len(innerSchema.Fields), j.InnerEmit)
+	if err != nil {
+		return nil, err
+	}
+	nOuter := len(outer.Schema.Fields)
+	ords := make([]int, 0, nOuter+len(innerEmit))
+	for c := range nOuter {
+		ords = append(ords, c)
+	}
+	for _, c := range innerEmit {
+		ords = append(ords, nOuter+c)
+	}
+	return &Result{Schema: pickFields(outSchema, ords), Rows: narrowRows(rows, ords)}, nil
 }
 
 func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, error) {
@@ -623,7 +647,16 @@ func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schema: outSchema, Rows: rows}, nil
+	// Keep the projected fact columns and every dimension column.
+	emit, err := emitOrdinals(len(factSchema.Fields), j.FactEmit)
+	if err != nil {
+		return nil, err
+	}
+	ords := slices.Clone(emit)
+	for c := len(factSchema.Fields); c < len(outSchema.Fields); c++ {
+		ords = append(ords, c)
+	}
+	return &Result{Schema: pickFields(outSchema, ords), Rows: narrowRows(rows, ords)}, nil
 }
 
 func zeroIfInf(f float64) float64 {

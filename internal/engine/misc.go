@@ -437,7 +437,10 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 	groups := make(map[string]*aggState)
 	var order []string
 	var sel []int
-	var keyBuf strings.Builder
+	// keyBuf holds one row's group key, the bytes of its group values'
+	// String() forms, each NUL-terminated; a lookup by string(keyBuf) does
+	// not allocate, so only a new group's key is ever copied out.
+	var keyBuf []byte
 	rowBuf := make(value.Row, len(inSchema.Fields))
 	for {
 		b, err := input.Next()
@@ -465,14 +468,13 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 			}
 		}
 		for r := 0; r < n; r++ {
-			keyBuf.Reset()
+			keyBuf = keyBuf[:0]
 			for _, gi := range groupIdxs {
-				keyBuf.WriteString(cols[gi][r].String())
-				keyBuf.WriteByte('\x00')
+				keyBuf = append(value.AppendKey(keyBuf, cols[gi][r]), 0)
 			}
-			k := keyBuf.String()
-			st, ok := groups[k]
+			st, ok := groups[string(keyBuf)]
 			if !ok {
+				k := string(keyBuf)
 				b.Row(r, rowBuf)
 				st = a.newAggState(groupIdxs, rowBuf)
 				groups[k] = st

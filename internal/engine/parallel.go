@@ -189,46 +189,28 @@ func takeBound(open **expr.Bound, pred expr.Expr, schema expr.RelSchema) (*expr.
 
 // openMorsels implements morselSource. A SeqScan charges nothing at Open.
 func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunner, error) {
-	t, schema, err := tableAndSchema(ctx, s.Table)
+	t, full, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := expr.Bind(s.Filter, schema)
+	pred, err := expr.Bind(s.Filter, full)
 	if err != nil {
 		return nil, err
 	}
-	filterCols, otherCols, err := splitFilterColumns(s.Filter, schema)
+	cols, err := newScanCols(full, s.Emit, s.Filter)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := prepareEncScan(ctx, t, full, s)
 	if err != nil {
 		return nil, err
 	}
 	morsels, shards := spanMorselsShards(scanSpans(t, s.Partitions))
 	return &seqMorselRunner{
-		node: s, t: t, sch: schema, pred: pred,
-		spec:       prepareEncScan(ctx, t, schema, s),
-		filterCols: filterCols, otherCols: otherCols,
+		node: s, t: t, full: full, sch: pickFields(full, cols.emit), pred: pred,
+		spec: spec, cols: cols,
 		morsels: morsels, shards: shards,
 	}, nil
-}
-
-// splitFilterColumns partitions the schema's ordinals into those the
-// filter reads and the rest, each ascending. A nil filter reads none.
-func splitFilterColumns(filter expr.Expr, schema expr.RelSchema) (read, rest []int, err error) {
-	reads := make([]bool, len(schema.Fields))
-	for _, ref := range expr.Columns(filter) {
-		c, err := schema.Resolve(ref)
-		if err != nil {
-			return nil, nil, err
-		}
-		reads[c] = true
-	}
-	for c, r := range reads {
-		if r {
-			read = append(read, c)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	return read, rest, nil
 }
 
 type seqMorselRunner struct {
@@ -239,11 +221,11 @@ type seqMorselRunner struct {
 	// spec is the shared encoded-scan plan, nil on the row path; each
 	// worker derives its own mutable encScan state from it.
 	spec *encScanSpec
-	// filterCols are the ordinals the filter reads, otherCols the rest:
-	// the row path loads the first for the whole window and the second
-	// for survivors only.
-	filterCols, otherCols []int
-	sch                   expr.RelSchema
+	// cols is the row path's column plan: the filter reads cols.pred.
+	cols *scanCols
+	// full is the table's schema, which the filter binds against; sch is
+	// the projected schema of the batches workers fill.
+	full, sch expr.RelSchema
 	// morsels are the shard-major (shard, morsel) work units: ascending
 	// row-id windows, each inside one surviving shard, so walking them in
 	// index order reproduces global row-id order.
@@ -260,24 +242,27 @@ func (r *seqMorselRunner) morselSpan(m int) (lo, hi int) { return r.morsels[m].l
 func (r *seqMorselRunner) morselShards() []int { return r.shards }
 
 func (r *seqMorselRunner) newWorker() (morselWorker, error) {
-	pred, err := takeBound(&r.pred, r.node.Filter, r.sch)
+	pred, err := takeBound(&r.pred, r.node.Filter, r.full)
 	if err != nil {
 		return nil, err
 	}
-	w := &seqMorselWorker{r: r, pred: pred}
+	w := &seqMorselWorker{r: r, pred: pred, scratch: make([][]value.Value, len(r.full.Fields))}
 	if r.spec != nil {
-		if w.enc, err = r.spec.newState(r.sch); err != nil {
+		if w.enc, err = r.spec.newState(r.full); err != nil {
 			return nil, err
 		}
 	}
 	return w, nil
 }
 
+// seqMorselWorker owns scratch, the full-width columns a window's filter
+// reads; only the filter's columns are ever filled.
 type seqMorselWorker struct {
-	r    *seqMorselRunner
-	pred *expr.Bound
-	enc  *encScan
-	sel  []int
+	r       *seqMorselRunner
+	pred    *expr.Bound
+	enc     *encScan
+	sel     []int
+	scratch [][]value.Value
 }
 
 // window charges the pages whose first tuple falls inside [lo, hi) — over
@@ -306,49 +291,38 @@ func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters
 
 // rowWindow appends the survivors of rows [lo, hi) from the row store,
 // filter first — the row-store analogue of the late encoded scan. It
-// bulk-loads only the columns the filter reads, evaluates the filter once
-// over the window, compacts those columns to the survivors in place, and
-// loads every other column for the survivors only. The filter sees the
-// same values in the same order as over a fully loaded window, so rows
-// and errors are unchanged. A nil filter bulk-loads every column.
+// bulk-loads only the columns the filter reads into scratch, evaluates the
+// filter once over the window, and appends the projected columns of the
+// survivors only: gathered from scratch when the filter read them, loaded
+// from the table otherwise. The filter sees the same values in the same
+// order as over a fully loaded window, so rows and errors are unchanged. A
+// nil filter bulk-loads every projected column.
 //
 //qo:hotpath
 func (w *seqMorselWorker) rowWindow(out *Batch, lo, hi int) error {
-	r, base := w.r, out.n
+	r, cols := w.r, w.r.cols
 	if r.node.Filter == nil {
-		for c := range out.cols {
-			out.cols[c] = r.t.AppendColumn(out.cols[c], c, lo, hi)
+		for i, c := range cols.emit {
+			out.cols[i] = r.t.AppendColumn(out.cols[i], c, lo, hi)
 		}
 		out.n += hi - lo
 		return nil
 	}
-	for _, c := range r.filterCols {
-		out.cols[c] = r.t.AppendColumn(out.cols[c], c, lo, hi)
+	for _, c := range cols.pred {
+		w.scratch[c] = r.t.AppendColumn(w.scratch[c][:0], c, lo, hi)
 	}
-	w.sel = rangeSel(w.sel, base, base+hi-lo)
-	keep, err := w.pred.EvalBatch(out.cols, w.sel)
+	// Selection offsets from lo, so the survivors index scratch and the
+	// table window alike.
+	w.sel = rangeSel(w.sel, 0, hi-lo)
+	keep, err := w.pred.EvalBatch(w.scratch, w.sel)
 	if err != nil {
-		for _, c := range r.filterCols {
-			out.cols[c] = out.cols[c][:base]
-		}
 		return err
 	}
-	for _, c := range r.filterCols {
-		col := out.cols[c]
-		for i, k := range keep {
-			col[base+i] = col[k]
-		}
-		out.cols[c] = col[:base+len(keep)]
+	cols.gatherPred(out, w.scratch, keep)
+	for j, i := range cols.restOut {
+		out.cols[i] = r.t.AppendColumnSel(out.cols[i], cols.rest[j], lo, keep)
 	}
-	// keep is EvalBatch's fresh slice, so it can be rebased in place from
-	// batch positions to offsets from lo.
-	for i := range keep {
-		keep[i] -= base
-	}
-	for _, c := range r.otherCols {
-		out.cols[c] = r.t.AppendColumnSel(out.cols[c], c, lo, keep)
-	}
-	out.n = base + len(keep)
+	out.n += len(keep)
 	return nil
 }
 
@@ -359,7 +333,7 @@ func (w *seqMorselWorker) release() {}
 // openMorsels implements morselSource: the index seek happens here, once,
 // before any row is fetched.
 func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ int) (morselRunner, error) {
-	t, schema, err := tableAndSchema(ctx, s.Table)
+	t, full, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -367,18 +341,15 @@ func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	if !ok {
 		return nil, fmt.Errorf("engine: no index on %s.%s", s.Table, s.Range.Column)
 	}
-	pred, err := expr.Bind(s.Residual, schema)
+	r, err := newRidRunner(t, full, s.Residual, s.Emit, fmt.Sprintf("IndexRangeScan(%s)", s.Table))
 	if err != nil {
 		return nil, err
 	}
 	counters.IndexSeeks++
 	rids, scanned := ix.Range(s.Range.Lo, s.Range.Hi)
 	counters.IndexEntries += int64(scanned)
-	rids = pruneRids(t, s.Partitions, rids)
-	return &ridMorselRunner{
-		t: t, sch: schema, residual: s.Residual, pred: pred, rids: rids,
-		errCtx: fmt.Sprintf("IndexRangeScan(%s)", s.Table),
-	}, nil
+	r.rids = pruneRids(t, s.Partitions, rids)
+	return r, nil
 }
 
 // openMorsels implements morselSource: all probes and the intersection —
@@ -387,41 +358,58 @@ func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	if len(s.Ranges) == 0 {
 		return nil, fmt.Errorf("engine: IndexIntersect(%s) with no ranges", s.Table)
 	}
-	t, schema, err := tableAndSchema(ctx, s.Table)
+	t, full, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := expr.Bind(s.Residual, schema)
+	r, err := newRidRunner(t, full, s.Residual, s.Emit, fmt.Sprintf("IndexIntersect(%s)", s.Table))
 	if err != nil {
 		return nil, err
 	}
 	lists := make([][]int32, len(s.Ranges))
-	for i, r := range s.Ranges {
-		ix, ok := ctx.Indexes.Lookup(s.Table, r.Column)
+	for i, kr := range s.Ranges {
+		ix, ok := ctx.Indexes.Lookup(s.Table, kr.Column)
 		if !ok {
-			return nil, fmt.Errorf("engine: no index on %s.%s", s.Table, r.Column)
+			return nil, fmt.Errorf("engine: no index on %s.%s", s.Table, kr.Column)
 		}
 		counters.IndexSeeks++
-		rids, scanned := ix.Range(r.Lo, r.Hi)
+		rids, scanned := ix.Range(kr.Lo, kr.Hi)
 		counters.IndexEntries += int64(scanned)
 		counters.Tuples += int64(scanned) // intersection CPU
 		lists[i] = rids
 	}
-	rids := pruneRids(t, s.Partitions, index.Intersect(lists...))
+	r.rids = pruneRids(t, s.Partitions, index.Intersect(lists...))
+	return r, nil
+}
+
+// newRidRunner binds a RID-list scan's residual over the table schema
+// full and resolves its column plan; the caller fills in the RIDs.
+func newRidRunner(t *storage.Table, full expr.RelSchema, residual expr.Expr, emit []int, errCtx string) (*ridMorselRunner, error) {
+	pred, err := expr.Bind(residual, full)
+	if err != nil {
+		return nil, err
+	}
+	cols, err := newScanCols(full, emit, residual)
+	if err != nil {
+		return nil, err
+	}
 	return &ridMorselRunner{
-		t: t, sch: schema, residual: s.Residual, pred: pred, rids: rids,
-		errCtx: fmt.Sprintf("IndexIntersect(%s)", s.Table),
+		t: t, full: full, sch: pickFields(full, cols.emit), residual: residual, pred: pred,
+		cols: cols, errCtx: errCtx,
 	}, nil
 }
 
 // ridMorselRunner partitions a RID list by position; each RID costs one
 // random page and one tuple wherever it lands.
 type ridMorselRunner struct {
-	t        *storage.Table
-	sch      expr.RelSchema
-	residual expr.Expr
+	t *storage.Table
+	// full is the table's schema, which the residual binds against; sch is
+	// the projected schema of the batches workers fill.
+	full, sch expr.RelSchema
+	residual  expr.Expr
 	// pred is the Open-time residual binding until the first worker takes it.
 	pred   *expr.Bound
+	cols   *scanCols
 	rids   []int32
 	errCtx string
 }
@@ -434,38 +422,68 @@ func (r *ridMorselRunner) morselSpan(m int) (lo, hi int) {
 }
 
 func (r *ridMorselRunner) newWorker() (morselWorker, error) {
-	pred, err := takeBound(&r.pred, r.residual, r.sch)
+	pred, err := takeBound(&r.pred, r.residual, r.full)
 	if err != nil {
 		return nil, err
 	}
-	return &ridMorselWorker{r: r, pred: pred, buf: make(value.Row, len(r.sch.Fields))}, nil
+	w := &ridMorselWorker{
+		r: r, pred: pred,
+		buf:     make(value.Row, len(r.full.Fields)),
+		scratch: make([][]value.Value, len(r.full.Fields)),
+	}
+	for _, c := range r.cols.pred {
+		w.scratch[c] = make([]value.Value, 0, min(len(r.rids), BatchSize))
+	}
+	return w, nil
 }
 
+// ridMorselWorker owns buf, one fetched row's values, and scratch, the
+// full-width columns a window's residual reads.
 type ridMorselWorker struct {
-	r    *ridMorselRunner
-	pred *expr.Bound
-	buf  value.Row
-	sel  []int
+	r       *ridMorselRunner
+	pred    *expr.Bound
+	buf     value.Row
+	sel     []int
+	scratch [][]value.Value
 }
 
 // window fetches the rows behind RID positions [lo, hi), charging one
-// random page and one tuple per RID as the row is actually fetched, and
-// applies the residual.
+// random page and one tuple per RID: it loads the columns the residual
+// reads for every RID, applies the residual, and fetches the rest of the
+// projection for the survivors only.
 //
 //qo:hotpath
 func (w *ridMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters) error {
-	base := out.n
-	for _, rid := range w.r.rids[lo:hi] {
-		counters.RandPages++
-		counters.Tuples++
-		w.r.t.ReadRow(int(rid), w.buf)
-		out.AppendRow(w.buf)
+	r, cols := w.r, w.r.cols
+	rids := r.rids[lo:hi]
+	counters.RandPages += int64(len(rids))
+	counters.Tuples += int64(len(rids))
+	w.sel = rangeSel(w.sel, 0, len(rids))
+	keep := w.sel
+	if r.residual != nil {
+		for _, c := range cols.pred {
+			w.scratch[c] = w.scratch[c][:0]
+		}
+		for _, rid := range rids {
+			r.t.ReadCols(int(rid), cols.pred, w.buf)
+			for j, c := range cols.pred {
+				w.scratch[c] = append(w.scratch[c], w.buf[j])
+			}
+		}
+		var err error
+		if keep, err = w.pred.EvalBatch(w.scratch, w.sel); err != nil {
+			//qo:alloc-ok error path, cold
+			return fmt.Errorf("engine: %s: %v", r.errCtx, err)
+		}
+		cols.gatherPred(out, w.scratch, keep)
 	}
-	var err error
-	if w.sel, err = out.filterTail(base, w.pred, w.sel); err != nil {
-		//qo:alloc-ok error path, cold
-		return fmt.Errorf("engine: %s: %v", w.r.errCtx, err)
+	for _, k := range keep {
+		r.t.ReadCols(int(rids[k]), cols.rest, w.buf)
+		for j, i := range cols.restOut {
+			out.cols[i] = append(out.cols[i], w.buf[j])
+		}
 	}
+	out.n += len(keep)
 	return nil
 }
 

@@ -120,3 +120,30 @@ func BenchmarkMergeJoinUnsorted(b *testing.B) {
 	}
 	runPlan(b, ctx, plan, benchLines+benchLines/4)
 }
+
+// BenchmarkMergeJoinPruned counts lineitem ⋈ orders, the dashboard's
+// two-table join shape, with every column carried (identity) and with the
+// projections PruneColumns stamps: each side emits only its join key.
+func BenchmarkMergeJoinPruned(b *testing.B) {
+	ctx := tpchContext(b)
+	plan := func() engine.Node {
+		return &engine.Aggregate{
+			Input: &engine.MergeJoin{
+				Left:       &engine.SeqScan{Table: "lineitem"},
+				Right:      &engine.SeqScan{Table: "orders"},
+				LeftCol:    expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"},
+				RightCol:   expr.ColumnRef{Table: "orders", Column: "o_orderkey"},
+				LeftSorted: true, RightSorted: true,
+			},
+			Aggs: []engine.AggSpec{{Func: engine.Count, As: "n"}},
+		}
+	}
+	b.Run("identity", func(b *testing.B) {
+		runPlan(b, ctx, plan(), benchLines+benchLines/4)
+	})
+	b.Run("pruned", func(b *testing.B) {
+		pruned := plan()
+		engine.PruneColumns(ctx, pruned)
+		runPlan(b, ctx, pruned, benchLines+benchLines/4)
+	})
+}

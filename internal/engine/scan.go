@@ -24,12 +24,15 @@ type SeqScan struct {
 	// filter no pushable prefix. The optimizer's zone pass sets ScanLate
 	// exactly when both hold.
 	Mode ScanMode
+	// Emit, when non-nil, lists the table ordinals of the columns the scan
+	// outputs, in output order; the filter may read others. nil outputs
+	// every column. PruneColumns sets it.
+	Emit []int
 }
 
 // Schema implements Node.
 func (s *SeqScan) Schema(ctx *Context) (expr.RelSchema, error) {
-	_, schema, err := tableAndSchema(ctx, s.Table)
-	return schema, err
+	return emitSchema(ctx, s.Table, s.Emit)
 }
 
 // Describe implements Node.
@@ -133,12 +136,13 @@ type IndexRangeScan struct {
 	// Partitions, when non-nil, drops RIDs of pruned shards before any
 	// row is fetched; the index seek itself stays global.
 	Partitions []int
+	// Emit is the output projection, as for SeqScan.
+	Emit []int
 }
 
 // Schema implements Node.
 func (s *IndexRangeScan) Schema(ctx *Context) (expr.RelSchema, error) {
-	_, schema, err := tableAndSchema(ctx, s.Table)
-	return schema, err
+	return emitSchema(ctx, s.Table, s.Emit)
 }
 
 // Describe implements Node.
@@ -166,12 +170,13 @@ type IndexIntersect struct {
 	// Partitions, when non-nil, drops RIDs of pruned shards after the
 	// intersection, before any row is fetched.
 	Partitions []int
+	// Emit is the output projection, as for SeqScan.
+	Emit []int
 }
 
 // Schema implements Node.
 func (s *IndexIntersect) Schema(ctx *Context) (expr.RelSchema, error) {
-	_, schema, err := tableAndSchema(ctx, s.Table)
-	return schema, err
+	return emitSchema(ctx, s.Table, s.Emit)
 }
 
 // Describe implements Node.

@@ -186,6 +186,9 @@ func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every leaf emits only what its ancestors read. Counters are per page,
+	// row and probe, never per column, so the cost just computed stands.
+	engine.PruneColumns(o.Ctx, root)
 	if o.MaxDOP >= 2 {
 		root = p.parallelize(root)
 	}

@@ -264,10 +264,8 @@ func typeCompatible(col, val catalog.Type) bool {
 	return (col == catalog.Date && val == catalog.Int) || (col == catalog.Int && val == catalog.Date)
 }
 
-// Value returns the value at (row, col); row is a global row id.
-func (t *Table) Value(row, col int) value.Value {
-	p, local := t.segOf(row)
-	c := &t.segs[p].cols[col]
+// at returns the value at segment-local row local.
+func (c *columnData) at(local int) value.Value {
 	switch c.kind {
 	case catalog.Int:
 		return value.Int(c.ints[local])
@@ -280,23 +278,29 @@ func (t *Table) Value(row, col int) value.Value {
 	}
 }
 
+// Value returns the value at (row, col); row is a global row id.
+func (t *Table) Value(row, col int) value.Value {
+	p, local := t.segOf(row)
+	return t.segs[p].cols[col].at(local)
+}
+
 // ReadRow fills dst (which must have len == number of columns) with the
 // values of the given row, avoiding allocation in scan loops.
 func (t *Table) ReadRow(row int, dst value.Row) {
 	p, local := t.segOf(row)
 	cols := t.segs[p].cols
 	for i := range cols {
-		c := &cols[i]
-		switch c.kind {
-		case catalog.Int:
-			dst[i] = value.Int(c.ints[local])
-		case catalog.Date:
-			dst[i] = value.Date(c.ints[local])
-		case catalog.Float:
-			dst[i] = value.Float(c.floats[local])
-		default:
-			dst[i] = value.Str(c.strs[local])
-		}
+		dst[i] = cols[i].at(local)
+	}
+}
+
+// ReadCols is ReadRow for a subset of the columns: it fills dst[i] with
+// the value of column cols[i] of the given row.
+func (t *Table) ReadCols(row int, cols []int, dst value.Row) {
+	p, local := t.segOf(row)
+	seg := t.segs[p].cols
+	for i, c := range cols {
+		dst[i] = seg[c].at(local)
 	}
 }
 

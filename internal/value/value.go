@@ -5,6 +5,7 @@ package value
 
 import (
 	"fmt"
+	"strconv"
 
 	"robustqo/internal/catalog"
 )
@@ -43,6 +44,25 @@ func (v Value) String() string {
 		return fmt.Sprintf("date(%d)", v.I)
 	default:
 		return fmt.Sprintf("value(kind=%d)", int(v.Kind))
+	}
+}
+
+// AppendKey appends exactly the bytes of v.String() to dst without
+// formatting through fmt, so a hot loop can build a map key in a reused
+// buffer.
+func AppendKey(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case catalog.Int:
+		return strconv.AppendInt(dst, v.I, 10)
+	case catalog.Float:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case catalog.String:
+		return strconv.AppendQuote(dst, v.S)
+	case catalog.Date:
+		dst = append(dst, "date("...)
+		return append(strconv.AppendInt(dst, v.I, 10), ')')
+	default:
+		return append(dst, v.String()...)
 	}
 }
 

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +26,39 @@ func TestConstructorsAndString(t *testing.T) {
 		if got := c.v.String(); got != c.str {
 			t.Errorf("String = %q, want %q", got, c.str)
 		}
+	}
+}
+
+// TestAppendKeyMatchesString pins AppendKey to String byte for byte: the
+// aggregate's group keys and its output order (sorted keys) depend on it.
+func TestAppendKeyMatchesString(t *testing.T) {
+	vals := []Value{
+		Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64),
+		Date(0), Date(-719468), Date(10592),
+		Str(""), Str("plain"), Str(`say "hi"\n`), Str("nul\x00byte"), Str("bad\xffutf8\xc3"), Str("ünï\tcode"),
+		Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(1e21), Float(1e20), Float(0.1), Float(-2.5), Float(1e-7), Float(123456789.125), Float(math.SmallestNonzeroFloat64),
+		{Kind: catalog.Type(99), I: 3},
+	}
+	buf := []byte("prefix|")
+	for _, v := range vals {
+		if got := string(AppendKey(nil, v)); got != v.String() {
+			t.Errorf("AppendKey(%#v) = %q, String() = %q", v, got, v.String())
+		}
+		if got := string(AppendKey(buf, v)); got != "prefix|"+v.String() {
+			t.Errorf("AppendKey onto a prefix = %q", got)
+		}
+	}
+	f := func(i int64, x float64, s string) bool {
+		for _, v := range []Value{Int(i), Date(i), Float(x), Str(s)} {
+			if string(AppendKey(nil, v)) != v.String() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
