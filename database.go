@@ -330,10 +330,11 @@ func (s *Session) plan(q *Query, t ConfidenceThreshold) (*optimizer.Plan, *engin
 	return plan, ctx, nil
 }
 
-// statisticsWireVersion versions the combined statistics bundle format.
-// Version 2 embeds the partition-aware synopsis set (per-shard synopses
-// for partitioned tables); version-1 bundles are refused rather than
-// misread.
+// statisticsWireVersion versions the combined statistics bundle format:
+// the bundle's own layout (this header, the synopsis set, the
+// histograms), not the formats inside it. The synopsis set carries its
+// own header and refuses incompatible versions itself; version-1 bundles
+// are refused here rather than misread.
 const statisticsWireVersion = 2
 
 // SaveStatistics serializes the database's precomputed statistics (join

@@ -16,11 +16,11 @@ import (
 type Request struct {
 	Tables []string
 	Pred   expr.Expr
-	// Partitions, when non-nil, restricts the expression's partitioned
-	// root relation to the listed shards (the optimizer's pruning pass
-	// sets it). The Bayesian estimator then combines the surviving
-	// shards' posteriors — pruning happens before quantiling, so the
-	// estimate tightens as shards drop. nil means the whole table.
+	// Partitions, when non-nil, restricts the expression's root relation
+	// to the listed shards (the optimizer's pruning pass sets it). The
+	// Bayesian estimator then observes only those shards' strata of the
+	// root's synopsis — pruning happens before quantiling, so the estimate
+	// tightens as shards drop. nil means every shard.
 	Partitions []int
 	// MaxSelectivity, when in (0, 1), is an exact upper bound on the
 	// root's selectivity established outside the sample — the optimizer's
@@ -34,13 +34,11 @@ type Request struct {
 // Estimate is a cardinality answer. Selectivity is the estimated fraction
 // of the expression's root relation that survives; Rows is the estimated
 // result cardinality (for foreign-key joins, row count of the root times
-// Selectivity). Posterior carries the full selectivity distribution when
-// the technique provides one, for callers that need more than the point
-// estimate.
+// Selectivity). Callers that need the full posterior ask the estimator for
+// its Distribution.
 type Estimate struct {
 	Selectivity float64
 	Rows        float64
-	Posterior   *stats.Beta
 }
 
 // Estimator is the cardinality estimation module interface the optimizer
@@ -165,46 +163,23 @@ func (e *BayesEstimator) WithThreshold(t ConfidenceThreshold) (*BayesEstimator, 
 	return &cp, nil
 }
 
-// Observe evaluates the request's predicate on the appropriate synopsis
-// and returns the observation (k matches of n) along with the root
-// population size. Exposed for analysis and experiment code.
+// Observe evaluates the request's predicate on the synopsis rooted at the
+// expression's root relation and returns the observation (k matches of n)
+// along with the population those n tuples represent. Exposed for
+// analysis and experiment code.
 //
-// When the request names partitions and the root has per-shard synopses,
-// the observation is summed over the listed shards only: k = Σ k_p,
-// n = Σ n_p, population = Σ N_p. Because the per-shard samples are a
-// stratified sample with proportional allocation, adding the per-shard
-// Beta pseudo-counts is the principled combination — Beta(Σk_p + a,
-// Σ(n_p−k_p) + b) — and dropping pruned shards removes their samples
-// from the posterior before the quantile is taken.
+// The synopsis is stratified by shard, so the observation covers the
+// shards the request lists (nil: all of them): k = Σ k_p, n = Σ n_p,
+// population = Σ N_p. Proportional allocation makes that one valid
+// observation of the listed shards' union, and the posterior is
+// Beta(Σk_p + a, Σ(n_p−k_p) + b) — dropping pruned shards removes their
+// samples before the quantile is taken.
 func (e *BayesEstimator) Observe(req Request) (k, n, population int, err error) {
-	if req.Partitions != nil {
-		if shards, ok := e.Synopses.ForShards(req.Tables); ok {
-			for _, p := range req.Partitions {
-				if p < 0 || p >= len(shards) || shards[p] == nil {
-					continue // empty shard: nothing to observe
-				}
-				kp, err := shards[p].Count(req.Pred)
-				if err != nil {
-					return 0, 0, 0, err
-				}
-				k += kp
-				n += shards[p].Size()
-				population += shards[p].N
-			}
-			return k, n, population, nil
-		}
-		// No per-shard synopses: fall through to the global synopsis,
-		// which over-covers the surviving shards (a sound, looser bound).
-	}
 	syn, err := e.Synopses.For(req.Tables)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	k, err = syn.Count(req.Pred)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return k, syn.Size(), syn.N, nil
+	return syn.CountStrata(req.Pred, req.Partitions)
 }
 
 // Distribution returns the full posterior selectivity distribution for a
@@ -269,13 +244,7 @@ func (e *BayesEstimator) Estimate(req Request) (Estimate, error) {
 		// Mean/ML (and quantile rounding) respect the hard bound too.
 		sel = f
 	}
-	// Posterior stays unconditioned: interval consumers (plan-cache
-	// validity ranges) reason about the sample evidence itself.
-	return Estimate{
-		Selectivity: sel,
-		Rows:        sel * float64(population),
-		Posterior:   &post,
-	}, nil
+	return Estimate{Selectivity: sel, Rows: sel * float64(population)}, nil
 }
 
 // HistogramEstimator is the conventional baseline: equi-depth histograms

@@ -144,11 +144,13 @@ func TestBayesSeesCorrelationHistogramDoesNot(t *testing.T) {
 	if math.Abs(hEst.Selectivity-0.25) > 0.05 {
 		t.Errorf("hist = %g, want ~0.25 (the AVI error)", hEst.Selectivity)
 	}
-	if bEst.Posterior == nil {
-		t.Error("bayes estimate missing posterior")
+	// The Bayes estimate is the T-quantile of the posterior Distribution.
+	post, err := bayes.Distribution(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hEst.Posterior != nil {
-		t.Error("hist estimate has posterior")
+	if q := testkit.Quantile(post, 0.5); math.Abs(bEst.Selectivity-q) > 1e-9 {
+		t.Errorf("bayes = %g, posterior median %g", bEst.Selectivity, q)
 	}
 	if math.Abs(bEst.Rows-bEst.Selectivity*20000) > 1e-6 {
 		t.Errorf("bayes Rows = %g", bEst.Rows)
@@ -303,21 +305,26 @@ func TestChainFallsBack(t *testing.T) {
 	bayes, hist := buildEstimators(t, db, 0.5)
 	chain := &Chain{Estimators: []Estimator{bayes, hist, &MagicEstimator{Selectivity: 0.1}}}
 	// A request the Bayes estimator can answer.
-	est, err := chain.Estimate(Request{Tables: []string{"fact"}, Pred: testkit.Expr("f_a < 50")})
+	req := Request{Tables: []string{"fact"}, Pred: testkit.Expr("f_a < 50")}
+	est, err := chain.Estimate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Posterior == nil {
-		t.Error("chain did not use bayes first")
+	if want, _ := bayes.Estimate(req); est != want {
+		t.Errorf("chain answered %+v, bayes %+v: bayes not used first", est, want)
 	}
-	// A request only the magic estimator survives (unknown column for
-	// sampling and histograms alike — histograms magic-fallback first).
-	est, err = chain.Estimate(Request{Tables: []string{"fact"}, Pred: testkit.Expr("mystery_column = 1")})
+	// A request the sample cannot bind (unknown column) falls through to
+	// the histograms, which magic-fallback on it.
+	req = Request{Tables: []string{"fact"}, Pred: testkit.Expr("mystery_column = 1")}
+	if _, _, _, err := bayes.Observe(req); err == nil {
+		t.Fatal("bayes observed an unknown column")
+	}
+	est, err = chain.Estimate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Posterior != nil {
-		t.Error("fallback estimate carries a posterior")
+	if want, _ := hist.Estimate(req); est != want {
+		t.Errorf("fallback estimate %+v, histograms %+v", est, want)
 	}
 	empty := &Chain{}
 	if _, err := empty.Estimate(Request{Tables: []string{"fact"}}); err == nil {

@@ -95,10 +95,8 @@ func (c candidate) orderedBy(ref expr.ColumnRef) bool {
 // selEntry memoizes one estimator answer: the clamped selectivity plus
 // the estimator's own row figure when it reported one. The row figure
 // matters under partition pruning — the estimator knows which population
-// its selectivity is a fraction of (the surviving shards' when it
-// observed per-shard synopses, the whole table when it fell back), so
-// rowsOf must not re-scale the selectivity by a population of its own
-// choosing.
+// its selectivity is a fraction of (the surviving shards'), so rowsOf
+// must not re-scale the selectivity by a population of its own choosing.
 type selEntry struct {
 	sel     float64
 	rows    float64
@@ -407,15 +405,14 @@ func (p *planner) estOf(mask uint32, pred expr.Expr) (selEntry, error) {
 		sp.SetAttr("pred", fmt.Sprint(pred))
 	}
 	// Pruning tightens the observation before the quantile is taken: the
-	// estimator sums pseudo-counts over the surviving shards only, and
-	// zone-map evidence conditions the posterior on an exact selectivity
-	// ceiling. Both the shard list and the ceiling are functions of the
-	// mask's root (fixed per query), so the cache key needs no extension.
+	// estimator counts only the surviving shards' strata, and zone-map
+	// evidence conditions the posterior on an exact selectivity ceiling.
+	parts, maxSel := p.rootEvidence(mask)
 	est, err := p.opt.Est.Estimate(core.Request{
 		Tables:         p.a.tablesOf(mask),
 		Pred:           pred,
-		Partitions:     p.partsForMask(mask),
-		MaxSelectivity: p.maxSelForMask(mask),
+		Partitions:     parts,
+		MaxSelectivity: maxSel,
 	})
 	if err != nil {
 		return selEntry{}, err
@@ -460,9 +457,7 @@ func (p *planner) rowsOf(mask uint32) (float64, error) {
 	}
 	// Prefer the estimator's own row figure: under partition pruning its
 	// selectivity is a fraction of the surviving shards' population, not
-	// of the whole root table, and only the estimator knows which basis
-	// it used (it falls back to the global synopsis when per-shard ones
-	// are missing).
+	// of the whole root table.
 	r := e.rows
 	if !e.hasRows {
 		r = e.sel * float64(rootTab.NumRows())

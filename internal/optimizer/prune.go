@@ -13,10 +13,10 @@ import (
 // table's partition key are intersected into one closed interval and
 // resolved to the set of shards that can hold matching rows. Everything
 // downstream consumes the result — the estimator observes only the
-// surviving shards' synopses (pruning happens before the posterior's
-// T-quantile is taken, so the pruned estimate is never looser than the
-// unpruned one), scan costs charge only the surviving shards' pages, and
-// the scan nodes carry the shard list into execution.
+// surviving shards' strata of the root's synopsis (pruning happens before
+// the posterior's T-quantile is taken, and the pruned and unpruned
+// estimates read the same sample), scan costs charge only the surviving
+// shards' pages, and the scan nodes carry the shard list into execution.
 
 // tableParts is the pruning verdict for one partitioned query table.
 type tableParts struct {
@@ -83,28 +83,33 @@ func (p *planner) computePruning() {
 	}
 }
 
-// partsForMask returns the surviving-shard list the estimator should
-// observe for the masked subexpression, or nil when no partitioned table
-// roots it. Synopses are rooted at the FK root, so only the root table's
-// pruning applies; core.Observe falls back to the global synopsis when
-// per-shard synopses are missing, which keeps a nil-tolerant contract.
-func (p *planner) partsForMask(mask uint32) []int {
-	if len(p.parts) == 0 {
-		return nil
+// rootEvidence returns the evidence the estimator conditions on for the
+// masked subexpression, both read off its FK root (the table the synopsis
+// is rooted at): the root's surviving shards, nil when it is unpartitioned,
+// and its zone-map selectivity bound, 0 when zone maps eliminated nothing.
+// Both are fixed per root per query, so estOf's cache key needs no
+// extension.
+func (p *planner) rootEvidence(mask uint32) (parts []int, maxSel float64) {
+	if len(p.parts) == 0 && len(p.zones) == 0 {
+		return nil, 0
 	}
 	root, err := p.opt.Ctx.DB.Catalog.RootOf(p.a.tablesOf(mask))
 	if err != nil {
-		return nil
+		return nil, 0
 	}
 	for i, name := range p.a.tables {
-		if name == root {
-			if tp, ok := p.parts[i]; ok {
-				return tp.parts
-			}
-			return nil
+		if name != root {
+			continue
 		}
+		if tp, ok := p.parts[i]; ok {
+			parts = tp.parts
+		}
+		if tz, ok := p.zones[i]; ok && tz.skipped > 0 && tz.maxSel < 1 {
+			maxSel = tz.maxSel
+		}
+		break
 	}
-	return nil
+	return parts, maxSel
 }
 
 // prunedRowsPages returns the physical rows and pages a scan of table i

@@ -102,28 +102,3 @@ func (p *planner) computeZones() {
 		p.zones[i] = tz
 	}
 }
-
-// maxSelForMask returns the zone-map selectivity bound the estimator
-// should condition on for the masked subexpression: the root table's
-// unskippable fraction, or 0 (no bound) when zone maps eliminated
-// nothing. Like partsForMask, only the FK root's evidence applies — the
-// synopsis population is rooted there — and the bound is fixed per root
-// per query, so estOf's cache key needs no extension.
-func (p *planner) maxSelForMask(mask uint32) float64 {
-	if len(p.zones) == 0 {
-		return 0
-	}
-	root, err := p.opt.Ctx.DB.Catalog.RootOf(p.a.tablesOf(mask))
-	if err != nil {
-		return 0
-	}
-	for i, name := range p.a.tables {
-		if name == root {
-			if tz, ok := p.zones[i]; ok && tz.skipped > 0 && tz.maxSel < 1 {
-				return tz.maxSel
-			}
-			return 0
-		}
-	}
-	return 0
-}

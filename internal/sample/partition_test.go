@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"robustqo/internal/catalog"
+	"robustqo/internal/expr"
 	"robustqo/internal/stats"
 	"robustqo/internal/storage"
 	"robustqo/internal/testkit"
@@ -15,8 +18,22 @@ import (
 )
 
 // partDB is chainDB with lineitem range-partitioned on l_qty into 4
-// shards, so the per-shard synopsis machinery sees a real FK chain.
-func partDB(t *testing.T, nCust, ordersPerCust, linesPerOrder int) *storage.Database {
+// shards, so the stratified draw sees a real FK chain.
+func partDB(t testing.TB, nCust, ordersPerCust, linesPerOrder int) *storage.Database {
+	t.Helper()
+	return partDBOf(t, nCust, ordersPerCust, linesPerOrder, &catalog.PartitionSpec{
+		Column: "l_qty", Kind: catalog.RangePartition, Partitions: 4, Bounds: []int64{13, 25, 38},
+	})
+}
+
+// partDBShards is a small partDB whose lineitem is hash-partitioned into
+// the given number of shards.
+func partDBShards(t *testing.T, shards int) *storage.Database {
+	t.Helper()
+	return partDBOf(t, 10, 2, 3, &catalog.PartitionSpec{Column: "l_qty", Kind: catalog.HashPartition, Partitions: shards})
+}
+
+func partDBOf(t testing.TB, nCust, ordersPerCust, linesPerOrder int, spec *catalog.PartitionSpec) *storage.Database {
 	t.Helper()
 	cat := catalog.NewCatalog()
 	db := storage.NewDatabase(cat)
@@ -52,9 +69,7 @@ func partDB(t *testing.T, nCust, ordersPerCust, linesPerOrder int) *storage.Data
 		},
 		PrimaryKey: "l_id",
 		Foreign:    []catalog.ForeignKey{{Column: "l_order", RefTable: "orders"}},
-		Partition: &catalog.PartitionSpec{
-			Column: "l_qty", Kind: catalog.RangePartition, Partitions: 4, Bounds: []int64{13, 25, 38},
-		},
+		Partition:  spec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,69 +93,182 @@ func partDB(t *testing.T, nCust, ordersPerCust, linesPerOrder int) *storage.Data
 	return db
 }
 
-func TestBuildPartitionSynopses(t *testing.T) {
+// TestBuildAllStratifiesPartitionedRoot: a partitioned root gets one synopsis,
+// stratified by shard with proportional allocation, FK-expanded, each
+// stratum drawn from its own shard; an unpartitioned root is one stratum.
+func TestBuildAllStratifiesPartitionedRoot(t *testing.T) {
+	const n = 120
 	db := partDB(t, 30, 2, 4)
-	set, err := BuildAll(db, 120, stats.NewRNG(3))
+	set, err := BuildAll(db, n, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	line, _ := db.Table("lineitem")
-	shards, ok := set.Partitioned("lineitem")
+	syn, ok := set.Synopsis("lineitem")
 	if !ok {
-		t.Fatal("no per-shard synopses for the partitioned table")
+		t.Fatal("no synopsis for the partitioned table")
 	}
-	if len(shards) != 4 {
-		t.Fatalf("got %d shard synopses, want 4", len(shards))
+	if len(syn.strata) != 4 {
+		t.Fatalf("got %d strata, want 4", len(syn.strata))
 	}
-	popSum := 0
-	for p, syn := range shards {
-		if syn == nil {
-			if line.PartitionRows(p) != 0 {
-				t.Fatalf("shard %d non-empty but has no synopsis", p)
-			}
-			continue
+	// FK expansion must have run: the synopsis covers the chain.
+	if len(syn.Tables) != 3 {
+		t.Fatalf("synopsis covers %v, want the 3-table chain", syn.Tables)
+	}
+	qtyIdx, err := syn.Schema.Resolve(expr.ColumnRef{Table: "lineitem", Column: "l_qty"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, popSum := 0, 0
+	for p, st := range syn.strata {
+		if st.Pop != line.PartitionRows(p) {
+			t.Fatalf("stratum %d population %d, shard holds %d", p, st.Pop, line.PartitionRows(p))
 		}
-		if syn.N != line.PartitionRows(p) {
-			t.Fatalf("shard %d synopsis population %d, shard holds %d", p, syn.N, line.PartitionRows(p))
+		if want := max(1, n*st.Pop/line.NumRows()); st.Pop > 0 && st.Rows != want {
+			t.Fatalf("stratum %d holds %d tuples, proportional allocation gives %d", p, st.Rows, want)
 		}
-		if syn.Size() < 1 {
-			t.Fatalf("shard %d synopsis is empty", p)
+		if st.Pop == 0 && st.Rows != 0 {
+			t.Fatalf("empty shard %d has %d sample tuples", p, st.Rows)
 		}
-		// FK expansion must have run: the shard synopsis covers the chain.
-		if len(syn.Tables) != 3 {
-			t.Fatalf("shard %d covers %v, want the 3-table chain", p, syn.Tables)
-		}
-		// Every sampled tuple's partition key must route to this shard.
-		qtyIdx := -1
-		for i, f := range syn.Schema.Fields {
-			if f.Table == "lineitem" && f.Column == "l_qty" {
-				qtyIdx = i
-			}
-		}
-		for _, v := range syn.Cols[qtyIdx] {
+		// Every sampled tuple's partition key must route to its stratum.
+		for _, v := range syn.Cols[qtyIdx][lo : lo+st.Rows] {
 			if got, _ := line.ShardOfKey(v.I); got != p {
-				t.Fatalf("shard %d sampled qty %d belonging to shard %d", p, v.I, got)
+				t.Fatalf("stratum %d sampled qty %d belonging to shard %d", p, v.I, got)
 			}
 		}
-		popSum += syn.N
+		lo += st.Rows
+		popSum += st.Pop
 	}
-	if popSum != line.NumRows() {
-		t.Fatalf("shard populations sum to %d, table holds %d", popSum, line.NumRows())
+	if lo != syn.Size() {
+		t.Fatalf("strata hold %d tuples, synopsis has %d", lo, syn.Size())
 	}
-	// ForShards resolves join requests rooted at the partitioned table.
-	if _, ok := set.ForShards([]string{"lineitem", "orders"}); !ok {
-		t.Error("ForShards failed for a covered join")
+	if popSum != line.NumRows() || syn.N != popSum {
+		t.Fatalf("strata populations sum to %d, N is %d, table holds %d", popSum, syn.N, line.NumRows())
 	}
-	// ...but not requests rooted elsewhere.
-	if _, ok := set.ForShards([]string{"customer"}); ok {
-		t.Error("ForShards matched an unpartitioned root")
-	}
-	// Unpartitioned tables have no shard synopses.
-	if _, ok := set.Partitioned("orders"); ok {
-		t.Error("unpartitioned table has shard synopses")
+	// Unpartitioned tables are one stratum of the full sample size.
+	orders, _ := set.Synopsis("orders")
+	if len(orders.strata) != 1 || orders.strata[0] != (stratum{Rows: n, Pop: orders.N}) {
+		t.Errorf("unpartitioned strata = %v, want one stratum of %d over %d", orders.strata, n, orders.N)
 	}
 }
 
+// TestCountStrataNilIsEveryStratum is the one-sample contract: nil and
+// the explicit all-strata list read the same tuples, for a single-table
+// and an FK-join predicate, and a subset sums only its strata.
+func TestCountStrataNilIsEveryStratum(t *testing.T) {
+	db := partDB(t, 30, 2, 4)
+	set, err := BuildAll(db, 200, stats.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, _ := set.Synopsis("lineitem")
+	for _, src := range []string{"l_qty < 30", "l_qty >= 10 AND c_region = 2"} {
+		pred := testkit.Expr(src)
+		k, n, pop, err := syn.CountStrata(pred, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k4, n4, pop4, err := syn.CountStrata(pred, []int{0, 1, 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != k4 || n != n4 || pop != pop4 {
+			t.Errorf("%s: nil (%d,%d,%d) != all strata (%d,%d,%d)", src, k, n, pop, k4, n4, pop4)
+		}
+		if n != syn.Size() || pop != syn.N {
+			t.Errorf("%s: nil observes n=%d pop=%d, synopsis has %d over %d", src, n, pop, syn.Size(), syn.N)
+		}
+		if kc, _ := syn.Count(pred); kc != k {
+			t.Errorf("%s: Count = %d, CountStrata(nil) k = %d", src, kc, k)
+		}
+		// Listing order does not matter, and the strata partition k.
+		kSum, nSum, popSum := 0, 0, 0
+		for _, p := range []int{3, 1, 0, 2} {
+			kp, np, popp, err := syn.CountStrata(pred, []int{p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if np != syn.strata[p].Rows || popp != syn.strata[p].Pop {
+				t.Errorf("%s: stratum %d observes n=%d pop=%d, want %v", src, p, np, popp, syn.strata[p])
+			}
+			kSum, nSum, popSum = kSum+kp, nSum+np, popSum+popp
+		}
+		if kSum != k || nSum != n || popSum != pop {
+			t.Errorf("%s: per-stratum sums (%d,%d,%d) != whole (%d,%d,%d)", src, kSum, nSum, popSum, k, n, pop)
+		}
+		if kr, _, _, err := syn.CountStrata(pred, []int{2, 0}); err != nil {
+			t.Fatal(err)
+		} else if kf, _, _, _ := syn.CountStrata(pred, []int{0, 2}); kr != kf {
+			t.Errorf("%s: strata order changed k: %d vs %d", src, kr, kf)
+		}
+	}
+}
+
+// TestCountStrataRejectsBadIndexes: a shard outside the synopsis's strata,
+// or one listed twice, is an error — never silently skipped or counted
+// twice.
+func TestCountStrataRejectsBadIndexes(t *testing.T) {
+	db := partDB(t, 10, 2, 4)
+	set, err := BuildAll(db, 60, stats.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _ := set.Synopsis("lineitem")
+	cust, _ := set.Synopsis("customer")
+	for _, c := range []struct {
+		syn    *Synopsis
+		strata []int
+		want   string
+	}{
+		{line, []int{6}, "no stratum 6"},
+		{line, []int{-1}, "no stratum -1"},
+		{line, []int{1, 1}, "stratum 1 listed twice"},
+		{cust, []int{1}, "no stratum 1"},
+	} {
+		_, _, _, err := c.syn.CountStrata(nil, c.strata)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s strata %v: err = %v, want %q", c.syn.Root, c.strata, err, c.want)
+		}
+	}
+	if k, n, pop, err := cust.CountStrata(nil, []int{0}); err != nil || k != n || n != cust.Size() || pop != cust.N {
+		t.Errorf("unpartitioned stratum 0 = (%d,%d,%d), %v", k, n, pop, err)
+	}
+}
+
+// TestUnpartitionedDrawsPinned pins the sample draws of a database without
+// partitioned tables: these counts were recorded before the stratified
+// draw replaced the separate whole-table and per-shard samples, and an
+// unpartitioned root must still draw exactly the same tuples.
+func TestUnpartitionedDrawsPinned(t *testing.T) {
+	db := chainDB(t, 20, 3, 4)
+	set, err := BuildAll(db, 200, stats.NewRNG(2005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		root, pred string
+		k          int
+	}{
+		{"lineitem", "l_qty < 10", 46},
+		{"lineitem", "l_qty BETWEEN 20 AND 30 AND o_priority = 1", 10},
+		{"lineitem", "c_region = 2 AND l_qty >= 25", 9},
+		{"orders", "o_priority = 0", 61},
+		{"orders", "c_region < 3 AND o_priority = 2", 57},
+		{"customer", "c_region = 4", 44},
+	} {
+		syn, _ := set.Synopsis(c.root)
+		k, err := syn.Count(testkit.Expr(c.pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != c.k {
+			t.Errorf("%s: %s matches %d sample tuples, pinned %d", c.root, c.pred, k, c.k)
+		}
+	}
+}
+
+// TestPartitionedPersistRoundTrip: a v3 stream carries each root's strata,
+// and every stratum counts the same after the round trip.
 func TestPartitionedPersistRoundTrip(t *testing.T) {
 	db := partDB(t, 20, 2, 3)
 	set, err := BuildAll(db, 80, stats.NewRNG(5))
@@ -155,30 +283,88 @@ func TestPartitionedPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, _ := set.Partitioned("lineitem")
-	back, ok := loaded.Partitioned("lineitem")
-	if !ok || len(back) != len(orig) {
-		t.Fatalf("per-shard synopses did not round-trip: ok=%v len=%d want %d", ok, len(back), len(orig))
+	orig, _ := set.Synopsis("lineitem")
+	back, ok := loaded.Synopsis("lineitem")
+	if !ok || !slices.Equal(orig.strata, back.strata) {
+		t.Fatalf("strata did not round-trip: %v vs %v", orig.strata, back.strata)
 	}
 	pred := testkit.Expr("l_qty < 25 AND c_region = 2")
-	for p := range orig {
-		if (orig[p] == nil) != (back[p] == nil) {
-			t.Fatalf("shard %d presence mismatch", p)
-		}
-		if orig[p] == nil {
-			continue
-		}
-		k1, err := orig[p].Count(pred)
+	for p := range orig.strata {
+		k1, n1, pop1, err := orig.CountStrata(pred, []int{p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k2, err := back[p].Count(pred)
+		k2, n2, pop2, err := back.CountStrata(pred, []int{p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k1 != k2 || orig[p].N != back[p].N {
-			t.Fatalf("shard %d mismatch after round-trip: k %d vs %d, N %d vs %d",
-				p, k1, k2, orig[p].N, back[p].N)
+		if k1 != k2 || n1 != n2 || pop1 != pop2 {
+			t.Fatalf("stratum %d mismatch after round-trip: (%d,%d,%d) vs (%d,%d,%d)", p, k1, n1, pop1, k2, n2, pop2)
+		}
+	}
+}
+
+// partSaved returns the wire form of partDB's partitioned lineitem
+// synopsis, for tests that corrupt it before LoadSet sees it.
+func partSaved(t *testing.T) (*storage.Database, savedSynopsis) {
+	t.Helper()
+	db := partDB(t, 10, 2, 3)
+	set, err := BuildAll(db, 40, stats.NewRNG(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, _ := set.Synopsis("lineitem")
+	saved := saveSynopsis(syn)
+	if _, err := LoadSet(encodeWire(t, saved), db.Catalog); err != nil {
+		t.Fatalf("valid partitioned synopsis rejected: %v", err)
+	}
+	return db, saved
+}
+
+// TestLoadSetRefusesStrataCountMismatch: statistics drawn over 4 shards
+// must not load into a catalog that partitions the table 8 ways — every
+// pruned request would otherwise name strata that do not exist.
+func TestLoadSetRefusesStrataCountMismatch(t *testing.T) {
+	_, saved := partSaved(t)
+	db8 := partDBShards(t, 8)
+	_, err := LoadSet(encodeWire(t, saved), db8.Catalog)
+	if err == nil || !strings.Contains(err.Error(), "has 4 strata, catalog table has 8 partitions") {
+		t.Fatalf("4-stratum synopsis into an 8-partition catalog: %v", err)
+	}
+}
+
+// TestLoadSetRefusesStrataRowsMismatch: strata whose tuple counts do not
+// sum to the sample size would misattribute tuples to shards.
+func TestLoadSetRefusesStrataRowsMismatch(t *testing.T) {
+	db, saved := partSaved(t)
+	for name, corrupt := range map[string]func([]stratum){
+		"short":    func(st []stratum) { st[0].Rows-- },
+		"long":     func(st []stratum) { st[3].Rows++ },
+		"negative": func(st []stratum) { st[1].Rows = -st[1].Rows - 1 },
+	} {
+		bad := saved
+		bad.Strata = slices.Clone(saved.Strata)
+		corrupt(bad.Strata)
+		if _, err := LoadSet(encodeWire(t, bad), db.Catalog); err == nil {
+			t.Errorf("%s: strata rows %v accepted for %d tuples", name, bad.Strata, len(bad.Rows))
+		}
+	}
+}
+
+// TestLoadSetRefusesStrataPopulation: stratum populations must be
+// non-negative and sum to N, or pruned estimates scale by the wrong rows.
+func TestLoadSetRefusesStrataPopulation(t *testing.T) {
+	db, saved := partSaved(t)
+	for name, corrupt := range map[string]func(*savedSynopsis){
+		"negative":  func(s *savedSynopsis) { s.Strata[0].Pop, s.Strata[1].Pop = -1, s.Strata[1].Pop+s.Strata[0].Pop+1 },
+		"short sum": func(s *savedSynopsis) { s.Strata[2].Pop-- },
+		"N moved":   func(s *savedSynopsis) { s.N++ },
+	} {
+		bad := saved
+		bad.Strata = slices.Clone(saved.Strata)
+		corrupt(&bad)
+		if _, err := LoadSet(encodeWire(t, bad), db.Catalog); err == nil {
+			t.Errorf("%s: strata populations %v accepted for N=%d", name, bad.Strata, bad.N)
 		}
 	}
 }
@@ -202,23 +388,27 @@ func TestLoadSetRefusesHeaderless(t *testing.T) {
 }
 
 // TestLoadSetRefusesWrongVersion pins the versioned refusal: right magic,
-// wrong version number.
+// wrong version number — including version 2, whose partitioned roots
+// carried a whole-table synopsis beside per-shard ones.
 func TestLoadSetRefusesWrongVersion(t *testing.T) {
 	db := chainDB(t, 5, 2, 2)
-	var buf bytes.Buffer
-	buf.Write(setWireMagic[:])
-	if err := binary.Write(&buf, binary.BigEndian, uint32(99)); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(&buf).Encode(savedSet{Version: 99}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadSet(bytes.NewReader(buf.Bytes()), db.Catalog)
-	if err == nil {
-		t.Fatal("wrong-version stream accepted")
-	}
-	if !strings.Contains(err.Error(), "unsupported statistics format version 99") {
-		t.Fatalf("version refusal lacks a clear message: %v", err)
+	for _, v := range []int{2, 99} {
+		var buf bytes.Buffer
+		buf.Write(setWireMagic[:])
+		if err := binary.Write(&buf, binary.BigEndian, uint32(v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(&buf).Encode(savedSet{Version: v}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSet(bytes.NewReader(buf.Bytes()), db.Catalog)
+		if err == nil {
+			t.Fatalf("version-%d stream accepted", v)
+		}
+		if want := fmt.Sprintf("unsupported statistics format version %d", v); !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), "rebuild with UPDATE STATISTICS") {
+			t.Fatalf("version-%d refusal lacks a clear message: %v", v, err)
+		}
 	}
 }
 

@@ -17,38 +17,34 @@ import (
 // any process using the same catalog.
 //
 // The stream opens with an explicit format header — magic bytes followed
-// by a big-endian uint32 version — written before the gob payload. The
-// header exists so per-partition synopses can never be silently misloaded
-// from (or into) a pre-partitioning file: version-1 files carried no
-// header at all, and any other producer's bytes fail the magic check
-// before gob ever sees them.
+// by a big-endian uint32 version — written before the gob payload, so a
+// file from an incompatible version is refused rather than misread:
+// version-1 files carried no header at all, and any other producer's bytes
+// fail the magic check before gob ever sees them.
 
 // setWireMagic opens every versioned synopsis stream.
 var setWireMagic = [8]byte{'R', 'Q', 'O', 'S', 'T', 'A', 'T', 'S'}
 
 // setWireVersion guards against decoding incompatible formats. Version 2
-// introduced the header itself and the per-shard synopses of partitioned
-// tables.
-const setWireVersion = 2
+// introduced the header and carried a whole-table synopsis beside per-shard
+// ones; version 3 carries one synopsis per root with its strata.
+const setWireVersion = 3
 
-// savedSynopsis is the gob wire form of a Synopsis. Partition is the
-// shard of the root table the sample was drawn from, or -1 for a
-// whole-table synopsis.
+// savedSynopsis is the gob wire form of a Synopsis. Rows holds the strata
+// in shard order; Strata[p] is stratum p's tuple count and population.
 type savedSynopsis struct {
-	Root      string
-	Tables    []string
-	Fields    []expr.Field
-	Rows      []value.Row
-	N         int
-	Partition int
+	Root   string
+	Tables []string
+	Fields []expr.Field
+	Rows   []value.Row
+	N      int
+	Strata []stratum
 }
 
-// savedSet is the gob wire form of a Set. Shards[root] is the shard count
-// of each partitioned root, so nil entries (empty shards) round-trip.
+// savedSet is the gob wire form of a Set.
 type savedSet struct {
 	Version  int
 	Synopses []savedSynopsis
-	Shards   map[string]int
 }
 
 // Save serializes the set.
@@ -59,25 +55,11 @@ func (s *Set) Save(w io.Writer) error {
 	if err := binary.Write(w, binary.BigEndian, uint32(setWireVersion)); err != nil {
 		return fmt.Errorf("sample: writing header: %v", err)
 	}
-	out := savedSet{Version: setWireVersion, Shards: make(map[string]int)}
-	// Deterministic order: catalog table order, whole-table synopsis
-	// first, then shards ascending.
+	out := savedSet{Version: setWireVersion}
+	// Deterministic order: catalog table order.
 	for _, name := range s.cat.TableNames() {
-		syn, ok := s.synopses[name]
-		if !ok {
-			continue
-		}
-		out.Synopses = append(out.Synopses, saveSynopsis(syn, -1))
-		shards, ok := s.partitioned[name]
-		if !ok {
-			continue
-		}
-		out.Shards[name] = len(shards)
-		for p, shard := range shards {
-			if shard == nil {
-				continue
-			}
-			out.Synopses = append(out.Synopses, saveSynopsis(shard, p))
+		if syn, ok := s.synopses[name]; ok {
+			out.Synopses = append(out.Synopses, saveSynopsis(syn))
 		}
 	}
 	if err := gob.NewEncoder(w).Encode(out); err != nil {
@@ -88,7 +70,7 @@ func (s *Set) Save(w io.Writer) error {
 
 // saveSynopsis builds the wire form, transposing the column-major sample
 // back to the row-major Rows the format has always carried.
-func saveSynopsis(syn *Synopsis, part int) savedSynopsis {
+func saveSynopsis(syn *Synopsis) savedSynopsis {
 	rows := make([]value.Row, syn.Size())
 	for i := range rows {
 		rows[i] = make(value.Row, len(syn.Cols))
@@ -97,12 +79,12 @@ func saveSynopsis(syn *Synopsis, part int) savedSynopsis {
 		}
 	}
 	return savedSynopsis{
-		Root:      syn.Root,
-		Tables:    syn.Tables,
-		Fields:    syn.Schema.Fields,
-		Rows:      rows,
-		N:         syn.N,
-		Partition: part,
+		Root:   syn.Root,
+		Tables: syn.Tables,
+		Fields: syn.Schema.Fields,
+		Rows:   rows,
+		N:      syn.N,
+		Strata: syn.strataOrOne(),
 	}
 }
 
@@ -125,9 +107,10 @@ func loadColumns(root string, rows []value.Row, width int) ([][]value.Value, err
 
 // LoadSet deserializes a set saved with Save. The catalog must describe
 // the same schema the statistics were built against; each synopsis is
-// validated structurally against it. Streams without the format header
-// (version-1 files predate it) and streams with a different version are
-// refused with an explicit error rather than decoded on faith.
+// validated structurally against it, down to its strata matching the
+// table's partitions. Streams without the format header (version-1 files
+// predate it) and streams with a different version are refused with an
+// explicit error rather than decoded on faith.
 func LoadSet(r io.Reader, cat *catalog.Catalog) (*Set, error) {
 	if cat == nil {
 		return nil, fmt.Errorf("sample: LoadSet requires a catalog")
@@ -153,17 +136,7 @@ func LoadSet(r io.Reader, cat *catalog.Catalog) (*Set, error) {
 	if in.Version != setWireVersion {
 		return nil, fmt.Errorf("sample: header version %d disagrees with payload version %d", version, in.Version)
 	}
-	s := &Set{
-		cat:         cat,
-		synopses:    make(map[string]*Synopsis),
-		partitioned: make(map[string][]*Synopsis, len(in.Shards)),
-	}
-	for root, n := range in.Shards {
-		if n < 2 {
-			return nil, fmt.Errorf("sample: root %q declares %d shards", root, n)
-		}
-		s.partitioned[root] = make([]*Synopsis, n)
-	}
+	s := &Set{cat: cat, synopses: make(map[string]*Synopsis, len(in.Synopses))}
 	for _, saved := range in.Synopses {
 		cols, err := loadColumns(saved.Root, saved.Rows, len(saved.Fields))
 		if err != nil {
@@ -175,19 +148,12 @@ func LoadSet(r io.Reader, cat *catalog.Catalog) (*Set, error) {
 			Schema: expr.RelSchema{Fields: saved.Fields},
 			Cols:   cols,
 			N:      saved.N,
+			strata: saved.Strata,
 		}
 		if err := validateAgainstCatalog(syn, cat); err != nil {
 			return nil, err
 		}
-		if saved.Partition < 0 {
-			s.synopses[syn.Root] = syn
-			continue
-		}
-		shards, ok := s.partitioned[syn.Root]
-		if !ok || saved.Partition >= len(shards) {
-			return nil, fmt.Errorf("sample: synopsis for %q shard %d outside declared shard count", syn.Root, saved.Partition)
-		}
-		shards[saved.Partition] = syn
+		s.synopses[syn.Root] = syn
 	}
 	return s, nil
 }
@@ -227,6 +193,39 @@ func validateAgainstCatalog(syn *Synopsis, cat *catalog.Catalog) error {
 	}
 	if syn.N < 0 {
 		return fmt.Errorf("sample: synopsis %q has negative population", syn.Root)
+	}
+	return validateStrata(syn, cat)
+}
+
+// validateStrata checks that a synopsis has one stratum per partition of
+// its root table (one for an unpartitioned table), that the strata's
+// tuples sum to the sample size and that their populations are
+// non-negative and sum to N.
+func validateStrata(syn *Synopsis, cat *catalog.Catalog) error {
+	want := 1
+	// validateAgainstCatalog has resolved the root already.
+	if t, _ := cat.Table(syn.Root); t.Partition != nil && t.Partition.Partitions > 1 {
+		want = t.Partition.Partitions
+	}
+	if len(syn.strata) != want {
+		return fmt.Errorf("sample: synopsis %q has %d strata, catalog table has %d partitions", syn.Root, len(syn.strata), want)
+	}
+	rows, pop := 0, 0
+	for p, st := range syn.strata {
+		if st.Rows < 0 || st.Rows > syn.Size()-rows {
+			return fmt.Errorf("sample: synopsis %q stratum %d holds %d of the %d sample tuples left", syn.Root, p, st.Rows, syn.Size()-rows)
+		}
+		if st.Pop < 0 || st.Pop > syn.N-pop {
+			return fmt.Errorf("sample: synopsis %q stratum %d population %d outside the %d left of N", syn.Root, p, st.Pop, syn.N-pop)
+		}
+		rows += st.Rows
+		pop += st.Pop
+	}
+	if rows != syn.Size() {
+		return fmt.Errorf("sample: synopsis %q strata hold %d tuples, sample has %d", syn.Root, rows, syn.Size())
+	}
+	if pop != syn.N {
+		return fmt.Errorf("sample: synopsis %q strata populations sum to %d, N is %d", syn.Root, pop, syn.N)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestLoadSetValidatesCatalog(t *testing.T) {
 
 // encodeWire writes a versioned statistics stream carrying the given
 // synopses, bypassing Save so tests can hand LoadSet malformed payloads.
-func encodeWire(t *testing.T, syns ...savedSynopsis) *bytes.Buffer {
+func encodeWire(t testing.TB, syns ...savedSynopsis) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.Write(setWireMagic[:])
@@ -114,7 +115,7 @@ func TestLoadSetRejectsCorruptRows(t *testing.T) {
 	db := chainDB(t, 5, 2, 2)
 	set, _ := BuildAll(db, 20, stats.NewRNG(1))
 	syn, _ := set.Synopsis("customer")
-	if _, err := LoadSet(encodeWire(t, saveSynopsis(syn, -1)), db.Catalog); err != nil {
+	if _, err := LoadSet(encodeWire(t, saveSynopsis(syn)), db.Catalog); err != nil {
 		t.Fatalf("valid synopsis rejected: %v", err)
 	}
 
@@ -125,7 +126,7 @@ func TestLoadSetRejectsCorruptRows(t *testing.T) {
 		"empty row": func(rows []value.Row) { rows[1] = value.Row{} },
 		"both":      func(rows []value.Row) { rows[0] = rows[0][:1]; rows[1] = value.Row{} },
 	} {
-		saved := saveSynopsis(syn, -1)
+		saved := saveSynopsis(syn)
 		corrupt(saved.Rows)
 		if _, err := LoadSet(encodeWire(t, saved), db.Catalog); err == nil {
 			t.Errorf("%s: corrupt row width accepted", name)
@@ -137,10 +138,54 @@ func TestLoadSetRejectsCorruptRows(t *testing.T) {
 	// transposition sized columns from the schema. It must fail validation.
 	const wide = 100000
 	hostile := savedSynopsis{
-		Root: "customer", Tables: []string{"customer"}, Partition: -1,
+		Root: "customer", Tables: []string{"customer"},
 		Fields: make([]expr.Field, wide), Rows: make([]value.Row, wide),
 	}
 	if _, err := LoadSet(encodeWire(t, hostile), db.Catalog); err == nil {
 		t.Error("schema wider than the catalog accepted")
 	}
+}
+
+// FuzzLoadSet drives the statistics decoder with arbitrary bytes: no input
+// may panic, and every set it accepts must pass validation and answer
+// Count(nil) over every synopsis.
+func FuzzLoadSet(f *testing.F) {
+	db := partDB(f, 6, 2, 3)
+	set, err := BuildAll(db, 30, stats.NewRNG(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if err := set.Save(&valid); err != nil {
+		f.Fatal(err)
+	}
+	line, _ := set.Synopsis("lineitem")
+	unsummed := saveSynopsis(line)
+	unsummed.Strata = slices.Clone(unsummed.Strata)
+	unsummed.Strata[0].Rows++
+	cust, _ := set.Synopsis("customer")
+	zeroWidth := saveSynopsis(cust)
+	zeroWidth.Rows = append(zeroWidth.Rows, value.Row{})
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()/2])
+	f.Add(encodeWire(f, unsummed).Bytes())
+	f.Add(encodeWire(f, zeroWidth).Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		loaded, err := LoadSet(bytes.NewReader(data), db.Catalog)
+		if err != nil {
+			return
+		}
+		for root, syn := range loaded.synopses {
+			if err := validateAgainstCatalog(syn, db.Catalog); err != nil {
+				t.Fatalf("accepted synopsis %q fails validation: %v", root, err)
+			}
+			k, n, pop, err := syn.CountStrata(nil, nil)
+			if err != nil {
+				t.Fatalf("accepted synopsis %q: Count(nil): %v", root, err)
+			}
+			if k != n || n != syn.Size() || pop != syn.N {
+				t.Fatalf("accepted synopsis %q: Count(nil) = (%d,%d,%d) over %d tuples of %d", root, k, n, pop, syn.Size(), syn.N)
+			}
+		}
+	})
 }

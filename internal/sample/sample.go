@@ -26,12 +26,26 @@ const DefaultSize = 500
 // only the root's columns. The sample is stored column-major, one vector
 // per schema field, so it is evaluated by the same batch kernels that
 // filter the table.
+//
+// The sample is stratified by shard: stratum p's tuples follow stratum
+// p−1's in Cols and were drawn from shard p alone. An unpartitioned root is
+// one stratum. Whole-table and pruned observations are both read off this
+// one sample (CountStrata).
 type Synopsis struct {
 	Root   string
 	Tables []string // all tables folded in, root first, expansion order
 	Schema expr.RelSchema
 	Cols   [][]value.Value // Cols[c][i] is field c of sample tuple i
-	N      int             // root table population size the sample represents
+	N      int             // root table population size the sample represents: Σ N_p
+	// strata lists each stratum's sample tuples and population in shard
+	// order. Nil means one stratum holding the whole sample and N.
+	strata []stratum
+}
+
+// stratum is one shard's share of a stratified sample: Rows sample tuples
+// drawn uniformly from Pop rows. Fields are exported for gob.
+type stratum struct {
+	Rows, Pop int
 }
 
 // Size returns the number of sample tuples n.
@@ -42,23 +56,71 @@ func (s *Synopsis) Size() int {
 	return len(s.Cols[0])
 }
 
+// strataOrOne returns the synopsis's strata, a nil list read as the one
+// stratum covering the whole sample.
+func (s *Synopsis) strataOrOne() []stratum {
+	if s.strata == nil {
+		return []stratum{{Rows: s.Size(), Pop: s.N}}
+	}
+	return s.strata
+}
+
 // Count evaluates a predicate over the sample and returns the number of
 // matching tuples k. The fraction k/Size is the maximum-likelihood
 // selectivity; the Bayesian treatment lives in package core.
 func (s *Synopsis) Count(pred expr.Expr) (int, error) {
+	k, _, _, err := s.CountStrata(pred, nil)
+	return k, err
+}
+
+// CountStrata evaluates a predicate over the sample tuples of the listed
+// strata — nil means every stratum — and returns the matches k, the
+// tuples evaluated n and the population those strata represent. Because
+// the strata are a proportional-allocation stratified sample, k of n is a
+// valid observation of the listed shards' union: the caller's posterior
+// Beta(k + a, n − k + b) needs no per-stratum combination, and dropping a
+// shard drops exactly its tuples. An out-of-range or repeated index is an
+// error.
+func (s *Synopsis) CountStrata(pred expr.Expr, strata []int) (k, n, population int, err error) {
+	all := s.strataOrOne()
+	picked := make([]bool, len(all))
+	if strata == nil {
+		for p := range picked {
+			picked[p] = true
+		}
+	}
+	for _, p := range strata {
+		if p < 0 || p >= len(all) {
+			return 0, 0, 0, fmt.Errorf("sample: synopsis %q has no stratum %d (%d strata)", s.Root, p, len(all))
+		}
+		if picked[p] {
+			return 0, 0, 0, fmt.Errorf("sample: synopsis %q stratum %d listed twice", s.Root, p)
+		}
+		picked[p] = true
+	}
+	// Walk the strata in shard order so sel is ascending whatever order
+	// they were listed in.
+	sel := make([]int, 0, s.Size())
+	lo := 0
+	for p, st := range all {
+		if picked[p] {
+			for i := lo; i < lo+st.Rows; i++ {
+				sel = append(sel, i)
+			}
+			n += st.Rows
+			population += st.Pop
+		}
+		lo += st.Rows
+	}
 	bound, err := expr.Bind(pred, s.Schema)
 	if err != nil {
-		return 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
-	}
-	sel := make([]int, s.Size())
-	for i := range sel {
-		sel[i] = i
+		return 0, 0, 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
 	}
 	keep, err := bound.EvalBatch(s.Cols, sel)
 	if err != nil {
-		return 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
+		return 0, 0, 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
 	}
-	return len(keep), nil
+	return len(keep), n, population, nil
 }
 
 // newColumns returns width empty column vectors with room for n values.
@@ -222,67 +284,52 @@ func buildSynopsisSpan(db *storage.Database, root string, n int, rng *stats.RNG,
 	}, nil
 }
 
-// BuildPartitionSynopses builds one FK-expanded synopsis per shard of a
-// partitioned table — stratified sampling with proportional allocation:
-// shard p receives n*N_p/N of the n sample tuples (at least 1 when the
-// shard is non-empty), so summing per-shard match counts behaves like one
-// uniform sample of the union and the per-shard Beta pseudo-counts can be
-// added directly (the posterior combination rule in package core). Empty
-// shards get a nil entry. Roots whose FK closure contains a diamond fall
-// back to plain per-shard table samples, mirroring BuildAll.
-func BuildPartitionSynopses(db *storage.Database, root string, n int, rng *stats.RNG) ([]*Synopsis, error) {
-	t, ok := db.Table(root)
-	if !ok {
-		return nil, fmt.Errorf("sample: unknown table %q", root)
-	}
-	if t.Partitions() < 2 {
-		return nil, fmt.Errorf("sample: table %q is not partitioned", root)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("sample: sample size %d must be positive", n)
-	}
-	total := t.NumRows()
-	if total == 0 {
-		return nil, fmt.Errorf("sample: table %q is empty", root)
-	}
-	syns := make([]*Synopsis, t.Partitions())
-	for p := range syns {
+// drawStrata draws the synopsis of a non-empty root table stratum by
+// stratum: shard p receives n_p = max(1, ⌊n·N_p/N⌋) of the n sample tuples
+// (empty shards none), drawn by draw from the shard's row span on its own
+// split of rng, and the strata are concatenated in shard order. An
+// unpartitioned root is one stratum of n tuples over the whole table, drawn
+// by exactly the calls BuildSynopsis and BuildTableSample make.
+func drawStrata(t *storage.Table, n int, rng *stats.RNG, draw func(np, lo, hi int, r *stats.RNG) (*Synopsis, error)) (*Synopsis, error) {
+	var out *Synopsis
+	strata := make([]stratum, t.Partitions())
+	for p := range strata {
 		lo, hi := t.PartitionSpan(p)
 		if hi <= lo {
 			continue
 		}
-		np := n * (hi - lo) / total
-		if np < 1 {
-			np = 1
-		}
-		syn, err := buildSynopsisSpan(db, root, np, rng.Split(), lo, hi)
+		syn, err := draw(max(1, n*(hi-lo)/t.NumRows()), lo, hi, rng.Split())
 		if err != nil {
-			syn, err = buildTableSampleSpan(t, np, rng.Split(), lo, hi)
-			if err != nil {
-				return nil, err
-			}
+			return nil, err
 		}
-		syns[p] = syn
+		strata[p] = stratum{Rows: syn.Size(), Pop: syn.N}
+		if out == nil {
+			out = syn
+			continue
+		}
+		for c := range out.Cols {
+			out.Cols[c] = append(out.Cols[c], syn.Cols[c]...)
+		}
 	}
-	return syns, nil
+	out.N = t.NumRows()
+	out.strata = strata
+	return out, nil
 }
 
 // Set holds one join synopsis per table of a database — the full
-// precomputed statistics the robust estimator runs on. Partitioned tables
-// additionally carry one synopsis per shard so the estimator can combine
-// per-shard posteriors over whichever shards survive pruning.
+// precomputed statistics the robust estimator runs on. A partitioned
+// table's synopsis is stratified by shard, so one sample serves both
+// whole-table and pruned requests.
 type Set struct {
 	cat      *catalog.Catalog
 	synopses map[string]*Synopsis
-	// partitioned maps a partitioned root table to its per-shard
-	// synopses, indexed by shard; empty shards hold nil.
-	partitioned map[string][]*Synopsis
 }
 
-// BuildAll constructs an n-tuple join synopsis for every table. For
-// tables whose foreign-key closure contains a diamond (where the join
-// synopsis is ill-defined), it degrades to a plain single-table sample,
-// so that multi-table estimates rooted there fall back to the
+// BuildAll constructs an n-tuple join synopsis for every table, stratified
+// by shard for partitioned tables. For tables whose foreign-key closure
+// cannot be expanded (a diamond, where the join synopsis is ill-defined, or
+// a dangling key), it degrades to a plain single-table sample, so that
+// multi-table estimates rooted there fall back to the
 // independence-combination technique while single-table estimates keep
 // working — the paper's "error confined to the subexpressions for which
 // adequate samples are not available" (Section 3.5).
@@ -290,31 +337,27 @@ func BuildAll(db *storage.Database, n int, rng *stats.RNG) (*Set, error) {
 	if err := db.Catalog.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Set{
-		cat:         db.Catalog,
-		synopses:    make(map[string]*Synopsis),
-		partitioned: make(map[string][]*Synopsis),
+	if n <= 0 {
+		return nil, fmt.Errorf("sample: sample size %d must be positive", n)
 	}
+	s := &Set{cat: db.Catalog, synopses: make(map[string]*Synopsis)}
 	for _, name := range db.Catalog.TableNames() {
 		t, ok := db.Table(name)
 		if !ok || t.NumRows() == 0 {
 			continue
 		}
-		syn, err := BuildSynopsis(db, name, n, rng.Split())
+		syn, err := drawStrata(t, n, rng, func(np, lo, hi int, r *stats.RNG) (*Synopsis, error) {
+			return buildSynopsisSpan(db, name, np, r, lo, hi)
+		})
 		if err != nil {
-			syn, err = BuildTableSample(t, n, rng.Split())
+			syn, err = drawStrata(t, n, rng, func(np, lo, hi int, r *stats.RNG) (*Synopsis, error) {
+				return buildTableSampleSpan(t, np, r, lo, hi)
+			})
 			if err != nil {
 				return nil, err
 			}
 		}
 		s.synopses[name] = syn
-		if t.Partitions() > 1 {
-			shards, err := BuildPartitionSynopses(db, name, n, rng.Split())
-			if err != nil {
-				return nil, err
-			}
-			s.partitioned[name] = shards
-		}
 	}
 	return s, nil
 }
@@ -327,52 +370,6 @@ func (s *Set) Synopsis(table string) (*Synopsis, bool) {
 
 // Add registers (or replaces) a synopsis, keyed by its root.
 func (s *Set) Add(syn *Synopsis) { s.synopses[syn.Root] = syn }
-
-// AddPartitioned registers (or replaces) the per-shard synopses of a
-// partitioned root table, indexed by shard (nil entries for empty shards).
-func (s *Set) AddPartitioned(root string, shards []*Synopsis) {
-	if s.partitioned == nil {
-		s.partitioned = make(map[string][]*Synopsis)
-	}
-	s.partitioned[root] = shards
-}
-
-// Partitioned returns the per-shard synopses of a partitioned root table.
-func (s *Set) Partitioned(root string) ([]*Synopsis, bool) {
-	shards, ok := s.partitioned[root]
-	return shards, ok
-}
-
-// ForShards returns the per-shard synopses appropriate for an SPJ
-// expression over the given tables, rooted (like For) at the table whose
-// primary key is not joined away. ok is false when the root is not
-// partitioned or a shard synopsis does not cover every requested table —
-// callers then fall back to the global synopsis.
-func (s *Set) ForShards(tables []string) ([]*Synopsis, bool) {
-	root, err := s.cat.RootOf(tables)
-	if err != nil {
-		return nil, false
-	}
-	shards, ok := s.partitioned[root]
-	if !ok {
-		return nil, false
-	}
-	for _, syn := range shards {
-		if syn == nil {
-			continue
-		}
-		covered := make(map[string]bool, len(syn.Tables))
-		for _, t := range syn.Tables {
-			covered[t] = true
-		}
-		for _, t := range tables {
-			if !covered[t] {
-				return nil, false
-			}
-		}
-	}
-	return shards, true
-}
 
 // Catalog returns the catalog the set was built against.
 func (s *Set) Catalog() *catalog.Catalog { return s.cat }
