@@ -12,21 +12,20 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
-	"robustqo/internal/colstore"
 	"robustqo/internal/engine"
 	"robustqo/internal/experiments"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
 	"robustqo/internal/optimizer"
-	"robustqo/internal/sample"
 	"robustqo/internal/sqlparse"
-	"robustqo/internal/tpch"
 )
 
 func main() {
@@ -151,19 +150,33 @@ func runExperiment(args []string, out io.Writer) error {
 	return nil
 }
 
+// cliFlags are the flags query and sql share: the database, and what to
+// print besides the result.
+type cliFlags struct {
+	dbFlags
+	explain     bool
+	analyze     bool
+	traceOut    string
+	traceFormat string
+}
+
+func (f *cliFlags) register(fs *flag.FlagSet) {
+	f.dbFlags.register(fs)
+	f.registerPartitions(fs)
+	fs.BoolVar(&f.explain, "explain", false, "print the plan without executing")
+	fs.BoolVar(&f.analyze, "analyze", false,
+		"print the EXPLAIN ANALYZE plan tree (estimated vs actual rows, Q-error, timings)")
+	fs.StringVar(&f.traceOut, "trace-out", "",
+		"write the optimizer+execution trace to this file")
+	fs.StringVar(&f.traceFormat, "trace-format", "json",
+		"trace file format: json or chrome (chrome://tracing)")
+}
+
 func runQuery(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	fs.SetOutput(out)
-	lines := fs.Int("lines", 60000, "lineitem rows to generate")
-	threshold := fs.Float64("threshold", 0.8, "confidence threshold in (0,1)")
-	estimator := fs.String("estimator", "robust", "cardinality estimator: robust or histogram")
-	sampleSize := fs.Int("samplesize", sample.DefaultSize, "synopsis tuples")
-	seed := fs.Uint64("seed", 2005, "random seed")
-	explainOnly := fs.Bool("explain", false, "print the plan without executing")
-	dop := fs.Int("parallelism", 1, "max degree of parallelism for eligible scans (1 = serial)")
-	partitions := fs.Int("partitions", 1, "range-partition lineitem on l_shipdate into this many shards (1 = unpartitioned)")
-	var of obsFlags
-	of.register(fs)
+	var f cliFlags
+	f.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -174,29 +187,6 @@ func runQuery(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	fmt.Fprintf(out, "generating TPC-H-like data (%d lineitem rows)...\n", *lines)
-	db, err := tpch.Generate(tpch.Config{Lines: *lines, Partitions: *partitions, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	ctx, err := engine.NewContext(db)
-	if err != nil {
-		return err
-	}
-	ctx.Metrics = obs.Default
-	est, err := buildEstimator(db, *estimator, *threshold, *sampleSize, *seed)
-	if err != nil {
-		return err
-	}
-	opt, err := optimizer.New(ctx, est)
-	if err != nil {
-		return err
-	}
-	tr := of.trace()
-	opt.Trace = tr
-	opt.MaxDOP = *dop
-	opt.Metrics = obs.Default
 	q := &optimizer.Query{
 		Tables: []string{"lineitem"},
 		Pred:   pred,
@@ -205,50 +195,17 @@ func runQuery(args []string, out io.Writer) error {
 			{Func: engine.Sum, Arg: expr.TC("lineitem", "l_extendedprice"), As: "revenue"},
 		},
 	}
-	plan, err := opt.Optimize(q)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "estimator: %s\nestimated cost: %.4f s, estimated rows: %.1f\nplan:\n%s",
-		plan.Estimator, plan.EstCost, plan.EstRows, plan.Explain())
-	if *explainOnly {
-		return nil
-	}
-	res, err := executePlan(ctx, plan, tr, &of, out)
-	if err != nil {
-		return err
-	}
-	header := make([]string, len(res.Schema.Fields))
-	for i, f := range res.Schema.Fields {
-		header[i] = f.Column
-	}
-	fmt.Fprintln(out, strings.Join(header, "\t"))
-	for _, r := range res.Rows {
-		cells := make([]string, len(r))
-		for i, v := range r {
-			cells[i] = v.String()
-		}
-		fmt.Fprintln(out, strings.Join(cells, "\t"))
-	}
-	return nil
+	return runStatement(&f, fs.Arg(0), q, math.MaxInt, out)
 }
 
 func runSQL(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sql", flag.ContinueOnError)
 	fs.SetOutput(out)
-	lines := fs.Int("lines", 60000, "lineitem rows to generate")
-	threshold := fs.Float64("threshold", 0.8, "confidence threshold in (0,1)")
-	estimator := fs.String("estimator", "robust", "cardinality estimator: robust or histogram")
-	sampleSize := fs.Int("samplesize", sample.DefaultSize, "synopsis tuples")
-	seed := fs.Uint64("seed", 2005, "random seed")
-	explainOnly := fs.Bool("explain", false, "print the plan without executing")
-	dop := fs.Int("parallelism", 1, "max degree of parallelism for eligible scans (1 = serial)")
-	partitions := fs.Int("partitions", 1, "range-partition lineitem on l_shipdate into this many shards (1 = unpartitioned)")
-	columnar := fs.Bool("columnar", false, "build compressed columnar encodings; scans decode them and zone maps skip segments")
-	cluster := fs.Bool("cluster", false, "lay lineitem out in l_shipdate order so date zone maps are selective")
+	var f cliFlags
+	f.register(fs)
+	fs.BoolVar(&f.columnar, "columnar", false, "build compressed columnar encodings; scans decode them and zone maps skip segments")
+	fs.BoolVar(&f.cluster, "cluster", false, "lay lineitem out in l_shipdate order so date zone maps are selective")
 	maxRows := fs.Int("maxrows", 20, "print at most this many result rows")
-	var of obsFlags
-	of.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -259,72 +216,89 @@ func runSQL(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "generating TPC-H-like data (%d lineitem rows)...\n", *lines)
-	db, err := tpch.Generate(tpch.Config{Lines: *lines, Partitions: *partitions, Seed: *seed, ClusterDates: *cluster})
+	return runStatement(&f, fs.Arg(0), q, *maxRows, out)
+}
+
+// runStatement runs one statement through the query lifecycle and prints
+// the plan, the simulated execution, the EXPLAIN ANALYZE tree and trace
+// when asked, and at most maxRows result rows.
+func runStatement(f *cliFlags, sqlText string, q *optimizer.Query, maxRows int, out io.Writer) error {
+	s, err := newServer(f.dbFlags, out)
 	if err != nil {
 		return err
 	}
-	ctx, err := engine.NewContext(db)
-	if err != nil {
-		return err
+	req := request{sql: sqlText, q: q}
+	if f.traceOut != "" {
+		req.trace = obs.NewTrace("robustqo")
 	}
-	ctx.Metrics = obs.Default
-	if *columnar {
-		encs, err := colstore.BuildAll(db)
+	if f.explain {
+		plan, _, err := s.plan(req, s.est, s.dop)
 		if err != nil {
 			return err
 		}
-		ctx.Encodings = encs
-		fmt.Fprintf(out, "columnar encodings: %d bytes raw -> %d bytes encoded (%.1fx)\n",
-			encs.RawBytes(), encs.EncodedBytes(), float64(encs.RawBytes())/float64(encs.EncodedBytes()))
-	}
-	est, err := buildEstimator(db, *estimator, *threshold, *sampleSize, *seed)
-	if err != nil {
-		return err
-	}
-	opt, err := optimizer.New(ctx, est)
-	if err != nil {
-		return err
-	}
-	tr := of.trace()
-	opt.Trace = tr
-	opt.MaxDOP = *dop
-	opt.Metrics = obs.Default
-	plan, err := opt.Optimize(q)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "estimator: %s\nestimated cost: %.4f s, estimated rows: %.1f\nplan:\n%s",
-		plan.Estimator, plan.EstCost, plan.EstRows, plan.Explain())
-	if *explainOnly {
+		printPlan(out, plan)
 		return nil
 	}
-	res, err := executePlan(ctx, plan, tr, &of, out)
+	o, err := s.execute(context.Background(), req)
 	if err != nil {
 		return err
 	}
-	header := make([]string, len(res.Schema.Fields))
-	for i, f := range res.Schema.Fields {
-		if f.Table != "" {
-			header[i] = f.Table + "." + f.Column
+	printPlan(out, o.plan)
+	fmt.Fprintf(out, "simulated execution: %.4f s  (%s)\n", o.sim, o.counters)
+	if f.analyze {
+		fmt.Fprint(out, "EXPLAIN ANALYZE:\n", o.analyze())
+	}
+	if f.traceOut != "" {
+		if err := exportTrace(req.trace, f.traceOut, f.traceFormat); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "trace written to %s (%d spans, %s format)\n", f.traceOut, req.trace.Len(), f.traceFormat)
+	}
+	header := make([]string, len(o.res.Schema.Fields))
+	for i, fd := range o.res.Schema.Fields {
+		if fd.Table != "" {
+			header[i] = fd.Table + "." + fd.Column
 		} else {
-			header[i] = f.Column
+			header[i] = fd.Column
 		}
 	}
 	fmt.Fprintln(out, strings.Join(header, "\t"))
-	shown := 0
-	for _, r := range res.Rows {
-		if shown >= *maxRows {
-			fmt.Fprintf(out, "... (%d more rows)\n", len(res.Rows)-shown)
+	for i, r := range o.res.Rows {
+		if i == maxRows {
+			fmt.Fprintf(out, "... (%d more rows)\n", len(o.res.Rows)-i)
 			break
 		}
 		cells := make([]string, len(r))
-		for i, v := range r {
-			cells[i] = v.String()
+		for j, v := range r {
+			cells[j] = v.String()
 		}
 		fmt.Fprintln(out, strings.Join(cells, "\t"))
-		shown++
 	}
-	fmt.Fprintf(out, "(%d rows)\n", len(res.Rows))
+	fmt.Fprintf(out, "(%d rows)\n", len(o.res.Rows))
 	return nil
+}
+
+func printPlan(out io.Writer, plan *optimizer.Plan) {
+	fmt.Fprintf(out, "estimator: %s\nestimated cost: %.4f s, estimated rows: %.1f\nplan:\n%s",
+		plan.Estimator, plan.EstCost, plan.EstRows, plan.Explain())
+}
+
+// exportTrace writes the trace to path in the requested format.
+func exportTrace(tr *obs.Trace, path, format string) error {
+	fh, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	switch format {
+	case "json":
+		err = tr.WriteJSON(fh)
+	case "chrome":
+		err = tr.WriteChrome(fh)
+	default:
+		err = fmt.Errorf("unknown trace format %q (want json or chrome)", format)
+	}
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -15,8 +15,10 @@ package main
 // binding (a repeated statement or prepared binding is served without
 // re-optimizing), and an admission gate bounds
 // concurrent execution with a bounded queue, shedding overload with
-// 429 + Retry-After instead of collapsing. SIGINT/SIGTERM drains
-// in-flight queries and flushes the ledger/event log before exit.
+// 429 + Retry-After instead of collapsing. Every request runs through
+// the query lifecycle in lifecycle.go. SIGINT/SIGTERM drains in-flight
+// queries, persists the ledger and closes the logs before exit; a log
+// that lost lines makes the exit status non-zero.
 
 import (
 	"context"
@@ -38,82 +40,13 @@ import (
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/core"
-	"robustqo/internal/engine"
-	"robustqo/internal/obs"
-	"robustqo/internal/obs/ledger"
-	"robustqo/internal/optimizer"
 	"robustqo/internal/plancache"
-	"robustqo/internal/sample"
 	"robustqo/internal/sqlparse"
-	"robustqo/internal/tpch"
 	"robustqo/internal/value"
 )
 
 // defaultMaxBody bounds /query and /exec request bodies.
 const defaultMaxBody = 1 << 20 // 1 MiB
-
-// server holds the shared state behind the debug endpoints. The
-// database, indexes, and estimator are immutable after startup; the
-// registry, ledger, live registry, plan cache, admission gate, and logs
-// are internally synchronized — so handlers need no lock.
-type server struct {
-	ctx   *engine.Context
-	est   core.Estimator
-	bayes *core.BayesEstimator // non-nil when est is the robust estimator
-	reg   *obs.Registry
-	dop   int // max degree of parallelism for eligible scans
-
-	cache *plancache.Cache
-	adm   *plancache.Admission
-	stmts *stmtRegistry
-
-	// reqTimeout cancels in-flight execution via context; 0 disables.
-	reqTimeout time.Duration
-	maxBody    int64
-
-	led    *ledger.Ledger
-	active *obs.ActiveQueries
-	events *obs.EventLog // nil unless -events names a file
-	slow   *obs.SlowLog
-	slowMS int
-}
-
-func newServer(lines int, estimator string, threshold float64, sampleSize int, seed uint64, parallelism int) (*server, error) {
-	db, err := tpch.Generate(tpch.Config{Lines: lines, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	ctx, err := engine.NewContext(db)
-	if err != nil {
-		return nil, err
-	}
-	est, err := buildEstimator(db, estimator, threshold, sampleSize, seed)
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	s := &server{
-		ctx: ctx, est: est, reg: reg, dop: parallelism,
-		cache:      plancache.New(1024, reg),
-		adm:        plancache.NewAdmission(plancache.AdmissionConfig{}, defaultAdmissionSlots(), reg),
-		stmts:      newStmtRegistry(),
-		reqTimeout: 30 * time.Second,
-		maxBody:    defaultMaxBody,
-		led:        ledger.New(0),
-		active:     obs.NewActiveQueries(),
-		slow:       obs.NewSlowLog(0, nil),
-		slowMS:     100,
-	}
-	// Engine-side metering (hash-join builds, pre-size hits, modeled
-	// rehashes) lands in the same registry /metrics serves — including
-	// the exchange utilization series — as do the ledger's own counters.
-	ctx.Metrics = s.reg
-	s.led.Metrics = s.reg
-	if b, ok := est.(*core.BayesEstimator); ok {
-		s.bayes = b
-	}
-	return s, nil
-}
 
 // defaultAdmissionSlots sizes the token pool: twice the CPUs, floor 4,
 // so serial deployments still overlap I/O-free queries while large
@@ -269,12 +202,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse_error", err.Error(), 0)
 		return
 	}
-	est, err := s.estimatorFor(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_threshold", err.Error(), 0)
-		return
-	}
-	s.execute(w, r, sqlText, q, est)
+	s.answer(w, r, request{sql: sqlText, q: q})
 }
 
 // handlePrepare normalizes a query into a server-side prepared
@@ -320,12 +248,35 @@ func (s *server) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_args", err.Error(), 0)
 		return
 	}
+	s.answer(w, r, request{sql: st.SQL + " /* exec " + r.FormValue("args") + " */", q: q})
+}
+
+// answer runs one request through the query lifecycle under the
+// request's ?threshold= and writes the reply. Clients parse its last two
+// lines.
+func (s *server) answer(w http.ResponseWriter, r *http.Request, req request) {
 	est, err := s.estimatorFor(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_threshold", err.Error(), 0)
 		return
 	}
-	s.execute(w, r, st.SQL+" /* exec "+r.FormValue("args")+" */", q, est)
+	req.est = est
+	out, err := s.execute(r.Context(), req)
+	if err != nil {
+		var qe *queryError
+		errors.As(err, &qe) // every error execute returns is a *queryError
+		writeError(w, qe.status, qe.code, qe.Error(), qe.retryAfter)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintf(w, "estimator: %s\nestimated cost: %.4f s, estimated rows: %.1f\nplan cache: %s\n",
+		out.plan.Estimator, out.plan.EstCost, out.plan.EstRows, out.cache)
+	if r.FormValue("analyze") != "" {
+		fmt.Fprint(w, "EXPLAIN ANALYZE:\n", out.analyze())
+	} else {
+		fmt.Fprintf(w, "plan:\n%s", out.plan.Explain())
+	}
+	fmt.Fprintf(w, "simulated execution: %.4f s\n(%d rows)\n", out.sim, len(out.res.Rows))
 }
 
 // parseArgs parses a comma-separated binding list against the
@@ -380,127 +331,6 @@ func parseArg(p string, k catalog.Type) (value.Value, error) {
 	default:
 		return value.Value{}, fmt.Errorf("unsupported parameter kind")
 	}
-}
-
-// execute is the shared serve pipeline: admission → plan cache →
-// instrument → guarded execution → metrics/logs → response.
-func (s *server) execute(w http.ResponseWriter, r *http.Request, sqlText string, q *optimizer.Query, est core.Estimator) {
-	// Admission first: overload is decided before any per-query work.
-	release, err := s.adm.Admit(r.Context())
-	if err != nil {
-		switch {
-		case errors.Is(err, plancache.ErrShed), errors.Is(err, plancache.ErrTimeout):
-			writeError(w, http.StatusTooManyRequests, "overloaded", err.Error(), s.adm.RetryAfter())
-		case errors.Is(err, plancache.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, "shutting_down", err.Error(), s.adm.RetryAfter())
-		default: // client went away while queued
-			writeError(w, http.StatusServiceUnavailable, "cancelled", err.Error(), 0)
-		}
-		return
-	}
-	defer release()
-
-	rctx := r.Context()
-	if s.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(rctx, s.reqTimeout)
-		defer cancel()
-	}
-
-	live := s.active.Begin(sqlText)
-	defer s.active.Done(live)
-	start := time.Now()
-	s.events.Emit(obs.Event{QueryID: live.ID, Event: "received", SQL: sqlText})
-	fail := func(status int, code string, err error) {
-		live.SetPhase(obs.PhaseFailed)
-		s.events.Emit(obs.Event{QueryID: live.ID, Event: "failed", Detail: err.Error()})
-		writeError(w, status, code, err.Error(), 0)
-	}
-
-	dop := s.adm.ClampDOP(s.dop)
-	live.SetPhase(obs.PhaseOptimize)
-	env := plancache.Env{
-		Ctx: s.ctx,
-		Est: est,
-		DOP: dop,
-		Optimize: func(q *optimizer.Query) (*optimizer.Plan, error) {
-			opt, err := optimizer.New(s.ctx, est)
-			if err != nil {
-				return nil, err
-			}
-			opt.MaxDOP = dop
-			opt.Metrics = s.reg
-			return opt.Optimize(q)
-		},
-	}
-	plan, outcome, err := s.cache.Plan(env, q)
-	if err != nil {
-		fail(http.StatusBadRequest, "optimize_error", err)
-		return
-	}
-	if err := s.adm.CheckMemory(plan.EstRows); err != nil {
-		fail(http.StatusTooManyRequests, "mem_budget", err)
-		return
-	}
-	inst := engine.InstrumentOpts(plan.Root, engine.InstrumentOptions{
-		EstimateOf: plan.EstimateOf,
-		Ledger:     s.led,
-		QueryID:    live.ID,
-		Live:       live,
-	})
-	live.T = plan.Confidence()
-	live.DOP = dop
-	live.EstRows = plan.EstRows
-	live.PartsPruned, live.PartsTotal = planPruning(inst, plan.EstimateOf)
-	s.events.Emit(obs.Event{QueryID: live.ID, Event: "optimized", T: live.T, DOP: dop,
-		EstRows: plan.EstRows, PartsPruned: live.PartsPruned, PartsTotal: live.PartsTotal,
-		ElapsedUS: time.Since(start).Microseconds()})
-	live.SetPhase(obs.PhaseExecute)
-	// The cancel guard sits outside the instrumented root: aborting
-	// still closes the instrumented tree, which flushes ledger feedback
-	// for the work that did complete.
-	res, counters, simTime, err := engine.Run(s.ctx, engine.Guard(rctx, inst))
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusGatewayTimeout, "query_timeout", err)
-		case errors.Is(err, context.Canceled):
-			fail(http.StatusServiceUnavailable, "cancelled", err)
-		default:
-			fail(http.StatusInternalServerError, "execute_error", err)
-		}
-		return
-	}
-	live.SetPhase(obs.PhaseDone)
-	elapsed := time.Since(start)
-	s.reg.Histogram("robustqo_query_latency_seconds", obs.LatencyBuckets).Observe(elapsed.Seconds())
-	s.events.Emit(obs.Event{QueryID: live.ID, Event: "done",
-		Rows: int64(len(res.Rows)), ElapsedUS: elapsed.Microseconds()})
-	if elapsed >= time.Duration(s.slowMS)*time.Millisecond {
-		s.slow.Record(obs.SlowQuery{
-			QueryID: live.ID, SQL: sqlText, ElapsedUS: elapsed.Microseconds(),
-			Analyze: engine.ExplainAnalyze(inst, engine.AnalyzeOptions{
-				EstimateOf: plan.EstimateOf,
-				Timings:    true,
-				Totals:     &counters,
-			}),
-		})
-	}
-	recordQueryMetrics(s.reg, plan, inst)
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "estimator: %s\nestimated cost: %.4f s, estimated rows: %.1f\nplan cache: %s\n",
-		plan.Estimator, plan.EstCost, plan.EstRows, outcome)
-	if r.FormValue("analyze") != "" {
-		fmt.Fprint(w, "EXPLAIN ANALYZE:\n")
-		fmt.Fprint(w, engine.ExplainAnalyze(inst, engine.AnalyzeOptions{
-			EstimateOf: plan.EstimateOf,
-			Timings:    true,
-			Totals:     &counters,
-		}))
-	} else {
-		fmt.Fprintf(w, "plan:\n%s", plan.Explain())
-	}
-	fmt.Fprintf(w, "simulated execution: %.4f s\n(%d rows)\n", simTime, len(res.Rows))
 }
 
 // handleQueries renders the in-flight queries with posterior-based
@@ -571,16 +401,11 @@ func (s *server) handleLedger(w http.ResponseWriter, r *http.Request) {
 func runServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(out)
+	var df dbFlags
+	df.register(fs)
+	var lf logFlags
+	lf.register(fs)
 	addr := fs.String("debug-addr", "localhost:6060", "listen address for the debug server")
-	lines := fs.Int("lines", 60000, "lineitem rows to generate")
-	threshold := fs.Float64("threshold", 0.8, "default confidence threshold in (0,1)")
-	estimator := fs.String("estimator", "robust", "cardinality estimator: robust or histogram")
-	sampleSize := fs.Int("samplesize", sample.DefaultSize, "synopsis tuples")
-	seed := fs.Uint64("seed", 2005, "random seed")
-	dop := fs.Int("parallelism", 1, "max degree of parallelism for eligible scans (1 = serial)")
-	slowMS := fs.Int("slow-query-ms", 100, "slow-query latency threshold in milliseconds")
-	slowLogFile := fs.String("slow-log", "", "mirror slow-query captures as JSON lines to this file")
-	eventsFile := fs.String("events", "", "append query-lifecycle JSON lines to this file")
 	queryTimeoutMS := fs.Int("query-timeout-ms", 30000, "per-request execution timeout in milliseconds (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain deadline")
 	ledgerOut := fs.String("ledger-out", "", "persist the feedback ledger to this file on shutdown")
@@ -595,12 +420,10 @@ func runServe(args []string, out io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve: unexpected arguments %v", fs.Args())
 	}
-	fmt.Fprintf(out, "generating TPC-H-like data (%d lineitem rows)...\n", *lines)
-	s, err := newServer(*lines, *estimator, *threshold, *sampleSize, *seed, *dop)
+	s, err := newServer(df, out)
 	if err != nil {
 		return err
 	}
-	s.slowMS = *slowMS
 	s.reqTimeout = time.Duration(*queryTimeoutMS) * time.Millisecond
 	s.adm = plancache.NewAdmission(plancache.AdmissionConfig{
 		Slots:         *admSlots,
@@ -609,22 +432,10 @@ func runServe(args []string, out io.Writer) error {
 		MaxQueryDOP:   *maxQueryDOP,
 		MemBudgetRows: *memBudgetRows,
 	}, defaultAdmissionSlots(), s.reg)
-	if *slowLogFile != "" {
-		fh, err := os.Create(*slowLogFile)
-		if err != nil {
-			return err
-		}
-		defer fh.Close()
-		s.slow = obs.NewSlowLog(0, fh)
-	}
-	if *eventsFile != "" {
-		fh, err := os.Create(*eventsFile)
-		if err != nil {
-			return err
-		}
-		defer fh.Close()
-		s.events = obs.NewEventLog(fh)
-		s.events.Now = time.Now
+	err = s.openLogs(lf)
+	defer s.closeLogs() // error paths only; shutdown checks closeLogs itself
+	if err != nil {
+		return err
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: s.mux()}
@@ -641,8 +452,7 @@ func runServe(args []string, out io.Writer) error {
 	}
 
 	// Graceful shutdown: stop admitting, drain in-flight queries up to
-	// the deadline, then flush the ledger. The event/slow-log files are
-	// flushed by their deferred Close.
+	// the deadline, then persist the ledger and close the logs.
 	fmt.Fprintf(out, "shutdown signal received; draining (deadline %s)...\n", *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
@@ -653,18 +463,13 @@ func runServe(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "http shutdown: %v\n", err)
 	}
 	if *ledgerOut != "" {
-		fh, err := os.Create(*ledgerOut)
-		if err != nil {
-			return fmt.Errorf("persist ledger: %w", err)
-		}
-		if err := s.led.Save(fh); err != nil {
-			fh.Close()
-			return fmt.Errorf("persist ledger: %w", err)
-		}
-		if err := fh.Close(); err != nil {
+		if err := s.saveLedger(*ledgerOut); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "ledger persisted to %s (%d fingerprints)\n", *ledgerOut, s.led.Len())
+	}
+	if err := s.closeLogs(); err != nil {
+		return fmt.Errorf("lifecycle logs: %w", err)
 	}
 	fmt.Fprintln(out, "shutdown complete")
 	return nil

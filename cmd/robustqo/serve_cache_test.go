@@ -111,10 +111,7 @@ func TestServePrepareExec(t *testing.T) {
 }
 
 func TestServeOverloadShedsBounded(t *testing.T) {
-	s, err := newServer(20000, "robust", 0.8, 500, 2005, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 20000, 1)
 	// One execution slot, one queue seat, near-immediate queue timeout:
 	// concurrent arrivals beyond two must shed.
 	s.adm = plancache.NewAdmission(plancache.AdmissionConfig{
@@ -192,10 +189,7 @@ func TestServeOverloadShedsBounded(t *testing.T) {
 }
 
 func TestServeQueryTimeout(t *testing.T) {
-	s, err := newServer(5000, "robust", 0.8, 500, 2005, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 5000, 1)
 	s.reqTimeout = time.Nanosecond
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
@@ -208,10 +202,7 @@ func TestServeQueryTimeout(t *testing.T) {
 }
 
 func TestServeShutdownRejects(t *testing.T) {
-	s, err := newServer(5000, "robust", 0.8, 500, 2005, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 5000, 1)
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 
@@ -228,10 +219,7 @@ func TestServeShutdownRejects(t *testing.T) {
 }
 
 func TestServeBodyLimit(t *testing.T) {
-	s, err := newServer(5000, "robust", 0.8, 500, 2005, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 5000, 1)
 	s.maxBody = 64
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()

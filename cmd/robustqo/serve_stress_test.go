@@ -22,10 +22,7 @@ import (
 func TestServeConcurrentQueries(t *testing.T) {
 	// 25000 lineitem rows puts the fact table past the parallel cutoff,
 	// so parallelism=2 plans real Exchange operators under load.
-	s, err := newServer(25000, "robust", 0.8, 500, 2005, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 25000, 2)
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 
@@ -126,10 +123,7 @@ func TestServeConcurrentQueries(t *testing.T) {
 // siblings. Under -race this covers the two-phase parallel build, the
 // read-only probe sharing, and the hash-join metrics all at once.
 func TestServeParallelJoinStress(t *testing.T) {
-	s, err := newServer(25000, "robust", 0.8, 500, 2005, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 25000, 4)
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 

@@ -15,12 +15,23 @@ import (
 	"robustqo/internal/sqlparse"
 )
 
-func testServer(t *testing.T) *httptest.Server {
+// testFlags are the database flags the tests build servers from.
+func testFlags(lines, dop int) dbFlags {
+	return dbFlags{lines: lines, threshold: 0.8, estimator: "robust", sampleSize: 500, seed: 2005, parallelism: dop}
+}
+
+func newTestServer(t *testing.T, lines, dop int) *server {
 	t.Helper()
-	s, err := newServer(5000, "robust", 0.8, 500, 2005, 1)
+	s, err := newServer(testFlags(lines, dop), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	s := newTestServer(t, 5000, 1)
 	ts := httptest.NewServer(s.mux())
 	t.Cleanup(ts.Close)
 	return ts
@@ -119,10 +130,7 @@ func TestServeCountsUnsortedMergeJoinInput(t *testing.T) {
 // dropped, not doubled. The query returns enough rows that either slip
 // would move the printed seconds.
 func TestServeChargesOutputOnce(t *testing.T) {
-	s, err := newServer(5000, "robust", 0.8, 500, 2005, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 5000, 1)
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 	sqlText := "SELECT l_orderkey FROM lineitem WHERE l_quantity < 20"

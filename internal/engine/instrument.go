@@ -75,9 +75,6 @@ func InstrumentOpts(root Node, opts InstrumentOptions) *Instrumented {
 // The original tree is left untouched and remains executable.
 func Instrument(root Node) *Instrumented { return instrument(root, nil) }
 
-// InstrumentTrace is Instrument with per-operator spans emitted to tr.
-func InstrumentTrace(root Node, tr *obs.Trace) *Instrumented { return instrument(root, tr) }
-
 func instrument(n Node, tr *obs.Trace) *Instrumented {
 	kids := children(n)
 	wrapped := make([]*Instrumented, len(kids))

@@ -196,7 +196,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		Pred:  expr.Cmp{Op: expr.GE, L: expr.C("l_ship"), R: expr.IntLit(0)},
 	}}
 	tr := obs.NewTrace("q")
-	inst := InstrumentTrace(plan, tr)
+	inst := InstrumentOpts(plan, InstrumentOptions{Trace: tr})
 	_, c, _, err := Run(ctx, inst)
 	if err != nil {
 		t.Fatal(err)

@@ -109,10 +109,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide registry the CLI's --analyze path and the
-// serve subcommand's /metrics endpoint share.
-var Default = NewRegistry()
-
 // seriesKey renders name{k="v",...} with labels sorted by key.
 func seriesKey(name string, labels []Label) string {
 	if len(labels) == 0 {

@@ -40,7 +40,7 @@ func analyzeRun(t *testing.T, threshold float64, tr *obs.Trace) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := engine.InstrumentTrace(plan.Root, tr)
+	inst := engine.InstrumentOpts(plan.Root, engine.InstrumentOptions{Trace: tr})
 	if _, _, _, err := engine.Run(ctx, inst); err != nil {
 		t.Fatal(err)
 	}

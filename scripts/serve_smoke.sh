@@ -5,7 +5,8 @@
 # through /prepare + /exec as a cache hit, and a new binding misses once
 # and then hits, (3) an overload burst is shed
 # with the robustqo_admission_* counters visible in /metrics, and (4)
-# SIGTERM drains gracefully and persists the feedback ledger.
+# SIGTERM drains gracefully, persists the feedback ledger, and leaves an
+# event log and a slow-query log covering the smoke's queries.
 set -eu
 
 ADDR=${SERVE_SMOKE_ADDR:-localhost:6067}
@@ -19,7 +20,8 @@ trap cleanup EXIT
 go build -o "$TMP/robustqo" ./cmd/robustqo
 "$TMP/robustqo" serve -debug-addr "$ADDR" -lines 8000 \
     -admission-slots 1 -admission-queue 1 -admission-queue-timeout-ms 1 \
-    -ledger-out "$TMP/ledger.bin" &
+    -ledger-out "$TMP/ledger.bin" \
+    -events "$TMP/events.jsonl" -slow-query-ms 0 -slow-log "$TMP/slow.jsonl" &
 PID=$!
 
 ready=0
@@ -68,4 +70,14 @@ kill -TERM "$PID"
 wait "$PID" || { echo "serve-smoke: server exited non-zero on SIGTERM" >&2; exit 1; }
 PID=""
 [ -s "$TMP/ledger.bin" ] || { echo "serve-smoke: shutdown did not persist the ledger" >&2; exit 1; }
-echo "serve-smoke: plan-cache hits, prepared exec miss/hit, shedding, and graceful drain all verified"
+
+# The five sequential queries above were all admitted, so each has its
+# three lifecycle events; with a zero threshold each is a slow-query
+# capture carrying its EXPLAIN ANALYZE.
+for ev in received optimized done; do
+    n=$(grep -c "\"event\":\"$ev\"" "$TMP/events.jsonl" || true)
+    [ "$n" -ge 5 ] || { echo "serve-smoke: event log has $n \"$ev\" lines, want >= 5" >&2; exit 1; }
+done
+grep -q '"analyze":"' "$TMP/slow.jsonl" \
+    || { echo "serve-smoke: slow-query log has no analyze capture" >&2; exit 1; }
+echo "serve-smoke: plan-cache hits, prepared exec miss/hit, shedding, graceful drain, and event/slow logs all verified"
