@@ -322,10 +322,9 @@ func (s *server) execute(ctx context.Context, r request) (*outcome, error) {
 		return &queryError{status: status, code: code, err: err}
 	}
 
-	dop := s.adm.ClampDOP(s.dop)
 	live.SetPhase(obs.PhaseOptimize)
 	out := &outcome{}
-	out.plan, out.cache, err = s.plan(r, est, dop)
+	out.plan, out.cache, err = s.plan(r, est, s.dop)
 	if err != nil {
 		return nil, fail(http.StatusBadRequest, "optimize_error", err)
 	}
@@ -340,10 +339,10 @@ func (s *server) execute(ctx context.Context, r request) (*outcome, error) {
 		Live:       live,
 	})
 	live.T = out.plan.Confidence()
-	live.DOP = dop
+	live.DOP = s.dop
 	live.EstRows = out.plan.EstRows
 	live.PartsPruned, live.PartsTotal = planPruning(out.inst, out.plan.EstimateOf)
-	s.events.Emit(obs.Event{QueryID: live.ID, Event: "optimized", T: live.T, DOP: dop,
+	s.events.Emit(obs.Event{QueryID: live.ID, Event: "optimized", T: live.T, DOP: s.dop,
 		EstRows: out.plan.EstRows, PartsPruned: live.PartsPruned, PartsTotal: live.PartsTotal,
 		ElapsedUS: time.Since(start).Microseconds()})
 	live.SetPhase(obs.PhaseExecute)

@@ -412,7 +412,6 @@ func runServe(args []string, out io.Writer) error {
 	admSlots := fs.Int("admission-slots", 0, "concurrent execution slots (0 = 2x CPUs, min 4)")
 	admQueue := fs.Int("admission-queue", 0, "bounded admission queue length (0 = default 256)")
 	admQueueTimeoutMS := fs.Int("admission-queue-timeout-ms", 0, "max queue wait in milliseconds (0 = default 10s)")
-	maxQueryDOP := fs.Int("max-query-dop", 0, "per-query DOP budget (0 = no clamp)")
 	memBudgetRows := fs.Float64("mem-budget-rows", 0, "per-query memory budget as estimated rows (0 = no budget)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -429,7 +428,6 @@ func runServe(args []string, out io.Writer) error {
 		Slots:         *admSlots,
 		MaxQueue:      *admQueue,
 		QueueTimeout:  time.Duration(*admQueueTimeoutMS) * time.Millisecond,
-		MaxQueryDOP:   *maxQueryDOP,
 		MemBudgetRows: *memBudgetRows,
 	}, defaultAdmissionSlots(), s.reg)
 	err = s.openLogs(lf)

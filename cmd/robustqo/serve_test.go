@@ -144,7 +144,7 @@ func TestServeChargesOutputOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, outcome, err := s.cache.Plan(plancache.Env{
-		Ctx: s.ctx, Est: s.est, DOP: s.adm.ClampDOP(s.dop),
+		Ctx: s.ctx, Est: s.est, DOP: s.dop,
 		Optimize: func(*optimizer.Query) (*optimizer.Plan, error) {
 			return nil, fmt.Errorf("the served plan was not cached")
 		},

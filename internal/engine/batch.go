@@ -28,16 +28,6 @@ type Batch struct {
 	n      int
 }
 
-// NewBatch returns an empty batch for the schema with capacity for
-// BatchSize rows per column.
-func NewBatch(schema expr.RelSchema) *Batch {
-	cols := make([][]value.Value, len(schema.Fields))
-	for i := range cols {
-		cols[i] = make([]value.Value, 0, BatchSize)
-	}
-	return &Batch{Schema: schema, cols: cols}
-}
-
 // Len returns the number of rows in the batch.
 func (b *Batch) Len() int { return b.n }
 
@@ -159,7 +149,7 @@ func (b *Batch) Truncate(n int) {
 // batches that merely alias a child's columns (Filter, the non-duplicating
 // Project view) are never pooled. Pooled columns keep their last values
 // until overwritten, so retention is bounded by the pool's own lifetime —
-// the same bound NewBatch-per-Open had, minus the reallocations.
+// the same bound a fresh batch per Open had, minus the reallocations.
 var batchPool = sync.Pool{New: func() any { return &Batch{} }}
 
 // getBatch returns an empty batch for the schema, reusing pooled column

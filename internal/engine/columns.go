@@ -243,20 +243,3 @@ func (sc *scanCols) gatherPred(out *Batch, scratch [][]value.Value, keep []int) 
 		out.cols[i] = col
 	}
 }
-
-// narrowRows returns each row cut down to the values at ords — how the
-// materialized reference honours a projection. nil ords keeps rows whole.
-func narrowRows(rows []value.Row, ords []int) []value.Row {
-	if ords == nil {
-		return rows
-	}
-	out := make([]value.Row, len(rows))
-	for r, row := range rows {
-		nr := make(value.Row, len(ords))
-		for i, c := range ords {
-			nr[i] = row[c]
-		}
-		out[r] = nr
-	}
-	return out
-}

@@ -24,22 +24,22 @@ func TestSchemasAndDescriptions(t *testing.T) {
 		{&SeqScan{Table: "orders"}, "SeqScan(orders)", 2},
 		{&SeqScan{Table: "orders", Filter: testkit.Expr("o_total > 1")}, "filter=", 2},
 		{&IndexRangeScan{Table: "lineitem", Range: KeyRange{Column: "l_ship", Lo: 1, Hi: 2}},
-			"IndexRangeScan(lineitem, l_ship in [1, 2])", 6},
+			"IndexRangeScan(lineitem, l_ship in [1, 2])", 8},
 		{&IndexRangeScan{Table: "lineitem", Range: KeyRange{Column: "l_ship", Lo: 1, Hi: 2},
-			Residual: testkit.Expr("l_price > 0")}, "residual=", 6},
+			Residual: testkit.Expr("l_price > 0")}, "residual=", 8},
 		{&IndexIntersect{Table: "lineitem", Ranges: []KeyRange{
 			{Column: "l_ship", Lo: 1, Hi: 2}, {Column: "l_receipt", Lo: 3, Hi: 4}},
-			Residual: testkit.Expr("l_price > 0")}, "l_ship in [1, 2] & l_receipt in [3, 4]", 6},
+			Residual: testkit.Expr("l_price > 0")}, "l_ship in [1, 2] & l_receipt in [3, 4]", 8},
 		{&HashJoin{Build: &SeqScan{Table: "orders"}, Probe: &SeqScan{Table: "lineitem"},
-			BuildCol: okey, ProbeCol: lkey}, "HashJoin(orders.o_orderkey = lineitem.l_orderkey)", 8},
+			BuildCol: okey, ProbeCol: lkey}, "HashJoin(orders.o_orderkey = lineitem.l_orderkey)", 10},
 		{&MergeJoin{Left: &SeqScan{Table: "orders"}, Right: &SeqScan{Table: "lineitem"},
-			LeftCol: okey, RightCol: lkey}, "MergeJoin(orders.o_orderkey = lineitem.l_orderkey)", 8},
+			LeftCol: okey, RightCol: lkey}, "MergeJoin(orders.o_orderkey = lineitem.l_orderkey)", 10},
 		{&INLJoin{Outer: &SeqScan{Table: "lineitem"}, OuterCol: lkey,
 			InnerTable: "orders", InnerCol: "o_orderkey",
-			Residual: testkit.Expr("o_total > 5")}, "INLJoin(lineitem.l_orderkey = orders.o_orderkey)", 8},
+			Residual: testkit.Expr("o_total > 5")}, "INLJoin(lineitem.l_orderkey = orders.o_orderkey)", 10},
 		{&StarSemiJoin{Fact: "lineitem", Dims: []StarDim{{
 			Scan: &SeqScan{Table: "part"}, DimPK: pkey, FactFK: "l_partkey"}}},
-			"StarSemiJoin(lineitem, 1 dims)", 8},
+			"StarSemiJoin(lineitem, 1 dims)", 10},
 		{&Filter{Input: &SeqScan{Table: "orders"}, Pred: testkit.Expr("o_total > 1")},
 			"Filter(", 2},
 		{&Project{Input: &SeqScan{Table: "orders"}, Cols: []expr.ColumnRef{okey}},

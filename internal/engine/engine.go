@@ -18,9 +18,8 @@
 // the same workers run serially (morselScanOp, DOP 1) or on an Exchange's
 // goroutine pool, which is why counters agree at every DOP. Run is the
 // drain: the one way to execute a plan to a Result, and the one place the
-// root's output tuples are charged. ExecuteMaterialized in materialize.go
-// preserves the original materialize-everything engine as an equivalence
-// reference.
+// root's output tuples are charged. The package's tests hold it against
+// a materialize-everything reference engine kept in test code.
 package engine
 
 import (
@@ -112,7 +111,7 @@ func Explain(root Node) string {
 		}
 		b = append(b, n.Describe()...)
 		b = append(b, '\n')
-		for _, child := range children(n) {
+		for _, child := range Children(n) {
 			walk(child, depth+1)
 		}
 	}
@@ -120,7 +119,8 @@ func Explain(root Node) string {
 	return string(b)
 }
 
-func children(n Node) []Node {
+// Children returns a plan node's inputs, in Explain order; leaves have none.
+func Children(n Node) []Node {
 	switch t := n.(type) {
 	case *Filter:
 		return []Node{t.Input}

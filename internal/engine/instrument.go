@@ -76,7 +76,7 @@ func InstrumentOpts(root Node, opts InstrumentOptions) *Instrumented {
 func Instrument(root Node) *Instrumented { return instrument(root, nil) }
 
 func instrument(n Node, tr *obs.Trace) *Instrumented {
-	kids := children(n)
+	kids := Children(n)
 	wrapped := make([]*Instrumented, len(kids))
 	asNodes := make([]Node, len(kids))
 	for i, k := range kids {
@@ -206,7 +206,7 @@ func LeafTables(root Node) []string {
 		return LeafTables(t.Inner)
 	default:
 		var out []string
-		for _, c := range children(root) {
+		for _, c := range Children(root) {
 			out = append(out, LeafTables(c)...)
 		}
 		return out

@@ -194,9 +194,7 @@ func (j *MergeJoin) Stream() Operator { return &mergeJoinOp{node: j} }
 // into packed columns and sorts them at Open, then merges incrementally
 // as batches are pulled — output tuples are written straight into the
 // pooled output batch, never materialized as standalone rows, and the
-// tuple charge lands only as rows are actually pulled. (ExecuteMaterialized
-// drains value.Rows and uses mergeRows; their outputs and charges are
-// identical.)
+// tuple charge lands only as rows are actually pulled.
 //
 // Merge cursor state between pulls, in sorted positions: [i, iEnd) x
 // [k, kEnd) is the current equal-key group, and (a, b) is the next pair
@@ -261,8 +259,7 @@ func (o *mergeJoinOp) Next() (*Batch, error) {
 	for o.out.Len() < BatchSize {
 		if o.a < o.iEnd {
 			// Emit the next pair of the current equal-key group: the
-			// cross product in left-major order, exactly as mergeRows
-			// enumerates it.
+			// cross product in left-major order.
 			o.counters.Tuples++
 			l.appendRow(o.out, 0, o.a)
 			r.appendRow(o.out, width, o.b)
@@ -319,44 +316,6 @@ func (o *mergeJoinOp) Close() {
 	o.left, o.right = nil, nil
 }
 
-// mergeRows joins two inputs already ordered by their integer keys,
-// pairing the full equal-key groups. Output rows are left-row followed by
-// right-row values.
-func mergeRows(lRows, rRows []value.Row, lIdx, rIdx int) []value.Row {
-	var rows []value.Row
-	i, k := 0, 0
-	for i < len(lRows) && k < len(rRows) {
-		lk := lRows[i][lIdx].I
-		rk := rRows[k][rIdx].I
-		switch {
-		case lk < rk:
-			i++
-		case lk > rk:
-			k++
-		default:
-			// Join the full equal-key groups.
-			iEnd := i
-			for iEnd < len(lRows) && lRows[iEnd][lIdx].I == lk {
-				iEnd++
-			}
-			kEnd := k
-			for kEnd < len(rRows) && rRows[kEnd][rIdx].I == lk {
-				kEnd++
-			}
-			for a := i; a < iEnd; a++ {
-				for b := k; b < kEnd; b++ {
-					out := make(value.Row, 0, len(lRows[a])+len(rRows[b]))
-					out = append(out, lRows[a]...)
-					out = append(out, rRows[b]...)
-					rows = append(rows, out)
-				}
-			}
-			i, k = iEnd, kEnd
-		}
-	}
-	return rows
-}
-
 // chargeInput charges one drained, sorted input of n rows as the plan
 // declared it — both engines call it: Tuples for every row, and
 // SortTuples for every row unless the input is marked sorted. An input
@@ -371,51 +330,6 @@ func (j *MergeJoin) chargeInput(ctx *Context, n int, declared, sorted bool, coun
 	} else if sorted && ctx.Metrics != nil {
 		ctx.Metrics.Counter("robustqo_mergejoin_unsorted_input_total").Inc()
 	}
-}
-
-// sortedByKey orders rows in place by the integer key at idx and reports
-// whether it had to sort. The order check is fused into the
-// numeric-validation pass the function must make anyway, so a genuinely
-// sorted input costs exactly one scan and zero allocations; an
-// out-of-order input is radix sorted in place — callers own the drained
-// row slices.
-func sortedByKey(rows []value.Row, idx int) (sorted bool, err error) {
-	inOrder := true
-	for i, r := range rows {
-		if !r[idx].Numeric() {
-			return false, fmt.Errorf("engine: merge join over non-numeric key %s", r[idx])
-		}
-		if inOrder && i > 0 && rows[i-1][idx].I > r[idx].I {
-			inOrder = false
-		}
-	}
-	if inOrder {
-		return false, nil
-	}
-	keys := make([]int64, len(rows))
-	for i, r := range rows {
-		keys[i] = r[idx].I
-	}
-	// Output slot i takes input row order[i]. Follow each cycle of that
-	// permutation once, marking a slot done by pointing it at itself.
-	order := radixOrder(keys)
-	for i := range order {
-		if int(order[i]) == i {
-			continue
-		}
-		tmp, j := rows[i], i
-		for {
-			k := int(order[j])
-			order[j] = uint32(j)
-			if k == i {
-				rows[j] = tmp
-				break
-			}
-			rows[j] = rows[k]
-			j = k
-		}
-	}
-	return true, nil
 }
 
 // radixOrder returns the permutation that stably sorts keys ascending:

@@ -1,145 +1,12 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
-	"robustqo/internal/stats"
-	"robustqo/internal/testkit"
 )
-
-// TestJoinDifferentialDOPProperty extends the differential corpus with
-// join-heavy pipelines: 40 randomized trials cycling through parallel
-// hash-join pipelines (single joins, multi-way FK chains, serial joins
-// over parallel inner pipelines), StarSemiJoin with parallel dimension
-// arms, and MergeJoin over parallel pre-sorted inputs. Every trial runs
-// serially, through ExecuteMaterialized at DOP 4, and streaming at DOP
-// 1/2/4, and requires byte-identical row order and cost.Counters across
-// all of them.
-func TestJoinDifferentialDOPProperty(t *testing.T) {
-	_, ctx := testDB(t, 3000, 3, 40)
-	rng := stats.NewRNG(4242)
-	col := func(tab, c string) expr.ColumnRef { return expr.ColumnRef{Table: tab, Column: c} }
-
-	for trial := 0; trial < 40; trial++ {
-		shipLo := int64(testkit.Intn(rng, 50))
-		shipHi := shipLo + int64(testkit.Intn(rng, 50))
-		total := float64(testkit.Intn(rng, 1000))
-		size := int64(testkit.Intn(rng, 50))
-		// Some trials carry a posterior-style build estimate (orders rows
-		// that pass the total filter, roughly total/1000 selectivity) so
-		// pre-sizing runs under the differential microscope too; others
-		// leave it zero like a hand-built plan.
-		var est float64
-		if trial%2 == 0 {
-			est = 3000 * total / 1000
-		}
-
-		lineFilter := testkit.Expr(fmt.Sprintf("l_ship BETWEEN %d AND %d", shipLo, shipHi))
-		ordFilter := testkit.Expr(fmt.Sprintf("o_total < %g", total))
-		partFilter := testkit.Expr(fmt.Sprintf("p_size < %d", size))
-
-		build := func(dop int) Node {
-			wrap := func(n Node) Node {
-				if dop == 0 {
-					return n
-				}
-				return &Exchange{Source: n, DOP: dop}
-			}
-			lineScan := &SeqScan{Table: "lineitem", Filter: lineFilter}
-			ordScan := &SeqScan{Table: "orders", Filter: ordFilter}
-			partScan := &SeqScan{Table: "part", Filter: partFilter}
-			innerJoin := func() *HashJoin {
-				return &HashJoin{
-					Build: ordScan, Probe: lineScan,
-					BuildCol: col("orders", "o_orderkey"), ProbeCol: col("lineitem", "l_orderkey"),
-					BuildRowsEst: est,
-				}
-			}
-			switch trial % 5 {
-			case 0:
-				// Whole scan→hashjoin pipeline under one Exchange.
-				return wrap(innerJoin())
-			case 1:
-				// Multi-way FK chain: part ⋈ (orders ⋈ lineitem), the whole
-				// chain morselized together.
-				return wrap(&HashJoin{
-					Build: partScan, Probe: innerJoin(),
-					BuildCol: col("part", "p_partkey"), ProbeCol: col("lineitem", "l_partkey"),
-				})
-			case 2:
-				// Serial outer join probing a parallel inner pipeline.
-				return &HashJoin{
-					Build: partScan, Probe: wrap(innerJoin()),
-					BuildCol: col("part", "p_partkey"), ProbeCol: col("lineitem", "l_partkey"),
-				}
-			case 3:
-				// Star strategy with a parallel dimension arm.
-				return &StarSemiJoin{
-					Fact: "lineitem",
-					Dims: []StarDim{{
-						Scan:   wrap(partScan),
-						DimPK:  col("part", "p_partkey"),
-						FactFK: "l_partkey",
-					}},
-					Residual: testkit.Expr("l_price >= 1"),
-				}
-			default:
-				// MergeJoin over parallel inputs that genuinely are ordered
-				// by their join keys (append order), so the alreadySorted
-				// hints hold and no sort is charged.
-				return &MergeJoin{
-					Left:    wrap(ordScan),
-					Right:   wrap(lineScan),
-					LeftCol: col("orders", "o_orderkey"), RightCol: col("lineitem", "l_orderkey"),
-					LeftSorted: true, RightSorted: true,
-				}
-			}
-		}
-
-		serial, sc, _, err := Run(ctx, build(0))
-		if err != nil {
-			t.Fatalf("trial %d: serial: %v", trial, err)
-		}
-		var mc cost.Counters
-		mat, err := ExecuteMaterialized(ctx, build(4), &mc)
-		if err != nil {
-			t.Fatalf("trial %d: materialized: %v", trial, err)
-		}
-		mc.Output += int64(len(mat.Rows)) // Run charges the root's output; the reference does not
-		if len(mat.Rows) != len(serial.Rows) {
-			t.Fatalf("trial %d: materialized %d rows, serial %d", trial, len(mat.Rows), len(serial.Rows))
-		}
-		for i := range mat.Rows {
-			if rowKey(mat.Rows[i]) != rowKey(serial.Rows[i]) {
-				t.Fatalf("trial %d: materialized row %d = %v, serial %v", trial, i, mat.Rows[i], serial.Rows[i])
-			}
-		}
-		if mc != sc {
-			t.Fatalf("trial %d: materialized counters diverged:\nmat    %+v\nserial %+v", trial, mc, sc)
-		}
-		for _, dop := range []int{1, 2, 4} {
-			res, c, _, err := Run(ctx, build(dop))
-			if err != nil {
-				t.Fatalf("trial %d dop %d: %v", trial, dop, err)
-			}
-			if len(res.Rows) != len(serial.Rows) {
-				t.Fatalf("trial %d dop %d: %d rows, serial %d", trial, dop, len(res.Rows), len(serial.Rows))
-			}
-			for i := range res.Rows {
-				if rowKey(res.Rows[i]) != rowKey(serial.Rows[i]) {
-					t.Fatalf("trial %d dop %d: row %d = %v, serial %v", trial, dop, i, res.Rows[i], serial.Rows[i])
-				}
-			}
-			if c != sc {
-				t.Fatalf("trial %d dop %d: counters diverged:\nparallel %+v\nserial   %+v", trial, dop, c, sc)
-			}
-		}
-	}
-}
 
 // TestHashJoinPresizeMetrics pins the posterior-driven pre-sizing
 // contract: an estimate within 2x of the actual build size records a

@@ -165,8 +165,8 @@ func drainMergeInput(ctx *Context, n Node, schema expr.RelSchema, key int, count
 	}
 }
 
-// sort orders the input by key and reports whether it had to, with the
-// same error sortedByKey gives for a non-numeric key.
+// sort orders the input by key and reports whether it had to, failing
+// on the first non-numeric key.
 func (in *mergeInput) sort() (sorted bool, err error) {
 	if in.badKey != nil {
 		return false, fmt.Errorf("engine: merge join over non-numeric key %s", *in.badKey)

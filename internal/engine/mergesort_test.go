@@ -179,7 +179,7 @@ func TestMergeJoinRadixSortBothEngines(t *testing.T) {
 // string key fails in both engines with the same error, naming the
 // first offending value.
 func TestMergeJoinNonNumericKeyBothEngines(t *testing.T) {
-	_, ctx := columnarTestDB(t, 3000, 1)
+	_, ctx := testDB(t, 1000, 3, 10)
 	plan := &MergeJoin{
 		Left: &SeqScan{Table: "orders"}, Right: &SeqScan{Table: "lineitem"},
 		LeftCol: expr.ColumnRef{Column: "o_orderkey"}, RightCol: expr.ColumnRef{Column: "l_status"},

@@ -525,3 +525,11 @@ func (o *aggregateOp) Close() {
 	putBatch(o.out)
 	o.out = nil
 }
+
+// zeroIfInf maps an infinite aggregate value to 0.
+func zeroIfInf(f float64) float64 {
+	if math.IsInf(f, 0) {
+		return 0
+	}
+	return f
+}

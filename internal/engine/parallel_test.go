@@ -1,122 +1,16 @@
 package engine
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"robustqo/internal/colstore"
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
-	"robustqo/internal/stats"
 	"robustqo/internal/testkit"
 	"robustqo/internal/value"
 )
-
-// TestExchangeDifferentialDOPProperty extends the streaming/materialized
-// differential corpus to parallel execution: the same random SPJ plans,
-// with every base scan wrapped in an Exchange, run at DOP 1, 2, and 4 and
-// must produce identical rows in identical order AND byte-identical
-// cost.Counters versus both the serial streaming plan and the
-// materialized reference. The fixture is sized so scans span several
-// morsels and genuinely fan out. Run with -race, this is also the data
-// race proof for the worker pool.
-func TestExchangeDifferentialDOPProperty(t *testing.T) {
-	_, ctx := testDB(t, 3000, 3, 10)
-	rng := stats.NewRNG(9001)
-	okey := expr.ColumnRef{Table: "orders", Column: "o_orderkey"}
-	lkey := expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"}
-	for trial := 0; trial < 40; trial++ {
-		sLo := int64(testkit.Intn(rng, 110)) - 5
-		sHi := sLo + int64(testkit.Intn(rng, 70))
-		cut := rng.Float64() * 1000
-		linePred := expr.Between{E: expr.C("l_ship"), Lo: expr.IntLit(sLo), Hi: expr.IntLit(sHi)}
-		orderPred := expr.Cmp{Op: expr.LT, L: expr.TC("orders", "o_total"), R: expr.FloatLit(cut)}
-
-		// Same plan shapes as TestStreamMaterializedSPJProperty, built
-		// twice: once serial, once with each scan behind an Exchange.
-		build := func(dop int) Node {
-			wrap := func(n Node) Node {
-				if dop == 0 {
-					return n
-				}
-				return &Exchange{Source: n, DOP: dop}
-			}
-			var lineScan Node
-			switch trial % 3 {
-			case 0:
-				lineScan = &SeqScan{Table: "lineitem", Filter: linePred}
-			case 1:
-				lineScan = &IndexRangeScan{Table: "lineitem", Range: KeyRange{Column: "l_ship", Lo: sLo, Hi: sHi}}
-			default:
-				lineScan = &IndexIntersect{Table: "lineitem",
-					Ranges: []KeyRange{{Column: "l_ship", Lo: sLo, Hi: sHi}}}
-			}
-			lineScan = wrap(lineScan)
-			ordersScan := wrap(&SeqScan{Table: "orders", Filter: orderPred})
-			var join Node
-			switch (trial / 3) % 3 {
-			case 0:
-				join = &HashJoin{Build: ordersScan, Probe: lineScan, BuildCol: okey, ProbeCol: lkey}
-			case 1:
-				join = &MergeJoin{Left: ordersScan, Right: lineScan, LeftCol: okey, RightCol: lkey}
-			default:
-				join = &INLJoin{Outer: lineScan, OuterCol: lkey,
-					InnerTable: "orders", InnerCol: "o_orderkey", Residual: orderPred}
-			}
-			plan := join
-			if trial%2 == 0 {
-				plan = &Project{Input: plan, Cols: []expr.ColumnRef{
-					{Table: "lineitem", Column: "l_id"},
-					{Table: "orders", Column: "o_total"},
-					{Table: "lineitem", Column: "l_price"},
-				}}
-			}
-			if (trial/2)%2 == 0 {
-				plan = &Sort{Input: plan, By: []SortKey{
-					{Col: expr.ColumnRef{Table: "lineitem", Column: "l_id"}}}}
-			}
-			return plan
-		}
-
-		serial := build(0)
-		label := fmt.Sprintf("trial %d ship[%d,%d] cut %.1f plan %s", trial, sLo, sHi, cut, serial.Describe())
-		sres, sc, _, err := Run(ctx, serial)
-		if err != nil {
-			t.Fatalf("%s: serial: %v", label, err)
-		}
-		var mc cost.Counters
-		mres, err := ExecuteMaterialized(ctx, build(4), &mc)
-		if err != nil {
-			t.Fatalf("%s: materialized: %v", label, err)
-		}
-		mc.Output += int64(len(mres.Rows)) // Run charges the root's output; the reference does not
-		compare := func(res *Result, c cost.Counters, leg string) {
-			t.Helper()
-			if len(res.Rows) != len(sres.Rows) {
-				t.Fatalf("%s: %s %d rows, serial %d", label, leg, len(res.Rows), len(sres.Rows))
-			}
-			for i := range res.Rows {
-				if rowKey(res.Rows[i]) != rowKey(sres.Rows[i]) {
-					t.Fatalf("%s: %s row %d differs: %v vs %v", label, leg, i, res.Rows[i], sres.Rows[i])
-				}
-			}
-			if c != sc {
-				t.Fatalf("%s: %s counters diverged:\n%s %+v\nserial %+v", label, leg, leg, c, sc)
-			}
-		}
-		compare(mres, mc, "materialized")
-		for _, dop := range []int{1, 2, 4} {
-			pres, pc, _, err := Run(ctx, build(dop))
-			if err != nil {
-				t.Fatalf("%s: dop=%d: %v", label, dop, err)
-			}
-			compare(pres, pc, fmt.Sprintf("dop=%d", dop))
-		}
-	}
-}
 
 // TestExchangeSerialFallback pins the degradation contract: DOP < 2, or a
 // source that cannot be morselized, runs as a pure pass-through with the
@@ -198,12 +92,7 @@ func TestUnbindableFilterFailsAtOpen(t *testing.T) {
 // the same prefix of rows, or the same error.
 func TestExchangeEarlyClose(t *testing.T) {
 	_, ctx := testDB(t, 3000, 3, 10)
-	cdb, cctx := columnarTestDB(t, 2*colstore.SegmentRows+2000, 2)
-	encs, err := colstore.BuildAll(cdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cctx.Encodings = encs
+	cctx := fixture{orders: 3398, lines: 3, parts: 10, shards: 2, clustered: true, encoded: true}.build(t)
 	ship := KeyRange{Column: "l_ship", Lo: 10, Hi: 90}
 	cases := []struct {
 		name  string

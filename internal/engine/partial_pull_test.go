@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"robustqo/internal/colstore"
 	"robustqo/internal/cost"
 	"robustqo/internal/storage"
 	"robustqo/internal/testkit"
@@ -24,13 +23,8 @@ func TestPartialPullCounters(t *testing.T) {
 
 	// SeqScan legs: 2 shards of ~5,096 rows each, encoded, so the pruned leg
 	// starts at a shard base that is not page aligned.
-	cdb, cctx := columnarTestDB(t, 2*colstore.SegmentRows+2000, 2)
-	encs, err := colstore.BuildAll(cdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cctx.Encodings = encs
-	cline := testkit.Table(cdb, "lineitem")
+	cctx := fixture{orders: 3398, lines: 3, parts: 10, shards: 2, clustered: true, encoded: true}.build(t)
+	cline := testkit.Table(cctx.DB, "lineitem")
 	shardLo, shardHi := cline.PartitionSpan(1)
 	if shardLo%per == 0 || shardHi-shardLo < 2*BatchSize {
 		t.Fatalf("fixture: shard 1 spans [%d,%d), want an unaligned base and two windows", shardLo, shardHi)

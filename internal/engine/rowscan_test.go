@@ -60,7 +60,8 @@ func TestFilterFirstScanMatchesRowAtATime(t *testing.T) {
 		{"error-mid-window", "l_id > 1500 AND l_status < 3", true},
 	}
 	for _, shards := range []int{1, 2} {
-		db, ctx := columnarTestDB(t, 5000, shards)
+		ctx := fixture{orders: 1250, lines: 4, parts: 10, shards: shards, clustered: true}.build(t)
+		db := ctx.DB
 		tbl := testkit.Table(db, "lineitem")
 		if shards == 2 {
 			if lo, _ := tbl.PartitionSpan(1); lo%BatchSize == 0 {

@@ -135,85 +135,6 @@ func TestTopKMatchesFullSort(t *testing.T) {
 	}
 }
 
-// streamEquivalencePlans enumerates one plan per operator shape for the
-// streaming-vs-materialized drains.
-func streamEquivalencePlans(cut float64) map[string]Node {
-	okey := expr.ColumnRef{Table: "orders", Column: "o_orderkey"}
-	lkey := expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"}
-	filter := expr.Cmp{Op: expr.LT, L: expr.TC("orders", "o_total"), R: expr.FloatLit(cut)}
-	ship := expr.Between{E: expr.C("l_ship"), Lo: expr.IntLit(10), Hi: expr.IntLit(40)}
-	return map[string]Node{
-		"seqscan":   &SeqScan{Table: "lineitem", Filter: ship},
-		"rangescan": &IndexRangeScan{Table: "lineitem", Range: KeyRange{Column: "l_ship", Lo: 10, Hi: 40}},
-		"intersect": &IndexIntersect{Table: "lineitem", Ranges: []KeyRange{
-			{Column: "l_ship", Lo: 10, Hi: 40}, {Column: "l_receipt", Lo: 12, Hi: 45}}},
-		"filter":  &Filter{Input: &SeqScan{Table: "orders"}, Pred: filter},
-		"project": &Project{Input: &SeqScan{Table: "lineitem", Filter: ship}, Cols: []expr.ColumnRef{expr.C("l_price").Ref, expr.C("l_ship").Ref}},
-		"hashjoin": &HashJoin{Build: &SeqScan{Table: "orders", Filter: filter},
-			Probe: &SeqScan{Table: "lineitem"}, BuildCol: okey, ProbeCol: lkey},
-		"mergejoin": &MergeJoin{Left: &SeqScan{Table: "orders", Filter: filter},
-			Right: &SeqScan{Table: "lineitem", Filter: ship}, LeftCol: okey, RightCol: lkey},
-		"inljoin": &INLJoin{Outer: &SeqScan{Table: "lineitem", Filter: ship},
-			OuterCol: lkey, InnerTable: "orders", InnerCol: "o_orderkey", Residual: filter},
-		// Secondary-index probes whose residual rejects part of each outer
-		// batch's matches.
-		"inljoin-index": &INLJoin{Outer: &SeqScan{Table: "part"},
-			OuterCol: expr.ColumnRef{Table: "part", Column: "p_partkey"}, InnerTable: "lineitem", InnerCol: "l_partkey",
-			Residual: ship},
-		"sort": &Sort{Input: &SeqScan{Table: "lineitem", Filter: ship},
-			By: []SortKey{{Col: expr.C("l_receipt").Ref}, {Col: expr.C("l_id").Ref, Desc: true}}},
-		"aggregate": &Aggregate{Input: &SeqScan{Table: "lineitem"},
-			GroupBy: []expr.ColumnRef{expr.C("l_orderkey").Ref},
-			Aggs: []AggSpec{{Func: Count}, {Func: Sum, Arg: expr.C("l_price")},
-				{Func: Min, Arg: expr.C("l_ship")}, {Func: Max, Arg: expr.C("l_receipt")}}},
-		"limit": &Limit{N: 1 << 30, Input: &SeqScan{Table: "lineitem"}},
-		"star": &StarSemiJoin{Fact: "lineitem", Dims: []StarDim{{
-			Scan:   &SeqScan{Table: "part", Filter: expr.Cmp{Op: expr.LT, L: expr.C("p_size"), R: expr.IntLit(25)}},
-			DimPK:  expr.ColumnRef{Table: "part", Column: "p_partkey"},
-			FactFK: "l_partkey"}}},
-		"star-residual": &StarSemiJoin{Fact: "lineitem", Dims: []StarDim{{
-			Scan:   &SeqScan{Table: "part"},
-			DimPK:  expr.ColumnRef{Table: "part", Column: "p_partkey"},
-			FactFK: "l_partkey"}},
-			Residual: expr.Conj(
-				expr.Cmp{Op: expr.LT, L: expr.C("l_price"), R: expr.IntLit(50)},
-				expr.Cmp{Op: expr.GT, L: expr.C("l_ship"), R: expr.C("p_size")})},
-	}
-}
-
-// TestFullDrainCountersByteIdentical holds the streaming engine to the
-// issue's acceptance bar: on full drains every operator must produce the
-// same rows, in the same order, with byte-identical cost.Counters as the
-// materialized reference engine.
-func TestFullDrainCountersByteIdentical(t *testing.T) {
-	_, ctx := testDB(t, 300, 4, 10)
-	for name, plan := range streamEquivalencePlans(500) {
-		t.Run(name, func(t *testing.T) {
-			sres, sc, _, err := Run(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mc cost.Counters
-			mres, err := ExecuteMaterialized(ctx, plan, &mc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mc.Output += int64(len(mres.Rows)) // Run charges the root's output; the reference does not
-			if len(sres.Rows) != len(mres.Rows) {
-				t.Fatalf("streaming %d rows, materialized %d", len(sres.Rows), len(mres.Rows))
-			}
-			for i := range sres.Rows {
-				if rowKey(sres.Rows[i]) != rowKey(mres.Rows[i]) {
-					t.Fatalf("row %d differs: streaming %v, materialized %v", i, sres.Rows[i], mres.Rows[i])
-				}
-			}
-			if sc != mc {
-				t.Errorf("counters diverged:\nstreaming    %+v\nmaterialized %+v", sc, mc)
-			}
-		})
-	}
-}
-
 // TestOperatorStreamsAreIndependent: Stream must hand out fresh iterator
 // state each call, so re-executing a plan node cannot observe a prior
 // run's cursor.

@@ -28,7 +28,7 @@ var updateChromeGolden = flag.Bool("update-chrome-golden", false,
 // (tid N+2) under the coordinator's tid 1, and the query ID stamped on
 // every event.
 func TestChromeTraceParallelPartitionedGolden(t *testing.T) {
-	_, ctx := partTestDB(t, 6000, 3, 10, 2)
+	ctx := fixture{orders: 6000, lines: 3, parts: 10, shards: 2}.build(t)
 
 	tr := obs.NewTrace("q7")
 	tr.QueryID = "q7"

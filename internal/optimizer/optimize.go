@@ -129,8 +129,8 @@ type planner struct {
 }
 
 // record captures the optimizer's cardinality belief for a plan node.
-// Losing candidates leave harmless extra entries: lookups are by node
-// pointer and only the chosen tree's nodes are ever queried.
+// Losing candidates get entries too; Optimize keeps only the chosen
+// tree's, since a cached plan would otherwise pin every losing subtree.
 func (p *planner) record(n engine.Node, rows float64) {
 	s := p.snap
 	s.Rows = rows
@@ -193,8 +193,25 @@ func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 	exportQuantileCache(o.Metrics, quantileCacheOf(o.Est))
 	return &Plan{
 		Root: root, EstCost: finalCost, EstRows: finalRows, Estimator: o.Est.Name(),
-		estimates: p.estimates, confidence: p.snap.Percentile,
+		estimates: treeEstimates(p.estimates, root), confidence: p.snap.Percentile,
 	}, nil
+}
+
+// treeEstimates returns the entries of estimates for the nodes of the
+// tree at root.
+func treeEstimates(estimates map[engine.Node]obs.EstimateSnapshot, root engine.Node) map[engine.Node]obs.EstimateSnapshot {
+	out := make(map[engine.Node]obs.EstimateSnapshot)
+	var walk func(n engine.Node)
+	walk = func(n engine.Node) {
+		if s, ok := estimates[n]; ok {
+			out[n] = s
+		}
+		for _, c := range engine.Children(n) {
+			walk(c)
+		}
+	}
+	walk(root)
+	return out
 }
 
 // analyzeQuery is the semantic-analysis phase under its trace span.

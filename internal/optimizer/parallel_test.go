@@ -249,7 +249,7 @@ func TestOptimizedHashJoinsCarryBuildEstimate(t *testing.T) {
 				t.Errorf("HashJoin %s has BuildRowsEst %g, want > 0", hj.Describe(), hj.BuildRowsEst)
 			}
 		}
-		for _, k := range planKids(n) {
+		for _, k := range engine.Children(n) {
 			walk(k)
 		}
 	}
@@ -259,33 +259,44 @@ func TestOptimizedHashJoinsCarryBuildEstimate(t *testing.T) {
 	}
 }
 
-// planKids enumerates the children of the node kinds the optimizer emits.
-func planKids(n engine.Node) []engine.Node {
-	switch t := n.(type) {
-	case *engine.Filter:
-		return []engine.Node{t.Input}
-	case *engine.Project:
-		return []engine.Node{t.Input}
-	case *engine.Aggregate:
-		return []engine.Node{t.Input}
-	case *engine.Sort:
-		return []engine.Node{t.Input}
-	case *engine.Limit:
-		return []engine.Node{t.Input}
-	case *engine.Exchange:
-		return []engine.Node{t.Source}
-	case *engine.HashJoin:
-		return []engine.Node{t.Build, t.Probe}
-	case *engine.MergeJoin:
-		return []engine.Node{t.Left, t.Right}
-	case *engine.INLJoin:
-		return []engine.Node{t.Outer}
-	case *engine.StarSemiJoin:
-		out := make([]engine.Node, 0, len(t.Dims))
-		for _, d := range t.Dims {
-			out = append(out, d.Scan)
-		}
-		return out
+// TestPlanKeepsOnlyItsTreesEstimates: a plan keeps one cardinality
+// snapshot per node of its tree, Exchanges included, and none for the
+// losing candidates the enumerator built, so a cached plan pins no
+// losing subtree.
+func TestPlanKeepsOnlyItsTreesEstimates(t *testing.T) {
+	o, _ := bayesOpt(t, 24000, 0.8)
+	q := &Query{
+		Tables: []string{"lineitem", "orders", "part"},
+		Pred:   testkit.Expr("l_ship BETWEEN 0 AND 900 AND orders.o_total < 800 AND p_size < 40"),
 	}
-	return nil
+	for _, dop := range []int{1, 2} {
+		o.MaxDOP = dop
+		plan, err := o.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, exchanges := map[engine.Node]bool{}, 0
+		var walk func(n engine.Node)
+		walk = func(n engine.Node) {
+			tree[n] = true
+			if _, ok := n.(*engine.Exchange); ok {
+				exchanges++
+			}
+			for _, k := range engine.Children(n) {
+				walk(k)
+			}
+		}
+		walk(plan.Root)
+		if dop == 2 && exchanges == 0 {
+			t.Fatalf("dop 2: no Exchange in\n%s", plan.Explain())
+		}
+		for n := range tree {
+			if _, ok := plan.estimates[n]; !ok {
+				t.Errorf("dop %d: no estimate for %s", dop, n.Describe())
+			}
+		}
+		if len(plan.estimates) != len(tree) {
+			t.Errorf("dop %d: %d estimates for a %d-node tree\n%s", dop, len(plan.estimates), len(tree), plan.Explain())
+		}
+	}
 }

@@ -25,11 +25,10 @@ import (
 //	        │                └─ wait > QueueTimeout → TIMED OUT (shed)
 //	        └─ queue full → SHED (429 + Retry-After)
 //
-// After admission, the per-query budgets apply: DOP is clamped to
-// MaxQueryDOP and a plan whose estimated cardinality exceeds
-// MemBudgetRows is rejected before execution starts (the estimate is
-// the optimizer's posterior T-quantile — the robust, not optimistic,
-// number).
+// After admission, the per-query budget applies: a plan whose estimated
+// cardinality exceeds MemBudgetRows is rejected before execution starts
+// (the estimate is the optimizer's posterior T-quantile — the robust,
+// not optimistic, number).
 
 // Overload classification errors. The serve layer maps ErrShed and
 // ErrTimeout to 429 + Retry-After, ErrClosed to 503, and ErrMemBudget
@@ -54,9 +53,6 @@ type AdmissionConfig struct {
 	// QueueTimeout bounds how long one request may wait before it is
 	// shed. Default 10s.
 	QueueTimeout time.Duration
-	// MaxQueryDOP clamps the per-query degree of parallelism. 0 means
-	// no clamp.
-	MaxQueryDOP int
 	// MemBudgetRows rejects plans whose estimated output cardinality
 	// exceeds this many rows. 0 means no budget.
 	MemBudgetRows float64
@@ -195,14 +191,6 @@ func (a *Admission) releaseFunc() func() {
 			a.tokens <- struct{}{}
 		})
 	}
-}
-
-// ClampDOP applies the per-query parallelism budget.
-func (a *Admission) ClampDOP(dop int) int {
-	if a.cfg.MaxQueryDOP > 0 && dop > a.cfg.MaxQueryDOP {
-		return a.cfg.MaxQueryDOP
-	}
-	return dop
 }
 
 // CheckMemory rejects a plan whose estimated result cardinality exceeds

@@ -141,13 +141,7 @@ func TestAdmissionClose(t *testing.T) {
 }
 
 func TestAdmissionBudgets(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Slots: 1, MaxQueryDOP: 2, MemBudgetRows: 1000}, 1, nil)
-	if got := a.ClampDOP(8); got != 2 {
-		t.Errorf("ClampDOP(8) = %d, want 2", got)
-	}
-	if got := a.ClampDOP(1); got != 1 {
-		t.Errorf("ClampDOP(1) = %d, want 1", got)
-	}
+	a := NewAdmission(AdmissionConfig{Slots: 1, MemBudgetRows: 1000}, 1, nil)
 	if err := a.CheckMemory(500); err != nil {
 		t.Errorf("under-budget plan rejected: %v", err)
 	}
