@@ -182,15 +182,16 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestCompilePushdown: the pushable prefix becomes probes plus the
-// residual; no prefix, or a bound the encoding cannot probe, leaves the
-// whole filter to the row domain with no probes at all.
+// TestCompilePushdown: the pushable prefix becomes probes, one per
+// bound; no prefix, or a bound the encoding cannot probe, compiles to no
+// probes at all.
 func TestCompilePushdown(t *testing.T) {
 	schema := expr.RelSchema{Fields: []expr.Field{{Table: "t", Column: "a", Type: catalog.Int}}}
 	between := expr.Between{E: expr.C("a"), Lo: expr.IntLit(0), Hi: expr.IntLit(40)}
 	ne := expr.Cmp{Op: expr.NE, L: expr.C("a"), R: expr.IntLit(3)}
 	ints := encOfInts([]int64{1, 2, 3, 50}, catalog.Int)
-	probes, residual, ok := ints.CompilePushdown(expr.Conj(between, ne), schema)
+	bounds, residual := expr.SplitPushdown(expr.Conj(between, ne), schema)
+	probes, ok := ints.CompilePushdown(bounds)
 	if !ok || len(probes) != 1 || fmt.Sprint(residual) != fmt.Sprint(ne) {
 		t.Errorf("prefix: %d probes, residual %v, ok %v", len(probes), residual, ok)
 	}
@@ -199,9 +200,9 @@ func TestCompilePushdown(t *testing.T) {
 		enc    *TableEncoding
 		filter expr.Expr
 	}{{ints, ne}, {ints, nil}, {floats, expr.Conj(between, ne)}} {
-		probes, residual, ok := c.enc.CompilePushdown(c.filter, schema)
-		if ok || probes != nil || fmt.Sprint(residual) != fmt.Sprint(c.filter) {
-			t.Errorf("%v: %d probes, residual %v, ok %v", c.filter, len(probes), residual, ok)
+		bounds, _ := expr.SplitPushdown(c.filter, schema)
+		if probes, ok := c.enc.CompilePushdown(bounds); ok || probes != nil {
+			t.Errorf("%v: %d probes, ok %v", c.filter, len(probes), ok)
 		}
 	}
 }

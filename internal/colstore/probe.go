@@ -7,26 +7,24 @@ import (
 	"robustqo/internal/expr"
 )
 
-// CompilePushdown compiles the pushable prefix of a scan filter over a
-// table of this encoding: expr.SplitPushdown factors the filter into
-// per-column bounds plus a residual, and each bound becomes a Probe. ok
-// is false — and no probe is returned — when the filter has no pushable
-// prefix or any bound cannot be probed on encoded data; the caller then
-// evaluates the whole filter on decoded rows.
-func (e *TableEncoding) CompilePushdown(filter expr.Expr, schema expr.RelSchema) (probes []Probe, residual expr.Expr, ok bool) {
-	bounds, residual := expr.SplitPushdown(filter, schema)
+// CompilePushdown compiles a scan filter's pushable prefix — the bounds
+// expr.SplitPushdown returns — into probes over this encoding, one per
+// bound. ok is false, and no probe is returned, when there is no prefix
+// or some bound cannot be probed on encoded data; the caller then checks
+// the prefix on decoded rows.
+func (e *TableEncoding) CompilePushdown(bounds []expr.ColBound) (probes []Probe, ok bool) {
 	if len(bounds) == 0 {
-		return nil, filter, false
+		return nil, false
 	}
 	probes = make([]Probe, 0, len(bounds))
 	for _, b := range bounds {
 		pr, ok := e.CompileProbe(b)
 		if !ok {
-			return nil, filter, false
+			return nil, false
 		}
 		probes = append(probes, pr)
 	}
-	return probes, residual, true
+	return probes, true
 }
 
 // Probe is a compiled encoded-data predicate: a closed interval in the

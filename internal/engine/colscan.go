@@ -2,25 +2,28 @@ package engine
 
 // Encoded scan path: SeqScan over colstore compressed columnar segments.
 //
-// A SeqScan has two storage paths. ScanLate runs when a fresh encoding of
-// the table is present and the filter has a non-empty pushable prefix
-// (colstore.CompilePushdown ok); everything else — row mode, no or stale
-// encoding, no pushable prefix — runs the filter-first row window
-// (seqMorselWorker.rowWindow). No selectivity estimate takes part.
+// A SeqScan window runs its filter first on both of its storage paths:
+// the filter's pushable prefix (expr.SplitPushdown) decides which rows of
+// the window survive, and one shared tail (seqMorselWorker.emit) runs the
+// residual on those rows alone and loads the projection of its
+// survivors. Only the prefix step differs. ScanLate, when a fresh
+// encoding of the table is present and the filter has a non-empty
+// pushable prefix, checks it on encoded data (encScan.prefix: zone-map
+// segment skipping, then encoded-domain probes) and loads columns by
+// late decoding; everything else — row mode, no or stale encoding —
+// checks it on the row store's typed payloads (seqMorselWorker.rowPrefix)
+// and loads columns from there. No selectivity estimate takes part.
 //
-// The encoded path slots in under the SeqScan window worker: after
-// charging a [next, end) row window the worker calls encScan.window
-// instead of loading the window from the row store. It is counter
-// transparent because it charges nothing itself — every window, also one
-// inside a zone-skipped segment, has already been charged exactly what
-// the row path charges. The saving is wall-clock (no decode, no residual
-// evaluation on rows the encoded probes eliminate) and resident bytes,
-// never simulated I/O.
+// Both paths are counter transparent: the window worker charges a
+// [next, end) window before either runs, and neither charges anything
+// itself — so every window, also one inside a zone-skipped segment, is
+// charged exactly the same. What the encoded path adds is wall-clock —
+// zone skipping and probes over compressed data — never simulated I/O.
 //
-// Semantics parity is structural. ScanLate evaluates the pushable prefix
-// of the filter's conjuncts exactly on encoded data (expr.SplitPushdown
-// guarantees exactness), then runs the bound residual on exactly the
-// rows the row path's left-to-right And short-circuit would reach with
+// Semantics parity is structural. The prefix is exact on either storage
+// (expr.SplitPushdown pushes only comparisons value.Compare decides
+// without error), and the bound residual then runs on exactly the rows
+// the unsplit filter's left-to-right And short-circuit would reach with
 // the prefix true — same rows, same order, same errors.
 
 import (
@@ -54,91 +57,70 @@ func (m ScanMode) String() string {
 }
 
 // encScanSpec is the cold, shareable half of an encoded scan: the table
-// encoding, compiled probes (non-empty, immutable, safe across workers),
-// the unbound residual, and the column plan in which the residual is the
-// predicate. Built once, in SeqScan.openMorsels.
+// encoding and the compiled probes of the filter's pushed prefix
+// (non-empty, immutable, safe across workers). Built once, in
+// SeqScan.openMorsels.
 type encScanSpec struct {
-	enc    *colstore.TableEncoding
-	probes []colstore.Probe
-	// residual is the filter minus the pushed prefix; each consumer binds
-	// its own copy.
-	residual expr.Expr
-	cols     *scanCols
+	enc      *colstore.TableEncoding
+	probes   []colstore.Probe
 	mScanned *obs.Counter
 	mSkipped *obs.Counter
 }
 
-// prepareEncScan resolves a SeqScan's encoded path, returning nil when
-// the scan must stay on the row path: row mode requested, no encodings
-// in the context, the table missing from the set, the encoding stale
-// (built at a different row count than the table currently has), or no
-// pushable filter prefix. The stale case is a degraded path, so it is
-// counted: robustqo_columnar_stale_fallback_total. full is the table's
-// schema.
-func prepareEncScan(ctx *Context, t *storage.Table, full expr.RelSchema, s *SeqScan) (*encScanSpec, error) {
+// prepareEncScan resolves a SeqScan's encoded path for the filter's
+// pushed prefix bounds, returning nil when the scan must stay on the row
+// path: row mode requested, no encodings in the context, the table
+// missing from the set, the encoding stale (built at a different row
+// count than the table currently has), or no pushable filter prefix. The
+// stale case is a degraded path, so it is counted:
+// robustqo_columnar_stale_fallback_total.
+func prepareEncScan(ctx *Context, t *storage.Table, s *SeqScan, bounds []expr.ColBound) *encScanSpec {
 	if s.Mode == ScanRows || ctx.Encodings == nil {
-		return nil, nil
+		return nil
 	}
 	enc, ok := ctx.Encodings.For(s.Table)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	if enc.Rows() != t.NumRows() {
 		if ctx.Metrics != nil {
 			ctx.Metrics.Counter("robustqo_columnar_stale_fallback_total").Inc()
 		}
-		return nil, nil
+		return nil
 	}
-	probes, residual, ok := enc.CompilePushdown(s.Filter, full)
+	probes, ok := enc.CompilePushdown(bounds)
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	cols, err := newScanCols(full, s.Emit, residual)
-	if err != nil {
-		return nil, err
-	}
-	spec := &encScanSpec{enc: enc, probes: probes, residual: residual, cols: cols}
+	spec := &encScanSpec{enc: enc, probes: probes}
 	if ctx.Metrics != nil {
 		spec.mScanned = ctx.Metrics.Counter("robustqo_columnar_segments_scanned_total")
 		spec.mSkipped = ctx.Metrics.Counter("robustqo_columnar_segments_skipped_total")
 	}
-	return spec, nil
+	return spec
 }
 
-// encScan is one consumer's mutable scan state over a shared spec: the
-// bound residual, selection-vector scratch, and the full-width columns
-// the residual reads. One per window worker — never shared.
+// encScan is one window worker's mutable prefix state over a shared
+// spec: selection-vector scratch and the zone-map verdict of the segment
+// it is in. Never shared.
 type encScan struct {
-	spec     *encScanSpec
-	residual *expr.Bound
-	sel      []int
-	sel2     []int
-	// rows and fin are window-relative offsets: the rows surviving the
-	// probes, and of those the rows surviving the residual.
-	rows, fin []int
-	scratch   [][]value.Value
-	lastSeg   int
-	segSkip   bool
+	spec *encScanSpec
+	sel  []int
+	sel2 []int
+	// rows are the window-relative offsets surviving the probes.
+	rows    []int
+	lastSeg int
+	segSkip bool
 }
 
-// newState binds the residual for one consumer over the table schema full.
-func (spec *encScanSpec) newState(full expr.RelSchema) (*encScan, error) {
-	b, err := expr.Bind(spec.residual, full)
-	if err != nil {
-		return nil, err
-	}
-	return &encScan{spec: spec, residual: b, lastSeg: -1, scratch: make([][]value.Value, len(full.Fields))}, nil
-}
-
-// window appends the survivors of one row window [next, end) to out:
-// skips or probes encoded segments, materializes the residual's columns
-// for the probe survivors, applies the residual, and materializes the
-// rest of the projection for its survivors only. The caller has already
+// prefix returns the offsets from next of the rows of the window
+// [next, end) that pass the probes: it skips the window's zone-skipped
+// segments and probes the rest on encoded data. The caller has already
 // charged the window — windows inside zone-skipped segments included,
 // since a row scan would read them.
 //
 //qo:hotpath
-func (e *encScan) window(out *Batch, next, end int) error {
+func (e *encScan) prefix(next, end int) []int {
 	spec := e.spec
 	enc := spec.enc
 	rows := e.rows[:0]
@@ -185,40 +167,16 @@ func (e *encScan) window(out *Batch, next, end int) error {
 		lo = stop
 	}
 	e.rows = rows
-	if len(rows) == 0 {
-		return nil
-	}
-	cols := spec.cols
-	fin := rows
-	if spec.residual != nil {
-		for _, c := range cols.pred {
-			e.scratch[c] = e.appendRows(e.scratch[c][:0], c, next, rows)
-		}
-		e.sel = rangeSel(e.sel, 0, len(rows))
-		keep, err := e.residual.EvalBatch(e.scratch, e.sel)
-		if err != nil {
-			return err
-		}
-		cols.gatherPred(out, e.scratch, keep)
-		fin = e.fin[:0]
-		for _, k := range keep {
-			fin = append(fin, rows[k])
-		}
-		e.fin = fin
-	}
-	for j, i := range cols.restOut {
-		out.cols[i] = e.appendRows(out.cols[i], cols.rest[j], next, fin)
-	}
-	out.n += len(fin)
-	return nil
+	return rows
 }
 
-// appendRows late-materializes column c for the window-relative offsets
-// rows (ascending) of the window starting at global row winLo, one
-// AppendColSel per encoded segment the rows fall in.
+// AppendColumnSel implements columnSource: it late-materializes column c
+// for the window-relative offsets rows (ascending) of the window starting
+// at global row winLo, one AppendColSel per encoded segment the rows fall
+// in.
 //
 //qo:hotpath
-func (e *encScan) appendRows(dst []value.Value, c, winLo int, rows []int) []value.Value {
+func (e *encScan) AppendColumnSel(dst []value.Value, c, winLo int, rows []int) []value.Value {
 	enc := e.spec.enc
 	dst = slices.Grow(dst, len(rows))
 	for len(rows) > 0 {

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"robustqo/internal/colstore"
+	"robustqo/internal/cost"
 	"robustqo/internal/obs"
 	"robustqo/internal/testkit"
 	"robustqo/internal/value"
@@ -64,5 +67,66 @@ func TestColumnarStaleEncodingFallsBack(t *testing.T) {
 	}
 	if stale.Value() != 1 {
 		t.Fatalf("fresh encoding counted as stale: %d", stale.Value())
+	}
+}
+
+// TestFilterPrefixErrorParity pins the short-circuit contract the
+// filter-first window rests on: the residual runs only on the rows the
+// pushed prefix keeps. l_status < 5 compares a string with an integer, a
+// type error on every row it sees. Behind a date range that keeps rows,
+// the row path, the late path, DOP 2 and the reference engine return the
+// same error; behind one that keeps none, none of them errs. A Float
+// BETWEEN, which no storage path can push, stays in the residual and
+// scans alike everywhere. Sharded layouts cover prefixes over windows
+// that straddle shard boundaries.
+func TestFilterPrefixErrorParity(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		ctx := fixture{orders: 500, lines: 4, parts: 10, shards: shards, clustered: true, encoded: true}.build(t)
+		for _, tc := range []struct {
+			filter  string
+			wantErr bool
+		}{
+			{"l_ship BETWEEN 10 AND 30 AND l_status < 5", true},
+			{"l_ship BETWEEN 200 AND 300 AND l_status < 5", false},
+			{"l_ship BETWEEN 10 AND 30 AND l_price BETWEEN 10 AND 20 AND l_status >= 'a'", false},
+		} {
+			scan := func(mode ScanMode) *SeqScan {
+				return &SeqScan{Table: "lineitem", Filter: testkit.Expr(tc.filter), Mode: mode}
+			}
+			var rc cost.Counters
+			ref, refErr := ExecuteMaterialized(ctx, scan(ScanRows), &rc)
+			if (refErr != nil) != tc.wantErr {
+				t.Fatalf("shards=%d %s: reference error %v, want error %v", shards, tc.filter, refErr, tc.wantErr)
+			}
+			if refErr == nil && strings.Contains(tc.filter, "l_price") && len(ref.Rows) == 0 {
+				t.Fatalf("shards=%d %s: fixture keeps no rows", shards, tc.filter)
+			}
+			for name, plan := range map[string]Node{
+				"rows":       scan(ScanRows),
+				"late":       scan(ScanLate),
+				"rows dop 2": &Exchange{Source: scan(ScanRows), DOP: 2},
+				"late dop 2": &Exchange{Source: scan(ScanLate), DOP: 2},
+			} {
+				label := fmt.Sprintf("shards=%d %s %s", shards, tc.filter, name)
+				got, _, _, err := Run(ctx, plan)
+				if tc.wantErr {
+					if err == nil || err.Error() != refErr.Error() {
+						t.Fatalf("%s: error %v, want %v", label, err, refErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(got.Rows) != len(ref.Rows) {
+					t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(ref.Rows))
+				}
+				for i := range got.Rows {
+					if rowKey(got.Rows[i]) != rowKey(ref.Rows[i]) {
+						t.Fatalf("%s: row %d = %v, want %v", label, i, got.Rows[i], ref.Rows[i])
+					}
+				}
+			}
+		}
 	}
 }

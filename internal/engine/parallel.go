@@ -188,42 +188,47 @@ func takeBound(open **expr.Bound, pred expr.Expr, schema expr.RelSchema) (*expr.
 // --- SeqScan ---
 
 // openMorsels implements morselSource. A SeqScan charges nothing at Open.
+// It splits its filter once: the pushable prefix runs first, on the
+// table's typed payloads or on its encoding, and the residual only on the
+// prefix's survivors.
 func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunner, error) {
 	t, full, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := expr.Bind(s.Filter, full)
+	bounds, residual := expr.SplitPushdown(s.Filter, full)
+	pred, err := expr.Bind(residual, full)
 	if err != nil {
 		return nil, err
 	}
-	cols, err := newScanCols(full, s.Emit, s.Filter)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := prepareEncScan(ctx, t, full, s)
+	cols, err := newScanCols(full, s.Emit, residual)
 	if err != nil {
 		return nil, err
 	}
 	morsels, shards := spanMorselsShards(scanSpans(t, s.Partitions))
 	return &seqMorselRunner{
-		node: s, t: t, full: full, sch: pickFields(full, cols.emit), pred: pred,
-		spec: spec, cols: cols,
+		node: s, t: t, full: full, sch: pickFields(full, cols.emit),
+		bounds: bounds, residual: residual, pred: pred,
+		spec: prepareEncScan(ctx, t, s, bounds), cols: cols,
 		morsels: morsels, shards: shards,
 	}, nil
 }
 
 type seqMorselRunner struct {
 	node *SeqScan
-	// pred is the Open-time filter binding until the first worker takes it.
-	pred *expr.Bound
 	t    *storage.Table
+	// bounds are the filter's pushable prefix and residual the rest of it
+	// (expr.SplitPushdown); pred is the Open-time residual binding until
+	// the first worker takes it.
+	bounds   []expr.ColBound
+	residual expr.Expr
+	pred     *expr.Bound
 	// spec is the shared encoded-scan plan, nil on the row path; each
 	// worker derives its own mutable encScan state from it.
 	spec *encScanSpec
-	// cols is the row path's column plan: the filter reads cols.pred.
+	// cols is the column plan: the residual reads cols.pred.
 	cols *scanCols
-	// full is the table's schema, which the filter binds against; sch is
+	// full is the table's schema, which the residual binds against; sch is
 	// the projected schema of the batches workers fill.
 	full, sch expr.RelSchema
 	// morsels are the shard-major (shard, morsel) work units: ascending
@@ -242,87 +247,126 @@ func (r *seqMorselRunner) morselSpan(m int) (lo, hi int) { return r.morsels[m].l
 func (r *seqMorselRunner) morselShards() []int { return r.shards }
 
 func (r *seqMorselRunner) newWorker() (morselWorker, error) {
-	pred, err := takeBound(&r.pred, r.node.Filter, r.full)
+	pred, err := takeBound(&r.pred, r.residual, r.full)
 	if err != nil {
 		return nil, err
 	}
-	w := &seqMorselWorker{r: r, pred: pred, scratch: make([][]value.Value, len(r.full.Fields))}
+	w := &seqMorselWorker{r: r, pred: pred, src: r.t, scratch: make([][]value.Value, len(r.full.Fields))}
 	if r.spec != nil {
-		if w.enc, err = r.spec.newState(r.full); err != nil {
-			return nil, err
-		}
+		w.enc = &encScan{spec: r.spec, lastSeg: -1}
+		w.src = w.enc
 	}
 	return w, nil
 }
 
-// seqMorselWorker owns scratch, the full-width columns a window's filter
-// reads; only the filter's columns are ever filled.
+// columnSource loads column col for the strictly ascending offsets offs
+// of the window starting at global row lo: the row store
+// (*storage.Table) or the table's encoding (*encScan).
+type columnSource interface {
+	AppendColumnSel(dst []value.Value, col, lo int, offs []int) []value.Value
+}
+
+// seqMorselWorker owns the window's selection vectors and scratch, the
+// full-width columns the residual reads; only the residual's columns are
+// ever filled. enc is the late path's prefix state, nil on the row path.
 type seqMorselWorker struct {
-	r       *seqMorselRunner
-	pred    *expr.Bound
-	enc     *encScan
-	sel     []int
-	scratch [][]value.Value
+	r            *seqMorselRunner
+	pred         *expr.Bound
+	enc          *encScan
+	src          columnSource
+	sel, sel2    []int
+	keepSel, fin []int
+	scratch      [][]value.Value
 }
 
 // window charges the pages whose first tuple falls inside [lo, hi) — over
 // any disjoint covering of the table this sums to exactly NumPages — and
-// one tuple per row, then loads and filters the window from the row store
-// (rowWindow) or through the encoded path; neither charges anything of its
-// own.
+// one tuple per row, then runs the window filter first: the pushed prefix
+// on the encoding (encScan.prefix) or on the row store (rowPrefix), and
+// the shared tail (emit) on its survivors. Neither path charges anything
+// of its own.
 //
 //qo:hotpath
 func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters) error {
 	const per = storage.TuplesPerPage
 	counters.SeqPages += int64((hi+per-1)/per - (lo+per-1)/per)
 	counters.Tuples += int64(hi - lo)
-	var err error
+	var rows []int
 	if w.enc != nil {
-		err = w.enc.window(out, lo, hi)
+		rows = w.enc.prefix(lo, hi)
 	} else {
-		err = w.rowWindow(out, lo, hi)
+		rows = w.rowPrefix(lo, hi)
 	}
-	if err != nil {
+	if err := w.emit(out, lo, rows); err != nil {
 		//qo:alloc-ok error path, cold
 		return fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
 	}
 	return nil
 }
 
-// rowWindow appends the survivors of rows [lo, hi) from the row store,
-// filter first — the row-store analogue of the late encoded scan. It
-// bulk-loads only the columns the filter reads into scratch, evaluates the
-// filter once over the window, and appends the projected columns of the
-// survivors only: gathered from scratch when the filter read them, loaded
-// from the table otherwise. The filter sees the same values in the same
-// order as over a fully loaded window, so rows and errors are unchanged. A
-// nil filter bulk-loads every projected column.
+// rowPrefix returns the offsets from lo of the rows of [lo, hi) that pass
+// the pushed prefix, checked bound by bound on the table's typed payloads,
+// each bound over the rows the ones before it kept — no value is boxed.
+// With no prefix every row passes.
 //
 //qo:hotpath
-func (w *seqMorselWorker) rowWindow(out *Batch, lo, hi int) error {
-	r, cols := w.r, w.r.cols
-	if r.node.Filter == nil {
-		for i, c := range cols.emit {
-			out.cols[i] = r.t.AppendColumn(out.cols[i], c, lo, hi)
+func (w *seqMorselWorker) rowPrefix(lo, hi int) []int {
+	src, dst := rangeSel(w.sel, 0, hi-lo), w.sel2
+	for _, b := range w.r.bounds {
+		if len(src) == 0 {
+			break
 		}
-		out.n += hi - lo
+		dst = w.r.t.FilterSel(b, lo, src, dst[:0])
+		src, dst = dst, src
+	}
+	w.sel, w.sel2 = src, dst
+	return src
+}
+
+// emit is the tail both storage paths share. rows are the offsets from
+// lo of the prefix's survivors, ascending: it loads the residual's
+// columns for those rows alone, evaluates the residual over them — the
+// rows, in the order, the unsplit filter's left-to-right And would reach
+// it, so rows and errors match — and appends the projected columns of
+// the final survivors, gathered from scratch when the residual read them
+// and loaded from src otherwise.
+//
+//qo:hotpath
+func (w *seqMorselWorker) emit(out *Batch, lo int, rows []int) error {
+	if len(rows) == 0 {
 		return nil
 	}
-	for _, c := range cols.pred {
-		w.scratch[c] = r.t.AppendColumn(w.scratch[c][:0], c, lo, hi)
+	cols, fin := w.r.cols, rows
+	if w.r.residual != nil {
+		for _, c := range cols.pred {
+			w.scratch[c] = w.src.AppendColumnSel(w.scratch[c][:0], c, lo, rows)
+		}
+		// Scratch holds the rows densely, so the residual's selection is
+		// 0..len(rows)-1 — rows itself when every row passed the prefix.
+		dense := rows[len(rows)-1] == len(rows)-1
+		sel := rows
+		if !dense {
+			w.keepSel = rangeSel(w.keepSel, 0, len(rows))
+			sel = w.keepSel
+		}
+		keep, err := w.pred.EvalBatch(w.scratch, sel)
+		if err != nil {
+			return err
+		}
+		cols.gatherPred(out, w.scratch, keep)
+		fin = keep
+		if !dense {
+			fin = w.fin[:0]
+			for _, k := range keep {
+				fin = append(fin, rows[k])
+			}
+			w.fin = fin
+		}
 	}
-	// Selection offsets from lo, so the survivors index scratch and the
-	// table window alike.
-	w.sel = rangeSel(w.sel, 0, hi-lo)
-	keep, err := w.pred.EvalBatch(w.scratch, w.sel)
-	if err != nil {
-		return err
-	}
-	cols.gatherPred(out, w.scratch, keep)
 	for j, i := range cols.restOut {
-		out.cols[i] = r.t.AppendColumnSel(out.cols[i], cols.rest[j], lo, keep)
+		out.cols[i] = w.src.AppendColumnSel(out.cols[i], cols.rest[j], lo, fin)
 	}
-	out.n += len(keep)
+	out.n += len(fin)
 	return nil
 }
 

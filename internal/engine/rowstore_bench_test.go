@@ -56,20 +56,32 @@ func runPlan(b *testing.B, ctx *engine.Context, plan engine.Node, inputRows int)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*inputRows), "ns/row")
 }
 
-// BenchmarkSeqScanRows scans all of lineitem on the row path, with the
-// dashboard's l_quantity filter (about half the rows survive) and with
-// none.
+// BenchmarkSeqScanRows scans all of lineitem on the row path: with the
+// dashboard's l_quantity filter (about half the rows survive), with none,
+// and with Experiment 1's two 91-day date ranges, whose pushable prefix
+// runs on the typed payloads — once more over lineitem range-partitioned
+// into 4 shards, where an unpruned scan's windows straddle shard
+// boundaries.
 func BenchmarkSeqScanRows(b *testing.B) {
 	ctx := tpchContext(b)
+	db, err := tpch.Generate(tpch.Config{Lines: benchLines, Seed: 2005, Partitions: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sharded := &engine.Context{DB: db}
+	exp1 := tpch.Experiment1Predicate(30)
 	for _, bc := range []struct {
 		name   string
+		ctx    *engine.Context
 		filter expr.Expr
 	}{
-		{"quantity<25", testkit.Expr("l_quantity < 25")},
-		{"nofilter", nil},
+		{"quantity<25", ctx, testkit.Expr("l_quantity < 25")},
+		{"nofilter", ctx, nil},
+		{"exp1", ctx, exp1},
+		{"exp1-4shards", sharded, exp1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			runPlan(b, ctx, &engine.SeqScan{Table: "lineitem", Filter: bc.filter}, benchLines)
+			runPlan(b, bc.ctx, &engine.SeqScan{Table: "lineitem", Filter: bc.filter}, benchLines)
 		})
 	}
 }

@@ -89,7 +89,7 @@ func pushableBound(e Expr, schema RelSchema) (ColBound, bool) {
 				StrLo: lo.Val.S, HasStrLo: true,
 				StrHi: hi.Val.S, HasStrHi: true}, true
 		}
-		if !intish(lo.Val.Kind) || !intish(hi.Val.Kind) {
+		if !intish(kind) || !intish(lo.Val.Kind) || !intish(hi.Val.Kind) {
 			return ColBound{}, false
 		}
 		return ColBound{Col: ord, Lo: lo.Val.I, Hi: hi.Val.I}, true
@@ -126,10 +126,10 @@ func resolveOrdinal(col Col, schema RelSchema) (int, catalog.Type, bool) {
 	return ord, schema.Fields[ord].Type, true
 }
 
-// intish reports whether the literal kind compares exactly against an
-// Int/Date column. Float literals are rejected: value.Compare would go
-// through float conversion, and the encoded probe's integer interval
-// could not reproduce that comparison exactly.
+// intish reports whether a column or literal kind is Int or Date. An
+// integer interval is exact only when both the column and the literal
+// are: a Float on either side makes value.Compare go through float
+// conversion, which the interval could not reproduce.
 func intish(k catalog.Type) bool { return k == catalog.Int || k == catalog.Date }
 
 func cmpBound(op CmpOp, col Col, lit Lit, schema RelSchema) (ColBound, bool) {
@@ -154,10 +154,7 @@ func cmpBound(op CmpOp, col Col, lit Lit, schema RelSchema) (ColBound, bool) {
 		}
 		return ColBound{}, false
 	}
-	if kind != catalog.Int && kind != catalog.Date {
-		return ColBound{}, false
-	}
-	if !intish(lit.Val.Kind) {
+	if !intish(kind) || !intish(lit.Val.Kind) {
 		return ColBound{}, false
 	}
 	v := lit.Val.I

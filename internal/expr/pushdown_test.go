@@ -90,6 +90,7 @@ func TestSplitPushdownRejections(t *testing.T) {
 		Or{Terms: []Expr{Cmp{EQ, C("a"), IntLit(1)}, Cmp{EQ, C("a"), IntLit(2)}}},
 		Contains{E: C("s"), Substr: "x"},
 		Cmp{EQ, Arith{Add, C("a"), IntLit(1)}, IntLit(5)}, // computed column
+		Between{C("f"), IntLit(1), IntLit(5)},             // integer interval on a float column
 	} {
 		bounds, residual := SplitPushdown(e, rs)
 		if bounds != nil || residual == nil {

@@ -54,7 +54,8 @@ func (p *planner) computeZones() {
 		if !ok || enc.Rows() != t.NumRows() {
 			continue // stale encoding: execution would fall back anyway
 		}
-		probes, _, ok := enc.CompilePushdown(p.a.predOnly(i), expr.SchemaForTable(t.Schema()))
+		bounds, _ := expr.SplitPushdown(p.a.predOnly(i), expr.SchemaForTable(t.Schema()))
+		probes, ok := enc.CompilePushdown(bounds)
 		if !ok {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"robustqo/internal/catalog"
+	"robustqo/internal/expr"
 	"robustqo/internal/value"
 )
 
@@ -317,10 +318,10 @@ func TestSinglePartitionDegenerate(t *testing.T) {
 	}
 }
 
-// TestAppendColumnMatchesValue checks the typed bulk loads against Value,
-// cell by cell, over ranges and selections that straddle shard boundaries
-// — an empty shard included — for every column type.
-func TestAppendColumnMatchesValue(t *testing.T) {
+// bulkTable is a 1,000-row table of every column type in 4 range shards
+// on k, shard 1 empty; d is the row id as a date.
+func bulkTable(t *testing.T, rng *rand.Rand) *Table {
+	t.Helper()
 	tab, err := NewTable(&catalog.TableSchema{
 		Name: "bulk",
 		Columns: []catalog.Column{
@@ -335,7 +336,6 @@ func TestAppendColumnMatchesValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
 		if err := tab.Append(value.Row{
 			value.Int(int64(rng.Intn(1000))), value.Date(int64(i)),
@@ -347,16 +347,32 @@ func TestAppendColumnMatchesValue(t *testing.T) {
 	if tab.PartitionRows(1) != 0 {
 		t.Fatalf("fixture: shard 1 holds %d rows, want 0", tab.PartitionRows(1))
 	}
+	return tab
+}
+
+// randomSel draws a window [lo, hi) of tab and ascending offsets from lo
+// into it: every row of the window on even trials (the contiguous case),
+// about a third of them otherwise.
+func randomSel(tab *Table, rng *rand.Rand, trial int) (lo, hi int, offs []int) {
+	lo = rng.Intn(tab.NumRows() + 1)
+	hi = lo + rng.Intn(tab.NumRows()-lo+1)
+	for r := lo; r < hi; r++ {
+		if trial%2 == 0 || rng.Intn(3) == 0 {
+			offs = append(offs, r-lo)
+		}
+	}
+	return lo, hi, offs
+}
+
+// TestAppendColumnMatchesValue checks the typed bulk loads against Value,
+// cell by cell, over ranges and selections that straddle shard boundaries
+// — an empty shard included — for every column type.
+func TestAppendColumnMatchesValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tab := bulkTable(t, rng)
 	prefix := []value.Value{value.Int(-1)}
 	for trial := 0; trial < 200; trial++ {
-		lo := rng.Intn(tab.NumRows() + 1)
-		hi := lo + rng.Intn(tab.NumRows()-lo+1)
-		var offs []int
-		for r := lo; r < hi; r++ {
-			if rng.Intn(3) == 0 {
-				offs = append(offs, r-lo)
-			}
-		}
+		lo, hi, offs := randomSel(tab, rng, trial)
 		for c := 0; c < 4; c++ {
 			got := tab.AppendColumn(slices.Clone(prefix), c, lo, hi)
 			if len(got) != 1+hi-lo || got[0] != prefix[0] {
@@ -376,6 +392,46 @@ func TestAppendColumnMatchesValue(t *testing.T) {
 					t.Fatalf("AppendColumnSel(col %d) row %d = %v, want %v", c, lo+o, sel[1+i], tab.Value(lo+o, c))
 				}
 			}
+		}
+	}
+}
+
+// TestFilterSelMatchesCompare checks the typed bound check against
+// value.Compare, row by row, over selections that straddle shard
+// boundaries, for Int, Date and String columns and one-sided string
+// bounds.
+func TestFilterSelMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tab := bulkTable(t, rng)
+	strs := []string{"", "y", "yy", "yyy", "yyyy"}
+	for trial := 0; trial < 300; trial++ {
+		lo, _, offs := randomSel(tab, rng, trial)
+		var b expr.ColBound
+		var loV, hiV value.Value
+		hasLo, hasHi := true, true
+		switch c := []int{0, 1, 3}[trial%3]; c {
+		case 3:
+			b = expr.ColBound{Col: c, IsStr: true,
+				StrLo: strs[rng.Intn(len(strs))], HasStrLo: rng.Intn(2) == 0,
+				StrHi: strs[rng.Intn(len(strs))], HasStrHi: rng.Intn(2) == 0}
+			loV, hiV = value.Str(b.StrLo), value.Str(b.StrHi)
+			hasLo, hasHi = b.HasStrLo, b.HasStrHi
+		default:
+			b = expr.ColBound{Col: c, Lo: int64(rng.Intn(1100) - 50), Hi: int64(rng.Intn(1100) - 50)}
+			loV, hiV = value.Int(b.Lo), value.Int(b.Hi)
+		}
+		var want []int
+		for _, o := range offs {
+			v := tab.Value(lo+o, b.Col)
+			cl, _ := value.Compare(v, loV)
+			ch, _ := value.Compare(v, hiV)
+			if (!hasLo || cl >= 0) && (!hasHi || ch <= 0) {
+				want = append(want, o)
+			}
+		}
+		got := tab.FilterSel(b, lo, offs, []int{-1})
+		if got[0] != -1 || !slices.Equal(got[1:], want) {
+			t.Fatalf("FilterSel(%+v, lo=%d) = %v, want %v", b, lo, got[1:], want)
 		}
 	}
 }

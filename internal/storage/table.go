@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"robustqo/internal/catalog"
+	"robustqo/internal/expr"
 	"robustqo/internal/value"
 )
 
@@ -347,21 +348,18 @@ func (t *Table) AppendColumn(dst []value.Value, col, lo, hi int) []value.Value {
 }
 
 // AppendColumnSel appends the values of column col for global rows
-// lo+offs[i] to dst and returns it. offs must be ascending; the rows it
-// names may straddle shard boundaries.
+// lo+offs[i] to dst and returns it. offs must be strictly ascending; the
+// rows it names may straddle shard boundaries. Contiguous offsets — a
+// window every row of which is wanted — range-load through AppendColumn.
 //
 //qo:hotpath
 func (t *Table) AppendColumnSel(dst []value.Value, col, lo int, offs []int) []value.Value {
+	if n := len(offs); n > 0 && offs[n-1]-offs[0] == n-1 {
+		return t.AppendColumn(dst, col, lo+offs[0], lo+offs[n-1]+1)
+	}
 	dst = slices.Grow(dst, len(offs))
 	for len(offs) > 0 {
-		p, local := t.segOf(lo + offs[0])
-		// Rows of shard p are the offsets below end; shift maps an offset to
-		// its segment-local row. offs[0] is always taken, so a row past the
-		// table panics on the index below instead of looping.
-		shift := local - offs[0]
-		end := t.segs[p].rows - shift
-		n := 1 + sort.SearchInts(offs[1:], end)
-		c := &t.segs[p].cols[col]
+		c, shift, n := t.selRun(col, lo, offs)
 		switch c.kind {
 		case catalog.Int:
 			for _, o := range offs[:n] {
@@ -383,6 +381,47 @@ func (t *Table) AppendColumnSel(dst []value.Value, col, lo int, offs []int) []va
 		offs = offs[n:]
 	}
 	return dst
+}
+
+// FilterSel appends to out the offsets o of offs whose global row lo+o
+// satisfies the bound b, and returns it. The check reads the typed
+// payload in place — b's integer interval against an Int or Date column,
+// its string interval against a String column — and agrees with
+// value.Compare on every row, which is what expr.SplitPushdown's
+// exactness rests on. offs must be strictly ascending; the rows it names
+// may straddle shard boundaries.
+//
+//qo:hotpath
+func (t *Table) FilterSel(b expr.ColBound, lo int, offs, out []int) []int {
+	for len(offs) > 0 {
+		c, shift, n := t.selRun(b.Col, lo, offs)
+		if b.IsStr {
+			for _, o := range offs[:n] {
+				if s := c.strs[shift+o]; (!b.HasStrLo || s >= b.StrLo) && (!b.HasStrHi || s <= b.StrHi) {
+					out = append(out, o)
+				}
+			}
+		} else {
+			for _, o := range offs[:n] {
+				if v := c.ints[shift+o]; v >= b.Lo && v <= b.Hi {
+					out = append(out, o)
+				}
+			}
+		}
+		offs = offs[n:]
+	}
+	return out
+}
+
+// selRun locates the shard holding global row lo+offs[0] and returns its
+// copy of column col, the shift that maps an offset to a row of that
+// shard, and n, how many leading offsets fall inside it. offs[0] is
+// always taken, so a row past the table panics on the caller's index
+// instead of looping.
+func (t *Table) selRun(col, lo int, offs []int) (c *columnData, shift, n int) {
+	p, local := t.segOf(lo + offs[0])
+	shift = local - offs[0]
+	return &t.segs[p].cols[col], shift, 1 + sort.SearchInts(offs[1:], t.segs[p].rows-shift)
 }
 
 // invalidateConcat drops the concatenated payload caches after a mutation.
