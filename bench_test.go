@@ -386,26 +386,6 @@ func BenchmarkBetaCDF(b *testing.B) {
 	}
 }
 
-// BenchmarkSynopsisCount measures predicate evaluation over a 500-tuple
-// synopsis — the per-request cost of the robust estimator.
-func BenchmarkSynopsisCount(b *testing.B) {
-	db, err := tpch.Generate(tpch.Config{Lines: 20000, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	syn, err := sample.BuildSynopsis(db, "lineitem", 500, stats.NewRNG(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred := tpch.Experiment1Predicate(60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := syn.Count(pred); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkHistogramEstimate measures the baseline's per-request cost for
 // the same predicate.
 func BenchmarkHistogramEstimate(b *testing.B) {

@@ -66,14 +66,16 @@ func GroupByCardinality(syn *sample.Synopsis, groupBy []expr.ColumnRef) (float64
 		}
 		idxs[i] = idx
 	}
-	keys := make([]string, syn.Size())
-	for r := range keys {
-		var sb strings.Builder
-		for _, idx := range idxs {
-			sb.WriteString(syn.Cols[idx][r].String())
-			sb.WriteByte('\x00')
+	keys := make([]string, 0, syn.Size())
+	for _, st := range syn.Strata() {
+		for r := range st.NumRows() {
+			var sb strings.Builder
+			for _, idx := range idxs {
+				sb.WriteString(st.Value(r, idx).String())
+				sb.WriteByte('\x00')
+			}
+			keys = append(keys, sb.String())
 		}
-		keys[r] = sb.String()
 	}
 	return EstimateDistinct(keys, syn.N)
 }

@@ -5,6 +5,7 @@ import (
 
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
+	"robustqo/internal/storage"
 	"robustqo/internal/value"
 )
 
@@ -123,7 +124,7 @@ func (b *Batch) gatherFrom(base int, sel []int) {
 //
 //qo:hotpath
 func (b *Batch) filterTail(base int, pred *expr.Bound, sel []int) ([]int, error) {
-	sel = rangeSel(sel, base, b.n)
+	sel = storage.RangeSel(sel, base, b.n)
 	keep, err := pred.EvalBatch(b.cols, sel)
 	if err != nil {
 		return sel, err
@@ -190,22 +191,6 @@ func putBatch(b *Batch) {
 	b.n = 0
 	b.Schema = expr.RelSchema{}
 	batchPool.Put(b)
-}
-
-// rangeSel returns the selection vector [lo, hi), reusing buf's storage
-// when it is large enough. The make runs once per high-water mark, not
-// per call.
-//
-//qo:hotpath
-func rangeSel(buf []int, lo, hi int) []int {
-	if cap(buf) < hi-lo {
-		buf = make([]int, hi-lo)
-	}
-	buf = buf[:hi-lo]
-	for i := range buf {
-		buf[i] = lo + i
-	}
-	return buf
 }
 
 // Operator is the streaming execution contract every physical operator

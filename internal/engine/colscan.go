@@ -2,17 +2,18 @@ package engine
 
 // Encoded scan path: SeqScan over colstore compressed columnar segments.
 //
-// A SeqScan window runs its filter first on both of its storage paths:
-// the filter's pushable prefix (expr.SplitPushdown) decides which rows of
-// the window survive, and one shared tail (seqMorselWorker.emit) runs the
-// residual on those rows alone and loads the projection of its
-// survivors. Only the prefix step differs. ScanLate, when a fresh
-// encoding of the table is present and the filter has a non-empty
-// pushable prefix, checks it on encoded data (encScan.prefix: zone-map
-// segment skipping, then encoded-domain probes) and loads columns by
-// late decoding; everything else — row mode, no or stale encoding —
-// checks it on the row store's typed payloads (seqMorselWorker.rowPrefix)
-// and loads columns from there. No selectivity estimate takes part.
+// A SeqScan window runs its filter first on both of its storage paths,
+// through one storage.Filter: the filter's pushable prefix
+// (expr.SplitPushdown) decides which rows of the window survive, and the
+// residual runs on those rows alone (storage.Filter.EvalResidual) before
+// the window loads the projection of its survivors. Only the prefix step
+// differs. ScanLate, when a fresh encoding of the table is present and
+// the filter has a non-empty pushable prefix, checks it on encoded data
+// (encScan.prefix: zone-map segment skipping, then encoded-domain probes)
+// and loads columns by late decoding; everything else — row mode, no or
+// stale encoding — checks it on the row store's typed payloads
+// (storage.Filter.Window) and loads columns from there. No selectivity
+// estimate takes part.
 //
 // Both paths are counter transparent: the window worker charges a
 // [next, end) window before either runs, and neither charges anything
@@ -150,7 +151,7 @@ func (e *encScan) prefix(next, end int) []int {
 			lo = stop
 			continue
 		}
-		src := rangeSel(e.sel, 0, stop-lo)
+		src := storage.RangeSel(e.sel, 0, stop-lo)
 		e.sel = src
 		dst := e.sel2
 		for pi := range spec.probes {
@@ -170,7 +171,7 @@ func (e *encScan) prefix(next, end int) []int {
 	return rows
 }
 
-// AppendColumnSel implements columnSource: it late-materializes column c
+// AppendColumnSel implements storage.ColumnSource: it late-materializes column c
 // for the window-relative offsets rows (ascending) of the window starting
 // at global row winLo, one AppendColSel per encoded segment the rows fall
 // in.

@@ -205,21 +205,11 @@ func newScanCols(full expr.RelSchema, emit []int, pred expr.Expr) (*scanCols, er
 		return nil, err
 	}
 	sc := &scanCols{emit: emit}
-	reads := make([]bool, len(full.Fields))
-	for _, ref := range expr.Columns(pred) {
-		c, err := full.Resolve(ref)
-		if err != nil {
-			return nil, err
-		}
-		reads[c] = true
-	}
-	for c, r := range reads {
-		if r {
-			sc.pred = append(sc.pred, c)
-		}
+	if sc.pred, err = full.Ordinals(pred); err != nil {
+		return nil, err
 	}
 	for i, c := range emit {
-		if reads[c] {
+		if slices.Contains(sc.pred, c) {
 			sc.predOut = append(sc.predOut, i)
 		} else {
 			sc.restOut = append(sc.restOut, i)

@@ -35,7 +35,7 @@ func eachWindow(rows []value.Row, schema expr.RelSchema, fn func(b *Batch, sel [
 		for _, row := range window {
 			b.AppendRow(row)
 		}
-		sel = rangeSel(sel, 0, len(window))
+		sel = storage.RangeSel(sel, 0, len(window))
 		if err := fn(b, sel, window); err != nil {
 			return err
 		}

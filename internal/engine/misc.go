@@ -9,6 +9,7 @@ import (
 	"robustqo/internal/catalog"
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
+	"robustqo/internal/storage"
 	"robustqo/internal/value"
 )
 
@@ -68,7 +69,7 @@ func (o *filterOp) Next() (*Batch, error) {
 			return nil, nil
 		}
 		o.counters.Tuples += int64(b.Len())
-		o.sel = rangeSel(o.sel, 0, b.Len())
+		o.sel = storage.RangeSel(o.sel, 0, b.Len())
 		keep, err := o.pred.EvalBatch(b.Cols(), o.sel)
 		if err != nil {
 			//qo:alloc-ok error path, cold
@@ -453,7 +454,7 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		n := b.Len()
 		counters.Tuples += int64(n)
 		counters.HashBuilds += int64(n)
-		sel = rangeSel(sel, 0, n)
+		sel = storage.RangeSel(sel, 0, n)
 		cols := b.Cols()
 		for i := range a.Aggs {
 			if argFns[i] == nil {

@@ -171,45 +171,44 @@ type shardedRunner interface {
 	morselShards() []int
 }
 
-// takeBound hands a worker its bound predicate. A scan binds its filter
-// at Open, so a malformed predicate fails there even when no worker ever
-// runs (a zero-morsel scan); the first worker — which the coordinator
-// creates, serially or before an Exchange launches its pool — takes that
-// binding, and each later worker binds its own copy, because a bound
-// predicate carries evaluation scratch.
-func takeBound(open **expr.Bound, pred expr.Expr, schema expr.RelSchema) (*expr.Bound, error) {
+// takeBound hands a worker its bound predicate — an *expr.Bound or a
+// *storage.Filter. A scan binds its filter at Open, so a malformed
+// predicate fails there even when no worker ever runs (a zero-morsel
+// scan); the first worker — which the coordinator creates, serially or
+// before an Exchange launches its pool — takes that binding, and each
+// later worker binds its own copy, because a bound predicate carries
+// evaluation scratch.
+func takeBound[T any](open **T, bind func() (*T, error)) (*T, error) {
 	if b := *open; b != nil {
 		*open = nil
 		return b, nil
 	}
-	return expr.Bind(pred, schema)
+	return bind()
 }
 
 // --- SeqScan ---
 
 // openMorsels implements morselSource. A SeqScan charges nothing at Open.
-// It splits its filter once: the pushable prefix runs first, on the
-// table's typed payloads or on its encoding, and the residual only on the
-// prefix's survivors.
+// It splits its filter once (storage.Filter): the pushable prefix runs
+// first, on the table's typed payloads or on its encoding, and the
+// residual only on the prefix's survivors.
 func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunner, error) {
 	t, full, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
 		return nil, err
 	}
-	bounds, residual := expr.SplitPushdown(s.Filter, full)
-	pred, err := expr.Bind(residual, full)
+	filter, err := storage.NewFilter(s.Filter, full)
 	if err != nil {
 		return nil, err
 	}
-	cols, err := newScanCols(full, s.Emit, residual)
+	cols, err := newScanCols(full, s.Emit, filter.Residual())
 	if err != nil {
 		return nil, err
 	}
 	morsels, shards := spanMorselsShards(scanSpans(t, s.Partitions))
 	return &seqMorselRunner{
-		node: s, t: t, full: full, sch: pickFields(full, cols.emit),
-		bounds: bounds, residual: residual, pred: pred,
-		spec: prepareEncScan(ctx, t, s, bounds), cols: cols,
+		node: s, t: t, full: full, sch: pickFields(full, cols.emit), filter: filter,
+		spec: prepareEncScan(ctx, t, s, filter.Bounds()), cols: cols,
 		morsels: morsels, shards: shards,
 	}, nil
 }
@@ -217,18 +216,15 @@ func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunn
 type seqMorselRunner struct {
 	node *SeqScan
 	t    *storage.Table
-	// bounds are the filter's pushable prefix and residual the rest of it
-	// (expr.SplitPushdown); pred is the Open-time residual binding until
-	// the first worker takes it.
-	bounds   []expr.ColBound
-	residual expr.Expr
-	pred     *expr.Bound
+	// filter is the Open-time split of the scan's filter until the first
+	// worker takes it (takeBound).
+	filter *storage.Filter
 	// spec is the shared encoded-scan plan, nil on the row path; each
 	// worker derives its own mutable encScan state from it.
 	spec *encScanSpec
-	// cols is the column plan: the residual reads cols.pred.
+	// cols is the column plan of the projection.
 	cols *scanCols
-	// full is the table's schema, which the residual binds against; sch is
+	// full is the table's schema, which the filter binds against; sch is
 	// the projected schema of the batches workers fill.
 	full, sch expr.RelSchema
 	// morsels are the shard-major (shard, morsel) work units: ascending
@@ -247,11 +243,11 @@ func (r *seqMorselRunner) morselSpan(m int) (lo, hi int) { return r.morsels[m].l
 func (r *seqMorselRunner) morselShards() []int { return r.shards }
 
 func (r *seqMorselRunner) newWorker() (morselWorker, error) {
-	pred, err := takeBound(&r.pred, r.residual, r.full)
+	f, err := takeBound(&r.filter, func() (*storage.Filter, error) { return storage.NewFilter(r.node.Filter, r.full) })
 	if err != nil {
 		return nil, err
 	}
-	w := &seqMorselWorker{r: r, pred: pred, src: r.t, scratch: make([][]value.Value, len(r.full.Fields))}
+	w := &seqMorselWorker{r: r, f: f, src: r.t}
 	if r.spec != nil {
 		w.enc = &encScan{spec: r.spec, lastSeg: -1}
 		w.src = w.enc
@@ -259,110 +255,46 @@ func (r *seqMorselRunner) newWorker() (morselWorker, error) {
 	return w, nil
 }
 
-// columnSource loads column col for the strictly ascending offsets offs
-// of the window starting at global row lo: the row store
-// (*storage.Table) or the table's encoding (*encScan).
-type columnSource interface {
-	AppendColumnSel(dst []value.Value, col, lo int, offs []int) []value.Value
-}
-
-// seqMorselWorker owns the window's selection vectors and scratch, the
-// full-width columns the residual reads; only the residual's columns are
-// ever filled. enc is the late path's prefix state, nil on the row path.
+// seqMorselWorker owns its filter's scratch. enc is the late path's
+// prefix state, nil on the row path; src is where the projection loads
+// from: the row store or, on the late path, the encoding.
 type seqMorselWorker struct {
-	r            *seqMorselRunner
-	pred         *expr.Bound
-	enc          *encScan
-	src          columnSource
-	sel, sel2    []int
-	keepSel, fin []int
-	scratch      [][]value.Value
+	r   *seqMorselRunner
+	f   *storage.Filter
+	enc *encScan
+	src storage.ColumnSource
 }
 
 // window charges the pages whose first tuple falls inside [lo, hi) — over
 // any disjoint covering of the table this sums to exactly NumPages — and
 // one tuple per row, then runs the window filter first: the pushed prefix
-// on the encoding (encScan.prefix) or on the row store (rowPrefix), and
-// the shared tail (emit) on its survivors. Neither path charges anything
-// of its own.
+// on the encoding (encScan.prefix, then the filter's residual) or the
+// whole filter on the row store (storage.Filter.Window). It appends the
+// projected columns of the survivors, gathered from the filter's scratch
+// when the residual read them and loaded from src otherwise. Neither path
+// charges anything of its own.
 //
 //qo:hotpath
 func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters) error {
 	const per = storage.TuplesPerPage
 	counters.SeqPages += int64((hi+per-1)/per - (lo+per-1)/per)
 	counters.Tuples += int64(hi - lo)
-	var rows []int
+	var fin, keep []int
+	var err error
 	if w.enc != nil {
-		rows = w.enc.prefix(lo, hi)
+		fin, keep, err = w.f.EvalResidual(w.src, lo, w.enc.prefix(lo, hi))
 	} else {
-		rows = w.rowPrefix(lo, hi)
+		fin, keep, err = w.f.Window(w.r.t, lo, hi)
 	}
-	if err := w.emit(out, lo, rows); err != nil {
+	if err != nil {
 		//qo:alloc-ok error path, cold
 		return fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
 	}
-	return nil
-}
-
-// rowPrefix returns the offsets from lo of the rows of [lo, hi) that pass
-// the pushed prefix, checked bound by bound on the table's typed payloads,
-// each bound over the rows the ones before it kept — no value is boxed.
-// With no prefix every row passes.
-//
-//qo:hotpath
-func (w *seqMorselWorker) rowPrefix(lo, hi int) []int {
-	src, dst := rangeSel(w.sel, 0, hi-lo), w.sel2
-	for _, b := range w.r.bounds {
-		if len(src) == 0 {
-			break
-		}
-		dst = w.r.t.FilterSel(b, lo, src, dst[:0])
-		src, dst = dst, src
-	}
-	w.sel, w.sel2 = src, dst
-	return src
-}
-
-// emit is the tail both storage paths share. rows are the offsets from
-// lo of the prefix's survivors, ascending: it loads the residual's
-// columns for those rows alone, evaluates the residual over them — the
-// rows, in the order, the unsplit filter's left-to-right And would reach
-// it, so rows and errors match — and appends the projected columns of
-// the final survivors, gathered from scratch when the residual read them
-// and loaded from src otherwise.
-//
-//qo:hotpath
-func (w *seqMorselWorker) emit(out *Batch, lo int, rows []int) error {
-	if len(rows) == 0 {
+	if len(fin) == 0 {
 		return nil
 	}
-	cols, fin := w.r.cols, rows
-	if w.r.residual != nil {
-		for _, c := range cols.pred {
-			w.scratch[c] = w.src.AppendColumnSel(w.scratch[c][:0], c, lo, rows)
-		}
-		// Scratch holds the rows densely, so the residual's selection is
-		// 0..len(rows)-1 — rows itself when every row passed the prefix.
-		dense := rows[len(rows)-1] == len(rows)-1
-		sel := rows
-		if !dense {
-			w.keepSel = rangeSel(w.keepSel, 0, len(rows))
-			sel = w.keepSel
-		}
-		keep, err := w.pred.EvalBatch(w.scratch, sel)
-		if err != nil {
-			return err
-		}
-		cols.gatherPred(out, w.scratch, keep)
-		fin = keep
-		if !dense {
-			fin = w.fin[:0]
-			for _, k := range keep {
-				fin = append(fin, rows[k])
-			}
-			w.fin = fin
-		}
-	}
+	cols := w.r.cols
+	cols.gatherPred(out, w.f.Scratch, keep)
 	for j, i := range cols.restOut {
 		out.cols[i] = w.src.AppendColumnSel(out.cols[i], cols.rest[j], lo, fin)
 	}
@@ -466,7 +398,7 @@ func (r *ridMorselRunner) morselSpan(m int) (lo, hi int) {
 }
 
 func (r *ridMorselRunner) newWorker() (morselWorker, error) {
-	pred, err := takeBound(&r.pred, r.residual, r.full)
+	pred, err := takeBound(&r.pred, func() (*expr.Bound, error) { return expr.Bind(r.residual, r.full) })
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +434,7 @@ func (w *ridMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters
 	rids := r.rids[lo:hi]
 	counters.RandPages += int64(len(rids))
 	counters.Tuples += int64(len(rids))
-	w.sel = rangeSel(w.sel, 0, len(rids))
+	w.sel = storage.RangeSel(w.sel, 0, len(rids))
 	keep := w.sel
 	if r.residual != nil {
 		for _, c := range cols.pred {

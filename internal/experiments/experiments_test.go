@@ -7,6 +7,11 @@ import (
 	"testing"
 
 	"robustqo/internal/core"
+	"robustqo/internal/engine"
+	"robustqo/internal/optimizer"
+	"robustqo/internal/sample"
+	"robustqo/internal/stats"
+	"robustqo/internal/tpch"
 )
 
 // smallConfig keeps the real-system experiments fast in tests while
@@ -398,16 +403,70 @@ func TestOverheadFigure(t *testing.T) {
 	if histSeries.Points[0].Y <= 0 {
 		t.Error("histogram timing nonpositive")
 	}
-	// Sampling time grows with sample size.
 	if len(sampling.Points) < 2 {
 		t.Fatal("too few sampling points")
 	}
-	if sampling.Points[len(sampling.Points)-1].Y <= sampling.Points[0].Y {
-		t.Error("optimization time did not grow with sample size")
+	for _, p := range sampling.Points {
+		if p.Y <= 0 {
+			t.Errorf("n=%g: sampling timing nonpositive", p.X)
+		}
 	}
 	if len(fig.Notes) == 0 {
 		t.Error("missing overhead ratio note")
 	}
+	// Sampling cost grows with sample size. The figure's wall-clock
+	// difference between its smallest and largest sample is within
+	// scheduler noise at these sizes, so the growth is checked on the work
+	// itself: the sample tuples one optimization of the figure's query
+	// evaluates.
+	db, err := tpch.Generate(tpch.Config{Lines: cfg.Lines, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := engine.NewContext(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, large := sampling.Points[0].X, sampling.Points[len(sampling.Points)-1].X
+	tuples := map[float64]int{}
+	for _, n := range []float64{small, large} {
+		set, err := sample.BuildAll(db, int(n), stats.NewRNG(cfg.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bayes, err := core.NewBayesEstimator(set, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := &tupleCounter{BayesEstimator: bayes}
+		opt, err := optimizer.New(ctx, est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := opt.Optimize(tpch.Experiment1Query(60)); err != nil {
+			t.Fatal(err)
+		}
+		tuples[n] = est.tuples
+	}
+	if tuples[small] <= 0 || tuples[large] <= tuples[small] {
+		t.Errorf("sample tuples evaluated per optimization: %d at n=%g, %d at n=%g; want growth", tuples[small], small, tuples[large], large)
+	}
+}
+
+// tupleCounter is a Bayes estimator that counts the sample tuples its
+// estimates evaluate.
+type tupleCounter struct {
+	*core.BayesEstimator
+	tuples int
+}
+
+func (c *tupleCounter) Estimate(req core.Request) (core.Estimate, error) {
+	_, n, _, err := c.Observe(req)
+	if err != nil {
+		return core.Estimate{}, err
+	}
+	c.tuples += n
+	return c.BayesEstimator.Estimate(req)
 }
 
 func TestRegistry(t *testing.T) {

@@ -64,6 +64,26 @@ func (rs RelSchema) Resolve(ref ColumnRef) (int, error) {
 	return found, nil
 }
 
+// Ordinals returns the ordinals of the fields e reads, ascending and
+// without repeats.
+func (rs RelSchema) Ordinals(e Expr) ([]int, error) {
+	reads := make([]bool, len(rs.Fields))
+	for _, ref := range Columns(e) {
+		c, err := rs.Resolve(ref)
+		if err != nil {
+			return nil, err
+		}
+		reads[c] = true
+	}
+	var out []int
+	for c, r := range reads {
+		if r {
+			out = append(out, c)
+		}
+	}
+	return out, nil
+}
+
 // String renders the schema for error messages.
 func (rs RelSchema) String() string {
 	parts := make([]string, len(rs.Fields))

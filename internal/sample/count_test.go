@@ -1,6 +1,7 @@
 package sample_test
 
 import (
+	"fmt"
 	"testing"
 
 	"robustqo/internal/expr"
@@ -13,36 +14,78 @@ import (
 )
 
 // countCase is a bench-shaped predicate plus the same condition written
-// directly in Go over the synopsis columns, the brute force Count must
-// agree with.
+// directly in Go over the synopsis tuples, the brute force Count must
+// agree with. A case whose residual fails on a tuple has no brute force:
+// accept is nil, and wantErr says whether the prefix lets the residual
+// reach a tuple at all.
 type countCase struct {
-	name   string
-	root   string
-	pred   expr.Expr
-	accept func(col func(table, column string) value.Value) bool
+	name    string
+	root    string
+	pred    expr.Expr
+	accept  func(col func(table, column string) value.Value) bool
+	wantErr bool
 }
 
 func countCases() []countCase {
 	q3, q9 := value.DateFromCivil(1997, 7, 1), value.DateFromCivil(1997, 9, 30)
 	in := func(v value.Value, lo, hi int64) bool { return v.I >= lo && v.I <= hi }
+	qty := func(col func(string, string) value.Value) int64 { return col("lineitem", "l_quantity").I }
+	price := func(col func(string, string) value.Value) float64 { return col("lineitem", "l_extendedprice").F }
 	return []countCase{
-		{"eq", "lineitem", testkit.Expr("l_quantity = 10"),
-			func(col func(string, string) value.Value) bool { return col("lineitem", "l_quantity").I == 10 }},
-		{"between-and-eq", "lineitem",
-			testkit.Expr("l_shipdate BETWEEN DATE '1995-01-01' AND DATE '1996-12-31' AND l_quantity = 7"),
-			func(col func(string, string) value.Value) bool {
-				return in(col("lineitem", "l_shipdate"), testkit.Date("1995-01-01"), testkit.Date("1996-12-31")) &&
-					col("lineitem", "l_quantity").I == 7
+		{name: "eq", root: "lineitem", pred: testkit.Expr("l_quantity = 10"),
+			accept: func(col func(string, string) value.Value) bool { return qty(col) == 10 }},
+		{name: "between-and-eq", root: "lineitem",
+			pred: testkit.Expr("l_shipdate BETWEEN DATE '1995-01-01' AND DATE '1996-12-31' AND l_quantity = 7"),
+			accept: func(col func(string, string) value.Value) bool {
+				return in(col("lineitem", "l_shipdate"), testkit.Date("1995-01-01"), testkit.Date("1996-12-31")) && qty(col) == 7
 			}},
-		{"exp1", "lineitem", tpch.Experiment1Predicate(5),
-			func(col func(string, string) value.Value) bool {
+		{name: "exp1", root: "lineitem", pred: tpch.Experiment1Predicate(5),
+			accept: func(col func(string, string) value.Value) bool {
 				return in(col("lineitem", "l_shipdate"), q3, q9) && in(col("lineitem", "l_receiptdate"), q3+5, q9+5)
 			}},
-		{"exp2", "lineitem", tpch.Experiment2Query(0).Pred,
-			func(col func(string, string) value.Value) bool {
+		{name: "exp2", root: "lineitem", pred: tpch.Experiment2Query(0).Pred,
+			accept: func(col func(string, string) value.Value) bool {
 				return col("part", "p_attr1").I < tpch.PartWindow && in(col("part", "p_attr2"), 0, tpch.PartWindow-1)
 			}},
+		// No pushable prefix: the whole predicate is residual.
+		{name: "residual-ne", root: "lineitem", pred: testkit.Expr("l_quantity <> 7"),
+			accept: func(col func(string, string) value.Value) bool { return qty(col) != 7 }},
+		{name: "residual-float", root: "lineitem", pred: testkit.Expr("l_extendedprice < 50000.5"),
+			accept: func(col func(string, string) value.Value) bool { return price(col) < 50000.5 }},
+		{name: "float-between", root: "lineitem", pred: testkit.Expr("l_extendedprice BETWEEN 20000 AND 60000.25"),
+			accept: func(col func(string, string) value.Value) bool { return price(col) >= 20000 && price(col) <= 60000.25 }},
+		// A pushed prefix, then a residual over columns the prefix did not read.
+		{name: "mixed", root: "lineitem",
+			pred: testkit.Expr("l_shipdate BETWEEN DATE '1994-01-01' AND DATE '1997-12-31' AND l_quantity <> 7 AND l_extendedprice < 70000"),
+			accept: func(col func(string, string) value.Value) bool {
+				return in(col("lineitem", "l_shipdate"), testkit.Date("1994-01-01"), testkit.Date("1997-12-31")) &&
+					qty(col) != 7 && price(col) < 70000
+			}},
+		// A residual type error behind a pushed prefix: the unsplit
+		// evaluator's error when the prefix keeps tuples, none when it
+		// keeps none.
+		{name: "residual-error", root: "lineitem", pred: testkit.Expr("l_quantity < 25 AND l_extendedprice < 'a'"), wantErr: true},
+		{name: "residual-error-unreached", root: "lineitem", pred: testkit.Expr("l_quantity < 0 AND l_extendedprice < 'a'")},
 	}
+}
+
+// unsplitCount is the reference Count: the whole predicate bound over the
+// synopsis schema and evaluated in one batch over boxed copies of every
+// stratum's columns.
+func unsplitCount(t testing.TB, syn *sample.Synopsis, pred expr.Expr) (int, error) {
+	t.Helper()
+	cols := make([][]value.Value, len(syn.Schema.Fields))
+	for _, st := range syn.Strata() {
+		for c := range cols {
+			cols[c] = st.AppendColumn(cols[c], c, 0, st.NumRows())
+		}
+	}
+	bound, err := expr.Bind(pred, syn.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := bound.EvalBatch(cols, storage.RangeSel(nil, 0, syn.Size()))
+	return len(keep), err
 }
 
 func countDB(t testing.TB) *storage.Database {
@@ -54,10 +97,11 @@ func countDB(t testing.TB) *storage.Database {
 	return db
 }
 
-// TestSynopsisCountAllocs: Count agrees with a brute-force count on the
-// predicate shapes the benchmark and the paper's experiments generate,
-// and its allocations do not grow with the sample — it is one bind plus
-// one batch evaluation, whatever n is.
+// TestSynopsisCountAllocs: Count agrees with a brute-force count and with
+// the unsplit evaluator — the same k, or the same error — on the predicate
+// shapes the benchmark and the paper's experiments generate, and on
+// residual-only, mixed and failing filters; and its allocations do not
+// grow with the sample.
 func TestSynopsisCountAllocs(t *testing.T) {
 	db := countDB(t)
 	for _, c := range countCases() {
@@ -67,31 +111,29 @@ func TestSynopsisCountAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := 0
-			for i := 0; i < syn.Size(); i++ {
-				col := func(table, column string) value.Value {
-					idx, err := syn.Schema.Resolve(expr.ColumnRef{Table: table, Column: column})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return syn.Cols[idx][i]
-				}
-				if c.accept(col) {
-					want++
-				}
-			}
 			got, err := syn.Count(c.pred)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", c.name, n, err)
+			ref, refErr := unsplitCount(t, syn, c.pred)
+			if (refErr != nil) != c.wantErr {
+				t.Fatalf("%s n=%d: unsplit evaluator error %v, want error %v", c.name, n, refErr, c.wantErr)
 			}
-			if got != want {
-				t.Errorf("%s n=%d: Count = %d, brute force = %d", c.name, n, got, want)
+			if refErr != nil {
+				if want := fmt.Sprintf("sample: synopsis %q: %v", c.root, refErr); err == nil || err.Error() != want {
+					t.Errorf("%s n=%d: Count error %v, want %s", c.name, n, err, want)
+				}
+			} else if err != nil || got != ref {
+				t.Errorf("%s n=%d: Count = %d, %v; unsplit evaluator = %d", c.name, n, got, err, ref)
 			}
-			if n == 5000 && (want == 0 || want == n) {
-				t.Errorf("%s: brute force matched %d of %d; the case discriminates nothing", c.name, want, n)
+			if c.accept != nil {
+				want := bruteCount(t, syn, c.accept)
+				if got != want {
+					t.Errorf("%s n=%d: Count = %d, brute force = %d", c.name, n, got, want)
+				}
+				if n == 5000 && (want == 0 || want == n) {
+					t.Errorf("%s: brute force matched %d of %d; the case discriminates nothing", c.name, want, n)
+				}
 			}
 			allocs[n] = testing.AllocsPerRun(20, func() {
-				if _, err := syn.Count(c.pred); err != nil {
+				if _, err := syn.Count(c.pred); (err != nil) != c.wantErr {
 					t.Fatal(err)
 				}
 			})
@@ -102,20 +144,71 @@ func TestSynopsisCountAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSynopsisCount times the estimator's hot path: one Count of a
-// BETWEEN-and-equality predicate over a default-size lineitem synopsis.
+// bruteCount counts the sample tuples of syn that accept admits, reading
+// each value on its own.
+func bruteCount(t testing.TB, syn *sample.Synopsis, accept func(col func(table, column string) value.Value) bool) int {
+	want := 0
+	for _, st := range syn.Strata() {
+		for i := range st.NumRows() {
+			col := func(table, column string) value.Value {
+				idx, err := syn.Schema.Resolve(expr.ColumnRef{Table: table, Column: column})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.Value(i, idx)
+			}
+			if accept(col) {
+				want++
+			}
+		}
+	}
+	return want
+}
+
+// BenchmarkSynopsisCount times the estimator's hot path: counting a
+// predicate over a default-size lineitem synopsis. The sub-benchmarks are
+// the filter shapes a count splits into — all prefix (Experiment 1's
+// date ranges), all residual, prefix then residual — and a pruned
+// CountStrata over two of four strata.
 func BenchmarkSynopsisCount(b *testing.B) {
 	db := countDB(b)
 	syn, err := sample.BuildSynopsis(db, "lineitem", sample.DefaultSize, stats.NewRNG(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred := countCases()[1].pred
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := syn.Count(pred); err != nil {
-			b.Fatal(err)
+	sharded, err := tpch.Generate(tpch.Config{Lines: 6000, Parts: 2000, PartCorrelation: 0.5, Partitions: 4, Seed: 2005})
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := sample.BuildAll(sharded, sample.DefaultSize, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	shardedSyn, _ := set.Synopsis("lineitem")
+	var mixed expr.Expr
+	for _, c := range countCases() {
+		if c.name == "mixed" {
+			mixed = c.pred
 		}
+	}
+	for _, c := range []struct {
+		name   string
+		syn    *sample.Synopsis
+		pred   expr.Expr
+		strata []int
+	}{
+		{"prefix-exp1", syn, tpch.Experiment1Predicate(60), nil},
+		{"residual", syn, testkit.Expr("l_quantity <> 7 AND l_extendedprice < 50000.5"), nil},
+		{"mixed", syn, mixed, nil},
+		{"pruned-4shards", shardedSyn, mixed, []int{1, 2}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, _, err := c.syn.CountStrata(c.pred, c.strata); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

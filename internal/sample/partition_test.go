@@ -119,8 +119,8 @@ func TestBuildAllStratifiesPartitionedRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, popSum := 0, 0
-	for p, st := range syn.strata {
+	rows, popSum := 0, 0
+	for p, st := range strataOf(syn) {
 		if st.Pop != line.PartitionRows(p) {
 			t.Fatalf("stratum %d population %d, shard holds %d", p, st.Pop, line.PartitionRows(p))
 		}
@@ -131,26 +131,31 @@ func TestBuildAllStratifiesPartitionedRoot(t *testing.T) {
 			t.Fatalf("empty shard %d has %d sample tuples", p, st.Rows)
 		}
 		// Every sampled tuple's partition key must route to its stratum.
-		for _, v := range syn.Cols[qtyIdx][lo : lo+st.Rows] {
+		for i := range st.Rows {
+			v := syn.strata[p].Value(i, qtyIdx)
 			if got, _ := line.ShardOfKey(v.I); got != p {
 				t.Fatalf("stratum %d sampled qty %d belonging to shard %d", p, v.I, got)
 			}
 		}
-		lo += st.Rows
+		rows += st.Rows
 		popSum += st.Pop
 	}
-	if lo != syn.Size() {
-		t.Fatalf("strata hold %d tuples, synopsis has %d", lo, syn.Size())
+	if rows != syn.Size() {
+		t.Fatalf("strata hold %d tuples, synopsis has %d", rows, syn.Size())
 	}
 	if popSum != line.NumRows() || syn.N != popSum {
 		t.Fatalf("strata populations sum to %d, N is %d, table holds %d", popSum, syn.N, line.NumRows())
 	}
 	// Unpartitioned tables are one stratum of the full sample size.
 	orders, _ := set.Synopsis("orders")
-	if len(orders.strata) != 1 || orders.strata[0] != (stratum{Rows: n, Pop: orders.N}) {
-		t.Errorf("unpartitioned strata = %v, want one stratum of %d over %d", orders.strata, n, orders.N)
+	if st := strataOf(orders); len(st) != 1 || st[0] != (stratum{Rows: n, Pop: orders.N}) {
+		t.Errorf("unpartitioned strata = %v, want one stratum of %d over %d", st, n, orders.N)
 	}
 }
+
+// strataOf returns each stratum's tuple count and population, in shard
+// order.
+func strataOf(syn *Synopsis) []stratum { return saveSynopsis(syn).Strata }
 
 // TestCountStrataNilIsEveryStratum is the one-sample contract: nil and
 // the explicit all-strata list read the same tuples, for a single-table
@@ -188,8 +193,8 @@ func TestCountStrataNilIsEveryStratum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if np != syn.strata[p].Rows || popp != syn.strata[p].Pop {
-				t.Errorf("%s: stratum %d observes n=%d pop=%d, want %v", src, p, np, popp, syn.strata[p])
+			if want := strataOf(syn)[p]; np != want.Rows || popp != want.Pop {
+				t.Errorf("%s: stratum %d observes n=%d pop=%d, want %v", src, p, np, popp, want)
 			}
 			kSum, nSum, popSum = kSum+kp, nSum+np, popSum+popp
 		}
@@ -200,6 +205,70 @@ func TestCountStrataNilIsEveryStratum(t *testing.T) {
 			t.Fatal(err)
 		} else if kf, _, _, _ := syn.CountStrata(pred, []int{0, 2}); kr != kf {
 			t.Errorf("%s: strata order changed k: %d vs %d", src, kr, kf)
+		}
+	}
+}
+
+// TestCountStrataSubsetsMatchBruteForce: for every subset of a 4-shard
+// synopsis's strata, CountStrata's k is the sum of the listed strata's
+// brute-force counts, for a prefix-only, a residual-only and a mixed
+// filter.
+func TestCountStrataSubsetsMatchBruteForce(t *testing.T) {
+	db := partDB(t, 30, 2, 4)
+	set, err := BuildAll(db, 200, stats.NewRNG(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, _ := set.Synopsis("lineitem")
+	col := func(table, column string) int {
+		c, err := syn.Schema.Resolve(expr.ColumnRef{Table: table, Column: column})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	qty, region, cust := col("lineitem", "l_qty"), col("customer", "c_region"), col("orders", "o_cust")
+	for _, c := range []struct {
+		pred   string
+		accept func(st *storage.Table, i int) bool
+	}{
+		{"l_qty >= 10 AND c_region = 2", func(st *storage.Table, i int) bool {
+			return st.Value(i, qty).I >= 10 && st.Value(i, region).I == 2
+		}},
+		{"l_qty <> 7 AND c_region <> 1", func(st *storage.Table, i int) bool {
+			return st.Value(i, qty).I != 7 && st.Value(i, region).I != 1
+		}},
+		{"l_qty BETWEEN 5 AND 40 AND o_cust <> 3 AND c_region < 4", func(st *storage.Table, i int) bool {
+			q := st.Value(i, qty).I
+			return q >= 5 && q <= 40 && st.Value(i, cust).I != 3 && st.Value(i, region).I < 4
+		}},
+	} {
+		brute := make([]int, len(syn.strata))
+		for p, st := range syn.strata {
+			for i := range st.NumRows() {
+				if c.accept(st, i) {
+					brute[p]++
+				}
+			}
+		}
+		if total := brute[0] + brute[1] + brute[2] + brute[3]; total == 0 || total == syn.Size() {
+			t.Fatalf("%s: brute force matched %d of %d; the case discriminates nothing", c.pred, total, syn.Size())
+		}
+		for mask := range 1 << len(syn.strata) {
+			strata, want := []int{}, 0
+			for p := range syn.strata {
+				if mask&(1<<p) != 0 {
+					strata = append(strata, p)
+					want += brute[p]
+				}
+			}
+			k, _, _, err := syn.CountStrata(testkit.Expr(c.pred), strata)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k != want {
+				t.Errorf("%s strata %v: k = %d, brute force %d", c.pred, strata, k, want)
+			}
 		}
 	}
 }
@@ -285,8 +354,8 @@ func TestPartitionedPersistRoundTrip(t *testing.T) {
 	}
 	orig, _ := set.Synopsis("lineitem")
 	back, ok := loaded.Synopsis("lineitem")
-	if !ok || !slices.Equal(orig.strata, back.strata) {
-		t.Fatalf("strata did not round-trip: %v vs %v", orig.strata, back.strata)
+	if !ok || !slices.Equal(strataOf(orig), strataOf(back)) {
+		t.Fatalf("strata did not round-trip: %v vs %v", strataOf(orig), strataOf(back))
 	}
 	pred := testkit.Expr("l_qty < 25 AND c_region = 2")
 	for p := range orig.strata {

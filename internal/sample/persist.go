@@ -32,6 +32,7 @@ const setWireVersion = 3
 
 // savedSynopsis is the gob wire form of a Synopsis. Rows holds the strata
 // in shard order; Strata[p] is stratum p's tuple count and population.
+// Gob writes type names, so these types' names are part of the format.
 type savedSynopsis struct {
 	Root   string
 	Tables []string
@@ -39,6 +40,12 @@ type savedSynopsis struct {
 	Rows   []value.Row
 	N      int
 	Strata []stratum
+}
+
+// stratum is the wire form of one stratum: Rows sample tuples drawn
+// uniformly from Pop rows.
+type stratum struct {
+	Rows, Pop int
 }
 
 // savedSet is the gob wire form of a Set.
@@ -68,41 +75,17 @@ func (s *Set) Save(w io.Writer) error {
 	return nil
 }
 
-// saveSynopsis builds the wire form, transposing the column-major sample
-// back to the row-major Rows the format has always carried.
+// saveSynopsis builds the wire form: the strata's tuples, row by row, in
+// shard order.
 func saveSynopsis(syn *Synopsis) savedSynopsis {
-	rows := make([]value.Row, syn.Size())
-	for i := range rows {
-		rows[i] = make(value.Row, len(syn.Cols))
-		for c, col := range syn.Cols {
-			rows[i][c] = col[i]
+	out := savedSynopsis{Root: syn.Root, Tables: syn.Tables, Fields: syn.Schema.Fields, N: syn.N}
+	for p, st := range syn.strata {
+		for i := range st.NumRows() {
+			out.Rows = append(out.Rows, st.Row(i))
 		}
+		out.Strata = append(out.Strata, stratum{Rows: st.NumRows(), Pop: syn.pops[p]})
 	}
-	return savedSynopsis{
-		Root:   syn.Root,
-		Tables: syn.Tables,
-		Fields: syn.Schema.Fields,
-		Rows:   rows,
-		N:      syn.N,
-		Strata: syn.strataOrOne(),
-	}
-}
-
-// loadColumns transposes saved rows into column-major storage, refusing
-// any row whose width is not the schema's. Every row is checked before
-// anything is allocated, so the columns hold exactly the values decoded
-// and an unvalidated schema width cannot inflate memory.
-func loadColumns(root string, rows []value.Row, width int) ([][]value.Value, error) {
-	for i, row := range rows {
-		if len(row) != width {
-			return nil, fmt.Errorf("sample: synopsis %q row %d has %d values, want %d", root, i, len(row), width)
-		}
-	}
-	cols := newColumns(width, len(rows))
-	for _, row := range rows {
-		appendRow(cols, row)
-	}
-	return cols, nil
+	return out
 }
 
 // LoadSet deserializes a set saved with Save. The catalog must describe
@@ -138,19 +121,8 @@ func LoadSet(r io.Reader, cat *catalog.Catalog) (*Set, error) {
 	}
 	s := &Set{cat: cat, synopses: make(map[string]*Synopsis, len(in.Synopses))}
 	for _, saved := range in.Synopses {
-		cols, err := loadColumns(saved.Root, saved.Rows, len(saved.Fields))
+		syn, err := loadSynopsis(saved, cat)
 		if err != nil {
-			return nil, err
-		}
-		syn := &Synopsis{
-			Root:   saved.Root,
-			Tables: saved.Tables,
-			Schema: expr.RelSchema{Fields: saved.Fields},
-			Cols:   cols,
-			N:      saved.N,
-			strata: saved.Strata,
-		}
-		if err := validateAgainstCatalog(syn, cat); err != nil {
 			return nil, err
 		}
 		s.synopses[syn.Root] = syn
@@ -158,6 +130,47 @@ func LoadSet(r io.Reader, cat *catalog.Catalog) (*Set, error) {
 	return s, nil
 }
 
+// loadSynopsis rebuilds a saved synopsis. Its schema, population and
+// strata are validated against the catalog before any stratum table is
+// made; then each saved row is appended to its stratum's table, whose
+// checks refuse a row of the wrong width or a value whose kind
+// contradicts its field's type.
+func loadSynopsis(saved savedSynopsis, cat *catalog.Catalog) (*Synopsis, error) {
+	syn := &Synopsis{
+		Root:   saved.Root,
+		Tables: saved.Tables,
+		Schema: expr.RelSchema{Fields: saved.Fields},
+		N:      saved.N,
+		pops:   make([]int, len(saved.Strata)),
+	}
+	for p, st := range saved.Strata {
+		syn.pops[p] = st.Pop
+	}
+	if err := validateAgainstCatalog(syn, cat); err != nil {
+		return nil, err
+	}
+	rows := saved.Rows
+	for p, st := range saved.Strata {
+		if st.Rows < 0 || st.Rows > len(rows) {
+			return nil, fmt.Errorf("sample: synopsis %q stratum %d holds %d of the %d sample tuples left", syn.Root, p, st.Rows, len(rows))
+		}
+		t := newStratum(syn.Root, syn.Schema)
+		for _, row := range rows[:st.Rows] {
+			if err := t.Append(row); err != nil {
+				return nil, fmt.Errorf("sample: synopsis %q stratum %d: %v", syn.Root, p, err)
+			}
+		}
+		syn.strata = append(syn.strata, t)
+		rows = rows[st.Rows:]
+	}
+	if len(rows) > 0 {
+		return nil, fmt.Errorf("sample: synopsis %q strata hold %d tuples, sample has %d", syn.Root, len(saved.Rows)-len(rows), len(saved.Rows))
+	}
+	return syn, nil
+}
+
+// validateAgainstCatalog checks a synopsis's table list and schema
+// against the catalog, and its strata populations (validateStrata).
 func validateAgainstCatalog(syn *Synopsis, cat *catalog.Catalog) error {
 	if len(syn.Tables) == 0 || syn.Tables[0] != syn.Root {
 		return fmt.Errorf("sample: synopsis %q has malformed table list %v", syn.Root, syn.Tables)
@@ -183,14 +196,6 @@ func validateAgainstCatalog(syn *Synopsis, cat *catalog.Catalog) error {
 	if width != len(syn.Schema.Fields) {
 		return fmt.Errorf("sample: synopsis %q schema wider than catalog", syn.Root)
 	}
-	if len(syn.Cols) != width {
-		return fmt.Errorf("sample: synopsis %q has %d columns, want %d", syn.Root, len(syn.Cols), width)
-	}
-	for c, col := range syn.Cols {
-		if len(col) != syn.Size() {
-			return fmt.Errorf("sample: synopsis %q column %d has %d values, want %d", syn.Root, c, len(col), syn.Size())
-		}
-	}
 	if syn.N < 0 {
 		return fmt.Errorf("sample: synopsis %q has negative population", syn.Root)
 	}
@@ -198,31 +203,23 @@ func validateAgainstCatalog(syn *Synopsis, cat *catalog.Catalog) error {
 }
 
 // validateStrata checks that a synopsis has one stratum per partition of
-// its root table (one for an unpartitioned table), that the strata's
-// tuples sum to the sample size and that their populations are
-// non-negative and sum to N.
+// its root table (one for an unpartitioned table) and that their
+// populations are non-negative and sum to N.
 func validateStrata(syn *Synopsis, cat *catalog.Catalog) error {
 	want := 1
 	// validateAgainstCatalog has resolved the root already.
 	if t, _ := cat.Table(syn.Root); t.Partition != nil && t.Partition.Partitions > 1 {
 		want = t.Partition.Partitions
 	}
-	if len(syn.strata) != want {
-		return fmt.Errorf("sample: synopsis %q has %d strata, catalog table has %d partitions", syn.Root, len(syn.strata), want)
+	if len(syn.pops) != want {
+		return fmt.Errorf("sample: synopsis %q has %d strata, catalog table has %d partitions", syn.Root, len(syn.pops), want)
 	}
-	rows, pop := 0, 0
-	for p, st := range syn.strata {
-		if st.Rows < 0 || st.Rows > syn.Size()-rows {
-			return fmt.Errorf("sample: synopsis %q stratum %d holds %d of the %d sample tuples left", syn.Root, p, st.Rows, syn.Size()-rows)
+	pop := 0
+	for p, n := range syn.pops {
+		if n < 0 || n > syn.N-pop {
+			return fmt.Errorf("sample: synopsis %q stratum %d population %d outside the %d left of N", syn.Root, p, n, syn.N-pop)
 		}
-		if st.Pop < 0 || st.Pop > syn.N-pop {
-			return fmt.Errorf("sample: synopsis %q stratum %d population %d outside the %d left of N", syn.Root, p, st.Pop, syn.N-pop)
-		}
-		rows += st.Rows
-		pop += st.Pop
-	}
-	if rows != syn.Size() {
-		return fmt.Errorf("sample: synopsis %q strata hold %d tuples, sample has %d", syn.Root, rows, syn.Size())
+		pop += n
 	}
 	if pop != syn.N {
 		return fmt.Errorf("sample: synopsis %q strata populations sum to %d, N is %d", syn.Root, pop, syn.N)

@@ -120,16 +120,20 @@ func TestLoadSetRejectsCorruptRows(t *testing.T) {
 	}
 
 	// One bad row among full-width rows (customer width is 2). An empty
-	// row adds nothing to any column, so only a per-row width check sees it.
+	// row adds nothing to any column, so only a per-row width check sees
+	// it. A value whose kind contradicts its field's type (a string in the
+	// Int column c_region) would load, and then fail or mislead every
+	// count that reads it, unless the row's kinds are checked at load.
 	for name, corrupt := range map[string]func([]value.Row){
-		"short row": func(rows []value.Row) { rows[0] = rows[0][:1] },
-		"empty row": func(rows []value.Row) { rows[1] = value.Row{} },
-		"both":      func(rows []value.Row) { rows[0] = rows[0][:1]; rows[1] = value.Row{} },
+		"short row":  func(rows []value.Row) { rows[0] = rows[0][:1] },
+		"empty row":  func(rows []value.Row) { rows[1] = value.Row{} },
+		"both":       func(rows []value.Row) { rows[0] = rows[0][:1]; rows[1] = value.Row{} },
+		"wrong kind": func(rows []value.Row) { rows[2] = value.Row{rows[2][0], value.Str("zzz")} },
 	} {
 		saved := saveSynopsis(syn)
 		corrupt(saved.Rows)
 		if _, err := LoadSet(encodeWire(t, saved), db.Catalog); err == nil {
-			t.Errorf("%s: corrupt row width accepted", name)
+			t.Errorf("%s: corrupt row accepted", name)
 		}
 	}
 
@@ -166,10 +170,13 @@ func FuzzLoadSet(f *testing.F) {
 	cust, _ := set.Synopsis("customer")
 	zeroWidth := saveSynopsis(cust)
 	zeroWidth.Rows = append(zeroWidth.Rows, value.Row{})
+	wrongKind := saveSynopsis(cust)
+	wrongKind.Rows[0] = value.Row{wrongKind.Rows[0][0], value.Str("zzz")}
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:valid.Len()/2])
 	f.Add(encodeWire(f, unsummed).Bytes())
 	f.Add(encodeWire(f, zeroWidth).Bytes())
+	f.Add(encodeWire(f, wrongKind).Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadSet(bytes.NewReader(data), db.Catalog)
 		if err != nil {

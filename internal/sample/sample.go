@@ -23,46 +23,48 @@ const DefaultSize = 500
 // Synopsis is a precomputed uniform random sample of a root table, each
 // sample tuple widened with the matching rows of every table reachable via
 // foreign keys. For a plain table sample (no expansion), the schema covers
-// only the root's columns. The sample is stored column-major, one vector
-// per schema field, so it is evaluated by the same batch kernels that
-// filter the table.
+// only the root's columns.
 //
-// The sample is stratified by shard: stratum p's tuples follow stratum
-// p−1's in Cols and were drawn from shard p alone. An unpartitioned root is
+// The sample is stratified by shard: stratum p holds the tuples drawn from
+// shard p alone, in a typed storage.Table over Schema, so a count runs
+// the scan's own filter (storage.Filter) on it. An unpartitioned root is
 // one stratum. Whole-table and pruned observations are both read off this
 // one sample (CountStrata).
 type Synopsis struct {
 	Root   string
 	Tables []string // all tables folded in, root first, expansion order
 	Schema expr.RelSchema
-	Cols   [][]value.Value // Cols[c][i] is field c of sample tuple i
-	N      int             // root table population size the sample represents: Σ N_p
-	// strata lists each stratum's sample tuples and population in shard
-	// order. Nil means one stratum holding the whole sample and N.
-	strata []stratum
-}
-
-// stratum is one shard's share of a stratified sample: Rows sample tuples
-// drawn uniformly from Pop rows. Fields are exported for gob.
-type stratum struct {
-	Rows, Pop int
+	N      int // root table population size the sample represents: Σ N_p
+	// strata[p] holds stratum p's sample tuples in draw order, and pops[p]
+	// is the population they were drawn from, shard p's row count.
+	strata []*storage.Table
+	pops   []int
 }
 
 // Size returns the number of sample tuples n.
 func (s *Synopsis) Size() int {
-	if len(s.Cols) == 0 {
-		return 0
+	n := 0
+	for _, st := range s.strata {
+		n += st.NumRows()
 	}
-	return len(s.Cols[0])
+	return n
 }
 
-// strataOrOne returns the synopsis's strata, a nil list read as the one
-// stratum covering the whole sample.
-func (s *Synopsis) strataOrOne() []stratum {
-	if s.strata == nil {
-		return []stratum{{Rows: s.Size(), Pop: s.N}}
+// Strata returns the synopsis's strata in shard order, each a table of
+// sample tuples over Schema. The caller must not modify them.
+func (s *Synopsis) Strata() []*storage.Table { return s.strata }
+
+// newStratum returns an empty table for sample tuples of root's synopsis
+// over schema: unpartitioned, and with no primary key, since a
+// with-replacement sample repeats rows.
+func newStratum(root string, schema expr.RelSchema) *storage.Table {
+	cols := make([]catalog.Column, len(schema.Fields))
+	for i, f := range schema.Fields {
+		cols[i] = catalog.Column{Name: f.Table + "." + f.Column, Type: f.Type}
 	}
-	return s.strata
+	// An unpartitioned schema with no key is always a valid table.
+	t, _ := storage.NewTable(&catalog.TableSchema{Name: root, Columns: cols})
+	return t
 }
 
 // Count evaluates a predicate over the sample and returns the number of
@@ -79,64 +81,42 @@ func (s *Synopsis) Count(pred expr.Expr) (int, error) {
 // the strata are a proportional-allocation stratified sample, k of n is a
 // valid observation of the listed shards' union: the caller's posterior
 // Beta(k + a, n − k + b) needs no per-stratum combination, and dropping a
-// shard drops exactly its tuples. An out-of-range or repeated index is an
-// error.
+// shard drops exactly its tuples. The predicate is split once and each
+// listed stratum runs the scan's filter-first window over all its tuples.
+// An out-of-range or repeated index is an error.
 func (s *Synopsis) CountStrata(pred expr.Expr, strata []int) (k, n, population int, err error) {
-	all := s.strataOrOne()
-	picked := make([]bool, len(all))
+	picked := make([]bool, len(s.strata))
 	if strata == nil {
 		for p := range picked {
 			picked[p] = true
 		}
 	}
 	for _, p := range strata {
-		if p < 0 || p >= len(all) {
-			return 0, 0, 0, fmt.Errorf("sample: synopsis %q has no stratum %d (%d strata)", s.Root, p, len(all))
+		if p < 0 || p >= len(picked) {
+			return 0, 0, 0, fmt.Errorf("sample: synopsis %q has no stratum %d (%d strata)", s.Root, p, len(picked))
 		}
 		if picked[p] {
 			return 0, 0, 0, fmt.Errorf("sample: synopsis %q stratum %d listed twice", s.Root, p)
 		}
 		picked[p] = true
 	}
-	// Walk the strata in shard order so sel is ascending whatever order
-	// they were listed in.
-	sel := make([]int, 0, s.Size())
-	lo := 0
-	for p, st := range all {
-		if picked[p] {
-			for i := lo; i < lo+st.Rows; i++ {
-				sel = append(sel, i)
-			}
-			n += st.Rows
-			population += st.Pop
+	f, err := storage.NewFilter(pred, s.Schema)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
+	}
+	for p, st := range s.strata {
+		if !picked[p] {
+			continue
 		}
-		lo += st.Rows
+		keep, _, err := f.Window(st, 0, st.NumRows())
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
+		}
+		k += len(keep)
+		n += st.NumRows()
+		population += s.pops[p]
 	}
-	bound, err := expr.Bind(pred, s.Schema)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
-	}
-	keep, err := bound.EvalBatch(s.Cols, sel)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("sample: synopsis %q: %v", s.Root, err)
-	}
-	return len(keep), n, population, nil
-}
-
-// newColumns returns width empty column vectors with room for n values.
-func newColumns(width, n int) [][]value.Value {
-	cols := make([][]value.Value, width)
-	for c := range cols {
-		cols[c] = make([]value.Value, 0, n)
-	}
-	return cols
-}
-
-// appendRow appends one tuple to column-major storage.
-func appendRow(cols [][]value.Value, row value.Row) {
-	for c, v := range row {
-		cols[c] = append(cols[c], v)
-	}
+	return k, n, population, nil
 }
 
 // BuildTableSample draws a uniform with-replacement sample of n rows from
@@ -148,30 +128,42 @@ func BuildTableSample(t *storage.Table, n int, rng *stats.RNG) (*Synopsis, error
 // buildTableSampleSpan samples uniformly within the global row-id span
 // [lo, hi) — a single shard of a partitioned table, or the whole table.
 func buildTableSampleSpan(t *storage.Table, n int, rng *stats.RNG, lo, hi int) (*Synopsis, error) {
+	syn := &Synopsis{Root: t.Name(), Tables: []string{t.Name()}, Schema: expr.SchemaForTable(t.Schema())}
+	return syn, syn.drawStratum(n, rng, lo, hi, func(row value.Row, rid int) (value.Row, error) {
+		row = row[:len(syn.Schema.Fields)]
+		t.ReadRow(rid, row)
+		return row, nil
+	})
+}
+
+// drawStratum appends to the synopsis one stratum of n tuples drawn
+// uniformly, with replacement, from the root's global rows [lo, hi);
+// widen appends the sample tuple of root row rid to row.
+func (s *Synopsis) drawStratum(n int, rng *stats.RNG, lo, hi int, widen func(row value.Row, rid int) (value.Row, error)) error {
 	if n <= 0 {
-		return nil, fmt.Errorf("sample: sample size %d must be positive", n)
+		return fmt.Errorf("sample: sample size %d must be positive", n)
 	}
 	if hi <= lo {
-		return nil, fmt.Errorf("sample: table %q is empty", t.Name())
+		return fmt.Errorf("sample: table %q is empty", s.Root)
 	}
-	schema := expr.SchemaForTable(t.Schema())
-	cols := newColumns(len(schema.Fields), n)
+	st := newStratum(s.Root, s.Schema)
+	row := make(value.Row, 0, len(s.Schema.Fields))
 	for i := 0; i < n; i++ {
 		rid, err := rng.Intn(hi - lo)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for c := range cols {
-			cols[c] = append(cols[c], t.Value(lo+rid, c))
+		if row, err = widen(row[:0], lo+rid); err != nil {
+			return err
+		}
+		if err := st.Append(row); err != nil {
+			return err
 		}
 	}
-	return &Synopsis{
-		Root:   t.Name(),
-		Tables: []string{t.Name()},
-		Schema: schema,
-		Cols:   cols,
-		N:      hi - lo,
-	}, nil
+	s.strata = append(s.strata, st)
+	s.pops = append(s.pops, hi-lo)
+	s.N += hi - lo
+	return nil
 }
 
 // BuildSynopsis constructs the join synopsis of root: a uniform
@@ -219,81 +211,55 @@ func expansionPlan(db *storage.Database, root string) ([]string, expr.RelSchema,
 	return tables, schema, err
 }
 
+// expand appends to row the tuple of table name's row rid followed, in
+// expansion order, by the rows its foreign keys reach. expansionPlan has
+// resolved every table on the way.
+func expand(db *storage.Database, row value.Row, name string, rid int) (value.Row, error) {
+	t, _ := db.Table(name)
+	start := len(row)
+	row = row[:start+len(t.Schema().Columns)]
+	t.ReadRow(rid, row[start:])
+	for _, fk := range t.Schema().Foreign {
+		fkIdx := t.Schema().ColumnIndex(fk.Column)
+		ref, _ := db.Table(fk.RefTable)
+		refRID, ok := ref.LookupPK(row[start+fkIdx].I)
+		if !ok {
+			return nil, fmt.Errorf("sample: dangling foreign key %s.%s = %d into %q",
+				name, fk.Column, row[start+fkIdx].I, fk.RefTable)
+		}
+		var err error
+		if row, err = expand(db, row, fk.RefTable, refRID); err != nil {
+			return nil, err
+		}
+	}
+	return row, nil
+}
+
 // buildSynopsisSpan builds a join synopsis whose root sample is drawn
 // uniformly from the global row-id span [lo, hi) — one shard of a
 // partitioned root, or the whole table. Foreign-key expansion always runs
 // against the referenced tables in full; only the root is stratified.
 func buildSynopsisSpan(db *storage.Database, root string, n int, rng *stats.RNG, lo, hi int) (*Synopsis, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sample: sample size %d must be positive", n)
-	}
-	if _, ok := db.Table(root); !ok {
-		return nil, fmt.Errorf("sample: unknown table %q", root)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("sample: table %q is empty", root)
-	}
 	tables, schema, err := expansionPlan(db, root)
 	if err != nil {
 		return nil, err
 	}
-	row := make(value.Row, 0, len(schema.Fields))
-	var expand func(name string, rid int) error
-	expand = func(name string, rid int) error {
-		t, ok := db.Table(name)
-		if !ok {
-			return fmt.Errorf("sample: unknown table %q", name)
-		}
-		base := t.Row(rid)
-		row = append(row, base...)
-		for _, fk := range t.Schema().Foreign {
-			fkIdx := t.Schema().ColumnIndex(fk.Column)
-			ref, ok := db.Table(fk.RefTable)
-			if !ok {
-				return fmt.Errorf("sample: unknown table %q", fk.RefTable)
-			}
-			refRID, ok := ref.LookupPK(base[fkIdx].I)
-			if !ok {
-				return fmt.Errorf("sample: dangling foreign key %s.%s = %d into %q",
-					name, fk.Column, base[fkIdx].I, fk.RefTable)
-			}
-			if err := expand(fk.RefTable, refRID); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	cols := newColumns(len(schema.Fields), n)
-	for i := 0; i < n; i++ {
-		rid, err := rng.Intn(hi - lo)
-		if err != nil {
-			return nil, err
-		}
-		row = row[:0]
-		if err := expand(root, lo+rid); err != nil {
-			return nil, err
-		}
-		appendRow(cols, row)
-	}
-	return &Synopsis{
-		Root:   root,
-		Tables: tables,
-		Schema: schema,
-		Cols:   cols,
-		N:      hi - lo,
-	}, nil
+	syn := &Synopsis{Root: root, Tables: tables, Schema: schema}
+	return syn, syn.drawStratum(n, rng, lo, hi, func(row value.Row, rid int) (value.Row, error) {
+		return expand(db, row, root, rid)
+	})
 }
 
 // drawStrata draws the synopsis of a non-empty root table stratum by
 // stratum: shard p receives n_p = max(1, ⌊n·N_p/N⌋) of the n sample tuples
 // (empty shards none), drawn by draw from the shard's row span on its own
-// split of rng, and the strata are concatenated in shard order. An
-// unpartitioned root is one stratum of n tuples over the whole table, drawn
-// by exactly the calls BuildSynopsis and BuildTableSample make.
+// split of rng. An unpartitioned root is one stratum of n tuples over the
+// whole table, drawn by exactly the calls BuildSynopsis and
+// BuildTableSample make.
 func drawStrata(t *storage.Table, n int, rng *stats.RNG, draw func(np, lo, hi int, r *stats.RNG) (*Synopsis, error)) (*Synopsis, error) {
-	var out *Synopsis
-	strata := make([]stratum, t.Partitions())
-	for p := range strata {
+	drawn := make([]*Synopsis, t.Partitions())
+	out := &Synopsis{N: t.NumRows()}
+	for p := range drawn {
 		lo, hi := t.PartitionSpan(p)
 		if hi <= lo {
 			continue
@@ -302,17 +268,16 @@ func drawStrata(t *storage.Table, n int, rng *stats.RNG, draw func(np, lo, hi in
 		if err != nil {
 			return nil, err
 		}
-		strata[p] = stratum{Rows: syn.Size(), Pop: syn.N}
-		if out == nil {
-			out = syn
+		drawn[p] = syn
+		out.Root, out.Tables, out.Schema = syn.Root, syn.Tables, syn.Schema
+	}
+	for _, syn := range drawn {
+		if syn == nil {
+			out.strata, out.pops = append(out.strata, newStratum(out.Root, out.Schema)), append(out.pops, 0)
 			continue
 		}
-		for c := range out.Cols {
-			out.Cols[c] = append(out.Cols[c], syn.Cols[c]...)
-		}
+		out.strata, out.pops = append(out.strata, syn.strata...), append(out.pops, syn.pops...)
 	}
-	out.N = t.NumRows()
-	out.strata = strata
 	return out, nil
 }
 
@@ -425,58 +390,27 @@ func ExactFraction(db *storage.Database, tables []string, pred expr.Expr) (float
 			return 0, fmt.Errorf("sample: table %q not in the foreign-key closure of %q", t, root)
 		}
 	}
-	bound, err := expr.Bind(pred, schema)
+	f, err := storage.NewFilter(pred, schema)
 	if err != nil {
 		return 0, err
 	}
-	row := make(value.Row, 0, len(schema.Fields))
-	var expand func(name string, rid int) error
-	expand = func(name string, rid int) error {
-		t, ok := db.Table(name)
-		if !ok {
-			return fmt.Errorf("sample: unknown table %q", name)
-		}
-		start := len(row)
-		row = row[:start+len(t.Schema().Columns)]
-		t.ReadRow(rid, row[start:])
-		for _, fk := range t.Schema().Foreign {
-			fkIdx := t.Schema().ColumnIndex(fk.Column)
-			ref, ok := db.Table(fk.RefTable)
-			if !ok {
-				return fmt.Errorf("sample: unknown table %q", fk.RefTable)
-			}
-			refRID, ok := ref.LookupPK(row[start+fkIdx].I)
-			if !ok {
-				return fmt.Errorf("sample: dangling foreign key %s.%s", name, fk.Column)
-			}
-			if err := expand(fk.RefTable, refRID); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Expanded rows are evaluated a column chunk at a time, so memory is
-	// bounded by the chunk rather than the table.
+	// Expanded rows are counted a table of exactChunk rows at a time, so
+	// memory is bounded by the chunk rather than the join.
 	const exactChunk = 1024
-	full := make(value.Row, len(schema.Fields))
-	cols := newColumns(len(full), exactChunk)
-	sel := make([]int, 0, exactChunk)
+	row := make(value.Row, 0, len(schema.Fields))
 	matches := 0
 	for lo := 0; lo < rootTab.NumRows(); lo += exactChunk {
 		hi := min(lo+exactChunk, rootTab.NumRows())
-		for c := range cols {
-			cols[c] = cols[c][:0]
-		}
-		sel = sel[:0]
+		t := newStratum(root, schema)
 		for r := lo; r < hi; r++ {
-			row = full[:0]
-			if err := expand(root, r); err != nil {
+			if row, err = expand(db, row[:0], root, r); err != nil {
 				return 0, err
 			}
-			appendRow(cols, full)
-			sel = append(sel, r-lo)
+			if err := t.Append(row); err != nil {
+				return 0, err
+			}
 		}
-		keep, err := bound.EvalBatch(cols, sel)
+		keep, _, err := f.Window(t, 0, t.NumRows())
 		if err != nil {
 			return 0, err
 		}

@@ -88,13 +88,8 @@ func TestBuildTableSample(t *testing.T) {
 	if len(syn.Schema.Fields) != 3 {
 		t.Errorf("schema = %v", syn.Schema)
 	}
-	if len(syn.Cols) != 3 {
-		t.Fatalf("%d columns, want 3", len(syn.Cols))
-	}
-	for c, col := range syn.Cols {
-		if len(col) != 40 {
-			t.Fatalf("column %d holds %d values", c, len(col))
-		}
+	if len(syn.strata) != 1 || len(syn.strata[0].Schema().Columns) != 3 || syn.strata[0].NumRows() != 40 {
+		t.Fatalf("strata = %v, want one 3-column table of 40 tuples", syn.strata)
 	}
 }
 
@@ -134,8 +129,9 @@ func TestBuildSynopsisSchemaAndWidth(t *testing.T) {
 	oid, _ := syn.Schema.Resolve(expr.ColumnRef{Table: "orders", Column: "o_id"})
 	cIdx, _ := syn.Schema.Resolve(expr.ColumnRef{Table: "orders", Column: "o_cust"})
 	cid, _ := syn.Schema.Resolve(expr.ColumnRef{Table: "customer", Column: "c_id"})
-	for i := 0; i < syn.Size(); i++ {
-		if syn.Cols[oIdx][i].I != syn.Cols[oid][i].I || syn.Cols[cIdx][i].I != syn.Cols[cid][i].I {
+	st := syn.strata[0]
+	for i := range st.NumRows() {
+		if st.Value(i, oIdx).I != st.Value(i, oid).I || st.Value(i, cIdx).I != st.Value(i, cid).I {
 			t.Fatal("synopsis row violates join condition")
 		}
 	}
@@ -339,8 +335,8 @@ func TestSampleUniformityChiSquare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range syn.Cols[0] {
-		counts[v.I]++
+	for _, v := range syn.strata[0].Ints(0) {
+		counts[v]++
 	}
 	expected := float64(n) / 20
 	chi2 := 0.0
