@@ -23,6 +23,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFORRoundTrip -fuzztime=5s ./internal/colstore/
 	$(GO) test -run=^$$ -fuzz=FuzzRLERoundTrip -fuzztime=5s ./internal/colstore/
 	$(GO) test -run=^$$ -fuzz=FuzzDictRoundTrip -fuzztime=5s ./internal/colstore/
+	$(GO) test -run=^$$ -fuzz=FuzzTableZones -fuzztime=5s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzPlanCacheKey -fuzztime=5s ./internal/plancache/
 	$(GO) test -run=^$$ -fuzz=FuzzLoadSet -fuzztime=5s ./internal/sample/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineDifferential -fuzztime=10s ./internal/engine/
@@ -35,7 +36,7 @@ bench:
 bench-smoke:
 	$(GO) test -run=^$$ -bench=BenchmarkExecStreamVsMaterialize -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkHashJoinProbe -benchtime=1x -benchmem ./internal/engine/
-	$(GO) test -run=^$$ -bench='BenchmarkSeqScanRows|BenchmarkSeqScanEncoded|BenchmarkMergeJoinUnsorted|BenchmarkMergeJoinPruned' -benchtime=1x -benchmem ./internal/engine/
+	$(GO) test -run=^$$ -bench='BenchmarkSeqScanRows|BenchmarkSeqScanClustered|BenchmarkMergeJoinUnsorted|BenchmarkMergeJoinPruned' -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkSynopsisCount -benchtime=1x -benchmem ./internal/sample/
 
 # ledger-smoke runs the 40-query feedback corpus end to end: persists

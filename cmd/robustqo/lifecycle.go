@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"robustqo/internal/colstore"
 	"robustqo/internal/core"
 	"robustqo/internal/cost"
 	"robustqo/internal/engine"
@@ -44,7 +43,6 @@ type dbFlags struct {
 	parallelism int
 	partitions  int  // serve has no -partitions: it generates unpartitioned data
 	cluster     bool // -cluster, sql only
-	columnar    bool // -columnar, sql only
 }
 
 func (f *dbFlags) register(fs *flag.FlagSet) {
@@ -112,15 +110,6 @@ func newServer(f dbFlags, out io.Writer) (*server, error) {
 	ctx, err := engine.NewContext(db)
 	if err != nil {
 		return nil, err
-	}
-	if f.columnar {
-		encs, err := colstore.BuildAll(db)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Encodings = encs
-		fmt.Fprintf(out, "columnar encodings: %d bytes raw -> %d bytes encoded (%.1fx)\n",
-			encs.RawBytes(), encs.EncodedBytes(), float64(encs.RawBytes())/float64(encs.EncodedBytes()))
 	}
 	est, err := buildEstimator(db, f.estimator, f.threshold, f.sampleSize, f.seed)
 	if err != nil {

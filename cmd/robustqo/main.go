@@ -82,11 +82,10 @@ query and sql accept -analyze (EXPLAIN ANALYZE: estimated vs actual rows
 and Q-error per operator), -trace-out FILE [-trace-format json|chrome]
 to export an optimizer+execution trace, and -partitions N to
 range-partition lineitem on l_shipdate (pruned scans show up in the plan
-and in EXPLAIN ANALYZE as "partitions: k/n"). sql also accepts -columnar
-to build compressed columnar encodings (encoded scans, zone-map segment
-skipping, late materialization; EXPLAIN ANALYZE shows "segments: k/n
-skipped") and -cluster to lay lineitem out in ship-date order so the
-date zone maps are selective.
+and in EXPLAIN ANALYZE as "partitions: k/n"). Every sequential scan
+skips the storage tiles its filter's zone maps exclude, and EXPLAIN
+ANALYZE shows "segments: k/n skipped"; sql also accepts -cluster to lay
+lineitem out in ship-date order so the date zone maps are selective.
 `)
 }
 
@@ -203,7 +202,6 @@ func runSQL(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	var f cliFlags
 	f.register(fs)
-	fs.BoolVar(&f.columnar, "columnar", false, "build compressed columnar encodings; scans decode them and zone maps skip segments")
 	fs.BoolVar(&f.cluster, "cluster", false, "lay lineitem out in l_shipdate order so date zone maps are selective")
 	maxRows := fs.Int("maxrows", 20, "print at most this many result rows")
 	if err := fs.Parse(args); err != nil {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"testing"
 
-	"robustqo/internal/colstore"
 	"robustqo/internal/engine"
 	"robustqo/internal/optimizer"
 	"robustqo/internal/plancache"
@@ -149,49 +148,6 @@ func TestPlanCacheInvalidationOnStatsRebuild(t *testing.T) {
 	cache.Invalidate()
 	if _, out, err := cache.Plan(env, q()); err != nil || out != plancache.Miss {
 		t.Fatalf("after stats rebuild: %v %v, want miss", out, err)
-	}
-}
-
-// TestPlanCacheInvalidationOnReencode: cached plans embed a per-scan
-// materialization mode chosen against a specific segment image, so both
-// attaching encodings and rebuilding them must shift the layout key — a
-// plan optimized against a stale (or absent) segment layout is never
-// served.
-func TestPlanCacheInvalidationOnReencode(t *testing.T) {
-	ctx, _, env := diffFixture(t, 4000, 1, 1)
-	cache := plancache.New(64, nil)
-	q := func() *optimizer.Query {
-		p, err := sqlparse.Parse("SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 10")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	if _, out, err := cache.Plan(env, q()); err != nil || out != plancache.Miss {
-		t.Fatalf("row-path cold: %v %v", out, err)
-	}
-	// Attaching encodings changes the physical layout: the row-path entry
-	// must not be served for the now-encoded database.
-	encs, err := colstore.BuildAll(ctx.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx.Encodings = encs
-	if _, out, err := cache.Plan(env, q()); err != nil || out != plancache.Miss {
-		t.Fatalf("encoded layout reused row-path plan: %v %v", out, err)
-	}
-	if _, out, err := cache.Plan(env, q()); err != nil || out != plancache.Hit {
-		t.Fatalf("encoded warm: %v %v", out, err)
-	}
-	// Re-encoding bumps the set's generation; every cached key shifts.
-	if err := encs.Rebuild(ctx.DB); err != nil {
-		t.Fatal(err)
-	}
-	if _, out, err := cache.Plan(env, q()); err != nil || out != plancache.Miss {
-		t.Fatalf("after re-encode: %v %v, want miss", out, err)
-	}
-	if _, out, err := cache.Plan(env, q()); err != nil || out != plancache.Hit {
-		t.Fatalf("re-encoded warm: %v %v", out, err)
 	}
 }
 

@@ -1,23 +1,17 @@
-// Package colstore provides compressed columnar segment encodings behind
-// the storage layer's Table API: per-segment dictionary, run-length,
-// and frame-of-reference + bit-packed column representations with zone
-// maps (min/max/null-count/distinct-hint) per segment and column.
+// Package colstore provides compressed columnar segment encodings of the
+// storage layer's tables: per-segment dictionary, run-length, and
+// frame-of-reference + bit-packed column representations with zone maps
+// (min/max/null-count/distinct-hint) per segment and column.
 //
 // Segments tile each partition shard's contiguous row-id span in
-// SegmentRows blocks starting at the shard base — the same tiling the
-// engine's morsel scheduler uses — so every 1024-row batch window the
-// scan operators process lies inside exactly one segment at any degree
-// of parallelism, and partitioned layouts compose unchanged.
+// SegmentRows blocks starting at the shard base — the storage layer's
+// zone-map tiling — so partitioned layouts compose unchanged.
 //
-// The encodings are a read-only acceleration structure built from (and
-// checked against) the authoritative row storage: an encoding records
-// the row count it was built at, and consumers fall back to the row
-// path when the table has grown since. Encoded scans are counter
-// transparent by design — they charge the exact sequential-page and
-// tuple counters the row path charges, including for zone-skipped
-// segments — so the cost model keeps pricing plan shape, not physical
-// encoding, and differential tests can demand byte-identical counters.
-// The win is wall-clock time and resident bytes, not simulated I/O.
+// The encodings are a read-only image built from (and checked against)
+// the authoritative row storage; an encoding records the row count it
+// was built at. No scan reads them: the engine scans the row store,
+// whose own zone maps skip tiles. They measure what the tables would
+// occupy compressed.
 package colstore
 
 import (
@@ -29,14 +23,9 @@ import (
 	"robustqo/internal/storage"
 )
 
-// SegmentRows is the row span one segment covers. It equals the engine's
-// morsel size (4 × the 1024-row batch size) so segment boundaries
-// coincide with morsel boundaries; engine tests pin the equality.
-const SegmentRows = 4096
-
-// FormatVersion identifies the encoding layout; it participates in the
-// optimizer's LayoutKey so a format change invalidates cached plans.
-const FormatVersion = 1
+// SegmentRows is the row span one segment covers: the storage layer's
+// zone-map tile, so segments and tiles coincide.
+const SegmentRows = storage.SegmentRows
 
 // Segment is one encoded block: the half-open global row-id span
 // [Lo, Hi) and the partition shard the span was tiled from.
@@ -67,7 +56,7 @@ type encKind uint8
 const (
 	// encRaw aliases the table's float payload; Float columns are stored
 	// uncompressed (they neither dictionary- nor delta-encode usefully
-	// here) and support no encoded probes.
+	// here) and carry no zone map.
 	encRaw encKind = iota
 	// encPacked is frame-of-reference + bit-packing: value = ref + code,
 	// codes packed at a fixed bit width.
@@ -132,9 +121,6 @@ func (e *TableEncoding) Segment(i int) Segment { return e.segs[i] }
 // NumCols returns the column count.
 func (e *TableEncoding) NumCols() int { return len(e.cols) }
 
-// ColKind returns the declared type of column c.
-func (e *TableEncoding) ColKind(c int) catalog.Type { return e.cols[c].kind }
-
 // Dict returns the table-wide sorted dictionary of a String column, or
 // nil for other column types. Callers must not modify it.
 func (e *TableEncoding) Dict(c int) []string { return e.cols[c].dict }
@@ -159,24 +145,6 @@ func (e *TableEncoding) EncodedBytes() int64 { return e.encodedBytes }
 // string cell) — the baseline the compression ratio is measured
 // against.
 func (e *TableEncoding) RawBytes() int64 { return e.rawBytes }
-
-// SegIndex returns the index of the segment containing global row id
-// row. The caller must pass a row inside the encoded span. Hand-rolled
-// binary search: this runs once per scan window on the hot path.
-//
-//qo:hotpath
-func (e *TableEncoding) SegIndex(row int) int {
-	lo, hi := 0, len(e.segs)-1
-	for lo < hi {
-		mid := int(uint(lo+hi+1) >> 1)
-		if e.segs[mid].Lo <= row {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
 
 // Set holds the encodings of a database's tables plus a generation
 // counter the plan-cache layout key folds in: rebuilding the encodings

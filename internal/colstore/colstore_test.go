@@ -1,11 +1,9 @@
 package colstore
 
 import (
-	"fmt"
 	"testing"
 
 	"robustqo/internal/catalog"
-	"robustqo/internal/expr"
 	"robustqo/internal/storage"
 	"robustqo/internal/value"
 )
@@ -32,7 +30,7 @@ func encOfStrings(vals []string) *TableEncoding {
 }
 
 // decodeAll materializes every row of column col, one segment at a time,
-// through the late-materialization kernel with a full selection.
+// through AppendColSel with a full selection.
 func decodeAll(e *TableEncoding, col int) []value.Value {
 	var out []value.Value
 	for si, seg := range e.segs {
@@ -116,93 +114,6 @@ func TestAppendColSel(t *testing.T) {
 	for i, v := range got {
 		if v.I != want[i] {
 			t.Errorf("sel %d = %d, want %d", i, v.I, want[i])
-		}
-	}
-}
-
-// TestProbeMatchesBruteForce drives every codec through FilterWindow and
-// compares with row-domain evaluation.
-func TestProbeMatchesBruteForce(t *testing.T) {
-	ints := make([]int64, 500)
-	for i := range ints {
-		ints[i] = int64((i * 37) % 83)
-	}
-	runs := make([]int64, 500)
-	for i := range runs {
-		runs[i] = int64(i / 50)
-	}
-	intCases := map[string][]int64{"packed": ints, "rle": runs}
-	for name, vals := range intCases {
-		e := encOfInts(vals, catalog.Int)
-		for _, iv := range [][2]int64{{0, 40}, {5, 5}, {-10, -1}, {80, 200}, {3, 2}} {
-			pr, ok := e.CompileProbe(expr.ColBound{Col: 0, Lo: iv[0], Hi: iv[1]})
-			if !ok {
-				t.Fatalf("%s: probe [%d,%d] did not compile", name, iv[0], iv[1])
-			}
-			sel := make([]int, len(vals))
-			for i := range sel {
-				sel[i] = i
-			}
-			got := pr.FilterWindow(0, 0, sel, nil)
-			var want []int
-			for i, v := range vals {
-				if v >= iv[0] && v <= iv[1] {
-					want = append(want, i)
-				}
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s probe [%d,%d]: got %v want %v", name, iv[0], iv[1], got, want)
-			}
-			if pr.SkipSegment(0) && len(want) > 0 {
-				t.Errorf("%s probe [%d,%d]: segment skipped but %d rows match", name, iv[0], iv[1], len(want))
-			}
-		}
-	}
-	strs := []string{"ca", "ab", "bb", "ca", "da", "ab", "ee", "bb", "bb"}
-	e := encOfStrings(strs)
-	for _, iv := range [][2]string{{"bb", "da"}, {"ca", "ca"}, {"x", "z"}, {"", "a"}} {
-		pr, ok := e.CompileProbe(expr.ColBound{Col: 0, IsStr: true, StrLo: iv[0], StrHi: iv[1], HasStrLo: true, HasStrHi: true})
-		if !ok {
-			t.Fatalf("string probe [%q,%q] did not compile", iv[0], iv[1])
-		}
-		sel := make([]int, len(strs))
-		for i := range sel {
-			sel[i] = i
-		}
-		got := pr.FilterWindow(0, 0, sel, nil)
-		var want []int
-		for i, s := range strs {
-			if s >= iv[0] && s <= iv[1] {
-				want = append(want, i)
-			}
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("string probe [%q,%q]: got %v want %v", iv[0], iv[1], got, want)
-		}
-	}
-}
-
-// TestCompilePushdown: the pushable prefix becomes probes, one per
-// bound; no prefix, or a bound the encoding cannot probe, compiles to no
-// probes at all.
-func TestCompilePushdown(t *testing.T) {
-	schema := expr.RelSchema{Fields: []expr.Field{{Table: "t", Column: "a", Type: catalog.Int}}}
-	between := expr.Between{E: expr.C("a"), Lo: expr.IntLit(0), Hi: expr.IntLit(40)}
-	ne := expr.Cmp{Op: expr.NE, L: expr.C("a"), R: expr.IntLit(3)}
-	ints := encOfInts([]int64{1, 2, 3, 50}, catalog.Int)
-	bounds, residual := expr.SplitPushdown(expr.Conj(between, ne), schema)
-	probes, ok := ints.CompilePushdown(bounds)
-	if !ok || len(probes) != 1 || fmt.Sprint(residual) != fmt.Sprint(ne) {
-		t.Errorf("prefix: %d probes, residual %v, ok %v", len(probes), residual, ok)
-	}
-	floats := encOfInts([]int64{1, 2, 3, 50}, catalog.Float)
-	for _, c := range []struct {
-		enc    *TableEncoding
-		filter expr.Expr
-	}{{ints, ne}, {ints, nil}, {floats, expr.Conj(between, ne)}} {
-		bounds, _ := expr.SplitPushdown(c.filter, schema)
-		if probes, ok := c.enc.CompilePushdown(bounds); ok || probes != nil {
-			t.Errorf("%v: %d probes, ok %v", c.filter, len(probes), ok)
 		}
 	}
 }

@@ -5,14 +5,12 @@ import (
 	"robustqo/internal/value"
 )
 
-// Decode kernel: the late-materialization step of encoded scans. It
-// appends value.Values identical to what storage.Table.Value returns for
-// the same rows — byte-identical materialization is what lets
-// differential tests compare encoded and row scans directly. It runs per
-// batch window on the scan hot path: no closures, no boxing, no per-call
-// allocation beyond growing the caller's pooled destination.
+// Decode kernel. It appends value.Values identical to what
+// storage.Table.Value returns for the same rows, which is what the codec
+// tests and fuzz round-trips compare: no closures, no boxing, no per-call
+// allocation beyond growing the caller's destination.
 
-// AppendColSel late-materializes column c for the selected rows of a
+// AppendColSel decodes column c for the selected rows of a
 // window inside segment si: sel holds ascending offsets relative to
 // global row id winLo, and winLo+sel[i] must lie inside the segment.
 //

@@ -158,7 +158,7 @@ func encodeDictSeg(ce *colEncoding, sc *segColumn, codes []int64) {
 	}
 	sc.zone = ZoneMap{Min: mn, Max: mx, DistinctHint: int(mx - mn + 1)}
 	// Codes pack from zero (ref stays 0) at the width of the full
-	// dictionary, so probe results translate across segments.
+	// dictionary, so a code means the same string in every segment.
 	sc.width = bitsFor(uint64(len(ce.dict) - 1))
 	sc.words = packWords(codes, 0, sc.width)
 }

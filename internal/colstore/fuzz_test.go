@@ -2,16 +2,16 @@ package colstore
 
 import (
 	"encoding/binary"
+	"sort"
 	"strings"
 	"testing"
 
 	"robustqo/internal/catalog"
-	"robustqo/internal/expr"
 )
 
 // Fuzz round-trip harnesses: each steers the fuzzed bytes toward one
 // codec's shape, encodes through the production entry point, and checks
-// decode identity and probe/zone soundness. Run via `make fuzz-smoke`
+// decode identity and zone soundness. Run via `make fuzz-smoke`
 // or `go test -fuzz=FuzzX ./internal/colstore`.
 
 func fuzzCheckInts(t *testing.T, vals []int64) {
@@ -34,27 +34,6 @@ func fuzzCheckInts(t *testing.T, vals []int64) {
 		if v < zone.Min || v > zone.Max {
 			t.Fatalf("value %d escapes zone [%d,%d]", v, zone.Min, zone.Max)
 		}
-	}
-	// Probe the zone midpoint interval and compare with row-domain eval;
-	// unsigned midpoint arithmetic avoids overflow on extreme zones.
-	mid := int64(uint64(zone.Min) + (uint64(zone.Max)-uint64(zone.Min))/2)
-	pr, _ := e.CompileProbe(expr.ColBound{Col: 0, Lo: zone.Min, Hi: mid})
-	sel := make([]int, len(vals))
-	for i := range sel {
-		sel[i] = i
-	}
-	out := pr.FilterWindow(0, 0, sel, nil)
-	j := 0
-	for i, v := range vals {
-		if v >= zone.Min && v <= mid {
-			if j >= len(out) || out[j] != i {
-				t.Fatalf("probe missed row %d (value %d)", i, v)
-			}
-			j++
-		}
-	}
-	if j != len(out) {
-		t.Fatalf("probe kept %d extra rows", len(out)-j)
 	}
 }
 
@@ -126,28 +105,15 @@ func FuzzDictRoundTrip(f *testing.F) {
 				t.Fatalf("dictionary not strictly sorted at %d", i)
 			}
 		}
-		// Equality probe per distinct value must select exactly its rows.
-		for _, needle := range dict {
-			pr, ok := e.CompileProbe(expr.ColBound{Col: 0, IsStr: true, StrLo: needle, StrHi: needle, HasStrLo: true, HasStrHi: true})
-			if !ok {
-				t.Fatalf("probe for %q did not compile", needle)
-			}
-			sel := make([]int, len(vals))
-			for i := range sel {
-				sel[i] = i
-			}
-			out := pr.FilterWindow(0, 0, sel, nil)
-			j := 0
-			for i, v := range vals {
-				if v == needle {
-					if j >= len(out) || out[j] != i {
-						t.Fatalf("probe %q missed row %d", needle, i)
-					}
-					j++
-				}
-			}
-			if j != len(out) {
-				t.Fatalf("probe %q kept %d extra rows", needle, len(out)-j)
+		// Every row's dictionary code lies inside the segment's code-space
+		// zone.
+		zone, ok := e.Zone(0, 0)
+		if !ok {
+			t.Fatal("string segment lost its zone map")
+		}
+		for i, v := range vals {
+			if c := int64(sort.SearchStrings(dict, v)); c < zone.Min || c > zone.Max {
+				t.Fatalf("row %d code %d escapes zone [%d,%d]", i, c, zone.Min, zone.Max)
 			}
 		}
 	})

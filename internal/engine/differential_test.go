@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"robustqo/internal/catalog"
-	"robustqo/internal/colstore"
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
@@ -24,13 +23,15 @@ import (
 // table and a seed for the literals, runs the plan at that point, and
 // holds it against the reference engine (materialize_test.go) on every
 // full drain, rows and counters; the reference runs an Exchange's source
-// serially and ignores scan mode. Every leg also returns the rows of the
-// serial, unpruned row-path plan over the layout's departitioned twin
-// under the same LIMIT, and its counters unless shards were pruned (fewer
-// pages) or a LIMIT stops a parallel pipeline (how far workers run ahead
-// of an early Close is timing). A late scan meters segments exactly when
-// its filter has a pushable prefix. FuzzEngineDifferential replays a
-// failing trial's seed and axes.
+// serially and has no zone maps, so every clustered trial whose lineitem
+// filter has a pushable prefix checks tile skipping against it. Every leg
+// also returns the rows of the serial, unpruned plan over the layout's
+// departitioned twin under the same LIMIT, and its counters unless shards
+// were pruned (fewer pages) or a LIMIT stops a parallel pipeline (how far
+// workers run ahead of an early Close is timing). A SeqScan meters the
+// zone verdict of its tiles exactly when its filter has a pushable prefix
+// and it reads some shard. FuzzEngineDifferential replays a failing
+// trial's seed and axes.
 
 // fixture describes one generated database of the engine tests: part,
 // orders, and lineitem with FKs to both, indexes on l_ship, l_receipt and
@@ -41,7 +42,6 @@ type fixture struct {
 	orders, lines, parts int  // orders, lineitems per order, parts
 	shards               int  // equal-width range shards of lineitem on l_ship; 0: unpartitioned
 	clustered            bool // l_ship climbs with row position, so zone maps skip
-	encoded              bool // the context carries colstore encodings
 	// flat stores the partitioned layout's rows unpartitioned, in global
 	// row-id order: every scan of this twin visits the same tuples in the
 	// same order as the partitioned table's.
@@ -128,11 +128,6 @@ func (f fixture) build(t testing.TB) *Context {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.encoded {
-		if ctx.Encodings, err = colstore.BuildAll(db); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return ctx
 }
 
@@ -144,7 +139,6 @@ type point struct {
 	shards     int  // lineitem's range shards
 	pruned     bool // lineitem leaves read only the shards their l_ship window touches
 	clustered  bool // l_ship climbs with row position
-	late       bool // lineitem SeqScans ask for the late path
 	columns    bool // PruneColumns runs
 	limit      int  // 0: full drain
 	est        bool // HashJoin.BuildRowsEst set
@@ -153,7 +147,7 @@ type point struct {
 var (
 	dops, shardCounts, limits = []int{0, 1, 2, 4}, []int{1, 2, 4}, []int{0, 1, BatchSize + 1}
 	// radix is how many values each axis takes, in decode's order.
-	radix = [...]int{len(shapes), len(tops), len(dops), 2, len(shardCounts), 2, 2, 2, 2, len(limits), 2}
+	radix = [...]int{len(shapes), len(tops), len(dops), 2, len(shardCounts), 2, 2, 2, len(limits), 2}
 )
 
 // digits maps any integer onto the axis table, one mixed-radix digit per
@@ -168,7 +162,7 @@ func digits(x uint64) (d [len(radix)]int) {
 func decode(x uint64) point {
 	d := digits(x)
 	return point{shape: d[0], top: d[1], dop: dops[d[2]], pipeline: d[3] == 1, shards: shardCounts[d[4]],
-		pruned: d[5] == 1, clustered: d[6] == 1, late: d[7] == 1, columns: d[8] == 1, limit: limits[d[9]], est: d[10] == 1}
+		pruned: d[5] == 1, clustered: d[6] == 1, columns: d[7] == 1, limit: limits[d[8]], est: d[9] == 1}
 }
 
 // defaultTrials draws the default 1,000 trials as (seed, axes) pairs.
@@ -273,9 +267,6 @@ func (g *gen) leaf(kind int) Node {
 		nil,
 	}
 	s := &SeqScan{Table: "lineitem", Filter: filters[g.filter]}
-	if g.late {
-		s.Mode = ScanLate
-	}
 	if s.Filter != nil {
 		s.Partitions = g.parts
 	}
@@ -406,10 +397,10 @@ func (g gen) plan(p point, ctx *Context) Node {
 // run one at a time.
 var layouts = map[fixture][2]*Context{}
 
-// harnessLayout returns the encoded, metered fixture for a layout and its
+// harnessLayout returns the metered fixture for a layout and its
 // departitioned twin, built once per process.
 func harnessLayout(t testing.TB, p point) (*Context, *Context) {
-	f := fixture{orders: 3000, lines: 3, parts: 40, shards: p.shards, clustered: p.clustered, encoded: true}
+	f := fixture{orders: 3000, lines: 3, parts: 40, shards: p.shards, clustered: p.clustered}
 	if _, ok := layouts[f]; !ok {
 		ctx := f.build(t)
 		ctx.Metrics = obs.NewRegistry()
@@ -431,15 +422,15 @@ func runTrial(t *testing.T, seed, axes uint64) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	// Only a late lineitem SeqScan with a pushable prefix and some shard
-	// to read runs the encoded path.
-	wantEncoded, pruned := false, false
-	full := expr.SchemaForTable(testkit.Table(ctx.DB, "lineitem").Schema())
+	// Every SeqScan with a pushable prefix and some shard to read meters
+	// its tiles' zone verdicts.
+	wantMetered, pruned := false, false
 	for _, n := range nodes(plan) {
 		switch s := n.(type) {
-		case *SeqScan: // only lineitem scans go late
+		case *SeqScan:
+			full := expr.SchemaForTable(testkit.Table(ctx.DB, s.Table).Schema())
 			bounds, _ := expr.SplitPushdown(s.Filter, full)
-			wantEncoded = wantEncoded || s.Mode == ScanLate && len(bounds) > 0 && (s.Partitions == nil || len(s.Partitions) > 0)
+			wantMetered = wantMetered || len(bounds) > 0 && (s.Partitions == nil || len(s.Partitions) > 0)
 			pruned = pruned || s.Partitions != nil
 		case *IndexRangeScan:
 			pruned = pruned || s.Partitions != nil
@@ -447,8 +438,8 @@ func runTrial(t *testing.T, seed, axes uint64) {
 			pruned = pruned || s.Partitions != nil
 		}
 	}
-	if encoded := scanned.Value()+skipped.Value() > before; encoded != wantEncoded {
-		t.Fatalf("%s: metered segments %v, want %v", label, encoded, wantEncoded)
+	if metered := scanned.Value()+skipped.Value() > before; metered != wantMetered {
+		t.Fatalf("%s: metered segments %v, want %v", label, metered, wantMetered)
 	}
 	if p.limit == 0 {
 		var rc cost.Counters
@@ -460,7 +451,7 @@ func runTrial(t *testing.T, seed, axes uint64) {
 		sameResult(t, label+"reference", got, gc, ref, rc, true)
 	}
 	serial := p
-	serial.dop, serial.pruned, serial.late, serial.columns = 0, false, false, false
+	serial.dop, serial.pruned, serial.columns = 0, false, false
 	base, bc, _, err := Run(flat, g.plan(serial, flat))
 	if err != nil {
 		t.Fatalf("%s: baseline: %v", label, err)
@@ -499,7 +490,7 @@ func nodes(n Node) []Node {
 
 // TestEngineDifferential runs the default trials, one subtest per shape.
 // Run with -race it is also the data-race proof for the worker pool, the
-// shared probe state and the columnar metrics.
+// shared probe state and the segment metrics.
 func TestEngineDifferential(t *testing.T) {
 	trials := defaultTrials()
 	for s, shape := range shapes {
@@ -527,8 +518,8 @@ func FuzzEngineDifferential(f *testing.F) {
 }
 
 // TestEngineDifferentialCoverage pins the harness's reach: the default
-// trials take every value of every axis, and cross late scans, pruned
-// shards, DOP 4, pruned columns and a LIMIT in one trial.
+// trials take every value of every axis, and cross clustered l_ship,
+// pruned shards, DOP 4, pruned columns and a LIMIT in one trial.
 func TestEngineDifferentialCoverage(t *testing.T) {
 	seen, crossed := map[[2]int]bool{}, false
 	for _, tr := range defaultTrials() {
@@ -536,7 +527,7 @@ func TestEngineDifferentialCoverage(t *testing.T) {
 			seen[[2]int{a, v}] = true
 		}
 		p := decode(tr[1])
-		crossed = crossed || p.late && p.pruned && p.dop == 4 && p.columns && p.limit > 0
+		crossed = crossed || p.clustered && p.pruned && p.dop == 4 && p.columns && p.limit > 0
 	}
 	for a, n := range radix {
 		for v := 0; v < n; v++ {
@@ -546,7 +537,7 @@ func TestEngineDifferentialCoverage(t *testing.T) {
 		}
 	}
 	if !crossed {
-		t.Error("no trial crosses late × pruned shards × DOP 4 × pruned columns × LIMIT")
+		t.Error("no trial crosses clustered × pruned shards × DOP 4 × pruned columns × LIMIT")
 	}
 }
 
@@ -565,7 +556,7 @@ func TestPruneColumnsLeafEmits(t *testing.T) {
 		{"count-star-zero-columns", &Aggregate{Input: scan(g.ship()), Aggs: count}, map[string][]int{"lineitem": {}}},
 		{"filter-only-column", &Project{Input: scan(expr.Conj(g.ship(), g.priceBelow())), Cols: []expr.ColumnRef{lid}},
 			map[string][]int{"lineitem": {0}}},
-		// l_price is the late path's residual and is not emitted.
+		// l_price is the filter's residual and is not emitted.
 		{"residual-not-emitted", &Aggregate{Input: scan(expr.Conj(g.ship(), g.priceBelow())),
 			GroupBy: []expr.ColumnRef{lpart}, Aggs: count}, map[string][]int{"lineitem": {2}}},
 		{"order-by-outside-select", &Project{Input: &Sort{Input: g.hash(g.orders(), scan(g.ship()), okey, lkey),

@@ -40,15 +40,14 @@ type Context struct {
 	Indexes *index.Set
 	Model   cost.Model
 	// Metrics, when non-nil, receives engine-level operational counters
-	// (robustqo_hashjoin_* build pre-sizing outcomes, robustqo_columnar_*
-	// segment skipping and stale-encoding fallbacks). Nil disables
-	// metering; it never affects results or cost.Counters.
+	// (robustqo_hashjoin_* build pre-sizing outcomes, and
+	// robustqo_columnar_segments_{scanned,skipped}_total, the zone verdict
+	// of every tile a SeqScan with a pushable filter prefix enters). Nil
+	// disables metering; it never affects results or cost.Counters.
 	Metrics *obs.Registry
-	// Encodings, when non-nil, holds compressed columnar segment
-	// encodings that SeqScans with Mode ScanLate read instead of row
-	// storage. Scans fall back to the row path when a table's encoding is
-	// absent or stale (the stale case is counted; see prepareEncScan) or
-	// the filter has no pushable prefix.
+	// Encodings holds compressed columnar encodings of the tables. Only
+	// the benchmark harness under bench/ sets it, to report their size;
+	// no plan or scan reads it.
 	Encodings *colstore.Set
 }
 

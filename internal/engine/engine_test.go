@@ -11,7 +11,7 @@ import (
 	"robustqo/internal/value"
 )
 
-// testDB builds the unpartitioned, unencoded fixture (see fixture) with
+// testDB builds the unpartitioned, unclustered fixture (see fixture) with
 // nOrders orders of linesPerOrder lineitems each and nParts parts.
 func testDB(t testing.TB, nOrders, linesPerOrder, nParts int) (*storage.Database, *Context) {
 	t.Helper()

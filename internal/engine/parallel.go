@@ -190,8 +190,9 @@ func takeBound[T any](open **T, bind func() (*T, error)) (*T, error) {
 
 // openMorsels implements morselSource. A SeqScan charges nothing at Open.
 // It splits its filter once (storage.Filter): the pushable prefix runs
-// first, on the table's typed payloads or on its encoding, and the
-// residual only on the prefix's survivors.
+// first, skipping the tiles its zones exclude and checking the rest on
+// the table's typed payloads, and the residual only on the prefix's
+// survivors.
 func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunner, error) {
 	t, full, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
@@ -206,11 +207,15 @@ func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunn
 		return nil, err
 	}
 	morsels, shards := spanMorselsShards(scanSpans(t, s.Partitions))
-	return &seqMorselRunner{
+	r := &seqMorselRunner{
 		node: s, t: t, full: full, sch: pickFields(full, cols.emit), filter: filter,
-		spec: prepareEncScan(ctx, t, s, filter.Bounds()), cols: cols,
-		morsels: morsels, shards: shards,
-	}, nil
+		cols: cols, morsels: morsels, shards: shards,
+	}
+	if ctx.Metrics != nil && len(filter.Bounds()) > 0 {
+		r.mScanned = ctx.Metrics.Counter("robustqo_columnar_segments_scanned_total")
+		r.mSkipped = ctx.Metrics.Counter("robustqo_columnar_segments_skipped_total")
+	}
+	return r, nil
 }
 
 type seqMorselRunner struct {
@@ -219,9 +224,6 @@ type seqMorselRunner struct {
 	// filter is the Open-time split of the scan's filter until the first
 	// worker takes it (takeBound).
 	filter *storage.Filter
-	// spec is the shared encoded-scan plan, nil on the row path; each
-	// worker derives its own mutable encScan state from it.
-	spec *encScanSpec
 	// cols is the column plan of the projection.
 	cols *scanCols
 	// full is the table's schema, which the filter binds against; sch is
@@ -233,6 +235,9 @@ type seqMorselRunner struct {
 	morsels []rowSpan
 	// shards[m] is the span (shard) index morsel m was tiled from.
 	shards []int
+	// mScanned and mSkipped meter the zone verdict of every tile a worker
+	// enters; nil without metrics or without a pushable prefix.
+	mScanned, mSkipped *obs.Counter
 }
 
 func (r *seqMorselRunner) schema() expr.RelSchema        { return r.sch }
@@ -247,45 +252,44 @@ func (r *seqMorselRunner) newWorker() (morselWorker, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &seqMorselWorker{r: r, f: f, src: r.t}
-	if r.spec != nil {
-		w.enc = &encScan{spec: r.spec, lastSeg: -1}
-		w.src = w.enc
-	}
-	return w, nil
+	return &seqMorselWorker{r: r, f: f, tile: -1}, nil
 }
 
-// seqMorselWorker owns its filter's scratch. enc is the late path's
-// prefix state, nil on the row path; src is where the projection loads
-// from: the row store or, on the late path, the encoding.
+// seqMorselWorker owns its filter's scratch. tile is the first row of the
+// last tile it metered.
 type seqMorselWorker struct {
-	r   *seqMorselRunner
-	f   *storage.Filter
-	enc *encScan
-	src storage.ColumnSource
+	r    *seqMorselRunner
+	f    *storage.Filter
+	tile int
 }
 
 // window charges the pages whose first tuple falls inside [lo, hi) — over
 // any disjoint covering of the table this sums to exactly NumPages — and
-// one tuple per row, then runs the window filter first: the pushed prefix
-// on the encoding (encScan.prefix, then the filter's residual) or the
-// whole filter on the row store (storage.Filter.Window). It appends the
-// projected columns of the survivors, gathered from the filter's scratch
-// when the residual read them and loaded from src otherwise. Neither path
-// charges anything of its own.
+// one tuple per row, then runs the window filter first
+// (storage.Filter.Window). The charge comes first, so a window inside a
+// tile the zones skip costs exactly what a scanned one does. It appends
+// the projected columns of the survivors, gathered from the filter's
+// scratch when the residual read them and loaded from the table
+// otherwise.
 //
 //qo:hotpath
 func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters) error {
 	const per = storage.TuplesPerPage
 	counters.SeqPages += int64((hi+per-1)/per - (lo+per-1)/per)
 	counters.Tuples += int64(hi - lo)
-	var fin, keep []int
-	var err error
-	if w.enc != nil {
-		fin, keep, err = w.f.EvalResidual(w.src, lo, w.enc.prefix(lo, hi))
-	} else {
-		fin, keep, err = w.f.Window(w.r.t, lo, hi)
+	t := w.r.t
+	if w.r.mScanned != nil {
+		// Meter each tile once, at the first window this worker reads in it.
+		if tile, skipped := w.f.TileSkipped(t, lo); tile != w.tile {
+			w.tile = tile
+			if skipped {
+				w.r.mSkipped.Inc()
+			} else {
+				w.r.mScanned.Inc()
+			}
+		}
 	}
+	fin, keep, err := w.f.Window(t, lo, hi)
 	if err != nil {
 		//qo:alloc-ok error path, cold
 		return fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
@@ -296,7 +300,7 @@ func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters
 	cols := w.r.cols
 	cols.gatherPred(out, w.f.Scratch, keep)
 	for j, i := range cols.restOut {
-		out.cols[i] = w.src.AppendColumnSel(out.cols[i], cols.rest[j], lo, fin)
+		out.cols[i] = t.AppendColumnSel(out.cols[i], cols.rest[j], lo, fin)
 	}
 	out.n += len(fin)
 	return nil

@@ -92,7 +92,7 @@ func TestUnbindableFilterFailsAtOpen(t *testing.T) {
 // the same prefix of rows, or the same error.
 func TestExchangeEarlyClose(t *testing.T) {
 	_, ctx := testDB(t, 3000, 3, 10)
-	cctx := fixture{orders: 3398, lines: 3, parts: 10, shards: 2, clustered: true, encoded: true}.build(t)
+	cctx := fixture{orders: 3398, lines: 3, parts: 10, shards: 2, clustered: true}.build(t)
 	ship := KeyRange{Column: "l_ship", Lo: 10, Hi: 90}
 	cases := []struct {
 		name  string
@@ -101,8 +101,9 @@ func TestExchangeEarlyClose(t *testing.T) {
 		src   func() Node
 	}{
 		{"SeqScan", ctx, BatchSize + 7, func() Node { return &SeqScan{Table: "lineitem"} }},
+		// A pushable prefix whose zones skip the first tiles of each shard.
 		{"SeqScan/late/2-shard", cctx, BatchSize + 7, func() Node {
-			return &SeqScan{Table: "lineitem", Mode: ScanLate, Filter: testkit.Expr("l_ship >= 20")}
+			return &SeqScan{Table: "lineitem", Filter: testkit.Expr("l_ship >= 20")}
 		}},
 		{"IndexRangeScan", ctx, BatchSize + 7, func() Node { return &IndexRangeScan{Table: "lineitem", Range: ship} }},
 		{"IndexIntersect", ctx, BatchSize + 7, func() Node {

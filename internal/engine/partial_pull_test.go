@@ -21,9 +21,9 @@ func TestPartialPullCounters(t *testing.T) {
 	const per = storage.TuplesPerPage
 	pages := func(lo, hi int) int64 { return int64((hi+per-1)/per - (lo+per-1)/per) }
 
-	// SeqScan legs: 2 shards of ~5,096 rows each, encoded, so the pruned leg
-	// starts at a shard base that is not page aligned.
-	cctx := fixture{orders: 3398, lines: 3, parts: 10, shards: 2, clustered: true, encoded: true}.build(t)
+	// SeqScan legs: 2 shards of ~5,096 rows each, so the pruned leg starts
+	// at a shard base that is not page aligned.
+	cctx := fixture{orders: 3398, lines: 3, parts: 10, shards: 2, clustered: true}.build(t)
 	cline := testkit.Table(cctx.DB, "lineitem")
 	shardLo, shardHi := cline.PartitionSpan(1)
 	if shardLo%per == 0 || shardHi-shardLo < 2*BatchSize {
@@ -55,10 +55,10 @@ func TestPartialPullCounters(t *testing.T) {
 	}
 	legs := []leg{
 		{"SeqScan/rows", cctx, func() Node { return &SeqScan{Table: "lineitem"} }, seq(0)},
-		// A pushable filter every row passes, so the late leg runs the
-		// encoded path rather than the row path.
+		// A pushable filter every row passes: the zone check runs on every
+		// window and skips nothing.
 		{"SeqScan/late", cctx, func() Node {
-			return &SeqScan{Table: "lineitem", Mode: ScanLate, Filter: testkit.Expr("l_ship >= 0")}
+			return &SeqScan{Table: "lineitem", Filter: testkit.Expr("l_ship >= 0")}
 		}, seq(0)},
 		{"SeqScan/pruned", cctx, func() Node { return &SeqScan{Table: "lineitem", Partitions: []int{1}} }, seq(shardLo)},
 		{"IndexRangeScan", ictx, func() Node { return &IndexRangeScan{Table: "lineitem", Range: ship} },

@@ -3,14 +3,13 @@ package engine_test
 // Wall-clock benchmarks of the row store's two hot operators on the
 // TPC-H-like data the serve workloads run against: the filter-first
 // SeqScan window and the merge join over an input declared sorted that is
-// not (lineitem's l_orderkey is assigned cyclically). BenchmarkSeqScanEncoded
-// measures the scan-path rule on ship-date-clustered, partitioned,
-// encoded data.
+// not (lineitem's l_orderkey is assigned cyclically).
+// BenchmarkSeqScanClustered measures zone-map tile skipping on
+// ship-date-clustered, partitioned data.
 
 import (
 	"testing"
 
-	"robustqo/internal/colstore"
 	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/expr"
@@ -86,23 +85,16 @@ func BenchmarkSeqScanRows(b *testing.B) {
 	}
 }
 
-// BenchmarkSeqScanEncoded scans ship-date-clustered lineitem in 4 shards
-// with a fresh encoding, under the five filter shapes of the columnar
-// workload: a 30-day ship-date slice, l_quantity ranges keeping 16% and
-// 40% of rows, and two filters with no pushable prefix. Each runs on the
-// row path and as the planner plans it — ScanLate, which runs the late
-// encoded path when the filter has a pushable prefix and the row path
-// otherwise — so the rule's basis stays measured.
-func BenchmarkSeqScanEncoded(b *testing.B) {
+// BenchmarkSeqScanClustered scans ship-date-clustered lineitem in 4
+// shards under the five filter shapes of the scan.columnar workload: a
+// 30-day ship-date slice, whose zones skip most tiles, l_quantity ranges
+// keeping 16% and 40% of rows, and two filters with no pushable prefix.
+func BenchmarkSeqScanClustered(b *testing.B) {
 	db, err := tpch.Generate(tpch.Config{Lines: benchLines, Seed: 2005, ClusterDates: true, Partitions: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	encs, err := colstore.BuildAll(db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := &engine.Context{DB: db, Encodings: encs}
+	ctx := &engine.Context{DB: db}
 	for _, bc := range []struct{ name, filter string }{
 		{"shipdate30d", "l_shipdate BETWEEN DATE '1995-03-01' AND DATE '1995-03-30'"},
 		{"quantity16pct", "l_quantity BETWEEN 11 AND 18"},
@@ -110,11 +102,9 @@ func BenchmarkSeqScanEncoded(b *testing.B) {
 		{"quantity<>7", "l_quantity <> 7"},
 		{"price<f", "l_extendedprice < 50900.005"},
 	} {
-		for _, mode := range []engine.ScanMode{engine.ScanRows, engine.ScanLate} {
-			b.Run(bc.name+"/"+mode.String(), func(b *testing.B) {
-				runPlan(b, ctx, &engine.SeqScan{Table: "lineitem", Filter: testkit.Expr(bc.filter), Mode: mode}, benchLines)
-			})
-		}
+		b.Run(bc.name, func(b *testing.B) {
+			runPlan(b, ctx, &engine.SeqScan{Table: "lineitem", Filter: testkit.Expr(bc.filter)}, benchLines)
+		})
 	}
 }
 

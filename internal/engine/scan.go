@@ -18,12 +18,6 @@ type SeqScan struct {
 	// of a partitioned table (the optimizer's pruning pass sets it). nil
 	// scans everything; an empty list scans nothing.
 	Partitions []int
-	// Mode selects the storage path: the default row path, or the
-	// late-materializing encoded columnar path (see colscan.go), which
-	// itself runs the row path when the table has no fresh encoding or the
-	// filter no pushable prefix. The optimizer's zone pass sets ScanLate
-	// exactly when both hold.
-	Mode ScanMode
 	// Emit, when non-nil, lists the table ordinals of the columns the scan
 	// outputs, in output order; the filter may read others. nil outputs
 	// every column. PruneColumns sets it.
@@ -37,14 +31,10 @@ func (s *SeqScan) Schema(ctx *Context) (expr.RelSchema, error) {
 
 // Describe implements Node.
 func (s *SeqScan) Describe() string {
-	mode := ""
-	if s.Mode != ScanRows {
-		mode = ", columnar=" + s.Mode.String()
-	}
 	if s.Filter == nil {
-		return fmt.Sprintf("SeqScan(%s%s%s)", s.Table, mode, partsSuffix(s.Partitions))
+		return fmt.Sprintf("SeqScan(%s%s)", s.Table, partsSuffix(s.Partitions))
 	}
-	return fmt.Sprintf("SeqScan(%s, filter=%s%s%s)", s.Table, s.Filter, mode, partsSuffix(s.Partitions))
+	return fmt.Sprintf("SeqScan(%s, filter=%s%s)", s.Table, s.Filter, partsSuffix(s.Partitions))
 }
 
 // Stream implements Node.

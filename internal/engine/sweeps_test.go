@@ -20,7 +20,6 @@ const (
 	axShards
 	axPruned
 	axClustered
-	axLate
 	axColumns
 	axLimit
 	axEst
@@ -89,10 +88,12 @@ func TestPartitionedExchangeDifferentialProperty(t *testing.T) {
 	sweep(t, one, [len(radix)]int{}, func(p point) bool { return p.dop == 0 || p.dop == 4 }, axShape, axShards, axPruned, axDOP)
 }
 
-// TestColumnarDifferentialProperty: the lineitem SeqScan on the row and
-// the late path, random and clustered l_ship, at every DOP, unpartitioned
-// and over 2 shards, with seeds that draw every filter,
-// pushable prefix or not; runTrial also checks the segment metering.
+// TestColumnarDifferentialProperty: the lineitem SeqScan over random and
+// clustered l_ship, at every DOP, unpartitioned and over 1, 2 and 4
+// shards, with seeds that draw every filter, pushable prefix or not; the
+// clustered points skip tiles, and runTrial checks their rows and
+// counters against the reference, which has no zone maps, and the
+// segment metering.
 func TestColumnarDifferentialProperty(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 9, 10}
 	drawn := map[int]bool{}
@@ -102,8 +103,7 @@ func TestColumnarDifferentialProperty(t *testing.T) {
 	if len(drawn) != 6 {
 		t.Fatalf("seeds %v draw filters %v, want all 6", seeds, drawn)
 	}
-	keep := func(p point) bool { return shapes[p.shape].name == "seqscan" && p.shards <= 2 }
-	sweep(t, seeds, [len(radix)]int{}, keep, axLate, axClustered, axShards, axDOP)
+	sweep(t, seeds, [len(radix)]int{}, only("seqscan"), axClustered, axShards, axPruned, axDOP)
 }
 
 // TestColumnPruningDifferential: every shape under every top with its
@@ -113,12 +113,12 @@ func TestColumnPruningDifferential(t *testing.T) {
 	sweep(t, one, base, func(p point) bool { return p.limit != 1 }, axShape, axTop, axLimit)
 }
 
-// TestFullDrainCountersByteIdentical: one subtest per shape, on the row
-// and the late path at every DOP, full drain, against the reference.
+// TestFullDrainCountersByteIdentical: one subtest per shape, over random
+// and clustered l_ship at every DOP, full drain, against the reference.
 func TestFullDrainCountersByteIdentical(t *testing.T) {
 	for s, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
-			sweep(t, one, [len(radix)]int{axShape: s}, nil, axDOP, axLate)
+			sweep(t, one, [len(radix)]int{axShape: s}, nil, axDOP, axClustered)
 		})
 	}
 }

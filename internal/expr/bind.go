@@ -45,23 +45,24 @@ func (rs RelSchema) Concat(other RelSchema) RelSchema {
 // must match both table and column; unqualified references must match a
 // unique column name across the schema.
 func (rs RelSchema) Resolve(ref ColumnRef) (int, error) {
-	found := -1
-	for i, f := range rs.Fields {
-		if f.Column != ref.Column {
-			continue
-		}
-		if ref.Table != "" && f.Table != ref.Table {
-			continue
-		}
-		if found >= 0 {
-			return 0, fmt.Errorf("expr: ambiguous column reference %s", ref)
-		}
-		found = i
-	}
-	if found < 0 {
+	switch ord, n := rs.find(ref); n {
+	case 0:
 		return 0, fmt.Errorf("expr: unknown column %s in schema %s", ref, rs)
+	case 1:
+		return ord, nil
 	}
-	return found, nil
+	return 0, fmt.Errorf("expr: ambiguous column reference %s", ref)
+}
+
+// find returns how many fields a column reference matches, as Resolve
+// matches them, and the ordinal of the last.
+func (rs RelSchema) find(ref ColumnRef) (ord, n int) {
+	for i, f := range rs.Fields {
+		if f.Column == ref.Column && (ref.Table == "" || f.Table == ref.Table) {
+			ord, n = i, n+1
+		}
+	}
+	return ord, n
 }
 
 // Ordinals returns the ordinals of the fields e reads, ascending and

@@ -44,7 +44,7 @@ func SplitPushdown(pred Expr, schema RelSchema) ([]ColBound, Expr) {
 	var bounds []ColBound
 	i := 0
 	for ; i < len(conjs); i++ {
-		b, ok := pushableBound(conjs[i], schema)
+		b, ok := PushableBound(conjs[i], schema)
 		if !ok {
 			break
 		}
@@ -56,9 +56,10 @@ func SplitPushdown(pred Expr, schema RelSchema) ([]ColBound, Expr) {
 	return bounds, Conj(conjs[i:]...)
 }
 
-// pushableBound reduces one conjunct to a ColBound if its shape allows
-// exact encoded-domain evaluation.
-func pushableBound(e Expr, schema RelSchema) (ColBound, bool) {
+// PushableBound reduces one conjunct to a ColBound when it compares one
+// column of schema with a literal in a way an interval decides exactly:
+// the conjuncts SplitPushdown pushes.
+func PushableBound(e Expr, schema RelSchema) (ColBound, bool) {
 	switch t := e.(type) {
 	case Cmp:
 		if col, lit, ok := colAndLit(t.L, t.R); ok {
@@ -119,8 +120,8 @@ func flipCmp(op CmpOp) CmpOp {
 }
 
 func resolveOrdinal(col Col, schema RelSchema) (int, catalog.Type, bool) {
-	ord, err := schema.Resolve(col.Ref)
-	if err != nil {
+	ord, n := schema.find(col.Ref)
+	if n != 1 {
 		return 0, 0, false
 	}
 	return ord, schema.Fields[ord].Type, true

@@ -119,8 +119,8 @@ func hotCacheLookup(entries map[string][]int, key string, params []int) ([]int, 
 	return cached, h != 0
 }
 
-// hotProbeFilter pins the encoded-probe kernel idiom from the columnar
-// scan: unpack bit-packed words inline (shift/mask, spill across word
+// hotProbeFilter pins the bit-unpacking kernel idiom of the columnar
+// codec: unpack bit-packed words inline (shift/mask, spill across word
 // boundaries), reconstruct frame-of-reference values, and append the
 // surviving offsets into a selection vector aliasing pre-sized pooled
 // storage — no closures, no per-window allocation.

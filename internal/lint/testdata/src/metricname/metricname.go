@@ -30,13 +30,11 @@ func exchangeSeries(reg *obs.Registry) {
 	reg.Histogram("robustqo_exchange_shard_skew", skewBuckets).Observe(1)
 }
 
-// columnarSeries registers the encoded-scan family: one counter per
-// segment disposition and one for the stale-encoding fallback to the row
-// path, literal names at the call sites.
+// columnarSeries registers the zone-map tile family: one counter per
+// tile disposition, literal names at the call sites.
 func columnarSeries(reg *obs.Registry) {
 	reg.Counter("robustqo_columnar_segments_scanned_total").Inc()
 	reg.Counter("robustqo_columnar_segments_skipped_total").Inc()
-	reg.Counter("robustqo_columnar_stale_fallback_total").Inc()
 }
 
 // mergeJoinSeries registers the merge-join input that a plan declared

@@ -42,10 +42,11 @@ type EstimateSnapshot struct {
 	PartsScanned int
 	PartsTotal   int
 
-	// SegsSkipped/SegsTotal describe zone-map skipping for encoded
-	// columnar scans: of SegsTotal segments in the surviving shards,
+	// SegsSkipped/SegsTotal describe zone-map skipping for sequential
+	// scans: of SegsTotal storage tiles in the surviving shards,
 	// SegsSkipped are provably empty under the pushed predicate bounds.
-	// Zero SegsTotal means the scan runs on the row path.
+	// Zero SegsTotal means the scan's filter has no pushable prefix (or
+	// the node is not a sequential scan).
 	SegsSkipped int
 	SegsTotal   int
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"robustqo/internal/catalog"
-	"robustqo/internal/colstore"
 	"robustqo/internal/engine"
 )
 
@@ -94,19 +93,6 @@ func LayoutKey(ctx *engine.Context) string {
 			b.WriteByte(',')
 			b.WriteString(strconv.FormatInt(bound, 10))
 		}
-		b.WriteByte(';')
-	}
-	// Columnar encodings are part of the physical layout: plans carry a
-	// per-scan materialization mode chosen against a specific segment
-	// image, so the format version and the set's build generation fold
-	// into the key. Rebuilding encodings bumps the generation, which
-	// shifts every cached plan's key — stale segment layouts miss instead
-	// of being served.
-	if ctx.Encodings != nil {
-		b.WriteString("enc:v")
-		b.WriteString(strconv.Itoa(colstore.FormatVersion))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(ctx.Encodings.Generation(), 10))
 		b.WriteByte(';')
 	}
 	return b.String()

@@ -121,11 +121,10 @@ type planner struct {
 	// filled by computePruning before access-path seeding; tables absent
 	// from the map are unpartitioned.
 	parts map[int]*tableParts
-	// zones is the zone-map verdict per query table index, filled by
-	// computeZones after pruning; tables absent from the map have no fresh
-	// columnar encoding or no pushable predicate prefix and stay on the
-	// row path.
-	zones map[int]*tableZones
+	// roots memoizes, per estimated mask, the query table index of its FK
+	// root; schemas memoizes query tables' schemas for the zone pass.
+	roots   map[uint32]int
+	schemas map[int]expr.RelSchema
 }
 
 // record captures the optimizer's cardinality belief for a plan node.
@@ -164,6 +163,8 @@ func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 		estimates: make(map[engine.Node]obs.EstimateSnapshot),
 		snap:      obs.EstimateSnapshot{Estimator: o.Est.Name()},
 		fpCache:   make(map[uint32]string),
+		roots:     make(map[uint32]int),
+		schemas:   make(map[int]expr.RelSchema),
 	}
 	if cl, ok := o.Est.(core.ConfidenceReporter); ok {
 		if t, ok := cl.ConfidenceLevel(); ok {
@@ -171,7 +172,6 @@ func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 		}
 	}
 	p.computePruning()
-	p.computeZones()
 	best := make(map[uint32][]candidate)
 	if err := p.seedAccessPaths(best); err != nil {
 		return nil, err
@@ -424,7 +424,7 @@ func (p *planner) estOf(mask uint32, pred expr.Expr) (selEntry, error) {
 	// Pruning tightens the observation before the quantile is taken: the
 	// estimator counts only the surviving shards' strata, and zone-map
 	// evidence conditions the posterior on an exact selectivity ceiling.
-	parts, maxSel := p.rootEvidence(mask)
+	parts, maxSel := p.rootEvidence(mask, pred)
 	est, err := p.opt.Est.Estimate(core.Request{
 		Tables:         p.a.tablesOf(mask),
 		Pred:           pred,

@@ -36,14 +36,6 @@ func (p *planner) accessPaths(i int) ([]candidate, error) {
 
 	fullPred := p.a.predOnly(i)
 	seq := &engine.SeqScan{Table: tName, Filter: fullPred, Partitions: p.scanParts(i)}
-	// Scan path: late materialization exactly when the zone pass found a
-	// fresh encoding and a pushable predicate prefix; no estimate takes
-	// part. The simulated cost is unchanged by design — encoded scans are
-	// counter transparent — so the mode never distorts plan choice; it
-	// only changes the wall-clock of the plan the cost model picked.
-	if p.zones[i] != nil {
-		seq.Mode = engine.ScanLate
-	}
 	cands := []candidate{{
 		node:    seq,
 		cost:    pages*m.SeqPage + rows*m.Tuple,

@@ -3,8 +3,11 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"robustqo/internal/engine"
+	"robustqo/internal/expr"
 	"robustqo/internal/storage"
 )
 
@@ -83,33 +86,30 @@ func (p *planner) computePruning() {
 	}
 }
 
-// rootEvidence returns the evidence the estimator conditions on for the
-// masked subexpression, both read off its FK root (the table the synopsis
-// is rooted at): the root's surviving shards, nil when it is unpartitioned,
-// and its zone-map selectivity bound, 0 when zone maps eliminated nothing.
-// Both are fixed per root per query, so estOf's cache key needs no
-// extension.
-func (p *planner) rootEvidence(mask uint32) (parts []int, maxSel float64) {
-	if len(p.parts) == 0 && len(p.zones) == 0 {
-		return nil, 0
-	}
-	root, err := p.opt.Ctx.DB.Catalog.RootOf(p.a.tablesOf(mask))
-	if err != nil {
-		return nil, 0
-	}
-	for i, name := range p.a.tables {
-		if name != root {
-			continue
+// rootEvidence returns the evidence the estimator conditions pred on
+// over the masked subexpression, both read off its FK root (the table the
+// synopsis is rooted at): the root's surviving shards, nil when it is
+// unpartitioned, and the zone-map ceiling of pred's own root-table
+// conjuncts, 0 when zone maps eliminated nothing. Both are fixed per
+// mask and predicate, estOf's cache key.
+func (p *planner) rootEvidence(mask uint32, pred expr.Expr) (parts []int, maxSel float64) {
+	root, ok := p.roots[mask]
+	if !ok {
+		// A single table is its own root.
+		root = bits.TrailingZeros32(mask)
+		if mask&(mask-1) != 0 {
+			name, err := p.opt.Ctx.DB.Catalog.RootOf(p.a.tablesOf(mask))
+			if err != nil {
+				return nil, 0
+			}
+			root = slices.Index(p.a.tables, name)
 		}
-		if tp, ok := p.parts[i]; ok {
-			parts = tp.parts
-		}
-		if tz, ok := p.zones[i]; ok && tz.skipped > 0 && tz.maxSel < 1 {
-			maxSel = tz.maxSel
-		}
-		break
+		p.roots[mask] = root
 	}
-	return parts, maxSel
+	if tp, ok := p.parts[root]; ok {
+		parts = tp.parts
+	}
+	return parts, p.zoneCeiling(root, pred)
 }
 
 // prunedRowsPages returns the physical rows and pages a scan of table i
@@ -147,8 +147,7 @@ func (p *planner) scanParts(i int) []int {
 
 // recordScan is record plus the partition arithmetic for scans of
 // partitioned tables ("partitions: k/n" in EXPLAIN ANALYZE) and, for
-// late-materialized sequential scans, the zone-map arithmetic
-// ("segments: k/n skipped").
+// sequential scans, the zone-map arithmetic ("segments: k/n skipped").
 func (p *planner) recordScan(n engine.Node, rows float64, i int) {
 	s := p.snap
 	s.Rows = rows
@@ -157,8 +156,8 @@ func (p *planner) recordScan(n engine.Node, rows float64, i int) {
 		s.PartsScanned = len(tp.parts)
 		s.PartsTotal = tp.total
 	}
-	if _, ok := n.(*engine.SeqScan); ok {
-		s.SegsSkipped, s.SegsTotal = p.zones[i].segs()
+	if seq, ok := n.(*engine.SeqScan); ok {
+		s.SegsSkipped, s.SegsTotal = p.scanSegs(i, seq.Filter)
 	}
 	p.estimates[n] = s
 }

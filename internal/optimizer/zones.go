@@ -1,105 +1,82 @@
 package optimizer
 
-import "robustqo/internal/expr"
+import (
+	"robustqo/internal/expr"
+	"robustqo/internal/storage"
+)
 
-// The zone pass is a planner pre-pass layered on partition pruning: for
-// each query table with a fresh columnar encoding, the pushable prefix of
-// its single-table predicate is compiled into encoded probes and tested
-// against every segment zone map in the surviving shards. A table enters
-// p.zones exactly when that prefix is non-empty (colstore.CompilePushdown
-// ok), and that membership alone is the scan-path rule: its sequential
-// scan runs ScanLate, every other scan the filter-first row path. No
-// selectivity estimate takes part, so the choice cannot hinge on a point
-// estimate near a knee. The pass yields three things downstream consumers
-// share:
+// The zone pass reads the storage layer's zone maps — the min and max of
+// every SegmentRows tile of a shard, which Append keeps for every table —
+// in the shards that survive partition pruning. It chooses nothing: there
+// is one scan path, and its filter skips excluded tiles by itself. It
+// yields two things:
 //
-//   - the scan path (ScanLate for tables in p.zones);
-//   - an exact selectivity upper bound (the unskippable row fraction)
-//     that rides the estimator request as MaxSelectivity, tightening the
-//     posterior before its T-quantile is taken — the same principled
-//     move as dropping pruned shards' samples;
-//   - the "segments: k/n skipped" arithmetic EXPLAIN ANALYZE reports.
+//   - the "segments: k/n skipped" arithmetic EXPLAIN ANALYZE reports for a
+//     sequential scan: of a scan's n tiles, the k that the pushable prefix
+//     of its filter excludes, which the scan therefore skips;
+//   - an exact selectivity ceiling per estimator request: the fraction of
+//     the root's rows held by tiles that no root-table conjunct of the
+//     request's own predicate excludes. It rides the request as
+//     MaxSelectivity, tightening the posterior before its T-quantile is
+//     taken — the same principled move as dropping pruned shards'
+//     samples. A ceiling bounds only the predicate it was derived from,
+//     so it is derived per request, never per table.
 
-// tableZones is the zone-map verdict for one query table whose encoding
-// is present and fresh and whose predicate has a pushable prefix.
-type tableZones struct {
-	skipped int     // segments provably empty under the pushed bounds
-	total   int     // segments in the surviving shards
-	maxSel  float64 // unskippable row fraction of the pruned physical rows
-}
-
-// segs returns the "segments: k/n skipped" arithmetic; zero for a table
-// without zones, whose scans run the row path.
-func (tz *tableZones) segs() (skipped, total int) {
-	if tz == nil {
+// scanSegs returns the "segments: k/n skipped" arithmetic of a
+// sequential scan of query table i under filter; zero when the filter
+// has no pushable prefix.
+func (p *planner) scanSegs(i int, filter expr.Expr) (skipped, total int) {
+	t, schema, ok := p.zoneTable(i)
+	if !ok || filter == nil {
 		return 0, 0
 	}
-	return tz.skipped, tz.total
+	bounds, _ := expr.SplitPushdown(filter, schema)
+	if len(bounds) == 0 {
+		return 0, 0
+	}
+	zc := t.Zones(bounds, p.scanParts(i))
+	return zc.Skipped, zc.Tiles
 }
 
-// computeZones fills p.zones after computePruning; tables without a fresh
-// encoding or a pushable predicate prefix are simply absent and keep the
-// row path.
-func (p *planner) computeZones() {
-	encs := p.opt.Ctx.Encodings
-	if encs == nil {
-		return
+// zoneCeiling returns the exact selectivity ceiling that the zone maps of
+// query table root put on pred, a request's predicate over an expression
+// rooted there, from pred's pushable root-table conjuncts alone; 0 when
+// they exclude no tile. A conjunct pushes over the root's schema exactly
+// when it compares one of the root's columns with a literal: analysis
+// refuses a bare column name that another query table also has.
+func (p *planner) zoneCeiling(root int, pred expr.Expr) float64 {
+	t, schema, ok := p.zoneTable(root)
+	if !ok || pred == nil {
+		return 0
 	}
-	for i, name := range p.a.tables {
-		t, ok := p.opt.Ctx.DB.Table(name)
-		if !ok {
-			continue
+	var bounds []expr.ColBound
+	for _, c := range expr.SplitConjuncts(pred) {
+		if b, ok := expr.PushableBound(c, schema); ok {
+			bounds = append(bounds, b)
 		}
-		enc, ok := encs.For(name)
-		if !ok || enc.Rows() != t.NumRows() {
-			continue // stale encoding: execution would fall back anyway
-		}
-		bounds, _ := expr.SplitPushdown(p.a.predOnly(i), expr.SchemaForTable(t.Schema()))
-		probes, ok := enc.CompilePushdown(bounds)
-		if !ok {
-			continue
-		}
-		tz := &tableZones{maxSel: 1}
-		// Shards surviving partition pruning; nil means all of them.
-		var inShard []bool
-		if tp := p.parts[i]; tp != nil && tp.strict {
-			inShard = make([]bool, t.Partitions())
-			for _, s := range tp.parts {
-				inShard[s] = true
-			}
-		}
-		physRows, liveRows := 0, 0
-		for si := 0; si < enc.NumSegments(); si++ {
-			seg := enc.Segment(si)
-			if inShard != nil && (seg.Shard >= len(inShard) || !inShard[seg.Shard]) {
-				continue
-			}
-			tz.total++
-			physRows += seg.Rows()
-			skip := false
-			for pi := range probes {
-				if probes[pi].SkipSegment(si) {
-					skip = true
-					break
-				}
-			}
-			if skip {
-				tz.skipped++
-			} else {
-				liveRows += seg.Rows()
-			}
-		}
-		if physRows > 0 && tz.skipped > 0 {
-			tz.maxSel = float64(liveRows) / float64(physRows)
-			if tz.maxSel <= 0 {
-				// Every segment skipped: keep the bound positive so the
-				// conditioned posterior stays proper.
-				tz.maxSel = 1e-9
-			}
-		}
-		if p.zones == nil {
-			p.zones = make(map[int]*tableZones)
-		}
-		p.zones[i] = tz
 	}
+	if len(bounds) == 0 {
+		return 0
+	}
+	zc := t.Zones(bounds, p.scanParts(root))
+	if zc.Skipped == 0 || zc.Rows == 0 {
+		return 0
+	}
+	// Every tile skipped: keep the bound positive so the conditioned
+	// posterior stays proper.
+	return max(float64(zc.Live)/float64(zc.Rows), 1e-9)
+}
+
+// zoneTable returns query table i and its schema, memoized.
+func (p *planner) zoneTable(i int) (*storage.Table, expr.RelSchema, bool) {
+	t, ok := p.opt.Ctx.DB.Table(p.a.tables[i])
+	if !ok {
+		return nil, expr.RelSchema{}, false
+	}
+	schema, ok := p.schemas[i]
+	if !ok {
+		schema = expr.SchemaForTable(t.Schema())
+		p.schemas[i] = schema
+	}
+	return t, schema, true
 }

@@ -3,23 +3,22 @@ package optimizer_test
 import (
 	"testing"
 
-	"robustqo/internal/colstore"
 	"robustqo/internal/core"
 	"robustqo/internal/engine"
 	"robustqo/internal/optimizer"
 	"robustqo/internal/sample"
 	"robustqo/internal/stats"
+	"robustqo/internal/storage"
 	"robustqo/internal/testkit"
 	"robustqo/internal/tpch"
 )
 
-// TestZoneFloatBetweenKeepsLateScan: a BETWEEN over the Float
-// l_extendedprice behind a ship-date range ends the pushable prefix
-// instead of making the whole filter unpushable. On ship-date-clustered,
-// encoded lineitem the scan plans late and its zone maps skip segments,
-// exactly as with l_extendedprice < 2000 in the BETWEEN's place.
-func TestZoneFloatBetweenKeepsLateScan(t *testing.T) {
-	db, err := tpch.Generate(tpch.Config{Lines: 20000, Seed: 2005, ClusterDates: true})
+// clusteredOptimizer builds an optimizer over ship-date-clustered
+// lineitem of the given size, with the Bayesian estimator at the
+// threshold, passed through wrap when it is set.
+func clusteredOptimizer(t *testing.T, lines int, threshold float64, wrap func(core.Estimator) core.Estimator) (*storage.Database, *optimizer.Optimizer) {
+	t.Helper()
+	db, err := tpch.Generate(tpch.Config{Lines: lines, Seed: 2005, ClusterDates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,21 +26,31 @@ func TestZoneFloatBetweenKeepsLateScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Encodings, err = colstore.BuildAll(db); err != nil {
-		t.Fatal(err)
-	}
 	syn, err := sample.BuildAll(db, sample.DefaultSize, stats.NewRNG(2005^0xbeef))
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := core.NewBayesEstimator(syn, 0.8)
-	if err != nil {
+	var est core.Estimator
+	if est, err = core.NewBayesEstimator(syn, core.ConfidenceThreshold(threshold)); err != nil {
 		t.Fatal(err)
+	}
+	if wrap != nil {
+		est = wrap(est)
 	}
 	opt, err := optimizer.New(ctx, est)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return db, opt
+}
+
+// TestZoneFloatBetweenKeepsZoneSkipping: a BETWEEN over the Float
+// l_extendedprice behind a ship-date range ends the pushable prefix
+// instead of making the whole filter unpushable. On ship-date-clustered
+// lineitem the scan's zone maps skip tiles, exactly as with
+// l_extendedprice < 2000 in the BETWEEN's place.
+func TestZoneFloatBetweenKeepsZoneSkipping(t *testing.T) {
+	_, opt := clusteredOptimizer(t, 20000, 0.8, nil)
 	const dates = "l_shipdate BETWEEN DATE '1994-01-01' AND DATE '1995-12-31'"
 	for _, price := range []string{"l_extendedprice BETWEEN 1000 AND 2000", "l_extendedprice < 2000"} {
 		plan, err := opt.Optimize(&optimizer.Query{Tables: []string{"lineitem"}, Pred: testkit.Expr(dates + " AND " + price)})
@@ -52,11 +61,64 @@ func TestZoneFloatBetweenKeepsLateScan(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: plan root is %T, want SeqScan:\n%s", price, plan.Root, plan.Explain())
 		}
-		if scan.Mode != engine.ScanLate {
-			t.Errorf("%s: scan mode = %v, want late", price, scan.Mode)
-		}
 		if e, ok := plan.EstimateOf(scan); !ok || e.SegsSkipped < 1 {
 			t.Errorf("%s: snapshot segments %d/%d skipped (ok=%v), want at least one", price, e.SegsSkipped, e.SegsTotal, ok)
+		}
+	}
+}
+
+// recordingEstimator passes every request through and keeps it.
+type recordingEstimator struct {
+	core.Estimator
+	reqs []core.Request
+}
+
+func (r *recordingEstimator) Estimate(req core.Request) (core.Estimate, error) {
+	r.reqs = append(r.reqs, req)
+	return r.Estimator.Estimate(req)
+}
+
+// TestZoneCeilingBoundsItsOwnRequest: a zone-map selectivity ceiling is
+// exact evidence only about the conjuncts it was derived from. On
+// ship-date-clustered lineitem at T=80%, every estimator request that
+// carries a ceiling — the scan's joint request, and the index paths'
+// single-conjunct marginals — must have its true selectivity at or below
+// it. A ceiling taken from the whole ship-date range, attached to the
+// l_receiptdate marginal, undercuts a true fraction several times
+// larger, at a conservative threshold.
+func TestZoneCeilingBoundsItsOwnRequest(t *testing.T) {
+	rec := &recordingEstimator{}
+	db, opt := clusteredOptimizer(t, 60000, 0.8, func(e core.Estimator) core.Estimator {
+		rec.Estimator = e
+		return rec
+	})
+	queries := []*optimizer.Query{{Tables: []string{"lineitem"}, Pred: testkit.Expr(
+		"l_shipdate BETWEEN DATE '1997-07-01' AND DATE '1997-07-20' AND l_receiptdate BETWEEN DATE '1996-01-01' AND DATE '1997-12-31'")}}
+	for _, shift := range []int64{0, 60, 119} {
+		queries = append(queries, tpch.Experiment1Query(shift))
+	}
+	for _, q := range queries {
+		name := q.Pred.String()
+		rec.reqs = nil
+		if _, err := opt.Optimize(q); err != nil {
+			t.Fatal(err)
+		}
+		ceilings := 0
+		for _, req := range rec.reqs {
+			if req.MaxSelectivity <= 0 || req.MaxSelectivity >= 1 {
+				continue
+			}
+			ceilings++
+			exact, err := sample.ExactFraction(db, req.Tables, req.Pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exact > req.MaxSelectivity {
+				t.Errorf("%s: request %v: true selectivity %.4f exceeds its zone ceiling %.4f", name, req.Pred, exact, req.MaxSelectivity)
+			}
+		}
+		if ceilings == 0 {
+			t.Errorf("%s: no request carried a zone ceiling; the fixture tests nothing", name)
 		}
 	}
 }

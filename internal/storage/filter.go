@@ -5,15 +5,10 @@ import (
 	"robustqo/internal/value"
 )
 
-// ColumnSource loads column col of the global rows lo+offs[i], offs
-// strictly ascending: a Table itself, or an encoding of one.
-type ColumnSource interface {
-	AppendColumnSel(dst []value.Value, col, lo int, offs []int) []value.Value
-}
-
 // Filter is a predicate split once for filter-first evaluation: its
-// pushable prefix (expr.SplitPushdown) is checked on a table's typed
-// payloads, and the bound residual runs only on the prefix's survivors —
+// pushable prefix (expr.SplitPushdown) skips the tiles whose zones some
+// bound excludes and is checked on the other tiles' typed payloads, and
+// the bound residual runs only on the prefix's survivors —
 // the rows, in the order, the unsplit predicate's left-to-right And would
 // reach it, so results and errors match evaluating the whole predicate.
 // A scan window and a synopsis count both run it. A Filter carries
@@ -24,7 +19,7 @@ type Filter struct {
 	residual *expr.Bound // nil when the prefix is the whole predicate
 	reads    []int       // the columns the residual reads, ascending
 	// Scratch[c], for each column c the residual reads, holds that column
-	// of the last window's prefix survivors, densely: EvalResidual's keep
+	// of the last window's prefix survivors, densely: evalResidual's keep
 	// indexes it.
 	Scratch [][]value.Value
 	// sel and sel2 are the prefix's selection buffers; the residual reuses
@@ -66,25 +61,52 @@ func (f *Filter) Residual() expr.Expr {
 
 // Window returns the offsets from lo of the rows of [lo, hi) of t that
 // pass the filter: the pushed prefix, then the residual on its
-// survivors (EvalResidual).
+// survivors (evalResidual).
 //
 //qo:hotpath
 func (f *Filter) Window(t *Table, lo, hi int) (fin, keep []int, err error) {
-	//qo:alloc-ok a pointer converts to an interface without allocating
-	return f.EvalResidual(t, lo, f.prefix(t, lo, hi))
+	return f.evalResidual(t, lo, f.prefix(t, lo, hi))
+}
+
+// TileSkipped reports whether the pushed prefix's zones exclude the tile
+// holding global row row of t, and returns the global row id at which
+// that tile starts, which tells one tile from another. With no prefix no
+// tile is skipped.
+//
+//qo:hotpath
+func (f *Filter) TileSkipped(t *Table, row int) (start int, skipped bool) {
+	p, k, _ := t.tileAt(row)
+	return t.bases[p] + k*SegmentRows, len(f.bounds) > 0 && t.tileExcluded(f.bounds, p, k)
 }
 
 // prefix returns the offsets from lo of the rows of [lo, hi) of t that
-// pass the pushed prefix, checked bound by bound on the typed payloads,
-// each bound over the rows the ones before it kept — no value is boxed.
-// With no prefix every row passes. The result is valid until the next
-// call.
+// pass the pushed prefix: the rows of the tiles no bound's zone excludes,
+// then bound by bound on the typed payloads, each bound over the rows the
+// ones before it kept — no value is boxed. With no prefix every row
+// passes. The result is valid until the next call.
 //
 //qo:hotpath
 func (f *Filter) prefix(t *Table, lo, hi int) []int {
-	src, dst := RangeSel(f.sel, 0, hi-lo), f.sel2
-	if cap(dst) < hi-lo && len(f.bounds) > 0 {
+	if len(f.bounds) == 0 {
+		f.sel = RangeSel(f.sel, 0, hi-lo)
+		return f.sel
+	}
+	src, dst := f.sel[:0], f.sel2
+	if cap(src) < hi-lo {
+		src = make([]int, 0, hi-lo)
+	}
+	if cap(dst) < hi-lo {
 		dst = make([]int, 0, hi-lo)
+	}
+	for r := lo; r < hi; {
+		p, k, end := t.tileAt(r)
+		end = min(end, hi)
+		if !t.tileExcluded(f.bounds, p, k) {
+			n := len(src)
+			src = src[:n+end-r]
+			RangeSel(src[n:], r-lo, end-lo)
+		}
+		r = end
 	}
 	for _, b := range f.bounds {
 		if len(src) == 0 {
@@ -97,21 +119,21 @@ func (f *Filter) prefix(t *Table, lo, hi int) []int {
 	return src
 }
 
-// EvalResidual runs the residual over rows, the offsets from lo of a
+// evalResidual runs the residual over rows, the offsets from lo of a
 // prefix's survivors, ascending. It loads the columns the residual reads
-// for those rows alone, from src into Scratch, and returns fin, the
+// for those rows alone, from t into Scratch, and returns fin, the
 // offsets from lo of the rows that pass, and keep, their positions in
 // Scratch. With no rows the residual is never evaluated, so it cannot
 // fail; with no residual every row passes and keep is nil. Both results
 // are valid until the next call.
 //
 //qo:hotpath
-func (f *Filter) EvalResidual(src ColumnSource, lo int, rows []int) (fin, keep []int, err error) {
+func (f *Filter) evalResidual(t *Table, lo int, rows []int) (fin, keep []int, err error) {
 	if len(rows) == 0 || f.residual == nil {
 		return rows, nil, nil
 	}
 	for _, c := range f.reads {
-		f.Scratch[c] = src.AppendColumnSel(f.Scratch[c][:0], c, lo, rows)
+		f.Scratch[c] = t.AppendColumnSel(f.Scratch[c][:0], c, lo, rows)
 	}
 	// Scratch holds the rows densely, so the residual's selection is
 	// 0..len(rows)-1 — rows itself when every row passed the prefix.

@@ -13,6 +13,12 @@
 // occupies one contiguous global row-id interval, readers keep seeing a
 // single logical table through the unchanged read API, and an
 // unpartitioned table is simply the one-segment degenerate case.
+//
+// Append keeps a zone map per Int, Date and String column: the min and
+// max of every SegmentRows tile of a shard. A filter-first scan skips a
+// tile some pushed bound excludes (Filter), and the planner reads the
+// same zones for an exact selectivity ceiling (Zones). The maps grow with
+// the rows, so they are never stale.
 package storage
 
 import (
@@ -29,6 +35,12 @@ import (
 // TuplesPerPage is the simulated number of tuples stored per disk page.
 // With ~100-byte tuples and 8 KB pages this matches the paper's era.
 const TuplesPerPage = 80
+
+// SegmentRows is the row span of one zone-map tile. Tiles cut each
+// shard's rows into SegmentRows blocks from the shard's first row, the
+// tiling of the engine's morsels, so a scan window never straddles two
+// tiles; engine tests pin the equality.
+const SegmentRows = 4096
 
 // Table is a columnar in-memory table instance for a catalog schema,
 // physically split into one segment per partition (one segment total when
@@ -64,6 +76,50 @@ type columnData struct {
 	ints   []int64 // Int and Date payloads
 	floats []float64
 	strs   []string
+	// zones[k] is the zone of the column's tile k; Float columns have none.
+	zones []zone
+}
+
+// zone is the min and max of one column over one tile: lo and hi for an
+// Int or Date column, slo and shi for a String column.
+type zone struct {
+	lo, hi   int64
+	slo, shi string
+}
+
+// widenInt and widenStr fold x, the value of segment-local row local,
+// into the zone of the tile holding it; a tile's first row opens its
+// zone.
+func (c *columnData) widenInt(local int, x int64) {
+	if local%SegmentRows == 0 {
+		c.zones = append(c.zones, zone{lo: x, hi: x})
+	} else if z := &c.zones[len(c.zones)-1]; x < z.lo {
+		z.lo = x
+	} else if x > z.hi {
+		z.hi = x
+	}
+}
+
+func (c *columnData) widenStr(local int, x string) {
+	if local%SegmentRows == 0 {
+		c.zones = append(c.zones, zone{slo: x, shi: x})
+	} else if z := &c.zones[len(c.zones)-1]; x < z.slo {
+		z.slo = x
+	} else if x > z.shi {
+		z.shi = x
+	}
+}
+
+// excludes reports whether the zone proves that no row of its tile
+// satisfies b. An empty interval excludes every tile.
+//
+//qo:hotpath
+func (z *zone) excludes(b *expr.ColBound) bool {
+	if b.IsStr {
+		return b.HasStrLo && z.shi < b.StrLo || b.HasStrHi && z.slo > b.StrHi ||
+			b.HasStrLo && b.HasStrHi && b.StrLo > b.StrHi
+	}
+	return z.hi < b.Lo || z.lo > b.Hi || b.Lo > b.Hi
 }
 
 // NewTable creates an empty table for the schema.
@@ -239,10 +295,12 @@ func (t *Table) Append(row value.Row) error {
 		switch c.kind {
 		case catalog.Int, catalog.Date:
 			c.ints = append(c.ints, v.I)
+			c.widenInt(seg.rows, v.I)
 		case catalog.Float:
 			c.floats = append(c.floats, v.F)
 		case catalog.String:
 			c.strs = append(c.strs, v.S)
+			c.widenStr(seg.rows, v.S)
 		}
 	}
 	if t.pkCol >= 0 {
@@ -422,6 +480,65 @@ func (t *Table) selRun(col, lo int, offs []int) (c *columnData, shift, n int) {
 	p, local := t.segOf(lo + offs[0])
 	shift = local - offs[0]
 	return &t.segs[p].cols[col], shift, 1 + sort.SearchInts(offs[1:], t.segs[p].rows-shift)
+}
+
+// tileAt locates the tile holding global row row: its shard p, its index
+// k among the shard's tiles, and the global row id end it stops before.
+func (t *Table) tileAt(row int) (p, k, end int) {
+	p, local := t.segOf(row)
+	k = local / SegmentRows
+	return p, k, t.bases[p] + min((k+1)*SegmentRows, t.segs[p].rows)
+}
+
+// tileExcluded reports whether the zone of some bound's column excludes
+// tile k of shard p.
+//
+//qo:hotpath
+func (t *Table) tileExcluded(bounds []expr.ColBound, p, k int) bool {
+	cols := t.segs[p].cols
+	for i := range bounds {
+		if cols[bounds[i].Col].zones[k].excludes(&bounds[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// ZoneCount is what a table's zone maps prove about a set of pushed
+// bounds over some of its shards.
+type ZoneCount struct {
+	Tiles   int // tiles in the shards
+	Skipped int // tiles some bound excludes
+	Rows    int // rows in the shards
+	Live    int // rows in the tiles no bound excludes
+}
+
+// Zones counts the tiles of the listed shards (nil: every shard) that
+// the bounds' zones exclude. Live/Rows is then an exact ceiling on the
+// fraction of those shards' rows that satisfy every bound.
+func (t *Table) Zones(bounds []expr.ColBound, shards []int) ZoneCount {
+	var zc ZoneCount
+	count := func(p int) {
+		rows := t.segs[p].rows
+		zc.Rows += rows
+		for k := 0; k*SegmentRows < rows; k++ {
+			zc.Tiles++
+			if t.tileExcluded(bounds, p, k) {
+				zc.Skipped++
+			} else {
+				zc.Live += min(SegmentRows, rows-k*SegmentRows)
+			}
+		}
+	}
+	if shards == nil {
+		for p := range t.segs {
+			count(p)
+		}
+	}
+	for _, p := range shards {
+		count(p)
+	}
+	return zc
 }
 
 // invalidateConcat drops the concatenated payload caches after a mutation.
