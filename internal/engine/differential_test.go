@@ -142,12 +142,18 @@ type point struct {
 	columns    bool // PruneColumns runs
 	limit      int  // 0: full drain
 	est        bool // HashJoin.BuildRowsEst set
+	// topK bounds every Sort of the plan, which then orders by its first
+	// key only, so ties are left to input order; 0: full sorts on every
+	// key.
+	topK int
 }
 
 var (
 	dops, shardCounts, limits = []int{0, 1, 2, 4}, []int{1, 2, 4}, []int{0, 1, BatchSize + 1}
+	// topKs bound a heap by 1, by 10, and by more than any input.
+	topKs = []int{0, 1, 10, 1 << 20}
 	// radix is how many values each axis takes, in decode's order.
-	radix = [...]int{len(shapes), len(tops), len(dops), 2, len(shardCounts), 2, 2, 2, len(limits), 2}
+	radix = [...]int{len(shapes), len(tops), len(dops), 2, len(shardCounts), 2, 2, 2, len(limits), 2, len(topKs)}
 )
 
 // digits maps any integer onto the axis table, one mixed-radix digit per
@@ -162,7 +168,7 @@ func digits(x uint64) (d [len(radix)]int) {
 func decode(x uint64) point {
 	d := digits(x)
 	return point{shape: d[0], top: d[1], dop: dops[d[2]], pipeline: d[3] == 1, shards: shardCounts[d[4]],
-		pruned: d[5] == 1, clustered: d[6] == 1, columns: d[7] == 1, limit: limits[d[8]], est: d[9] == 1}
+		pruned: d[5] == 1, clustered: d[6] == 1, columns: d[7] == 1, limit: limits[d[8]], est: d[9] == 1, topK: topKs[d[10]]}
 }
 
 // defaultTrials draws the default 1,000 trials as (seed, axes) pairs.
@@ -383,6 +389,13 @@ func (g gen) plan(p point, ctx *Context) Node {
 	n := shape.build(&g)
 	if shape.cols != nil {
 		n = tops[p.top].build(n, shape.cols)
+	}
+	if p.topK > 0 {
+		for _, m := range nodes(n) {
+			if s, ok := m.(*Sort); ok {
+				s.By, s.TopK = s.By[:1], p.topK
+			}
+		}
 	}
 	if p.limit > 0 {
 		n = &Limit{Input: n, N: p.limit}

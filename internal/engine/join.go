@@ -21,9 +21,9 @@ type HashJoin struct {
 	BuildCol expr.ColumnRef
 	ProbeCol expr.ColumnRef
 	// BuildRowsEst is the optimizer's posterior T-quantile estimate of the
-	// build cardinality, used to pre-size the hash table. Zero (a
-	// hand-built plan) falls back to growing from the minimum capacity; it
-	// never affects results.
+	// build cardinality. It feeds only the modeled robustqo_hashjoin_*
+	// metrics — the table is sized from the drained build count — and
+	// zero (a hand-built plan) models growth from the minimum capacity.
 	BuildRowsEst float64
 }
 
@@ -160,7 +160,7 @@ func (o *hashJoinOp) Close() {
 	o.out = nil
 }
 
-// MergeJoin sort-merges its inputs on integer-valued join keys. Inputs
+// MergeJoin sort-merges its inputs on Int or Date join keys. Inputs
 // already ordered by their key (e.g. clustered primary-key order) should
 // set LeftSorted/RightSorted to avoid the sort charge.
 type MergeJoin struct {
@@ -191,10 +191,11 @@ func (j *MergeJoin) Describe() string {
 func (j *MergeJoin) Stream() Operator { return &mergeJoinOp{node: j} }
 
 // mergeJoinOp is a pipeline breaker on both sides: it drains both inputs
-// into packed columns and sorts them at Open, then merges incrementally
-// as batches are pulled — output tuples are written straight into the
-// pooled output batch, never materialized as standalone rows, and the
-// tuple charge lands only as rows are actually pulled.
+// into packed columns and key vectors and sorts them at Open, then merges
+// incrementally as batches are pulled — each pull collects up to
+// BatchSize (left, right) sorted positions and gathers the output columns
+// from them into the pooled output batch, and the tuple charge lands only
+// as rows are actually pulled.
 //
 // Merge cursor state between pulls, in sorted positions: [i, iEnd) x
 // [k, kEnd) is the current equal-key group, and (a, b) is the next pair
@@ -206,7 +207,10 @@ type mergeJoinOp struct {
 	i, k        int
 	iEnd, kEnd  int
 	a, b        int
-	out         *Batch
+	// lpos and rpos are the sorted positions of one output batch's
+	// pairs; rows is the scratch gather resolves them into.
+	lpos, rpos, rows []int32
+	out              *Batch
 }
 
 func (o *mergeJoinOp) Open(ctx *Context, counters *cost.Counters) error {
@@ -227,44 +231,48 @@ func (o *mergeJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return fmt.Errorf("engine: MergeJoin right key: %v", err)
 	}
-	left, err := drainMergeInput(ctx, j.Left, lSchema, lIdx, counters)
+	var stock intStock
+	if o.left, err = drainMergeInput(ctx, j.Left, lSchema, lIdx, &stock, counters); err != nil {
+		return err
+	}
+	if o.right, err = drainMergeInput(ctx, j.Right, rSchema, rIdx, &stock, counters); err != nil {
+		return err
+	}
+	stock = nil // the spare arrays are garbage from here on
+	sorted, err := o.left.sort()
 	if err != nil {
 		return err
 	}
-	right, err := drainMergeInput(ctx, j.Right, rSchema, rIdx, counters)
-	if err != nil {
+	j.chargeInput(ctx, o.left.n, j.LeftSorted, sorted, counters)
+	if sorted, err = o.right.sort(); err != nil {
 		return err
 	}
-	sorted, err := left.sort()
-	if err != nil {
-		return err
-	}
-	j.chargeInput(ctx, left.n, j.LeftSorted, sorted, counters)
-	if sorted, err = right.sort(); err != nil {
-		return err
-	}
-	j.chargeInput(ctx, right.n, j.RightSorted, sorted, counters)
+	j.chargeInput(ctx, o.right.n, j.RightSorted, sorted, counters)
 	o.counters = counters
-	o.left, o.right = left, right
+	o.lpos = make([]int32, 0, BatchSize)
+	o.rpos = make([]int32, 0, BatchSize)
+	o.rows = make([]int32, 0, BatchSize)
 	o.out = getBatch(lSchema.Concat(rSchema))
 	return nil
 }
 
-// Next emits the sorted groups' cross products into the pooled batch.
+// Next collects the sorted groups' cross products, in left-major order,
+// as position pairs and gathers them into the pooled batch.
 //
 //qo:hotpath
 func (o *mergeJoinOp) Next() (*Batch, error) {
-	o.out.Reset()
-	l, r, width := o.left, o.right, len(o.left.cols)
-	for o.out.Len() < BatchSize {
+	lk, rk := o.left.keys, o.right.keys
+	lpos, rpos := o.lpos[:0], o.rpos[:0]
+	for len(lpos) < BatchSize {
 		if o.a < o.iEnd {
-			// Emit the next pair of the current equal-key group: the
-			// cross product in left-major order.
-			o.counters.Tuples++
-			l.appendRow(o.out, 0, o.a)
-			r.appendRow(o.out, width, o.b)
-			o.out.n++
-			if o.b++; o.b == o.kEnd {
+			// Emit the rest of left row a's run through the current
+			// group, as far as the batch has room.
+			end := min(o.kEnd, o.b+BatchSize-len(lpos))
+			for b := o.b; b < end; b++ {
+				lpos = append(lpos, int32(o.a))
+				rpos = append(rpos, int32(b))
+			}
+			if o.b = end; o.b == o.kEnd {
 				o.b = o.k
 				o.a++
 			}
@@ -274,22 +282,22 @@ func (o *mergeJoinOp) Next() (*Batch, error) {
 		// the next key match.
 		o.i, o.k = o.iEnd, o.kEnd
 		found := false
-		for o.i < l.n && o.k < r.n {
-			lk, rk := l.keyAt(o.i), r.keyAt(o.k)
-			if lk < rk {
+		for o.i < len(lk) && o.k < len(rk) {
+			key := lk[o.i]
+			if key < rk[o.k] {
 				o.i++
 				continue
 			}
-			if lk > rk {
+			if key > rk[o.k] {
 				o.k++
 				continue
 			}
-			o.iEnd = o.i
-			for o.iEnd < l.n && l.keyAt(o.iEnd) == lk {
+			o.iEnd = o.i + 1
+			for o.iEnd < len(lk) && lk[o.iEnd] == key {
 				o.iEnd++
 			}
-			o.kEnd = o.k
-			for o.kEnd < r.n && r.keyAt(o.kEnd) == lk {
+			o.kEnd = o.k + 1
+			for o.kEnd < len(rk) && rk[o.kEnd] == key {
 				o.kEnd++
 			}
 			o.a, o.b = o.i, o.k
@@ -304,9 +312,15 @@ func (o *mergeJoinOp) Next() (*Batch, error) {
 			break
 		}
 	}
-	if o.out.Len() == 0 {
+	o.lpos, o.rpos = lpos, rpos
+	if len(lpos) == 0 {
 		return nil, nil
 	}
+	o.counters.Tuples += int64(len(lpos))
+	o.out.Reset()
+	o.rows = o.left.gather(o.out, 0, lpos, o.rows)
+	o.rows = o.right.gather(o.out, len(o.left.cols), rpos, o.rows)
+	o.out.n = len(lpos)
 	return o.out, nil
 }
 
@@ -332,15 +346,28 @@ func (j *MergeJoin) chargeInput(ctx *Context, n int, declared, sorted bool, coun
 	}
 }
 
-// radixOrder returns the permutation that stably sorts keys ascending:
-// position i of the sorted order is input keys[order[i]]. It is an LSD
+// radixOrder stably sorts keys ascending in place and returns the
+// permutation it applied: sorted position i held input keys[order[i]].
+// Keys spanning fewer values than there are keys — dense foreign keys —
+// take one stable counting pass over the span. Any others take an LSD
 // radix sort of (key, position) pairs on 8-bit digits of the key with its
 // sign bit flipped, so unsigned digit order is signed key order — the
 // keys stay put and the positions ping-pong between two uint32 buffers —
-// that skips every byte on which all keys agree. Each pass is a stable
-// counting sort, so equal keys keep their input order: the order
-// sort.SliceStable gives. Both merge-join engines sort through it.
+// that skips every byte on which all keys agree, and the keys are then
+// permuted once, in place. Each pass is a stable counting sort, so equal
+// keys keep their input order: the order sort.SliceStable gives. Both
+// merge-join engines sort through it.
 func radixOrder(keys []int64) []uint32 {
+	if len(keys) == 0 {
+		return nil
+	}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if span := uint64(hi) - uint64(lo); span < uint64(len(keys)) {
+		return countingOrder(keys, lo, int(span)+1)
+	}
 	src, dst := make([]uint32, len(keys)), make([]uint32, len(keys))
 	const sign = 1 << 63
 	var diff uint64
@@ -369,7 +396,55 @@ func radixOrder(keys []int64) []uint32 {
 		}
 		src, dst = dst, src
 	}
+	// Sorted slot i takes input key src[i]. Follow each cycle of that
+	// permutation once, in a copy that marks a slot done by pointing it
+	// at itself.
+	copy(dst, src)
+	for i := range dst {
+		if int(dst[i]) == i {
+			continue
+		}
+		tmp, j := keys[i], i
+		for {
+			k := int(dst[j])
+			dst[j] = uint32(j)
+			if k == i {
+				keys[j] = tmp
+				break
+			}
+			keys[j] = keys[k]
+			j = k
+		}
+	}
 	return src
+}
+
+// countingOrder is radixOrder for keys taking span values from lo on:
+// one stable counting sort, then the keys rewritten in order from the
+// counts.
+func countingOrder(keys []int64, lo int64, span int) []uint32 {
+	next := make([]uint32, span)
+	for _, k := range keys {
+		next[k-lo]++
+	}
+	sum := uint32(0)
+	for v, c := range next {
+		next[v] = sum
+		sum += c
+	}
+	order := make([]uint32, len(keys))
+	for i, k := range keys {
+		order[next[k-lo]] = uint32(i)
+		next[k-lo]++
+	}
+	// next[v] is now the end of value v's run.
+	i := 0
+	for v, end := range next {
+		for ; i < int(end); i++ {
+			keys[i] = lo + int64(v)
+		}
+	}
+	return order
 }
 
 // INLJoin is an indexed nested-loop join: for every outer row it probes an

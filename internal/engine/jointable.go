@@ -1,18 +1,19 @@
 package engine
 
 // The hash-join build table: partitioned, type-specialized, chained, and
-// pre-sized.
+// sized from the drained build.
 //
 // Four properties matter and each is pinned by a test:
 //
 //   - Type specialization. value.Value keys fall into exactly three key
 //     classes — string, float64, and int64 (Int, Date, and everything
 //     else share the I payload, mirroring value.Key) — so each partition
-//     keeps one native-keyed map per class and probes never box a key
+//     keeps one native-keyed table per class and probes never box a key
 //     into an interface. Key equality is exactly the old map[any]
 //     table's: Int and Date share the int64 class, floats compare as
 //     float64 map keys (NaN matches nothing, -0 equals +0), numeric keys
-//     never match strings.
+//     never match strings. The int64 class — every FK key — is an
+//     open-addressed table; the float64 and string classes are Go maps.
 //   - Chained storage. Rows live once in a flat build-order slice; each
 //     key maps to a (head, tail) chain threaded through a next-index
 //     array. Inserting N rows costs zero per-key slice allocations, and
@@ -24,14 +25,16 @@ package engine
 //     partitions, lock-free: a partition's chains only ever touch next[]
 //     slots of its own rows. Equal keys always land in the same
 //     partition, so the partition count can never change join output.
-//   - Pre-sizing. The optimizer's posterior T-quantile estimate of the
-//     build cardinality (HashJoin.BuildRowsEst) sizes the table before
-//     the first insert, with 2x headroom: an estimate within a factor of
-//     two of the actual build size never triggers modeled growth. Go maps
-//     do not expose their rehash count, so growth is modeled — the number
-//     of capacity doublings a pre-sized table would need to reach the
-//     rows actually inserted — and exported as robustqo_hashjoin_*
-//     metrics when a registry is attached to the Context.
+//   - Exact sizing. A partition's row count is known before its first
+//     insert, so the int64 class is sized once from it, at most half
+//     full, and never grows; the maps get it as their size hint. The
+//     optimizer's posterior T-quantile estimate of the build cardinality
+//     (HashJoin.BuildRowsEst) feeds only the modeled robustqo_hashjoin_*
+//     metrics: a table pre-sized from the estimate with 2x headroom, and
+//     the number of capacity doublings it would need to reach the rows
+//     actually inserted, exported when a registry is attached to the
+//     Context. An estimate within a factor of two of the actual build
+//     size models no growth.
 
 import (
 	"math"
@@ -61,13 +64,56 @@ type joinChain struct {
 	head, tail int32
 }
 
-// joinPart is one partition of a joinTable: lazily-created native-keyed
-// chain maps, one per key class. A build column is homogeneous in
-// practice, so usually exactly one of the three is non-nil.
+// joinPart is one partition of a joinTable: one chain table per key
+// class, each created at its first insert and sized from rows, the
+// partition's build row count. A build column is homogeneous in
+// practice, so usually exactly one of the three exists.
 type joinPart struct {
-	ints map[int64]joinChain
+	ints intChains
 	flts map[float64]joinChain
 	strs map[string]joinChain
+	rows int
+}
+
+// intChains is the int64 key class of a partition: an open-addressed
+// table with linear probing, indexed by the high bits of the key's mix64
+// hash — the low bits pick the partition.
+type intChains struct {
+	slots []intSlot
+	shift uint // 64 - log2(len(slots))
+}
+
+// intSlot is one slot of an intChains table; chain.head < 0 marks it
+// empty.
+type intSlot struct {
+	key   int64
+	chain joinChain
+}
+
+// newIntChains returns an empty table with at least twice n slots.
+func newIntChains(n int) intChains {
+	bits := uint(3)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	slots := make([]intSlot, 1<<bits)
+	for i := range slots {
+		slots[i].chain.head = -1
+	}
+	return intChains{slots: slots, shift: 64 - bits}
+}
+
+// slot returns the slot holding key, or the empty slot where it would
+// go; h is mix64 of the key.
+//
+//qo:hotpath
+func (c *intChains) slot(key int64, h uint64) *intSlot {
+	mask := len(c.slots) - 1
+	for i := int(h >> c.shift); ; i = (i + 1) & mask {
+		if s := &c.slots[i]; s.chain.head < 0 || s.key == key {
+			return s
+		}
+	}
 }
 
 // joinTable is the build side of a hash join. Built once (serially or by
@@ -80,16 +126,16 @@ type joinTable struct {
 	// the next row sharing row i's key, or -1 at the end of a chain.
 	rows []value.Row
 	next []int32
-	// capRows is the modeled row capacity the table was pre-sized to;
-	// hint is the per-partition make() hint derived from it.
+	// capRows is the modeled row capacity an estimate-sized table would
+	// have; it feeds only the metrics.
 	capRows  int
-	hint     int
 	presized bool
 }
 
 // newJoinTable returns an empty table with nParts partitions (a power of
-// two) pre-sized for est build rows. The 2x headroom means an estimate no
-// worse than 2x under the actual build size still avoids modeled growth.
+// two), modeled as pre-sized for est build rows. The 2x headroom means an
+// estimate no worse than 2x under the actual build size still models no
+// growth.
 func newJoinTable(est float64, nParts int) *joinTable {
 	if nParts < 1 {
 		nParts = 1
@@ -102,23 +148,19 @@ func newJoinTable(est float64, nParts int) *joinTable {
 			t.capRows <<= 1
 		}
 	}
-	t.hint = t.capRows / nParts
-	if t.hint < 8 {
-		t.hint = 8
-	}
 	return t
 }
 
 // insert links row index i (whose key is v) onto its chain in partition
-// p. The lazily created per-kind maps allocate once per partition, not
-// per row; the chains themselves live in the shared next array.
+// p. A class's table allocates once per partition, at its first insert,
+// not per row; the chains themselves live in the shared next array.
 //
 //qo:hotpath
 func (p *joinPart) insert(t *joinTable, v value.Value, i int32) {
 	switch v.Kind {
 	case catalog.String:
 		if p.strs == nil {
-			p.strs = make(map[string]joinChain, t.hint)
+			p.strs = make(map[string]joinChain, p.rows)
 		}
 		if c, ok := p.strs[v.S]; ok {
 			t.next[c.tail] = i
@@ -129,7 +171,7 @@ func (p *joinPart) insert(t *joinTable, v value.Value, i int32) {
 		}
 	case catalog.Float:
 		if p.flts == nil {
-			p.flts = make(map[float64]joinChain, t.hint)
+			p.flts = make(map[float64]joinChain, p.rows)
 		}
 		if c, ok := p.flts[v.F]; ok {
 			t.next[c.tail] = i
@@ -139,15 +181,16 @@ func (p *joinPart) insert(t *joinTable, v value.Value, i int32) {
 			p.flts[v.F] = joinChain{head: i, tail: i}
 		}
 	default:
-		if p.ints == nil {
-			p.ints = make(map[int64]joinChain, t.hint)
+		if p.ints.slots == nil {
+			//qo:alloc-ok once per partition, sized from its row count
+			p.ints = newIntChains(p.rows)
 		}
-		if c, ok := p.ints[v.I]; ok {
-			t.next[c.tail] = i
-			c.tail = i
-			p.ints[v.I] = c
+		s := p.ints.slot(v.I, mix64(uint64(v.I)))
+		if s.chain.head < 0 {
+			*s = intSlot{key: v.I, chain: joinChain{head: i, tail: i}}
 		} else {
-			p.ints[v.I] = joinChain{head: i, tail: i}
+			t.next[s.chain.tail] = i
+			s.chain.tail = i
 		}
 	}
 }
@@ -205,19 +248,19 @@ func (t *joinTable) partIndex(v value.Value) int {
 //
 //qo:hotpath
 func (t *joinTable) first(v value.Value) int32 {
-	p := &t.parts[t.partIndex(v)]
 	switch v.Kind {
 	case catalog.String:
-		if c, ok := p.strs[v.S]; ok {
+		if c, ok := t.parts[t.partIndex(v)].strs[v.S]; ok {
 			return c.head
 		}
 	case catalog.Float:
-		if c, ok := p.flts[v.F]; ok {
+		if c, ok := t.parts[t.partIndex(v)].flts[v.F]; ok {
 			return c.head
 		}
 	default:
-		if c, ok := p.ints[v.I]; ok {
-			return c.head
+		h := mix64(uint64(v.I))
+		if p := &t.parts[h&t.mask]; p.ints.slots != nil {
+			return p.ints.slot(v.I, h).chain.head
 		}
 	}
 	return -1
@@ -266,6 +309,7 @@ func buildJoinTable(buildRows []value.Row, bIdx int, est float64, dop int) *join
 	t.rows = buildRows
 	t.next = newChainArray(len(buildRows))
 	p := &t.parts[0]
+	p.rows = len(buildRows)
 	for i, r := range buildRows {
 		p.insert(t, r[bIdx], int32(i))
 	}
@@ -288,8 +332,8 @@ func newChainArray(n int) []int32 {
 // by partition into a per-morsel slot — every slot is written by exactly
 // one worker, so the phase is lock-free. Phase 2 (build): workers claim
 // whole partitions off a second counter; the owning worker walks the
-// morsel slots in order, chaining its partition's rows into the
-// partition-local maps. A chain only ever writes next[] slots of rows in
+// morsel slots in order, counting its partition's rows to size the
+// partition's tables, then chaining them in. A chain only ever writes next[] slots of rows in
 // its own partition, so the phase is lock-free too, and walking morsels
 // in order preserves build-input order per key — which is what keeps
 // parallel join output byte-identical to serial.
@@ -341,6 +385,9 @@ func buildJoinTableParallel(buildRows []value.Row, bIdx int, est float64, dop in
 					return
 				}
 				part := &t.parts[pi]
+				for m := 0; m < nMorsels; m++ {
+					part.rows += len(scattered[m][pi])
+				}
 				for m := 0; m < nMorsels; m++ {
 					for _, i := range scattered[m][pi] {
 						part.insert(t, buildRows[i][bIdx], i)

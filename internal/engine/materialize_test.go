@@ -119,6 +119,8 @@ func ExecuteMaterialized(ctx *Context, n Node, counters *cost.Counters) (*Result
 		return t.runMaterialized(ctx, counters)
 	case *StarSemiJoin:
 		return t.runMaterialized(ctx, counters)
+	case *benchRowsNode:
+		return &Result{Schema: t.schema, Rows: t.rows}, nil
 	case *Exchange:
 		// Exchange only changes who executes the source, never what it
 		// computes; the materialized reference has no parallel analogue.
@@ -698,15 +700,15 @@ func mergeRows(lRows, rRows []value.Row, lIdx, rIdx int) []value.Row {
 
 // sortedByKey orders rows in place by the integer key at idx and reports
 // whether it had to sort. The order check is fused into the
-// numeric-validation pass the function must make anyway, so a genuinely
+// key-validation pass the function must make anyway, so a genuinely
 // sorted input costs exactly one scan and zero allocations; an
 // out-of-order input is radix sorted in place — callers own the drained
 // row slices.
 func sortedByKey(rows []value.Row, idx int) (sorted bool, err error) {
 	inOrder := true
 	for i, r := range rows {
-		if !r[idx].Numeric() {
-			return false, fmt.Errorf("engine: merge join over non-numeric key %s", r[idx])
+		if !isIntKind(r[idx].Kind) {
+			return false, mergeKeyError(r[idx])
 		}
 		if inOrder && i > 0 && rows[i-1][idx].I > r[idx].I {
 			inOrder = false

@@ -10,89 +10,145 @@ import (
 	"robustqo/internal/value"
 )
 
+// A merge-join input is drained a batch column at a time into packed
+// columns, and its join key into one contiguous key vector. The merge
+// walks the key vectors in sorted order, collects a batch of (left,
+// right) sorted positions, and gathers each output column with one typed
+// loop; no row is materialized on either side.
+//
+// A packed column holds its values in fixed-size chunks of raw payloads
+// chosen by the column's schema type: int64 for Int and Date, float64,
+// or string. A drained row then costs 8 bytes a numeric column, where a
+// cloned value.Row costs a 40-byte Value a column plus a header. A chunk
+// that receives a value its type cannot carry back exactly — another
+// kind, or a payload field that kind leaves unused — keeps its values
+// whole instead, so every value reads back as it was drained. Once an
+// input's key vector is built its key column's chunks are spare, and the
+// next input's drain fills them again.
+
 // packChunk is the row count of one chunk of a packed column.
 const packChunk = 1024
 
-// packedCol is one column of a drained merge-join input, held in
-// fixed-size chunks of raw payloads chosen by the column's schema type:
-// Int and Date payloads, or Float bits, in nums; strings in strs. A
-// drained row then costs 8 bytes a numeric column and no allocation of
-// its own, where a cloned value.Row costs a 40-byte Value a column plus
-// a header. A chunk that receives a value its type cannot carry back
-// exactly — another kind, or a payload field that kind leaves unused —
-// keeps its values whole in vals instead, so every value reads back as
-// it was drained.
-type packedCol struct {
-	kind   catalog.Type
-	chunks []packedChunk
+// intStock is the spare int64 chunk arrays of one merge join.
+type intStock []*[packChunk]int64
+
+// get returns a spare array, or a new one.
+func (s *intStock) get() *[packChunk]int64 {
+	n := len(*s)
+	if n == 0 {
+		return new([packChunk]int64)
+	}
+	a := (*s)[n-1]
+	*s = (*s)[:n-1]
+	return a
 }
 
-// packedChunk holds up to packChunk values in exactly one of its slices.
+// packedCol is one column of a drained merge-join input.
+type packedCol struct {
+	kind   catalog.Type
+	n      int
+	chunks []packedChunk
+	// generic is set once some chunk holds whole values.
+	generic bool
+	// stock supplies int64 chunk arrays; nil allocates them.
+	stock *intStock
+}
+
+// packedChunk holds up to packChunk values: in vals when it is generic,
+// else in the payload array of the column's type.
 type packedChunk struct {
-	nums []uint64
-	strs []string
+	ints *[packChunk]int64
+	flts *[packChunk]float64
+	strs *[packChunk]string
 	vals []value.Value
 }
 
-func (ch *packedChunk) len() int { return len(ch.nums) + len(ch.strs) + len(ch.vals) }
-
-// pack returns v's payload when the column's type carries v exactly.
-func (c *packedCol) pack(v value.Value) (uint64, bool) {
-	if v.Kind != c.kind {
-		return 0, false
-	}
-	switch c.kind {
-	case catalog.Float:
-		return math.Float64bits(v.F), v.I == 0 && v.S == ""
-	case catalog.String:
-		return 0, v.I == 0 && math.Float64bits(v.F) == 0
+// newChunk returns a chunk with a payload array of the column's type.
+func (c *packedCol) newChunk() packedChunk {
+	switch {
+	case c.kind == catalog.Float:
+		return packedChunk{flts: new([packChunk]float64)}
+	case c.kind == catalog.String:
+		return packedChunk{strs: new([packChunk]string)}
+	case c.stock != nil:
+		return packedChunk{ints: c.stock.get()}
 	default:
-		return uint64(v.I), math.Float64bits(v.F) == 0 && v.S == ""
+		return packedChunk{ints: new([packChunk]int64)}
 	}
 }
 
-// append adds one value at the end of the column.
-func (c *packedCol) append(v value.Value) {
-	if len(c.chunks) == 0 || c.chunks[len(c.chunks)-1].len() == packChunk {
-		c.chunks = append(c.chunks, packedChunk{})
-	}
-	ch := &c.chunks[len(c.chunks)-1]
-	if ch.vals == nil {
-		p, ok := c.pack(v)
-		switch {
-		case ok && c.kind == catalog.String:
-			if ch.strs == nil {
-				ch.strs = make([]string, 0, packChunk)
+// put stores vs at offset off of a packed chunk of type kind, as long as
+// the type carries them exactly, and returns how many it stored.
+//
+//qo:hotpath
+func (ch *packedChunk) put(kind catalog.Type, off int, vs []value.Value) int {
+	switch kind {
+	case catalog.Float:
+		for i, v := range vs {
+			if v.Kind != kind || v.I != 0 || v.S != "" {
+				return i
 			}
-			ch.strs = append(ch.strs, v.S)
-			return
-		case ok:
-			if ch.nums == nil {
-				ch.nums = make([]uint64, 0, packChunk)
+			ch.flts[off+i] = v.F
+		}
+	case catalog.String:
+		for i, v := range vs {
+			if v.Kind != kind || v.I != 0 || math.Float64bits(v.F) != 0 {
+				return i
 			}
-			ch.nums = append(ch.nums, p)
-			return
+			ch.strs[off+i] = v.S
 		}
-		// Unpack what the chunk holds so far; it stays generic.
-		n := ch.len()
-		ch.vals = make([]value.Value, n, packChunk)
-		for i := range n {
-			ch.vals[i] = c.unpack(ch, i)
+	default:
+		for i, v := range vs {
+			if v.Kind != kind || v.S != "" || math.Float64bits(v.F) != 0 {
+				return i
+			}
+			ch.ints[off+i] = v.I
 		}
-		ch.nums, ch.strs = nil, nil
 	}
-	ch.vals = append(ch.vals, v)
+	return len(vs)
+}
+
+// appendVals adds vs at the end of the column.
+//
+//qo:hotpath
+func (c *packedCol) appendVals(vs []value.Value) {
+	for len(vs) > 0 {
+		off := c.n % packChunk
+		if off == 0 {
+			c.chunks = append(c.chunks, c.newChunk())
+		}
+		ch := &c.chunks[len(c.chunks)-1]
+		part := vs[:min(len(vs), packChunk-off)]
+		k := 0
+		if ch.vals == nil {
+			if k = ch.put(c.kind, off, part); k < len(part) {
+				// Unpack what the chunk holds so far; it stays generic.
+				//qo:alloc-ok once per chunk that receives an odd value
+				vals := make([]value.Value, off+k, packChunk)
+				for j := range vals {
+					vals[j] = c.unpack(ch, j)
+				}
+				*ch = packedChunk{vals: vals}
+				c.generic = true
+			}
+		}
+		if ch.vals != nil {
+			ch.vals = append(ch.vals, part[k:]...)
+		}
+		c.n += len(part)
+		vs = vs[len(part):]
+	}
 }
 
 // unpack rebuilds value j of a packed chunk.
 func (c *packedCol) unpack(ch *packedChunk, j int) value.Value {
 	switch c.kind {
 	case catalog.Float:
-		return value.Float(math.Float64frombits(ch.nums[j]))
+		return value.Float(ch.flts[j])
 	case catalog.String:
 		return value.Str(ch.strs[j])
 	default:
-		return value.Value{Kind: c.kind, I: int64(ch.nums[j])}
+		return value.Value{Kind: c.kind, I: ch.ints[j]}
 	}
 }
 
@@ -107,103 +163,170 @@ func (c *packedCol) at(i int) value.Value {
 	return c.unpack(ch, i%packChunk)
 }
 
+// gather appends the values at rows to dst, one typed loop per column
+// type when no chunk is generic.
+//
+//qo:hotpath
+func (c *packedCol) gather(dst []value.Value, rows []int32) []value.Value {
+	switch {
+	case c.generic:
+		for _, r := range rows {
+			dst = append(dst, c.at(int(r)))
+		}
+	case c.kind == catalog.Float:
+		for _, r := range rows {
+			dst = append(dst, value.Float(c.chunks[r/packChunk].flts[r%packChunk]))
+		}
+	case c.kind == catalog.String:
+		for _, r := range rows {
+			dst = append(dst, value.Str(c.chunks[r/packChunk].strs[r%packChunk]))
+		}
+	default:
+		for _, r := range rows {
+			dst = append(dst, value.Value{Kind: c.kind, I: c.chunks[r/packChunk].ints[r%packChunk]})
+		}
+	}
+	return dst
+}
+
 // mergeInput is one input of the streaming merge join, drained into
-// packed columns. Rows are addressed by sorted position: order maps a
-// position to the drained row, and is nil while the drain order is
-// already key order.
+// packed columns. Rows are addressed by sorted position: keys holds the
+// join key of every position, and order maps a position to the drained
+// row — nil while the drain order is already key order.
 type mergeInput struct {
-	cols    []packedCol
-	n       int
-	key     int
-	order   []uint32
-	inOrder bool
-	// badKey is the first key that is not numeric, reported when the
-	// input is sorted — after both inputs are drained, as the
+	cols  []packedCol
+	n     int
+	key   int
+	keys  []int64
+	order []uint32
+	// keyVec is set when the key column's values are exactly keys, in
+	// its own kind; its chunks are then spare and output is read from
+	// keys.
+	keyVec bool
+	// badKey is the first key that is not an Int or Date, reported when
+	// the input is sorted — after both inputs are drained, as the
 	// materialized engine reports it.
 	badKey *value.Value
 }
 
-// drainMergeInput opens n and packs every row it produces; key is the
-// join key's ordinal in schema. The key check and the in-order check ride
-// along with the copy.
-func drainMergeInput(ctx *Context, n Node, schema expr.RelSchema, key int, counters *cost.Counters) (*mergeInput, error) {
+// drainMergeInput opens n, packs every batch it produces a column at a
+// time, and builds the key vector; key is the join key's ordinal in
+// schema. Int and Date columns take their chunk arrays from stock, and
+// the key column's go back to it.
+func drainMergeInput(ctx *Context, n Node, schema expr.RelSchema, key int, stock *intStock, counters *cost.Counters) (*mergeInput, error) {
 	op := n.Stream()
 	defer op.Close()
 	if err := op.Open(ctx, counters); err != nil {
 		return nil, err
 	}
-	in := &mergeInput{cols: make([]packedCol, len(schema.Fields)), key: key, inOrder: true}
+	in := &mergeInput{cols: make([]packedCol, len(schema.Fields)), key: key}
 	for c, f := range schema.Fields {
-		in.cols[c].kind = f.Type
+		in.cols[c] = packedCol{kind: f.Type, stock: stock}
 	}
-	var prev int64
 	for {
 		b, err := op.Next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			return in, nil
+			break
 		}
-		cols := b.Cols()
-		for c := range in.cols {
-			for _, v := range cols[c] {
-				in.cols[c].append(v)
-			}
+		for c, col := range b.Cols() {
+			in.cols[c].appendVals(col)
 		}
-		for _, v := range cols[key] {
-			if !v.Numeric() && in.badKey == nil {
-				bad := v
-				in.badKey = &bad
-			}
-			if in.n > 0 && prev > v.I {
-				in.inOrder = false
-			}
-			prev = v.I
-			in.n++
-		}
+		in.n += b.Len()
 	}
+	for c := range in.cols {
+		in.cols[c].stock = nil
+	}
+	in.buildKeys(stock)
+	return in, nil
+}
+
+// buildKeys fills the key vector at its exact size, once the drain is
+// done, or records the first key that is not an Int or Date. A key
+// column whose values are exactly the key vector's hands its chunk
+// arrays to stock.
+func (in *mergeInput) buildKeys(stock *intStock) {
+	col := &in.cols[in.key]
+	in.keys = make([]int64, in.n)
+	if !col.generic && isIntKind(col.kind) {
+		for ci, ch := range col.chunks {
+			copy(in.keys[ci*packChunk:], ch.ints[:])
+			*stock = append(*stock, ch.ints)
+		}
+		col.chunks = nil
+		in.keyVec = true
+		return
+	}
+	for i := range in.keys {
+		v := col.at(i)
+		if !isIntKind(v.Kind) {
+			in.badKey = &v
+			return
+		}
+		in.keys[i] = v.I
+	}
+}
+
+// isIntKind reports whether values of kind t live in the int64 payload:
+// Int and Date.
+func isIntKind(t catalog.Type) bool { return t == catalog.Int || t == catalog.Date }
+
+// mergeKeyError is the error both merge-join engines raise for a join key
+// that is not an Int or Date: every other kind would be ordered and
+// matched on a payload it leaves unused.
+func mergeKeyError(v value.Value) error {
+	if !v.Numeric() {
+		return fmt.Errorf("engine: merge join over non-numeric key %s", v)
+	}
+	return fmt.Errorf("engine: merge join over non-integer key %s", v)
 }
 
 // sort orders the input by key and reports whether it had to, failing
-// on the first non-numeric key.
+// on the first key that is not an Int or Date.
 func (in *mergeInput) sort() (sorted bool, err error) {
 	if in.badKey != nil {
-		return false, fmt.Errorf("engine: merge join over non-numeric key %s", *in.badKey)
+		return false, mergeKeyError(*in.badKey)
 	}
-	if in.inOrder {
-		return false, nil
+	for i := 1; i < len(in.keys); i++ {
+		if in.keys[i-1] > in.keys[i] {
+			// An input whose one column is read from keys needs no
+			// permutation once keys are sorted.
+			if order := radixOrder(in.keys); len(in.cols) > 1 || !in.keyVec {
+				in.order = order
+			}
+			return true, nil
+		}
 	}
-	keys := make([]int64, in.n)
-	for i := range keys {
-		keys[i] = in.cols[in.key].at(i).I
-	}
-	in.order = radixOrder(keys)
-	return true, nil
+	return false, nil
 }
 
-// row returns the drained row at sorted position pos.
+// gather appends the rows at sorted positions pos to out's columns from
+// base on, resolving them to drained rows in rows, which it returns for
+// reuse; the caller counts the output rows.
 //
 //qo:hotpath
-func (in *mergeInput) row(pos int) int {
+func (in *mergeInput) gather(out *Batch, base int, pos, rows []int32) []int32 {
+	rows = rows[:0]
 	if in.order == nil {
-		return pos
+		rows = append(rows, pos...)
+	} else {
+		for _, p := range pos {
+			rows = append(rows, int32(in.order[p]))
+		}
 	}
-	return int(in.order[pos])
-}
-
-// keyAt returns the join key at sorted position pos.
-//
-//qo:hotpath
-func (in *mergeInput) keyAt(pos int) int64 { return in.cols[in.key].at(in.row(pos)).I }
-
-// appendRow appends the row at sorted position pos to out's columns from
-// base on; the caller counts the output row.
-//
-//qo:hotpath
-func (in *mergeInput) appendRow(out *Batch, base, pos int) {
-	r := in.row(pos)
 	for c := range in.cols {
-		out.cols[base+c] = append(out.cols[base+c], in.cols[c].at(r))
+		dst := out.cols[base+c]
+		if c == in.key && in.keyVec {
+			kind := in.cols[c].kind
+			for _, p := range pos {
+				dst = append(dst, value.Value{Kind: kind, I: in.keys[p]})
+			}
+		} else {
+			dst = in.cols[c].gather(dst, rows)
+		}
+		out.cols[base+c] = dst
 	}
+	return rows
 }

@@ -194,15 +194,36 @@ func TestMergeJoinNonNumericKeyBothEngines(t *testing.T) {
 	}
 }
 
+// TestMergeJoinFloatKeyBothEngines: a Float key is rejected in both
+// engines, naming the first offending value. Both engines used to order
+// and match on the unused integer payload, which is 0 for every Float,
+// and return the full cross product.
+func TestMergeJoinFloatKeyBothEngines(t *testing.T) {
+	_, ctx := testDB(t, 1000, 3, 10)
+	plan := &MergeJoin{
+		Left: &SeqScan{Table: "orders"}, Right: &SeqScan{Table: "lineitem"},
+		LeftCol: expr.ColumnRef{Column: "o_total"}, RightCol: expr.ColumnRef{Column: "l_price"},
+	}
+	first := testkit.Table(ctx.DB, "orders").Row(0)[1]
+	want := fmt.Sprintf("engine: merge join over non-integer key %s", first)
+	if _, _, _, err := Run(ctx, plan); err == nil || err.Error() != want {
+		t.Errorf("streaming: error %v, want %q", err, want)
+	}
+	var c cost.Counters
+	if _, err := ExecuteMaterialized(ctx, plan, &c); err == nil || err.Error() != want {
+		t.Errorf("materialized: error %v, want %q", err, want)
+	}
+}
+
 // sameValue is exact equality, float payload bits included.
 func sameValue(a, b value.Value) bool {
 	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
 }
 
 // TestPackedColRoundTrip checks that a packed merge-join column reads back
-// every value exactly, across chunk boundaries, and that only a chunk
-// receiving a value its column type cannot carry falls back to whole
-// values.
+// every value exactly, through at and gather, across chunk boundaries and
+// batch slices that straddle them, and that only a chunk receiving a
+// value its column type cannot carry falls back to whole values.
 func TestPackedColRoundTrip(t *testing.T) {
 	odd := map[catalog.Type]value.Value{
 		catalog.Int:    value.Date(7),                                           // another kind
@@ -224,25 +245,37 @@ func TestPackedColRoundTrip(t *testing.T) {
 					return value.Str(fmt.Sprint("v", i))
 				}
 			}
-			var col packedCol
-			col.kind = kind
-			var want []value.Value
-			for i := 0; i < 3*packChunk+10; i++ {
-				v := gen(i)
-				if i == packChunk+500 {
-					v = bad
+			// A clean column reads back through gather's typed loops; a
+			// poisoned one through the generic fallback.
+			for _, poisoned := range []bool{false, true} {
+				var want []value.Value
+				for i := 0; i < 3*packChunk+10; i++ {
+					v := gen(i)
+					if poisoned && i == packChunk+500 {
+						v = bad
+					}
+					want = append(want, v)
 				}
-				col.append(v)
-				want = append(want, v)
-			}
-			for i, w := range want {
-				if got := col.at(i); !sameValue(got, w) {
-					t.Fatalf("value %d = %#v, want %#v", i, got, w)
+				col := packedCol{kind: kind}
+				for lo := 0; lo < len(want); lo += 700 {
+					col.appendVals(want[lo:min(lo+700, len(want))])
 				}
-			}
-			for c, ch := range col.chunks {
-				if generic := ch.vals != nil; generic != (c == 1) {
-					t.Errorf("chunk %d generic=%v, want only chunk 1 generic", c, generic)
+				rows := make([]int32, len(want))
+				for i := range want {
+					if got := col.at(i); !sameValue(got, want[i]) {
+						t.Fatalf("poisoned=%v: value %d = %#v, want %#v", poisoned, i, got, want[i])
+					}
+					rows[i] = int32(len(want) - 1 - i)
+				}
+				for i, got := range col.gather(nil, rows) {
+					if w := want[rows[i]]; !sameValue(got, w) {
+						t.Fatalf("poisoned=%v: gathered value %d = %#v, want %#v", poisoned, rows[i], got, w)
+					}
+				}
+				for c, ch := range col.chunks {
+					if generic := ch.vals != nil; generic != (poisoned && c == 1) {
+						t.Errorf("poisoned=%v: chunk %d generic=%v", poisoned, c, generic)
+					}
 				}
 			}
 		})

@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"robustqo/internal/catalog"
@@ -435,14 +435,9 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		return err
 	}
 
-	groups := make(map[string]*aggState)
-	var order []string
+	g := newAggGroups(a, groupIdxs, inSchema)
 	var sel []int
-	// keyBuf holds one row's group key, the bytes of its group values'
-	// String() forms, each NUL-terminated; a lookup by string(keyBuf) does
-	// not allocate, so only a new group's key is ever copied out.
-	var keyBuf []byte
-	rowBuf := make(value.Row, len(inSchema.Fields))
+	var sts []*aggState
 	for {
 		b, err := input.Next()
 		if err != nil {
@@ -468,42 +463,159 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 				return fmt.Errorf("engine: Aggregate: %v", err)
 			}
 		}
-		for r := 0; r < n; r++ {
-			keyBuf = keyBuf[:0]
-			for _, gi := range groupIdxs {
-				keyBuf = append(value.AppendKey(keyBuf, cols[gi][r]), 0)
+		if g.global == nil {
+			sts = g.resolve(b, sts)
+		}
+		if err := g.accumulate(n, sts, argVecs); err != nil {
+			return err
+		}
+	}
+	o.rows = g.finish(len(outSchema.Fields))
+	o.out = getBatch(outSchema)
+	return nil
+}
+
+// aggGroups maps input rows to their groups' states in one of three
+// ways, chosen by the GROUP BY: one global state; states keyed by the
+// int64 payload of a single Int or Date key column; or, for any other
+// shape, states keyed by the NUL-terminated String() forms of the group
+// values. The int64 map holds only values of the column's own kind, so
+// it never merges groups the string keys keep apart; the first value of
+// another kind moves every group to the string keys.
+type aggGroups struct {
+	a         *Aggregate
+	groupIdxs []int
+	global    *aggState
+	// intKind is the kind the int64 map, while non-nil, is keyed for.
+	intKind catalog.Type
+	ints    map[int64]*aggState
+	strs    map[string]*aggState
+	// order lists the int64-keyed states in creation order.
+	order []*aggState
+	// keyBuf holds one row's string key; a lookup by string(keyBuf) does
+	// not allocate, so only a new group's key is ever copied out.
+	keyBuf []byte
+	rowBuf value.Row
+}
+
+func newAggGroups(a *Aggregate, groupIdxs []int, in expr.RelSchema) *aggGroups {
+	g := &aggGroups{a: a, groupIdxs: groupIdxs, rowBuf: make(value.Row, len(in.Fields))}
+	switch {
+	case len(groupIdxs) == 0:
+		g.global = a.newAggState(groupIdxs, nil)
+	case len(groupIdxs) == 1 && isIntKind(in.Fields[groupIdxs[0]].Type):
+		g.intKind = in.Fields[groupIdxs[0]].Type
+		g.ints = make(map[int64]*aggState)
+	default:
+		g.strs = make(map[string]*aggState)
+	}
+	return g
+}
+
+// resolve fills sts with the state of each row of b, creating states for
+// new groups.
+//
+//qo:hotpath
+func (g *aggGroups) resolve(b *Batch, sts []*aggState) []*aggState {
+	sts = sts[:0]
+	cols := b.Cols()
+	r := 0
+	if g.ints != nil {
+		col := cols[g.groupIdxs[0]][:b.Len()]
+		for ; r < len(col); r++ {
+			v := col[r]
+			if v.Kind != g.intKind {
+				g.toStrings()
+				break
 			}
-			st, ok := groups[string(keyBuf)]
-			if !ok {
-				k := string(keyBuf)
-				b.Row(r, rowBuf)
-				st = a.newAggState(groupIdxs, rowBuf)
-				groups[k] = st
-				order = append(order, k)
+			st := g.ints[v.I]
+			if st == nil {
+				b.Row(r, g.rowBuf)
+				st = g.a.newAggState(g.groupIdxs, g.rowBuf)
+				g.ints[v.I] = st
+				//qo:alloc-ok once per group
+				g.order = append(g.order, st)
 			}
-			st.count++
-			for i, spec := range a.Aggs {
-				if spec.Func == Count && spec.Arg == nil {
-					continue
-				}
-				if err := st.accumulate(i, spec.Func, argVecs[i][r]); err != nil {
-					return err
-				}
+			sts = append(sts, st)
+		}
+	}
+	for ; r < b.Len(); r++ {
+		g.keyBuf = g.keyBuf[:0]
+		for _, gi := range g.groupIdxs {
+			g.keyBuf = append(value.AppendKey(g.keyBuf, cols[gi][r]), 0)
+		}
+		st, ok := g.strs[string(g.keyBuf)]
+		if !ok {
+			b.Row(r, g.rowBuf)
+			st = g.a.newAggState(g.groupIdxs, g.rowBuf)
+			g.strs[string(g.keyBuf)] = st
+		}
+		sts = append(sts, st)
+	}
+	return sts
+}
+
+// toStrings moves the int64-keyed groups to string keys.
+func (g *aggGroups) toStrings() {
+	g.strs = make(map[string]*aggState, len(g.order))
+	for _, st := range g.order {
+		g.strs[g.intKey(st)] = st
+	}
+	g.ints, g.order = nil, nil
+}
+
+// intKey is the string key of an int64-keyed group.
+func (g *aggGroups) intKey(st *aggState) string {
+	g.keyBuf = append(value.AppendKey(g.keyBuf[:0], st.groupVals[0]), 0)
+	return string(g.keyBuf)
+}
+
+// accumulate counts n rows and folds their argument values into their
+// states — sts[r], or the global state — in row order.
+//
+//qo:hotpath
+func (g *aggGroups) accumulate(n int, sts []*aggState, argVecs [][]value.Value) error {
+	st := g.global
+	for r := 0; r < n; r++ {
+		if g.global == nil {
+			st = sts[r]
+		}
+		st.count++
+		for i, spec := range g.a.Aggs {
+			if spec.Func == Count && spec.Arg == nil {
+				continue
+			}
+			if err := st.accumulate(i, spec.Func, argVecs[i][r]); err != nil {
+				return err
 			}
 		}
 	}
-	// A global aggregate over empty input still yields one row.
-	if len(groupIdxs) == 0 && len(groups) == 0 {
-		groups[""] = a.newAggState(groupIdxs, nil)
-		order = append(order, "")
-	}
-	sort.Strings(order) // deterministic output order
-	o.rows = make([]value.Row, 0, len(order))
-	for _, k := range order {
-		o.rows = append(o.rows, a.finalize(groups[k], len(outSchema.Fields)))
-	}
-	o.out = getBatch(outSchema)
 	return nil
+}
+
+// finish renders every group's output row, ordered by the groups' string
+// keys.
+func (g *aggGroups) finish(width int) []value.Row {
+	if g.global != nil {
+		return []value.Row{g.a.finalize(g.global, width)}
+	}
+	type keyed struct {
+		key string
+		st  *aggState
+	}
+	groups := make([]keyed, 0, len(g.order)+len(g.strs))
+	for _, st := range g.order {
+		groups = append(groups, keyed{g.intKey(st), st})
+	}
+	for k, st := range g.strs {
+		groups = append(groups, keyed{k, st})
+	}
+	slices.SortFunc(groups, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+	rows := make([]value.Row, len(groups))
+	for i, kg := range groups {
+		rows[i] = g.a.finalize(kg.st, width)
+	}
+	return rows
 }
 
 func (o *aggregateOp) Next() (*Batch, error) {

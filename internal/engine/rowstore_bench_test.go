@@ -5,7 +5,8 @@ package engine_test
 // SeqScan window and the merge join over an input declared sorted that is
 // not (lineitem's l_orderkey is assigned cyclically).
 // BenchmarkSeqScanClustered measures zone-map tile skipping on
-// ship-date-clustered, partitioned data.
+// ship-date-clustered, partitioned data, and BenchmarkPipelineBreakers the
+// serve.dashboard plans' joins, aggregates and top-K sort.
 
 import (
 	"testing"
@@ -148,4 +149,72 @@ func BenchmarkMergeJoinPruned(b *testing.B) {
 		engine.PruneColumns(ctx, pruned)
 		runPlan(b, ctx, pruned, benchLines+benchLines/4)
 	})
+}
+
+// BenchmarkPipelineBreakers runs the dashboard's pipeline-breaker shapes
+// with the projections PruneColumns stamps, reporting ns per lineitem row:
+// the two- and three-way merge joins under COUNT and SUM, a global
+// COUNT(*), a GROUP BY over an Int key, and a top-10 sort.
+func BenchmarkPipelineBreakers(b *testing.B) {
+	ctx := tpchContext(b)
+	scan := func(table, filter string) engine.Node {
+		s := &engine.SeqScan{Table: table}
+		if filter != "" {
+			s.Filter = testkit.Expr(filter)
+		}
+		return s
+	}
+	ref := func(table, column string) expr.ColumnRef { return expr.ColumnRef{Table: table, Column: column} }
+	count := engine.AggSpec{Func: engine.Count, As: "n"}
+	// threeWay is (part ⋈ lineitem) ⋈ orders, as the planner builds it.
+	threeWay := func(partFilter, lineFilter string) engine.Node {
+		return &engine.Filter{Pred: testkit.Expr("l_orderkey = o_orderkey"), Input: &engine.MergeJoin{
+			Left: &engine.Filter{Pred: testkit.Expr("l_partkey = p_partkey"), Input: &engine.HashJoin{
+				Build: scan("part", partFilter), Probe: scan("lineitem", lineFilter),
+				BuildCol: ref("part", "p_partkey"), ProbeCol: ref("lineitem", "l_partkey"),
+			}},
+			Right:   scan("orders", ""),
+			LeftCol: ref("lineitem", "l_orderkey"), RightCol: ref("orders", "o_orderkey"),
+			LeftSorted: true, RightSorted: true,
+		}}
+	}
+	for _, bc := range []struct {
+		name string
+		plan func() engine.Node
+	}{
+		{"join2-count", func() engine.Node {
+			return &engine.Aggregate{Aggs: []engine.AggSpec{count}, Input: &engine.Filter{
+				Pred: testkit.Expr("l_orderkey = o_orderkey"), Input: &engine.MergeJoin{
+					Left: scan("orders", "o_totalprice < 50000"), Right: scan("lineitem", "l_quantity >= 14"),
+					LeftCol: ref("orders", "o_orderkey"), RightCol: ref("lineitem", "l_orderkey"),
+					LeftSorted: true, RightSorted: true,
+				}}}
+		}},
+		{"join3-count", func() engine.Node {
+			return &engine.Aggregate{Aggs: []engine.AggSpec{count}, Input: threeWay("p_size < 20", "l_quantity < 30")}
+		}},
+		{"join3-sum", func() engine.Node {
+			return &engine.Aggregate{Input: threeWay("p_attr1 < 500 AND p_attr2 BETWEEN 100 AND 499", ""),
+				Aggs: []engine.AggSpec{{Func: engine.Sum, Arg: testkit.Expr("l_extendedprice"), As: "s"}, count}}
+		}},
+		{"count", func() engine.Node {
+			return &engine.Aggregate{Aggs: []engine.AggSpec{count}, Input: scan("lineitem", "l_quantity < 25")}
+		}},
+		{"group-quantity", func() engine.Node {
+			return &engine.Aggregate{Aggs: []engine.AggSpec{count}, GroupBy: []expr.ColumnRef{ref("lineitem", "l_quantity")},
+				Input: scan("lineitem", "l_shipdate < DATE '1995-06-01'")}
+		}},
+		{"top10-price", func() engine.Node {
+			return &engine.Project{Cols: []expr.ColumnRef{ref("lineitem", "l_id"), ref("lineitem", "l_extendedprice")},
+				Input: &engine.Limit{N: 10, Input: &engine.Sort{TopK: 10,
+					By:    []engine.SortKey{{Col: ref("lineitem", "l_extendedprice"), Desc: true}},
+					Input: scan("lineitem", "l_quantity < 15")}}}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			plan := bc.plan()
+			engine.PruneColumns(ctx, plan)
+			runPlan(b, ctx, plan, benchLines)
+		})
+	}
 }

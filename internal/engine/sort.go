@@ -88,18 +88,25 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 			return fmt.Errorf("engine: Sort key: %v", err)
 		}
 	}
-	// before reports a strictly preceding b in the output order. All rows
-	// are validated comparable against the first row during the drain, so
-	// the Compare error is impossible here (incomparable pairs tie).
-	before := func(a, b sortKeyed) bool {
+	// cmp orders row x against row y on the sort keys. All rows are
+	// validated comparable against the first row during the drain, so the
+	// Compare error is impossible here (incomparable pairs tie).
+	cmp := func(x, y value.Row) int {
 		for ki, idx := range idxs {
-			c, _ := value.Compare(a.row[idx], b.row[idx])
+			c, _ := value.Compare(x[idx], y[idx])
 			if c == 0 {
 				continue
 			}
 			if s.By[ki].Desc {
-				return c > 0
+				return -c
 			}
+			return c
+		}
+		return 0
+	}
+	// before reports a strictly preceding b in the output order.
+	before := func(a, b sortKeyed) bool {
+		if c := cmp(a.row, b.row); c != 0 {
 			return c < 0
 		}
 		return a.seq < b.seq
@@ -116,7 +123,10 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 		all   []sortKeyed
 		total int64
 	)
-	seq := 0
+	// cur holds batch row r's sort-key values at their ordinals, so a full
+	// heap compares the row with its root in place: a row that does not
+	// enter the heap is never copied.
+	cur := make(value.Row, len(schema.Fields))
 	for {
 		b, err := input.Next()
 		if err != nil {
@@ -125,30 +135,35 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 		if b == nil {
 			break
 		}
+		cols := b.Cols()
 		for r := 0; r < b.Len(); r++ {
-			row := b.CloneRow(r)
+			for _, idx := range idxs {
+				cur[idx] = cols[idx][r]
+			}
 			if first == nil {
-				first = row
+				first = b.CloneRow(r)
 			}
 			// Validate comparability so ordering cannot silently misfire on
 			// mixed types (matching the materialized path's up-front check).
 			for _, idx := range idxs {
-				if _, err := value.Compare(row[idx], first[idx]); err != nil {
+				if _, err := value.Compare(cur[idx], first[idx]); err != nil {
 					return fmt.Errorf("engine: Sort: %v", err)
 				}
 			}
+			seq := int(total)
 			total++
-			item := sortKeyed{row: row, seq: seq}
-			seq++
-			if s.TopK <= 0 {
-				all = append(all, item)
-				continue
-			}
-			if len(heap) < s.TopK {
-				heap = append(heap, item)
+			switch {
+			case s.TopK <= 0:
+				all = append(all, sortKeyed{row: b.CloneRow(r), seq: seq})
+			case len(heap) < s.TopK:
+				heap = append(heap, sortKeyed{row: b.CloneRow(r), seq: seq})
 				siftUp(heap, len(heap)-1, before)
-			} else if before(item, heap[0]) {
-				heap[0] = item
+			case cmp(cur, heap[0].row) < 0:
+				// Strictly ahead of the root on the keys: a tie keeps the
+				// root, whose sequence is earlier. The evicted root's row
+				// takes the entrant's values.
+				b.Row(r, heap[0].row)
+				heap[0].seq = seq
 				siftDown(heap, 0, before)
 			}
 		}
