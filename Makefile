@@ -27,6 +27,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzPlanCacheKey -fuzztime=5s ./internal/plancache/
 	$(GO) test -run=^$$ -fuzz=FuzzLoadSet -fuzztime=5s ./internal/sample/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineDifferential -fuzztime=10s ./internal/engine/
+	$(GO) test -run=^$$ -fuzz=FuzzPlanSpaceOracle -fuzztime=5s ./internal/optimizer/
 
 # bench is the benchmark of record (bench/README.md): four workloads,
 # every answer checked against the reference evaluator.

@@ -77,3 +77,55 @@ func TestBayesMaxSelectivityConditioning(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateMonotoneInThreshold is the precondition of the paper's §3
+// substitution: a plan costed at cdf⁻¹(T) can only get dearer as T rises
+// if every estimate does. Over a grid of T, the quantile estimate never
+// falls — unpartitioned and over shard subsets, unbounded and under
+// zone-map ceilings, including ceilings so far below the posterior mass
+// that CDF(f) underflows and the bound itself is the estimate.
+func TestEstimateMonotoneInThreshold(t *testing.T) {
+	base, _ := partFactEstimator(t)
+	var ts []ConfidenceThreshold
+	for _, x := range []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99} {
+		ts = append(ts, ConfidenceThreshold(x))
+	}
+	degenerate := 0
+	for _, tables := range [][]string{{"fact"}, {"fact", "dim"}} {
+		for _, pred := range []string{"f_a < 0", "f_a < 1", "f_a < 10", "f_a < 60", "f_a >= 0", "f_a < 30 AND f_key >= 150"} {
+			if len(tables) == 2 {
+				pred += " AND d_attr < 4"
+			}
+			for _, parts := range [][]int{nil, {2}, {0, 3}, {}} {
+				for _, f := range []float64{0, 0.9, 0.2, 0.02, 1e-4, 1e-200} {
+					req := Request{Tables: tables, Pred: testkit.Expr(pred), Partitions: parts, MaxSelectivity: f}
+					post, err := base.Distribution(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f > 0 && post.CDF(f) == 0 {
+						degenerate++
+					}
+					prev := 0.0
+					for _, thr := range ts {
+						e, err := base.WithThreshold(thr)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := e.Estimate(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Selectivity < prev {
+							t.Errorf("%v %q parts=%v f=%g: estimate falls to %g at %v from %g", tables, pred, parts, f, got.Selectivity, thr, prev)
+						}
+						prev = got.Selectivity
+					}
+				}
+			}
+		}
+	}
+	if degenerate == 0 {
+		t.Error("no request reached the degenerate truncation; the branch went untested")
+	}
+}

@@ -23,7 +23,6 @@ type QueryPhase int32
 // The lifecycle phases, in order.
 const (
 	PhaseReceived QueryPhase = iota
-	PhaseParse
 	PhaseOptimize
 	PhaseExecute
 	PhaseDone
@@ -35,8 +34,6 @@ func (p QueryPhase) String() string {
 	switch p {
 	case PhaseReceived:
 		return "received"
-	case PhaseParse:
-		return "parse"
 	case PhaseOptimize:
 		return "optimize"
 	case PhaseExecute:

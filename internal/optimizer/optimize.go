@@ -3,7 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"robustqo/internal/core"
@@ -12,11 +12,6 @@ import (
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
 )
-
-// keepPerSubset bounds how many candidate plans survive pruning for each
-// table subset during dynamic programming. Candidates with distinct
-// physical orderings are retained in addition to the cheapest ones.
-const keepPerSubset = 4
 
 // Plan is the optimizer's output: an executable physical plan with the
 // cost and cardinality the optimizer believed at planning time.
@@ -83,14 +78,7 @@ type candidate struct {
 	ordered []expr.ColumnRef // columns the output is known to be ordered by
 }
 
-func (c candidate) orderedBy(ref expr.ColumnRef) bool {
-	for _, o := range c.ordered {
-		if o == ref {
-			return true
-		}
-	}
-	return false
-}
+func (c candidate) orderedBy(ref expr.ColumnRef) bool { return slices.Contains(c.ordered, ref) }
 
 // selEntry memoizes one estimator answer: the clamped selectivity plus
 // the estimator's own row figure when it reported one. The row figure
@@ -152,6 +140,38 @@ func (p *planner) recordMask(n engine.Node, rows float64, mask uint32) {
 func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 	sp := o.Trace.StartSpan("optimize")
 	defer sp.End()
+	p, err := o.newPlanner(q)
+	if err != nil {
+		return nil, err
+	}
+	best := make(map[uint32][]candidate)
+	if err := p.seedAccessPaths(best); err != nil {
+		return nil, err
+	}
+	full, err := p.enumerateJoins(best)
+	if err != nil {
+		return nil, err
+	}
+	root, finalCost, finalRows, err := p.finish(full)
+	if err != nil {
+		return nil, err
+	}
+	// Every leaf emits only what its ancestors read. Counters are per page,
+	// row and probe, never per column, so the cost just computed stands.
+	engine.PruneColumns(o.Ctx, root)
+	if o.MaxDOP >= 2 {
+		root = p.parallelize(root)
+	}
+	exportQuantileCache(o.Metrics, quantileCacheOf(o.Est))
+	return &Plan{
+		Root: root, EstCost: finalCost, EstRows: finalRows, Estimator: o.Est.Name(),
+		estimates: treeEstimates(p.estimates, root), confidence: p.snap.Percentile,
+	}, nil
+}
+
+// newPlanner analyzes q and sets up its search state, partition pruning
+// included.
+func (o *Optimizer) newPlanner(q *Query) (*planner, error) {
 	a, err := o.analyzeQuery(q)
 	if err != nil {
 		return nil, err
@@ -172,29 +192,7 @@ func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 		}
 	}
 	p.computePruning()
-	best := make(map[uint32][]candidate)
-	if err := p.seedAccessPaths(best); err != nil {
-		return nil, err
-	}
-	winner, err := p.enumerateJoins(best)
-	if err != nil {
-		return nil, err
-	}
-	root, finalCost, finalRows, err := p.finish(winner)
-	if err != nil {
-		return nil, err
-	}
-	// Every leaf emits only what its ancestors read. Counters are per page,
-	// row and probe, never per column, so the cost just computed stands.
-	engine.PruneColumns(o.Ctx, root)
-	if o.MaxDOP >= 2 {
-		root = p.parallelize(root)
-	}
-	exportQuantileCache(o.Metrics, quantileCacheOf(o.Est))
-	return &Plan{
-		Root: root, EstCost: finalCost, EstRows: finalRows, Estimator: o.Est.Name(),
-		estimates: treeEstimates(p.estimates, root), confidence: p.snap.Percentile,
-	}, nil
+	return p, nil
 }
 
 // treeEstimates returns the entries of estimates for the nodes of the
@@ -236,8 +234,8 @@ func (p *planner) seedAccessPaths(best map[uint32][]candidate) error {
 }
 
 // enumerateJoins runs the dynamic program over connected table subsets
-// and returns the cheapest candidate covering every table.
-func (p *planner) enumerateJoins(best map[uint32][]candidate) (candidate, error) {
+// and returns the candidates covering every table, one per ordering.
+func (p *planner) enumerateJoins(best map[uint32][]candidate) ([]candidate, error) {
 	sp := p.opt.Trace.StartSpan("optimize/join-enumeration")
 	defer sp.End()
 	a := p.a
@@ -261,40 +259,60 @@ func (p *planner) enumerateJoins(best map[uint32][]candidate) (candidate, error)
 				}
 				joins, err := p.joinCandidates(rest, i, best)
 				if err != nil {
-					return candidate{}, err
+					return nil, err
 				}
 				cands = append(cands, joins...)
 			}
 			// Star strategies for this subset, when applicable.
 			stars, err := p.starCandidates(mask, best)
 			if err != nil {
-				return candidate{}, err
+				return nil, err
 			}
 			cands = append(cands, stars...)
 			if len(cands) == 0 {
-				return candidate{}, fmt.Errorf("optimizer: no plan for table subset %v", a.tablesOf(mask))
+				return nil, fmt.Errorf("optimizer: no plan for table subset %v", a.tablesOf(mask))
 			}
 			best[mask] = prune(cands)
 		}
 	}
-	winner := best[full][0]
-	for _, c := range best[full][1:] {
-		if cost.Less(c.cost, winner.cost) {
-			winner = c
-		}
-	}
 	sp.SetAttr("subsets", fmt.Sprint(len(best)))
-	return winner, nil
+	return best[full], nil
 }
 
-// finish layers aggregation, ordering, limiting, and projection on top of
-// the join winner, following SQL evaluation order. It returns the plan
-// root, its estimated total cost, and the estimated final row count.
-func (p *planner) finish(c candidate) (engine.Node, float64, float64, error) {
+// finish picks the cheapest of the candidates covering every table once
+// its ORDER BY sort is charged, and layers aggregation, ordering,
+// limiting, and projection on top of it, following SQL evaluation order.
+// It returns the plan root, its estimated total cost, and the estimated
+// final row count.
+func (p *planner) finish(cands []candidate) (engine.Node, float64, float64, error) {
 	sp := p.opt.Trace.StartSpan("optimize/finalize")
 	defer sp.End()
 	q := p.a.q
 	m := p.opt.Ctx.Model
+	// A candidate ordered by the ORDER BY key needs no sort when that key
+	// is single and ascending, no aggregation reshapes the rows, and the
+	// key's table rows confirm the order its catalog declares. Candidates
+	// cover the same rows, so the sort one may spare is the only
+	// finishing charge that ranks them.
+	var key *expr.ColumnRef
+	if ob := q.OrderBy; len(ob) == 1 && !ob[0].Desc && len(q.Aggs) == 0 && len(q.GroupBy) == 0 {
+		if t, ok := p.opt.Ctx.DB.Table(ob[0].Col.Table); ok && t.NonDecreasing(ob[0].Col.Column) {
+			key = &ob[0].Col
+		}
+	}
+	sorted := func(c candidate) bool { return key != nil && c.orderedBy(*key) }
+	ranked := func(c candidate) float64 {
+		if key != nil && !sorted(c) {
+			return c.cost + c.rows*m.SortTuple
+		}
+		return c.cost
+	}
+	c := cands[0]
+	for _, d := range cands[1:] {
+		if cost.Less(ranked(d), ranked(c)) {
+			c = d
+		}
+	}
 	node := c.node
 	total := c.cost
 	rows := c.rows
@@ -304,20 +322,13 @@ func (p *planner) finish(c candidate) (engine.Node, float64, float64, error) {
 		rows = p.estimateGroups(rows)
 		p.record(node, rows)
 	}
-	if len(q.OrderBy) > 0 {
-		// Skip the sort when the winner is already ordered by the first
-		// (ascending) key and no aggregation reshaped the rows.
-		first := q.OrderBy[0]
-		alreadyOrdered := len(q.Aggs) == 0 && len(q.GroupBy) == 0 &&
-			len(q.OrderBy) == 1 && !first.Desc && c.orderedBy(first.Col)
-		if !alreadyOrdered {
-			// Under a LIMIT the sort only needs the first q.Limit rows, so
-			// the engine can keep a bounded top-K heap instead of
-			// materializing the full sorted input.
-			node = &engine.Sort{Input: node, By: q.OrderBy, TopK: q.Limit}
-			total += rows * m.SortTuple
-			p.record(node, rows)
-		}
+	if len(q.OrderBy) > 0 && !sorted(c) {
+		// Under a LIMIT the sort only needs the first q.Limit rows, so
+		// the engine can keep a bounded top-K heap instead of
+		// materializing the full sorted input.
+		node = &engine.Sort{Input: node, By: q.OrderBy, TopK: q.Limit}
+		total += rows * m.SortTuple
+		p.record(node, rows)
 	}
 	if q.Limit > 0 {
 		node = &engine.Limit{Input: node, N: q.Limit}
@@ -345,50 +356,30 @@ func (p *planner) estimateGroups(inRows float64) float64 {
 	}
 	if ge, ok := p.opt.Est.(core.GroupsEstimator); ok {
 		if groups, err := ge.EstimateGroups(p.a.tables, q.GroupBy); err == nil {
-			if groups < 1 {
-				groups = 1
-			}
-			if groups > inRows {
-				groups = inRows
-			}
-			return groups
+			return min(max(groups, 1), inRows)
 		}
 	}
 	// No estimator support: the traditional guess of a tenth of the rows.
-	g := inRows / 10
-	if g < 1 {
-		g = 1
-	}
-	return g
+	return max(inRows/10, 1)
 }
 
-// prune keeps the cheapest candidates, always retaining the cheapest
-// representative of each distinct ordering property.
+// prune keeps the cheapest candidate of each distinct output ordering,
+// the first of equals, in place and in the order the survivors were
+// generated, so ties up the tree also go to the plan generated first.
+// That loses no plan: the candidates of a table subset all have the same
+// rows, and a parent or finish reads nothing else of one but its
+// ordering and a cost it only adds to.
 func prune(cands []candidate) []candidate {
-	sort.SliceStable(cands, func(i, j int) bool { return cost.Less(cands[i].cost, cands[j].cost) })
-	var kept []candidate
-	seenOrder := make(map[string]bool)
+	kept := cands[:0]
 	for _, c := range cands {
-		key := orderKey(c.ordered)
-		if len(kept) < keepPerSubset || !seenOrder[key] {
-			if !seenOrder[key] || len(kept) < keepPerSubset {
-				kept = append(kept, c)
-				seenOrder[key] = true
-			}
+		switch i := slices.IndexFunc(kept, func(k candidate) bool { return slices.Equal(k.ordered, c.ordered) }); {
+		case i < 0:
+			kept = append(kept, c)
+		case cost.Less(c.cost, kept[i].cost):
+			kept = append(slices.Delete(kept, i, i+1), c)
 		}
 	}
-	if len(kept) == 0 {
-		return cands
-	}
 	return kept
-}
-
-func orderKey(ordered []expr.ColumnRef) string {
-	key := ""
-	for _, o := range ordered {
-		key += o.String() + ";"
-	}
-	return key
 }
 
 // selOf estimates the selectivity of pred over the FK join of the masked

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func (e *exactEstimator) Estimate(req core.Request) (core.Estimate, error) {
 
 // optDB builds a correlated lineitem/orders/part database large enough
 // that the scan-vs-index crossover sits at a low selectivity.
-func optDB(t *testing.T, nLines int, corrWindow int64) (*storage.Database, *engine.Context) {
+func optDB(t testing.TB, nLines int, corrWindow int64) (*storage.Database, *engine.Context) {
 	t.Helper()
 	cat := catalog.NewCatalog()
 	db := storage.NewDatabase(cat)
@@ -592,6 +593,47 @@ func TestOrderBySkippedWhenAlreadyOrdered(t *testing.T) {
 		if res.Rows[i][idIdx].I < res.Rows[i-1][idIdx].I {
 			t.Fatal("order violated without sort")
 		}
+	}
+}
+
+// TestOrderByKeepsSortOverUnsortedRows: lineitem declares itself ordered
+// by l_orderkey, but the rows cycle through the order keys. The planner
+// may price merge joins by the declaration; it may not drop the ORDER BY
+// sort on it, or the LIMIT returns the first rows in heap order instead
+// of the smallest keys.
+func TestOrderByKeepsSortOverUnsortedRows(t *testing.T) {
+	db, ctx := optDB(t, 2000, 40)
+	o := exactOpt(t, db, ctx)
+	key := expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"}
+	q := &Query{
+		Tables:  []string{"lineitem"},
+		Pred:    testkit.Expr("l_id < 1000"),
+		OrderBy: []engine.SortKey{{Col: key}},
+		Limit:   8,
+		Project: []expr.ColumnRef{{Table: "lineitem", Column: "l_id"}, key},
+	}
+	plan, err := o.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, _, err := engine.Run(ctx, plan.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineitem := testkit.Table(db, "lineitem")
+	col := lineitem.Schema().ColumnIndex("l_orderkey")
+	var keys []int64
+	for r := range 1000 {
+		keys = append(keys, lineitem.Value(r, col).I)
+	}
+	slices.Sort(keys)
+	idx, _ := res.Schema.Resolve(key)
+	var got []int64
+	for _, row := range res.Rows {
+		got = append(got, row[idx].I)
+	}
+	if !slices.Equal(got, keys[:8]) {
+		t.Errorf("ORDER BY l_orderkey LIMIT 8 returned keys %v, want %v\n%s", got, keys[:8], plan.Explain())
 	}
 }
 

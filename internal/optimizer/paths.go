@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/expr"
 )
@@ -360,6 +361,11 @@ func (p *planner) starCandidates(mask uint32, best map[uint32][]candidate) ([]ca
 				break
 			}
 			dc := dimCands[0]
+			for _, c := range dimCands[1:] {
+				if cost.Less(c.cost, dc.cost) {
+					dc = c
+				}
+			}
 			selDimRows, err := p.rowsOf(dBit)
 			if err != nil {
 				return nil, err

@@ -18,7 +18,9 @@
 // max of every SegmentRows tile of a shard. A filter-first scan skips a
 // tile some pushed bound excludes (Filter), and the planner reads the
 // same zones for an exact selectivity ceiling (Zones). The maps grow with
-// the rows, so they are never stale.
+// the rows, so they are never stale. Beside them Append keeps, per
+// column and shard, whether a row ever fell below the one before it, so
+// NonDecreasing answers from the rows too.
 package storage
 
 import (
@@ -78,6 +80,9 @@ type columnData struct {
 	strs   []string
 	// zones[k] is the zone of the column's tile k; Float columns have none.
 	zones []zone
+	// fell is set once a row sorts before the row ahead of it in the
+	// segment, in value.Compare's order.
+	fell bool
 }
 
 // zone is the min and max of one column over one tile: lo and hi for an
@@ -290,15 +295,19 @@ func (t *Table) Append(row value.Row) error {
 		shard = t.shardOf(row[t.keyCol].I)
 	}
 	seg := &t.segs[shard]
+	last := seg.rows - 1
 	for i, v := range row {
 		c := &seg.cols[i]
 		switch c.kind {
 		case catalog.Int, catalog.Date:
+			c.fell = c.fell || last >= 0 && v.I < c.ints[last]
 			c.ints = append(c.ints, v.I)
 			c.widenInt(seg.rows, v.I)
 		case catalog.Float:
+			c.fell = c.fell || last >= 0 && v.F < c.floats[last]
 			c.floats = append(c.floats, v.F)
 		case catalog.String:
+			c.fell = c.fell || last >= 0 && v.S < c.strs[last]
 			c.strs = append(c.strs, v.S)
 			c.widenStr(seg.rows, v.S)
 		}
@@ -313,6 +322,36 @@ func (t *Table) Append(row value.Row) error {
 	}
 	t.invalidateConcat()
 	return nil
+}
+
+// NonDecreasing reports whether the named column never decreases in
+// row-id order: within every shard, as Append records, and across the
+// shard boundaries of a partitioned table; false for a column the table
+// lacks. A declared catalog ordering is a claim; this is what the rows
+// show.
+func (t *Table) NonDecreasing(column string) bool {
+	col := t.schema.ColumnIndex(column)
+	if col < 0 {
+		return false
+	}
+	var prev value.Value
+	for p := range t.segs {
+		s := &t.segs[p]
+		c := &s.cols[col]
+		if c.fell {
+			return false
+		}
+		if s.rows == 0 {
+			continue
+		}
+		if t.bases[p] > 0 {
+			if cmp, _ := value.Compare(c.at(0), prev); cmp < 0 {
+				return false
+			}
+		}
+		prev = c.at(s.rows - 1)
+	}
+	return true
 }
 
 func typeCompatible(col, val catalog.Type) bool {

@@ -119,6 +119,11 @@ func checkZones(t *testing.T, tab *Table, rng *rand.Rand, trials int) (excluded 
 			}
 		}
 	}
+	for c := range tab.Schema().Columns {
+		if got, want := tab.NonDecreasing(tab.Schema().Columns[c].Name), nonDecreasing(tab, c); got != want {
+			t.Fatalf("column %d: NonDecreasing = %v, brute force %v", c, got, want)
+		}
+	}
 	schema := expr.SchemaForTable(tab.Schema())
 	for trial := 0; trial < trials; trial++ {
 		b := randomBound(tab, rng)
@@ -159,6 +164,83 @@ func checkZones(t *testing.T, tab *Table, rng *rand.Rand, trials int) (excluded 
 		}
 	}
 	return excluded
+}
+
+// nonDecreasing reads column c of tab in row-id order and reports whether
+// no value sorts before the one ahead of it.
+func nonDecreasing(tab *Table, c int) bool {
+	for r := 1; r < tab.NumRows(); r++ {
+		if cmp, _ := value.Compare(tab.Value(r, c), tab.Value(r-1, c)); cmp < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTableNonDecreasing: NonDecreasing follows the rows, not a
+// declaration — sorted columns stay sorted over appends that shift later
+// shards, one smaller row clears the bit for good, and a drop across a
+// shard boundary counts though each shard is sorted.
+func TestTableNonDecreasing(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		s := &catalog.TableSchema{Name: "o", Columns: []catalog.Column{
+			{Name: "k", Type: catalog.Int}, {Name: "v", Type: catalog.Int},
+			{Name: "x", Type: catalog.Float}, {Name: "s", Type: catalog.String},
+		}}
+		if shards > 0 {
+			s.Partition = &catalog.PartitionSpec{Column: "k", Kind: catalog.RangePartition, Partitions: shards, Bounds: []int64{100, 200}}
+		}
+		tab, err := NewTable(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tab.NonDecreasing("v") {
+			t.Fatalf("shards=%d: an empty column is not non-decreasing", shards)
+		}
+		// k visits the shards out of order; v, x and s climb with the
+		// row id, and so with k inside every shard.
+		for i, k := range []int64{250, 10, 150, 260, 20, 160} {
+			row := value.Row{value.Int(k), value.Int(k), value.Float(float64(k) / 2), value.Str(fmt.Sprintf("s%03d", k))}
+			if err := tab.Append(row); err != nil {
+				t.Fatal(err)
+			}
+			for c := range s.Columns {
+				if got, want := tab.NonDecreasing(tab.Schema().Columns[c].Name), nonDecreasing(tab, c); got != want {
+					t.Fatalf("shards=%d after %d rows, column %d: NonDecreasing = %v, brute force %v", shards, i+1, c, got, want)
+				}
+			}
+		}
+		if shards > 0 && !tab.NonDecreasing("v") {
+			t.Fatalf("shards=%d: k-ordered shards lost their order", shards)
+		}
+		if err := tab.Append(value.Row{value.Int(30), value.Int(0), value.Float(0), value.Str("a")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Append(value.Row{value.Int(40), value.Int(1 << 20), value.Float(1e9), value.Str("z")}); err != nil {
+			t.Fatal(err)
+		}
+		for c := 1; c < len(s.Columns); c++ {
+			if tab.NonDecreasing(tab.Schema().Columns[c].Name) || nonDecreasing(tab, c) {
+				t.Fatalf("shards=%d column %d: a smaller row left the column non-decreasing", shards, c)
+			}
+		}
+	}
+	// Each shard sorted, the boundary not: shard 0 ends above shard 1's
+	// first row.
+	s := &catalog.TableSchema{Name: "b", Columns: []catalog.Column{{Name: "k", Type: catalog.Int}, {Name: "v", Type: catalog.Int}},
+		Partition: &catalog.PartitionSpec{Column: "k", Kind: catalog.RangePartition, Partitions: 2, Bounds: []int64{100}}}
+	tab, err := NewTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range [][2]int64{{1, 5}, {2, 9}, {101, 7}, {102, 8}} {
+		if err := tab.Append(value.Row{value.Int(kv[0]), value.Int(kv[1])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !tab.NonDecreasing("k") || tab.NonDecreasing("v") {
+		t.Fatalf("NonDecreasing = %v, %v; want true, false", tab.NonDecreasing("k"), tab.NonDecreasing("v"))
+	}
 }
 
 // keeps evaluates b on row r of tab, one value at a time.
