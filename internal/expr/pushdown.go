@@ -6,10 +6,14 @@ import (
 	"robustqo/internal/catalog"
 )
 
-// Encoded-data predicate pushdown: SplitPushdown factors a scan predicate
-// into single-column interval bounds that a compressed columnar scan can
-// evaluate on encoded values (dictionary codes, bit-packed deltas)
-// without decoding, plus a residual predicate for the surviving rows.
+// Scan predicate pushdown: SplitPushdown factors a scan predicate into
+// single-column interval bounds plus a residual predicate for the rows
+// that satisfy them. storage.Filter, which every sequential scan and
+// every synopsis count runs, skips the tiles whose zone maps some bound
+// excludes, checks the bounds on the other tiles' typed column payloads
+// in place, and evaluates the residual only on their survivors. The
+// optimizer reads the same bounds (PushableBound, per conjunct) for the
+// zone-map arithmetic and selectivity ceilings it plans with.
 //
 // The factoring is prefix-only and exact. Only the longest pushable
 // PREFIX of the top-level AND conjuncts is extracted: the evaluator runs

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,51 +15,34 @@ import (
 // access-path enumeration, and LayoutKey renders the physical layout the
 // plan cache folds into every key.
 
-// sarg is one merged sargable range: the key range plus the indices
-// (into analysis.conjuncts) of the conjuncts it consumed.
+// sarg is one merged sargable range: the key range plus the mask of the
+// conjuncts it consumed.
 type sarg struct {
 	rng      engine.KeyRange
-	consumed []int
+	consumed uint64
 }
 
-// sargableRanges merges the sargable single-table conjuncts of table i
-// into one key range per indexed column, in first-appearance column
-// order.
-func sargableRanges(a *analysis, schema *catalog.TableSchema, i int) (map[string]*sarg, []string) {
-	bit := uint32(1) << uint(i)
-	tName := a.tables[i]
-	byColumn := make(map[string]*sarg)
-	var colOrder []string
+// sargableRanges merges the sargable conjuncts over table i alone into
+// one key range per indexed column, in first-appearance column order.
+func sargableRanges(a *analysis, schema *catalog.TableSchema, i int) []sarg {
+	var out []sarg
 	for ci, c := range a.conjuncts {
-		if c.mask != bit {
+		if c.tables != 1<<uint(i) || !c.isRange {
 			continue
 		}
-		ref, lo, hi, ok := intRangeFromConjunct(c.pred)
-		if !ok {
+		if _, hasIx := schema.IndexOn(c.rng.Column); !hasIx {
 			continue
 		}
-		if ref.Table != "" && ref.Table != tName {
-			continue
+		k := slices.IndexFunc(out, func(s sarg) bool { return s.rng.Column == c.rng.Column })
+		if k < 0 {
+			k = len(out)
+			out = append(out, sarg{rng: c.rng})
 		}
-		if _, hasIx := schema.IndexOn(ref.Column); !hasIx {
-			continue
-		}
-		s, exists := byColumn[ref.Column]
-		if !exists {
-			s = &sarg{rng: engine.KeyRange{Column: ref.Column, Lo: lo, Hi: hi}}
-			byColumn[ref.Column] = s
-			colOrder = append(colOrder, ref.Column)
-		} else {
-			if lo > s.rng.Lo {
-				s.rng.Lo = lo
-			}
-			if hi < s.rng.Hi {
-				s.rng.Hi = hi
-			}
-		}
-		s.consumed = append(s.consumed, ci)
+		out[k].rng.Lo = max(out[k].rng.Lo, c.rng.Lo)
+		out[k].rng.Hi = min(out[k].rng.Hi, c.rng.Hi)
+		out[k].consumed |= 1 << uint(ci)
 	}
-	return byColumn, colOrder
+	return out
 }
 
 // LayoutKey canonically encodes a database's partition layout: each

@@ -112,27 +112,19 @@ func joinSortedShapes(terms []expr.Expr, sep string) string {
 	return strings.Join(shapes, sep)
 }
 
-// fingerprintFor returns the ledger fingerprint of the masked
-// subexpression under every conjunct applicable to it (the same conjunct
-// set predFor conjoins), memoized per planner since enumeration revisits
-// masks many times.
-func (p *planner) fingerprintFor(mask uint32) string {
-	if fp, ok := p.fpCache[mask]; ok {
-		return fp
-	}
-	tables := append([]string(nil), p.a.tablesOf(mask)...)
-	sort.Strings(tables)
+// fingerprint returns the ledger fingerprint of the masked
+// subexpression under every conjunct over its tables (within).
+func (a *analysis) fingerprint(tables uint32) string {
+	names := a.tablesOf(tables)
+	sort.Strings(names)
 	var shapes []string
-	for _, c := range p.a.conjuncts {
-		if c.mask != 0 && c.mask&^mask == 0 {
-			shapes = append(shapes, fingerprintExpr(c.pred))
-		}
+	for cm := a.within(tables); cm != 0; cm &= cm - 1 {
+		shapes = append(shapes, a.conjuncts[bits.TrailingZeros64(cm)].shape)
 	}
 	sort.Strings(shapes)
-	fp := strings.Join(tables, ",")
+	fp := strings.Join(names, ",")
 	if len(shapes) > 0 {
 		fp += "|" + strings.Join(shapes, ";")
 	}
-	p.fpCache[mask] = fp
 	return fp
 }

@@ -73,22 +73,22 @@ func TestFingerprintExprShapes(t *testing.T) {
 func TestFingerprintForMask(t *testing.T) {
 	// Build an analysis by hand: two tables, one single-table conjunct on
 	// each, one cross conjunct.
-	a := &analysis{
-		tables: []string{"orders", "lineitem"},
-		conjuncts: []conjunct{
-			{pred: expr.Cmp{Op: expr.LT, L: expr.C("o_totalprice"), R: expr.IntLit(400)}, mask: 1},
-			{pred: expr.Cmp{Op: expr.GE, L: expr.C("l_quantity"), R: expr.IntLit(20)}, mask: 2},
-			{pred: expr.Cmp{Op: expr.LT, L: expr.C("l_extendedprice"), R: expr.C("o_totalprice")}, mask: 3},
-		},
+	a := &analysis{tables: []string{"orders", "lineitem"}}
+	for _, c := range []conjunct{
+		{pred: expr.Cmp{Op: expr.LT, L: expr.C("o_totalprice"), R: expr.IntLit(400)}, tables: 1},
+		{pred: expr.Cmp{Op: expr.GE, L: expr.C("l_quantity"), R: expr.IntLit(20)}, tables: 2},
+		{pred: expr.Cmp{Op: expr.LT, L: expr.C("l_extendedprice"), R: expr.C("o_totalprice")}, tables: 3},
+	} {
+		c.shape = fingerprintExpr(c.pred)
+		a.conjuncts = append(a.conjuncts, c)
 	}
-	p := &planner{a: a, fpCache: make(map[uint32]string)}
-	if got := p.fingerprintFor(1); got != "orders|o_totalprice<b9" {
+	if got := a.fingerprint(1); got != "orders|o_totalprice<b9" {
 		t.Errorf("mask 1 = %q", got)
 	}
-	if got := p.fingerprintFor(2); got != "lineitem|l_quantity>=b5" {
+	if got := a.fingerprint(2); got != "lineitem|l_quantity>=b5" {
 		t.Errorf("mask 2 = %q", got)
 	}
-	full := p.fingerprintFor(3)
+	full := a.fingerprint(3)
 	// Tables sorted, all three conjuncts present, sorted.
 	if !strings.HasPrefix(full, "lineitem,orders|") {
 		t.Errorf("mask 3 tables not sorted: %q", full)
@@ -96,13 +96,9 @@ func TestFingerprintForMask(t *testing.T) {
 	if got := len(strings.Split(strings.SplitN(full, "|", 2)[1], ";")); got != 3 {
 		t.Errorf("mask 3 has %d conjuncts, want 3: %q", got, full)
 	}
-	// Memoized: same string back.
-	if p.fingerprintFor(3) != full {
-		t.Error("memoization changed the fingerprint")
-	}
 	// A mask with no conjuncts is the bare table list.
-	b := &planner{a: &analysis{tables: []string{"part"}}, fpCache: make(map[uint32]string)}
-	if got := b.fingerprintFor(1); got != "part" {
+	b := &analysis{tables: []string{"part"}}
+	if got := b.fingerprint(1); got != "part" {
 		t.Errorf("predicate-free fingerprint = %q", got)
 	}
 }

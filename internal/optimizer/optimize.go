@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -75,65 +76,72 @@ type candidate struct {
 	node    engine.Node
 	cost    float64
 	rows    float64
-	ordered []expr.ColumnRef // columns the output is known to be ordered by
+	ordered []ordering // columns the output is known to be ordered by
 }
 
-func (c candidate) orderedBy(ref expr.ColumnRef) bool { return slices.Contains(c.ordered, ref) }
+// ordering is one column a candidate's rows come out ordered by: one the
+// catalog declares for a base table, or, when sorted, one a MergeJoin
+// sorted its inputs on, so the order holds whatever the catalog says.
+type ordering struct {
+	col    expr.ColumnRef
+	sorted bool
+}
 
-// selEntry memoizes one estimator answer: the clamped selectivity plus
-// the estimator's own row figure when it reported one. The row figure
-// matters under partition pruning — the estimator knows which population
-// its selectivity is a fraction of (the surviving shards'), so rowsOf
-// must not re-scale the selectivity by a population of its own choosing.
+func (c candidate) orderedBy(ref expr.ColumnRef) bool {
+	return slices.ContainsFunc(c.ordered, func(o ordering) bool { return o.col == ref })
+}
+
+// estKey names one estimator question: the FK join of a table mask under
+// a conjunct mask.
+type estKey struct {
+	tables uint32
+	conjs  uint64
+}
+
+// selEntry memoizes one estimator answer: the clamped selectivity and
+// the row figure. The row figure is the estimator's own when it reported
+// one, which matters under partition pruning: the estimator knows which
+// population its selectivity is a fraction of (the surviving shards'),
+// so rowsOf must not re-scale the selectivity by a population of its
+// own choosing.
 type selEntry struct {
-	sel     float64
-	rows    float64
-	hasRows bool
+	sel  float64
+	rows float64
+}
+
+// belief is what the optimizer believed of a plan node when it built it:
+// its output rows and, for a node whose rows are a prediction about a
+// table subset under its conjuncts (a scan or a join), those tables.
+type belief struct {
+	rows   float64
+	tables uint32
 }
 
 // planner carries per-query optimization state.
 type planner struct {
-	opt      *Optimizer
-	a        *analysis
-	selCache map[string]selEntry
-	rowCache map[uint32]float64
-	// estimates remembers, per constructed plan node, the cardinality the
-	// optimizer believed when it built that node; snap is the template
-	// (estimator name, confidence percentile) each record starts from.
+	opt *Optimizer
+	a   *analysis
+	// memo holds the query's estimator answers by question.
+	memo map[estKey]selEntry
+	// beliefs holds every constructed plan node's belief, losing
+	// candidates' too; treeEstimates turns the chosen tree's into
+	// estimates, starting each from snap (estimator name, confidence
+	// percentile).
+	beliefs   map[engine.Node]belief
 	estimates map[engine.Node]obs.EstimateSnapshot
 	snap      obs.EstimateSnapshot
-	// fpCache memoizes ledger fingerprints per table mask; see
-	// fingerprint.go for the grammar.
-	fpCache map[uint32]string
 	// parts is the partition-pruning verdict per query table index,
-	// filled by computePruning before access-path seeding; tables absent
-	// from the map are unpartitioned.
-	parts map[int]*tableParts
-	// roots memoizes, per estimated mask, the query table index of its FK
-	// root; schemas memoizes query tables' schemas for the zone pass.
-	roots   map[uint32]int
-	schemas map[int]expr.RelSchema
+	// filled by computePruning before access-path seeding; nil for an
+	// unpartitioned table.
+	parts []*tableParts
 }
 
-// record captures the optimizer's cardinality belief for a plan node.
-// Losing candidates get entries too; Optimize keeps only the chosen
-// tree's, since a cached plan would otherwise pin every losing subtree.
-func (p *planner) record(n engine.Node, rows float64) {
-	s := p.snap
-	s.Rows = rows
-	p.estimates[n] = s
-}
-
-// recordMask is record plus the ledger fingerprint of the masked
-// subexpression, for nodes whose cardinality is a direct prediction about
-// a table subset under its predicate (scans and joins). Post-join shaping
-// operators (aggregate, sort, limit, project) stay fingerprint-free via
-// plain record, so the ledger only accumulates predicate feedback.
-func (p *planner) recordMask(n engine.Node, rows float64, mask uint32) {
-	s := p.snap
-	s.Rows = rows
-	s.Fingerprint = p.fingerprintFor(mask)
-	p.estimates[n] = s
+// record captures the optimizer's belief about a plan node: its rows
+// and, for a scan or join, the tables they are a prediction about.
+// Post-join shaping operators (aggregate, sort, limit, project) pass no
+// tables, so the ledger only accumulates predicate feedback.
+func (p *planner) record(n engine.Node, rows float64, tables uint32) {
+	p.beliefs[n] = belief{rows: rows, tables: tables}
 }
 
 // Optimize selects the cheapest plan for the query under the estimator.
@@ -159,13 +167,14 @@ func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 	// Every leaf emits only what its ancestors read. Counters are per page,
 	// row and probe, never per column, so the cost just computed stands.
 	engine.PruneColumns(o.Ctx, root)
+	p.estimates = p.treeEstimates(root)
 	if o.MaxDOP >= 2 {
 		root = p.parallelize(root)
 	}
 	exportQuantileCache(o.Metrics, quantileCacheOf(o.Est))
 	return &Plan{
 		Root: root, EstCost: finalCost, EstRows: finalRows, Estimator: o.Est.Name(),
-		estimates: treeEstimates(p.estimates, root), confidence: p.snap.Percentile,
+		estimates: p.estimates, confidence: p.snap.Percentile,
 	}, nil
 }
 
@@ -178,13 +187,9 @@ func (o *Optimizer) newPlanner(q *Query) (*planner, error) {
 	}
 	p := &planner{
 		opt: o, a: a,
-		selCache:  make(map[string]selEntry),
-		rowCache:  make(map[uint32]float64),
-		estimates: make(map[engine.Node]obs.EstimateSnapshot),
-		snap:      obs.EstimateSnapshot{Estimator: o.Est.Name()},
-		fpCache:   make(map[uint32]string),
-		roots:     make(map[uint32]int),
-		schemas:   make(map[int]expr.RelSchema),
+		memo:    make(map[estKey]selEntry),
+		beliefs: make(map[engine.Node]belief),
+		snap:    obs.EstimateSnapshot{Estimator: o.Est.Name()},
 	}
 	if cl, ok := o.Est.(core.ConfidenceReporter); ok {
 		if t, ok := cl.ConfidenceLevel(); ok {
@@ -195,13 +200,32 @@ func (o *Optimizer) newPlanner(q *Query) (*planner, error) {
 	return p, nil
 }
 
-// treeEstimates returns the entries of estimates for the nodes of the
-// tree at root.
-func treeEstimates(estimates map[engine.Node]obs.EstimateSnapshot, root engine.Node) map[engine.Node]obs.EstimateSnapshot {
+// treeEstimates returns the estimates of the nodes of the tree at root:
+// the belief recorded for each, the ledger fingerprint of the tables a
+// scan or join predicts, and a scan's partition arithmetic ("partitions:
+// k/n" in EXPLAIN ANALYZE) and, for a sequential scan, its zone-map
+// arithmetic ("segments: k/n skipped"). Only the chosen tree pays for
+// them.
+func (p *planner) treeEstimates(root engine.Node) map[engine.Node]obs.EstimateSnapshot {
 	out := make(map[engine.Node]obs.EstimateSnapshot)
 	var walk func(n engine.Node)
 	walk = func(n engine.Node) {
-		if s, ok := estimates[n]; ok {
+		if b, ok := p.beliefs[n]; ok {
+			s := p.snap
+			s.Rows = b.rows
+			if b.tables != 0 {
+				s.Fingerprint = p.a.fingerprint(b.tables)
+			}
+			switch n.(type) {
+			case *engine.SeqScan, *engine.IndexRangeScan, *engine.IndexIntersect:
+				i := bits.TrailingZeros32(b.tables)
+				if tp := p.parts[i]; tp != nil {
+					s.PartsScanned, s.PartsTotal = len(tp.parts), tp.total
+				}
+				if _, ok := n.(*engine.SeqScan); ok {
+					s.SegsSkipped, s.SegsTotal = p.scanSegs(i)
+				}
+			}
 			out[n] = s
 		}
 		for _, c := range engine.Children(n) {
@@ -243,7 +267,7 @@ func (p *planner) enumerateJoins(best map[uint32][]candidate) ([]candidate, erro
 	// Grow subsets by size.
 	for size := 2; size <= len(a.tables); size++ {
 		for mask := uint32(1); mask <= full; mask++ {
-			if popcount(mask) != size || !a.connected(mask) {
+			if bits.OnesCount32(mask) != size || !a.connected(mask) {
 				continue
 			}
 			var cands []candidate
@@ -289,20 +313,24 @@ func (p *planner) finish(cands []candidate) (engine.Node, float64, float64, erro
 	defer sp.End()
 	q := p.a.q
 	m := p.opt.Ctx.Model
-	// A candidate ordered by the ORDER BY key needs no sort when that key
-	// is single and ascending, no aggregation reshapes the rows, and the
-	// key's table rows confirm the order its catalog declares. Candidates
-	// cover the same rows, so the sort one may spare is the only
-	// finishing charge that ranks them.
-	var key *expr.ColumnRef
+	// A single ascending ORDER BY key over unaggregated rows needs no
+	// sort for a candidate whose rows come out ordered by it: a MergeJoin
+	// on the key sorted them, or the catalog declares the order and the
+	// key's table rows confirm it. Candidates cover the same rows, so the
+	// sort one may spare is the only finishing charge that ranks them.
+	sorted := func(candidate) bool { return false }
+	charged := false // whether ranking charges the sort
 	if ob := q.OrderBy; len(ob) == 1 && !ob[0].Desc && len(q.Aggs) == 0 && len(q.GroupBy) == 0 {
-		if t, ok := p.opt.Ctx.DB.Table(ob[0].Col.Table); ok && t.NonDecreasing(ob[0].Col.Column) {
-			key = &ob[0].Col
+		key := ob[0].Col
+		t, ok := p.opt.Ctx.DB.Table(key.Table)
+		declared := ok && t.NonDecreasing(key.Column)
+		sorted = func(c candidate) bool {
+			return slices.ContainsFunc(c.ordered, func(o ordering) bool { return o.col == key && (o.sorted || declared) })
 		}
+		charged = declared || slices.ContainsFunc(cands, sorted)
 	}
-	sorted := func(c candidate) bool { return key != nil && c.orderedBy(*key) }
 	ranked := func(c candidate) float64 {
-		if key != nil && !sorted(c) {
+		if charged && !sorted(c) {
 			return c.cost + c.rows*m.SortTuple
 		}
 		return c.cost
@@ -320,7 +348,7 @@ func (p *planner) finish(cands []candidate) (engine.Node, float64, float64, erro
 		node = &engine.Aggregate{Input: node, GroupBy: q.GroupBy, Aggs: q.Aggs}
 		total += rows * (m.HashBuild + m.Tuple)
 		rows = p.estimateGroups(rows)
-		p.record(node, rows)
+		p.record(node, rows, 0)
 	}
 	if len(q.OrderBy) > 0 && !sorted(c) {
 		// Under a LIMIT the sort only needs the first q.Limit rows, so
@@ -328,19 +356,19 @@ func (p *planner) finish(cands []candidate) (engine.Node, float64, float64, erro
 		// materializing the full sorted input.
 		node = &engine.Sort{Input: node, By: q.OrderBy, TopK: q.Limit}
 		total += rows * m.SortTuple
-		p.record(node, rows)
+		p.record(node, rows, 0)
 	}
 	if q.Limit > 0 {
 		node = &engine.Limit{Input: node, N: q.Limit}
 		if float64(q.Limit) < rows {
 			rows = float64(q.Limit)
 		}
-		p.record(node, rows)
+		p.record(node, rows, 0)
 	}
 	if len(q.Project) > 0 && len(q.Aggs) == 0 && len(q.GroupBy) == 0 {
 		node = &engine.Project{Input: node, Cols: q.Project}
 		total += rows * m.Tuple
-		p.record(node, rows)
+		p.record(node, rows, 0)
 	}
 	total += rows * m.Output
 	return node, total, rows, nil
@@ -382,17 +410,31 @@ func prune(cands []candidate) []candidate {
 	return kept
 }
 
-// selOf estimates the selectivity of pred over the FK join of the masked
-// tables, memoized.
-func (p *planner) selOf(mask uint32, pred expr.Expr) (float64, error) {
-	e, err := p.estOf(mask, pred)
+// selOf estimates the selectivity of the conjuncts cm over the FK join
+// of the masked tables, memoized.
+func (p *planner) selOf(tables uint32, cm uint64) (float64, error) {
+	e, err := p.estOf(tables, cm)
 	return e.sel, err
 }
 
+// rowsOf estimates the result cardinality of the masked subexpression
+// under every conjunct over its tables, memoized. For FK joins this is
+// root rows times joint selectivity. A repeat is no cache hit: every
+// extension of a subset asks for its rows, and the hit counter measures
+// repeated estimator questions, not enumeration steps.
+func (p *planner) rowsOf(tables uint32) (float64, error) {
+	cm := p.a.within(tables)
+	if e, ok := p.memo[estKey{tables, cm}]; ok {
+		return e.rows, nil
+	}
+	e, err := p.estOf(tables, cm)
+	return e.rows, err
+}
+
 // estOf is the memoized estimator call behind selOf and rowsOf.
-func (p *planner) estOf(mask uint32, pred expr.Expr) (selEntry, error) {
-	key := fmt.Sprintf("%d|%v", mask, pred)
-	if e, ok := p.selCache[key]; ok {
+func (p *planner) estOf(tables uint32, cm uint64) (selEntry, error) {
+	key := estKey{tables, cm}
+	if e, ok := p.memo[key]; ok {
 		// Hits are metric increments only — no span — so traces stay
 		// proportional to distinct estimates, not enumeration steps.
 		// Names stay literal at the call site so qolint's metricname
@@ -406,21 +448,32 @@ func (p *planner) estOf(mask uint32, pred expr.Expr) (selEntry, error) {
 	if p.opt.Metrics != nil {
 		p.opt.Metrics.Counter("robustqo_estimate_cache_misses_total").Inc()
 	}
+	root, err := p.a.rootOf(tables)
+	if err != nil {
+		return selEntry{}, err
+	}
+	names, pred := p.a.tablesOf(tables), p.a.pred(cm)
 	sp := p.opt.Trace.StartSpan("estimate")
 	defer sp.End()
-	sp.SetAttr("tables", strings.Join(p.a.tablesOf(mask), ","))
-	if pred != nil {
-		sp.SetAttr("pred", fmt.Sprint(pred))
+	if sp != nil {
+		sp.SetAttr("tables", strings.Join(names, ","))
+		if pred != nil {
+			sp.SetAttr("pred", fmt.Sprint(pred))
+		}
 	}
 	// Pruning tightens the observation before the quantile is taken: the
-	// estimator counts only the surviving shards' strata, and zone-map
-	// evidence conditions the posterior on an exact selectivity ceiling.
-	parts, maxSel := p.rootEvidence(mask, pred)
+	// estimator counts only the root's surviving shards' strata, and
+	// zone-map evidence conditions the posterior on an exact selectivity
+	// ceiling. Both are fixed per question.
+	var parts []int
+	if tp := p.parts[root]; tp != nil {
+		parts = tp.parts
+	}
 	est, err := p.opt.Est.Estimate(core.Request{
-		Tables:         p.a.tablesOf(mask),
+		Tables:         names,
 		Pred:           pred,
 		Partitions:     parts,
-		MaxSelectivity: maxSel,
+		MaxSelectivity: p.zoneCeiling(root, cm),
 	})
 	if err != nil {
 		return selEntry{}, err
@@ -438,40 +491,15 @@ func (p *planner) estOf(mask uint32, pred expr.Expr) (selEntry, error) {
 	}
 	// Rows == 0 with a positive selectivity means the estimator left the
 	// scaling to the caller (the Independent baseline without RowsFor).
-	e.hasRows = e.rows != 0 || e.sel == 0
-	p.selCache[key] = e
+	if e.rows == 0 && e.sel != 0 {
+		rootRows, _, err := p.tableRowsPages(root)
+		if err != nil {
+			return selEntry{}, err
+		}
+		e.rows = e.sel * rootRows
+	}
+	p.memo[key] = e
 	return e, nil
-}
-
-// rowsOf estimates the result cardinality of the masked subexpression with
-// all applicable conjuncts, memoized. For FK joins this is root rows times
-// joint selectivity.
-func (p *planner) rowsOf(mask uint32) (float64, error) {
-	if r, ok := p.rowCache[mask]; ok {
-		return r, nil
-	}
-	tables := p.a.tablesOf(mask)
-	root, err := p.opt.Ctx.DB.Catalog.RootOf(tables)
-	if err != nil {
-		return 0, err
-	}
-	rootTab, ok := p.opt.Ctx.DB.Table(root)
-	if !ok {
-		return 0, fmt.Errorf("optimizer: unknown table %q", root)
-	}
-	e, err := p.estOf(mask, p.a.predFor(mask))
-	if err != nil {
-		return 0, err
-	}
-	// Prefer the estimator's own row figure: under partition pruning its
-	// selectivity is a fraction of the surviving shards' population, not
-	// of the whole root table.
-	r := e.rows
-	if !e.hasRows {
-		r = e.sel * float64(rootTab.NumRows())
-	}
-	p.rowCache[mask] = r
-	return r, nil
 }
 
 // tableRowsPages returns physical statistics of a base table.

@@ -159,10 +159,19 @@ func TestAnalyzeErrors(t *testing.T) {
 		{Tables: []string{"lineitem"}, Pred: testkit.Expr("ghost.l_ship = 1")},
 		{Tables: []string{"lineitem", "orders"}, Pred: testkit.Expr("orders.nope = 1")},
 	}
+	// One conjunct more than a conjunct mask has bits.
+	var terms []expr.Expr
+	for i := range 65 {
+		terms = append(terms, expr.Cmp{Op: expr.GE, L: expr.C("l_id"), R: expr.IntLit(int64(i))})
+	}
+	cases = append(cases, &Query{Tables: []string{"lineitem"}, Pred: expr.Conj(terms...)})
 	for i, q := range cases {
 		if _, err := o.Optimize(q); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	if _, err := o.Optimize(&Query{Tables: []string{"lineitem"}, Pred: expr.Conj(terms[:64]...)}); err != nil {
+		t.Errorf("64 conjuncts: %v", err)
 	}
 }
 

@@ -30,107 +30,79 @@ func (p *planner) accessPaths(i int) ([]candidate, error) {
 	// Physical ordering of the heap: declared Ordered columns plus the
 	// primary key when rows were appended in key order (we only trust the
 	// declaration).
-	var ordered []expr.ColumnRef
+	var ordered []ordering
 	for _, col := range schema.Ordered {
-		ordered = append(ordered, expr.ColumnRef{Table: tName, Column: col})
+		ordered = append(ordered, ordering{col: expr.ColumnRef{Table: tName, Column: col}})
 	}
 
-	fullPred := p.a.predOnly(i)
-	seq := &engine.SeqScan{Table: tName, Filter: fullPred, Partitions: p.scanParts(i)}
+	own := p.a.within(bit)
+	seq := &engine.SeqScan{Table: tName, Filter: p.a.pred(own), Partitions: p.scanParts(i)}
 	cands := []candidate{{
 		node:    seq,
 		cost:    pages*m.SeqPage + rows*m.Tuple,
 		rows:    outRows,
 		ordered: ordered,
 	}}
-	p.recordScan(cands[0].node, outRows, i)
-
-	// Collect sargable ranges per indexed column, remembering which
-	// conjuncts each range consumed.
-	byColumn, colOrder := sargableRanges(p.a, schema, i)
-
-	residualExcept := func(consumed map[int]bool) expr.Expr {
-		var terms []expr.Expr
-		for ci, c := range p.a.conjuncts {
-			if c.mask == bit && !consumed[ci] {
-				terms = append(terms, c.pred)
-			}
-		}
-		return expr.Conj(terms...)
-	}
-	conjOf := func(idxs []int) expr.Expr {
-		var terms []expr.Expr
-		for _, ci := range idxs {
-			terms = append(terms, p.a.conjuncts[ci].pred)
-		}
-		return expr.Conj(terms...)
-	}
+	p.record(seq, outRows, bit)
 
 	// Single-index range scans.
-	for _, col := range colOrder {
-		s := byColumn[col]
-		marg, err := p.selOf(bit, conjOf(s.consumed))
+	sargs := sargableRanges(p.a, schema, i)
+	for _, s := range sargs {
+		marg, err := p.selOf(bit, s.consumed)
 		if err != nil {
 			return nil, err
 		}
 		entries := rows * marg
-		consumed := make(map[int]bool, len(s.consumed))
-		for _, ci := range s.consumed {
-			consumed[ci] = true
+		node := &engine.IndexRangeScan{
+			Table:      tName,
+			Range:      s.rng,
+			Residual:   p.a.pred(own &^ s.consumed),
+			Partitions: p.scanParts(i),
 		}
 		cands = append(cands, candidate{
-			node: &engine.IndexRangeScan{
-				Table:      tName,
-				Range:      s.rng,
-				Residual:   residualExcept(consumed),
-				Partitions: p.scanParts(i),
-			},
+			node:    node,
 			cost:    m.IndexSeek + entries*(m.IndexEntry+m.RandPage+m.Tuple),
 			rows:    outRows,
 			ordered: ordered, // RID-ordered fetch preserves heap order
 		})
-		p.recordScan(cands[len(cands)-1].node, outRows, i)
+		p.record(node, outRows, bit)
 	}
 
 	// Index intersection over all sargable columns.
-	if len(colOrder) >= 2 {
+	if len(sargs) >= 2 {
 		var ranges []engine.KeyRange
-		var allConsumed []int
-		consumed := make(map[int]bool)
+		var consumed uint64
 		costSum := 0.0
-		for _, col := range colOrder {
-			s := byColumn[col]
-			marg, err := p.selOf(bit, conjOf(s.consumed))
+		for _, s := range sargs {
+			marg, err := p.selOf(bit, s.consumed)
 			if err != nil {
 				return nil, err
 			}
 			entries := rows * marg
 			costSum += m.IndexSeek + entries*(m.IndexEntry+m.Tuple)
 			ranges = append(ranges, s.rng)
-			allConsumed = append(allConsumed, s.consumed...)
-			for _, ci := range s.consumed {
-				consumed[ci] = true
-			}
+			consumed |= s.consumed
 		}
 		// The joint selectivity of the intersected conditions — the
 		// estimate on which the paper's whole argument turns.
-		joint, err := p.selOf(bit, conjOf(allConsumed))
+		joint, err := p.selOf(bit, consumed)
 		if err != nil {
 			return nil, err
 		}
 		costSum += rows * joint * (m.RandPage + m.Tuple)
+		node := &engine.IndexIntersect{
+			Table:      tName,
+			Ranges:     ranges,
+			Residual:   p.a.pred(own &^ consumed),
+			Partitions: p.scanParts(i),
+		}
 		cands = append(cands, candidate{
-			node: &engine.IndexIntersect{
-				Table:      tName,
-				Ranges:     ranges,
-				Residual:   residualExcept(consumed),
-				Partitions: p.scanParts(i),
-			},
+			node:    node,
 			cost:    costSum,
 			rows:    outRows,
 			ordered: ordered,
 		})
-		p.recordScan(cands[len(cands)-1].node, outRows, i)
+		p.record(node, outRows, bit)
 	}
 	return cands, nil
 }
@@ -147,23 +119,20 @@ func (p *planner) joinCandidates(rest uint32, i int, best map[uint32][]candidate
 		return nil, err
 	}
 	// Conjuncts that span both sides become a post-join filter.
-	var crossTerms []expr.Expr
-	for _, c := range p.a.conjuncts {
-		if c.mask&rest != 0 && c.mask&bit != 0 && c.mask&^mask == 0 {
-			crossTerms = append(crossTerms, c.pred)
-		}
-	}
-	crossPred := expr.Conj(crossTerms...)
+	nonCross := p.a.within(rest) | p.a.within(bit)
+	crossPred := p.a.pred(p.a.within(mask) &^ nonCross)
 	withCross := func(node engine.Node, joinOut float64, base float64) (engine.Node, float64) {
 		if crossPred == nil {
-			p.recordMask(node, outRows, mask)
+			p.record(node, outRows, mask)
 			return node, base
 		}
-		p.recordMask(node, joinOut, mask)
+		p.record(node, joinOut, mask)
 		f := &engine.Filter{Input: node, Pred: crossPred}
-		p.recordMask(f, outRows, mask)
+		p.record(f, outRows, mask)
 		return f, base + joinOut*m.Tuple
 	}
+	// Indexed nested loops probe table i with its own conjuncts.
+	residual := p.a.pred(p.a.within(bit))
 
 	var out []candidate
 	for _, e := range p.a.edges {
@@ -187,23 +156,8 @@ func (p *planner) joinCandidates(rest uint32, i int, best map[uint32][]candidate
 		// no cross terms exist, otherwise re-estimate without them.
 		joinOut := outRows
 		if crossPred != nil {
-			var nonCross []expr.Expr
-			for _, c := range p.a.conjuncts {
-				if c.mask != 0 && c.mask&^mask == 0 && !(c.mask&rest != 0 && c.mask&bit != 0) {
-					nonCross = append(nonCross, c.pred)
-				}
-			}
-			if jo, err := p.estOf(mask, expr.Conj(nonCross...)); err == nil {
-				if jo.hasRows {
-					joinOut = jo.rows
-				} else {
-					root, rootErr := p.opt.Ctx.DB.Catalog.RootOf(p.a.tablesOf(mask))
-					if rootErr == nil {
-						if rt, ok := p.opt.Ctx.DB.Table(root); ok {
-							joinOut = jo.sel * float64(rt.NumRows())
-						}
-					}
-				}
+			if jo, err := p.estOf(mask, nonCross); err == nil {
+				joinOut = jo.rows
 			}
 		}
 
@@ -249,7 +203,9 @@ func (p *planner) joinCandidates(rest uint32, i int, best map[uint32][]candidate
 					LeftSorted: lSorted, RightSorted: rSorted,
 				}
 				n2, c2 := withCross(mj, joinOut, mjCost)
-				out = append(out, candidate{node: n2, cost: c2, rows: outRows, ordered: []expr.ColumnRef{restRef, iRef}})
+				// The merge sorts both inputs on the key, whatever their
+				// declarations say, so its rows come out ordered by it.
+				out = append(out, candidate{node: n2, cost: c2, rows: outRows, ordered: []ordering{{restRef, true}, {iRef, true}}})
 			}
 
 			// Indexed nested loops with i as the inner relation.
@@ -259,7 +215,6 @@ func (p *planner) joinCandidates(rest uint32, i int, best map[uint32][]candidate
 			if err != nil {
 				return nil, err
 			}
-			residual := p.a.predOnly(i)
 			if iIsParent {
 				// Probe i's primary key: one clustered lookup per outer row.
 				node := &engine.INLJoin{
@@ -371,7 +326,7 @@ func (p *planner) starCandidates(mask uint32, best map[uint32][]candidate) ([]ca
 				return nil, err
 			}
 			// Fraction of fact rows semijoining the selected dim rows.
-			margSel, err := p.selOf(fBit|dBit, p.a.predOnly(d.idx))
+			margSel, err := p.selOf(fBit|dBit, p.a.within(dBit))
 			if err != nil {
 				return nil, err
 			}
@@ -387,16 +342,13 @@ func (p *planner) starCandidates(mask uint32, best map[uint32][]candidate) ([]ca
 			continue
 		}
 		// Joint fraction of fact rows surviving all dim semijoins — the
-		// estimate where AVI and sampling part ways.
-		var dimTerms []expr.Expr
-		jointMask := fBit
+		// estimate where AVI and sampling part ways. The dims are every
+		// other table of mask.
+		var dimConjs uint64
 		for _, d := range dims {
-			jointMask |= 1 << uint(d.idx)
-			if t := p.a.predOnly(d.idx); t != nil {
-				dimTerms = append(dimTerms, t)
-			}
+			dimConjs |= p.a.within(1 << uint(d.idx))
 		}
-		joint, err := p.selOf(jointMask, expr.Conj(dimTerms...))
+		joint, err := p.selOf(mask, dimConjs)
 		if err != nil {
 			return nil, err
 		}
@@ -405,31 +357,23 @@ func (p *planner) starCandidates(mask uint32, best map[uint32][]candidate) ([]ca
 		if err != nil {
 			return nil, err
 		}
-		// Residual: fact-local conjuncts and any cross-table conjuncts.
-		var residualTerms []expr.Expr
-		for _, c := range p.a.conjuncts {
-			if c.mask == 0 || c.mask&^mask != 0 {
-				continue
-			}
-			if c.mask&fBit != 0 || popcount(c.mask) > 1 {
-				residualTerms = append(residualTerms, c.pred)
-			}
-		}
-		var ordered []expr.ColumnRef
+		var ordered []ordering
 		for _, col := range fSchema.Ordered {
-			ordered = append(ordered, expr.ColumnRef{Table: p.a.tables[f], Column: col})
+			ordered = append(ordered, ordering{col: expr.ColumnRef{Table: p.a.tables[f], Column: col}})
+		}
+		// Residual: fact-local conjuncts and any cross-table conjuncts.
+		node := &engine.StarSemiJoin{
+			Fact:     p.a.tables[f],
+			Dims:     starDims,
+			Residual: p.a.pred(p.a.within(mask) &^ dimConjs),
 		}
 		cands = append(cands, candidate{
-			node: &engine.StarSemiJoin{
-				Fact:     p.a.tables[f],
-				Dims:     starDims,
-				Residual: expr.Conj(residualTerms...),
-			},
+			node:    node,
 			cost:    totalCost,
 			rows:    outRows,
 			ordered: ordered,
 		})
-		p.recordMask(cands[len(cands)-1].node, outRows, mask)
+		p.record(node, outRows, mask)
 	}
 	return cands, nil
 }

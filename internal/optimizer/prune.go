@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
-	"robustqo/internal/engine"
-	"robustqo/internal/expr"
 	"robustqo/internal/storage"
 )
 
@@ -33,6 +30,7 @@ type tableParts struct {
 // all-shards entry, so estimates and EXPLAIN ANALYZE still report the
 // shard arithmetic ("partitions: n/n") even when nothing was eliminated.
 func (p *planner) computePruning() {
+	p.parts = make([]*tableParts, len(p.a.tables))
 	for i, name := range p.a.tables {
 		t, ok := p.opt.Ctx.DB.Table(name)
 		if !ok || t.Partitions() <= 1 {
@@ -45,25 +43,11 @@ func (p *planner) computePruning() {
 		)
 		lo, hi := int64(minKey), int64(maxKey)
 		found := false
-		bit := uint32(1) << uint(i)
-		for _, c := range p.a.conjuncts {
-			if c.mask != bit {
-				continue
+		for cm := p.a.within(1 << uint(i)); cm != 0; cm &= cm - 1 {
+			if c := &p.a.conjuncts[bits.TrailingZeros64(cm)]; c.isRange && c.rng.Column == spec.Column {
+				lo, hi = max(lo, c.rng.Lo), min(hi, c.rng.Hi)
+				found = true
 			}
-			ref, l, h, ok := intRangeFromConjunct(c.pred)
-			if !ok || ref.Column != spec.Column {
-				continue
-			}
-			if ref.Table != "" && ref.Table != name {
-				continue
-			}
-			if l > lo {
-				lo = l
-			}
-			if h < hi {
-				hi = h
-			}
-			found = true
 		}
 		tp := &tableParts{total: t.Partitions()}
 		shards, pruned := []int(nil), false
@@ -79,37 +63,8 @@ func (p *planner) computePruning() {
 				tp.parts[s] = s
 			}
 		}
-		if p.parts == nil {
-			p.parts = make(map[int]*tableParts)
-		}
 		p.parts[i] = tp
 	}
-}
-
-// rootEvidence returns the evidence the estimator conditions pred on
-// over the masked subexpression, both read off its FK root (the table the
-// synopsis is rooted at): the root's surviving shards, nil when it is
-// unpartitioned, and the zone-map ceiling of pred's own root-table
-// conjuncts, 0 when zone maps eliminated nothing. Both are fixed per
-// mask and predicate, estOf's cache key.
-func (p *planner) rootEvidence(mask uint32, pred expr.Expr) (parts []int, maxSel float64) {
-	root, ok := p.roots[mask]
-	if !ok {
-		// A single table is its own root.
-		root = bits.TrailingZeros32(mask)
-		if mask&(mask-1) != 0 {
-			name, err := p.opt.Ctx.DB.Catalog.RootOf(p.a.tablesOf(mask))
-			if err != nil {
-				return nil, 0
-			}
-			root = slices.Index(p.a.tables, name)
-		}
-		p.roots[mask] = root
-	}
-	if tp, ok := p.parts[root]; ok {
-		parts = tp.parts
-	}
-	return parts, p.zoneCeiling(root, pred)
 }
 
 // prunedRowsPages returns the physical rows and pages a scan of table i
@@ -143,21 +98,4 @@ func (p *planner) scanParts(i int) []int {
 		return tp.parts
 	}
 	return nil
-}
-
-// recordScan is record plus the partition arithmetic for scans of
-// partitioned tables ("partitions: k/n" in EXPLAIN ANALYZE) and, for
-// sequential scans, the zone-map arithmetic ("segments: k/n skipped").
-func (p *planner) recordScan(n engine.Node, rows float64, i int) {
-	s := p.snap
-	s.Rows = rows
-	s.Fingerprint = p.fingerprintFor(uint32(1) << uint(i))
-	if tp := p.parts[i]; tp != nil {
-		s.PartsScanned = len(tp.parts)
-		s.PartsTotal = tp.total
-	}
-	if seq, ok := n.(*engine.SeqScan); ok {
-		s.SegsSkipped, s.SegsTotal = p.scanSegs(i, seq.Filter)
-	}
-	p.estimates[n] = s
 }

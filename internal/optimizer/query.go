@@ -14,6 +14,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/engine"
@@ -44,11 +45,27 @@ type joinEdge struct {
 	pkCol  string // primary key of parent
 }
 
-// conjunct is one top-level AND term of the predicate together with the
-// set of query tables it references (as a bitmask).
+// conjunct is one top-level AND term of the predicate with everything
+// the planner derives from the term alone, computed once by analyze. The
+// planner names a set of conjuncts by a uint64 mask over
+// analysis.conjuncts, so the question it asks the estimator is a table
+// mask and a conjunct mask.
 type conjunct struct {
 	pred expr.Expr
-	mask uint32
+	// tables is the set of query tables the term references. A term
+	// without columns (1 = 0) holds for every row or for none, so it gets
+	// the FK root's bit: every full plan scans the root, and every
+	// estimate over it sees the term.
+	tables uint32
+	shape  string // fingerprintExpr(pred), the term's ledger shape
+	// rng is the term's sargable integer interval (intRangeFromConjunct)
+	// on a column of its one table, when isRange.
+	rng     engine.KeyRange
+	isRange bool
+	// bound is the term's zone-map bound over its one table's schema
+	// (expr.PushableBound), when pushable.
+	bound    expr.ColBound
+	pushable bool
 }
 
 // analysis is the prepared form of a query.
@@ -59,14 +76,18 @@ type analysis struct {
 	conjuncts []conjunct
 }
 
-// analyze validates the query against the catalog and decomposes the
-// predicate.
+// analyze validates the query against the catalog and numbers the
+// predicate's conjuncts.
 func analyze(cat *catalog.Catalog, q *Query) (*analysis, error) {
 	if q == nil || len(q.Tables) == 0 {
 		return nil, fmt.Errorf("optimizer: query must name at least one table")
 	}
 	if len(q.Tables) > 16 {
 		return nil, fmt.Errorf("optimizer: %d tables exceeds the supported maximum of 16", len(q.Tables))
+	}
+	terms := flatten(q.Pred)
+	if len(terms) > 64 {
+		return nil, fmt.Errorf("optimizer: %d conjuncts exceeds the supported maximum of 64", len(terms))
 	}
 	seen := make(map[string]int, len(q.Tables))
 	for i, t := range q.Tables {
@@ -90,22 +111,51 @@ func analyze(cat *catalog.Catalog, q *Query) (*analysis, error) {
 			a.edges = append(a.edges, joinEdge{child: i, parent: j, fkCol: fk.Column, pkCol: parent.PrimaryKey})
 		}
 	}
-	if len(q.Tables) > 1 {
-		if _, err := cat.RootOf(q.Tables); err != nil {
-			return nil, err
-		}
-		if !a.connected(uint32(1<<len(q.Tables)) - 1) {
-			return nil, fmt.Errorf("optimizer: tables %v are not connected by foreign keys", q.Tables)
-		}
+	full := uint32(1<<len(q.Tables)) - 1
+	root, err := a.rootOf(full)
+	if err != nil {
+		return nil, err
 	}
-	for _, term := range expr.SplitConjuncts(q.Pred) {
+	if !a.connected(full) {
+		return nil, fmt.Errorf("optimizer: tables %v are not connected by foreign keys", q.Tables)
+	}
+	schemas := make([]expr.RelSchema, len(q.Tables))
+	for _, term := range terms {
 		mask, err := a.maskOf(cat, term)
 		if err != nil {
 			return nil, err
 		}
-		a.conjuncts = append(a.conjuncts, conjunct{pred: term, mask: mask})
+		if mask == 0 {
+			mask = 1 << uint(root)
+		}
+		c := conjunct{pred: term, tables: mask, shape: fingerprintExpr(term)}
+		if mask&(mask-1) == 0 {
+			i := bits.TrailingZeros32(mask)
+			if schemas[i].Fields == nil {
+				s, _ := cat.Table(q.Tables[i])
+				schemas[i] = expr.SchemaForTable(s)
+			}
+			if ref, lo, hi, ok := intRangeFromConjunct(term); ok {
+				c.rng, c.isRange = engine.KeyRange{Column: ref.Column, Lo: lo, Hi: hi}, true
+			}
+			c.bound, c.pushable = expr.PushableBound(term, schemas[i])
+		}
+		a.conjuncts = append(a.conjuncts, c)
 	}
 	return a, nil
+}
+
+// flatten returns the AND terms of e, a parenthesized group's included.
+func flatten(e expr.Expr) []expr.Expr {
+	var out []expr.Expr
+	for _, t := range expr.SplitConjuncts(e) {
+		if _, ok := t.(expr.And); ok {
+			out = append(out, flatten(t)...)
+		} else {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // maskOf computes which query tables a predicate term references.
@@ -148,21 +198,40 @@ func (a *analysis) maskOf(cat *catalog.Catalog, term expr.Expr) (uint32, error) 
 	return mask, nil
 }
 
-// predFor returns the conjunction of conjuncts fully contained in mask.
-func (a *analysis) predFor(mask uint32) expr.Expr {
-	var terms []expr.Expr
-	for _, c := range a.conjuncts {
-		if c.mask != 0 && c.mask&^mask == 0 {
-			terms = append(terms, c.pred)
+// within returns the mask of the conjuncts over tables alone.
+func (a *analysis) within(tables uint32) uint64 {
+	var cm uint64
+	for ci, c := range a.conjuncts {
+		if c.tables&^tables == 0 {
+			cm |= 1 << uint(ci)
 		}
+	}
+	return cm
+}
+
+// pred returns the conjunction of the conjuncts in cm, in conjunct order;
+// nil for none.
+func (a *analysis) pred(cm uint64) expr.Expr {
+	var terms []expr.Expr
+	for ; cm != 0; cm &= cm - 1 {
+		terms = append(terms, a.conjuncts[bits.TrailingZeros64(cm)].pred)
 	}
 	return expr.Conj(terms...)
 }
 
-// predOnly returns the conjunction of conjuncts whose mask exactly covers
-// only the single table t (used for access paths).
-func (a *analysis) predOnly(t int) expr.Expr {
-	return a.predFor(1 << uint(t))
+// rootOf returns the query table index of the FK root of the masked
+// tables: the one no other masked table references.
+func (a *analysis) rootOf(tables uint32) (int, error) {
+	roots := tables
+	for _, e := range a.edges {
+		if tables&(1<<uint(e.child)) != 0 {
+			roots &^= 1 << uint(e.parent)
+		}
+	}
+	if n := bits.OnesCount32(roots); n != 1 {
+		return 0, fmt.Errorf("optimizer: table set %v has %d roots; expected exactly 1 (acyclic foreign-key join)", a.tablesOf(tables), n)
+	}
+	return bits.TrailingZeros32(roots), nil
 }
 
 // tablesOf lists the table names in a mask.
@@ -201,16 +270,6 @@ func (a *analysis) connected(mask uint32) bool {
 		}
 	}
 	return reached&mask == mask
-}
-
-// popcount returns the number of set bits.
-func popcount(x uint32) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // intRangeFromConjunct recognizes sargable single-column integer range

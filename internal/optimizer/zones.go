@@ -1,8 +1,9 @@
 package optimizer
 
 import (
+	"math/bits"
+
 	"robustqo/internal/expr"
-	"robustqo/internal/storage"
 )
 
 // The zone pass reads the storage layer's zone maps — the min and max of
@@ -23,15 +24,23 @@ import (
 //     so it is derived per request, never per table.
 
 // scanSegs returns the "segments: k/n skipped" arithmetic of a
-// sequential scan of query table i under filter; zero when the filter
-// has no pushable prefix.
-func (p *planner) scanSegs(i int, filter expr.Expr) (skipped, total int) {
-	t, schema, ok := p.zoneTable(i)
-	if !ok || filter == nil {
+// sequential scan of query table i, whose filter is the table's own
+// conjuncts: the scan skips the tiles that the pushable prefix of those
+// conjuncts excludes (expr.SplitPushdown); zero when there is none.
+func (p *planner) scanSegs(i int) (skipped, total int) {
+	var bounds []expr.ColBound
+	for cm := p.a.within(1 << uint(i)); cm != 0; cm &= cm - 1 {
+		c := &p.a.conjuncts[bits.TrailingZeros64(cm)]
+		if !c.pushable {
+			break
+		}
+		bounds = append(bounds, c.bound)
+	}
+	if len(bounds) == 0 {
 		return 0, 0
 	}
-	bounds, _ := expr.SplitPushdown(filter, schema)
-	if len(bounds) == 0 {
+	t, ok := p.opt.Ctx.DB.Table(p.a.tables[i])
+	if !ok {
 		return 0, 0
 	}
 	zc := t.Zones(bounds, p.scanParts(i))
@@ -39,23 +48,24 @@ func (p *planner) scanSegs(i int, filter expr.Expr) (skipped, total int) {
 }
 
 // zoneCeiling returns the exact selectivity ceiling that the zone maps of
-// query table root put on pred, a request's predicate over an expression
-// rooted there, from pred's pushable root-table conjuncts alone; 0 when
-// they exclude no tile. A conjunct pushes over the root's schema exactly
-// when it compares one of the root's columns with a literal: analysis
-// refuses a bare column name that another query table also has.
-func (p *planner) zoneCeiling(root int, pred expr.Expr) float64 {
-	t, schema, ok := p.zoneTable(root)
-	if !ok || pred == nil {
-		return 0
-	}
+// query table root put on the conjuncts cm of a request over an
+// expression rooted there, from their pushable root-table conjuncts
+// alone; 0 when those exclude no tile. Only a conjunct over the root
+// alone can push over the root's schema: it must compare one of the
+// root's columns with a literal, and analysis refuses a bare column name
+// that another query table also has.
+func (p *planner) zoneCeiling(root int, cm uint64) float64 {
 	var bounds []expr.ColBound
-	for _, c := range expr.SplitConjuncts(pred) {
-		if b, ok := expr.PushableBound(c, schema); ok {
-			bounds = append(bounds, b)
+	for ; cm != 0; cm &= cm - 1 {
+		if c := &p.a.conjuncts[bits.TrailingZeros64(cm)]; c.pushable && c.tables == 1<<uint(root) {
+			bounds = append(bounds, c.bound)
 		}
 	}
 	if len(bounds) == 0 {
+		return 0
+	}
+	t, ok := p.opt.Ctx.DB.Table(p.a.tables[root])
+	if !ok {
 		return 0
 	}
 	zc := t.Zones(bounds, p.scanParts(root))
@@ -65,18 +75,4 @@ func (p *planner) zoneCeiling(root int, pred expr.Expr) float64 {
 	// Every tile skipped: keep the bound positive so the conditioned
 	// posterior stays proper.
 	return max(float64(zc.Live)/float64(zc.Rows), 1e-9)
-}
-
-// zoneTable returns query table i and its schema, memoized.
-func (p *planner) zoneTable(i int) (*storage.Table, expr.RelSchema, bool) {
-	t, ok := p.opt.Ctx.DB.Table(p.a.tables[i])
-	if !ok {
-		return nil, expr.RelSchema{}, false
-	}
-	schema, ok := p.schemas[i]
-	if !ok {
-		schema = expr.SchemaForTable(t.Schema())
-		p.schemas[i] = schema
-	}
-	return t, schema, true
 }

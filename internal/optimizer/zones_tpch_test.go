@@ -18,7 +18,16 @@ import (
 // threshold, passed through wrap when it is set.
 func clusteredOptimizer(t *testing.T, lines int, threshold float64, wrap func(core.Estimator) core.Estimator) (*storage.Database, *optimizer.Optimizer) {
 	t.Helper()
-	db, err := tpch.Generate(tpch.Config{Lines: lines, Seed: 2005, ClusterDates: true})
+	return tpchOptimizer(t, tpch.Config{Lines: lines, ClusterDates: true}, threshold, wrap)
+}
+
+// tpchOptimizer builds an optimizer over the data cfg generates with
+// seed 2005, as robustqo sql does, with the Bayesian estimator at the
+// threshold, passed through wrap when it is set.
+func tpchOptimizer(t *testing.T, cfg tpch.Config, threshold float64, wrap func(core.Estimator) core.Estimator) (*storage.Database, *optimizer.Optimizer) {
+	t.Helper()
+	cfg.Seed = 2005
+	db, err := tpch.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
