@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -168,6 +169,95 @@ func TestJoinTableIntChains(t *testing.T) {
 			if !slices.Equal(got, want[k]) {
 				t.Fatalf("dop %d: key %d chains rows %v, want %v", dop, k, got, want[k])
 			}
+		}
+	}
+}
+
+// foldRows builds the input of TestGlobalAggregateFold: columns a, b
+// and c of mixed numeric kinds — Int, Date and Float values, NaN, ±Inf
+// and -0 among the floats — over n rows, with bad[col] = row planting a
+// non-numeric value there.
+func foldRows(n int, bad map[int]int) *benchRowsNode {
+	rng := stats.NewRNG(43)
+	node := &benchRowsNode{schema: expr.RelSchema{Fields: []expr.Field{
+		{Table: "f", Column: "a", Type: catalog.Float},
+		{Table: "f", Column: "b", Type: catalog.Float},
+		{Table: "f", Column: "c", Type: catalog.Float},
+	}}}
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e300, -1e-300}
+	for r := 0; r < n; r++ {
+		row := make(value.Row, 3)
+		for c := range row {
+			switch x := rng.Uint64(); x % 8 {
+			case 0:
+				row[c] = value.Int(int64(x>>8)%2001 - 1000)
+			case 1:
+				row[c] = value.Date(int64(x>>8) % 9000)
+			case 2:
+				row[c] = value.Float(odd[(x>>8)%uint64(len(odd))])
+			default:
+				row[c] = value.Float(rng.Float64()*1e6 - 3e5)
+			}
+			if r%300 == 7 && c == 1 {
+				row[c] = value.Float(math.Copysign(0, -1))
+			}
+		}
+		node.rows = append(node.rows, row)
+	}
+	for c, r := range bad {
+		node.rows[r][c] = value.Str(fmt.Sprintf("bad-%c", 'a'+c))
+	}
+	return node
+}
+
+// TestGlobalAggregateFold: a global aggregate folds its batches
+// aggregate by aggregate, and its output is bit for bit the reference
+// engine's row-major fold — the same sums in the same order, and the
+// same MIN/MAX over NaN, ±Inf and -0 — and over bad input it fails with
+// the row-major loop's first error: the earliest bad row, and the
+// earliest aggregate on it, whichever aggregate reaches its bad row first.
+func TestGlobalAggregateFold(t *testing.T) {
+	a, b, c := expr.C("a"), expr.C("b"), expr.C("c")
+	plan := func(rows Node) *Aggregate {
+		return &Aggregate{Input: rows, Aggs: []AggSpec{
+			{Func: Count, As: "n"}, {Func: Sum, Arg: a, As: "sa"}, {Func: Min, Arg: b, As: "lb"},
+			{Func: Max, Arg: b, As: "hb"}, {Func: Avg, Arg: c, As: "vc"}, {Func: Count, Arg: c, As: "nc"},
+			{Func: Min, Arg: a, As: "la"},
+		}}
+	}
+	for _, n := range []int{0, 1, BatchSize - 1, 3*BatchSize + 17} {
+		p := plan(foldRows(n, nil))
+		// A computed argument, evaluated a vector at a time.
+		p.Aggs = append(p.Aggs, AggSpec{Func: Sum, Arg: expr.Arith{Op: expr.Mul, L: a, R: c}, As: "sac"})
+		got, _, _, err := Run(&Context{}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := ExecuteMaterialized(&Context{}, p, &cost.Counters{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got.Rows[0] {
+			if w := ref.Rows[0][i]; v.Kind != w.Kind || v.I != w.I || math.Float64bits(v.F) != math.Float64bits(w.F) {
+				t.Errorf("n=%d: %s = %v (%x), reference %v (%x)", n, got.Schema.Fields[i].Column, v, math.Float64bits(v.F), w, math.Float64bits(w.F))
+			}
+		}
+	}
+	// Column a feeds aggregates 1 and 6, b aggregates 2 and 3, c
+	// aggregates 4 and 5.
+	for _, bad := range []map[int]int{
+		{0: 2500},
+		{0: 2500, 2: 1300},          // c's row comes first, in an earlier batch
+		{0: 1300, 2: 1300},          // one row: a's aggregate 1 comes first
+		{1: 1301, 2: 1300},          // c's row comes first within a batch
+		{0: 1301, 1: 1301, 2: 1302}, // a and b tie on a row: a's aggregate 1 fails first
+		{2: 0},
+	} {
+		p := plan(foldRows(3*BatchSize+17, bad))
+		_, _, _, err := Run(&Context{}, p)
+		_, refErr := ExecuteMaterialized(&Context{}, p, &cost.Counters{})
+		if err == nil || refErr == nil || err.Error() != refErr.Error() {
+			t.Errorf("bad %v: error %v, reference %v", bad, err, refErr)
 		}
 	}
 }

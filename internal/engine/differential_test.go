@@ -196,18 +196,22 @@ type gen struct {
 	point
 	parts             []int // lineitem leaf shards; nil: all
 	sLo, sHi, size    int64
-	cut, price        float64
+	cut, price, cents float64
 	status            string
 	leafKind, filter  int
 	twoRanges, sorted bool
 }
 
+// leafFilters is how many filters a lineitem SeqScan leaf draws from.
+const leafFilters = 8
+
 func newGen(seed uint64) gen {
 	rng := stats.NewRNG(seed)
 	n := func(k int) int { return testkit.Intn(rng, k) }
 	g := gen{sLo: int64(n(110) - 5), cut: rng.Float64() * 1000, price: 5 + rng.Float64()*90, size: int64(n(50)),
-		status: []string{"fill", "open", "ship", "void"}[n(4)], leafKind: n(3), filter: n(6), twoRanges: n(2) == 0, sorted: n(2) == 0}
+		status: []string{"fill", "open", "ship", "void"}[n(4)], leafKind: n(3), filter: n(leafFilters), twoRanges: n(2) == 0, sorted: n(2) == 0}
 	g.sHi = g.sLo + int64(n(70))
+	g.cents = float64(n(10000)) / 100 // an l_price the fixture holds
 	return g
 }
 
@@ -260,17 +264,21 @@ func (g *gen) leaf(kind int) Node {
 	case kind == 2:
 		return g.wrap(&IndexIntersect{Table: "lineitem", Ranges: ranges, Partitions: g.parts})
 	}
-	// Pushable prefixes of every length: whole, partial, empty.
+	// Pushable prefixes of every length: whole, partial, empty; <>
+	// exclusions over the Int, String and Float columns among them.
 	status := func(op expr.CmpOp) expr.Expr {
 		return expr.Cmp{Op: op, L: expr.C("l_status"), R: expr.StrLit(g.status)}
 	}
+	ne := func(col string, lit expr.Expr) expr.Expr { return expr.Cmp{Op: expr.NE, L: expr.C(col), R: lit} }
 	filters := []expr.Expr{
 		expr.Conj(g.ship(), status(expr.EQ), g.priceBelow()),
 		expr.Conj(expr.Contains{E: expr.C("l_status"), Substr: "i"}, g.ship()),
-		expr.Conj(status(expr.GE), g.ship(), expr.Cmp{Op: expr.NE, L: expr.C("l_qty"), R: expr.IntLit(7)}),
+		expr.Conj(status(expr.GE), g.ship(), ne("l_qty", expr.IntLit(7))),
 		g.ship(),
 		expr.Conj(g.ship(), g.priceBelow()),
 		nil,
+		expr.Conj(status(expr.NE), ne("l_price", expr.FloatLit(g.cents)), g.ship(), expr.Contains{E: expr.C("l_status"), Substr: "i"}),
+		expr.Conj(g.ship(), ne("l_qty", expr.IntLit(g.size)), ne("l_price", expr.FloatLit(g.cents))),
 	}
 	s := &SeqScan{Table: "lineitem", Filter: filters[g.filter]}
 	if s.Filter != nil {

@@ -449,11 +449,13 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		n := b.Len()
 		counters.Tuples += int64(n)
 		counters.HashBuilds += int64(n)
-		sel = storage.RangeSel(sel, 0, n)
 		cols := b.Cols()
 		for i := range a.Aggs {
 			if argFns[i] == nil {
 				continue
+			}
+			if len(sel) != n {
+				sel = storage.RangeSel(sel, 0, n)
 			}
 			if cap(argVecs[i]) < n {
 				argVecs[i] = make([]value.Value, n)
@@ -571,15 +573,34 @@ func (g *aggGroups) intKey(st *aggState) string {
 }
 
 // accumulate counts n rows and folds their argument values into their
-// states — sts[r], or the global state — in row order.
+// states — sts[r], or the global state — in row order. The global state
+// folds aggregate by aggregate (fold), which sums each aggregate's values
+// in the same order and fails on the same (row, aggregate) as the
+// row-major loop does.
 //
 //qo:hotpath
 func (g *aggGroups) accumulate(n int, sts []*aggState, argVecs [][]value.Value) error {
-	st := g.global
-	for r := 0; r < n; r++ {
-		if g.global == nil {
-			st = sts[r]
+	if st := g.global; st != nil {
+		st.count += int64(n)
+		bad, badAgg := n, -1
+		for i, spec := range g.a.Aggs {
+			if spec.Arg == nil {
+				continue
+			}
+			// Row-major order fails at the first bad row, and at the
+			// first bad aggregate within it: a later aggregate matters
+			// only if it fails on an earlier row.
+			if r := st.fold(i, spec.Func, argVecs[i][:bad]); r < bad {
+				bad, badAgg = r, i
+			}
 		}
+		if badAgg >= 0 {
+			return st.accumulate(badAgg, g.a.Aggs[badAgg].Func, argVecs[badAgg][bad])
+		}
+		return nil
+	}
+	for r := 0; r < n; r++ {
+		st := sts[r]
 		st.count++
 		for i, spec := range g.a.Aggs {
 			if spec.Func == Count && spec.Arg == nil {
@@ -591,6 +612,65 @@ func (g *aggGroups) accumulate(n int, sts []*aggState, argVecs [][]value.Value) 
 		}
 	}
 	return nil
+}
+
+// fold folds vec, aggregate i's argument values over consecutive rows,
+// into its running state: one loop per function, kept to the fields
+// finalize reads for it, with accumulate's arithmetic — the same
+// additions in the same order and the same f < min, f > max tests (not
+// the min and max builtins, which differ on NaN and -0). It returns
+// len(vec), or the index of the first non-numeric value, where it stops:
+// the state is then part-folded, and the query fails.
+//
+//qo:hotpath
+func (st *aggState) fold(i int, fn AggFunc, vec []value.Value) int {
+	switch fn {
+	case Sum, Avg:
+		sum := st.sums[i]
+		for r := range vec {
+			switch v := &vec[r]; v.Kind {
+			case catalog.Float:
+				sum += v.F
+			case catalog.String:
+				return r
+			default:
+				sum += float64(v.I)
+			}
+		}
+		st.sums[i] = sum
+	case Min:
+		m := st.mins[i]
+		for r := range vec {
+			v := &vec[r]
+			if v.Kind == catalog.String {
+				return r
+			}
+			if f := v.AsFloat(); f < m {
+				m = f
+			}
+		}
+		st.mins[i] = m
+	case Max:
+		m := st.maxs[i]
+		for r := range vec {
+			v := &vec[r]
+			if v.Kind == catalog.String {
+				return r
+			}
+			if f := v.AsFloat(); f > m {
+				m = f
+			}
+		}
+		st.maxs[i] = m
+	default:
+		for r := range vec {
+			if vec[r].Kind == catalog.String {
+				return r
+			}
+		}
+	}
+	st.counts[i] += int64(len(vec))
+	return len(vec)
 }
 
 // finish renders every group's output row, ordered by the groups' string

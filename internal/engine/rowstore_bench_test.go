@@ -154,7 +154,8 @@ func BenchmarkMergeJoinPruned(b *testing.B) {
 // BenchmarkPipelineBreakers runs the dashboard's pipeline-breaker shapes
 // with the projections PruneColumns stamps, reporting ns per lineitem row:
 // the two- and three-way merge joins under COUNT and SUM, a global
-// COUNT(*), a GROUP BY over an Int key, and a top-10 sort.
+// COUNT(*), a global SUM over a 40% l_quantity range, a GROUP BY over an
+// Int key, and a top-10 sort.
 func BenchmarkPipelineBreakers(b *testing.B) {
 	ctx := tpchContext(b)
 	scan := func(table, filter string) engine.Node {
@@ -199,6 +200,10 @@ func BenchmarkPipelineBreakers(b *testing.B) {
 		}},
 		{"count", func() engine.Node {
 			return &engine.Aggregate{Aggs: []engine.AggSpec{count}, Input: scan("lineitem", "l_quantity < 25")}
+		}},
+		{"sum", func() engine.Node {
+			return &engine.Aggregate{Aggs: []engine.AggSpec{{Func: engine.Sum, Arg: testkit.Expr("l_extendedprice"), As: "s"}},
+				Input: scan("lineitem", "l_quantity BETWEEN 11 AND 30")}
 		}},
 		{"group-quantity", func() engine.Node {
 			return &engine.Aggregate{Aggs: []engine.AggSpec{count}, GroupBy: []expr.ColumnRef{ref("lineitem", "l_quantity")},

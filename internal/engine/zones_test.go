@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"robustqo/internal/colstore"
@@ -63,19 +62,25 @@ func TestColumnarStaleEncodingFallsBack(t *testing.T) {
 // type error on every row it sees. Behind a date range that keeps rows,
 // the serial scan, DOP 2 and the reference engine return the same error;
 // behind one that keeps none — every tile of the clustered fixture
-// skipped — none of them errs. A Float BETWEEN, which storage cannot
+// skipped — none of them errs. A <> and a Float bound push and keep
+// the contract too: behind them the error is the reference engine's, and
+// a Float bound that keeps no row (l_price is never negative) spares the
+// residual. A Float literal against the Int l_qty, which storage cannot
 // push, stays in the residual and scans alike everywhere. Sharded
 // layouts cover prefixes over windows that straddle shard boundaries.
 func TestFilterPrefixErrorParity(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		ctx := fixture{orders: 500, lines: 4, parts: 10, shards: shards, clustered: true}.build(t)
 		for _, tc := range []struct {
-			filter  string
-			wantErr bool
+			filter        string
+			wantErr, rows bool
 		}{
-			{"l_ship BETWEEN 10 AND 30 AND l_status < 5", true},
-			{"l_ship BETWEEN 200 AND 300 AND l_status < 5", false},
-			{"l_ship BETWEEN 10 AND 30 AND l_price BETWEEN 10 AND 20 AND l_status >= 'a'", false},
+			{"l_ship BETWEEN 10 AND 30 AND l_status < 5", true, false},
+			{"l_ship BETWEEN 200 AND 300 AND l_status < 5", false, false},
+			{"l_ship BETWEEN 10 AND 30 AND l_qty < 2.5 AND l_status >= 'a'", false, true},
+			{"l_ship BETWEEN 10 AND 30 AND l_qty <> 7 AND l_price < 50.5 AND l_status < 5", true, false},
+			{"l_status <> 'void' AND l_price <> 50.5 AND l_qty < 2.5", false, true},
+			{"l_price < 0 AND l_status < 5", false, false},
 		} {
 			scan := func() *SeqScan {
 				return &SeqScan{Table: "lineitem", Filter: testkit.Expr(tc.filter)}
@@ -85,8 +90,8 @@ func TestFilterPrefixErrorParity(t *testing.T) {
 			if (refErr != nil) != tc.wantErr {
 				t.Fatalf("shards=%d %s: reference error %v, want error %v", shards, tc.filter, refErr, tc.wantErr)
 			}
-			if refErr == nil && strings.Contains(tc.filter, "l_price") && len(ref.Rows) == 0 {
-				t.Fatalf("shards=%d %s: fixture keeps no rows", shards, tc.filter)
+			if refErr == nil && tc.rows == (len(ref.Rows) == 0) {
+				t.Fatalf("shards=%d %s: fixture keeps %d rows", shards, tc.filter, len(ref.Rows))
 			}
 			for name, plan := range map[string]Node{
 				"rows":       scan(),

@@ -56,7 +56,7 @@ func TestExplainAnalyzeSPJPinned(t *testing.T) {
 	got50 := analyzeRun(t, 0.50, nil)
 	want50 := "Limit(5)  (est=5.0 act=5 q=1.00 T=50% batches=1)\n" +
 		"  MergeJoin(orders.o_orderkey = lineitem.l_orderkey)  (est=81.6 act=97 q=1.19 T=50% batches=1)\n" +
-		"    SeqScan(orders, filter=(orders.o_total < 500))  (est=257.5 act=254 q=1.01 T=50% batches=1)\n" +
+		"    SeqScan(orders, filter=(orders.o_total < 500))  (est=257.5 act=254 q=1.01 T=50% segments: 0/1 skipped batches=1)\n" +
 		"    SeqScan(lineitem, filter=(l_ship BETWEEN 100 AND 200))  (est=191.4 act=197 q=1.03 T=50% segments: 0/1 skipped batches=2)\n"
 	if got50 != want50 {
 		t.Errorf("T=0.50 mismatch:\ngot:\n%s\nwant:\n%s", got50, want50)
@@ -66,7 +66,7 @@ func TestExplainAnalyzeSPJPinned(t *testing.T) {
 	got95 := analyzeRun(t, 0.95, nil)
 	want95 := "Limit(5)  (est=5.0 act=5 q=1.00 T=95% batches=1)\n" +
 		"  MergeJoin(orders.o_orderkey = lineitem.l_orderkey)  (est=135.8 act=97 q=1.40 T=95% batches=1)\n" +
-		"    SeqScan(orders, filter=(orders.o_total < 500))  (est=286.4 act=254 q=1.13 T=95% batches=1)\n" +
+		"    SeqScan(orders, filter=(orders.o_total < 500))  (est=286.4 act=254 q=1.13 T=95% segments: 0/1 skipped batches=1)\n" +
 		"    SeqScan(lineitem, filter=(l_ship BETWEEN 100 AND 200))  (est=266.8 act=197 q=1.35 T=95% segments: 0/1 skipped batches=2)\n"
 	if got95 != want95 {
 		t.Errorf("T=0.95 mismatch:\ngot:\n%s\nwant:\n%s", got95, want95)

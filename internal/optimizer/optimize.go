@@ -134,6 +134,10 @@ type planner struct {
 	// filled by computePruning before access-path seeding; nil for an
 	// unpartitioned table.
 	parts []*tableParts
+	// scanLive holds, per sequential scan of the chosen tree, the rows of
+	// the tiles no pushed bound excludes in its surviving shards: the
+	// rows it reads (treeEstimates).
+	scanLive map[*engine.SeqScan]int
 }
 
 // record captures the optimizer's belief about a plan node: its rows
@@ -187,9 +191,10 @@ func (o *Optimizer) newPlanner(q *Query) (*planner, error) {
 	}
 	p := &planner{
 		opt: o, a: a,
-		memo:    make(map[estKey]selEntry),
-		beliefs: make(map[engine.Node]belief),
-		snap:    obs.EstimateSnapshot{Estimator: o.Est.Name()},
+		memo:     make(map[estKey]selEntry),
+		beliefs:  make(map[engine.Node]belief),
+		snap:     obs.EstimateSnapshot{Estimator: o.Est.Name()},
+		scanLive: make(map[*engine.SeqScan]int),
 	}
 	if cl, ok := o.Est.(core.ConfidenceReporter); ok {
 		if t, ok := cl.ConfidenceLevel(); ok {
@@ -204,8 +209,8 @@ func (o *Optimizer) newPlanner(q *Query) (*planner, error) {
 // the belief recorded for each, the ledger fingerprint of the tables a
 // scan or join predicts, and a scan's partition arithmetic ("partitions:
 // k/n" in EXPLAIN ANALYZE) and, for a sequential scan, its zone-map
-// arithmetic ("segments: k/n skipped"). Only the chosen tree pays for
-// them.
+// arithmetic ("segments: k/n skipped"), whose live rows it keeps in
+// scanLive for parallelize. Only the chosen tree pays for them.
 func (p *planner) treeEstimates(root engine.Node) map[engine.Node]obs.EstimateSnapshot {
 	out := make(map[engine.Node]obs.EstimateSnapshot)
 	var walk func(n engine.Node)
@@ -222,8 +227,12 @@ func (p *planner) treeEstimates(root engine.Node) map[engine.Node]obs.EstimateSn
 				if tp := p.parts[i]; tp != nil {
 					s.PartsScanned, s.PartsTotal = len(tp.parts), tp.total
 				}
-				if _, ok := n.(*engine.SeqScan); ok {
-					s.SegsSkipped, s.SegsTotal = p.scanSegs(i)
+				if scan, ok := n.(*engine.SeqScan); ok {
+					zc, pushed := p.scanZones(i)
+					if pushed {
+						s.SegsSkipped, s.SegsTotal = zc.Skipped, zc.Tiles
+					}
+					p.scanLive[scan] = zc.Live
 				}
 			}
 			out[n] = s

@@ -6,20 +6,28 @@ import (
 	"robustqo/internal/core"
 	"robustqo/internal/engine"
 	"robustqo/internal/obs"
-	"robustqo/internal/storage"
 )
 
-// scanRowsExact is the exact row count a sequential scan will read: the
-// whole table, or the surviving shards after partition pruning.
-func scanRowsExact(tab *storage.Table, parts []int) int {
-	if parts == nil {
-		return tab.NumRows()
+// scanRows is the exact row count a sequential scan reads: the rows of
+// the tiles of its surviving shards that no pushed bound excludes, as
+// treeEstimates counted them, or, for a scan it did not see, every row
+// of those shards.
+func (p *planner) scanRows(s *engine.SeqScan) (int, bool) {
+	if n, ok := p.scanLive[s]; ok {
+		return n, true
+	}
+	tab, ok := p.opt.Ctx.DB.Table(s.Table)
+	if !ok {
+		return 0, false
+	}
+	if s.Partitions == nil {
+		return tab.NumRows(), true
 	}
 	n := 0
-	for _, p := range parts {
-		n += tab.PartitionRows(p)
+	for _, part := range s.Partitions {
+		n += tab.PartitionRows(part)
 	}
-	return n
+	return n, true
 }
 
 // DefaultParallelCutoff is the cardinality below which a scan stays
@@ -35,12 +43,14 @@ const DefaultParallelCutoff = 20000
 // place — the estimates map is keyed by node pointer, and EXPLAIN
 // ANALYZE must keep resolving the original nodes.
 //
-// Eligibility is per scan kind: a SeqScan's work is the table's full row
-// count, which is known exactly; the RID-list scans are gated on the
-// optimizer's cardinality estimate for the node, which under the robust
-// estimator is the posterior quantile at the query's confidence
-// threshold T. A higher T therefore both picks safer plans and
-// parallelizes them sooner — the same knob governs both decisions.
+// Eligibility is per scan kind: a SeqScan's work is the rows it reads,
+// which the zone maps give exactly — those of its surviving shards'
+// tiles that no pushed bound of its filter excludes, since the scan
+// skips the rest; the RID-list scans are gated on the optimizer's
+// cardinality estimate for the node, which under the robust estimator is
+// the posterior quantile at the query's confidence threshold T. A higher
+// T therefore both picks safer plans and parallelizes them sooner — the
+// same knob governs both decisions.
 func (p *planner) parallelize(n engine.Node) engine.Node {
 	switch t := n.(type) {
 	case *engine.Filter:
@@ -81,7 +91,7 @@ func (p *planner) parallelize(n engine.Node) engine.Node {
 			t.Dims[i].Scan = p.parallelize(t.Dims[i].Scan)
 		}
 	case *engine.SeqScan:
-		if tab, ok := p.opt.Ctx.DB.Table(t.Table); ok && scanRowsExact(tab, t.Partitions) >= DefaultParallelCutoff {
+		if rows, ok := p.scanRows(t); ok && rows >= DefaultParallelCutoff {
 			return p.wrapExchange(n)
 		}
 	case *engine.IndexRangeScan:
@@ -99,13 +109,13 @@ func (p *planner) parallelize(n engine.Node) engine.Node {
 // probeChainEligible reports whether a HashJoin probe side is worth
 // running through the Exchange worker pool: a chain of hash joins ending
 // in a scan that clears the parallel cutoff, judged by the same
-// estimates that gate standalone scans — exact row counts for SeqScan,
+// estimates that gate standalone scans — exact rows read for SeqScan,
 // the posterior T-quantile estimate for the RID-list scans.
 func (p *planner) probeChainEligible(n engine.Node) bool {
 	switch t := n.(type) {
 	case *engine.SeqScan:
-		tab, ok := p.opt.Ctx.DB.Table(t.Table)
-		return ok && scanRowsExact(tab, t.Partitions) >= DefaultParallelCutoff
+		rows, ok := p.scanRows(t)
+		return ok && rows >= DefaultParallelCutoff
 	case *engine.IndexRangeScan, *engine.IndexIntersect:
 		est, ok := p.estimates[n]
 		return ok && est.Rows >= DefaultParallelCutoff

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"robustqo/internal/expr"
+	"robustqo/internal/storage"
 )
 
 // The zone pass reads the storage layer's zone maps — the min and max of
@@ -14,7 +15,8 @@ import (
 //
 //   - the "segments: k/n skipped" arithmetic EXPLAIN ANALYZE reports for a
 //     sequential scan: of a scan's n tiles, the k that the pushable prefix
-//     of its filter excludes, which the scan therefore skips;
+//     of its filter excludes, which the scan therefore skips, and the rows
+//     it therefore reads, which decide whether it runs in parallel;
 //   - an exact selectivity ceiling per estimator request: the fraction of
 //     the root's rows held by tiles that no root-table conjunct of the
 //     request's own predicate excludes. It rides the request as
@@ -23,11 +25,13 @@ import (
 //     samples. A ceiling bounds only the predicate it was derived from,
 //     so it is derived per request, never per table.
 
-// scanSegs returns the "segments: k/n skipped" arithmetic of a
-// sequential scan of query table i, whose filter is the table's own
-// conjuncts: the scan skips the tiles that the pushable prefix of those
-// conjuncts excludes (expr.SplitPushdown); zero when there is none.
-func (p *planner) scanSegs(i int) (skipped, total int) {
+// scanZones returns what the zone maps prove about a sequential scan of
+// query table i, whose filter is the table's own conjuncts: in the shards
+// that survive pruning, the tiles that the pushable prefix of those
+// conjuncts excludes (expr.SplitPushdown), which the scan skips, and
+// Live, the rows of the others, which it reads. pushed is false when the
+// filter has no pushable prefix; every tile is then live.
+func (p *planner) scanZones(i int) (zc storage.ZoneCount, pushed bool) {
 	var bounds []expr.ColBound
 	for cm := p.a.within(1 << uint(i)); cm != 0; cm &= cm - 1 {
 		c := &p.a.conjuncts[bits.TrailingZeros64(cm)]
@@ -36,15 +40,11 @@ func (p *planner) scanSegs(i int) (skipped, total int) {
 		}
 		bounds = append(bounds, c.bound)
 	}
-	if len(bounds) == 0 {
-		return 0, 0
-	}
 	t, ok := p.opt.Ctx.DB.Table(p.a.tables[i])
 	if !ok {
-		return 0, 0
+		return storage.ZoneCount{}, false
 	}
-	zc := t.Zones(bounds, p.scanParts(i))
-	return zc.Skipped, zc.Tiles
+	return t.Zones(bounds, p.scanParts(i)), len(bounds) > 0
 }
 
 // zoneCeiling returns the exact selectivity ceiling that the zone maps of

@@ -182,8 +182,8 @@ func TestZoneScanPathRule(t *testing.T) {
 		name, pred string
 		zoned      bool
 	}{
-		{name: "not-equal", pred: "s_a != 7"},                  // NE has no single interval
-		{name: "float-literal", pred: "s_a < 50.5"},            // float literals never push
+		{name: "not-equal", pred: "s_a != 7", zoned: true},     // an exclusion, nothing skipped
+		{name: "float-literal", pred: "s_a < 50.5"},            // a float literal on an Int column stays residual
 		{name: "pushable-half", pred: "s_a < 50", zoned: true}, // ~50% selective, nothing skipped
 	} {
 		t.Run(tc.name, func(t *testing.T) {

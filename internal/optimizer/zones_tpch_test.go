@@ -131,3 +131,55 @@ func TestZoneCeilingBoundsItsOwnRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelCutoffCountsLiveRows: a sequential scan's parallel cutoff
+// compares the rows it reads — those of the tiles its pushed bounds do
+// not exclude — not the table's. On 60,000 ship-date-clustered lineitem
+// rows a 30-day ship-date range reads a few tiles and stays serial at
+// MaxDOP 2, a two-year range parallelizes, and either returns the serial
+// plan's rows and counters.
+func TestParallelCutoffCountsLiveRows(t *testing.T) {
+	_, opt := clusteredOptimizer(t, 60000, 0.8, nil)
+	for _, tc := range []struct {
+		pred     string
+		parallel bool
+	}{
+		{"l_shipdate BETWEEN DATE '1995-03-01' AND DATE '1995-03-30'", false},
+		{"l_shipdate BETWEEN DATE '1994-01-01' AND DATE '1995-12-31'", true},
+	} {
+		q := &optimizer.Query{Tables: []string{"lineitem"}, Pred: testkit.Expr(tc.pred)}
+		opt.MaxDOP = 0
+		serial, err := opt.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, ok := serial.Root.(*engine.SeqScan)
+		if !ok {
+			t.Fatalf("%s: plan root is %T, want SeqScan:\n%s", tc.pred, serial.Root, serial.Explain())
+		}
+		e, _ := serial.EstimateOf(scan)
+		live := (e.SegsTotal - e.SegsSkipped) * storage.SegmentRows
+		if tab, _ := opt.Ctx.DB.Table("lineitem"); tab.NumRows() < optimizer.DefaultParallelCutoff || (live < optimizer.DefaultParallelCutoff) == tc.parallel {
+			t.Fatalf("%s: fixture reads %d of %d tiles; the case tests nothing", tc.pred, e.SegsTotal-e.SegsSkipped, e.SegsTotal)
+		}
+		opt.MaxDOP = 2
+		plan, err := opt.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := plan.Root.(*engine.Exchange); ok != tc.parallel {
+			t.Fatalf("%s: parallel %v, want %v:\n%s", tc.pred, ok, tc.parallel, plan.Explain())
+		}
+		sres, sc, _, err := engine.Run(opt.Ctx, serial.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pres, pc, _, err := engine.Run(opt.Ctx, plan.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sres.Rows) != len(pres.Rows) || sc != pc {
+			t.Fatalf("%s: serial %d rows %+v, DOP 2 %d rows %+v", tc.pred, len(sres.Rows), sc, len(pres.Rows), pc)
+		}
+	}
+}

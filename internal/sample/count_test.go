@@ -2,6 +2,7 @@ package sample_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"robustqo/internal/expr"
@@ -47,11 +48,15 @@ func countCases() []countCase {
 			accept: func(col func(string, string) value.Value) bool {
 				return col("part", "p_attr1").I < tpch.PartWindow && in(col("part", "p_attr2"), 0, tpch.PartWindow-1)
 			}},
-		// No pushable prefix: the whole predicate is residual.
-		{name: "residual-ne", root: "lineitem", pred: testkit.Expr("l_quantity <> 7"),
+		// An exclusion and a Float bound push like any interval.
+		{name: "pushed-ne", root: "lineitem", pred: testkit.Expr("l_quantity <> 7"),
 			accept: func(col func(string, string) value.Value) bool { return qty(col) != 7 }},
-		{name: "residual-float", root: "lineitem", pred: testkit.Expr("l_extendedprice < 50000.5"),
+		{name: "pushed-float", root: "lineitem", pred: testkit.Expr("l_extendedprice < 50000.5"),
 			accept: func(col func(string, string) value.Value) bool { return price(col) < 50000.5 }},
+		// No pushable prefix: a Float literal against an Int column keeps
+		// the whole predicate residual.
+		{name: "residual", root: "lineitem", pred: testkit.Expr("l_quantity < 24.5 AND l_extendedprice < 50000.5"),
+			accept: func(col func(string, string) value.Value) bool { return qty(col) < 25 && price(col) < 50000.5 }},
 		{name: "float-between", root: "lineitem", pred: testkit.Expr("l_extendedprice BETWEEN 20000 AND 60000.25"),
 			accept: func(col func(string, string) value.Value) bool { return price(col) >= 20000 && price(col) <= 60000.25 }},
 		// A pushed prefix, then a residual over columns the prefix did not read.
@@ -111,6 +116,11 @@ func TestSynopsisCountAllocs(t *testing.T) {
 			syn, err := sample.BuildSynopsis(db, c.root, n, stats.NewRNG(uint64(n)))
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The case names say which side of the split a predicate is on.
+			if bounds, residual := expr.SplitPushdown(c.pred, syn.Schema); strings.HasPrefix(c.name, "pushed-") && residual != nil ||
+				c.name == "residual" && bounds != nil {
+				t.Fatalf("%s: pushed %d bounds, residual %v", c.name, len(bounds), residual)
 			}
 			got, err := syn.Count(c.pred)
 			ref, refErr := unsplitCount(t, syn, c.pred)
@@ -172,8 +182,9 @@ func bruteCount(t testing.TB, syn *sample.Synopsis, accept func(col func(table, 
 // BenchmarkSynopsisCount times the estimator's hot path: counting a
 // predicate over a default-size lineitem synopsis. The sub-benchmarks are
 // the filter shapes a count splits into — all prefix (Experiment 1's
-// date ranges), all residual, prefix then residual — and a pruned
-// CountStrata over two of four strata.
+// date ranges, and "residual", whose <> and Float bound push as well),
+// prefix then residual — and a pruned CountStrata over two of four
+// strata.
 func BenchmarkSynopsisCount(b *testing.B) {
 	db := countDB(b)
 	syn, err := sample.BuildSynopsis(db, "lineitem", sample.DefaultSize, stats.NewRNG(1))
@@ -208,7 +219,7 @@ func BenchmarkSynopsisCount(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for b.Loop() {
+			for range b.N {
 				if _, _, _, err := c.syn.CountStrata(c.pred, c.strata); err != nil {
 					b.Fatal(err)
 				}

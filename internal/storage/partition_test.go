@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -396,42 +397,126 @@ func TestAppendColumnMatchesValue(t *testing.T) {
 	}
 }
 
-// TestFilterSelMatchesCompare checks the typed bound check against
-// value.Compare, row by row, over selections that straddle shard
-// boundaries, for Int, Date and String columns and one-sided string
-// bounds.
+// edgeTable is bulkTable with edge values mixed in: MinInt64, MaxInt64
+// and -1 among the Int and Date rows, and NaN, ±Inf, -0, the largest and
+// smallest floats and float64(MaxInt64) among the Float rows, whose other
+// values fall on a coarse grid so literals hit them exactly.
+func edgeTable(t *testing.T, rng *rand.Rand) *Table {
+	t.Helper()
+	tab, err := NewTable(&catalog.TableSchema{
+		Name: "edge",
+		Columns: []catalog.Column{
+			{Name: "k", Type: catalog.Int},
+			{Name: "d", Type: catalog.Date},
+			{Name: "x", Type: catalog.Float},
+			{Name: "s", Type: catalog.String},
+		},
+		Partition: &catalog.PartitionSpec{Column: "k", Kind: catalog.RangePartition, Partitions: 4, Bounds: []int64{300, 300, 700}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ints := []int64{math.MinInt64, math.MaxInt64, -1}
+	for i := 0; i < 3000; i++ {
+		k, d := int64(rng.Intn(1000)), int64(i)
+		if rng.Intn(20) == 0 {
+			k = ints[rng.Intn(len(ints))]
+		}
+		if rng.Intn(20) == 0 {
+			d = ints[rng.Intn(len(ints))]
+		}
+		x := float64(rng.Intn(13)-6) / 2
+		if rng.Intn(5) == 0 {
+			x = edgeFloats[rng.Intn(len(edgeFloats))]
+		}
+		if err := tab.Append(value.Row{value.Int(k), value.Date(d), value.Float(x), value.Str(edgeStrs[rng.Intn(len(edgeStrs))])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab
+}
+
+var (
+	edgeFloats = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, float64(math.MaxInt64), -3, 3}
+	edgeInts = []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 299, 300, math.MaxInt64 - 1, math.MaxInt64}
+	edgeStrs = []string{"", "a", "ab", "b", "y", "yy"}
+)
+
+// edgeLit draws a literal to compare column c of edgeTable with: an Int
+// for k, an Int or Date for d, a String for s, and for x a Float (never
+// NaN), an Int or a Date — the conversions value.Compare makes.
+func edgeLit(c int, rng *rand.Rand) expr.Expr {
+	i := edgeInts[rng.Intn(len(edgeInts))]
+	if rng.Intn(2) == 0 {
+		i = int64(rng.Intn(1100) - 50)
+	}
+	switch c {
+	case 0:
+		return expr.IntLit(i)
+	case 1:
+		if rng.Intn(2) == 0 {
+			return expr.DateLit(i)
+		}
+		return expr.IntLit(i)
+	case 3:
+		return expr.StrLit(append(edgeStrs, "aa", "z")[rng.Intn(len(edgeStrs)+2)])
+	}
+	switch rng.Intn(4) {
+	case 0:
+		return expr.IntLit([]int64{math.MinInt64, math.MaxInt64, -3, 0, 2}[rng.Intn(5)])
+	case 1:
+		return expr.DateLit(int64(rng.Intn(7) - 3))
+	}
+	if f := edgeFloats[1+rng.Intn(len(edgeFloats)-1)]; rng.Intn(3) == 0 {
+		return expr.FloatLit(f)
+	}
+	return expr.FloatLit(float64(rng.Intn(15)-7) / 2)
+}
+
+// TestFilterSelMatchesCompare is the property that expr.SplitPushdown's
+// exactness rests on: for every operator (= <> < <= > >= BETWEEN) and
+// every column kind (Int, Date, Float, String), in both orientations,
+// the bound expr.PushableBound makes of a column-literal conjunct keeps
+// under FilterSel exactly the rows value.Compare says satisfy it, over
+// selections that straddle shard boundaries and an empty shard. Values
+// and literals include NaN, ±Inf, -0, MinInt64 and MaxInt64, and Int and
+// Date literals against the Float column. Strict string inequalities are
+// the one shape that must stay residual.
 func TestFilterSelMatchesCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tab := bulkTable(t, rng)
-	strs := []string{"", "y", "yy", "yyy", "yyyy"}
-	for trial := 0; trial < 300; trial++ {
-		lo, _, offs := randomSel(tab, rng, trial)
-		var b expr.ColBound
-		var loV, hiV value.Value
-		hasLo, hasHi := true, true
-		switch c := []int{0, 1, 3}[trial%3]; c {
-		case 3:
-			b = expr.ColBound{Col: c, IsStr: true,
-				StrLo: strs[rng.Intn(len(strs))], HasStrLo: rng.Intn(2) == 0,
-				StrHi: strs[rng.Intn(len(strs))], HasStrHi: rng.Intn(2) == 0}
-			loV, hiV = value.Str(b.StrLo), value.Str(b.StrHi)
-			hasLo, hasHi = b.HasStrLo, b.HasStrHi
+	tab := edgeTable(t, rng)
+	schema := expr.SchemaForTable(tab.Schema())
+	for trial := 0; trial < 2800; trial++ {
+		c, op := trial%4, trial/4%7
+		col := expr.C(tab.Schema().Columns[c].Name)
+		var e expr.Expr
+		switch {
+		case op == 6:
+			e = expr.Between{E: col, Lo: edgeLit(c, rng), Hi: edgeLit(c, rng)}
+		case rng.Intn(2) == 0:
+			e = expr.Cmp{Op: expr.CmpOp(op), L: col, R: edgeLit(c, rng)}
 		default:
-			b = expr.ColBound{Col: c, Lo: int64(rng.Intn(1100) - 50), Hi: int64(rng.Intn(1100) - 50)}
-			loV, hiV = value.Int(b.Lo), value.Int(b.Hi)
+			e = expr.Cmp{Op: expr.CmpOp(op), L: edgeLit(c, rng), R: col}
 		}
+		b, ok := expr.PushableBound(e, schema)
+		if strict := c == 3 && (op == int(expr.LT) || op == int(expr.GT)); ok == strict {
+			t.Fatalf("%s: pushed %v, want %v", e, ok, !strict)
+		}
+		if !ok {
+			continue
+		}
+		lo, _, offs := randomSel(tab, rng, trial)
+		holds := satisfies(t, tab, e)
 		var want []int
 		for _, o := range offs {
-			v := tab.Value(lo+o, b.Col)
-			cl, _ := value.Compare(v, loV)
-			ch, _ := value.Compare(v, hiV)
-			if (!hasLo || cl >= 0) && (!hasHi || ch <= 0) {
+			if holds(lo + o) {
 				want = append(want, o)
 			}
 		}
 		got := tab.FilterSel(b, lo, offs, []int{-1})
 		if got[0] != -1 || !slices.Equal(got[1:], want) {
-			t.Fatalf("FilterSel(%+v, lo=%d) = %v, want %v", b, lo, got[1:], want)
+			t.Fatalf("%s: FilterSel(%+v, lo=%d) = %v, want %v", e, b, lo, got[1:], want)
 		}
 	}
 }

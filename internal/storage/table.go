@@ -14,10 +14,13 @@
 // single logical table through the unchanged read API, and an
 // unpartitioned table is simply the one-segment degenerate case.
 //
-// Append keeps a zone map per Int, Date and String column: the min and
-// max of every SegmentRows tile of a shard. A filter-first scan skips a
-// tile some pushed bound excludes (Filter), and the planner reads the
-// same zones for an exact selectivity ceiling (Zones). The maps grow with
+// Append keeps a zone map per column: the min and max of every
+// SegmentRows tile of a shard, and for a Float column whether the tile
+// holds a NaN, which its min and max leave out. A filter-first scan skips
+// a tile some pushed bound excludes (Filter), and the planner reads the
+// same zones for an exact selectivity ceiling (Zones). Filter checks the
+// bounds on the other tiles with branch-free selection loops: each
+// writes every offset and advances past it by the bound's 0/1 verdict. The maps grow with
 // the rows, so they are never stale. Beside them Append keeps, per
 // column and shard, whether a row ever fell below the one before it, so
 // NonDecreasing answers from the rows too.
@@ -25,6 +28,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -78,7 +82,7 @@ type columnData struct {
 	ints   []int64 // Int and Date payloads
 	floats []float64
 	strs   []string
-	// zones[k] is the zone of the column's tile k; Float columns have none.
+	// zones[k] is the zone of the column's tile k.
 	zones []zone
 	// fell is set once a row sorts before the row ahead of it in the
 	// segment, in value.Compare's order.
@@ -86,15 +90,19 @@ type columnData struct {
 }
 
 // zone is the min and max of one column over one tile: lo and hi for an
-// Int or Date column, slo and shi for a String column.
+// Int or Date column, flo and fhi for a Float column, slo and shi for a
+// String column. flo and fhi range over the tile's numbers, +Inf and -Inf
+// when it has none; nan records a NaN among its rows.
 type zone struct {
 	lo, hi   int64
+	flo, fhi float64
 	slo, shi string
+	nan      bool
 }
 
-// widenInt and widenStr fold x, the value of segment-local row local,
-// into the zone of the tile holding it; a tile's first row opens its
-// zone.
+// widenInt, widenFloat and widenStr fold x, the value of segment-local
+// row local, into the zone of the tile holding it; a tile's first row
+// opens its zone.
 func (c *columnData) widenInt(local int, x int64) {
 	if local%SegmentRows == 0 {
 		c.zones = append(c.zones, zone{lo: x, hi: x})
@@ -102,6 +110,22 @@ func (c *columnData) widenInt(local int, x int64) {
 		z.lo = x
 	} else if x > z.hi {
 		z.hi = x
+	}
+}
+
+func (c *columnData) widenFloat(local int, x float64) {
+	if local%SegmentRows == 0 {
+		c.zones = append(c.zones, zone{flo: math.Inf(1), fhi: math.Inf(-1)})
+	}
+	z := &c.zones[len(c.zones)-1]
+	if x != x {
+		z.nan = true
+	}
+	if x < z.flo {
+		z.flo = x
+	}
+	if x > z.fhi {
+		z.fhi = x
 	}
 }
 
@@ -116,13 +140,29 @@ func (c *columnData) widenStr(local int, x string) {
 }
 
 // excludes reports whether the zone proves that no row of its tile
-// satisfies b. An empty interval excludes every tile.
+// satisfies b: for an interval, that the tile's values all miss it; for
+// an exclusion, that they all lie inside it. A NaN row defeats the proof
+// when b lets NaN pass.
 //
 //qo:hotpath
 func (z *zone) excludes(b *expr.ColBound) bool {
-	if b.IsStr {
+	switch {
+	case b.IsStr:
+		if b.Not {
+			return (!b.HasStrLo || z.slo >= b.StrLo) && (!b.HasStrHi || z.shi <= b.StrHi)
+		}
 		return b.HasStrLo && z.shi < b.StrLo || b.HasStrHi && z.slo > b.StrHi ||
 			b.HasStrLo && b.HasStrHi && b.StrLo > b.StrHi
+	case b.IsFloat:
+		if z.nan && b.NaN {
+			return false
+		}
+		if b.Not {
+			return z.flo >= b.FLo && z.fhi <= b.FHi
+		}
+		return z.flo > z.fhi || z.fhi < b.FLo || z.flo > b.FHi || b.FLo > b.FHi
+	case b.Not:
+		return z.lo >= b.Lo && z.hi <= b.Hi
 	}
 	return z.hi < b.Lo || z.lo > b.Hi || b.Lo > b.Hi
 }
@@ -306,6 +346,7 @@ func (t *Table) Append(row value.Row) error {
 		case catalog.Float:
 			c.fell = c.fell || last >= 0 && v.F < c.floats[last]
 			c.floats = append(c.floats, v.F)
+			c.widenFloat(seg.rows, v.F)
 		case catalog.String:
 			c.fell = c.fell || last >= 0 && v.S < c.strs[last]
 			c.strs = append(c.strs, v.S)
@@ -482,32 +523,104 @@ func (t *Table) AppendColumnSel(dst []value.Value, col, lo int, offs []int) []va
 
 // FilterSel appends to out the offsets o of offs whose global row lo+o
 // satisfies the bound b, and returns it. The check reads the typed
-// payload in place — b's integer interval against an Int or Date column,
-// its string interval against a String column — and agrees with
-// value.Compare on every row, which is what expr.SplitPushdown's
-// exactness rests on. offs must be strictly ascending; the rows it names
-// may straddle shard boundaries.
+// payload in place — b's int64, float64 or string interval against an
+// Int or Date, a Float or a String column — and agrees with value.Compare
+// on every row, which is what expr.SplitPushdown's exactness rests on.
+// offs must be strictly ascending; the rows it names may straddle shard
+// boundaries.
+//
+// Each kind runs one branch-free loop (Ross, "Selection conditions in
+// main memory", TODS 2004): it writes every offset at the end of the
+// output and advances the end by the row's 0/1 verdict, so the time per
+// row does not depend on how many rows pass.
 //
 //qo:hotpath
 func (t *Table) FilterSel(b expr.ColBound, lo int, offs, out []int) []int {
+	not := b2i(b.Not)
+	if !b.IsStr && !b.IsFloat && b.Lo > b.Hi {
+		// An empty int64 interval: no row is in it, every row outside.
+		if b.Not {
+			return append(out, offs...)
+		}
+		return out
+	}
+	n0 := len(out)
+	out = slices.Grow(out, len(offs))
+	dst := out[n0 : n0+len(offs)]
+	j := 0
 	for len(offs) > 0 {
 		c, shift, n := t.selRun(b.Col, lo, offs)
-		if b.IsStr {
-			for _, o := range offs[:n] {
-				if s := c.strs[shift+o]; (!b.HasStrLo || s >= b.StrLo) && (!b.HasStrHi || s <= b.StrHi) {
-					out = append(out, o)
-				}
-			}
-		} else {
-			for _, o := range offs[:n] {
-				if v := c.ints[shift+o]; v >= b.Lo && v <= b.Hi {
-					out = append(out, o)
-				}
-			}
+		switch {
+		case b.IsStr:
+			j += selStr(dst[j:], offs[:n], c.strs, shift, &b, not)
+		case b.IsFloat:
+			j += selFloat(dst[j:], offs[:n], c.floats, shift, &b)
+		default:
+			j += selInt(dst[j:], offs[:n], c.ints, shift, b.Lo, uint64(b.Hi-b.Lo), not)
 		}
 		offs = offs[n:]
 	}
-	return out
+	return out[:n0+j]
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag
+// set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// selInt writes to dst the offsets o of offs whose ints[shift+o] lies in
+// [lo, lo+span] — outside it when not is 1 — and returns how many. One
+// unsigned comparison tests both sides: x-lo wraps past span below lo.
+//
+//qo:hotpath
+func selInt(dst, offs []int, ints []int64, shift int, lo int64, span uint64, not int) int {
+	j := 0
+	for _, o := range offs {
+		dst[j] = o
+		j += b2i(uint64(ints[shift+o]-lo) <= span) ^ not
+	}
+	return j
+}
+
+// selFloat is selInt for a Float bound: ordered comparisons, which a NaN
+// fails both of, and the bound's NaN verdict for a NaN row (x != x).
+//
+//qo:hotpath
+func selFloat(dst, offs []int, floats []float64, shift int, b *expr.ColBound) int {
+	flo, fhi, nan := b.FLo, b.FHi, b2i(b.NaN)
+	j := 0
+	if b.Not {
+		for _, o := range offs {
+			x := floats[shift+o]
+			dst[j] = o
+			j += b2i(x < flo) | b2i(x > fhi) | b2i(x != x)&nan
+		}
+		return j
+	}
+	for _, o := range offs {
+		x := floats[shift+o]
+		dst[j] = o
+		j += b2i(x >= flo)&b2i(x <= fhi) | b2i(x != x)&nan
+	}
+	return j
+}
+
+// selStr is selInt for a String bound, either side of which may be open.
+//
+//qo:hotpath
+func selStr(dst, offs []int, strs []string, shift int, b *expr.ColBound, not int) int {
+	slo, shi, hasLo, hasHi := b.StrLo, b.StrHi, b.HasStrLo, b.HasStrHi
+	j := 0
+	for _, o := range offs {
+		s := strs[shift+o]
+		dst[j] = o
+		j += b2i((!hasLo || s >= slo) && (!hasHi || s <= shi)) ^ not
+	}
+	return j
 }
 
 // selRun locates the shard holding global row lo+offs[0] and returns its
