@@ -34,12 +34,17 @@ fuzz-smoke:
 bench:
 	bash bench/run.sh
 
+# bench-smoke runs each benchmark for one iteration (-benchtime=1x): it
+# proves the benchmarks still run, but a single iteration carries
+# first-touch costs, so its numbers cannot serve as before/after rows.
+# Quote those from runs at the default benchtime.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=BenchmarkExecStreamVsMaterialize -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkHashJoinProbe -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench='BenchmarkSeqScanRows|BenchmarkSeqScanClustered|BenchmarkMergeJoinUnsorted|BenchmarkMergeJoinPruned|BenchmarkPipelineBreakers' -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkSynopsisCount -benchtime=1x -benchmem ./internal/sample/
 	$(GO) test -run=^$$ -bench=BenchmarkOptimizeCold -benchtime=1x -benchmem ./internal/optimizer/
+	$(GO) test -run=^$$ -bench=BenchmarkParse -benchtime=1x -benchmem ./internal/sqlparse/
 
 # ledger-smoke runs the 40-query feedback corpus end to end: persists
 # the cardinality ledger, a slow-query log (threshold 0 so the artifact

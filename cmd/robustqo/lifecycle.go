@@ -127,8 +127,8 @@ func newServer(f dbFlags, out io.Writer) (*server, error) {
 		slow:    obs.NewSlowLog(0, nil),
 		slowMS:  100,
 	}
-	// Engine-side metering (hash-join builds, pre-size hits, modeled
-	// rehashes) lands in the same registry /metrics serves — including
+	// Engine-side metering (hash-join builds and partitioned builds)
+	// lands in the same registry /metrics serves — including
 	// the exchange utilization series — as do the ledger's own counters.
 	ctx.Metrics = s.reg
 	s.led.Metrics = s.reg

@@ -160,7 +160,7 @@ func TestJoinTableIntChains(t *testing.T) {
 	}
 	absent := []int64{2500, 2501, -2501, math.MinInt64 + 1, math.MaxInt64 - 1}
 	for _, dop := range []int{1, 4} {
-		tbl := buildJoinTable(rows, 0, 0, dop)
+		tbl := buildJoinTable(rows, 0, dop)
 		for _, k := range append(keys, absent...) {
 			var got []int32
 			for idx := tbl.first(value.Int(k)); idx >= 0; idx = tbl.next[idx] {

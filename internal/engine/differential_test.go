@@ -141,7 +141,6 @@ type point struct {
 	clustered  bool // l_ship climbs with row position
 	columns    bool // PruneColumns runs
 	limit      int  // 0: full drain
-	est        bool // HashJoin.BuildRowsEst set
 	// topK bounds every Sort of the plan, which then orders by its first
 	// key only, so ties are left to input order; 0: full sorts on every
 	// key.
@@ -153,7 +152,7 @@ var (
 	// topKs bound a heap by 1, by 10, and by more than any input.
 	topKs = []int{0, 1, 10, 1 << 20}
 	// radix is how many values each axis takes, in decode's order.
-	radix = [...]int{len(shapes), len(tops), len(dops), 2, len(shardCounts), 2, 2, 2, len(limits), 2, len(topKs)}
+	radix = [...]int{len(shapes), len(tops), len(dops), 2, len(shardCounts), 2, 2, 2, len(limits), len(topKs)}
 )
 
 // digits maps any integer onto the axis table, one mixed-radix digit per
@@ -168,7 +167,7 @@ func digits(x uint64) (d [len(radix)]int) {
 func decode(x uint64) point {
 	d := digits(x)
 	return point{shape: d[0], top: d[1], dop: dops[d[2]], pipeline: d[3] == 1, shards: shardCounts[d[4]],
-		pruned: d[5] == 1, clustered: d[6] == 1, columns: d[7] == 1, limit: limits[d[8]], est: d[9] == 1, topK: topKs[d[10]]}
+		pruned: d[5] == 1, clustered: d[6] == 1, columns: d[7] == 1, limit: limits[d[8]], topK: topKs[d[9]]}
 }
 
 // defaultTrials draws the default 1,000 trials as (seed, axes) pairs.
@@ -294,11 +293,7 @@ func (g *gen) part() Node {
 }
 
 func (g *gen) hash(build, probe Node, bcol, pcol expr.ColumnRef) Node {
-	j := &HashJoin{Build: build, Probe: probe, BuildCol: bcol, ProbeCol: pcol}
-	if g.est {
-		j.BuildRowsEst = 3 * g.cut // about the o_total filter's survivors
-	}
-	return j
+	return &HashJoin{Build: build, Probe: probe, BuildCol: bcol, ProbeCol: pcol}
 }
 
 func (g *gen) ordersJoin() Node { return g.hash(g.orders(), g.leaf(-1), okey, lkey) }

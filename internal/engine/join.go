@@ -20,11 +20,6 @@ type HashJoin struct {
 	Probe    Node
 	BuildCol expr.ColumnRef
 	ProbeCol expr.ColumnRef
-	// BuildRowsEst is the optimizer's posterior T-quantile estimate of the
-	// build cardinality. It feeds only the modeled robustqo_hashjoin_*
-	// metrics — the table is sized from the drained build count — and
-	// zero (a hand-built plan) models growth from the minimum capacity.
-	BuildRowsEst float64
 }
 
 // Schema implements Node.
@@ -82,7 +77,7 @@ func (j *HashJoin) openBuild(ctx *Context, counters *cost.Counters, dop int) (*b
 	if err != nil {
 		return nil, err
 	}
-	table := buildJoinTable(buildRows, bIdx, j.BuildRowsEst, dop)
+	table := buildJoinTable(buildRows, bIdx, dop)
 	table.recordMetrics(ctx.Metrics)
 	counters.HashBuilds += int64(len(buildRows))
 	return &builtJoin{table: table, pIdx: pIdx, schema: buildSchema.Concat(probeSchema)}, nil
@@ -696,8 +691,8 @@ type starDimState struct {
 
 // semijoinDim converts one dimension's selected rows into a sorted fact
 // RID list via the fact table's foreign-key index, charging the index
-// seeks and RID-list construction. Shared by the streaming and
-// materialized paths; i is the dimension ordinal for error messages.
+// seeks and RID-list construction; i is the dimension ordinal for error
+// messages.
 func (j *StarSemiJoin) semijoinDim(ctx *Context, i int, d StarDim, fact *storage.Table, dimSchema expr.RelSchema, dimRows []value.Row, counters *cost.Counters) (starDimState, []int32, error) {
 	pkIdx, err := dimSchema.Resolve(d.DimPK)
 	if err != nil {
@@ -809,7 +804,7 @@ func (o *starSemiJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	o.counters = counters
 	o.fact = fact
 	o.states = states
-	o.surviving = intersectSorted(ridLists)
+	o.surviving = index.Intersect(ridLists...)
 	o.factBuf = make(value.Row, len(o.factRead))
 	o.combined = make(value.Row, 0, len(wideSchema.Fields))
 	o.wide = getBatch(wideSchema)
@@ -858,32 +853,4 @@ func (o *starSemiJoinOp) Next() (*Batch, error) {
 func (o *starSemiJoinOp) Close() {
 	putBatch(o.wide)
 	o.wide = nil
-}
-
-func intersectSorted(lists [][]int32) []int32 {
-	if len(lists) == 0 {
-		return nil
-	}
-	result := lists[0]
-	for _, l := range lists[1:] {
-		var out []int32
-		i, j := 0, 0
-		for i < len(result) && j < len(l) {
-			switch {
-			case result[i] < l[j]:
-				i++
-			case result[i] > l[j]:
-				j++
-			default:
-				out = append(out, result[i])
-				i++
-				j++
-			}
-		}
-		result = out
-		if len(result) == 0 {
-			break
-		}
-	}
-	return result
 }

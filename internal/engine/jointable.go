@@ -27,14 +27,7 @@ package engine
 //     partition, so the partition count can never change join output.
 //   - Exact sizing. A partition's row count is known before its first
 //     insert, so the int64 class is sized once from it, at most half
-//     full, and never grows; the maps get it as their size hint. The
-//     optimizer's posterior T-quantile estimate of the build cardinality
-//     (HashJoin.BuildRowsEst) feeds only the modeled robustqo_hashjoin_*
-//     metrics: a table pre-sized from the estimate with 2x headroom, and
-//     the number of capacity doublings it would need to reach the rows
-//     actually inserted, exported when a registry is attached to the
-//     Context. An estimate within a factor of two of the actual build
-//     size models no growth.
+//     full, and never grows; the maps get it as their size hint.
 
 import (
 	"math"
@@ -45,13 +38,6 @@ import (
 	"robustqo/internal/obs"
 	"robustqo/internal/value"
 )
-
-// minJoinTableCap is the modeled capacity of an unsized table; it matches
-// the scale at which Go map growth starts to matter.
-const minJoinTableCap = 16
-
-// maxJoinTablePresize bounds how far a wild overestimate can pre-allocate.
-const maxJoinTablePresize = 1 << 22
 
 // joinPartitionThreshold is the build size below which a parallel
 // partitioned build is not worth its scatter pass; smaller builds insert
@@ -126,29 +112,15 @@ type joinTable struct {
 	// the next row sharing row i's key, or -1 at the end of a chain.
 	rows []value.Row
 	next []int32
-	// capRows is the modeled row capacity an estimate-sized table would
-	// have; it feeds only the metrics.
-	capRows  int
-	presized bool
 }
 
 // newJoinTable returns an empty table with nParts partitions (a power of
-// two), modeled as pre-sized for est build rows. The 2x headroom means an
-// estimate no worse than 2x under the actual build size still models no
-// growth.
-func newJoinTable(est float64, nParts int) *joinTable {
+// two).
+func newJoinTable(nParts int) *joinTable {
 	if nParts < 1 {
 		nParts = 1
 	}
-	t := &joinTable{parts: make([]joinPart, nParts), mask: uint64(nParts - 1), capRows: minJoinTableCap}
-	if est > 0 {
-		t.presized = true
-		need := 2 * est
-		for float64(t.capRows) < need && t.capRows < maxJoinTablePresize {
-			t.capRows <<= 1
-		}
-	}
-	return t
+	return &joinTable{parts: make([]joinPart, nParts), mask: uint64(nParts - 1)}
 }
 
 // insert links row index i (whose key is v) onto its chain in partition
@@ -266,20 +238,8 @@ func (t *joinTable) first(v value.Value) int32 {
 	return -1
 }
 
-// growCount returns the modeled number of hash-table doublings the build
-// incurred: how many times the pre-sized capacity had to double to hold
-// the rows actually inserted. Zero when the pre-size (or the minimum
-// capacity) covered the build.
-func (t *joinTable) growCount() int {
-	g := 0
-	for c := t.capRows; c < len(t.rows); c <<= 1 {
-		g++
-	}
-	return g
-}
-
-// recordMetrics exports the build's pre-size outcome. Nil registries cost
-// nothing, so hand-built plans and tests run unmetered.
+// recordMetrics counts the build, and whether it was partitioned. Nil
+// registries cost nothing, so hand-built plans and tests run unmetered.
 func (t *joinTable) recordMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -288,24 +248,18 @@ func (t *joinTable) recordMetrics(reg *obs.Registry) {
 	if len(t.parts) > 1 {
 		reg.Counter("robustqo_hashjoin_parallel_builds_total").Inc()
 	}
-	if g := t.growCount(); g > 0 {
-		reg.Counter("robustqo_hashjoin_rehashes_total").Add(int64(g))
-	} else if t.presized {
-		reg.Counter("robustqo_hashjoin_presize_hits_total").Inc()
-	}
 }
 
 // buildJoinTable builds the join table over buildRows keyed by column
-// bIdx. est is the optimizer's posterior T-quantile estimate of the build
-// cardinality (zero when the plan was built by hand); dop > 1 partitions
+// bIdx. dop > 1 partitions
 // the build across a worker pool once it is large enough to pay for the
 // scatter pass. The resulting table is identical — same keys, same
 // per-key chain order — whichever path built it.
-func buildJoinTable(buildRows []value.Row, bIdx int, est float64, dop int) *joinTable {
+func buildJoinTable(buildRows []value.Row, bIdx int, dop int) *joinTable {
 	if dop > 1 && len(buildRows) >= joinPartitionThreshold {
-		return buildJoinTableParallel(buildRows, bIdx, est, dop)
+		return buildJoinTableParallel(buildRows, bIdx, dop)
 	}
-	t := newJoinTable(est, 1)
+	t := newJoinTable(1)
 	t.rows = buildRows
 	t.next = newChainArray(len(buildRows))
 	p := &t.parts[0]
@@ -341,12 +295,12 @@ func newChainArray(n int) []int32 {
 // The workers charge no counters: the build work is the serial operator's
 // HashBuilds charge, which the coordinator applies once, outside this
 // function — exactly as the serial Open does.
-func buildJoinTableParallel(buildRows []value.Row, bIdx int, est float64, dop int) *joinTable {
+func buildJoinTableParallel(buildRows []value.Row, bIdx int, dop int) *joinTable {
 	nParts := 1
 	for nParts < dop {
 		nParts <<= 1
 	}
-	t := newJoinTable(est, nParts)
+	t := newJoinTable(nParts)
 	t.rows = buildRows
 	t.next = newChainArray(len(buildRows))
 	nMorsels := (len(buildRows) + MorselSize - 1) / MorselSize

@@ -622,7 +622,7 @@ func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*
 	if err != nil {
 		return nil, err
 	}
-	surviving := intersectSorted(ridLists)
+	surviving := index.Intersect(ridLists...)
 	counters.RandPages += int64(len(surviving))
 	counters.Tuples += int64(len(surviving))
 	f := &rowFilter{pred: pred, b: NewBatch(outSchema)}

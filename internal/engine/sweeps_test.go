@@ -22,7 +22,6 @@ const (
 	axClustered
 	axColumns
 	axLimit
-	axEst
 )
 
 // encode is digits' inverse.
@@ -73,12 +72,11 @@ func TestExchangeDifferentialDOPProperty(t *testing.T) {
 }
 
 // TestJoinDifferentialDOPProperty: every join shape at DOP 1, 2 and 4, with
-// an Exchange per scan or over the whole hash-join pipeline, BuildRowsEst
-// zero and set.
+// an Exchange per scan or over the whole hash-join pipeline.
 func TestJoinDifferentialDOPProperty(t *testing.T) {
 	joins := only("hashjoin", "mergejoin", "mergejoin-sorted", "inljoin", "inljoin-index", "star", "star-residual",
 		"hash-chain", "hash-over-parallel")
-	sweep(t, one, [len(radix)]int{}, func(p point) bool { return p.dop > 0 && joins(p) }, axShape, axDOP, axPipeline, axEst)
+	sweep(t, one, [len(radix)]int{}, func(p point) bool { return p.dop > 0 && joins(p) }, axShape, axDOP, axPipeline)
 }
 
 // TestPartitionedExchangeDifferentialProperty: every shape over 1, 2 and 4

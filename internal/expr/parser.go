@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/value"
@@ -19,21 +18,22 @@ import (
 // Supported: comparison operators (=, <>, !=, <, <=, >, >=), BETWEEN..AND,
 // AND/OR/NOT, parentheses, + - * /, unary minus, integer/float/string
 // literals, DATE 'YYYY-MM-DD' literals, and optionally table-qualified
-// column names. Keywords are case-insensitive.
+// column names. Keywords are case-insensitive; the SQL clause words
+// SELECT, FROM, WHERE, GROUP, ORDER and LIMIT are reserved and cannot
+// name a column.
 //
 // Whether the result is a valid predicate (rather than a bare scalar) is
 // checked by Bind, which performs name and type resolution.
 func Parse(input string) (Expr, error) {
-	toks, err := lex(input)
+	p, err := NewParser(input)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	e, err := p.parseOr()
+	e, err := p.Expr()
 	if err != nil {
 		return nil, err
 	}
-	if !p.atEnd() {
+	if !p.AtEnd() {
 		return nil, fmt.Errorf("expr: unexpected trailing input at %q", p.peek().text)
 	}
 	return e, nil
@@ -56,13 +56,26 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"AND": true, "OR": true, "NOT": true, "BETWEEN": true, "IN": true,
-	"CONTAINS": true, "LIKE": true, "DATE": true, "TRUE": true, "FALSE": true,
+// keywords are the reserved words, upper-cased: the predicate grammar's
+// own and the SQL clause words, so no identifier can be mistaken for a
+// clause boundary.
+var keywords = []string{
+	"AND", "OR", "NOT", "BETWEEN", "IN", "CONTAINS", "LIKE", "DATE", "TRUE", "FALSE",
+	"SELECT", "FROM", "WHERE", "GROUP", "ORDER", "LIMIT",
+}
+
+// keyword returns the reserved word word spells, ignoring case.
+func keyword(word string) (string, bool) {
+	for _, kw := range keywords {
+		if len(kw) == len(word) && strings.EqualFold(kw, word) {
+			return kw, true
+		}
+	}
+	return "", false
 }
 
 func lex(input string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(input)/4+1)
 	i := 0
 	n := len(input)
 	for i < n {
@@ -71,7 +84,7 @@ func lex(input string) ([]token, error) {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
 		case c == '(' || c == ')' || c == '+' || c == '-' || c == '*' || c == '/' || c == ',':
-			toks = append(toks, token{tokOp, string(c), i})
+			toks = append(toks, token{tokOp, input[i : i+1], i})
 			i++
 		case c == '=':
 			toks = append(toks, token{tokOp, "=", i})
@@ -100,26 +113,12 @@ func lex(input string) ([]token, error) {
 				return nil, fmt.Errorf("expr: stray '!' at offset %d", i)
 			}
 		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
-				if j >= n {
-					return nil, fmt.Errorf("expr: unterminated string starting at offset %d", i)
-				}
-				if input[j] == '\'' {
-					// '' escapes a quote inside a string.
-					if j+1 < n && input[j+1] == '\'' {
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				sb.WriteByte(input[j])
-				j++
+			text, j, err := lexString(input, i)
+			if err != nil {
+				return nil, err
 			}
-			toks = append(toks, token{tokString, sb.String(), i})
-			i = j + 1
+			toks = append(toks, token{tokString, text, i})
+			i = j
 		case c >= '0' && c <= '9' || c == '.':
 			j := i
 			seenDot := false
@@ -129,20 +128,19 @@ func lex(input string) ([]token, error) {
 				}
 				j++
 			}
-			if j == i || input[i:j] == "." {
+			if input[i:j] == "." || j < n && isIdentStart(input[j]) {
 				return nil, fmt.Errorf("expr: bad number at offset %d", i)
 			}
 			toks = append(toks, token{tokNumber, input[i:j], i})
 			i = j
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			j := i
-			for j < n && isIdentPart(rune(input[j])) {
+			for j < n && isIdentPart(input[j]) {
 				j++
 			}
 			word := input[i:j]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{tokKeyword, upper, i})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{tokKeyword, kw, i})
 			} else {
 				toks = append(toks, token{tokIdent, word, i})
 			}
@@ -155,89 +153,190 @@ func lex(input string) ([]token, error) {
 	return toks, nil
 }
 
-func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
-func isIdentPart(r rune) bool {
-	return r == '_' || r == '.' || unicode.IsLetter(r) || unicode.IsDigit(r)
+// lexString reads the string literal whose opening quote is at i and
+// returns its value and the offset just past the closing quote. A doubled
+// quote escapes one; a literal without one is a substring of the input.
+func lexString(input string, i int) (string, int, error) {
+	j := i + 1
+	var sb strings.Builder
+	for start := j; ; {
+		k := strings.IndexByte(input[j:], '\'')
+		if k < 0 {
+			return "", 0, fmt.Errorf("expr: unterminated string starting at offset %d", i)
+		}
+		j += k
+		if j+1 < len(input) && input[j+1] == '\'' {
+			sb.WriteString(input[start : j+1])
+			j += 2
+			start = j
+			continue
+		}
+		if sb.Len() == 0 {
+			return input[start:j], j + 1, nil
+		}
+		sb.WriteString(input[start:j])
+		return sb.String(), j + 1, nil
+	}
 }
 
-type parser struct {
+func isIdentStart(c byte) bool { return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
+func isIdentPart(c byte) bool  { return isIdentStart(c) || c == '.' || c >= '0' && c <= '9' }
+
+// Parser is a recursive-descent cursor over one lexed input. Parse is a
+// Parser plus an end-of-input check; package sqlparse drives a Parser
+// clause by clause over a whole statement, reading predicates and
+// aggregate arguments with Expr and the words, names and numbers between
+// them with the other methods, so a statement is lexed once.
+type Parser struct {
 	toks []token
 	pos  int
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token {
+// NewParser lexes input and returns a cursor at its first token.
+func NewParser(input string) (*Parser, error) {
+	toks, err := lex(input)
+	if err != nil {
+		return nil, err
+	}
+	return &Parser{toks: toks}, nil
+}
+
+// Expr parses one expression at the cursor, stopping at the first token
+// that cannot continue it.
+func (p *Parser) Expr() (Expr, error) { return p.parseOr() }
+
+// Word accepts the keyword or identifier w (upper-case), ignoring case.
+func (p *Parser) Word(w string) bool {
+	t := p.peek()
+	if t.kind == tokKeyword && t.text == w || t.kind == tokIdent && strings.EqualFold(t.text, w) {
+		p.pos++
+		return true
+	}
+	return false
+}
+
+// Op accepts the operator or punctuation op.
+func (p *Parser) Op(op string) bool {
+	if t := p.peek(); t.kind == tokOp && t.text == op {
+		p.pos++
+		return true
+	}
+	return false
+}
+
+// Name reads an unqualified identifier, such as a table name or an alias.
+func (p *Parser) Name() (string, bool) {
+	t := p.peek()
+	if t.kind != tokIdent || strings.Contains(t.text, ".") {
+		return "", false
+	}
+	p.pos++
+	return t.text, true
+}
+
+// Column reads an identifier as an optionally table-qualified column
+// reference.
+func (p *Parser) Column() (ColumnRef, error) {
+	t := p.peek()
+	if t.kind != tokIdent {
+		return ColumnRef{}, fmt.Errorf("expr: expected a column at offset %d, found %q", t.pos, t.text)
+	}
+	p.pos++
+	table, col, qualified := strings.Cut(t.text, ".")
+	if !qualified {
+		return ColumnRef{Column: t.text}, nil
+	}
+	if table == "" || col == "" || strings.Contains(col, ".") {
+		return ColumnRef{}, fmt.Errorf("expr: bad column reference %q", t.text)
+	}
+	return ColumnRef{Table: table, Column: col}, nil
+}
+
+// Call accepts an identifier followed by '(' — the head of a function
+// call — and returns the identifier.
+func (p *Parser) Call() (string, bool) {
+	t := p.peek()
+	if t.kind != tokIdent {
+		return "", false
+	}
+	if open := p.toks[p.pos+1]; open.kind != tokOp || open.text != "(" {
+		return "", false
+	}
+	p.pos += 2
+	return t.text, true
+}
+
+// Int reads an unsigned integer literal.
+func (p *Parser) Int() (int, bool) {
+	t := p.peek()
+	if t.kind != tokNumber {
+		return 0, false
+	}
+	n, err := strconv.Atoi(t.text)
+	if err != nil {
+		return 0, false
+	}
+	p.pos++
+	return n, true
+}
+
+// Offset returns the byte offset of the token at the cursor (the input's
+// length at the end).
+func (p *Parser) Offset() int { return p.peek().pos }
+
+// AtEnd reports whether the whole input has been consumed.
+func (p *Parser) AtEnd() bool { return p.peek().kind == tokEOF }
+
+func (p *Parser) peek() token { return p.toks[p.pos] }
+func (p *Parser) next() token {
 	t := p.toks[p.pos]
 	if t.kind != tokEOF {
 		p.pos++
 	}
 	return t
 }
-func (p *parser) atEnd() bool { return p.peek().kind == tokEOF }
 
-func (p *parser) acceptOp(text string) bool {
-	if t := p.peek(); t.kind == tokOp && t.text == text {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) acceptKeyword(kw string) bool {
-	if t := p.peek(); t.kind == tokKeyword && t.text == kw {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expectKeyword(kw string) error {
-	if !p.acceptKeyword(kw) {
+func (p *Parser) expectKeyword(kw string) error {
+	if !p.Word(kw) {
 		return fmt.Errorf("expr: expected %s at offset %d, found %q", kw, p.peek().pos, p.peek().text)
 	}
 	return nil
 }
 
-func (p *parser) parseOr() (Expr, error) {
+func (p *Parser) parseOr() (Expr, error) {
 	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+	if err != nil || !p.Word("OR") {
+		return left, err
 	}
 	terms := []Expr{left}
-	for p.acceptKeyword("OR") {
+	for more := true; more; more = p.Word("OR") {
 		t, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
 		terms = append(terms, t)
 	}
-	if len(terms) == 1 {
-		return terms[0], nil
-	}
 	return Or{Terms: terms}, nil
 }
 
-func (p *parser) parseAnd() (Expr, error) {
+func (p *Parser) parseAnd() (Expr, error) {
 	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
+	if err != nil || !p.Word("AND") {
+		return left, err
 	}
 	terms := []Expr{left}
-	for p.acceptKeyword("AND") {
+	for more := true; more; more = p.Word("AND") {
 		t, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
 		terms = append(terms, t)
 	}
-	if len(terms) == 1 {
-		return terms[0], nil
-	}
 	return And{Terms: terms}, nil
 }
 
-func (p *parser) parseNot() (Expr, error) {
-	if p.acceptKeyword("NOT") {
+func (p *Parser) parseNot() (Expr, error) {
+	if p.Word("NOT") {
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -251,7 +350,7 @@ var cmpOps = map[string]CmpOp{
 	"=": EQ, "<>": NE, "<": LT, "<=": LE, ">": GT, ">=": GE,
 }
 
-func (p *parser) parseComparison() (Expr, error) {
+func (p *Parser) parseComparison() (Expr, error) {
 	left, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
@@ -266,7 +365,7 @@ func (p *parser) parseComparison() (Expr, error) {
 			return Cmp{Op: op, L: left, R: right}, nil
 		}
 	}
-	if p.acceptKeyword("BETWEEN") {
+	if p.Word("BETWEEN") {
 		lo, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
@@ -280,8 +379,8 @@ func (p *parser) parseComparison() (Expr, error) {
 		}
 		return Between{E: left, Lo: lo, Hi: hi}, nil
 	}
-	if p.acceptKeyword("IN") {
-		if !p.acceptOp("(") {
+	if p.Word("IN") {
+		if !p.Op("(") {
 			return nil, fmt.Errorf("expr: IN requires a parenthesized value list at offset %d", p.peek().pos)
 		}
 		var vals []value.Value
@@ -295,17 +394,17 @@ func (p *parser) parseComparison() (Expr, error) {
 				return nil, fmt.Errorf("expr: IN list elements must be literals, got %s", elem)
 			}
 			vals = append(vals, lit.Val)
-			if p.acceptOp(",") {
+			if p.Op(",") {
 				continue
 			}
-			if p.acceptOp(")") {
+			if p.Op(")") {
 				break
 			}
 			return nil, fmt.Errorf("expr: expected ',' or ')' in IN list at offset %d", p.peek().pos)
 		}
 		return In{E: left, Vals: vals}, nil
 	}
-	if p.acceptKeyword("CONTAINS") || p.acceptKeyword("LIKE") {
+	if p.Word("CONTAINS") || p.Word("LIKE") {
 		t := p.peek()
 		if t.kind != tokString {
 			return nil, fmt.Errorf("expr: CONTAINS/LIKE requires a string literal at offset %d", t.pos)
@@ -324,20 +423,20 @@ func (p *parser) parseComparison() (Expr, error) {
 	return left, nil
 }
 
-func (p *parser) parseAdditive() (Expr, error) {
+func (p *Parser) parseAdditive() (Expr, error) {
 	left, err := p.parseMultiplicative()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		switch {
-		case p.acceptOp("+"):
+		case p.Op("+"):
 			r, err := p.parseMultiplicative()
 			if err != nil {
 				return nil, err
 			}
 			left = Arith{Op: Add, L: left, R: r}
-		case p.acceptOp("-"):
+		case p.Op("-"):
 			r, err := p.parseMultiplicative()
 			if err != nil {
 				return nil, err
@@ -349,20 +448,20 @@ func (p *parser) parseAdditive() (Expr, error) {
 	}
 }
 
-func (p *parser) parseMultiplicative() (Expr, error) {
+func (p *Parser) parseMultiplicative() (Expr, error) {
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		switch {
-		case p.acceptOp("*"):
+		case p.Op("*"):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
 			left = Arith{Op: Mul, L: left, R: r}
-		case p.acceptOp("/"):
+		case p.Op("/"):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
@@ -374,8 +473,8 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 	}
 }
 
-func (p *parser) parseUnary() (Expr, error) {
-	if p.acceptOp("-") {
+func (p *Parser) parseUnary() (Expr, error) {
+	if p.Op("-") {
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -395,7 +494,7 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
 	case tokNumber:
@@ -431,15 +530,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return nil, fmt.Errorf("expr: unexpected keyword %s at offset %d", t.text, t.pos)
 	case tokIdent:
-		p.next()
-		if dot := strings.IndexByte(t.text, '.'); dot >= 0 {
-			table, col := t.text[:dot], t.text[dot+1:]
-			if table == "" || col == "" || strings.Contains(col, ".") {
-				return nil, fmt.Errorf("expr: bad column reference %q", t.text)
-			}
-			return TC(table, col), nil
+		ref, err := p.Column()
+		if err != nil {
+			return nil, err
 		}
-		return C(t.text), nil
+		return Col{Ref: ref}, nil
 	case tokOp:
 		if t.text == "(" {
 			p.next()
@@ -447,7 +542,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !p.acceptOp(")") {
+			if !p.Op(")") {
 				return nil, fmt.Errorf("expr: missing ')' at offset %d", p.peek().pos)
 			}
 			return e, nil

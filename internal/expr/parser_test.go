@@ -176,6 +176,10 @@ func TestParseErrors(t *testing.T) {
 		"DATE 'nope' = a",
 		"a = @",
 		"AND a = 1",
+		"order = 1",      // clause words are reserved
+		"a = 1AND b = 2", // a number glued to a word
+		"\xc2\xaa = 1",   // identifiers are ASCII
+		"a = 'x' OR limit > 2",
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {

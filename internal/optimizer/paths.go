@@ -176,10 +176,6 @@ func (p *planner) joinCandidates(rest uint32, i int, best map[uint32][]candidate
 						Probe:    orient.probe.node,
 						BuildCol: orient.buildCol,
 						ProbeCol: orient.probeCol,
-						// The same posterior T-quantile row estimate that
-						// priced the build pre-sizes its hash table at run
-						// time.
-						BuildRowsEst: orient.build.rows,
 					}
 					c := orient.build.cost + orient.probe.cost +
 						orient.build.rows*m.HashBuild + orient.probe.rows*m.HashProbe +

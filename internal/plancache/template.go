@@ -126,7 +126,7 @@ func kindTag(k catalog.Type) byte {
 
 // shapeExpr renders the slotted shape of one predicate subtree, lifting
 // every literal into a parameter slot. The traversal order here defines
-// slot order; Bind and Literals must walk identically. Contains
+// slot order; walkLits must visit literals identically. Contains
 // substrings and IN lists stay verbatim in the key rather than in slots,
 // so Bind cannot substitute them.
 func shapeExpr(b *strings.Builder, e expr.Expr, t *Template) {
@@ -224,8 +224,12 @@ func (t *Template) Bind(params []value.Value) (*optimizer.Query, error) {
 		coerced[i] = p
 	}
 	q := *t.q
-	var idx int
-	q.Pred = substLits(t.q.Pred, coerced, &idx)
+	next := 0
+	q.Pred = walkLits(t.q.Pred, func(value.Value) value.Value {
+		v := coerced[next]
+		next++
+		return v
+	})
 	return &q, nil
 }
 
@@ -239,50 +243,52 @@ func kindsCompatible(want, got catalog.Type) bool {
 	return ints(want) && ints(got)
 }
 
-// substLits clones an expression substituting the idx'th literal (in the
-// same depth-first order shapeExpr assigns slots) with params[idx].
-func substLits(e expr.Expr, params []value.Value, idx *int) expr.Expr {
+// Literals extracts the predicate literals of a query in slot order —
+// the params a fresh normalization of q would produce. It is how the
+// serve path turns an ad-hoc query into (template, params) for lookup.
+func Literals(pred expr.Expr) []value.Value {
+	var out []value.Value
+	walkLits(pred, func(v value.Value) value.Value {
+		out = append(out, v)
+		return v
+	})
+	return out
+}
+
+// walkLits returns a copy of e with every literal replaced by lit(its
+// value), calling lit in slot order — the depth-first order shapeExpr
+// assigns slots — so Bind and Literals share one traversal. Contains
+// substrings and IN lists are key material, not slots; their operand
+// subtrees are still walked.
+func walkLits(e expr.Expr, lit func(value.Value) value.Value) expr.Expr {
 	switch n := e.(type) {
 	case expr.Lit:
-		v := params[*idx]
-		*idx++
-		return expr.Lit{Val: v}
+		return expr.Lit{Val: lit(n.Val)}
 	case expr.Cmp:
-		n.L = substLits(n.L, params, idx)
-		n.R = substLits(n.R, params, idx)
+		n.L = walkLits(n.L, lit)
+		n.R = walkLits(n.R, lit)
 		return n
 	case expr.Between:
-		n.E = substLits(n.E, params, idx)
-		n.Lo = substLits(n.Lo, params, idx)
-		n.Hi = substLits(n.Hi, params, idx)
+		n.E = walkLits(n.E, lit)
+		n.Lo = walkLits(n.Lo, lit)
+		n.Hi = walkLits(n.Hi, lit)
 		return n
 	case expr.And:
-		terms := make([]expr.Expr, len(n.Terms))
-		for i, term := range n.Terms {
-			terms[i] = substLits(term, params, idx)
-		}
-		return expr.And{Terms: terms}
+		return expr.And{Terms: walkTerms(n.Terms, lit)}
 	case expr.Or:
-		terms := make([]expr.Expr, len(n.Terms))
-		for i, term := range n.Terms {
-			terms[i] = substLits(term, params, idx)
-		}
-		return expr.Or{Terms: terms}
+		return expr.Or{Terms: walkTerms(n.Terms, lit)}
 	case expr.Not:
-		n.E = substLits(n.E, params, idx)
+		n.E = walkLits(n.E, lit)
 		return n
 	case expr.Arith:
-		n.L = substLits(n.L, params, idx)
-		n.R = substLits(n.R, params, idx)
+		n.L = walkLits(n.L, lit)
+		n.R = walkLits(n.R, lit)
 		return n
 	case expr.Contains:
-		// The substring is key material, not a slot, but the operand
-		// subtree could in principle carry literals — recurse so the
-		// traversal stays in lockstep with shapeExpr's slot order.
-		n.E = substLits(n.E, params, idx)
+		n.E = walkLits(n.E, lit)
 		return n
 	case expr.In:
-		n.E = substLits(n.E, params, idx)
+		n.E = walkLits(n.E, lit)
 		return n
 	default:
 		// Col and unknown kinds carry no slots underneath.
@@ -290,42 +296,10 @@ func substLits(e expr.Expr, params []value.Value, idx *int) expr.Expr {
 	}
 }
 
-// Literals extracts the predicate literals of a query in slot order —
-// the params a fresh normalization of q would produce. It is how the
-// serve path turns an ad-hoc query into (template, params) for lookup.
-func Literals(pred expr.Expr) []value.Value {
-	var out []value.Value
-	collectLits(pred, &out)
-	return out
-}
-
-func collectLits(e expr.Expr, out *[]value.Value) {
-	switch n := e.(type) {
-	case expr.Lit:
-		*out = append(*out, n.Val)
-	case expr.Cmp:
-		collectLits(n.L, out)
-		collectLits(n.R, out)
-	case expr.Between:
-		collectLits(n.E, out)
-		collectLits(n.Lo, out)
-		collectLits(n.Hi, out)
-	case expr.And:
-		for _, term := range n.Terms {
-			collectLits(term, out)
-		}
-	case expr.Or:
-		for _, term := range n.Terms {
-			collectLits(term, out)
-		}
-	case expr.Not:
-		collectLits(n.E, out)
-	case expr.Arith:
-		collectLits(n.L, out)
-		collectLits(n.R, out)
-	case expr.Contains:
-		collectLits(n.E, out)
-	case expr.In:
-		collectLits(n.E, out)
+func walkTerms(terms []expr.Expr, lit func(value.Value) value.Value) []expr.Expr {
+	out := make([]expr.Expr, len(terms))
+	for i, term := range terms {
+		out[i] = walkLits(term, lit)
 	}
+	return out
 }

@@ -1,6 +1,11 @@
 package sqlparse
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"robustqo/internal/expr"
+)
 
 // fuzzSeeds covers every statement shape the unit tests exercise plus the
 // syntax corners (quoting, nesting, case, aggregates) a mutator should
@@ -26,10 +31,13 @@ var fuzzSeeds = []string{
 }
 
 // FuzzParse asserts Parse never panics, and that its result contract holds:
-// exactly one of (query, error) is non-nil and a parsed query names at
-// least one table.
+// exactly one of (query, error) is non-nil, and a parsed query names at
+// least one table and no empty table, projection, grouping or sort name.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	for _, s := range emptyItemShapes {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
@@ -45,6 +53,20 @@ func FuzzParse(f *testing.F) {
 		}
 		if len(q.Tables) == 0 {
 			t.Errorf("Parse(%q) accepted a query with no tables", sql)
+		}
+		if slices.Contains(q.Tables, "") {
+			t.Errorf("Parse(%q) accepted an empty table name: %q", sql, q.Tables)
+		}
+		var refs []expr.ColumnRef
+		refs = append(refs, q.Project...)
+		refs = append(refs, q.GroupBy...)
+		for _, k := range q.OrderBy {
+			refs = append(refs, k.Col)
+		}
+		for _, r := range refs {
+			if r.Column == "" {
+				t.Errorf("Parse(%q) accepted an empty column name in %+v", sql, q)
+			}
 		}
 	})
 }

@@ -1,13 +1,24 @@
 // Package sqlparse parses a single-statement SQL SELECT into an
-// optimizer.Query:
+// optimizer.Query. The statement is lexed once, by package expr's lexer,
+// and parsed by recursive descent over that one token stream with an
+// expr.Parser:
 //
-//	SELECT <list> FROM <tables> [WHERE <pred>] [GROUP BY <cols>]
-//	    [ORDER BY <key> [ASC|DESC], ...] [LIMIT <n>]
+//	query   = SELECT item {"," item} FROM name {"," name}
+//	          [WHERE expr] [GROUP BY column {"," column}]
+//	          [ORDER BY key {"," key}] [LIMIT integer]
+//	item    = "*" | column | agg "(" ("*" | expr) ")" [AS name]
+//	agg     = SUM | COUNT | MIN | MAX | AVG
+//	key     = column [ASC | DESC]
 //
-// The select list holds '*', column references, or aggregate calls
-// (SUM/COUNT/MIN/MAX/AVG) with optional AS aliases; FROM lists the tables
-// of the foreign-key join (join predicates are implicit, per the paper's
-// query model); WHERE uses the predicate grammar of package expr.
+// A column is one identifier token, optionally table-qualified; a name is
+// an unqualified identifier; expr is package expr's expression grammar,
+// which ends at the first token that cannot continue it. Every list item
+// is required: an empty one ("t,,u", a trailing comma) is an error.
+// Keywords are case-insensitive, and the clause words SELECT, FROM,
+// WHERE, GROUP, ORDER and LIMIT are reserved. The FROM list names the
+// tables of the foreign-key join (join predicates are implicit, per the
+// paper's query model). An aggregate without AS is named after its
+// function and the source text of its argument: sum_l_price, count.
 //
 // Semantics notes: with aggregates or GROUP BY present, every plain
 // select item must appear in GROUP BY, and the output is the group
@@ -17,7 +28,6 @@ package sqlparse
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"robustqo/internal/engine"
@@ -29,79 +39,70 @@ import (
 // optimizer. Name and type resolution happens later, at optimization
 // time, against the database's catalog.
 func Parse(sql string) (*optimizer.Query, error) {
-	sections, err := split(sql)
+	p, err := expr.NewParser(sql)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sqlparse: %v", err)
+	}
+	if !p.Word("SELECT") {
+		return nil, fmt.Errorf("sqlparse: statement must start with SELECT")
 	}
 	q := &optimizer.Query{}
 
-	// FROM
-	fromText, ok := sections["FROM"]
-	if !ok {
-		return nil, fmt.Errorf("sqlparse: missing FROM clause")
+	// SELECT list
+	var plainCols []expr.ColumnRef
+	star := false
+	for more := true; more; more = p.Op(",") {
+		switch name, call := p.Call(); {
+		case call:
+			agg, err := aggItem(p, sql, name)
+			if err != nil {
+				return nil, err
+			}
+			q.Aggs = append(q.Aggs, agg)
+		case p.Op("*"):
+			star = true
+		default:
+			ref, err := p.Column()
+			if err != nil {
+				return nil, fmt.Errorf("sqlparse: select item: %v", err)
+			}
+			plainCols = append(plainCols, ref)
+		}
 	}
-	for _, part := range splitTopLevel(fromText) {
-		name := strings.TrimSpace(part)
-		if name == "" || !isIdentifier(name) {
-			return nil, fmt.Errorf("sqlparse: bad table name %q", name)
+
+	// FROM
+	if !p.Word("FROM") {
+		return nil, fmt.Errorf("sqlparse: expected FROM at offset %d", p.Offset())
+	}
+	for more := true; more; more = p.Op(",") {
+		name, ok := p.Name()
+		if !ok {
+			return nil, fmt.Errorf("sqlparse: expected a table name at offset %d", p.Offset())
 		}
 		q.Tables = append(q.Tables, name)
 	}
-	if len(q.Tables) == 0 {
-		return nil, fmt.Errorf("sqlparse: FROM lists no tables")
-	}
 
 	// WHERE
-	if text, ok := sections["WHERE"]; ok {
-		pred, err := expr.Parse(text)
-		if err != nil {
-			return nil, err
+	if p.Word("WHERE") {
+		if q.Pred, err = p.Expr(); err != nil {
+			return nil, fmt.Errorf("sqlparse: WHERE: %v", err)
 		}
-		q.Pred = pred
 	}
 
 	// GROUP BY
-	if text, ok := sections["GROUP BY"]; ok {
-		for _, part := range splitTopLevel(text) {
-			ref, err := columnRef(part)
+	if p.Word("GROUP") {
+		if !p.Word("BY") {
+			return nil, fmt.Errorf("sqlparse: expected BY at offset %d", p.Offset())
+		}
+		for more := true; more; more = p.Op(",") {
+			ref, err := p.Column()
 			if err != nil {
 				return nil, fmt.Errorf("sqlparse: GROUP BY: %v", err)
 			}
 			q.GroupBy = append(q.GroupBy, ref)
 		}
-		if len(q.GroupBy) == 0 {
-			return nil, fmt.Errorf("sqlparse: empty GROUP BY")
-		}
 	}
 
-	// SELECT list
-	selText, ok := sections["SELECT"]
-	if !ok {
-		return nil, fmt.Errorf("sqlparse: statement must start with SELECT")
-	}
-	var plainCols []expr.ColumnRef
-	star := false
-	for _, part := range splitTopLevel(selText) {
-		item := strings.TrimSpace(part)
-		if item == "" {
-			return nil, fmt.Errorf("sqlparse: empty select item")
-		}
-		if item == "*" {
-			star = true
-			continue
-		}
-		if agg, ok, err := aggItem(item); err != nil {
-			return nil, err
-		} else if ok {
-			q.Aggs = append(q.Aggs, agg)
-			continue
-		}
-		ref, err := columnRef(item)
-		if err != nil {
-			return nil, fmt.Errorf("sqlparse: select item %q: %v", item, err)
-		}
-		plainCols = append(plainCols, ref)
-	}
 	if star && (len(plainCols) > 0 || len(q.Aggs) > 0) {
 		return nil, fmt.Errorf("sqlparse: '*' cannot be combined with other select items")
 	}
@@ -115,265 +116,95 @@ func Parse(sql string) (*optimizer.Query, error) {
 			}
 		}
 	} else if !star {
-		if len(plainCols) == 0 {
-			return nil, fmt.Errorf("sqlparse: empty select list")
-		}
 		q.Project = plainCols
 	}
 
 	// ORDER BY
-	if text, ok := sections["ORDER BY"]; ok {
-		for _, part := range splitTopLevel(text) {
-			key, err := sortKey(part)
-			if err != nil {
-				return nil, err
-			}
-			q.OrderBy = append(q.OrderBy, key)
+	if p.Word("ORDER") {
+		if !p.Word("BY") {
+			return nil, fmt.Errorf("sqlparse: expected BY at offset %d", p.Offset())
 		}
-		if len(q.OrderBy) == 0 {
-			return nil, fmt.Errorf("sqlparse: empty ORDER BY")
+		for more := true; more; more = p.Op(",") {
+			ref, err := p.Column()
+			if err != nil {
+				return nil, fmt.Errorf("sqlparse: ORDER BY: %v", err)
+			}
+			desc := p.Word("DESC")
+			if !desc {
+				p.Word("ASC")
+			}
+			q.OrderBy = append(q.OrderBy, engine.SortKey{Col: ref, Desc: desc})
 		}
 	}
 
 	// LIMIT
-	if text, ok := sections["LIMIT"]; ok {
-		n, err := strconv.Atoi(strings.TrimSpace(text))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("sqlparse: bad LIMIT %q", strings.TrimSpace(text))
+	if p.Word("LIMIT") {
+		n, ok := p.Int()
+		if !ok {
+			return nil, fmt.Errorf("sqlparse: expected a non-negative integer LIMIT at offset %d", p.Offset())
 		}
 		q.Limit = n
+	}
+	if !p.AtEnd() {
+		return nil, fmt.Errorf("sqlparse: unexpected input at offset %d", p.Offset())
 	}
 	return q, nil
 }
 
-// sectionOrder lists clause keywords in their mandatory order.
-var sectionOrder = []string{"SELECT", "FROM", "WHERE", "GROUP BY", "ORDER BY", "LIMIT"}
-
-// split carves the statement into its clauses, honoring string literals
-// and parentheses so keywords inside them don't terminate a clause.
-func split(sql string) (map[string]string, error) {
-	words, spans, err := topLevelWords(sql)
-	if err != nil {
-		return nil, err
-	}
-	type mark struct {
-		keyword string
-		from    int // byte offset where the clause body starts
-		at      int // byte offset of the keyword itself
-	}
-	var marks []mark
-	for i := 0; i < len(words); i++ {
-		upper := strings.ToUpper(words[i])
-		switch upper {
-		case "SELECT", "FROM", "WHERE", "LIMIT":
-			marks = append(marks, mark{keyword: upper, from: spans[i][1], at: spans[i][0]})
-		case "GROUP", "ORDER":
-			if i+1 < len(words) && strings.EqualFold(words[i+1], "BY") {
-				marks = append(marks, mark{keyword: upper + " BY", from: spans[i+1][1], at: spans[i][0]})
-				i++
-			}
-		}
-	}
-	if len(marks) == 0 || marks[0].keyword != "SELECT" {
-		return nil, fmt.Errorf("sqlparse: statement must start with SELECT")
-	}
-	if strings.TrimSpace(sql[:marks[0].at]) != "" {
-		return nil, fmt.Errorf("sqlparse: unexpected text before SELECT")
-	}
-	sections := make(map[string]string, len(marks))
-	orderIdx := -1
-	for i, m := range marks {
-		idx := indexOf(sectionOrder, m.keyword)
-		if idx < 0 {
-			return nil, fmt.Errorf("sqlparse: unexpected clause %q", m.keyword)
-		}
-		if idx <= orderIdx {
-			return nil, fmt.Errorf("sqlparse: clause %s out of order or repeated", m.keyword)
-		}
-		orderIdx = idx
-		end := len(sql)
-		if i+1 < len(marks) {
-			end = marks[i+1].at
-		}
-		sections[m.keyword] = strings.TrimSpace(sql[m.from:end])
-	}
-	return sections, nil
-}
-
-func indexOf(xs []string, x string) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
-}
-
-// topLevelWords lexes the statement into bare words (identifiers and
-// keywords) outside parentheses and string literals, with byte spans.
-func topLevelWords(sql string) (words []string, spans [][2]int, err error) {
-	depth := 0
-	i := 0
-	for i < len(sql) {
-		c := sql[i]
-		switch {
-		case c == '\'':
-			j := i + 1
-			for j < len(sql) && sql[j] != '\'' {
-				j++
-			}
-			if j >= len(sql) {
-				return nil, nil, fmt.Errorf("sqlparse: unterminated string at offset %d", i)
-			}
-			i = j + 1
-		case c == '(':
-			depth++
-			i++
-		case c == ')':
-			depth--
-			if depth < 0 {
-				return nil, nil, fmt.Errorf("sqlparse: unbalanced ')' at offset %d", i)
-			}
-			i++
-		case isWordByte(c):
-			j := i
-			for j < len(sql) && isWordByte(sql[j]) {
-				j++
-			}
-			if depth == 0 {
-				words = append(words, sql[i:j])
-				spans = append(spans, [2]int{i, j})
-			}
-			i = j
-		default:
-			i++
-		}
-	}
-	if depth != 0 {
-		return nil, nil, fmt.Errorf("sqlparse: unbalanced '('")
-	}
-	return words, spans, nil
-}
-
-func isWordByte(c byte) bool {
-	return c == '_' || c == '.' ||
-		c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-// splitTopLevel splits on commas outside parentheses and strings.
-func splitTopLevel(s string) []string {
-	var parts []string
-	depth := 0
-	start := 0
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\'':
-			inStr = !inStr
-		case '(':
-			if !inStr {
-				depth++
-			}
-		case ')':
-			if !inStr {
-				depth--
-			}
-		case ',':
-			if depth == 0 && !inStr {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	parts = append(parts, s[start:])
-	out := parts[:0]
-	for _, p := range parts {
-		if strings.TrimSpace(p) != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func isIdentifier(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		ok := c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-			i > 0 && c >= '0' && c <= '9'
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// columnRef parses "col" or "table.col".
-func columnRef(s string) (expr.ColumnRef, error) {
-	s = strings.TrimSpace(s)
-	e, err := expr.Parse(s)
-	if err != nil {
-		return expr.ColumnRef{}, err
-	}
-	col, ok := e.(expr.Col)
+// aggItem parses the rest of the aggregate call "name(" arg ")" [AS alias]
+// once p.Call has read its head; sql is the statement, for the default
+// alias.
+func aggItem(p *expr.Parser, sql, name string) (engine.AggSpec, error) {
+	fn, ok := aggFunc(name)
 	if !ok {
-		return expr.ColumnRef{}, fmt.Errorf("%q is not a column reference", s)
+		return engine.AggSpec{}, fmt.Errorf("sqlparse: unknown aggregate %s", name)
 	}
-	return col.Ref, nil
-}
-
-var aggFuncs = map[string]engine.AggFunc{
-	"SUM": engine.Sum, "COUNT": engine.Count, "MIN": engine.Min,
-	"MAX": engine.Max, "AVG": engine.Avg,
-}
-
-// aggItem recognizes "FUNC(arg) [AS alias]". ok is false when the item is
-// not an aggregate call at all.
-func aggItem(item string) (engine.AggSpec, bool, error) {
-	trimmed := strings.TrimSpace(item)
-	open := strings.IndexByte(trimmed, '(')
-	if open <= 0 {
-		return engine.AggSpec{}, false, nil
-	}
-	fn, isAgg := aggFuncs[strings.ToUpper(strings.TrimSpace(trimmed[:open]))]
-	if !isAgg {
-		return engine.AggSpec{}, false, nil
-	}
-	close := strings.LastIndexByte(trimmed, ')')
-	if close < open {
-		return engine.AggSpec{}, false, fmt.Errorf("sqlparse: unbalanced parentheses in %q", item)
-	}
-	arg := strings.TrimSpace(trimmed[open+1 : close])
-	rest := strings.TrimSpace(trimmed[close+1:])
 	spec := engine.AggSpec{Func: fn}
-	if arg == "*" {
+	var arg string
+	if p.Op("*") {
 		if fn != engine.Count {
-			return engine.AggSpec{}, false, fmt.Errorf("sqlparse: %s(*) is not valid; only COUNT(*)", fn)
+			return engine.AggSpec{}, fmt.Errorf("sqlparse: %s(*) is not valid; only COUNT(*)", fn)
 		}
 	} else {
-		e, err := expr.Parse(arg)
+		start := p.Offset()
+		e, err := p.Expr()
 		if err != nil {
-			return engine.AggSpec{}, false, fmt.Errorf("sqlparse: aggregate argument %q: %v", arg, err)
+			return engine.AggSpec{}, fmt.Errorf("sqlparse: aggregate argument: %v", err)
 		}
 		spec.Arg = e
+		arg = strings.TrimSpace(sql[start:p.Offset()])
 	}
-	if rest != "" {
-		fields := strings.Fields(rest)
-		if len(fields) != 2 || !strings.EqualFold(fields[0], "AS") || !isIdentifier(fields[1]) {
-			return engine.AggSpec{}, false, fmt.Errorf("sqlparse: bad alias clause %q", rest)
-		}
-		spec.As = fields[1]
-	} else {
+	if !p.Op(")") {
+		return engine.AggSpec{}, fmt.Errorf("sqlparse: expected ')' at offset %d", p.Offset())
+	}
+	if !p.Word("AS") {
 		spec.As = defaultAlias(fn, arg)
+		return spec, nil
 	}
-	return spec, true, nil
+	alias, ok := p.Name()
+	if !ok {
+		return engine.AggSpec{}, fmt.Errorf("sqlparse: expected an alias at offset %d", p.Offset())
+	}
+	spec.As = alias
+	return spec, nil
 }
 
+// aggFunc returns the aggregate function name spells, ignoring case.
+func aggFunc(name string) (engine.AggFunc, bool) {
+	for _, fn := range []engine.AggFunc{engine.Sum, engine.Count, engine.Min, engine.Max, engine.Avg} {
+		if strings.EqualFold(name, fn.String()) {
+			return fn, true
+		}
+	}
+	return 0, false
+}
+
+// defaultAlias names an aggregate after its function and the source text
+// of its argument (empty for COUNT(*)), keeping letters, digits and
+// underscores and turning dots into underscores.
 func defaultAlias(fn engine.AggFunc, arg string) string {
 	name := strings.ToLower(fn.String())
-	if arg == "*" || arg == "" {
+	if arg == "" {
 		return name
 	}
 	clean := strings.Map(func(r rune) rune {
@@ -387,29 +218,6 @@ func defaultAlias(fn engine.AggFunc, arg string) string {
 		}
 	}, arg)
 	return name + "_" + clean
-}
-
-// sortKey parses "ref [ASC|DESC]".
-func sortKey(s string) (engine.SortKey, error) {
-	fields := strings.Fields(strings.TrimSpace(s))
-	if len(fields) == 0 {
-		return engine.SortKey{}, fmt.Errorf("sqlparse: empty ORDER BY key")
-	}
-	desc := false
-	refText := fields[0]
-	switch {
-	case len(fields) == 2 && strings.EqualFold(fields[1], "DESC"):
-		desc = true
-	case len(fields) == 2 && strings.EqualFold(fields[1], "ASC"):
-	case len(fields) == 1:
-	default:
-		return engine.SortKey{}, fmt.Errorf("sqlparse: bad ORDER BY key %q", s)
-	}
-	ref, err := columnRef(refText)
-	if err != nil {
-		return engine.SortKey{}, fmt.Errorf("sqlparse: ORDER BY: %v", err)
-	}
-	return engine.SortKey{Col: ref, Desc: desc}, nil
 }
 
 // refInList reports whether ref matches one of the group-by references,

@@ -141,12 +141,42 @@ func TestParseErrors(t *testing.T) {
 		"junk SELECT * FROM t",         // leading text
 		"SELECT * FROM t LIMIT 1 LIMIT 2",
 		"SELECT COUNT(( FROM t",
+		// Clause words are reserved: none names a column, table or alias.
+		"SELECT * FROM t WHERE a = limit",
+		"SELECT from FROM t",
+		"SELECT SUM(x) AS select FROM t",
+		"SELECT * FROM where",
+		"SELECT * FROM t WHERE a = 1LIMIT 5", // a number glued to a word
 	}
 	for _, sql := range bad {
 		if _, err := Parse(sql); err == nil {
 			t.Errorf("Parse(%q) succeeded", sql)
 		}
 	}
+}
+
+// TestParseRejectsEmptyListItems: every item of the FROM, select, GROUP BY
+// and ORDER BY lists is required, so a doubled, leading or trailing comma
+// is an error rather than a silently dropped item.
+func TestParseRejectsEmptyListItems(t *testing.T) {
+	for _, sql := range emptyItemShapes {
+		if q, err := Parse(sql); err == nil {
+			t.Errorf("Parse(%q) = %+v, want an error", sql, q)
+		}
+	}
+}
+
+// emptyItemShapes are statements with an empty list item; FuzzParse seeds
+// from them too.
+var emptyItemShapes = []string{
+	"SELECT * FROM t,,u",
+	"SELECT a,, b FROM t",
+	"SELECT a, FROM t",
+	"SELECT * FROM t ORDER BY a,",
+	"SELECT * FROM t,",
+	"SELECT , a FROM t",
+	"SELECT a FROM t GROUP BY a,",
+	"SELECT a FROM t GROUP BY , a",
 }
 
 func TestParseStarWithAggregationRejected(t *testing.T) {
@@ -165,14 +195,13 @@ func TestParseRejectsNonSQL(t *testing.T) {
 }
 
 func TestDefaultAliases(t *testing.T) {
-	q, err := Parse("SELECT AVG(l_price), MIN(orders.o_total) FROM lineitem, orders")
+	q, err := Parse("SELECT AVG(l_price), MIN(orders.o_total), sum( l_price * 2 ), COUNT( * ) FROM lineitem, orders")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Aggs[0].As != "avg_l_price" {
-		t.Errorf("alias0 = %q", q.Aggs[0].As)
-	}
-	if q.Aggs[1].As != "min_orders_o_total" {
-		t.Errorf("alias1 = %q", q.Aggs[1].As)
+	for i, want := range []string{"avg_l_price", "min_orders_o_total", "sum_l_price2", "count"} {
+		if q.Aggs[i].As != want {
+			t.Errorf("alias%d = %q, want %q", i, q.Aggs[i].As, want)
+		}
 	}
 }
