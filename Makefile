@@ -28,6 +28,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadSet -fuzztime=5s ./internal/sample/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineDifferential -fuzztime=10s ./internal/engine/
 	$(GO) test -run=^$$ -fuzz=FuzzPlanSpaceOracle -fuzztime=5s ./internal/optimizer/
+	$(GO) test -run=^$$ -fuzz=FuzzExactSum -fuzztime=5s ./internal/value/
+	$(GO) test -run=^$$ -fuzz=FuzzParseDate -fuzztime=5s ./internal/value/
 
 # bench is the benchmark of record (bench/README.md): four workloads,
 # every answer checked against the reference evaluator.
@@ -42,6 +44,7 @@ bench-smoke:
 	$(GO) test -run=^$$ -bench=BenchmarkExecStreamVsMaterialize -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkHashJoinProbe -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench='BenchmarkSeqScanRows|BenchmarkSeqScanClustered|BenchmarkMergeJoinUnsorted|BenchmarkMergeJoinPruned|BenchmarkPipelineBreakers' -benchtime=1x -benchmem ./internal/engine/
+	$(GO) test -run=^$$ -bench=BenchmarkScanAggregate -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkSynopsisCount -benchtime=1x -benchmem ./internal/sample/
 	$(GO) test -run=^$$ -bench=BenchmarkOptimizeCold -benchtime=1x -benchmem ./internal/optimizer/
 	$(GO) test -run=^$$ -bench=BenchmarkParse -benchtime=1x -benchmem ./internal/sqlparse/

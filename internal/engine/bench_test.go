@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
+	"robustqo/internal/testkit"
 )
 
 // benchPlan is a scan→filter→limit pipeline: the shape where streaming
@@ -80,5 +82,35 @@ func TestStreamLimitAllocsFarBelowMaterialized(t *testing.T) {
 	if stream*10 > mat {
 		t.Errorf("streaming LIMIT 10 allocated %.0f/run vs materialized %.0f/run; want >=10x reduction",
 			stream, mat)
+	}
+}
+
+// BenchmarkScanAggregate is the paper's Experiment-1 shape at the
+// benchmark's scale: a global SUM and COUNT(*) over a 240,000-row,
+// ship-date-clustered lineitem in four range shards, at DOP 1 and 2. The
+// date slice skips most tiles; the qty slice reads every tile and keeps
+// about 40% of the rows. The scan emits only l_price, as the optimizer's
+// plans do.
+func BenchmarkScanAggregate(b *testing.B) {
+	ctx := fixture{orders: 80000, lines: 3, parts: 40, shards: 4, clustered: true}.build(b)
+	for _, slice := range []struct{ name, filter string }{
+		{"date", "l_ship BETWEEN 40 AND 49"},
+		{"qty", "l_qty BETWEEN 10 AND 29"},
+	} {
+		for _, dop := range []int{1, 2} {
+			plan := &Aggregate{
+				Input: &Exchange{Source: &SeqScan{Table: "lineitem", Filter: testkit.Expr(slice.filter)}, DOP: dop},
+				Aggs:  []AggSpec{{Func: Sum, Arg: expr.C("l_price")}, {Func: Count}},
+			}
+			PruneColumns(ctx, plan) // as the optimizer's plans are
+			b.Run(fmt.Sprintf("%s/dop=%d", slice.name, dop), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, _, err := Run(ctx, plan); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -30,8 +30,12 @@ import (
 // were pruned (fewer pages) or a LIMIT stops a parallel pipeline (how far
 // workers run ahead of an early Close is timing). A SeqScan meters the
 // zone verdict of its tiles exactly when its filter has a pushable prefix
-// and it reads some shard. FuzzEngineDifferential replays a failing
-// trial's seed and axes.
+// and it reads some shard. The instrumented axis runs the plan under
+// Instrument, which must change neither rows nor counters; with the
+// "global" shape and the DOP axis it places a fused global aggregate
+// (fold.go) directly over the lineitem leaf, bare or instrumented,
+// serially or over an Exchange at each DOP. FuzzEngineDifferential
+// replays a failing trial's seed and axes.
 
 // fixture describes one generated database of the engine tests: part,
 // orders, and lineitem with FKs to both, indexes on l_ship, l_receipt and
@@ -145,6 +149,8 @@ type point struct {
 	// key only, so ties are left to input order; 0: full sorts on every
 	// key.
 	topK int
+	// instrumented runs the plan under Instrument.
+	instrumented bool
 }
 
 var (
@@ -152,7 +158,7 @@ var (
 	// topKs bound a heap by 1, by 10, and by more than any input.
 	topKs = []int{0, 1, 10, 1 << 20}
 	// radix is how many values each axis takes, in decode's order.
-	radix = [...]int{len(shapes), len(tops), len(dops), 2, len(shardCounts), 2, 2, 2, len(limits), len(topKs)}
+	radix = [...]int{len(shapes), len(tops), len(dops), 2, len(shardCounts), 2, 2, 2, len(limits), len(topKs), 2}
 )
 
 // digits maps any integer onto the axis table, one mixed-radix digit per
@@ -167,7 +173,7 @@ func digits(x uint64) (d [len(radix)]int) {
 func decode(x uint64) point {
 	d := digits(x)
 	return point{shape: d[0], top: d[1], dop: dops[d[2]], pipeline: d[3] == 1, shards: shardCounts[d[4]],
-		pruned: d[5] == 1, clustered: d[6] == 1, columns: d[7] == 1, limit: limits[d[8]], topK: topKs[d[9]]}
+		pruned: d[5] == 1, clustered: d[6] == 1, columns: d[7] == 1, limit: limits[d[8]], topK: topKs[d[9]], instrumented: d[10] == 1}
 }
 
 // defaultTrials draws the default 1,000 trials as (seed, axes) pairs.
@@ -324,6 +330,16 @@ var shapes = []struct {
 			{Func: Sum, Arg: expr.C("l_price")}, {Func: Min, Arg: expr.C("l_ship")}, {Func: Max, Arg: expr.C("l_receipt")}}}
 	}},
 	{"limit", lineCols, func(g *gen) Node { return &Limit{N: 1 << 30, Input: g.leaf(-1)} }},
+	// A global aggregate over the SeqScan leaf: the fused fold.
+	{"global", nil, func(g *gen) Node {
+		aggs := []AggSpec{{Func: Count, As: "n"}}
+		for _, col := range []string{"l_price", "l_qty", "l_ship"} {
+			for _, fn := range []AggFunc{Sum, Avg, Min, Max} {
+				aggs = append(aggs, AggSpec{Func: fn, Arg: expr.C(col)})
+			}
+		}
+		return &Aggregate{Input: g.leaf(0), Aggs: aggs}
+	}},
 	{"hashjoin", orderCols, func(g *gen) Node { return g.pipe(g.ordersJoin) }},
 	{"mergejoin", orderCols, func(g *gen) Node {
 		return &MergeJoin{Left: g.orders(), Right: g.leaf(-1), LeftCol: okey, RightCol: lkey}
@@ -432,9 +448,13 @@ func runTrial(t *testing.T, seed, axes uint64) {
 	ctx, flat := harnessLayout(t, p)
 	plan := g.plan(p, ctx)
 	label := fmt.Sprintf("seed=%d axes=%d %s %+v\n%s", seed, axes, shapes[p.shape].name, p, Explain(plan))
+	run := plan
+	if p.instrumented {
+		run = Instrument(plan)
+	}
 	scanned, skipped := ctx.Metrics.Counter("robustqo_columnar_segments_scanned_total"), ctx.Metrics.Counter("robustqo_columnar_segments_skipped_total")
 	before := scanned.Value() + skipped.Value()
-	got, gc, _, err := Run(ctx, plan)
+	got, gc, _, err := Run(ctx, run)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -459,7 +479,7 @@ func runTrial(t *testing.T, seed, axes uint64) {
 	}
 	if p.limit == 0 {
 		var rc cost.Counters
-		ref, err := ExecuteMaterialized(ctx, plan, &rc)
+		ref, err := ExecuteMaterialized(ctx, run, &rc)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", label, err)
 		}
@@ -467,7 +487,7 @@ func runTrial(t *testing.T, seed, axes uint64) {
 		sameResult(t, label+"reference", got, gc, ref, rc, true)
 	}
 	serial := p
-	serial.dop, serial.pruned, serial.columns = 0, false, false
+	serial.dop, serial.pruned, serial.columns, serial.instrumented = 0, false, false, false
 	base, bc, _, err := Run(flat, g.plan(serial, flat))
 	if err != nil {
 		t.Fatalf("%s: baseline: %v", label, err)
@@ -534,16 +554,28 @@ func FuzzEngineDifferential(f *testing.F) {
 }
 
 // TestEngineDifferentialCoverage pins the harness's reach: the default
-// trials take every value of every axis, and cross clustered l_ship,
-// pruned shards, DOP 4, pruned columns and a LIMIT in one trial.
+// trials take every value of every axis, cross clustered l_ship, pruned
+// shards, DOP 4, pruned columns and a LIMIT in one trial, and place the
+// global aggregate bare and instrumented at every DOP.
 func TestEngineDifferentialCoverage(t *testing.T) {
 	seen, crossed := map[[2]int]bool{}, false
+	placed := map[point]bool{}
 	for _, tr := range defaultTrials() {
 		for a, v := range digits(tr[1]) {
 			seen[[2]int{a, v}] = true
 		}
 		p := decode(tr[1])
 		crossed = crossed || p.clustered && p.pruned && p.dop == 4 && p.columns && p.limit > 0
+		if shapes[p.shape].name == "global" {
+			placed[point{dop: p.dop, instrumented: p.instrumented}] = true
+		}
+	}
+	for _, dop := range dops {
+		for _, inst := range []bool{false, true} {
+			if !placed[point{dop: dop, instrumented: inst}] {
+				t.Errorf("no trial places the global aggregate at DOP %d, instrumented %v", dop, inst)
+			}
+		}
 	}
 	for a, n := range radix {
 		for v := 0; v < n; v++ {

@@ -39,11 +39,17 @@ type Context struct {
 	DB      *storage.Database
 	Indexes *index.Set
 	Model   cost.Model
-	// Metrics, when non-nil, receives engine-level operational counters
-	// (robustqo_hashjoin_* build pre-sizing outcomes, and
-	// robustqo_columnar_segments_{scanned,skipped}_total, the zone verdict
-	// of every tile a SeqScan with a pushable filter prefix enters). Nil
-	// disables metering; it never affects results or cost.Counters.
+	// Metrics, when non-nil, receives the engine's operational series:
+	//   - robustqo_hashjoin_{builds,parallel_builds}_total, one per hash
+	//     table built, and per build split across an Exchange's workers;
+	//   - robustqo_columnar_segments_{scanned,skipped}_total, the zone
+	//     verdict of every tile a SeqScan with a pushable filter prefix
+	//     enters;
+	//   - robustqo_exchange_*: rows and morsels per drain, worker busy
+	//     ratio, row and shard skew, and the queue depth the coordinator
+	//     waits on. A fused global aggregate's drain (fold.go) reports all
+	//     but the queue depth: it queues partial states, not batches.
+	// Nil disables metering; it never affects results or cost.Counters.
 	Metrics *obs.Registry
 	// Encodings holds compressed columnar encodings of the tables. Only
 	// the benchmark harness under bench/ sets it, to report their size;

@@ -24,6 +24,10 @@ import (
 //
 // With DOP < 2, or over a source that cannot be morselized, Exchange
 // degrades to a pure pass-through of the source's own operator.
+//
+// Under a fused global aggregate (fold.go) the same pool folds each
+// morsel into a partial aggregate state instead of a batch, and the
+// coordinator merges the partials in morsel order (drainFold).
 type Exchange struct {
 	Source Node
 	DOP    int
@@ -46,26 +50,43 @@ func (e *Exchange) Describe() string {
 func (e *Exchange) Stream() Operator { return &exchangeOp{node: e} }
 
 // morselResult carries one finished morsel from a worker to the
-// coordinator. Ownership of b travels with it: the receiver puts it back
-// in the pool. b is nil when err is set.
+// coordinator: its rows in a batch, or folded into a partial aggregate
+// state part. Ownership of b travels with it: the receiver puts it back
+// in the pool. b is nil when err is set. rows counts the morsel's rows.
 type morselResult struct {
-	m   int
-	b   *Batch
-	err error
+	m    int
+	b    *Batch
+	part *aggState
+	rows int64
+	err  error
 }
 
 // runMorsel runs every window of morsel m into one pooled batch, which
 // the caller owns on success.
-func runMorsel(r morselRunner, w morselWorker, m int, counters *cost.Counters) (*Batch, error) {
+func runMorsel(r morselRunner, w morselWorker, m int, counters *cost.Counters) morselResult {
 	b := getBatch(r.schema())
 	lo, hi := r.morselSpan(m)
 	for next := lo; next < hi; next += BatchSize {
 		if err := w.window(b, next, min(next+BatchSize, hi), counters); err != nil {
 			putBatch(b)
-			return nil, err
+			return morselResult{m: m, err: err}
 		}
 	}
-	return b, nil
+	return morselResult{m: m, b: b, rows: int64(b.Len())}
+}
+
+// foldPartial folds morsel m into a partial state, recycled from the
+// coordinator when one is free.
+func (o *exchangeOp) foldPartial(r morselRunner, w morselWorker, m int, counters *cost.Counters) morselResult {
+	var part *aggState
+	select {
+	case part = <-o.free:
+	default:
+		part = o.fold.a.newAggState(nil, nil)
+	}
+	res := morselResult{m: m, part: part}
+	res.rows, _, res.err = foldMorsel(r, w.(foldWorker), o.fold, part, m, counters)
+	return res
 }
 
 // workerReport is each worker's final accounting: the counters it
@@ -84,6 +105,10 @@ type workerReport struct {
 type exchangeOp struct {
 	node     *Exchange
 	counters *cost.Counters
+	// fold, when set, makes the workers fold morsels into partial states
+	// of a global aggregate (drainFold), which free recycles.
+	fold *aggFold
+	free chan *aggState
 
 	// passthrough is set when the source runs serially (DOP < 2 or not
 	// morselizable); every call then delegates to it.
@@ -119,7 +144,11 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 	o.counters = counters
 	src, stats, ok := morselSourceOf(o.node.Source)
 	if o.node.DOP < 2 || !ok {
-		o.passthrough = o.node.Source.Stream()
+		if o.fold != nil {
+			o.passthrough = foldStream(o.node.Source, o.fold)
+		} else {
+			o.passthrough = o.node.Source.Stream()
+		}
 		return o.passthrough.Open(ctx, counters)
 	}
 	runner, err := openMorselSource(ctx, src, stats, counters, o.node.DOP)
@@ -147,6 +176,11 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 	// each morsel it emits; results is as deep, so a send never blocks.
 	o.inflight = make(chan struct{}, nWorkers*2)
 	o.results = make(chan morselResult, cap(o.inflight))
+	if o.fold != nil {
+		// No more partial states exist than morsels in flight, so a
+		// recycled one never blocks the coordinator.
+		o.free = make(chan *aggState, cap(o.inflight))
+	}
 	o.reports = make([]workerReport, nWorkers)
 	o.spans = make([]*obs.Span, nWorkers)
 	for w := 0; w < nWorkers; w++ {
@@ -181,14 +215,17 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 					break
 				}
 				start := time.Now()
-				b, err := runMorsel(runner, mw, m, &wc)
-				busy += time.Since(start)
-				if b != nil {
-					rows += int64(b.Len())
+				var res morselResult
+				if o.fold != nil {
+					res = o.foldPartial(runner, mw, m, &wc)
+				} else {
+					res = runMorsel(runner, mw, m, &wc)
 				}
+				busy += time.Since(start)
+				rows += res.rows
 				morsels++
-				o.results <- morselResult{m: m, b: b, err: err}
-				if err != nil {
+				o.results <- res
+				if res.err != nil {
 					// Stop claiming; the coordinator surfaces the error
 					// when emission order reaches this morsel.
 					break
@@ -214,27 +251,7 @@ func (o *exchangeOp) Next() (*Batch, error) {
 			o.finish()
 			return nil, nil
 		}
-		// Block until the next in-order morsel arrives; stash any that
-		// arrive ahead of their turn. Morsels are claimed in index order and
-		// every claimed morsel gets exactly one result, so this always
-		// terminates.
-		res, ok := o.pending[o.next]
-		for !ok {
-			if o.metrics != nil {
-				// Sampled just before each blocking receive: how far the
-				// workers have run ahead of the in-order merge.
-				o.metrics.Histogram("robustqo_exchange_queue_depth", obs.DepthBuckets).Observe(float64(len(o.results)))
-			}
-			r := <-o.results
-			if o.shardRows != nil && r.b != nil {
-				o.shardRows[o.shardOf[r.m]] += int64(r.b.Len())
-			}
-			o.pending[r.m] = r
-			res, ok = o.pending[o.next]
-		}
-		delete(o.pending, o.next)
-		o.next++
-		<-o.inflight
+		res := o.await()
 		if res.err != nil {
 			return nil, res.err
 		}
@@ -242,6 +259,58 @@ func (o *exchangeOp) Next() (*Batch, error) {
 			return o.cur, nil
 		}
 	}
+}
+
+// await blocks until the next in-order morsel arrives, stashing any that
+// arrive ahead of their turn, and returns it. Morsels are claimed in
+// index order and every claimed morsel gets exactly one result, so this
+// always terminates.
+func (o *exchangeOp) await() morselResult {
+	res, ok := o.pending[o.next]
+	for !ok {
+		if o.metrics != nil && o.fold == nil {
+			// Sampled just before each blocking receive: how far the
+			// workers have run ahead of the in-order merge. A fused
+			// drain's results are partial states, not queued batches.
+			o.metrics.Histogram("robustqo_exchange_queue_depth", obs.DepthBuckets).Observe(float64(len(o.results)))
+		}
+		r := <-o.results
+		if o.shardRows != nil {
+			o.shardRows[o.shardOf[r.m]] += r.rows
+		}
+		o.pending[r.m] = r
+		res, ok = o.pending[o.next]
+	}
+	delete(o.pending, o.next)
+	o.next++
+	<-o.inflight
+	return res
+}
+
+// drainFold implements folder: it merges the morsels' partial states
+// into the global one in morsel order, recycling each, and reports one
+// batch per non-empty morsel, as Next emits them. A morsel's error
+// surfaces when the merge reaches it.
+func (o *exchangeOp) drainFold() (rows, batches int64, err error) {
+	if o.passthrough != nil {
+		return o.passthrough.(folder).drainFold()
+	}
+	for o.next < o.nMorsels {
+		res := o.await()
+		if res.err != nil {
+			return rows, batches, res.err
+		}
+		o.fold.st.merge(res.part)
+		res.part.reset()
+		select {
+		case o.free <- res.part:
+		default:
+		}
+		rows += res.rows
+		batches += min(res.rows, 1)
+	}
+	o.finish()
+	return rows, batches, nil
 }
 
 func (o *exchangeOp) Close() {

@@ -241,7 +241,10 @@ func (o *instrumentedOp) Open(ctx *Context, counters *cost.Counters) error {
 		o.span.SetAttr("qid", o.node.opts.QueryID)
 	}
 	start := time.Now()
-	o.inner = o.node.Inner.Stream()
+	if o.inner == nil {
+		// foldStream presets a folding inner stream.
+		o.inner = o.node.Inner.Stream()
+	}
 	err := o.inner.Open(ctx, counters)
 	o.node.Stats.OpenTime += time.Since(start)
 	o.node.Stats.Opens++

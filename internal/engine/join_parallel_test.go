@@ -77,12 +77,12 @@ func TestMorselProbeAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		total := 0
 		for m := 0; m < runner.numMorsels(); m++ {
-			b, err := runMorsel(runner, w, m, &c)
-			if err != nil {
-				t.Fatal(err)
+			res := runMorsel(runner, w, m, &c)
+			if res.err != nil {
+				t.Fatal(res.err)
 			}
-			total += b.Len()
-			putBatch(b)
+			total += res.b.Len()
+			putBatch(res.b)
 		}
 		if total != wantRows {
 			t.Fatalf("drained %d joined rows, want %d", total, wantRows)

@@ -125,6 +125,8 @@ func ExecuteMaterialized(ctx *Context, n Node, counters *cost.Counters) (*Result
 		// Exchange only changes who executes the source, never what it
 		// computes; the materialized reference has no parallel analogue.
 		return ExecuteMaterialized(ctx, t.Source, counters)
+	case *Instrumented:
+		return ExecuteMaterialized(ctx, t.Inner, counters)
 	default:
 		return nil, fmt.Errorf("engine: no materialized implementation for %T", n)
 	}

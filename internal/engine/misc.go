@@ -303,29 +303,31 @@ func (a *Aggregate) Describe() string {
 	return d + ")"
 }
 
+// aggState is one group's running aggregates. SUM and AVG add exactly
+// (value.ExactSum) and round once, at finalize, so the result is the
+// float64 nearest the true sum whatever the order of the rows or the
+// states merged; MIN and MAX keep the first of equal values (f < m), so
+// merging states in row order keeps it too.
 type aggState struct {
 	groupVals value.Row
 	count     int64
-	sums      []float64
-	mins      []float64
-	maxs      []float64
-	counts    []int64 // per-agg counts (for AVG)
+	aggs      []aggAcc // one per aggregate
+}
+
+// aggAcc is one aggregate's running values; finalize reads the ones its
+// function needs.
+type aggAcc struct {
+	sum      value.ExactSum
+	min, max float64
+	count    int64 // the argument values folded (for AVG)
 }
 
 // newAggState initializes accumulator state for one group, capturing the
 // group-key values from the first row seen (nil row for the empty-input
 // grand total).
 func (a *Aggregate) newAggState(groupIdxs []int, row value.Row) *aggState {
-	st := &aggState{
-		sums:   make([]float64, len(a.Aggs)),
-		mins:   make([]float64, len(a.Aggs)),
-		maxs:   make([]float64, len(a.Aggs)),
-		counts: make([]int64, len(a.Aggs)),
-	}
-	for i := range st.mins {
-		st.mins[i] = math.Inf(1)
-		st.maxs[i] = math.Inf(-1)
-	}
+	st := &aggState{aggs: make([]aggAcc, len(a.Aggs))}
+	st.reset()
 	if row != nil {
 		st.groupVals = make(value.Row, len(groupIdxs))
 		for i, gi := range groupIdxs {
@@ -335,20 +337,31 @@ func (a *Aggregate) newAggState(groupIdxs []int, row value.Row) *aggState {
 	return st
 }
 
+// reset empties a state: no rows, and MIN and MAX at +Inf and -Inf.
+func (st *aggState) reset() {
+	st.count = 0
+	for i := range st.aggs {
+		acc := &st.aggs[i]
+		acc.sum.Reset()
+		acc.min, acc.max, acc.count = math.Inf(1), math.Inf(-1), 0
+	}
+}
+
 // accumulate folds one argument value into aggregate i's running state.
 func (st *aggState) accumulate(i int, fn AggFunc, v value.Value) error {
 	if !v.Numeric() {
 		return fmt.Errorf("engine: %s over non-numeric value %s", fn, v)
 	}
 	f := v.AsFloat()
-	st.sums[i] += f
-	if f < st.mins[i] {
-		st.mins[i] = f
+	acc := &st.aggs[i]
+	acc.sum.Add(f)
+	if f < acc.min {
+		acc.min = f
 	}
-	if f > st.maxs[i] {
-		st.maxs[i] = f
+	if f > acc.max {
+		acc.max = f
 	}
-	st.counts[i]++
+	acc.count++
 	return nil
 }
 
@@ -357,24 +370,25 @@ func (a *Aggregate) finalize(st *aggState, width int) value.Row {
 	out := make(value.Row, 0, width)
 	out = append(out, st.groupVals...)
 	for i, spec := range a.Aggs {
+		acc := &st.aggs[i]
 		switch spec.Func {
 		case Count:
 			if spec.Arg == nil {
 				out = append(out, value.Int(st.count))
 			} else {
-				out = append(out, value.Int(st.counts[i]))
+				out = append(out, value.Int(acc.count))
 			}
 		case Sum:
-			out = append(out, value.Float(st.sums[i]))
+			out = append(out, value.Float(acc.sum.Float64()))
 		case Min:
-			out = append(out, value.Float(zeroIfInf(st.mins[i])))
+			out = append(out, value.Float(zeroIfInf(acc.min)))
 		case Max:
-			out = append(out, value.Float(zeroIfInf(st.maxs[i])))
+			out = append(out, value.Float(zeroIfInf(acc.max)))
 		case Avg:
-			if st.counts[i] == 0 {
+			if acc.count == 0 {
 				out = append(out, value.Float(0))
 			} else {
-				out = append(out, value.Float(st.sums[i]/float64(st.counts[i])))
+				out = append(out, value.Float(acc.sum.Float64()/float64(acc.count)))
 			}
 		}
 	}
@@ -429,6 +443,20 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		}
 	}
 
+	o.out = getBatch(outSchema)
+	if f := newAggFold(a, inSchema); f != nil {
+		input := foldStream(a.Input, f)
+		defer input.Close()
+		if err := input.Open(ctx, counters); err != nil {
+			return err
+		}
+		if _, _, err := input.drainFold(); err != nil {
+			return err
+		}
+		o.rows = []value.Row{a.finalize(f.st, len(outSchema.Fields))}
+		return nil
+	}
+
 	input := a.Input.Stream()
 	defer input.Close()
 	if err := input.Open(ctx, counters); err != nil {
@@ -473,7 +501,6 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		}
 	}
 	o.rows = g.finish(len(outSchema.Fields))
-	o.out = getBatch(outSchema)
 	return nil
 }
 
@@ -616,30 +643,30 @@ func (g *aggGroups) accumulate(n int, sts []*aggState, argVecs [][]value.Value) 
 
 // fold folds vec, aggregate i's argument values over consecutive rows,
 // into its running state: one loop per function, kept to the fields
-// finalize reads for it, with accumulate's arithmetic — the same
-// additions in the same order and the same f < min, f > max tests (not
-// the min and max builtins, which differ on NaN and -0). It returns
-// len(vec), or the index of the first non-numeric value, where it stops:
-// the state is then part-folded, and the query fails.
+// finalize reads for it, with accumulate's arithmetic — the same exact
+// additions and the same f < min, f > max tests (not the min and max
+// builtins, which differ on NaN and -0). It returns len(vec), or the
+// index of the first non-numeric value, where it stops: the state is then
+// part-folded, and the query fails.
 //
 //qo:hotpath
 func (st *aggState) fold(i int, fn AggFunc, vec []value.Value) int {
+	acc := &st.aggs[i]
 	switch fn {
 	case Sum, Avg:
-		sum := st.sums[i]
+		sum := &acc.sum
 		for r := range vec {
 			switch v := &vec[r]; v.Kind {
 			case catalog.Float:
-				sum += v.F
+				sum.Add(v.F)
 			case catalog.String:
 				return r
 			default:
-				sum += float64(v.I)
+				sum.Add(float64(v.I))
 			}
 		}
-		st.sums[i] = sum
 	case Min:
-		m := st.mins[i]
+		m := acc.min
 		for r := range vec {
 			v := &vec[r]
 			if v.Kind == catalog.String {
@@ -649,9 +676,9 @@ func (st *aggState) fold(i int, fn AggFunc, vec []value.Value) int {
 				m = f
 			}
 		}
-		st.mins[i] = m
+		acc.min = m
 	case Max:
-		m := st.maxs[i]
+		m := acc.max
 		for r := range vec {
 			v := &vec[r]
 			if v.Kind == catalog.String {
@@ -661,7 +688,7 @@ func (st *aggState) fold(i int, fn AggFunc, vec []value.Value) int {
 				m = f
 			}
 		}
-		st.maxs[i] = m
+		acc.max = m
 	default:
 		for r := range vec {
 			if vec[r].Kind == catalog.String {
@@ -669,7 +696,7 @@ func (st *aggState) fold(i int, fn AggFunc, vec []value.Value) int {
 			}
 		}
 	}
-	st.counts[i] += int64(len(vec))
+	acc.count += int64(len(vec))
 	return len(vec)
 }
 

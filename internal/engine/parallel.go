@@ -20,7 +20,9 @@ package engine
 // (or drains it on an early Close); a semaphore bounds how many such
 // batches are in flight. A worker itself owns only scratch —
 // bound predicates, selection vectors, a join's probe-side batch — so
-// workers of one runner run disjoint windows concurrently.
+// workers of one runner run disjoint windows concurrently. A SeqScan's
+// worker can also fold a window's survivors straight into a global
+// aggregate's state instead of appending them (foldWorker, fold.go).
 //
 // Counter exactness is the load-bearing property: a full drain produces
 // byte-identical cost.Counters at any DOP because the windows themselves
@@ -255,25 +257,44 @@ func (r *seqMorselRunner) newWorker() (morselWorker, error) {
 	return &seqMorselWorker{r: r, f: f, tile: -1}, nil
 }
 
-// seqMorselWorker owns its filter's scratch. tile is the first row of the
-// last tile it metered.
+// seqMorselWorker owns its filter's scratch, and the folders of a fused
+// aggregate (fold.go). tile is the first row of the last tile it metered.
 type seqMorselWorker struct {
-	r    *seqMorselRunner
-	f    *storage.Filter
-	tile int
+	r     *seqMorselRunner
+	f     *storage.Filter
+	tile  int
+	folds []colFold
+	bins  *value.SumBins
 }
 
-// window charges the pages whose first tuple falls inside [lo, hi) — over
-// any disjoint covering of the table this sums to exactly NumPages — and
-// one tuple per row, then runs the window filter first
-// (storage.Filter.Window). The charge comes first, so a window inside a
-// tile the zones skip costs exactly what a scanned one does. It appends
-// the projected columns of the survivors, gathered from the filter's
-// scratch when the residual read them and loaded from the table
-// otherwise.
+// window appends the projected columns of the window's survivors
+// (filter), gathered from the filter's scratch when the residual read
+// them and loaded from the table otherwise.
 //
 //qo:hotpath
 func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters) error {
+	fin, keep, err := w.filter(lo, hi, counters)
+	if err != nil || len(fin) == 0 {
+		return err
+	}
+	cols, t := w.r.cols, w.r.t
+	cols.gatherPred(out, w.f.Scratch, keep)
+	for j, i := range cols.restOut {
+		out.cols[i] = t.AppendColumnSel(out.cols[i], cols.rest[j], lo, fin)
+	}
+	out.n += len(fin)
+	return nil
+}
+
+// filter charges the pages whose first tuple falls inside [lo, hi) — over
+// any disjoint covering of the table this sums to exactly NumPages — and
+// one tuple per row, meters the window's tile, then runs the window
+// filter (storage.Filter.Window) and returns its survivors. The charge
+// comes first, so a window inside a tile the zones skip costs exactly
+// what a scanned one does.
+//
+//qo:hotpath
+func (w *seqMorselWorker) filter(lo, hi int, counters *cost.Counters) (fin, keep []int, err error) {
 	const per = storage.TuplesPerPage
 	counters.SeqPages += int64((hi+per-1)/per - (lo+per-1)/per)
 	counters.Tuples += int64(hi - lo)
@@ -289,24 +310,19 @@ func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters
 			}
 		}
 	}
-	fin, keep, err := w.f.Window(t, lo, hi)
-	if err != nil {
+	if fin, keep, err = w.f.Window(t, lo, hi); err != nil {
 		//qo:alloc-ok error path, cold
-		return fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
+		return nil, nil, fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
 	}
-	if len(fin) == 0 {
-		return nil
-	}
-	cols := w.r.cols
-	cols.gatherPred(out, w.f.Scratch, keep)
-	for j, i := range cols.restOut {
-		out.cols[i] = t.AppendColumnSel(out.cols[i], cols.rest[j], lo, fin)
-	}
-	out.n += len(fin)
-	return nil
+	return fin, keep, nil
 }
 
-func (w *seqMorselWorker) release() {}
+func (w *seqMorselWorker) release() {
+	if w.bins != nil {
+		sumBins.Put(w.bins)
+		w.bins = nil
+	}
+}
 
 // --- RID-list scans (IndexRangeScan, IndexIntersect) ---
 

@@ -47,7 +47,10 @@ func (s *SeqScan) Stream() Operator { return &morselScanOp{src: s} }
 // so a LIMIT above stops the scan — and its charges — at the last window
 // pulled.
 type morselScanOp struct {
-	src      morselSource
+	src morselSource
+	// fold, when set, folds the scan into a global aggregate (drainFold)
+	// in place of Next.
+	fold     *aggFold
 	counters *cost.Counters
 	runner   morselRunner
 	worker   morselWorker
@@ -65,7 +68,9 @@ func (o *morselScanOp) Open(ctx *Context, counters *cost.Counters) error {
 		return err
 	}
 	o.counters = counters
-	o.out = getBatch(o.runner.schema())
+	if o.fold == nil {
+		o.out = getBatch(o.runner.schema())
+	}
 	return nil
 }
 

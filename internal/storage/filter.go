@@ -80,10 +80,11 @@ func (f *Filter) TileSkipped(t *Table, row int) (start int, skipped bool) {
 }
 
 // prefix returns the offsets from lo of the rows of [lo, hi) of t that
-// pass the pushed prefix: the rows of the tiles no bound's zone excludes,
-// then bound by bound on the typed payloads, each bound over the rows the
-// ones before it kept — no value is boxed. With no prefix every row
-// passes. The result is valid until the next call.
+// pass the pushed prefix: in each tile no bound's zone excludes, the
+// first bound reads the tile's rows in place (FilterRange), and every
+// later bound reads the typed payloads of the rows the ones before it
+// kept — no value is boxed. With no prefix every row passes. The result
+// is valid until the next call.
 //
 //qo:hotpath
 func (f *Filter) prefix(t *Table, lo, hi int) []int {
@@ -102,13 +103,12 @@ func (f *Filter) prefix(t *Table, lo, hi int) []int {
 		p, k, end := t.tileAt(r)
 		end = min(end, hi)
 		if !t.tileExcluded(f.bounds, p, k) {
-			n := len(src)
-			src = src[:n+end-r]
-			RangeSel(src[n:], r-lo, end-lo)
+			// A tile lies inside one shard.
+			src = t.FilterRange(f.bounds[0], lo, r-lo, end-lo, src)
 		}
 		r = end
 	}
-	for _, b := range f.bounds {
+	for _, b := range f.bounds[1:] {
 		if len(src) == 0 {
 			break
 		}

@@ -518,5 +518,20 @@ func TestFilterSelMatchesCompare(t *testing.T) {
 		if got[0] != -1 || !slices.Equal(got[1:], want) {
 			t.Fatalf("%s: FilterSel(%+v, lo=%d) = %v, want %v", e, b, lo, got[1:], want)
 		}
+		// FilterRange over a run of one shard keeps what FilterSel keeps
+		// over the same offsets.
+		if p := rng.Intn(tab.Partitions()); tab.PartitionRows(p) > 0 {
+			plo, phi := tab.PartitionSpan(p)
+			from := plo + rng.Intn(phi-plo)
+			to := from + rng.Intn(phi-from+1)
+			var ids []int
+			for o := from; o < to; o++ {
+				ids = append(ids, o)
+			}
+			want := tab.FilterSel(b, 0, ids, nil)
+			if got := tab.FilterRange(b, 0, from, to, []int{-1}); got[0] != -1 || !slices.Equal(got[1:], want) {
+				t.Fatalf("%s: FilterRange(%+v, %d, %d) = %v, want %v", e, b, from, to, got[1:], want)
+			}
+		}
 	}
 }

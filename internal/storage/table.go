@@ -563,6 +563,41 @@ func (t *Table) FilterSel(b expr.ColBound, lo int, offs, out []int) []int {
 	return out[:n0+j]
 }
 
+// FilterRange is FilterSel over the contiguous offsets from, from+1, ...,
+// to-1, which must name rows of one shard: it reads the typed payload of
+// the run in place, so a first bound needs no identity selection vector
+// to read from.
+//
+//qo:hotpath
+func (t *Table) FilterRange(b expr.ColBound, lo, from, to int, out []int) []int {
+	if from >= to {
+		return out
+	}
+	if !b.IsStr && !b.IsFloat && b.Lo > b.Hi {
+		if b.Not {
+			for o := from; o < to; o++ {
+				out = append(out, o)
+			}
+		}
+		return out
+	}
+	p, local := t.segOf(lo + from)
+	c, run := &t.segs[p].cols[b.Col], local-from
+	n0 := len(out)
+	out = slices.Grow(out, to-from)
+	dst := out[n0 : n0+to-from]
+	var j int
+	switch {
+	case b.IsStr:
+		j = selStrRange(dst, from, c.strs[run+from:run+to], &b)
+	case b.IsFloat:
+		j = selFloatRange(dst, from, c.floats[run+from:run+to], &b)
+	default:
+		j = selIntRange(dst, from, c.ints[run+from:run+to], b.Lo, uint64(b.Hi-b.Lo), b2i(b.Not))
+	}
+	return out[:n0+j]
+}
+
 // b2i is 1 for true and 0 for false; the compiler turns it into a flag
 // set, not a branch.
 func b2i(b bool) int {
@@ -621,6 +656,75 @@ func selStr(dst, offs []int, strs []string, shift int, b *expr.ColBound, not int
 		j += b2i((!hasLo || s >= slo) && (!hasHi || s <= shi)) ^ not
 	}
 	return j
+}
+
+// selIntRange, selFloatRange and selStrRange are selInt, selFloat and
+// selStr over a contiguous run: xs holds the payloads of offsets from,
+// from+1, ....
+//
+//qo:hotpath
+func selIntRange(dst []int, from int, ints []int64, lo int64, span uint64, not int) int {
+	j := 0
+	for i, x := range ints {
+		dst[j] = from + i
+		j += b2i(uint64(x-lo) <= span) ^ not
+	}
+	return j
+}
+
+//qo:hotpath
+func selFloatRange(dst []int, from int, floats []float64, b *expr.ColBound) int {
+	flo, fhi, nan := b.FLo, b.FHi, b2i(b.NaN)
+	j := 0
+	if b.Not {
+		for i, x := range floats {
+			dst[j] = from + i
+			j += b2i(x < flo) | b2i(x > fhi) | b2i(x != x)&nan
+		}
+		return j
+	}
+	for i, x := range floats {
+		dst[j] = from + i
+		j += b2i(x >= flo)&b2i(x <= fhi) | b2i(x != x)&nan
+	}
+	return j
+}
+
+//qo:hotpath
+func selStrRange(dst []int, from int, strs []string, b *expr.ColBound) int {
+	slo, shi, hasLo, hasHi, not := b.StrLo, b.StrHi, b.HasStrLo, b.HasStrHi, b2i(b.Not)
+	j := 0
+	for i, s := range strs {
+		dst[j] = from + i
+		j += b2i((!hasLo || s >= slo) && (!hasHi || s <= shi)) ^ not
+	}
+	return j
+}
+
+// Folder receives the typed payloads of one column over a selection
+// (FoldSel): xs[shift+o] for each offset o of offs, in order.
+type Folder interface {
+	FoldInts(xs []int64, shift int, offs []int)
+	FoldFloats(xs []float64, shift int, offs []int)
+}
+
+// FoldSel hands f the payloads of column col of t, an Int, Date or Float
+// column, for global rows lo+offs[i], one call per shard the rows touch:
+// FoldInts for an Int or Date column, FoldFloats for a Float one. Nothing
+// is boxed, neither a payload into a value.Value nor f into an
+// interface. offs must be strictly ascending.
+//
+//qo:hotpath
+func FoldSel[F Folder](t *Table, col, lo int, offs []int, f F) {
+	for len(offs) > 0 {
+		c, shift, n := t.selRun(col, lo, offs)
+		if c.kind == catalog.Float {
+			f.FoldFloats(c.floats, shift, offs[:n])
+		} else {
+			f.FoldInts(c.ints, shift, offs[:n])
+		}
+		offs = offs[n:]
+	}
 }
 
 // selRun locates the shard holding global row lo+offs[0] and returns its

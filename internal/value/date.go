@@ -59,16 +59,34 @@ func CivilFromDate(days int64) (year, month, day int) {
 	return int(y), int(m), int(d)
 }
 
-// ParseDate parses "YYYY-MM-DD" into a day number.
+// ParseDate parses exactly "YYYY-MM-DD" — four, two and two ASCII
+// digits — into a day number. It rejects anything else, trailing text and
+// signs included, and a day the month does not have: the date must
+// round-trip through DateFromCivil and CivilFromDate.
 func ParseDate(s string) (int64, error) {
-	var y, m, d int
-	if _, err := fmt.Sscanf(s, "%d-%d-%d", &y, &m, &d); err != nil {
-		return 0, fmt.Errorf("value: bad date %q: %v", s, err)
+	if len(s) != 10 || s[4] != '-' || s[7] != '-' {
+		return 0, fmt.Errorf("value: bad date %q: want YYYY-MM-DD", s)
 	}
-	if m < 1 || m > 12 || d < 1 || d > 31 {
-		return 0, fmt.Errorf("value: bad date %q", s)
+	num := func(digits string) int {
+		n := 0
+		for i := 0; i < len(digits); i++ {
+			c := digits[i]
+			if c < '0' || c > '9' {
+				return -1
+			}
+			n = n*10 + int(c-'0')
+		}
+		return n
 	}
-	return DateFromCivil(y, m, d), nil
+	y, m, d := num(s[:4]), num(s[5:7]), num(s[8:])
+	if y < 0 || m < 0 || d < 0 {
+		return 0, fmt.Errorf("value: bad date %q: want YYYY-MM-DD", s)
+	}
+	days := DateFromCivil(y, m, d)
+	if y2, m2, d2 := CivilFromDate(days); m < 1 || m > 12 || y2 != y || m2 != m || d2 != d {
+		return 0, fmt.Errorf("value: bad date %q: no such day", s)
+	}
+	return days, nil
 }
 
 // FormatDate renders a day number as "YYYY-MM-DD".

@@ -233,3 +233,44 @@ func TestParseFormatDate(t *testing.T) {
 		}
 	}
 }
+
+// TestParseDateStrict pins what a strict YYYY-MM-DD reader rejects:
+// trailing text, signs, other widths and separators, and days the month
+// does not have, which a lenient reader rolls into the next month.
+func TestParseDateStrict(t *testing.T) {
+	for _, bad := range []string{
+		"1997-07-01xyz", "+1997-07-01", "1997-07-01 12", " 1997-07-01", "1997-07-01 ",
+		"1997-02-31", "1997-02-29", "1900-02-29", "1997-04-31", "1997-06-31",
+		"1997-7-01", "1997-07-1", "97-07-01", "01997-07-01", "1997/07/01", "1997-07-+1",
+		"-997-07-01", "1997-0x-01", "１997-07-01", "1997-07-0\x00",
+	} {
+		if d, err := ParseDate(bad); err == nil {
+			t.Errorf("ParseDate(%q) = %s, want an error", bad, FormatDate(d))
+		}
+	}
+	for _, good := range []string{"2000-02-29", "1996-02-29", "1970-01-01", "0001-01-01", "9999-12-31", "1997-12-31"} {
+		d, err := ParseDate(good)
+		if err != nil {
+			t.Errorf("ParseDate(%q): %v", good, err)
+		} else if got := FormatDate(d); got != good {
+			t.Errorf("ParseDate(%q) formats as %q", good, got)
+		}
+	}
+}
+
+// FuzzParseDate holds ParseDate to its contract: a string it accepts
+// formats back to itself.
+func FuzzParseDate(f *testing.F) {
+	for _, s := range []string{"1997-07-01", "1997-02-31", "1997-07-01xyz", "+1997-07-01", "0000-01-01", "2000-02-29", "9999-12-31"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := ParseDate(s)
+		if err != nil {
+			return
+		}
+		if got := FormatDate(d); got != s {
+			t.Fatalf("ParseDate(%q) = %d, which formats as %q", s, d, got)
+		}
+	})
+}
