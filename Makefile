@@ -39,7 +39,8 @@ bench:
 # bench-smoke runs each benchmark for one iteration (-benchtime=1x): it
 # proves the benchmarks still run, but a single iteration carries
 # first-touch costs, so its numbers cannot serve as before/after rows.
-# Quote those from runs at the default benchtime.
+# Quote those from runs at the default benchtime. BenchmarkHashJoinProbe
+# is the one join-probe number: the serial hash join's build and probe.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=BenchmarkExecStreamVsMaterialize -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkHashJoinProbe -benchtime=1x -benchmem ./internal/engine/

@@ -127,9 +127,9 @@ func newServer(f dbFlags, out io.Writer) (*server, error) {
 		slow:    obs.NewSlowLog(0, nil),
 		slowMS:  100,
 	}
-	// Engine-side metering (hash-join builds and partitioned builds)
-	// lands in the same registry /metrics serves — including
-	// the exchange utilization series — as do the ledger's own counters.
+	// Engine-side metering (hash-join builds, zone verdicts and the
+	// exchange utilization series) lands in the same registry /metrics
+	// serves, as do the ledger's own counters.
 	ctx.Metrics = s.reg
 	s.led.Metrics = s.reg
 	if b, ok := est.(*core.BayesEstimator); ok {

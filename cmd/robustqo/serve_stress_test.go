@@ -119,9 +119,9 @@ func TestServeConcurrentQueries(t *testing.T) {
 // TestServeParallelJoinStress hammers a join query at parallelism 4: the
 // lineitem scan is past the parallel cutoff, so the optimizer wraps the
 // whole scan→hashjoin pipeline in one Exchange and every request runs
-// the partitioned build and shared-table probe concurrently with its
-// siblings. Under -race this covers the two-phase parallel build, the
-// read-only probe sharing, and the hash-join metrics all at once.
+// its build and its workers' shared-table probe concurrently with its
+// siblings. Under -race this covers the read-only probe sharing and the
+// hash-join metrics at once.
 func TestServeParallelJoinStress(t *testing.T) {
 	s := newTestServer(t, 25000, 4)
 	ts := httptest.NewServer(s.mux())

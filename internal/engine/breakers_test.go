@@ -133,17 +133,17 @@ func TestAggregateOddKindGroup(t *testing.T) {
 	}
 }
 
-// TestJoinTableIntChains: the open-addressed int64 key class finds each
-// key's build rows in build order, and nothing for an absent key, in a
-// serial and a partitioned build — over negatives, zero, the int64
-// extremes, and Int and Date values sharing payloads.
+// TestJoinTableIntChains: the open-addressed int64 table finds each key's
+// build rows in build order, and nothing for an absent key — over
+// negatives, zero, the int64 extremes, and Int and Date values sharing
+// payloads.
 func TestJoinTableIntChains(t *testing.T) {
 	rng := stats.NewRNG(2005)
 	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}
 	var rows []value.Row
 	want := map[int64][]int32{}
 	var keys []int64
-	for i := 0; i < 3*joinPartitionThreshold; i++ {
+	for i := 0; i < 6*MorselSize; i++ {
 		k := int64(testkit.Intn(rng, 5000)) - 2500
 		if i%97 == 0 {
 			k = extremes[i/97%len(extremes)]
@@ -159,16 +159,14 @@ func TestJoinTableIntChains(t *testing.T) {
 		want[k] = append(want[k], int32(i))
 	}
 	absent := []int64{2500, 2501, -2501, math.MinInt64 + 1, math.MaxInt64 - 1}
-	for _, dop := range []int{1, 4} {
-		tbl := buildJoinTable(rows, 0, dop)
-		for _, k := range append(keys, absent...) {
-			var got []int32
-			for idx := tbl.first(value.Int(k)); idx >= 0; idx = tbl.next[idx] {
-				got = append(got, idx)
-			}
-			if !slices.Equal(got, want[k]) {
-				t.Fatalf("dop %d: key %d chains rows %v, want %v", dop, k, got, want[k])
-			}
+	tbl := buildJoinTable(rows, 0)
+	for _, k := range append(keys, absent...) {
+		var got []int32
+		for idx := tbl.first(k); idx >= 0; idx = tbl.next[idx] {
+			got = append(got, idx)
+		}
+		if !slices.Equal(got, want[k]) {
+			t.Fatalf("key %d chains rows %v, want %v", k, got, want[k])
 		}
 	}
 }

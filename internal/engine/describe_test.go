@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -161,11 +162,11 @@ func TestMergeJoinNonNumericKeyRejected(t *testing.T) {
 		LeftCol:  expr.ColumnRef{Table: "orders", Column: "o_total"},
 		RightCol: expr.ColumnRef{Table: "orders", Column: "o_total"},
 	}
-	// o_total is Float: merge join keys must be integer-valued. The
-	// engine resolves .I on them, so floats are formally "numeric" — the
-	// guard rejects strings only. Verify strings are rejected via a
-	// synthetic schema is impractical here; instead verify unknown
-	// columns error.
+	// o_total is Float, and join keys must be Int or Date.
+	var ke *joinKeyError
+	if _, _, _, err := Run(ctx, mj); !errors.As(err, &ke) {
+		t.Errorf("Float merge key: error %v, want a join key error", err)
+	}
 	mj.LeftCol = expr.ColumnRef{Column: "ghost"}
 	if _, _, _, err := Run(ctx, mj); err == nil {
 		t.Error("unknown merge key accepted")

@@ -40,8 +40,7 @@ type Context struct {
 	Indexes *index.Set
 	Model   cost.Model
 	// Metrics, when non-nil, receives the engine's operational series:
-	//   - robustqo_hashjoin_{builds,parallel_builds}_total, one per hash
-	//     table built, and per build split across an Exchange's workers;
+	//   - robustqo_hashjoin_builds_total, one per hash table built;
 	//   - robustqo_columnar_segments_{scanned,skipped}_total, the zone
 	//     verdict of every tile a SeqScan with a pushable filter prefix
 	//     enters;

@@ -151,7 +151,7 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 		}
 		return o.passthrough.Open(ctx, counters)
 	}
-	runner, err := openMorselSource(ctx, src, stats, counters, o.node.DOP)
+	runner, err := openMorselSource(ctx, src, stats, counters)
 	if err != nil {
 		return err
 	}

@@ -237,7 +237,7 @@ func (c *colFold) FoldFloats(xs []float64, shift int, offs []int) {
 }
 
 // foldPayload is aggState.fold over typed payloads xs[shift+o]: the same
-// exact sum and the same f < min, f > max tests on float64(x).
+// exact sum and the same f < m || m != m tests on float64(x).
 //
 //qo:hotpath
 func foldPayload[T int64 | float64](c *colFold, xs []T, shift int, offs []int) {
@@ -248,7 +248,7 @@ func foldPayload[T int64 | float64](c *colFold, xs []T, shift int, offs []int) {
 	case Min:
 		m := acc.min
 		for _, o := range offs {
-			if f := float64(xs[shift+o]); f < m {
+			if f := float64(xs[shift+o]); f < m || m != m {
 				m = f
 			}
 		}
@@ -256,7 +256,7 @@ func foldPayload[T int64 | float64](c *colFold, xs []T, shift int, offs []int) {
 	case Max:
 		m := acc.max
 		for _, o := range offs {
-			if f := float64(xs[shift+o]); f > m {
+			if f := float64(xs[shift+o]); f > m || m != m {
 				m = f
 			}
 		}
@@ -266,17 +266,17 @@ func foldPayload[T int64 | float64](c *colFold, xs []T, shift int, offs []int) {
 }
 
 // merge folds o, the state of rows that follow st's, into st: exact sums
-// add, and a later MIN or MAX wins only when strictly better, as it would
-// have folded row by row.
+// add, and a later MIN or MAX wins only when strictly better or when st's
+// is still NaN, as it would have folded row by row.
 func (st *aggState) merge(o *aggState) {
 	st.count += o.count
 	for i := range st.aggs {
 		acc, oa := &st.aggs[i], &o.aggs[i]
 		acc.sum.Merge(&oa.sum)
-		if oa.min < acc.min {
+		if oa.min < acc.min || acc.min != acc.min {
 			acc.min = oa.min
 		}
-		if oa.max > acc.max {
+		if oa.max > acc.max || acc.max != acc.max {
 			acc.max = oa.max
 		}
 		acc.count += oa.count

@@ -22,7 +22,7 @@ const specialRows = 20000
 
 // specialCols are specialTable's Float columns; each holds what naive
 // summation or a careless merge gets wrong.
-var specialCols = []string{"a", "b", "c", "d", "e", "z"}
+var specialCols = []string{"a", "b", "c", "d", "e", "nan", "z"}
 
 // specialValue is row i's value of Float column col.
 func specialValue(col string, i int) float64 {
@@ -77,6 +77,8 @@ func specialValue(col string, i int) float64 {
 			return math.MaxFloat64 / 3
 		}
 		return 1
+	case "nan": // NaN only
+		return math.NaN()
 	default: // "z": ±0 only, -0 first
 		if i%2 == 0 {
 			return negZero
@@ -175,11 +177,13 @@ func bits(r value.Row) string {
 // TestFusedAggregateSpecialValues holds a fused global aggregate's SUM,
 // AVG, MIN and MAX over NaN, ±Inf, ±0, subnormals, values near
 // MaxFloat64 and a cancellation to the same bits at DOP 0/1/2/4, over
-// the partitioned and the flat layout, bare and instrumented, and in the
-// reference engine; and every SUM to the math/big oracle.
+// the partitioned and the flat layout, bare and instrumented, on the
+// batch path (the scan under a Filter that keeps every row), and in the
+// reference engine; and every SUM to the math/big oracle. The filters
+// keep every row, some, and none.
 func TestFusedAggregateSpecialValues(t *testing.T) {
 	parted, flat := specialContexts(t)
-	for _, filter := range []expr.Expr{nil, testkit.Expr("k BETWEEN 40 AND 17000")} {
+	for _, filter := range []expr.Expr{nil, testkit.Expr("k BETWEEN 40 AND 17000"), testkit.Expr("k > 30000")} {
 		var want string
 		var wantCounters cost.Counters
 		for _, layout := range []struct {
@@ -218,6 +222,13 @@ func TestFusedAggregateSpecialValues(t *testing.T) {
 						checkOracle(t, label, layout.ctx, filter, res)
 					} else if got != want || c != wantCounters {
 						t.Fatalf("%s:\n got %s %+v\nwant %s %+v", label, got, c, want, wantCounters)
+					}
+					batch := &Aggregate{Input: &Filter{Input: in, Pred: testkit.Expr("k >= 0")}, Aggs: specialAggs()}
+					if res, _, _, err = Run(layout.ctx, batch); err != nil {
+						t.Fatal(err)
+					}
+					if got := bits(res.Rows[0]); got != want {
+						t.Fatalf("%s batch path:\n got %s\nwant %s", label, got, want)
 					}
 				}
 			}
@@ -260,8 +271,26 @@ func checkOracle(t *testing.T, label string, ctx *Context, filter expr.Expr, res
 			t.Errorf("%s: SUM(%s) = %v, oracle %v", label, col, got, want)
 		}
 	}
+	if len(rows.Rows) == 0 {
+		for _, f := range res.Schema.Fields {
+			if got := out(f.Column); math.Float64bits(got) != 0 {
+				t.Errorf("%s: %s = %v over no rows, want 0", label, f.Column, got)
+			}
+		}
+	}
 	if filter != nil {
 		return
+	}
+	if got := out("MIN_d"); !math.IsInf(got, -1) {
+		t.Errorf("%s: MIN(d) = %v, want -Inf", label, got)
+	}
+	if got := out("MAX_d"); !math.IsInf(got, 1) {
+		t.Errorf("%s: MAX(d) = %v, want +Inf", label, got)
+	}
+	for _, fn := range []AggFunc{Sum, Avg, Min, Max} {
+		if got := out(fmt.Sprintf("%s_nan", fn)); !math.IsNaN(got) {
+			t.Errorf("%s: %s(nan) = %v over NaN only, want NaN", label, fn, got)
+		}
 	}
 	if got := out("SUM_b"); got != math.MaxFloat64/2 {
 		t.Errorf("%s: SUM(b) = %v past an intermediate overflow, want MaxFloat64/2", label, got)

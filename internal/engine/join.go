@@ -43,6 +43,33 @@ func (j *HashJoin) Describe() string {
 // Stream implements Node.
 func (j *HashJoin) Stream() Operator { return &hashJoinOp{node: j} }
 
+// joinKeyError is the one error every join operator returns at Open for
+// a key column that is not Int or Date: joins match on the int64 payload,
+// which no other type carries.
+type joinKeyError struct {
+	op, role string
+	col      expr.Field
+}
+
+func (e *joinKeyError) Error() string {
+	return fmt.Sprintf("engine: %s %s key %s.%s is %s; join keys must be INT or DATE",
+		e.op, e.role, e.col.Table, e.col.Column, e.col.Type)
+}
+
+// joinKey resolves the key ref of join operator op in its input schema
+// and holds it to the one key rule: an Int or Date column. role names
+// the key among the operator's.
+func joinKey(op, role string, schema expr.RelSchema, ref expr.ColumnRef) (int, error) {
+	idx, err := schema.Resolve(ref)
+	if err != nil {
+		return 0, fmt.Errorf("engine: %s %s key: %v", op, role, err)
+	}
+	if f := schema.Fields[idx]; !isIntKind(f.Type) {
+		return 0, &joinKeyError{op: op, role: role, col: f}
+	}
+	return idx, nil
+}
+
 // builtJoin is a hash join past its blocking half: the finished,
 // read-only table, the probe key's ordinal in the probe schema, and the
 // join's output schema.
@@ -53,10 +80,9 @@ type builtJoin struct {
 }
 
 // openBuild is the blocking half of a hash join, shared by the serial
-// operator and the morsel runner: resolve both keys, drain the build side
-// into arena rows, build the table across dop partitions, and charge
-// HashBuilds.
-func (j *HashJoin) openBuild(ctx *Context, counters *cost.Counters, dop int) (*builtJoin, error) {
+// operator and the morsel runner: resolve and check both keys, drain the
+// build side into arena rows, build the table, and charge HashBuilds.
+func (j *HashJoin) openBuild(ctx *Context, counters *cost.Counters) (*builtJoin, error) {
 	buildSchema, err := j.Build.Schema(ctx)
 	if err != nil {
 		return nil, err
@@ -65,36 +91,37 @@ func (j *HashJoin) openBuild(ctx *Context, counters *cost.Counters, dop int) (*b
 	if err != nil {
 		return nil, err
 	}
-	bIdx, err := buildSchema.Resolve(j.BuildCol)
+	bIdx, err := joinKey("HashJoin", "build", buildSchema, j.BuildCol)
 	if err != nil {
-		return nil, fmt.Errorf("engine: HashJoin build key: %v", err)
+		return nil, err
 	}
-	pIdx, err := probeSchema.Resolve(j.ProbeCol)
+	pIdx, err := joinKey("HashJoin", "probe", probeSchema, j.ProbeCol)
 	if err != nil {
-		return nil, fmt.Errorf("engine: HashJoin probe key: %v", err)
+		return nil, err
 	}
 	buildRows, err := openAndDrainArena(ctx, j.Build, counters)
 	if err != nil {
 		return nil, err
 	}
-	table := buildJoinTable(buildRows, bIdx, dop)
-	table.recordMetrics(ctx.Metrics)
+	if ctx.Metrics != nil {
+		ctx.Metrics.Counter("robustqo_hashjoin_builds_total").Inc()
+	}
 	counters.HashBuilds += int64(len(buildRows))
-	return &builtJoin{table: table, pIdx: pIdx, schema: buildSchema.Concat(probeSchema)}, nil
+	return &builtJoin{table: buildJoinTable(buildRows, bIdx), pIdx: pIdx, schema: buildSchema.Concat(probeSchema)}, nil
 }
 
 // probeInto joins every row of the probe batch b against the table,
 // appending matches to out column-wise: one HashProbes per probe row, one
 // Tuples per match, each key's build rows in build-input order. The probe
 // is vectorized — it walks b's key column directly, with no per-row
-// materialization and no boxing of the key.
+// materialization.
 //
 //qo:hotpath
 func (j *builtJoin) probeInto(out, b *Batch, counters *cost.Counters) {
 	counters.HashProbes += int64(b.Len())
 	t, keys := j.table, b.Cols()[j.pIdx]
 	for r := 0; r < b.Len(); r++ {
-		for idx := t.first(keys[r]); idx >= 0; idx = t.next[idx] {
+		for idx := t.first(keys[r].I); idx >= 0; idx = t.next[idx] {
 			counters.Tuples++
 			out.appendConcatFrom(t.rows[idx], b, r)
 		}
@@ -115,7 +142,7 @@ type hashJoinOp struct {
 
 func (o *hashJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	var err error
-	if o.built, err = o.node.openBuild(ctx, counters, 1); err != nil {
+	if o.built, err = o.node.openBuild(ctx, counters); err != nil {
 		return err
 	}
 	o.counters = counters
@@ -218,13 +245,13 @@ func (o *mergeJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return err
 	}
-	lIdx, err := lSchema.Resolve(j.LeftCol)
+	lIdx, err := joinKey("MergeJoin", "left", lSchema, j.LeftCol)
 	if err != nil {
-		return fmt.Errorf("engine: MergeJoin left key: %v", err)
+		return err
 	}
-	rIdx, err := rSchema.Resolve(j.RightCol)
+	rIdx, err := joinKey("MergeJoin", "right", rSchema, j.RightCol)
 	if err != nil {
-		return fmt.Errorf("engine: MergeJoin right key: %v", err)
+		return err
 	}
 	var stock intStock
 	if o.left, err = drainMergeInput(ctx, j.Left, lSchema, lIdx, &stock, counters); err != nil {
@@ -234,15 +261,8 @@ func (o *mergeJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 		return err
 	}
 	stock = nil // the spare arrays are garbage from here on
-	sorted, err := o.left.sort()
-	if err != nil {
-		return err
-	}
-	j.chargeInput(ctx, o.left.n, j.LeftSorted, sorted, counters)
-	if sorted, err = o.right.sort(); err != nil {
-		return err
-	}
-	j.chargeInput(ctx, o.right.n, j.RightSorted, sorted, counters)
+	j.chargeInput(ctx, o.left.n, j.LeftSorted, o.left.sort(), counters)
+	j.chargeInput(ctx, o.right.n, j.RightSorted, o.right.sort(), counters)
 	o.counters = counters
 	o.lpos = make([]int32, 0, BatchSize)
 	o.rpos = make([]int32, 0, BatchSize)
@@ -525,9 +545,8 @@ func (o *inlJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return err
 	}
-	o.oIdx, err = outerSchema.Resolve(j.OuterCol)
-	if err != nil {
-		return fmt.Errorf("engine: INLJoin outer key: %v", err)
+	if o.oIdx, err = joinKey("INLJoin", "outer", outerSchema, j.OuterCol); err != nil {
+		return err
 	}
 	emit, err := emitOrdinals(len(innerFull.Fields), j.InnerEmit)
 	if err != nil {
@@ -590,19 +609,16 @@ func (o *inlJoinOp) Next() (*Batch, error) {
 				base = o.wide.Len()
 			}
 			b.Row(r, o.oBuf)
-			key := o.oBuf[o.oIdx]
-			if !key.Numeric() {
-				return nil, fmt.Errorf("engine: INLJoin over non-numeric key %s", key)
-			}
+			key := o.oBuf[o.oIdx].I
 			if o.usePK {
 				o.counters.RandPages++
 				o.counters.Tuples++
-				if rid, ok := o.inner.LookupPK(key.I); ok {
+				if rid, ok := o.inner.LookupPK(key); ok {
 					o.probe(o.oBuf, rid)
 				}
 			} else {
 				o.counters.IndexSeeks++
-				rids, scanned := o.ix.Equal(key.I)
+				rids, scanned := o.ix.Equal(key)
 				o.counters.IndexEntries += int64(scanned)
 				o.counters.RandPages += int64(len(rids))
 				o.counters.Tuples += int64(len(rids))
@@ -689,15 +705,16 @@ type starDimState struct {
 	fkIdx    int
 }
 
-// semijoinDim converts one dimension's selected rows into a sorted fact
-// RID list via the fact table's foreign-key index, charging the index
-// seeks and RID-list construction; i is the dimension ordinal for error
-// messages.
-func (j *StarSemiJoin) semijoinDim(ctx *Context, i int, d StarDim, fact *storage.Table, dimSchema expr.RelSchema, dimRows []value.Row, counters *cost.Counters) (starDimState, []int32, error) {
-	pkIdx, err := dimSchema.Resolve(d.DimPK)
-	if err != nil {
-		return starDimState{}, nil, fmt.Errorf("engine: StarSemiJoin dim %d key: %v", i, err)
-	}
+// dimKey resolves and checks dimension i's primary key in its scan's
+// schema.
+func (j *StarSemiJoin) dimKey(i int, dimSchema expr.RelSchema) (int, error) {
+	return joinKey("StarSemiJoin", fmt.Sprintf("dim %d", i), dimSchema, j.Dims[i].DimPK)
+}
+
+// semijoinDim converts one dimension's selected rows, whose primary key
+// is column pkIdx, into a sorted fact RID list via the fact table's
+// foreign-key index, charging the index seeks and RID-list construction.
+func (j *StarSemiJoin) semijoinDim(ctx *Context, d StarDim, fact *storage.Table, pkIdx int, dimRows []value.Row, counters *cost.Counters) (starDimState, []int32, error) {
 	ix, ok := ctx.Indexes.Lookup(j.Fact, d.FactFK)
 	if !ok {
 		return starDimState{}, nil, fmt.Errorf("engine: StarSemiJoin: no index on %s.%s", j.Fact, d.FactFK)
@@ -773,11 +790,15 @@ func (o *starSemiJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 		if err != nil {
 			return err
 		}
+		pkIdx, err := j.dimKey(i, dimSchema)
+		if err != nil {
+			return err
+		}
 		dimRows, err := openAndDrain(ctx, d.Scan, counters)
 		if err != nil {
 			return err
 		}
-		st, rids, err := j.semijoinDim(ctx, i, d, fact, dimSchema, dimRows, counters)
+		st, rids, err := j.semijoinDim(ctx, d, fact, pkIdx, dimRows, counters)
 		if err != nil {
 			return err
 		}

@@ -8,43 +8,27 @@ import (
 	"robustqo/internal/obs"
 )
 
-// TestHashJoinPresizeMetrics pins the build metrics: every hash-join
-// build counts once, and a DOP>1 pipeline over a build past the partition
-// threshold also records a partitioned build.
+// TestHashJoinPresizeMetrics pins the build metric: every hash-join build
+// counts once, serial or under an Exchange, whose one build on the
+// coordinator every probe worker shares.
 func TestHashJoinPresizeMetrics(t *testing.T) {
 	_, ctx := testDB(t, 3000, 3, 40) // 3000 orders, 9000 lineitem
 	col := func(tab, c string) expr.ColumnRef { return expr.ColumnRef{Table: tab, Column: c} }
-	run := func(n Node) *obs.Registry {
-		t.Helper()
+	join := &HashJoin{
+		Build: &SeqScan{Table: "lineitem"}, Probe: &SeqScan{Table: "orders"},
+		BuildCol: col("lineitem", "l_orderkey"), ProbeCol: col("orders", "o_orderkey"),
+	}
+	for _, n := range []Node{join, &Exchange{Source: join, DOP: 4}} {
 		reg := obs.NewRegistry()
 		ctx.Metrics = reg
-		defer func() { ctx.Metrics = nil }()
-		if _, _, _, err := Run(ctx, n); err != nil {
+		_, _, _, err := Run(ctx, n)
+		ctx.Metrics = nil
+		if err != nil {
 			t.Fatal(err)
 		}
-		return reg
-	}
-
-	reg := run(&HashJoin{
-		Build: &SeqScan{Table: "orders"}, Probe: &SeqScan{Table: "lineitem"},
-		BuildCol: col("orders", "o_orderkey"), ProbeCol: col("lineitem", "l_orderkey"),
-	})
-	if v := reg.Counter("robustqo_hashjoin_builds_total").Value(); v != 1 {
-		t.Errorf("builds = %d, want 1", v)
-	}
-
-	// A parallel pipeline whose build clears the partition threshold
-	// records a partitioned build. lineitem (9000 rows) is the build here.
-	big := &Exchange{
-		Source: &HashJoin{
-			Build: &SeqScan{Table: "lineitem"}, Probe: &SeqScan{Table: "orders"},
-			BuildCol: col("lineitem", "l_orderkey"), ProbeCol: col("orders", "o_orderkey"),
-		},
-		DOP: 4,
-	}
-	reg = run(big)
-	if v := reg.Counter("robustqo_hashjoin_parallel_builds_total").Value(); v != 1 {
-		t.Errorf("parallel builds = %d, want 1", v)
+		if v := reg.Counter("robustqo_hashjoin_builds_total").Value(); v != 1 {
+			t.Errorf("%s: builds = %d, want 1", n.Describe(), v)
+		}
 	}
 }
 
@@ -64,7 +48,7 @@ func TestMorselProbeAllocs(t *testing.T) {
 		ProbeCol: expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"},
 	}
 	var c cost.Counters
-	runner, err := node.openMorsels(ctx, &c, 1)
+	runner, err := node.openMorsels(ctx, &c)
 	if err != nil {
 		t.Fatal(err)
 	}

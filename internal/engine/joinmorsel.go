@@ -6,12 +6,10 @@ package engine
 // The split follows the blocking/streaming line hashJoinOp draws.
 // openBuild — schema resolution, draining the build side, building the
 // hash table — happens once on the coordinator in openMorsels, charged to
-// the shared counters (the table build itself is partitioned across dop
-// workers when large enough, but it completes before any window runs and
-// charges nothing from worker goroutines). The streaming phase becomes
-// window work: each probe window's survivors are joined by probeInto
-// against the finished table, which is read-only by then and safe to
-// share across workers.
+// the shared counters, and completes before any window runs. The
+// streaming phase becomes window work: each probe window's survivors are
+// joined by probeInto against the finished table, which is read-only by
+// then and safe to share across workers.
 //
 // Counter exactness holds because the join's charges are per probe row
 // and per match, on top of the probe's own per-window charges. Row order
@@ -28,16 +26,16 @@ import (
 )
 
 // openMorsels implements morselSource.
-func (j *HashJoin) openMorsels(ctx *Context, counters *cost.Counters, dop int) (morselRunner, error) {
+func (j *HashJoin) openMorsels(ctx *Context, counters *cost.Counters) (morselRunner, error) {
 	probeSrc, probeStats, ok := morselSourceOf(j.Probe)
 	if !ok {
 		return nil, fmt.Errorf("engine: HashJoin probe %s is not morselizable", j.Probe.Describe())
 	}
-	built, err := j.openBuild(ctx, counters, dop)
+	built, err := j.openBuild(ctx, counters)
 	if err != nil {
 		return nil, err
 	}
-	probe, err := openMorselSource(ctx, probeSrc, probeStats, counters, dop)
+	probe, err := openMorselSource(ctx, probeSrc, probeStats, counters)
 	if err != nil {
 		return nil, err
 	}

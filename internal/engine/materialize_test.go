@@ -455,17 +455,17 @@ func (j *HashJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	bIdx, err := build.Schema.Resolve(j.BuildCol)
+	bIdx, err := joinKey("HashJoin", "build", build.Schema, j.BuildCol)
 	if err != nil {
-		return nil, fmt.Errorf("engine: HashJoin build key: %v", err)
+		return nil, err
 	}
-	pIdx, err := probe.Schema.Resolve(j.ProbeCol)
+	pIdx, err := joinKey("HashJoin", "probe", probe.Schema, j.ProbeCol)
 	if err != nil {
-		return nil, fmt.Errorf("engine: HashJoin probe key: %v", err)
+		return nil, err
 	}
-	table := make(map[any][]value.Row, len(build.Rows))
+	table := make(map[int64][]value.Row, len(build.Rows))
 	for _, row := range build.Rows {
-		k := row[bIdx].Key()
+		k := row[bIdx].I
 		table[k] = append(table[k], row)
 	}
 	counters.HashBuilds += int64(len(build.Rows))
@@ -473,7 +473,7 @@ func (j *HashJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resu
 	outSchema := build.Schema.Concat(probe.Schema)
 	var rows []value.Row
 	for _, pRow := range probe.Rows {
-		for _, bRow := range table[pRow[pIdx].Key()] {
+		for _, bRow := range table[pRow[pIdx].I] {
 			out := make(value.Row, 0, len(bRow)+len(pRow))
 			out = append(out, bRow...)
 			out = append(out, pRow...)
@@ -493,23 +493,16 @@ func (j *MergeJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 	if err != nil {
 		return nil, err
 	}
-	lIdx, err := left.Schema.Resolve(j.LeftCol)
-	if err != nil {
-		return nil, fmt.Errorf("engine: MergeJoin left key: %v", err)
-	}
-	rIdx, err := right.Schema.Resolve(j.RightCol)
-	if err != nil {
-		return nil, fmt.Errorf("engine: MergeJoin right key: %v", err)
-	}
-	sorted, err := sortedByKey(left.Rows, lIdx)
+	lIdx, err := joinKey("MergeJoin", "left", left.Schema, j.LeftCol)
 	if err != nil {
 		return nil, err
 	}
-	j.chargeInput(ctx, len(left.Rows), j.LeftSorted, sorted, counters)
-	if sorted, err = sortedByKey(right.Rows, rIdx); err != nil {
+	rIdx, err := joinKey("MergeJoin", "right", right.Schema, j.RightCol)
+	if err != nil {
 		return nil, err
 	}
-	j.chargeInput(ctx, len(right.Rows), j.RightSorted, sorted, counters)
+	j.chargeInput(ctx, len(left.Rows), j.LeftSorted, sortedByKey(left.Rows, lIdx), counters)
+	j.chargeInput(ctx, len(right.Rows), j.RightSorted, sortedByKey(right.Rows, rIdx), counters)
 	outSchema := left.Schema.Concat(right.Schema)
 	rows := mergeRows(left.Rows, right.Rows, lIdx, rIdx)
 	counters.Tuples += int64(len(rows))
@@ -525,9 +518,9 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	oIdx, err := outer.Schema.Resolve(j.OuterCol)
+	oIdx, err := joinKey("INLJoin", "outer", outer.Schema, j.OuterCol)
 	if err != nil {
-		return nil, fmt.Errorf("engine: INLJoin outer key: %v", err)
+		return nil, err
 	}
 	outSchema := outer.Schema.Concat(innerSchema)
 	pred, err := expr.Bind(j.Residual, outSchema)
@@ -545,13 +538,9 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 	}
 	if usePK {
 		for _, oRow := range outer.Rows {
-			key := oRow[oIdx]
-			if !key.Numeric() {
-				return nil, fmt.Errorf("engine: INLJoin over non-numeric key %s", key)
-			}
 			counters.RandPages++
 			counters.Tuples++
-			if rid, ok := inner.LookupPK(key.I); ok {
+			if rid, ok := inner.LookupPK(oRow[oIdx].I); ok {
 				emit(oRow, rid)
 			}
 		}
@@ -561,12 +550,8 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 			return nil, fmt.Errorf("engine: INLJoin: no index on %s.%s", j.InnerTable, j.InnerCol)
 		}
 		for _, oRow := range outer.Rows {
-			key := oRow[oIdx]
-			if !key.Numeric() {
-				return nil, fmt.Errorf("engine: INLJoin over non-numeric key %s", key)
-			}
 			counters.IndexSeeks++
-			rids, scanned := ix.Equal(key.I)
+			rids, scanned := ix.Equal(oRow[oIdx].I)
 			counters.IndexEntries += int64(scanned)
 			counters.RandPages += int64(len(rids))
 			counters.Tuples += int64(len(rids))
@@ -612,7 +597,11 @@ func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*
 		if err != nil {
 			return nil, err
 		}
-		st, rids, err := j.semijoinDim(ctx, i, d, fact, dimRes.Schema, dimRes.Rows, counters)
+		pkIdx, err := j.dimKey(i, dimRes.Schema)
+		if err != nil {
+			return nil, err
+		}
+		st, rids, err := j.semijoinDim(ctx, d, fact, pkIdx, dimRes.Rows, counters)
 		if err != nil {
 			return nil, err
 		}
@@ -701,23 +690,16 @@ func mergeRows(lRows, rRows []value.Row, lIdx, rIdx int) []value.Row {
 }
 
 // sortedByKey orders rows in place by the integer key at idx and reports
-// whether it had to sort. The order check is fused into the
-// key-validation pass the function must make anyway, so a genuinely
-// sorted input costs exactly one scan and zero allocations; an
-// out-of-order input is radix sorted in place — callers own the drained
-// row slices.
-func sortedByKey(rows []value.Row, idx int) (sorted bool, err error) {
+// whether it had to sort. A sorted input costs one scan and zero
+// allocations; an out-of-order input is radix sorted in place — callers
+// own the drained row slices.
+func sortedByKey(rows []value.Row, idx int) (sorted bool) {
 	inOrder := true
-	for i, r := range rows {
-		if !isIntKind(r[idx].Kind) {
-			return false, mergeKeyError(r[idx])
-		}
-		if inOrder && i > 0 && rows[i-1][idx].I > r[idx].I {
-			inOrder = false
-		}
+	for i := 1; i < len(rows) && inOrder; i++ {
+		inOrder = rows[i-1][idx].I <= rows[i][idx].I
 	}
 	if inOrder {
-		return false, nil
+		return false
 	}
 	keys := make([]int64, len(rows))
 	for i, r := range rows {
@@ -742,7 +724,7 @@ func sortedByKey(rows []value.Row, idx int) (sorted bool, err error) {
 			j = k
 		}
 	}
-	return true, nil
+	return true
 }
 
 // narrowRows returns each row cut down to the values at ords — how the

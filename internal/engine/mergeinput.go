@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 
 	"robustqo/internal/catalog"
@@ -203,10 +202,6 @@ type mergeInput struct {
 	// its own kind; its chunks are then spare and output is read from
 	// keys.
 	keyVec bool
-	// badKey is the first key that is not an Int or Date, reported when
-	// the input is sorted — after both inputs are drained, as the
-	// materialized engine reports it.
-	badKey *value.Value
 }
 
 // drainMergeInput opens n, packs every batch it produces a column at a
@@ -244,13 +239,13 @@ func drainMergeInput(ctx *Context, n Node, schema expr.RelSchema, key int, stock
 }
 
 // buildKeys fills the key vector at its exact size, once the drain is
-// done, or records the first key that is not an Int or Date. A key
-// column whose values are exactly the key vector's hands its chunk
-// arrays to stock.
+// done, from the int64 payloads of the key column, which joinKey has
+// checked is Int or Date. A key column whose values are exactly the key
+// vector's hands its chunk arrays to stock.
 func (in *mergeInput) buildKeys(stock *intStock) {
 	col := &in.cols[in.key]
 	in.keys = make([]int64, in.n)
-	if !col.generic && isIntKind(col.kind) {
+	if !col.generic {
 		for ci, ch := range col.chunks {
 			copy(in.keys[ci*packChunk:], ch.ints[:])
 			*stock = append(*stock, ch.ints)
@@ -260,12 +255,7 @@ func (in *mergeInput) buildKeys(stock *intStock) {
 		return
 	}
 	for i := range in.keys {
-		v := col.at(i)
-		if !isIntKind(v.Kind) {
-			in.badKey = &v
-			return
-		}
-		in.keys[i] = v.I
+		in.keys[i] = col.at(i).I
 	}
 }
 
@@ -273,22 +263,8 @@ func (in *mergeInput) buildKeys(stock *intStock) {
 // Int and Date.
 func isIntKind(t catalog.Type) bool { return t == catalog.Int || t == catalog.Date }
 
-// mergeKeyError is the error both merge-join engines raise for a join key
-// that is not an Int or Date: every other kind would be ordered and
-// matched on a payload it leaves unused.
-func mergeKeyError(v value.Value) error {
-	if !v.Numeric() {
-		return fmt.Errorf("engine: merge join over non-numeric key %s", v)
-	}
-	return fmt.Errorf("engine: merge join over non-integer key %s", v)
-}
-
-// sort orders the input by key and reports whether it had to, failing
-// on the first key that is not an Int or Date.
-func (in *mergeInput) sort() (sorted bool, err error) {
-	if in.badKey != nil {
-		return false, mergeKeyError(*in.badKey)
-	}
+// sort orders the input by key and reports whether it had to.
+func (in *mergeInput) sort() (sorted bool) {
 	for i := 1; i < len(in.keys); i++ {
 		if in.keys[i-1] > in.keys[i] {
 			// An input whose one column is read from keys needs no
@@ -296,10 +272,10 @@ func (in *mergeInput) sort() (sorted bool, err error) {
 			if order := radixOrder(in.keys); len(in.cols) > 1 || !in.keyVec {
 				in.order = order
 			}
-			return true, nil
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // gather appends the rows at sorted positions pos to out's columns from

@@ -306,8 +306,10 @@ func (a *Aggregate) Describe() string {
 // aggState is one group's running aggregates. SUM and AVG add exactly
 // (value.ExactSum) and round once, at finalize, so the result is the
 // float64 nearest the true sum whatever the order of the rows or the
-// states merged; MIN and MAX keep the first of equal values (f < m), so
-// merging states in row order keeps it too.
+// states merged. MIN and MAX start at NaN, which the first value folded
+// replaces, and then skip NaN: they keep the first of equal values
+// (f < m || m != m), so merging states in row order keeps it too, and
+// stay NaN only when every value folded was NaN.
 type aggState struct {
 	groupVals value.Row
 	count     int64
@@ -337,13 +339,13 @@ func (a *Aggregate) newAggState(groupIdxs []int, row value.Row) *aggState {
 	return st
 }
 
-// reset empties a state: no rows, and MIN and MAX at +Inf and -Inf.
+// reset empties a state: no rows, and MIN and MAX at NaN.
 func (st *aggState) reset() {
 	st.count = 0
 	for i := range st.aggs {
 		acc := &st.aggs[i]
 		acc.sum.Reset()
-		acc.min, acc.max, acc.count = math.Inf(1), math.Inf(-1), 0
+		acc.min, acc.max, acc.count = math.NaN(), math.NaN(), 0
 	}
 }
 
@@ -355,10 +357,10 @@ func (st *aggState) accumulate(i int, fn AggFunc, v value.Value) error {
 	f := v.AsFloat()
 	acc := &st.aggs[i]
 	acc.sum.Add(f)
-	if f < acc.min {
+	if f < acc.min || acc.min != acc.min {
 		acc.min = f
 	}
-	if f > acc.max {
+	if f > acc.max || acc.max != acc.max {
 		acc.max = f
 	}
 	acc.count++
@@ -381,18 +383,22 @@ func (a *Aggregate) finalize(st *aggState, width int) value.Row {
 		case Sum:
 			out = append(out, value.Float(acc.sum.Float64()))
 		case Min:
-			out = append(out, value.Float(zeroIfInf(acc.min)))
+			out = append(out, value.Float(acc.orZero(acc.min)))
 		case Max:
-			out = append(out, value.Float(zeroIfInf(acc.max)))
+			out = append(out, value.Float(acc.orZero(acc.max)))
 		case Avg:
-			if acc.count == 0 {
-				out = append(out, value.Float(0))
-			} else {
-				out = append(out, value.Float(acc.sum.Float64()/float64(acc.count)))
-			}
+			out = append(out, value.Float(acc.orZero(acc.sum.Float64()/float64(acc.count))))
 		}
 	}
 	return out
+}
+
+// orZero is f, or 0 when no argument value was folded.
+func (acc *aggAcc) orZero(f float64) float64 {
+	if acc.count == 0 {
+		return 0
+	}
+	return f
 }
 
 // Stream implements Node.
@@ -644,7 +650,7 @@ func (g *aggGroups) accumulate(n int, sts []*aggState, argVecs [][]value.Value) 
 // fold folds vec, aggregate i's argument values over consecutive rows,
 // into its running state: one loop per function, kept to the fields
 // finalize reads for it, with accumulate's arithmetic — the same exact
-// additions and the same f < min, f > max tests (not the min and max
+// additions and the same f < m || m != m tests (not the min and max
 // builtins, which differ on NaN and -0). It returns len(vec), or the
 // index of the first non-numeric value, where it stops: the state is then
 // part-folded, and the query fails.
@@ -672,7 +678,7 @@ func (st *aggState) fold(i int, fn AggFunc, vec []value.Value) int {
 			if v.Kind == catalog.String {
 				return r
 			}
-			if f := v.AsFloat(); f < m {
+			if f := v.AsFloat(); f < m || m != m {
 				m = f
 			}
 		}
@@ -684,7 +690,7 @@ func (st *aggState) fold(i int, fn AggFunc, vec []value.Value) int {
 			if v.Kind == catalog.String {
 				return r
 			}
-			if f := v.AsFloat(); f > m {
+			if f := v.AsFloat(); f > m || m != m {
 				m = f
 			}
 		}
@@ -744,12 +750,4 @@ func (o *aggregateOp) Next() (*Batch, error) {
 func (o *aggregateOp) Close() {
 	putBatch(o.out)
 	o.out = nil
-}
-
-// zeroIfInf maps an infinite aggregate value to 0.
-func zeroIfInf(f float64) float64 {
-	if math.IsInf(f, 0) {
-		return 0
-	}
-	return f
 }

@@ -54,13 +54,10 @@ const MorselSize = 4 * BatchSize
 // morselSource is implemented by nodes whose streaming phase can be
 // partitioned into morsels. openMorsels performs the node's blocking
 // Open work — charged to the shared counters on the caller's goroutine —
-// and returns a runner over the remaining streaming work. dop is the
-// worker count that will run; leaf scans ignore it, while HashJoin uses
-// it to partition its build across that many workers before the probe
-// morsels start.
+// and returns a runner over the remaining streaming work.
 type morselSource interface {
 	Node
-	openMorsels(ctx *Context, counters *cost.Counters, dop int) (morselRunner, error)
+	openMorsels(ctx *Context, counters *cost.Counters) (morselRunner, error)
 }
 
 // morselRunner partitions a source's streaming work into numMorsels
@@ -112,9 +109,9 @@ func morselSourceOf(n Node) (src morselSource, stats *obs.OpStats, ok bool) {
 
 // openMorselSource is src.openMorsels, timed into the bypassed wrapper's
 // stats when there is one — what instrumentedOp.Open would have recorded.
-func openMorselSource(ctx *Context, src morselSource, stats *obs.OpStats, counters *cost.Counters, dop int) (morselRunner, error) {
+func openMorselSource(ctx *Context, src morselSource, stats *obs.OpStats, counters *cost.Counters) (morselRunner, error) {
 	start := time.Now()
-	r, err := src.openMorsels(ctx, counters, dop)
+	r, err := src.openMorsels(ctx, counters)
 	if stats != nil {
 		stats.OpenTime += time.Since(start)
 		stats.Opens++
@@ -195,7 +192,7 @@ func takeBound[T any](open **T, bind func() (*T, error)) (*T, error) {
 // first, skipping the tiles its zones exclude and checking the rest on
 // the table's typed payloads, and the residual only on the prefix's
 // survivors.
-func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunner, error) {
+func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters) (morselRunner, error) {
 	t, full, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
 		return nil, err
@@ -328,7 +325,7 @@ func (w *seqMorselWorker) release() {
 
 // openMorsels implements morselSource: the index seek happens here, once,
 // before any row is fetched.
-func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ int) (morselRunner, error) {
+func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters) (morselRunner, error) {
 	t, full, err := tableAndSchema(ctx, s.Table)
 	if err != nil {
 		return nil, err
@@ -350,7 +347,7 @@ func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ in
 
 // openMorsels implements morselSource: all probes and the intersection —
 // inherently blocking — happen here, once.
-func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ int) (morselRunner, error) {
+func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters) (morselRunner, error) {
 	if len(s.Ranges) == 0 {
 		return nil, fmt.Errorf("engine: IndexIntersect(%s) with no ranges", s.Table)
 	}

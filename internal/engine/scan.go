@@ -61,7 +61,7 @@ type morselScanOp struct {
 
 func (o *morselScanOp) Open(ctx *Context, counters *cost.Counters) error {
 	var err error
-	if o.runner, err = o.src.openMorsels(ctx, counters, 1); err != nil {
+	if o.runner, err = o.src.openMorsels(ctx, counters); err != nil {
 		return err
 	}
 	if o.worker, err = o.runner.newWorker(); err != nil {
