@@ -47,6 +47,7 @@ bench-smoke:
 	$(GO) test -run=^$$ -bench='BenchmarkSeqScanRows|BenchmarkSeqScanClustered|BenchmarkMergeJoinUnsorted|BenchmarkMergeJoinPruned|BenchmarkPipelineBreakers' -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkScanAggregate -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkSynopsisCount -benchtime=1x -benchmem ./internal/sample/
+	$(GO) test -run=^$$ -bench=BenchmarkEvalBatch -benchtime=1x -benchmem ./internal/expr/
 	$(GO) test -run=^$$ -bench=BenchmarkOptimizeCold -benchtime=1x -benchmem ./internal/optimizer/
 	$(GO) test -run=^$$ -bench=BenchmarkParse -benchtime=1x -benchmem ./internal/sqlparse/
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 
+	"robustqo/internal/catalog"
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/storage"
@@ -16,8 +17,13 @@ import (
 const BatchSize = 1024
 
 // Batch is a column-oriented slice of up to ~BatchSize rows flowing
-// between streaming operators. Column c of row r lives at Cols()[c][r];
-// every column slice has length Len().
+// between streaming operators, typed by its schema: column c is one
+// value.Vec of kind Schema.Fields[c].Type — an []int64 for Int and Date,
+// an []float64 for Float, an []string for String — and row r of it is
+// its r-th payload. Every column has length Len(). Operators move
+// payloads between batches by copy or by index gather; a value.Value is
+// built only where a row leaves the pipeline (Row, CloneRow) or a
+// generic expression reads a cell.
 //
 // A batch returned by Operator.Next is owned by the producer and is valid
 // only until the producer's next Next or Close call. Consumers may mutate
@@ -25,7 +31,7 @@ const BatchSize = 1024
 // pulls; rows that outlive the pull must be copied out (CloneRow).
 type Batch struct {
 	Schema expr.RelSchema
-	cols   [][]value.Value
+	cols   []value.Vec
 	n      int
 }
 
@@ -33,13 +39,13 @@ type Batch struct {
 func (b *Batch) Len() int { return b.n }
 
 // Cols exposes the column vectors for batch expression evaluation. The
-// slices are owned by the batch; callers must not grow them.
-func (b *Batch) Cols() [][]value.Value { return b.cols }
+// vectors are owned by the batch; callers must not grow them.
+func (b *Batch) Cols() []value.Vec { return b.cols }
 
 // Reset empties the batch, keeping column capacity.
 func (b *Batch) Reset() {
-	for i := range b.cols {
-		b.cols[i] = b.cols[i][:0]
+	for c := range b.cols {
+		b.cols[c].Truncate(0)
 	}
 	b.n = 0
 }
@@ -49,7 +55,7 @@ func (b *Batch) Reset() {
 //qo:hotpath
 func (b *Batch) AppendRow(row value.Row) {
 	for i, v := range row {
-		b.cols[i] = append(b.cols[i], v)
+		b.cols[i].Append(v)
 	}
 	b.n++
 }
@@ -59,26 +65,10 @@ func (b *Batch) AppendRow(row value.Row) {
 //qo:hotpath
 func (b *Batch) appendConcat(left, right value.Row) {
 	for i, v := range left {
-		b.cols[i] = append(b.cols[i], v)
+		b.cols[i].Append(v)
 	}
 	for i, v := range right {
-		b.cols[len(left)+i] = append(b.cols[len(left)+i], v)
-	}
-	b.n++
-}
-
-// appendConcatFrom appends the concatenation of a row fragment and row r
-// of src as one row, reading src's columns directly so the right-hand
-// fragment never has to be materialized as a value.Row first.
-//
-//qo:hotpath
-func (b *Batch) appendConcatFrom(left value.Row, src *Batch, r int) {
-	for i, v := range left {
-		b.cols[i] = append(b.cols[i], v)
-	}
-	n := len(left)
-	for c := range src.cols {
-		b.cols[n+c] = append(b.cols[n+c], src.cols[c][r])
+		b.cols[len(left)+i].Append(v)
 	}
 	b.n++
 }
@@ -86,7 +76,7 @@ func (b *Batch) appendConcatFrom(left value.Row, src *Batch, r int) {
 // Row copies row i into dst, which must have one slot per column.
 func (b *Batch) Row(i int, dst value.Row) {
 	for c := range b.cols {
-		dst[c] = b.cols[c][i]
+		dst[c] = b.cols[c].At(i)
 	}
 }
 
@@ -108,11 +98,7 @@ func (b *Batch) Gather(sel []int) { b.gatherFrom(0, sel) }
 //qo:hotpath
 func (b *Batch) gatherFrom(base int, sel []int) {
 	for c := range b.cols {
-		col := b.cols[c]
-		for out, in := range sel {
-			col[base+out] = col[in]
-		}
-		b.cols[c] = col[:base+len(sel)]
+		b.cols[c].Compact(base, sel)
 	}
 	b.n = base + len(sel)
 }
@@ -139,7 +125,7 @@ func (b *Batch) Truncate(n int) {
 		return
 	}
 	for c := range b.cols {
-		b.cols[c] = b.cols[c][:n]
+		b.cols[c].Truncate(n)
 	}
 	b.n = n
 }
@@ -163,16 +149,19 @@ func getBatch(schema expr.RelSchema) *Batch {
 	b.Schema = schema
 	n := len(schema.Fields)
 	if cap(b.cols) < n {
-		old := b.cols
-		b.cols = make([][]value.Value, n)
-		copy(b.cols, old)
+		b.cols = append(b.cols[:cap(b.cols)], make([]value.Vec, n-cap(b.cols))...)
 	}
 	b.cols = b.cols[:n]
-	for i := range b.cols {
-		if b.cols[i] == nil {
-			b.cols[i] = make([]value.Value, 0, BatchSize)
-		} else {
-			b.cols[i] = b.cols[i][:0]
+	for i, f := range schema.Fields {
+		c := &b.cols[i]
+		c.Reset(f.Type)
+		switch {
+		case f.Type == catalog.Float && c.F == nil:
+			c.F = make([]float64, 0, BatchSize)
+		case f.Type == catalog.String && c.S == nil:
+			c.S = make([]string, 0, BatchSize)
+		case isIntKind(f.Type) && c.I == nil:
+			c.I = make([]int64, 0, BatchSize)
 		}
 	}
 	b.n = 0
@@ -185,10 +174,7 @@ func putBatch(b *Batch) {
 	if b == nil {
 		return
 	}
-	for i := range b.cols {
-		b.cols[i] = b.cols[i][:0]
-	}
-	b.n = 0
+	b.Reset()
 	b.Schema = expr.RelSchema{}
 	batchPool.Put(b)
 }
@@ -241,40 +227,30 @@ func openAndDrain(ctx *Context, n Node, counters *cost.Counters) ([]value.Row, e
 	return drainRows(op)
 }
 
-// arenaChunk is the value count of one arena slab in openAndDrainArena.
-const arenaChunk = 8192
-
-// openAndDrainArena is openAndDrain for consumers that keep the whole row
-// set alive together (the hash-join build side): instead of one heap
-// allocation per row, row storage comes from shared arena slabs — one
-// allocation per arenaChunk values. Rows are views into a slab and must be
-// treated as immutable; a slab is never grown once rows point into it.
-func openAndDrainArena(ctx *Context, n Node, counters *cost.Counters) ([]value.Row, error) {
+// drainVecs runs n to completion into typed vectors of its schema —
+// the build side of a hash join, an input of a merge join: it opens n's
+// stream against the shared counters, appends every batch it produces a
+// column at a time, and closes it. It returns the vectors and their row
+// count.
+func drainVecs(ctx *Context, n Node, schema expr.RelSchema, counters *cost.Counters) ([]value.Vec, int, error) {
 	op := n.Stream()
 	defer op.Close()
 	if err := op.Open(ctx, counters); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var rows []value.Row
-	var arena []value.Value
+	cols := make([]value.Vec, len(schema.Fields))
+	for c, f := range schema.Fields {
+		cols[c].Kind = f.Type
+	}
+	rows := 0
 	for {
 		b, err := op.Next()
-		if err != nil {
-			return nil, err
+		if err != nil || b == nil {
+			return cols, rows, err
 		}
-		if b == nil {
-			return rows, nil
+		for c := range cols {
+			cols[c].AppendVec(&b.cols[c])
 		}
-		cols := b.Cols()
-		if need := b.Len() * len(cols); cap(arena)-len(arena) < need {
-			arena = make([]value.Value, 0, max(arenaChunk, need))
-		}
-		for i := 0; i < b.Len(); i++ {
-			start := len(arena)
-			for c := range cols {
-				arena = append(arena, cols[c][i])
-			}
-			rows = append(rows, arena[start:len(arena):len(arena)])
-		}
+		rows += b.Len()
 	}
 }

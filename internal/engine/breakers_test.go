@@ -112,55 +112,29 @@ func TestAggregateIntGroupOrder(t *testing.T) {
 	sameAsReference(t, "two keys", two)
 }
 
-// TestAggregateOddKindGroup: a group column holding a value of another
-// kind — a Date in an Int column, sharing an Int group's payload — moves
-// the grouping to the generic string keys mid-input, where the two stay
-// apart, and the output is the reference engine's.
-func TestAggregateOddKindGroup(t *testing.T) {
-	var keys []value.Value
-	for i := 0; i < 3000; i++ {
-		keys = append(keys, value.Int(int64(i%40)-20))
-	}
-	keys[1500] = value.Date(7)
-	rows := groupRows(catalog.Int, keys)
-	sameAsReference(t, "odd kind", groupPlan(rows))
-	res, _, _, err := Run(&Context{}, groupPlan(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 41 {
-		t.Errorf("%d groups, want 41: date(7) must not merge with 7", len(res.Rows))
-	}
-}
-
 // TestJoinTableIntChains: the open-addressed int64 table finds each key's
-// build rows in build order, and nothing for an absent key — over
-// negatives, zero, the int64 extremes, and Int and Date values sharing
-// payloads.
+// build positions in build order, and nothing for an absent key — over
+// negatives, zero and the int64 extremes.
 func TestJoinTableIntChains(t *testing.T) {
 	rng := stats.NewRNG(2005)
 	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}
-	var rows []value.Row
-	want := map[int64][]int32{}
 	var keys []int64
+	want := map[int64][]int32{}
+	var distinct []int64
 	for i := 0; i < 6*MorselSize; i++ {
 		k := int64(testkit.Intn(rng, 5000)) - 2500
 		if i%97 == 0 {
 			k = extremes[i/97%len(extremes)]
 		}
-		v := value.Int(k)
-		if i%3 == 0 {
-			v = value.Date(k)
-		}
-		rows = append(rows, value.Row{v})
+		keys = append(keys, k)
 		if want[k] == nil {
-			keys = append(keys, k)
+			distinct = append(distinct, k)
 		}
 		want[k] = append(want[k], int32(i))
 	}
 	absent := []int64{2500, 2501, -2501, math.MinInt64 + 1, math.MaxInt64 - 1}
-	tbl := buildJoinTable(rows, 0)
-	for _, k := range append(keys, absent...) {
+	tbl := buildJoinTable(keys)
+	for _, k := range append(distinct, absent...) {
 		var got []int32
 		for idx := tbl.first(k); idx >= 0; idx = tbl.next[idx] {
 			got = append(got, idx)
@@ -171,62 +145,57 @@ func TestJoinTableIntChains(t *testing.T) {
 	}
 }
 
-// foldRows builds the input of TestGlobalAggregateFold: columns a, b
-// and c of mixed numeric kinds — Int, Date and Float values, NaN, ±Inf
-// and -0 among the floats — over n rows, with bad[col] = row planting a
-// non-numeric value there.
-func foldRows(n int, bad map[int]int) *benchRowsNode {
+// foldRows builds the input of TestGlobalAggregateFold over n rows:
+// Float column a, with NaN, ±Inf and -0 among its values, Float column b,
+// with runs of -0, Int column i, Date column d, and String column s.
+func foldRows(n int) *benchRowsNode {
 	rng := stats.NewRNG(43)
 	node := &benchRowsNode{schema: expr.RelSchema{Fields: []expr.Field{
 		{Table: "f", Column: "a", Type: catalog.Float},
 		{Table: "f", Column: "b", Type: catalog.Float},
-		{Table: "f", Column: "c", Type: catalog.Float},
+		{Table: "f", Column: "i", Type: catalog.Int},
+		{Table: "f", Column: "d", Type: catalog.Date},
+		{Table: "f", Column: "s", Type: catalog.String},
 	}}}
 	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e300, -1e-300}
-	for r := 0; r < n; r++ {
-		row := make(value.Row, 3)
-		for c := range row {
-			switch x := rng.Uint64(); x % 8 {
-			case 0:
-				row[c] = value.Int(int64(x>>8)%2001 - 1000)
-			case 1:
-				row[c] = value.Date(int64(x>>8) % 9000)
-			case 2:
-				row[c] = value.Float(odd[(x>>8)%uint64(len(odd))])
-			default:
-				row[c] = value.Float(rng.Float64()*1e6 - 3e5)
-			}
-			if r%300 == 7 && c == 1 {
-				row[c] = value.Float(math.Copysign(0, -1))
-			}
+	float := func() float64 {
+		if x := rng.Uint64(); x%4 == 0 {
+			return odd[(x>>8)%uint64(len(odd))]
 		}
-		node.rows = append(node.rows, row)
+		return rng.Float64()*1e6 - 3e5
 	}
-	for c, r := range bad {
-		node.rows[r][c] = value.Str(fmt.Sprintf("bad-%c", 'a'+c))
+	for r := 0; r < n; r++ {
+		b := rng.Float64()*2e3 - 1e3
+		if r%300 == 7 {
+			b = math.Copysign(0, -1)
+		}
+		node.rows = append(node.rows, value.Row{
+			value.Float(float()), value.Float(b), value.Int(int64(rng.Uint64()>>8)%2001 - 1000),
+			value.Date(int64(rng.Uint64()>>8) % 9000), value.Str(fmt.Sprint("s", r%5)),
+		})
 	}
 	return node
 }
 
 // TestGlobalAggregateFold: a global aggregate folds its batches
-// aggregate by aggregate, and its output is bit for bit the reference
-// engine's row-major fold — the same sums in the same order, and the
-// same MIN/MAX over NaN, ±Inf and -0 — and over bad input it fails with
-// the row-major loop's first error: the earliest bad row, and the
-// earliest aggregate on it, whichever aggregate reaches its bad row first.
+// aggregate by aggregate — a plain Int, Date or Float column from its
+// payload, any other argument from its evaluated values — and its output
+// is bit for bit the reference engine's row-major fold: the same sums in
+// the same order, and the same MIN/MAX over NaN, ±Inf and -0. Over a
+// non-numeric argument it fails with the row-major loop's first error:
+// the first row, and the earliest such aggregate on it.
 func TestGlobalAggregateFold(t *testing.T) {
-	a, b, c := expr.C("a"), expr.C("b"), expr.C("c")
-	plan := func(rows Node) *Aggregate {
-		return &Aggregate{Input: rows, Aggs: []AggSpec{
+	a, b, i, d, str := expr.C("a"), expr.C("b"), expr.C("i"), expr.C("d"), expr.C("s")
+	plan := func(rows Node, extra ...AggSpec) *Aggregate {
+		return &Aggregate{Input: rows, Aggs: append([]AggSpec{
 			{Func: Count, As: "n"}, {Func: Sum, Arg: a, As: "sa"}, {Func: Min, Arg: b, As: "lb"},
-			{Func: Max, Arg: b, As: "hb"}, {Func: Avg, Arg: c, As: "vc"}, {Func: Count, Arg: c, As: "nc"},
-			{Func: Min, Arg: a, As: "la"},
-		}}
+			{Func: Max, Arg: b, As: "hb"}, {Func: Avg, Arg: d, As: "vd"}, {Func: Count, Arg: d, As: "nd"},
+			{Func: Min, Arg: a, As: "la"}, {Func: Sum, Arg: i, As: "si"}, {Func: Max, Arg: i, As: "hi"},
+		}, extra...)}
 	}
 	for _, n := range []int{0, 1, BatchSize - 1, 3*BatchSize + 17} {
-		p := plan(foldRows(n, nil))
 		// A computed argument, evaluated a vector at a time.
-		p.Aggs = append(p.Aggs, AggSpec{Func: Sum, Arg: expr.Arith{Op: expr.Mul, L: a, R: c}, As: "sac"})
+		p := plan(foldRows(n), AggSpec{Func: Sum, Arg: expr.Arith{Op: expr.Mul, L: a, R: i}, As: "sai"})
 		got, _, _, err := Run(&Context{}, p)
 		if err != nil {
 			t.Fatal(err)
@@ -241,21 +210,19 @@ func TestGlobalAggregateFold(t *testing.T) {
 			}
 		}
 	}
-	// Column a feeds aggregates 1 and 6, b aggregates 2 and 3, c
-	// aggregates 4 and 5.
-	for _, bad := range []map[int]int{
-		{0: 2500},
-		{0: 2500, 2: 1300},          // c's row comes first, in an earlier batch
-		{0: 1300, 2: 1300},          // one row: a's aggregate 1 comes first
-		{1: 1301, 2: 1300},          // c's row comes first within a batch
-		{0: 1301, 1: 1301, 2: 1302}, // a and b tie on a row: a's aggregate 1 fails first
-		{2: 0},
+	for _, bad := range [][]AggSpec{
+		{{Func: Min, Arg: str}},
+		{{Func: Avg, Arg: str}, {Func: Max, Arg: str}},
+		{{Func: Count, Arg: str}},
+		{{Func: Sum, Arg: expr.StrLit("x")}},
 	} {
-		p := plan(foldRows(3*BatchSize+17, bad))
-		_, _, _, err := Run(&Context{}, p)
-		_, refErr := ExecuteMaterialized(&Context{}, p, &cost.Counters{})
-		if err == nil || refErr == nil || err.Error() != refErr.Error() {
-			t.Errorf("bad %v: error %v, reference %v", bad, err, refErr)
+		for _, n := range []int{0, 3*BatchSize + 17} {
+			p := plan(foldRows(n), bad...)
+			_, _, _, err := Run(&Context{}, p)
+			_, refErr := ExecuteMaterialized(&Context{}, p, &cost.Counters{})
+			if (n > 0) != (err != nil) || fmt.Sprint(err) != fmt.Sprint(refErr) {
+				t.Errorf("n=%d %v: error %v, reference %v", n, bad, err, refErr)
+			}
 		}
 	}
 }

@@ -7,8 +7,8 @@ package engine
 // plan — SeqScan, IndexRangeScan and IndexIntersect (Emit), INLJoin's
 // inner side (InnerEmit) and StarSemiJoin's fact side (FactEmit) — and
 // every other node's Schema follows from its inputs', so a node's schema
-// is exactly what some ancestor reads. Hash build arenas, packed merge
-// inputs, the top-K heap and the aggregate narrow with it.
+// is exactly what some ancestor reads. Hash build vectors, merge inputs,
+// the top-K heap and the aggregate narrow with it.
 //
 // A leaf's predicate may read columns it does not emit. Its window loads
 // the columns the predicate reads into worker-local scratch, evaluates
@@ -224,12 +224,8 @@ func newScanCols(full expr.RelSchema, emit []int, pred expr.Expr) (*scanCols, er
 // output columns and counts the rows.
 //
 //qo:hotpath
-func (sc *scanCols) gatherPred(out *Batch, scratch [][]value.Value, keep []int) {
+func (sc *scanCols) gatherPred(out *Batch, scratch []value.Vec, keep []int) {
 	for _, i := range sc.predOut {
-		col, src := out.cols[i], scratch[sc.emit[i]]
-		for _, k := range keep {
-			col = append(col, src[k])
-		}
-		out.cols[i] = col
+		value.AppendSel(&out.cols[i], &scratch[sc.emit[i]], keep)
 	}
 }

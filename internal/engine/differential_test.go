@@ -589,6 +589,66 @@ func TestEngineDifferentialCoverage(t *testing.T) {
 	}
 }
 
+// TestBatchesTyped holds every batch an operator returns to the typed
+// layout: column c is a vector of kind Schema.Fields[c].Type — a Date
+// column stays Date — and every column is Len() long. It takes the first
+// default trial of every shape at every DOP axis, and runs each node of
+// the trial's plan as a root, so every operator's own batches are seen,
+// including those an Exchange's workers fill.
+func TestBatchesTyped(t *testing.T) {
+	seen := map[[2]int]bool{}
+	for _, tr := range defaultTrials() {
+		p := decode(tr[1])
+		if seen[[2]int{p.shape, p.dop}] {
+			continue
+		}
+		seen[[2]int{p.shape, p.dop}] = true
+		ctx, _ := harnessLayout(t, p)
+		plan := newGen(tr[0]).plan(p, ctx)
+		if p.instrumented {
+			plan = Instrument(plan)
+		}
+		for _, n := range nodes(plan) {
+			checkBatchesTyped(t, ctx, n, fmt.Sprintf("seed=%d axes=%d %s", tr[0], tr[1], n.Describe()))
+		}
+	}
+	if len(seen) != len(shapes)*len(dops) {
+		t.Errorf("%d (shape, DOP) pairs checked, want %d", len(seen), len(shapes)*len(dops))
+	}
+}
+
+// checkBatchesTyped drains n and fails t on the first batch whose columns
+// break the typed layout of n's schema.
+func checkBatchesTyped(t *testing.T, ctx *Context, n Node, label string) {
+	t.Helper()
+	schema, err := n.Schema(ctx)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	op := n.Stream()
+	defer op.Close()
+	if err := op.Open(ctx, &cost.Counters{}); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for {
+		b, err := op.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if b == nil {
+			return
+		}
+		if b.Schema.String() != schema.String() || len(b.Cols()) != len(schema.Fields) {
+			t.Fatalf("%s: batch schema %s with %d columns, want %s", label, b.Schema, len(b.Cols()), schema)
+		}
+		for c, v := range b.Cols() {
+			if f := schema.Fields[c]; v.Kind != f.Type || v.Len() != b.Len() {
+				t.Fatalf("%s: column %s is %d %s values in a %d-row batch, want %s", label, f.Column, v.Len(), v.Kind, b.Len(), f.Type)
+			}
+		}
+	}
+}
+
 // TestPruneColumnsLeafEmits pins which columns each leaf emits after
 // PruneColumns, for the shapes where pruning has a choice to make.
 func TestPruneColumnsLeafEmits(t *testing.T) {

@@ -45,9 +45,10 @@ func naiveSelect(t *testing.T, db *storage.Database, table string, pred expr.Exp
 
 // evalRow evaluates a bound predicate over one row, as a one-row batch.
 func evalRow(b *expr.Bound, row value.Row) (bool, error) {
-	cols := make([][]value.Value, len(row))
+	cols := make([]value.Vec, len(row))
 	for c, v := range row {
-		cols[c] = []value.Value{v}
+		cols[c] = value.Vec{Kind: v.Kind}
+		cols[c].Append(v)
 	}
 	keep, err := b.EvalBatch(cols, []int{0})
 	return len(keep) == 1, err

@@ -62,17 +62,8 @@ func newAggFold(a *Aggregate, in expr.RelSchema) *aggFold {
 			f.cols[i] = -1
 			continue
 		}
-		col, ok := spec.Arg.(expr.Col)
-		if !ok {
-			return nil
-		}
-		j, err := in.Resolve(col.Ref)
-		if err != nil {
-			return nil
-		}
-		switch in.Fields[j].Type {
-		case catalog.Int, catalog.Date, catalog.Float:
-		default:
+		j := payloadArg(spec, in)
+		if j < 0 {
 			return nil
 		}
 		if f.cols[i] = j; scan.Emit != nil {
@@ -80,6 +71,21 @@ func newAggFold(a *Aggregate, in expr.RelSchema) *aggFold {
 		}
 	}
 	return f
+}
+
+// payloadArg returns the ordinal in in of spec's argument when it is a
+// plain Int, Date or Float column, whose typed payload an aggregate folds
+// directly (foldPayload); otherwise -1.
+func payloadArg(spec AggSpec, in expr.RelSchema) int {
+	col, ok := spec.Arg.(expr.Col)
+	if !ok {
+		return -1
+	}
+	j, err := in.Resolve(col.Ref)
+	if err != nil || in.Fields[j].Type == catalog.String {
+		return -1
+	}
+	return j
 }
 
 // foldLeaf returns the SeqScan under n when n is one, possibly under one

@@ -70,10 +70,11 @@ func joinKey(op, role string, schema expr.RelSchema, ref expr.ColumnRef) (int, e
 	return idx, nil
 }
 
-// builtJoin is a hash join past its blocking half: the finished,
-// read-only table, the probe key's ordinal in the probe schema, and the
-// join's output schema.
+// builtJoin is a hash join past its blocking half: the drained build
+// columns, the finished, read-only table over their key, the probe key's
+// ordinal in the probe schema, and the join's output schema.
 type builtJoin struct {
+	build  []value.Vec
 	table  *joinTable
 	pIdx   int
 	schema expr.RelSchema
@@ -81,7 +82,8 @@ type builtJoin struct {
 
 // openBuild is the blocking half of a hash join, shared by the serial
 // operator and the morsel runner: resolve and check both keys, drain the
-// build side into arena rows, build the table, and charge HashBuilds.
+// build side into typed vectors, build the table over its key vector,
+// and charge HashBuilds.
 func (j *HashJoin) openBuild(ctx *Context, counters *cost.Counters) (*builtJoin, error) {
 	buildSchema, err := j.Build.Schema(ctx)
 	if err != nil {
@@ -99,33 +101,48 @@ func (j *HashJoin) openBuild(ctx *Context, counters *cost.Counters) (*builtJoin,
 	if err != nil {
 		return nil, err
 	}
-	buildRows, err := openAndDrainArena(ctx, j.Build, counters)
+	build, n, err := drainVecs(ctx, j.Build, buildSchema, counters)
 	if err != nil {
 		return nil, err
 	}
 	if ctx.Metrics != nil {
 		ctx.Metrics.Counter("robustqo_hashjoin_builds_total").Inc()
 	}
-	counters.HashBuilds += int64(len(buildRows))
-	return &builtJoin{table: buildJoinTable(buildRows, bIdx), pIdx: pIdx, schema: buildSchema.Concat(probeSchema)}, nil
+	counters.HashBuilds += int64(n)
+	return &builtJoin{build: build, table: buildJoinTable(build[bIdx].I), pIdx: pIdx, schema: buildSchema.Concat(probeSchema)}, nil
 }
 
+// joinPairs is a prober's scratch: the (build, probe) positions of one
+// probe batch's matches.
+type joinPairs struct{ b, p []int32 }
+
 // probeInto joins every row of the probe batch b against the table,
-// appending matches to out column-wise: one HashProbes per probe row, one
-// Tuples per match, each key's build rows in build-input order. The probe
-// is vectorized — it walks b's key column directly, with no per-row
-// materialization.
+// appending matches to out: one HashProbes per probe row, one Tuples per
+// match, each key's build rows in build-input order. The probe walks b's
+// key vector and collects the matches as position pairs in pairs, and
+// the output columns are gathered from them, one typed loop a column
+// (value.AppendSel, the merge join's gather).
 //
 //qo:hotpath
-func (j *builtJoin) probeInto(out, b *Batch, counters *cost.Counters) {
+func (j *builtJoin) probeInto(out, b *Batch, pairs *joinPairs, counters *cost.Counters) {
 	counters.HashProbes += int64(b.Len())
-	t, keys := j.table, b.Cols()[j.pIdx]
-	for r := 0; r < b.Len(); r++ {
-		for idx := t.first(keys[r].I); idx >= 0; idx = t.next[idx] {
-			counters.Tuples++
-			out.appendConcatFrom(t.rows[idx], b, r)
+	t, keys := j.table, b.cols[j.pIdx].I[:b.Len()]
+	bpos, ppos := pairs.b[:0], pairs.p[:0]
+	for r, k := range keys {
+		for idx := t.first(k); idx >= 0; idx = t.next[idx] {
+			bpos = append(bpos, idx)
+			ppos = append(ppos, int32(r))
 		}
 	}
+	counters.Tuples += int64(len(bpos))
+	for c := range j.build {
+		value.AppendSel(&out.cols[c], &j.build[c], bpos)
+	}
+	for c := range b.cols {
+		value.AppendSel(&out.cols[len(j.build)+c], &b.cols[c], ppos)
+	}
+	out.n += len(bpos)
+	pairs.b, pairs.p = bpos, ppos
 }
 
 // hashJoinOp builds at Open (the build is inherently blocking) and then
@@ -137,6 +154,7 @@ type hashJoinOp struct {
 	counters *cost.Counters
 	probe    Operator
 	built    *builtJoin
+	pairs    joinPairs
 	out      *Batch
 }
 
@@ -167,7 +185,7 @@ func (o *hashJoinOp) Next() (*Batch, error) {
 			return nil, nil
 		}
 		o.out.Reset()
-		o.built.probeInto(o.out, b, o.counters)
+		o.built.probeInto(o.out, b, &o.pairs, o.counters)
 		if o.out.Len() > 0 {
 			return o.out, nil
 		}
@@ -213,7 +231,7 @@ func (j *MergeJoin) Describe() string {
 func (j *MergeJoin) Stream() Operator { return &mergeJoinOp{node: j} }
 
 // mergeJoinOp is a pipeline breaker on both sides: it drains both inputs
-// into packed columns and key vectors and sorts them at Open, then merges
+// into typed vectors and sorts them by key at Open, then merges
 // incrementally as batches are pulled — each pull collects up to
 // BatchSize (left, right) sorted positions and gathers the output columns
 // from them into the pooled output batch, and the tuple charge lands only
@@ -229,10 +247,9 @@ type mergeJoinOp struct {
 	i, k        int
 	iEnd, kEnd  int
 	a, b        int
-	// lpos and rpos are the sorted positions of one output batch's
-	// pairs; rows is the scratch gather resolves them into.
-	lpos, rpos, rows []int32
-	out              *Batch
+	// lpos and rpos are the sorted positions of one output batch's pairs.
+	lpos, rpos []int32
+	out        *Batch
 }
 
 func (o *mergeJoinOp) Open(ctx *Context, counters *cost.Counters) error {
@@ -253,20 +270,17 @@ func (o *mergeJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return err
 	}
-	var stock intStock
-	if o.left, err = drainMergeInput(ctx, j.Left, lSchema, lIdx, &stock, counters); err != nil {
+	if o.left, err = drainMergeInput(ctx, j.Left, lSchema, lIdx, counters); err != nil {
 		return err
 	}
-	if o.right, err = drainMergeInput(ctx, j.Right, rSchema, rIdx, &stock, counters); err != nil {
+	if o.right, err = drainMergeInput(ctx, j.Right, rSchema, rIdx, counters); err != nil {
 		return err
 	}
-	stock = nil // the spare arrays are garbage from here on
-	j.chargeInput(ctx, o.left.n, j.LeftSorted, o.left.sort(), counters)
-	j.chargeInput(ctx, o.right.n, j.RightSorted, o.right.sort(), counters)
+	j.chargeInput(ctx, len(o.left.keys), j.LeftSorted, o.left.sort(), counters)
+	j.chargeInput(ctx, len(o.right.keys), j.RightSorted, o.right.sort(), counters)
 	o.counters = counters
 	o.lpos = make([]int32, 0, BatchSize)
 	o.rpos = make([]int32, 0, BatchSize)
-	o.rows = make([]int32, 0, BatchSize)
 	o.out = getBatch(lSchema.Concat(rSchema))
 	return nil
 }
@@ -333,8 +347,8 @@ func (o *mergeJoinOp) Next() (*Batch, error) {
 	}
 	o.counters.Tuples += int64(len(lpos))
 	o.out.Reset()
-	o.rows = o.left.gather(o.out, 0, lpos, o.rows)
-	o.rows = o.right.gather(o.out, len(o.left.cols), rpos, o.rows)
+	o.left.gather(o.out, 0, lpos)
+	o.right.gather(o.out, len(o.left.cols), rpos)
 	o.out.n = len(lpos)
 	return o.out, nil
 }

@@ -102,9 +102,9 @@ func drainJoin(ctx *Context, op Operator) (int, error) {
 }
 
 // TestVectorizedProbeAllocs pins the allocation discipline of the serial
-// hash join: build rows land in shared arena slabs, keys go into one
+// hash join: the build side drains into typed vectors, keys go into one
 // int64 table whose chains thread through one next-index array, and
-// matches are appended column-wise into a pooled batch, so a full drain
+// matches are gathered column-wise into a pooled batch, so a full drain
 // allocates at most once per eight joined rows — the ceiling
 // TestMorselProbeAllocs sets for the morsel workers.
 func TestVectorizedProbeAllocs(t *testing.T) {

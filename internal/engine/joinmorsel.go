@@ -65,11 +65,12 @@ func (r *hashJoinMorselRunner) newWorker() (morselWorker, error) {
 }
 
 // hashJoinMorselWorker owns pb, the scratch batch its probe side fills
-// one window at a time.
+// one window at a time, and the scratch of its probes.
 type hashJoinMorselWorker struct {
 	built *builtJoin
 	probe morselWorker
 	pb    *Batch
+	pairs joinPairs
 }
 
 // window runs the probe side's window into pb and appends its matches to
@@ -81,7 +82,7 @@ func (w *hashJoinMorselWorker) window(out *Batch, lo, hi int, counters *cost.Cou
 	if err := w.probe.window(w.pb, lo, hi, counters); err != nil {
 		return err
 	}
-	w.built.probeInto(out, w.pb, counters)
+	w.built.probeInto(out, w.pb, &w.pairs, counters)
 	return nil
 }
 

@@ -5,22 +5,18 @@ package engine
 //
 // Every join key is an Int or Date column (joinKey enforces it at Open),
 // so the table is keyed by the int64 payload alone: Int and Date keys
-// with equal payloads match, as MergeJoin and INLJoin match them. Rows
-// live once in a flat build-order slice; each key's slot holds the head
-// and tail of a chain threaded through a next-index array, so inserting
-// N rows costs no per-key allocation and walking a chain yields the
-// key's rows in build-input order. The build row count is known before
+// with equal payloads match, as MergeJoin and INLJoin match them. The
+// table indexes build positions — rows of the drained build vectors —
+// and each key's slot holds the head and tail of a chain of positions
+// threaded through a next-index array, so inserting N rows costs no
+// per-key allocation and walking a chain yields the key's rows in
+// build-input order. The build row count is known before
 // the first insert, so the table is sized once, at most half full, and
 // never grows. Once built it is only read, so any number of morsel
 // workers probe it at once.
 
-import (
-	"robustqo/internal/obs"
-	"robustqo/internal/value"
-)
-
-// joinSlot is one slot of a joinTable: a key and its chain of row
-// indices, head first; head < 0 marks the slot empty.
+// joinSlot is one slot of a joinTable: a key and its chain of build
+// positions, head first; head < 0 marks the slot empty.
 type joinSlot struct {
 	key        int64
 	head, tail int32
@@ -31,33 +27,31 @@ type joinSlot struct {
 type joinTable struct {
 	slots []joinSlot
 	shift uint // 64 - log2(len(slots))
-	// rows holds every build row in input order; next[i] is the index of
-	// the next row sharing row i's key, or -1 at the end of a chain.
-	rows []value.Row
+	// next[i] is the next build position sharing position i's key, or -1
+	// at the end of a chain.
 	next []int32
 }
 
-// buildJoinTable builds the join table over buildRows keyed by the int64
-// payload of column bIdx.
-func buildJoinTable(buildRows []value.Row, bIdx int) *joinTable {
+// buildJoinTable builds the join table over keys, the build side's key
+// vector: position i has key keys[i].
+func buildJoinTable(keys []int64) *joinTable {
 	bits := uint(3)
-	for 1<<bits < 2*len(buildRows) {
+	for 1<<bits < 2*len(keys) {
 		bits++
 	}
 	t := &joinTable{
 		slots: make([]joinSlot, 1<<bits),
 		shift: 64 - bits,
-		rows:  buildRows,
-		next:  make([]int32, len(buildRows)),
+		next:  make([]int32, len(keys)),
 	}
 	for i := range t.slots {
 		t.slots[i].head = -1
 	}
-	for i, r := range buildRows {
+	for i, k := range keys {
 		t.next[i] = -1
-		s := t.slot(r[bIdx].I)
+		s := t.slot(k)
 		if s.head < 0 {
-			*s = joinSlot{key: r[bIdx].I, head: int32(i), tail: int32(i)}
+			*s = joinSlot{key: k, head: int32(i), tail: int32(i)}
 		} else {
 			t.next[s.tail] = int32(i)
 			s.tail = int32(i)
@@ -79,9 +73,9 @@ func (t *joinTable) slot(key int64) *joinSlot {
 	}
 }
 
-// first returns the head row index of key's chain, or -1 when no build
-// row has that key. Continue with t.next[idx]; rows come out in
-// build-input order.
+// first returns the head build position of key's chain, or -1 when no
+// build row has that key. Continue with t.next[idx]; positions come out
+// in build-input order.
 //
 //qo:hotpath
 func (t *joinTable) first(key int64) int32 {
@@ -97,12 +91,4 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// recordMetrics counts the build. Nil registries cost nothing, so
-// hand-built plans and tests run unmetered.
-func (t *joinTable) recordMetrics(reg *obs.Registry) {
-	if reg != nil {
-		reg.Counter("robustqo_hashjoin_builds_total").Inc()
-	}
 }

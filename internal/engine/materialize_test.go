@@ -747,9 +747,9 @@ func narrowRows(rows []value.Row, ords []int) []value.Row {
 // NewBatch returns an empty batch for the schema with capacity for
 // BatchSize rows per column.
 func NewBatch(schema expr.RelSchema) *Batch {
-	cols := make([][]value.Value, len(schema.Fields))
-	for i := range cols {
-		cols[i] = make([]value.Value, 0, BatchSize)
+	cols := make([]value.Vec, len(schema.Fields))
+	for i, f := range schema.Fields {
+		cols[i].Kind = f.Type
 	}
 	return &Batch{Schema: schema, cols: cols}
 }

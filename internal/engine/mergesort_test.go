@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -207,72 +206,5 @@ func TestMergeJoinFloatKeyBothEngines(t *testing.T) {
 	var c cost.Counters
 	if _, err := ExecuteMaterialized(ctx, plan, &c); err == nil || err.Error() != want {
 		t.Errorf("materialized: error %v, want %q", err, want)
-	}
-}
-
-// sameValue is exact equality, float payload bits included.
-func sameValue(a, b value.Value) bool {
-	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
-}
-
-// TestPackedColRoundTrip checks that a packed merge-join column reads back
-// every value exactly, through at and gather, across chunk boundaries and
-// batch slices that straddle them, and that only a chunk receiving a
-// value its column type cannot carry falls back to whole values.
-func TestPackedColRoundTrip(t *testing.T) {
-	odd := map[catalog.Type]value.Value{
-		catalog.Int:    value.Date(7),                                           // another kind
-		catalog.Date:   {Kind: catalog.Date, I: 3, S: "x"},                      // an unused payload
-		catalog.Float:  {Kind: catalog.Float, F: 1.5, I: 2},                     // an unused payload
-		catalog.String: {Kind: catalog.String, S: "s", F: math.Copysign(0, -1)}, // -0 is not 0
-	}
-	for kind, bad := range odd {
-		t.Run(kind.String(), func(t *testing.T) {
-			gen := func(i int) value.Value {
-				switch kind {
-				case catalog.Int:
-					return value.Int(int64(i) - 1500)
-				case catalog.Date:
-					return value.Date(int64(i))
-				case catalog.Float:
-					return value.Float(float64(i) / 3)
-				default:
-					return value.Str(fmt.Sprint("v", i))
-				}
-			}
-			// A clean column reads back through gather's typed loops; a
-			// poisoned one through the generic fallback.
-			for _, poisoned := range []bool{false, true} {
-				var want []value.Value
-				for i := 0; i < 3*packChunk+10; i++ {
-					v := gen(i)
-					if poisoned && i == packChunk+500 {
-						v = bad
-					}
-					want = append(want, v)
-				}
-				col := packedCol{kind: kind}
-				for lo := 0; lo < len(want); lo += 700 {
-					col.appendVals(want[lo:min(lo+700, len(want))])
-				}
-				rows := make([]int32, len(want))
-				for i := range want {
-					if got := col.at(i); !sameValue(got, want[i]) {
-						t.Fatalf("poisoned=%v: value %d = %#v, want %#v", poisoned, i, got, want[i])
-					}
-					rows[i] = int32(len(want) - 1 - i)
-				}
-				for i, got := range col.gather(nil, rows) {
-					if w := want[rows[i]]; !sameValue(got, w) {
-						t.Fatalf("poisoned=%v: gathered value %d = %#v, want %#v", poisoned, rows[i], got, w)
-					}
-				}
-				for c, ch := range col.chunks {
-					if generic := ch.vals != nil; generic != (poisoned && c == 1) {
-						t.Errorf("poisoned=%v: chunk %d generic=%v", poisoned, c, generic)
-					}
-				}
-			}
-		})
 	}
 }

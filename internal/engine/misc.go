@@ -166,7 +166,7 @@ func (o *projectOp) Open(ctx *Context, counters *cost.Counters) error {
 	if dup {
 		o.out = getBatch(schema)
 	} else {
-		o.view = Batch{Schema: schema, cols: make([][]value.Value, len(idxs))}
+		o.view = Batch{Schema: schema, cols: make([]value.Vec, len(idxs))}
 	}
 	return nil
 }
@@ -189,7 +189,7 @@ func (o *projectOp) Next() (*Batch, error) {
 	}
 	o.out.Reset()
 	for i, idx := range o.idxs {
-		o.out.cols[i] = append(o.out.cols[i], b.cols[idx]...)
+		o.out.cols[i].AppendVec(&b.cols[idx])
 	}
 	o.out.n = b.Len()
 	return o.out, nil
@@ -470,7 +470,7 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 	}
 
 	g := newAggGroups(a, groupIdxs, inSchema)
-	var sel []int
+	defer g.release()
 	var sts []*aggState
 	for {
 		b, err := input.Next()
@@ -485,24 +485,21 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		counters.HashBuilds += int64(n)
 		cols := b.Cols()
 		for i := range a.Aggs {
-			if argFns[i] == nil {
+			if argFns[i] == nil || g.payload[i] >= 0 {
 				continue
-			}
-			if len(sel) != n {
-				sel = storage.RangeSel(sel, 0, n)
 			}
 			if cap(argVecs[i]) < n {
 				argVecs[i] = make([]value.Value, n)
 			}
 			argVecs[i] = argVecs[i][:n]
-			if err := argFns[i].EvalBatch(cols, sel, argVecs[i]); err != nil {
+			if err := argFns[i].EvalBatch(cols, g.identity(n), argVecs[i]); err != nil {
 				return fmt.Errorf("engine: Aggregate: %v", err)
 			}
 		}
 		if g.global == nil {
 			sts = g.resolve(b, sts)
 		}
-		if err := g.accumulate(n, sts, argVecs); err != nil {
+		if err := g.accumulate(cols, n, sts, argVecs); err != nil {
 			return err
 		}
 	}
@@ -514,19 +511,24 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 // ways, chosen by the GROUP BY: one global state; states keyed by the
 // int64 payload of a single Int or Date key column; or, for any other
 // shape, states keyed by the NUL-terminated String() forms of the group
-// values. The int64 map holds only values of the column's own kind, so
-// it never merges groups the string keys keep apart; the first value of
-// another kind moves every group to the string keys.
+// values. A global state folds an argument that is a plain Int, Date or
+// Float column from its typed payload (foldPayload, the fused path's
+// kernel) and any other argument from its evaluated values (fold).
 type aggGroups struct {
 	a         *Aggregate
 	groupIdxs []int
 	global    *aggState
-	// intKind is the kind the int64 map, while non-nil, is keyed for.
-	intKind catalog.Type
-	ints    map[int64]*aggState
-	strs    map[string]*aggState
+	ints      map[int64]*aggState
+	strs      map[string]*aggState
 	// order lists the int64-keyed states in creation order.
 	order []*aggState
+	// payload[i] is the input ordinal of aggregate i's argument when the
+	// global state folds it from the payload (payloadArg), else -1; bins
+	// is the SUM scratch of those folds and sel a batch's identity
+	// selection (identity).
+	payload []int
+	bins    *value.SumBins
+	sel     []int
 	// keyBuf holds one row's string key; a lookup by string(keyBuf) does
 	// not allocate, so only a new group's key is ever copied out.
 	keyBuf []byte
@@ -534,12 +536,18 @@ type aggGroups struct {
 }
 
 func newAggGroups(a *Aggregate, groupIdxs []int, in expr.RelSchema) *aggGroups {
-	g := &aggGroups{a: a, groupIdxs: groupIdxs, rowBuf: make(value.Row, len(in.Fields))}
+	g := &aggGroups{a: a, groupIdxs: groupIdxs, rowBuf: make(value.Row, len(in.Fields)), payload: make([]int, len(a.Aggs))}
+	for i, spec := range a.Aggs {
+		g.payload[i] = -1
+		if len(groupIdxs) == 0 && spec.Arg != nil {
+			g.payload[i] = payloadArg(spec, in)
+		}
+	}
 	switch {
 	case len(groupIdxs) == 0:
 		g.global = a.newAggState(groupIdxs, nil)
+		g.bins = sumBins.Get().(*value.SumBins)
 	case len(groupIdxs) == 1 && isIntKind(in.Fields[groupIdxs[0]].Type):
-		g.intKind = in.Fields[groupIdxs[0]].Type
 		g.ints = make(map[int64]*aggState)
 	default:
 		g.strs = make(map[string]*aggState)
@@ -547,37 +555,39 @@ func newAggGroups(a *Aggregate, groupIdxs []int, in expr.RelSchema) *aggGroups {
 	return g
 }
 
+// release returns the SUM scratch to its pool.
+func (g *aggGroups) release() {
+	if g.bins != nil {
+		sumBins.Put(g.bins)
+		g.bins = nil
+	}
+}
+
 // resolve fills sts with the state of each row of b, creating states for
-// new groups.
+// new groups. A single Int or Date key is read from its payload.
 //
 //qo:hotpath
 func (g *aggGroups) resolve(b *Batch, sts []*aggState) []*aggState {
 	sts = sts[:0]
 	cols := b.Cols()
-	r := 0
 	if g.ints != nil {
-		col := cols[g.groupIdxs[0]][:b.Len()]
-		for ; r < len(col); r++ {
-			v := col[r]
-			if v.Kind != g.intKind {
-				g.toStrings()
-				break
-			}
-			st := g.ints[v.I]
+		for r, k := range cols[g.groupIdxs[0]].I[:b.Len()] {
+			st := g.ints[k]
 			if st == nil {
 				b.Row(r, g.rowBuf)
 				st = g.a.newAggState(g.groupIdxs, g.rowBuf)
-				g.ints[v.I] = st
+				g.ints[k] = st
 				//qo:alloc-ok once per group
 				g.order = append(g.order, st)
 			}
 			sts = append(sts, st)
 		}
+		return sts
 	}
-	for ; r < b.Len(); r++ {
+	for r := 0; r < b.Len(); r++ {
 		g.keyBuf = g.keyBuf[:0]
 		for _, gi := range g.groupIdxs {
-			g.keyBuf = append(value.AppendKey(g.keyBuf, cols[gi][r]), 0)
+			g.keyBuf = append(value.AppendKey(g.keyBuf, cols[gi].At(r)), 0)
 		}
 		st, ok := g.strs[string(g.keyBuf)]
 		if !ok {
@@ -590,13 +600,13 @@ func (g *aggGroups) resolve(b *Batch, sts []*aggState) []*aggState {
 	return sts
 }
 
-// toStrings moves the int64-keyed groups to string keys.
-func (g *aggGroups) toStrings() {
-	g.strs = make(map[string]*aggState, len(g.order))
-	for _, st := range g.order {
-		g.strs[g.intKey(st)] = st
+// identity returns the selection of a batch's n rows, 0 to n-1, rewriting
+// it only when n changes.
+func (g *aggGroups) identity(n int) []int {
+	if len(g.sel) != n {
+		g.sel = storage.RangeSel(g.sel, 0, n)
 	}
-	g.ints, g.order = nil, nil
+	return g.sel
 }
 
 // intKey is the string key of an int64-keyed group.
@@ -607,17 +617,27 @@ func (g *aggGroups) intKey(st *aggState) string {
 
 // accumulate counts n rows and folds their argument values into their
 // states — sts[r], or the global state — in row order. The global state
-// folds aggregate by aggregate (fold), which sums each aggregate's values
-// in the same order and fails on the same (row, aggregate) as the
-// row-major loop does.
+// folds aggregate by aggregate: a payload argument straight from its
+// column of cols, any other from argVecs (fold), which sums each
+// aggregate's values in the same order and fails on the same (row,
+// aggregate) as the row-major loop does; a payload fold cannot fail.
 //
 //qo:hotpath
-func (g *aggGroups) accumulate(n int, sts []*aggState, argVecs [][]value.Value) error {
+func (g *aggGroups) accumulate(cols []value.Vec, n int, sts []*aggState, argVecs [][]value.Value) error {
 	if st := g.global; st != nil {
 		st.count += int64(n)
 		bad, badAgg := n, -1
 		for i, spec := range g.a.Aggs {
 			if spec.Arg == nil {
+				continue
+			}
+			if j := g.payload[i]; j >= 0 {
+				c := colFold{st: st, i: i, fn: spec.Func, bins: g.bins}
+				if v := &cols[j]; v.Kind == catalog.Float {
+					foldPayload(&c, v.F, 0, g.identity(n))
+				} else {
+					foldPayload(&c, v.I, 0, g.identity(n))
+				}
 				continue
 			}
 			// Row-major order fails at the first bad row, and at the

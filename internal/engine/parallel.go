@@ -277,7 +277,7 @@ func (w *seqMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters
 	cols, t := w.r.cols, w.r.t
 	cols.gatherPred(out, w.f.Scratch, keep)
 	for j, i := range cols.restOut {
-		out.cols[i] = t.AppendColumnSel(out.cols[i], cols.rest[j], lo, fin)
+		t.AppendColumnSel(&out.cols[i], cols.rest[j], lo, fin)
 	}
 	out.n += len(fin)
 	return nil
@@ -419,30 +419,26 @@ func (r *ridMorselRunner) newWorker() (morselWorker, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &ridMorselWorker{
-		r: r, pred: pred,
-		buf:     make(value.Row, len(r.full.Fields)),
-		scratch: make([][]value.Value, len(r.full.Fields)),
-	}
-	for _, c := range r.cols.pred {
-		w.scratch[c] = make([]value.Value, 0, min(len(r.rids), BatchSize))
+	w := &ridMorselWorker{r: r, pred: pred, scratch: make([]value.Vec, len(r.full.Fields))}
+	for c, f := range r.full.Fields {
+		w.scratch[c].Kind = f.Type
 	}
 	return w, nil
 }
 
-// ridMorselWorker owns buf, one fetched row's values, and scratch, the
-// full-width columns a window's residual reads.
+// ridMorselWorker owns scratch, the full-width columns a window's
+// residual reads, and kept, the RIDs of the window's survivors.
 type ridMorselWorker struct {
 	r       *ridMorselRunner
 	pred    *expr.Bound
-	buf     value.Row
 	sel     []int
-	scratch [][]value.Value
+	kept    []int32
+	scratch []value.Vec
 }
 
 // window fetches the rows behind RID positions [lo, hi), charging one
-// random page and one tuple per RID: it loads the columns the residual
-// reads for every RID, applies the residual, and fetches the rest of the
+// random page and one tuple per RID: it gathers the columns the residual
+// reads for every RID, applies the residual, and gathers the rest of the
 // projection for the survivors only.
 //
 //qo:hotpath
@@ -455,13 +451,8 @@ func (w *ridMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters
 	keep := w.sel
 	if r.residual != nil {
 		for _, c := range cols.pred {
-			w.scratch[c] = w.scratch[c][:0]
-		}
-		for _, rid := range rids {
-			r.t.ReadCols(int(rid), cols.pred, w.buf)
-			for j, c := range cols.pred {
-				w.scratch[c] = append(w.scratch[c], w.buf[j])
-			}
+			w.scratch[c].Reset(w.scratch[c].Kind)
+			r.t.AppendColumnRows(&w.scratch[c], c, rids)
 		}
 		var err error
 		if keep, err = w.pred.EvalBatch(w.scratch, w.sel); err != nil {
@@ -469,12 +460,14 @@ func (w *ridMorselWorker) window(out *Batch, lo, hi int, counters *cost.Counters
 			return fmt.Errorf("engine: %s: %v", r.errCtx, err)
 		}
 		cols.gatherPred(out, w.scratch, keep)
-	}
-	for _, k := range keep {
-		r.t.ReadCols(int(rids[k]), cols.rest, w.buf)
-		for j, i := range cols.restOut {
-			out.cols[i] = append(out.cols[i], w.buf[j])
+		w.kept = w.kept[:0]
+		for _, k := range keep {
+			w.kept = append(w.kept, rids[k])
 		}
+		rids = w.kept
+	}
+	for j, i := range cols.restOut {
+		r.t.AppendColumnRows(&out.cols[i], cols.rest[j], rids)
 	}
 	out.n += len(keep)
 	return nil

@@ -185,8 +185,8 @@ func TestBatchPoolReuse(t *testing.T) {
 	if b2.Len() != 0 {
 		t.Fatalf("pooled batch not cleared: len=%d", b2.Len())
 	}
-	if cap(b2.Cols()[0]) < BatchSize {
-		t.Fatalf("pooled batch lost capacity: %d", cap(b2.Cols()[0]))
+	if c := &b2.Cols()[0]; c.Len() != 0 || cap(c.I) < BatchSize {
+		t.Fatalf("pooled batch: column 0 holds %d values, capacity %d", c.Len(), cap(c.I))
 	}
 	putBatch(b2)
 	putBatch(nil) // must be a no-op

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"robustqo/internal/catalog"
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/value"
@@ -88,12 +89,26 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 			return fmt.Errorf("engine: Sort key: %v", err)
 		}
 	}
-	// cmp orders row x against row y on the sort keys. All rows are
-	// validated comparable against the first row during the drain, so the
-	// Compare error is impossible here (incomparable pairs tie).
+	// cmp orders row x against row y on the sort keys: value.Compare's
+	// order, which never fails on two values of one typed column.
 	cmp := func(x, y value.Row) int {
 		for ki, idx := range idxs {
 			c, _ := value.Compare(x[idx], y[idx])
+			if c == 0 {
+				continue
+			}
+			if s.By[ki].Desc {
+				return -c
+			}
+			return c
+		}
+		return 0
+	}
+	// cmpAt is cmp with row r of the batch columns cols as x, read from
+	// the typed payloads.
+	cmpAt := func(cols []value.Vec, r int, y value.Row) int {
+		for ki, idx := range idxs {
+			c := compareAt(&cols[idx], r, y[idx])
 			if c == 0 {
 				continue
 			}
@@ -118,15 +133,12 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 		return err
 	}
 	var (
-		first value.Row
 		heap  []sortKeyed // max-heap: root is the worst retained row
 		all   []sortKeyed
 		total int64
 	)
-	// cur holds batch row r's sort-key values at their ordinals, so a full
-	// heap compares the row with its root in place: a row that does not
-	// enter the heap is never copied.
-	cur := make(value.Row, len(schema.Fields))
+	// A full heap compares each row with its root in the batch columns: a
+	// row that does not enter the heap is never copied.
 	for {
 		b, err := input.Next()
 		if err != nil {
@@ -137,19 +149,6 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 		}
 		cols := b.Cols()
 		for r := 0; r < b.Len(); r++ {
-			for _, idx := range idxs {
-				cur[idx] = cols[idx][r]
-			}
-			if first == nil {
-				first = b.CloneRow(r)
-			}
-			// Validate comparability so ordering cannot silently misfire on
-			// mixed types (matching the materialized path's up-front check).
-			for _, idx := range idxs {
-				if _, err := value.Compare(cur[idx], first[idx]); err != nil {
-					return fmt.Errorf("engine: Sort: %v", err)
-				}
-			}
 			seq := int(total)
 			total++
 			switch {
@@ -158,7 +157,7 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 			case len(heap) < s.TopK:
 				heap = append(heap, sortKeyed{row: b.CloneRow(r), seq: seq})
 				siftUp(heap, len(heap)-1, before)
-			case cmp(cur, heap[0].row) < 0:
+			case cmpAt(cols, r, heap[0].row) < 0:
 				// Strictly ahead of the root on the keys: a tie keeps the
 				// root, whose sequence is earlier. The evicted root's row
 				// takes the entrant's values.
@@ -182,6 +181,31 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 	}
 	o.out = getBatch(schema)
 	return nil
+}
+
+// compareAt is value.Compare(v.At(i), y) for a y of v's kind class,
+// read from v's payload.
+func compareAt(v *value.Vec, i int, y value.Value) int {
+	switch v.Kind {
+	case catalog.Float:
+		return cmp3(v.F[i], y.F)
+	case catalog.String:
+		return cmp3(v.S[i], y.S)
+	default:
+		return cmp3(v.I[i], y.I)
+	}
+}
+
+// cmp3 is -1, 0 or +1 as x is below, neither below nor above, or above
+// y: a NaN compares equal to everything, as in value.Compare.
+func cmp3[T int64 | float64 | string](x, y T) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }
 
 // siftUp restores the max-heap property after appending at position i:

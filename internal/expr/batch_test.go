@@ -20,9 +20,9 @@ func intn(rng *stats.RNG, n int) int {
 // batchColumns builds n rows of the testRelSchema shape as column vectors
 // plus the same data as rows, so batch evaluation can be compared with the
 // reference interpreter on identical inputs.
-func batchColumns(rng *stats.RNG, n int) ([][]value.Value, []value.Row) {
+func batchColumns(rng *stats.RNG, n int) ([]value.Vec, []value.Row) {
 	words := []string{"hello world", "alpha", "robust plan", "hello", ""}
-	cols := make([][]value.Value, 5)
+	cols := []value.Vec{{Kind: catalog.Int}, {Kind: catalog.Float}, {Kind: catalog.String}, {Kind: catalog.Date}, {Kind: catalog.Int}}
 	rows := make([]value.Row, n)
 	for r := 0; r < n; r++ {
 		row := value.Row{
@@ -34,10 +34,25 @@ func batchColumns(rng *stats.RNG, n int) ([][]value.Value, []value.Row) {
 		}
 		rows[r] = row
 		for c, v := range row {
-			cols[c] = append(cols[c], v)
+			cols[c].Append(v)
 		}
 	}
 	return cols, rows
+}
+
+// vecs turns value columns into typed vectors, each of its first value's
+// kind (Int when empty).
+func vecs(cols [][]value.Value) []value.Vec {
+	out := make([]value.Vec, len(cols))
+	for c, col := range cols {
+		if len(col) > 0 {
+			out[c].Kind = col[0].Kind
+		}
+		for _, v := range col {
+			out[c].Append(v)
+		}
+	}
+	return out
 }
 
 // refPred is the differential tests' reference: a direct interpreter of
@@ -321,7 +336,7 @@ func TestEvalBatchErrorParity(t *testing.T) {
 			cols[c] = append(cols[c], v)
 		}
 	}
-	got, err := b.EvalBatch(cols, []int{0, 1})
+	got, err := b.EvalBatch(vecs(cols), []int{0, 1})
 	if err != nil {
 		t.Fatalf("guarded batch eval must not divide by zero on filtered rows: %v", err)
 	}
@@ -334,7 +349,7 @@ func TestEvalBatchErrorParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ub.EvalBatch(cols, []int{0, 1}); err == nil {
+	if _, err := ub.EvalBatch(vecs(cols), []int{0, 1}); err == nil {
 		t.Fatal("unguarded division by zero must error in the batch path too")
 	}
 
@@ -368,8 +383,8 @@ func TestEvalBatchErrorParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ii, in := range inputs {
-			kgot, kerr := kb.EvalBatch(in.cols, in.sel)
-			ggot, gerr := gb.EvalBatch(in.cols, in.sel)
+			kgot, kerr := kb.EvalBatch(vecs(in.cols), in.sel)
+			ggot, gerr := gb.EvalBatch(vecs(in.cols), in.sel)
 			if fmt.Sprint(kerr) != fmt.Sprint(gerr) || fmt.Sprint(kgot) != fmt.Sprint(ggot) {
 				t.Errorf("%s input %d: kernel (%v, %v), generic (%v, %v)", p[0], ii, kgot, kerr, ggot, gerr)
 			}

@@ -117,7 +117,7 @@ func (b *Bound) Expr() Expr { return b.src }
 // slice; sel is never mutated or aliased.
 //
 //qo:hotpath
-func (b *Bound) EvalBatch(cols [][]value.Value, sel []int) ([]int, error) {
+func (b *Bound) EvalBatch(cols []value.Vec, sel []int) ([]int, error) {
 	return b.evalBatch(cols, sel)
 }
 
@@ -125,7 +125,7 @@ func (b *Bound) EvalBatch(cols [][]value.Value, sel []int) ([]int, error) {
 // binds to the always-true predicate.
 func Bind(e Expr, schema RelSchema) (*Bound, error) {
 	if e == nil {
-		return &Bound{evalBatch: func(cols [][]value.Value, sel []int) ([]int, error) {
+		return &Bound{evalBatch: func(cols []value.Vec, sel []int) ([]int, error) {
 			return append([]int(nil), sel...), nil
 		}}, nil
 	}
@@ -145,7 +145,7 @@ type BoundScalar struct {
 // at out[row]. out must cover every row id in sel.
 //
 //qo:hotpath
-func (b *BoundScalar) EvalBatch(cols [][]value.Value, sel []int, out []value.Value) error {
+func (b *BoundScalar) EvalBatch(cols []value.Vec, sel []int, out []value.Value) error {
 	return b.evalBatch(cols, sel, out)
 }
 

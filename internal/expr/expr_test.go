@@ -33,9 +33,10 @@ func evalPred(t *testing.T, e Expr, row value.Row) bool {
 
 // evalRow evaluates a bound predicate over one row, as a one-row batch.
 func evalRow(b *Bound, row value.Row) (bool, error) {
-	cols := make([][]value.Value, len(row))
+	cols := make([]value.Vec, len(row))
 	for c, v := range row {
-		cols[c] = []value.Value{v}
+		cols[c] = value.Vec{Kind: v.Kind}
+		cols[c].Append(v)
 	}
 	keep, err := b.EvalBatch(cols, []int{0})
 	return len(keep) == 1, err

@@ -367,7 +367,7 @@ func (p *planner) finish(cands []candidate) (engine.Node, float64, float64, erro
 		total += rows * m.SortTuple
 		p.record(node, rows, 0)
 	}
-	if q.Limit > 0 {
+	if q.Limited() {
 		node = &engine.Limit{Input: node, N: q.Limit}
 		if float64(q.Limit) < rows {
 			rows = float64(q.Limit)

@@ -32,9 +32,16 @@ type Query struct {
 	GroupBy []expr.ColumnRef
 	Aggs    []engine.AggSpec
 	OrderBy []engine.SortKey
-	Limit   int              // 0 means no limit
-	Project []expr.ColumnRef // ignored when Aggs is non-empty
+	Limit   int // 0 means no limit, unless LimitZero
+	// LimitZero marks a LIMIT 0, which returns no rows. It is its own
+	// field so that Limit's zero value keeps meaning no limit.
+	LimitZero bool
+	Project   []expr.ColumnRef // ignored when Aggs is non-empty
 }
+
+// Limited reports whether the query carries a LIMIT: Limit rows, or
+// none under LimitZero.
+func (q *Query) Limited() bool { return q.Limit > 0 || q.LimitZero }
 
 // joinEdge is one foreign-key join between two query tables: child.FKCol
 // references parent's primary key.

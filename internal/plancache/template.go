@@ -96,7 +96,10 @@ func Normalize(q *optimizer.Query) *Template {
 		b.WriteString(k.String())
 	}
 	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(q.Limit))
+	if q.Limited() {
+		// A LIMIT 0 keys apart from no LIMIT, which writes nothing.
+		b.WriteString(strconv.Itoa(q.Limit))
+	}
 	b.WriteByte('|')
 	for i, p := range q.Project {
 		if i > 0 {

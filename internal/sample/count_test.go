@@ -75,14 +75,17 @@ func countCases() []countCase {
 }
 
 // unsplitCount is the reference Count: the whole predicate bound over the
-// synopsis schema and evaluated in one batch over boxed copies of every
+// synopsis schema and evaluated in one batch over copies of every
 // stratum's columns.
 func unsplitCount(t testing.TB, syn *sample.Synopsis, pred expr.Expr) (int, error) {
 	t.Helper()
-	cols := make([][]value.Value, len(syn.Schema.Fields))
+	cols := make([]value.Vec, len(syn.Schema.Fields))
+	for c, f := range syn.Schema.Fields {
+		cols[c].Kind = f.Type
+	}
 	for _, st := range syn.Strata() {
 		for c := range cols {
-			cols[c] = st.AppendColumn(cols[c], c, 0, st.NumRows())
+			st.AppendColumn(&cols[c], c, 0, st.NumRows())
 		}
 	}
 	bound, err := expr.Bind(pred, syn.Schema)

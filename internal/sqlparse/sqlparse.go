@@ -143,7 +143,7 @@ func Parse(sql string) (*optimizer.Query, error) {
 		if !ok {
 			return nil, fmt.Errorf("sqlparse: expected a non-negative integer LIMIT at offset %d", p.Offset())
 		}
-		q.Limit = n
+		q.Limit, q.LimitZero = n, n == 0
 	}
 	if !p.AtEnd() {
 		return nil, fmt.Errorf("sqlparse: unexpected input at offset %d", p.Offset())

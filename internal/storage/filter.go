@@ -19,9 +19,9 @@ type Filter struct {
 	residual *expr.Bound // nil when the prefix is the whole predicate
 	reads    []int       // the columns the residual reads, ascending
 	// Scratch[c], for each column c the residual reads, holds that column
-	// of the last window's prefix survivors, densely: evalResidual's keep
-	// indexes it.
-	Scratch [][]value.Value
+	// of the last window's prefix survivors, densely, as a vector of the
+	// column's kind: evalResidual's keep indexes it.
+	Scratch []value.Vec
 	// sel and sel2 are the prefix's selection buffers; the residual reuses
 	// sel2 for its dense selection.
 	sel, sel2 []int
@@ -40,7 +40,10 @@ func NewFilter(pred expr.Expr, schema expr.RelSchema) (*Filter, error) {
 		return nil, err
 	}
 	f.residual = b
-	f.Scratch = make([][]value.Value, len(schema.Fields))
+	f.Scratch = make([]value.Vec, len(schema.Fields))
+	for c, fd := range schema.Fields {
+		f.Scratch[c].Kind = fd.Type
+	}
 	if f.reads, err = schema.Ordinals(residual); err != nil {
 		return nil, err
 	}
@@ -133,7 +136,8 @@ func (f *Filter) evalResidual(t *Table, lo int, rows []int) (fin, keep []int, er
 		return rows, nil, nil
 	}
 	for _, c := range f.reads {
-		f.Scratch[c] = t.AppendColumnSel(f.Scratch[c][:0], c, lo, rows)
+		f.Scratch[c].Reset(f.Scratch[c].Kind)
+		t.AppendColumnSel(&f.Scratch[c], c, lo, rows)
 	}
 	// Scratch holds the rows densely, so the residual's selection is
 	// 0..len(rows)-1 — rows itself when every row passed the prefix.

@@ -367,30 +367,56 @@ func randomSel(tab *Table, rng *rand.Rand, trial int) (lo, hi int, offs []int) {
 
 // TestAppendColumnMatchesValue checks the typed bulk loads against Value,
 // cell by cell, over ranges and selections that straddle shard boundaries
-// — an empty shard included — for every column type.
+// — an empty shard included — and over RID lists in any order, for every
+// column type, each appended after a value already in the vector.
 func TestAppendColumnMatchesValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tab := bulkTable(t, rng)
-	prefix := []value.Value{value.Int(-1)}
+	load := func(c int, fill func(*value.Vec)) []value.Value {
+		v := value.Vec{Kind: tab.Schema().Columns[c].Type}
+		v.Append(tab.Value(0, c))
+		fill(&v)
+		out := make([]value.Value, v.Len())
+		for i := range out {
+			out[i] = v.At(i)
+		}
+		if out[0] != tab.Value(0, c) {
+			t.Fatalf("col %d: the value already in the vector became %v", c, out[0])
+		}
+		return out[1:]
+	}
 	for trial := 0; trial < 200; trial++ {
 		lo, hi, offs := randomSel(tab, rng, trial)
+		rids := make([]int32, rng.Intn(50))
+		for i := range rids {
+			rids[i] = int32(rng.Intn(tab.NumRows()))
+		}
 		for c := 0; c < 4; c++ {
-			got := tab.AppendColumn(slices.Clone(prefix), c, lo, hi)
-			if len(got) != 1+hi-lo || got[0] != prefix[0] {
+			got := load(c, func(v *value.Vec) { tab.AppendColumn(v, c, lo, hi) })
+			if len(got) != hi-lo {
 				t.Fatalf("AppendColumn(col %d, [%d,%d)) returned %d values", c, lo, hi, len(got))
 			}
 			for r := lo; r < hi; r++ {
-				if got[1+r-lo] != tab.Value(r, c) {
-					t.Fatalf("AppendColumn(col %d, [%d,%d)) row %d = %v, want %v", c, lo, hi, r, got[1+r-lo], tab.Value(r, c))
+				if got[r-lo] != tab.Value(r, c) {
+					t.Fatalf("AppendColumn(col %d, [%d,%d)) row %d = %v, want %v", c, lo, hi, r, got[r-lo], tab.Value(r, c))
 				}
 			}
-			sel := tab.AppendColumnSel(slices.Clone(prefix), c, lo, offs)
-			if len(sel) != 1+len(offs) || sel[0] != prefix[0] {
+			sel := load(c, func(v *value.Vec) { tab.AppendColumnSel(v, c, lo, offs) })
+			if len(sel) != len(offs) {
 				t.Fatalf("AppendColumnSel(col %d) returned %d values for %d offsets", c, len(sel), len(offs))
 			}
 			for i, o := range offs {
-				if sel[1+i] != tab.Value(lo+o, c) {
-					t.Fatalf("AppendColumnSel(col %d) row %d = %v, want %v", c, lo+o, sel[1+i], tab.Value(lo+o, c))
+				if sel[i] != tab.Value(lo+o, c) {
+					t.Fatalf("AppendColumnSel(col %d) row %d = %v, want %v", c, lo+o, sel[i], tab.Value(lo+o, c))
+				}
+			}
+			byRid := load(c, func(v *value.Vec) { tab.AppendColumnRows(v, c, rids) })
+			if len(byRid) != len(rids) {
+				t.Fatalf("AppendColumnRows(col %d) returned %d values for %d rows", c, len(byRid), len(rids))
+			}
+			for i, r := range rids {
+				if byRid[i] != tab.Value(int(r), c) {
+					t.Fatalf("AppendColumnRows(col %d) row %d = %v, want %v", c, r, byRid[i], tab.Value(int(r), c))
 				}
 			}
 		}

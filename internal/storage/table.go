@@ -451,72 +451,88 @@ func (t *Table) Row(row int) value.Row {
 }
 
 // AppendColumn appends the values of column col for global rows [lo, hi)
-// to dst and returns it: one typed loop per shard the range touches,
-// instead of one Value call per cell. The range may straddle shard
-// boundaries.
+// to dst, a vector of the column's kind: one typed copy per shard the
+// range touches. The range may straddle shard boundaries.
 //
 //qo:hotpath
-func (t *Table) AppendColumn(dst []value.Value, col, lo, hi int) []value.Value {
-	dst = slices.Grow(dst, hi-lo)
+func (t *Table) AppendColumn(dst *value.Vec, col, lo, hi int) {
 	for lo < hi {
 		p, local := t.segOf(lo)
 		n := min(hi-lo, t.segs[p].rows-local)
 		c := &t.segs[p].cols[col]
 		switch c.kind {
-		case catalog.Int:
-			for _, x := range c.ints[local : local+n] {
-				dst = append(dst, value.Int(x))
-			}
-		case catalog.Date:
-			for _, x := range c.ints[local : local+n] {
-				dst = append(dst, value.Date(x))
-			}
 		case catalog.Float:
-			for _, x := range c.floats[local : local+n] {
-				dst = append(dst, value.Float(x))
-			}
+			dst.F = append(dst.F, c.floats[local:local+n]...)
+		case catalog.String:
+			dst.S = append(dst.S, c.strs[local:local+n]...)
 		default:
-			for _, x := range c.strs[local : local+n] {
-				dst = append(dst, value.Str(x))
-			}
+			dst.I = append(dst.I, c.ints[local:local+n]...)
 		}
 		lo += n
 	}
-	return dst
 }
 
 // AppendColumnSel appends the values of column col for global rows
-// lo+offs[i] to dst and returns it. offs must be strictly ascending; the
-// rows it names may straddle shard boundaries. Contiguous offsets — a
-// window every row of which is wanted — range-load through AppendColumn.
+// lo+offs[i] to dst, a vector of the column's kind. offs must be strictly
+// ascending; the rows it names may straddle shard boundaries. Contiguous
+// offsets — a window every row of which is wanted — range-load through
+// AppendColumn.
 //
 //qo:hotpath
-func (t *Table) AppendColumnSel(dst []value.Value, col, lo int, offs []int) []value.Value {
+func (t *Table) AppendColumnSel(dst *value.Vec, col, lo int, offs []int) {
 	if n := len(offs); n > 0 && offs[n-1]-offs[0] == n-1 {
-		return t.AppendColumn(dst, col, lo+offs[0], lo+offs[n-1]+1)
+		t.AppendColumn(dst, col, lo+offs[0], lo+offs[n-1]+1)
+		return
 	}
-	dst = slices.Grow(dst, len(offs))
 	for len(offs) > 0 {
 		c, shift, n := t.selRun(col, lo, offs)
-		switch c.kind {
-		case catalog.Int:
-			for _, o := range offs[:n] {
-				dst = append(dst, value.Int(c.ints[shift+o]))
-			}
-		case catalog.Date:
-			for _, o := range offs[:n] {
-				dst = append(dst, value.Date(c.ints[shift+o]))
-			}
-		case catalog.Float:
-			for _, o := range offs[:n] {
-				dst = append(dst, value.Float(c.floats[shift+o]))
-			}
-		default:
-			for _, o := range offs[:n] {
-				dst = append(dst, value.Str(c.strs[shift+o]))
-			}
-		}
+		appendAt(c, dst, shift, offs[:n])
 		offs = offs[n:]
+	}
+}
+
+// AppendColumnRows appends the values of column col at the global row
+// ids rows, in rows' order, to dst, a vector of the column's kind: the
+// typed fetch of a RID list. Each run of rows inside one shard is one
+// typed gather.
+//
+//qo:hotpath
+func (t *Table) AppendColumnRows(dst *value.Vec, col int, rows []int32) {
+	for len(rows) > 0 {
+		p, _ := t.segOf(int(rows[0]))
+		lo, hi := t.PartitionSpan(p)
+		n := 1
+		for n < len(rows) && int(rows[n]) >= lo && int(rows[n]) < hi {
+			n++
+		}
+		appendAt(&t.segs[p].cols[col], dst, -lo, rows[:n])
+		rows = rows[n:]
+	}
+}
+
+// appendAt appends the values of column c at rows shift+idx[k] to dst.
+//
+//qo:hotpath
+func appendAt[X int | int32](c *columnData, dst *value.Vec, shift int, idx []X) {
+	switch c.kind {
+	case catalog.Float:
+		dst.F = gatherAt(dst.F, c.floats, shift, idx)
+	case catalog.String:
+		dst.S = gatherAt(dst.S, c.strs, shift, idx)
+	default:
+		dst.I = gatherAt(dst.I, c.ints, shift, idx)
+	}
+}
+
+// gatherAt appends xs[shift+idx[k]] to dst for every k, in order.
+//
+//qo:hotpath
+func gatherAt[T int64 | float64 | string, X int | int32](dst, xs []T, shift int, idx []X) []T {
+	n := len(dst)
+	dst = append(dst, make([]T, len(idx))...)
+	out := dst[n:]
+	for k, i := range idx {
+		out[k] = xs[shift+int(i)]
 	}
 	return dst
 }
