@@ -177,13 +177,14 @@ func foldRows(n int) *benchRowsNode {
 	return node
 }
 
-// TestGlobalAggregateFold: a global aggregate folds its batches
-// aggregate by aggregate — a plain Int, Date or Float column from its
-// payload, any other argument from its evaluated values — and its output
-// is bit for bit the reference engine's row-major fold: the same sums in
-// the same order, and the same MIN/MAX over NaN, ±Inf and -0. Over a
-// non-numeric argument it fails with the row-major loop's first error:
-// the first row, and the earliest such aggregate on it.
+// TestGlobalAggregateFold: a global aggregate folds every argument from
+// one typed vector a batch — a plain Int, Date or Float column from the
+// batch column's payload, a computed one from its results packed into a
+// vector — and its output is bit for bit the reference engine's
+// value-at-a-time fold: the same exact sums, and the same MIN/MAX over
+// NaN, ±Inf and -0. Over a non-numeric argument it fails with the
+// row-major loop's first error: the first row, and the earliest such
+// aggregate on it.
 func TestGlobalAggregateFold(t *testing.T) {
 	a, b, i, d, str := expr.C("a"), expr.C("b"), expr.C("i"), expr.C("d"), expr.C("s")
 	plan := func(rows Node, extra ...AggSpec) *Aggregate {

@@ -394,6 +394,12 @@ var tops = []struct {
 		return &Aggregate{Input: n, GroupBy: c[2:], Aggs: []AggSpec{{Func: Sum, Arg: expr.Col{Ref: c[1]}, As: "s"},
 			{Func: Max, Arg: expr.Col{Ref: c[0]}, As: "m"}}}
 	}},
+	// Computed arguments fold through the same typed kernels as columns.
+	{"group-computed", func(n Node, c []expr.ColumnRef) Node {
+		prod := expr.Arith{Op: expr.Mul, L: expr.Col{Ref: c[0]}, R: expr.Col{Ref: c[1]}}
+		return &Aggregate{Input: n, GroupBy: c[2:], Aggs: []AggSpec{{Func: Sum, Arg: prod, As: "s"},
+			{Func: Min, Arg: prod, As: "m"}, {Func: Avg, Arg: expr.Col{Ref: c[1]}, As: "a"}, {Func: Count, Arg: expr.Col{Ref: c[0]}, As: "n"}}}
+	}},
 }
 
 // plan builds the trial's query at point p over ctx: the shape, its top,

@@ -75,7 +75,7 @@ func newAggFold(a *Aggregate, in expr.RelSchema) *aggFold {
 
 // payloadArg returns the ordinal in in of spec's argument when it is a
 // plain Int, Date or Float column, whose typed payload an aggregate folds
-// directly (foldPayload); otherwise -1.
+// in place; otherwise -1.
 func payloadArg(spec AggSpec, in expr.RelSchema) int {
 	col, ok := spec.Arg.(expr.Col)
 	if !ok {
@@ -242,8 +242,10 @@ func (c *colFold) FoldFloats(xs []float64, shift int, offs []int) {
 	foldPayload(c, xs, shift, offs)
 }
 
-// foldPayload is aggState.fold over typed payloads xs[shift+o]: the same
-// exact sum and the same f < m || m != m tests on float64(x).
+// foldPayload folds the typed payloads xs[shift+o] into aggregate c.i of
+// c.st: one loop per function, kept to the fields finalize reads for it,
+// with exact additions and the f < m || m != m tests on float64(x) (not
+// the min and max builtins, which differ on NaN and -0).
 //
 //qo:hotpath
 func foldPayload[T int64 | float64](c *colFold, xs []T, shift int, offs []int) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
@@ -229,6 +230,84 @@ func TestFusedAggregateSpecialValues(t *testing.T) {
 					}
 					if got := bits(res.Rows[0]); got != want {
 						t.Fatalf("%s batch path:\n got %s\nwant %s", label, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupedAggregateSpecialValues is TestFusedAggregateSpecialValues'
+// grouped twin: SUM, AVG, MIN, MAX and COUNT of every column over NaN,
+// ±Inf, ±0, subnormals and values near MaxFloat64, grouped by the Int
+// key k (the int64-keyed states, one per row) and by the two Float
+// columns e and z (the string-keyed states, three groups), are bit for
+// bit the reference engine's at DOP 0/1/2/4 over both layouts.
+func TestGroupedAggregateSpecialValues(t *testing.T) {
+	parted, flat := specialContexts(t)
+	aggs := specialAggs()
+	for _, c := range append([]string{"k"}, specialCols...) {
+		aggs = append(aggs, AggSpec{Func: Count, Arg: expr.C(c), As: "COUNT_" + c})
+	}
+	// rowsBits is every payload of res, float bits and all, in row order.
+	rowsBits := func(res *Result) string {
+		var b []byte
+		for _, r := range res.Rows {
+			for _, v := range r {
+				x := uint64(v.I)
+				if v.Kind == catalog.Float {
+					x = math.Float64bits(v.F)
+				}
+				b = binary.LittleEndian.AppendUint64(b, x)
+			}
+		}
+		return string(b)
+	}
+	// One state per row makes the Int key the slow case, so it runs
+	// unfiltered only.
+	for _, c := range []struct {
+		keys    []string
+		filters []expr.Expr
+	}{
+		{[]string{"k"}, []expr.Expr{nil}},
+		{[]string{"e", "z"}, []expr.Expr{nil, testkit.Expr("k BETWEEN 40 AND 17000")}},
+	} {
+		groupBy := make([]expr.ColumnRef, len(c.keys))
+		for i, k := range c.keys {
+			groupBy[i] = expr.ColumnRef{Column: k}
+		}
+		for _, filter := range c.filters {
+			var want string
+			for _, layout := range []struct {
+				name string
+				ctx  *Context
+			}{{"partitioned", parted}, {"flat", flat}} {
+				for _, dop := range dops {
+					var in Node = &SeqScan{Table: "special", Filter: filter}
+					if dop > 0 {
+						in = &Exchange{Source: in, DOP: dop}
+					}
+					plan := &Aggregate{Input: in, GroupBy: groupBy, Aggs: aggs}
+					res, _, _, err := Run(layout.ctx, plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := rowsBits(res)
+					label := fmt.Sprintf("by %v filter=%v %s dop=%d", c.keys, filter, layout.name, dop)
+					if want == "" {
+						var rc cost.Counters
+						ref, err := ExecuteMaterialized(layout.ctx, plan, &rc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want = rowsBits(ref); got != want {
+							t.Fatalf("%s: engine and reference differ", label)
+						}
+						if n := len(res.Rows); c.keys[0] == "e" && n != 3 {
+							t.Fatalf("%s: %d groups, want 3", label, n)
+						}
+					} else if got != want {
+						t.Fatalf("%s: differs from DOP 0 over the partitioned layout", label)
 					}
 				}
 			}

@@ -379,6 +379,27 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 	return &Result{Schema: outSchema, Rows: rows}, nil
 }
 
+// accumulate is the reference engine's own fold: one argument value at a
+// time into aggregate i's running state, independent of the engine's
+// typed kernels (foldPayload, foldGroups), which the differential tests
+// hold to it.
+func (st *aggState) accumulate(i int, fn AggFunc, v value.Value) error {
+	if !v.Numeric() {
+		return fmt.Errorf("engine: %s over non-numeric value %s", fn, v)
+	}
+	f := v.AsFloat()
+	acc := &st.aggs[i]
+	acc.sum.Add(f)
+	if f < acc.min || acc.min != acc.min {
+		acc.min = f
+	}
+	if f > acc.max || acc.max != acc.max {
+		acc.max = f
+	}
+	acc.count++
+	return nil
+}
+
 func (s *Sort) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, error) {
 	if len(s.By) == 0 {
 		return nil, fmt.Errorf("engine: Sort with no keys")

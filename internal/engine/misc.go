@@ -349,24 +349,6 @@ func (st *aggState) reset() {
 	}
 }
 
-// accumulate folds one argument value into aggregate i's running state.
-func (st *aggState) accumulate(i int, fn AggFunc, v value.Value) error {
-	if !v.Numeric() {
-		return fmt.Errorf("engine: %s over non-numeric value %s", fn, v)
-	}
-	f := v.AsFloat()
-	acc := &st.aggs[i]
-	acc.sum.Add(f)
-	if f < acc.min || acc.min != acc.min {
-		acc.min = f
-	}
-	if f > acc.max || acc.max != acc.max {
-		acc.max = f
-	}
-	acc.count++
-	return nil
-}
-
 // finalize renders one group's output row.
 func (a *Aggregate) finalize(st *aggState, width int) value.Row {
 	out := make(value.Row, 0, width)
@@ -434,8 +416,7 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 			return fmt.Errorf("engine: Aggregate group key: %v", err)
 		}
 	}
-	argFns := make([]*expr.BoundScalar, len(a.Aggs))
-	argVecs := make([][]value.Value, len(a.Aggs))
+	args := make([]*aggArg, len(a.Aggs))
 	for i, spec := range a.Aggs {
 		if spec.Arg == nil {
 			if spec.Func != Count {
@@ -443,10 +424,15 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 			}
 			continue
 		}
-		argFns[i], err = expr.BindScalar(spec.Arg, inSchema)
+		if j := payloadArg(spec, inSchema); j >= 0 {
+			args[i] = &aggArg{col: j}
+			continue
+		}
+		fn, err := expr.BindScalar(spec.Arg, inSchema)
 		if err != nil {
 			return fmt.Errorf("engine: Aggregate arg: %v", err)
 		}
+		args[i] = &aggArg{fn: fn}
 	}
 
 	o.out = getBatch(outSchema)
@@ -472,6 +458,7 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 	g := newAggGroups(a, groupIdxs, inSchema)
 	defer g.release()
 	var sts []*aggState
+	vecs := make([]*value.Vec, len(a.Aggs))
 	for {
 		b, err := input.Next()
 		if err != nil {
@@ -483,37 +470,79 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		n := b.Len()
 		counters.Tuples += int64(n)
 		counters.HashBuilds += int64(n)
+		if n == 0 {
+			continue
+		}
 		cols := b.Cols()
-		for i := range a.Aggs {
-			if argFns[i] == nil || g.payload[i] >= 0 {
-				continue
+		for i, x := range args {
+			if x != nil {
+				if vecs[i], err = x.read(cols, g.identity(n)); err != nil {
+					return err
+				}
 			}
-			if cap(argVecs[i]) < n {
-				argVecs[i] = make([]value.Value, n)
-			}
-			argVecs[i] = argVecs[i][:n]
-			if err := argFns[i].EvalBatch(cols, g.identity(n), argVecs[i]); err != nil {
-				return fmt.Errorf("engine: Aggregate: %v", err)
+		}
+		// A vector's kind is the kind of every row, so the first
+		// aggregate over a String argument fails at row 0, as a
+		// row-major fold would.
+		for i, v := range vecs {
+			if v != nil && v.Kind == catalog.String {
+				return fmt.Errorf("engine: %s over non-numeric value %s", a.Aggs[i].Func, v.At(0))
 			}
 		}
 		if g.global == nil {
 			sts = g.resolve(b, sts)
 		}
-		if err := g.accumulate(cols, n, sts, argVecs); err != nil {
-			return err
-		}
+		g.fold(vecs, n, sts)
 	}
 	o.rows = g.finish(len(outSchema.Fields))
 	return nil
+}
+
+// aggArg reads one aggregate's argument over a batch as one typed
+// vector: a plain Int, Date or Float column (payloadArg) is the batch's
+// own column, and any other argument is its bound scalar's results
+// packed into vec. A bound scalar's kind is static (a column's, a
+// literal's, or arithmetic's Int, Date or Float), so row 0's kind is
+// every row's.
+type aggArg struct {
+	col  int               // the input ordinal of a plain column
+	fn   *expr.BoundScalar // a computed argument; nil for a plain column
+	vals []value.Value     // fn's results
+	vec  value.Vec         // vals, packed
+}
+
+// read returns the argument over a non-empty batch's columns cols; sel
+// is the batch's identity selection.
+func (x *aggArg) read(cols []value.Vec, sel []int) (*value.Vec, error) {
+	if x.fn == nil {
+		return &cols[x.col], nil
+	}
+	x.vals = slices.Grow(x.vals[:0], len(sel))[:len(sel)]
+	if err := x.fn.EvalBatch(cols, sel, x.vals); err != nil {
+		return nil, fmt.Errorf("engine: Aggregate: %v", err)
+	}
+	v := &x.vec
+	v.Reset(x.vals[0].Kind)
+	for _, val := range x.vals {
+		switch v.Kind {
+		case catalog.Float:
+			v.F = append(v.F, val.F)
+		case catalog.String:
+			v.S = append(v.S, val.S)
+		default:
+			v.I = append(v.I, val.I)
+		}
+	}
+	return v, nil
 }
 
 // aggGroups maps input rows to their groups' states in one of three
 // ways, chosen by the GROUP BY: one global state; states keyed by the
 // int64 payload of a single Int or Date key column; or, for any other
 // shape, states keyed by the NUL-terminated String() forms of the group
-// values. A global state folds an argument that is a plain Int, Date or
-// Float column from its typed payload (foldPayload, the fused path's
-// kernel) and any other argument from its evaluated values (fold).
+// values. Every argument folds from its typed payload: into the global
+// state through foldPayload, the fused path's kernel, and into each
+// row's group state through foldGroups.
 type aggGroups struct {
 	a         *Aggregate
 	groupIdxs []int
@@ -522,13 +551,10 @@ type aggGroups struct {
 	strs      map[string]*aggState
 	// order lists the int64-keyed states in creation order.
 	order []*aggState
-	// payload[i] is the input ordinal of aggregate i's argument when the
-	// global state folds it from the payload (payloadArg), else -1; bins
-	// is the SUM scratch of those folds and sel a batch's identity
+	// bins is the global state's SUM scratch and sel a batch's identity
 	// selection (identity).
-	payload []int
-	bins    *value.SumBins
-	sel     []int
+	bins *value.SumBins
+	sel  []int
 	// keyBuf holds one row's string key; a lookup by string(keyBuf) does
 	// not allocate, so only a new group's key is ever copied out.
 	keyBuf []byte
@@ -536,13 +562,7 @@ type aggGroups struct {
 }
 
 func newAggGroups(a *Aggregate, groupIdxs []int, in expr.RelSchema) *aggGroups {
-	g := &aggGroups{a: a, groupIdxs: groupIdxs, rowBuf: make(value.Row, len(in.Fields)), payload: make([]int, len(a.Aggs))}
-	for i, spec := range a.Aggs {
-		g.payload[i] = -1
-		if len(groupIdxs) == 0 && spec.Arg != nil {
-			g.payload[i] = payloadArg(spec, in)
-		}
-	}
+	g := &aggGroups{a: a, groupIdxs: groupIdxs, rowBuf: make(value.Row, len(in.Fields))}
 	switch {
 	case len(groupIdxs) == 0:
 		g.global = a.newAggState(groupIdxs, nil)
@@ -615,115 +635,66 @@ func (g *aggGroups) intKey(st *aggState) string {
 	return string(g.keyBuf)
 }
 
-// accumulate counts n rows and folds their argument values into their
-// states — sts[r], or the global state — in row order. The global state
-// folds aggregate by aggregate: a payload argument straight from its
-// column of cols, any other from argVecs (fold), which sums each
-// aggregate's values in the same order and fails on the same (row,
-// aggregate) as the row-major loop does; a payload fold cannot fail.
+// fold counts a batch's n rows and folds each aggregate's argument
+// vector, vecs[i] (nil for COUNT(*)), into the states of its rows: all
+// into the global state through foldPayload, or row r into sts[r]
+// through foldGroups. Each state sees its rows in row order.
 //
 //qo:hotpath
-func (g *aggGroups) accumulate(cols []value.Vec, n int, sts []*aggState, argVecs [][]value.Value) error {
+func (g *aggGroups) fold(vecs []*value.Vec, n int, sts []*aggState) {
 	if st := g.global; st != nil {
 		st.count += int64(n)
-		bad, badAgg := n, -1
-		for i, spec := range g.a.Aggs {
-			if spec.Arg == nil {
+		for i, v := range vecs {
+			if v == nil {
 				continue
 			}
-			if j := g.payload[i]; j >= 0 {
-				c := colFold{st: st, i: i, fn: spec.Func, bins: g.bins}
-				if v := &cols[j]; v.Kind == catalog.Float {
-					foldPayload(&c, v.F, 0, g.identity(n))
-				} else {
-					foldPayload(&c, v.I, 0, g.identity(n))
-				}
-				continue
-			}
-			// Row-major order fails at the first bad row, and at the
-			// first bad aggregate within it: a later aggregate matters
-			// only if it fails on an earlier row.
-			if r := st.fold(i, spec.Func, argVecs[i][:bad]); r < bad {
-				bad, badAgg = r, i
+			c := colFold{st: st, i: i, fn: g.a.Aggs[i].Func, bins: g.bins}
+			if v.Kind == catalog.Float {
+				foldPayload(&c, v.F, 0, g.identity(n))
+			} else {
+				foldPayload(&c, v.I, 0, g.identity(n))
 			}
 		}
-		if badAgg >= 0 {
-			return st.accumulate(badAgg, g.a.Aggs[badAgg].Func, argVecs[badAgg][bad])
-		}
-		return nil
+		return
 	}
-	for r := 0; r < n; r++ {
-		st := sts[r]
+	for _, st := range sts {
 		st.count++
-		for i, spec := range g.a.Aggs {
-			if spec.Func == Count && spec.Arg == nil {
-				continue
-			}
-			if err := st.accumulate(i, spec.Func, argVecs[i][r]); err != nil {
-				return err
-			}
+	}
+	for i, v := range vecs {
+		if v == nil {
+			continue
+		}
+		if v.Kind == catalog.Float {
+			foldGroups(sts, i, g.a.Aggs[i].Func, v.F[:n])
+		} else {
+			foldGroups(sts, i, g.a.Aggs[i].Func, v.I[:n])
 		}
 	}
-	return nil
 }
 
-// fold folds vec, aggregate i's argument values over consecutive rows,
-// into its running state: one loop per function, kept to the fields
-// finalize reads for it, with accumulate's arithmetic — the same exact
-// additions and the same f < m || m != m tests (not the min and max
-// builtins, which differ on NaN and -0). It returns len(vec), or the
-// index of the first non-numeric value, where it stops: the state is then
-// part-folded, and the query fails.
+// foldGroups folds xs[r] into aggregate i of sts[r] for every row r, with
+// foldPayload's arithmetic: the same exact additions and the same
+// f < m || m != m tests on float64(x) (not the min and max builtins,
+// which differ on NaN and -0).
 //
 //qo:hotpath
-func (st *aggState) fold(i int, fn AggFunc, vec []value.Value) int {
-	acc := &st.aggs[i]
-	switch fn {
-	case Sum, Avg:
-		sum := &acc.sum
-		for r := range vec {
-			switch v := &vec[r]; v.Kind {
-			case catalog.Float:
-				sum.Add(v.F)
-			case catalog.String:
-				return r
-			default:
-				sum.Add(float64(v.I))
+func foldGroups[T int64 | float64](sts []*aggState, i int, fn AggFunc, xs []T) {
+	for r, x := range xs {
+		acc, f := &sts[r].aggs[i], float64(x)
+		switch fn {
+		case Sum, Avg:
+			acc.sum.Add(f)
+		case Min:
+			if f < acc.min || acc.min != acc.min {
+				acc.min = f
+			}
+		case Max:
+			if f > acc.max || acc.max != acc.max {
+				acc.max = f
 			}
 		}
-	case Min:
-		m := acc.min
-		for r := range vec {
-			v := &vec[r]
-			if v.Kind == catalog.String {
-				return r
-			}
-			if f := v.AsFloat(); f < m || m != m {
-				m = f
-			}
-		}
-		acc.min = m
-	case Max:
-		m := acc.max
-		for r := range vec {
-			v := &vec[r]
-			if v.Kind == catalog.String {
-				return r
-			}
-			if f := v.AsFloat(); f > m || m != m {
-				m = f
-			}
-		}
-		acc.max = m
-	default:
-		for r := range vec {
-			if vec[r].Kind == catalog.String {
-				return r
-			}
-		}
+		acc.count++
 	}
-	acc.count += int64(len(vec))
-	return len(vec)
 }
 
 // finish renders every group's output row, ordered by the groups' string

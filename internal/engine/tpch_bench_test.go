@@ -155,7 +155,8 @@ func BenchmarkMergeJoinPruned(b *testing.B) {
 // with the projections PruneColumns stamps, reporting ns per lineitem row:
 // the two- and three-way merge joins under COUNT and SUM, a global
 // COUNT(*), a global SUM over a 40% l_quantity range, a GROUP BY over an
-// Int key, and a top-10 sort.
+// Int key with COUNT(*) and with SUM, MIN, MAX and AVG of a Float column,
+// a global SUM of a computed argument under a Filter, and a top-10 sort.
 func BenchmarkPipelineBreakers(b *testing.B) {
 	ctx := tpchContext(b)
 	scan := func(table, filter string) engine.Node {
@@ -208,6 +209,16 @@ func BenchmarkPipelineBreakers(b *testing.B) {
 		{"group-quantity", func() engine.Node {
 			return &engine.Aggregate{Aggs: []engine.AggSpec{count}, GroupBy: []expr.ColumnRef{ref("lineitem", "l_quantity")},
 				Input: scan("lineitem", "l_shipdate < DATE '1995-06-01'")}
+		}},
+		{"group-sum", func() engine.Node {
+			price := testkit.Expr("l_extendedprice")
+			return &engine.Aggregate{GroupBy: []expr.ColumnRef{ref("lineitem", "l_quantity")}, Input: scan("lineitem", ""),
+				Aggs: []engine.AggSpec{{Func: engine.Sum, Arg: price, As: "s"}, {Func: engine.Min, Arg: price, As: "lo"},
+					{Func: engine.Max, Arg: price, As: "hi"}, {Func: engine.Avg, Arg: price, As: "avg"}}}
+		}},
+		{"sum-computed", func() engine.Node {
+			return &engine.Aggregate{Aggs: []engine.AggSpec{{Func: engine.Sum, Arg: testkit.Expr("l_extendedprice * l_quantity"), As: "s"}},
+				Input: &engine.Filter{Pred: testkit.Expr("l_quantity BETWEEN 11 AND 30"), Input: scan("lineitem", "")}}
 		}},
 		{"top10-price", func() engine.Node {
 			return &engine.Project{Cols: []expr.ColumnRef{ref("lineitem", "l_id"), ref("lineitem", "l_extendedprice")},

@@ -23,11 +23,11 @@ import (
 // first failing term is the one returned.
 //
 // Comparisons of a column against a literal — the shapes SplitPushdown
-// pushes and the estimator counts — and of a column against a column —
-// the join predicates over a join's output — compile to kernels that
-// read the typed columns in place instead of filling full-width scratch
-// vectors; every other shape takes the generic path, which loads a
-// column's cells into value.Values. Both report the same errors.
+// pushes and the estimator counts — compile to kernels that read the
+// typed columns in place instead of filling full-width scratch vectors;
+// every other shape, a column against a column included, takes the
+// generic path, which loads a column's cells into value.Values. Both
+// report the same errors.
 
 // batchPredFn evaluates a predicate over the rows in sel, returning the
 // indices that pass in ascending order.

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -444,7 +445,16 @@ func TestOptimizerPicksMinEstimatedCost(t *testing.T) {
 	}
 }
 
+// TestIntRangeFromConjunct: analyze takes a conjunct's sargable integer
+// interval from its pushable bound, with saturated open ends. A Float
+// literal against an Int column is not sargable, as it is not pushable.
 func TestIntRangeFromConjunct(t *testing.T) {
+	cat := catalog.NewCatalog()
+	if err := cat.AddTable(&catalog.TableSchema{Name: "t", PrimaryKey: "a",
+		Columns: []catalog.Column{{Name: "a", Type: catalog.Int}, {Name: "b", Type: catalog.Int}}}); err != nil {
+		t.Fatal(err)
+	}
+	const lo, hi = math.MinInt64, math.MaxInt64
 	cases := []struct {
 		in     string
 		ok     bool
@@ -452,33 +462,35 @@ func TestIntRangeFromConjunct(t *testing.T) {
 	}{
 		{"a BETWEEN 3 AND 9", true, 3, 9},
 		{"a = 5", true, 5, 5},
-		{"a < 5", true, 0, 4},
-		{"a <= 5", true, 0, 5},
-		{"a > 5", true, 6, 0},
-		{"a >= 5", true, 5, 0},
-		{"5 > a", true, 0, 4},
-		{"5 <= a", true, 5, 0},
+		{"a < 5", true, lo, 4},
+		{"a <= 5", true, lo, 5},
+		{"a > 5", true, 6, hi},
+		{"a >= 5", true, 5, hi},
+		{"5 > a", true, lo, 4},
+		{"5 <= a", true, 5, hi},
 		{"a <> 5", false, 0, 0},
 		{"a + 1 < 5", false, 0, 0},
 		{"a < 5.5", false, 0, 0},
-		{"a = 5.0", true, 5, 5},
+		{"a = 5.0", false, 0, 0},
 		{"a BETWEEN b AND 9", false, 0, 0},
 		{"a CONTAINS 'x'", false, 0, 0},
+		// At the ends of int64 the interval is exact, and past them it is
+		// empty; it never wraps.
+		{"a > 9223372036854775807", true, 1, 0},
+		{"a < -9223372036854775807", true, lo, lo},
 	}
 	for _, c := range cases {
-		_, lo, hi, ok := intRangeFromConjunct(testkit.Expr(c.in))
-		if ok != c.ok {
-			t.Errorf("%q: ok = %v", c.in, ok)
+		a, err := analyze(cat, &Query{Tables: []string{"t"}, Pred: testkit.Expr(c.in)})
+		if err != nil {
+			t.Fatalf("%q: %v", c.in, err)
+		}
+		conj := a.conjuncts[0]
+		if conj.isRange != c.ok {
+			t.Errorf("%q: isRange = %v", c.in, conj.isRange)
 			continue
 		}
-		if !ok {
-			continue
-		}
-		if c.lo != 0 && lo != c.lo {
-			t.Errorf("%q: lo = %d, want %d", c.in, lo, c.lo)
-		}
-		if c.hi != 0 && hi != c.hi {
-			t.Errorf("%q: hi = %d, want %d", c.in, hi, c.hi)
+		if want := (engine.KeyRange{Column: "a", Lo: c.lo, Hi: c.hi}); c.ok && conj.rng != want {
+			t.Errorf("%q: range %v, want %v", c.in, conj.rng, want)
 		}
 	}
 }

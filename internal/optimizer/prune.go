@@ -37,11 +37,7 @@ func (p *planner) computePruning() {
 			continue
 		}
 		spec := t.PartitionSpec()
-		const (
-			minKey = math.MinInt64 / 4
-			maxKey = math.MaxInt64 / 4
-		)
-		lo, hi := int64(minKey), int64(maxKey)
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 		found := false
 		for cm := p.a.within(1 << uint(i)); cm != 0; cm &= cm - 1 {
 			if c := &p.a.conjuncts[bits.TrailingZeros64(cm)]; c.isRange && c.rng.Column == spec.Column {

@@ -13,7 +13,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"robustqo/internal/catalog"
@@ -65,8 +64,9 @@ type conjunct struct {
 	// estimate over it sees the term.
 	tables uint32
 	shape  string // fingerprintExpr(pred), the term's ledger shape
-	// rng is the term's sargable integer interval (intRangeFromConjunct)
-	// on a column of its one table, when isRange.
+	// rng is the term's sargable integer interval on a column of its one
+	// table, when isRange: its bound when that is an Int or Date interval,
+	// not an exclusion.
 	rng     engine.KeyRange
 	isRange bool
 	// bound is the term's zone-map bound over its one table's schema
@@ -142,10 +142,10 @@ func analyze(cat *catalog.Catalog, q *Query) (*analysis, error) {
 				s, _ := cat.Table(q.Tables[i])
 				schemas[i] = expr.SchemaForTable(s)
 			}
-			if ref, lo, hi, ok := intRangeFromConjunct(term); ok {
-				c.rng, c.isRange = engine.KeyRange{Column: ref.Column, Lo: lo, Hi: hi}, true
-			}
 			c.bound, c.pushable = expr.PushableBound(term, schemas[i])
+			if b := c.bound; c.pushable && !b.IsFloat && !b.IsStr && !b.Not {
+				c.rng, c.isRange = engine.KeyRange{Column: schemas[i].Fields[b.Col].Column, Lo: b.Lo, Hi: b.Hi}, true
+			}
 		}
 		a.conjuncts = append(a.conjuncts, c)
 	}
@@ -277,87 +277,4 @@ func (a *analysis) connected(mask uint32) bool {
 		}
 	}
 	return reached&mask == mask
-}
-
-// intRangeFromConjunct recognizes sargable single-column integer range
-// conditions: col BETWEEN lit AND lit, or col cmp lit (and the flipped
-// orientation). It returns the equivalent closed integer interval.
-func intRangeFromConjunct(term expr.Expr) (col expr.ColumnRef, lo, hi int64, ok bool) {
-	const (
-		minKey = math.MinInt64 / 4
-		maxKey = math.MaxInt64 / 4
-	)
-	intLit := func(e expr.Expr) (int64, bool) {
-		l, isLit := e.(expr.Lit)
-		if !isLit || !l.Val.Numeric() {
-			return 0, false
-		}
-		if l.Val.Kind == catalog.Float {
-			// Only exactly integral floats convert losslessly.
-			f := l.Val.F
-			if f != math.Trunc(f) || math.Abs(f) > float64(maxKey) {
-				return 0, false
-			}
-			return int64(f), true
-		}
-		return l.Val.I, true
-	}
-	switch n := term.(type) {
-	case expr.Between:
-		c, isCol := n.E.(expr.Col)
-		if !isCol {
-			return col, 0, 0, false
-		}
-		l, okL := intLit(n.Lo)
-		h, okH := intLit(n.Hi)
-		if !okL || !okH {
-			return col, 0, 0, false
-		}
-		return c.Ref, l, h, true
-	case expr.Cmp:
-		c, isCol := n.L.(expr.Col)
-		lit, okLit := intLit(n.R)
-		op := n.Op
-		if !isCol || !okLit {
-			if c2, ok2 := n.R.(expr.Col); ok2 {
-				if v2, okv := intLit(n.L); okv {
-					c, lit, op = c2, v2, flip(n.Op)
-					isCol, okLit = true, true
-				}
-			}
-		}
-		if !isCol || !okLit {
-			return col, 0, 0, false
-		}
-		switch op {
-		case expr.EQ:
-			return c.Ref, lit, lit, true
-		case expr.LT:
-			return c.Ref, minKey, lit - 1, true
-		case expr.LE:
-			return c.Ref, minKey, lit, true
-		case expr.GT:
-			return c.Ref, lit + 1, maxKey, true
-		case expr.GE:
-			return c.Ref, lit, maxKey, true
-		default:
-			return col, 0, 0, false
-		}
-	}
-	return col, 0, 0, false
-}
-
-func flip(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.LT:
-		return expr.GT
-	case expr.LE:
-		return expr.GE
-	case expr.GT:
-		return expr.LT
-	case expr.GE:
-		return expr.LE
-	default:
-		return op
-	}
 }
