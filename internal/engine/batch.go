@@ -21,18 +21,30 @@ const BatchSize = 1024
 // value.Vec of kind Schema.Fields[c].Type — an []int64 for Int and Date,
 // an []float64 for Float, an []string for String — and row r of it is
 // its r-th payload. Every column has length Len(). Operators move
-// payloads between batches by copy or by index gather; a value.Value is
-// built only where a row leaves the pipeline (Row, CloneRow) or a
-// generic expression reads a cell.
+// payloads between batches by copy or by index gather, from scan through
+// join, sort and aggregate; a value.Value is built only where a generic
+// expression reads a cell, and a row is boxed only where it leaves the
+// engine, in Run's drain.
 //
 // A batch returned by Operator.Next is owned by the producer and is valid
 // only until the producer's next Next or Close call. Consumers may mutate
 // it in place (Gather, Truncate) but must not retain references across
-// pulls; rows that outlive the pull must be copied out (CloneRow).
+// pulls; values that outlive the pull must be copied out (a breaker
+// appends them to its own vectors).
 type Batch struct {
 	Schema expr.RelSchema
 	cols   []value.Vec
 	n      int
+}
+
+// vecsFor returns one empty vector per field of schema, of the field's
+// kind.
+func vecsFor(schema expr.RelSchema) []value.Vec {
+	cols := make([]value.Vec, len(schema.Fields))
+	for c, f := range schema.Fields {
+		cols[c].Kind = f.Type
+	}
+	return cols
 }
 
 // Len returns the number of rows in the batch.
@@ -48,43 +60,6 @@ func (b *Batch) Reset() {
 		b.cols[c].Truncate(0)
 	}
 	b.n = 0
-}
-
-// AppendRow appends one row, copying its values into the columns.
-//
-//qo:hotpath
-func (b *Batch) AppendRow(row value.Row) {
-	for i, v := range row {
-		b.cols[i].Append(v)
-	}
-	b.n++
-}
-
-// appendConcat appends the concatenation of two row fragments as one row.
-//
-//qo:hotpath
-func (b *Batch) appendConcat(left, right value.Row) {
-	for i, v := range left {
-		b.cols[i].Append(v)
-	}
-	for i, v := range right {
-		b.cols[len(left)+i].Append(v)
-	}
-	b.n++
-}
-
-// Row copies row i into dst, which must have one slot per column.
-func (b *Batch) Row(i int, dst value.Row) {
-	for c := range b.cols {
-		dst[c] = b.cols[c].At(i)
-	}
-}
-
-// CloneRow returns a freshly allocated copy of row i.
-func (b *Batch) CloneRow(i int) value.Row {
-	out := make(value.Row, len(b.cols))
-	b.Row(i, out)
-	return out
 }
 
 // Gather compacts the batch in place to the rows named by the selection
@@ -197,36 +172,6 @@ type Operator interface {
 	Close()
 }
 
-// drainRows pulls an opened operator to exhaustion, cloning every row out
-// of the transient batches.
-func drainRows(op Operator) ([]value.Row, error) {
-	var rows []value.Row
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return rows, nil
-		}
-		for i := 0; i < b.Len(); i++ {
-			rows = append(rows, b.CloneRow(i))
-		}
-	}
-}
-
-// openAndDrain runs a node to completion — a plan root for Run, a blocking
-// child for pipeline breakers: it opens the node's stream against the
-// shared counters, drains it, and closes it before returning.
-func openAndDrain(ctx *Context, n Node, counters *cost.Counters) ([]value.Row, error) {
-	op := n.Stream()
-	defer op.Close()
-	if err := op.Open(ctx, counters); err != nil {
-		return nil, err
-	}
-	return drainRows(op)
-}
-
 // drainVecs runs n to completion into typed vectors of its schema —
 // the build side of a hash join, an input of a merge join: it opens n's
 // stream against the shared counters, appends every batch it produces a
@@ -238,10 +183,7 @@ func drainVecs(ctx *Context, n Node, schema expr.RelSchema, counters *cost.Count
 	if err := op.Open(ctx, counters); err != nil {
 		return nil, 0, err
 	}
-	cols := make([]value.Vec, len(schema.Fields))
-	for c, f := range schema.Fields {
-		cols[c].Kind = f.Type
-	}
+	cols := vecsFor(schema)
 	rows := 0
 	for {
 		b, err := op.Next()
@@ -253,4 +195,38 @@ func drainVecs(ctx *Context, n Node, schema expr.RelSchema, counters *cost.Count
 		}
 		rows += b.Len()
 	}
+}
+
+// emitter hands a pipeline breaker's finished output up a batch at a
+// time: output row k is row perm[k] of the pooled batch src, whose
+// columns the breaker filled, so a Sort or an Aggregate emits its rows in
+// order by one typed gather a column per batch, without copying its
+// output whole.
+type emitter struct {
+	src, out *Batch
+	perm     []int32
+	next     int
+}
+
+// Next gathers the next BatchSize output rows into the pooled batch.
+//
+//qo:hotpath
+func (e *emitter) Next() (*Batch, error) {
+	if e.next >= len(e.perm) {
+		return nil, nil
+	}
+	idx := e.perm[e.next:min(e.next+BatchSize, len(e.perm))]
+	e.out.Reset()
+	for c := range e.src.cols {
+		value.AppendSel(&e.out.cols[c], &e.src.cols[c], idx)
+	}
+	e.out.n = len(idx)
+	e.next += len(idx)
+	return e.out, nil
+}
+
+func (e *emitter) Close() {
+	putBatch(e.src)
+	putBatch(e.out)
+	e.src, e.out = nil, nil
 }

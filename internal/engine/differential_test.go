@@ -562,19 +562,46 @@ func FuzzEngineDifferential(f *testing.F) {
 // TestEngineDifferentialCoverage pins the harness's reach: the default
 // trials take every value of every axis, cross clustered l_ship, pruned
 // shards, DOP 4, pruned columns and a LIMIT in one trial, and place the
-// global aggregate bare and instrumented at every DOP.
+// global aggregate bare and instrumented at every DOP. Two shapes must
+// gather heap rows across shards (storage.AppendColumnRows): an INLJoin
+// into range-partitioned lineitem, and a StarSemiJoin over it whose
+// residual reads a fact column the join does not emit.
 func TestEngineDifferentialCoverage(t *testing.T) {
 	seen, crossed := map[[2]int]bool{}, false
 	placed := map[point]bool{}
+	var inlSharded, starSharded bool
 	for _, tr := range defaultTrials() {
 		for a, v := range digits(tr[1]) {
 			seen[[2]int{a, v}] = true
 		}
 		p := decode(tr[1])
 		crossed = crossed || p.clustered && p.pruned && p.dop == 4 && p.columns && p.limit > 0
-		if shapes[p.shape].name == "global" {
+		switch shapes[p.shape].name {
+		case "global":
 			placed[point{dop: p.dop, instrumented: p.instrumented}] = true
+		case "inljoin-index", "star-residual":
+			if p.shards < 2 || inlSharded && starSharded {
+				continue
+			}
+			ctx, _ := harnessLayout(t, p)
+			if testkit.Table(ctx.DB, "lineitem").Partitions() < 2 {
+				t.Fatalf("a %d-shard layout stores lineitem in one shard", p.shards)
+			}
+			for _, n := range nodes(newGen(tr[0]).plan(p, ctx)) {
+				switch j := n.(type) {
+				case *INLJoin:
+					inlSharded = inlSharded || j.InnerTable == "lineitem"
+				case *StarSemiJoin:
+					starSharded = starSharded || j.Fact == "lineitem" && residualBeyondEmit(ctx, j)
+				}
+			}
 		}
+	}
+	if !inlSharded {
+		t.Error("no trial runs an INLJoin into range-partitioned lineitem")
+	}
+	if !starSharded {
+		t.Error("no trial runs a StarSemiJoin over range-partitioned lineitem whose residual reads a column it does not emit")
 	}
 	for _, dop := range dops {
 		for _, inst := range []bool{false, true} {
@@ -593,6 +620,21 @@ func TestEngineDifferentialCoverage(t *testing.T) {
 	if !crossed {
 		t.Error("no trial crosses clustered × pruned shards × DOP 4 × pruned columns × LIMIT")
 	}
+}
+
+// residualBeyondEmit reports whether j's residual reads a fact column
+// that j does not emit.
+func residualBeyondEmit(ctx *Context, j *StarSemiJoin) bool {
+	if j.FactEmit == nil {
+		return false
+	}
+	schema := testkit.Table(ctx.DB, j.Fact).Schema()
+	for _, ref := range expr.Columns(j.Residual) {
+		if i := schema.ColumnIndex(ref.Column); i >= 0 && (ref.Table == "" || ref.Table == j.Fact) && !slices.Contains(j.FactEmit, i) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestBatchesTyped holds every batch an operator returns to the typed

@@ -95,14 +95,39 @@ func Run(ctx *Context, root Node) (*Result, cost.Counters, float64, error) {
 	if err != nil {
 		return nil, counters, 0, err
 	}
-	// openAndDrain closes the stream before returning, so work an operator
-	// charges at Close (an Exchange's barrier merge) is in the counters.
-	rows, err := openAndDrain(ctx, root, &counters)
+	rows, err := drain(ctx, root, &counters)
 	if err != nil {
 		return nil, counters, 0, err
 	}
 	counters.Output += int64(len(rows))
 	return &Result{Schema: schema, Rows: rows}, counters, ctx.Model.Time(counters), nil
+}
+
+// drain opens root's stream, pulls it dry and closes it before returning,
+// so work an operator charges at Close (an Exchange's barrier merge) is
+// in the counters. It is the one place the engine boxes rows: the rows of
+// one batch share one backing array of values.
+func drain(ctx *Context, root Node, counters *cost.Counters) ([]value.Row, error) {
+	op := root.Stream()
+	defer op.Close()
+	if err := op.Open(ctx, counters); err != nil {
+		return nil, err
+	}
+	var rows []value.Row
+	for {
+		b, err := op.Next()
+		if err != nil || b == nil {
+			return rows, err
+		}
+		w := len(b.cols)
+		vals := make([]value.Value, b.Len()*w)
+		for r := range b.Len() {
+			for c := range b.cols {
+				vals[r*w+c] = b.cols[c].At(r)
+			}
+			rows = append(rows, vals[r*w:(r+1)*w:(r+1)*w])
+		}
+	}
 }
 
 // Explain renders a plan tree as an indented multi-line string.

@@ -82,7 +82,7 @@ func (o *exchangeOp) foldPartial(r morselRunner, w morselWorker, m int, counters
 	select {
 	case part = <-o.free:
 	default:
-		part = o.fold.a.newAggState(nil, nil)
+		part = o.fold.a.newAggState()
 	}
 	res := morselResult{m: m, part: part}
 	res.rows, _, res.err = foldMorsel(r, w.(foldWorker), o.fold, part, m, counters)

@@ -56,7 +56,7 @@ func newAggFold(a *Aggregate, in expr.RelSchema) *aggFold {
 	if scan == nil || len(a.GroupBy) > 0 {
 		return nil
 	}
-	f := &aggFold{a: a, cols: make([]int, len(a.Aggs)), st: a.newAggState(nil, nil)}
+	f := &aggFold{a: a, cols: make([]int, len(a.Aggs)), st: a.newAggState()}
 	for i, spec := range a.Aggs {
 		if spec.Arg == nil {
 			f.cols[i] = -1

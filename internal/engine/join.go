@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"robustqo/internal/cost"
@@ -522,11 +521,12 @@ func (j *INLJoin) Describe() string {
 func (j *INLJoin) Stream() Operator { return &inlJoinOp{node: j} }
 
 // inlJoinOp streams its outer input, probing the inner access path for
-// each row of an outer batch and filtering the combined rows by the
-// residual whenever BatchSize of them are pending, so the output batch
-// holds at most one outer row's fanout beyond BatchSize unfiltered rows.
-// Nothing else is buffered, so a LIMIT above stops both the outer scan
-// and the inner probes early.
+// each row of an outer batch and collecting the matches as (outer
+// position, inner RID) pairs. Whenever BatchSize pairs are pending it
+// gathers them into combined rows and filters those by the residual, so
+// the output batch holds at most one outer row's fanout beyond BatchSize
+// unfiltered rows. Nothing else is buffered, so a LIMIT above stops both
+// the outer scan and the inner probes early.
 //
 // The combined rows are built in wide: the outer row, the projected inner
 // columns, then the inner columns only the residual reads. out is the
@@ -542,11 +542,11 @@ type inlJoinOp struct {
 	ix       *index.Index
 	// innerRead are the inner table ordinals each probe fetches.
 	innerRead []int
-	oBuf      value.Row
-	innerBuf  value.Row
-	sel       []int
-	wide      *Batch
-	out       Batch
+	// opos and rids are the pending matches: outer position, inner RID.
+	opos, rids []int32
+	sel        []int
+	wide       *Batch
+	out        Batch
 }
 
 func (o *inlJoinOp) Open(ctx *Context, counters *cost.Counters) error {
@@ -586,24 +586,19 @@ func (o *inlJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err := o.outer.Open(ctx, counters); err != nil {
 		return err
 	}
-	o.oBuf = make(value.Row, len(outerSchema.Fields))
-	o.innerBuf = make(value.Row, len(o.innerRead))
+	o.opos = make([]int32, 0, BatchSize)
+	o.rids = make([]int32, 0, BatchSize)
 	o.wide = getBatch(wideSchema)
 	width := len(outerSchema.Fields) + len(emit)
 	o.out = Batch{Schema: expr.RelSchema{Fields: wideSchema.Fields[:width]}, cols: o.wide.cols[:width]}
 	return nil
 }
 
-// probe fetches one inner row by RID and appends the combined row to
-// wide; Next applies the residual.
-func (o *inlJoinOp) probe(oRow value.Row, rid int) {
-	o.inner.ReadCols(rid, o.innerRead, o.innerBuf)
-	o.wide.appendConcat(oRow, o.innerBuf)
-}
-
 // Next probes for every row of the next outer batch, filtering the
 // combined rows by the residual a window at a time, and charges one tuple
 // per survivor.
+//
+//qo:hotpath
 func (o *inlJoinOp) Next() (*Batch, error) {
 	for {
 		b, err := o.outer.Next()
@@ -614,34 +609,34 @@ func (o *inlJoinOp) Next() (*Batch, error) {
 			return nil, nil
 		}
 		o.wide.Reset()
-		base := 0 // first combined row the residual has not yet seen
-		for r := 0; r < b.Len(); r++ {
-			if o.wide.Len()-base >= BatchSize {
-				if o.sel, err = o.wide.filterTail(base, o.pred, o.sel); err != nil {
+		for r, key := range b.cols[o.oIdx].I[:b.Len()] {
+			if len(o.rids) >= BatchSize {
+				if err := o.flush(b); err != nil {
 					return nil, err
 				}
-				base = o.wide.Len()
 			}
-			b.Row(r, o.oBuf)
-			key := o.oBuf[o.oIdx].I
 			if o.usePK {
 				o.counters.RandPages++
 				o.counters.Tuples++
 				if rid, ok := o.inner.LookupPK(key); ok {
-					o.probe(o.oBuf, rid)
+					o.opos = append(o.opos, int32(r))
+					o.rids = append(o.rids, int32(rid))
 				}
-			} else {
-				o.counters.IndexSeeks++
-				rids, scanned := o.ix.Equal(key)
-				o.counters.IndexEntries += int64(scanned)
-				o.counters.RandPages += int64(len(rids))
-				o.counters.Tuples += int64(len(rids))
-				for _, rid := range rids {
-					o.probe(o.oBuf, int(rid))
-				}
+				continue
 			}
+			o.counters.IndexSeeks++
+			rids, scanned := o.ix.Equal(key)
+			o.counters.IndexEntries += int64(scanned)
+			o.counters.RandPages += int64(len(rids))
+			o.counters.Tuples += int64(len(rids))
+			for range rids {
+				//qo:alloc-ok amortized growth past BatchSize by one outer row's fanout
+				o.opos = append(o.opos, int32(r))
+			}
+			//qo:alloc-ok amortized growth past BatchSize by one outer row's fanout
+			o.rids = append(o.rids, rids...)
 		}
-		if o.sel, err = o.wide.filterTail(base, o.pred, o.sel); err != nil {
+		if err := o.flush(b); err != nil {
 			return nil, err
 		}
 		o.counters.Tuples += int64(o.wide.Len())
@@ -650,6 +645,26 @@ func (o *inlJoinOp) Next() (*Batch, error) {
 			return &o.out, nil
 		}
 	}
+}
+
+// flush appends the pending matches to wide as combined rows, one typed
+// gather a column — the outer columns from b by position, the inner ones
+// from the heap by RID — and filters them by the residual.
+//
+//qo:hotpath
+func (o *inlJoinOp) flush(b *Batch) error {
+	base := o.wide.Len()
+	for c := range b.cols {
+		value.AppendSel(&o.wide.cols[c], &b.cols[c], o.opos)
+	}
+	for i, col := range o.innerRead {
+		o.inner.AppendColumnRows(&o.wide.cols[len(b.cols)+i], col, o.rids)
+	}
+	o.wide.n += len(o.rids)
+	o.opos, o.rids = o.opos[:0], o.rids[:0]
+	var err error
+	o.sel, err = o.wide.filterTail(base, o.pred, o.sel)
+	return err
 }
 
 func (o *inlJoinOp) Close() {
@@ -712,11 +727,17 @@ func (j *StarSemiJoin) Describe() string {
 func (j *StarSemiJoin) Stream() Operator { return &starSemiJoinOp{node: j} }
 
 // starDimState carries what the fetch phase needs from one dimension arm:
-// the selected dimension rows keyed by primary key, and the fact column
-// ordinal of the foreign key pointing at them.
+// the position of each selected dimension row, keyed by its primary key,
+// and the fact column ordinal of the foreign key pointing at them. The
+// engine adds the drained rows, cols, and a window's scratch: fk, the
+// foreign key of each fetched fact row, and pos, the dimension position
+// of each match.
 type starDimState struct {
-	rowsByPK map[int64]value.Row
-	fkIdx    int
+	posByPK map[int64]int32
+	fkIdx   int
+	cols    []value.Vec
+	fk      value.Vec
+	pos     []int32
 }
 
 // dimKey resolves and checks dimension i's primary key in its scan's
@@ -725,19 +746,18 @@ func (j *StarSemiJoin) dimKey(i int, dimSchema expr.RelSchema) (int, error) {
 	return joinKey("StarSemiJoin", fmt.Sprintf("dim %d", i), dimSchema, j.Dims[i].DimPK)
 }
 
-// semijoinDim converts one dimension's selected rows, whose primary key
-// is column pkIdx, into a sorted fact RID list via the fact table's
-// foreign-key index, charging the index seeks and RID-list construction.
-func (j *StarSemiJoin) semijoinDim(ctx *Context, d StarDim, fact *storage.Table, pkIdx int, dimRows []value.Row, counters *cost.Counters) (starDimState, []int32, error) {
+// semijoinDim converts one dimension's selected rows, whose primary keys
+// are pks, into a sorted fact RID list via the fact table's foreign-key
+// index, charging the index seeks and RID-list construction.
+func (j *StarSemiJoin) semijoinDim(ctx *Context, d StarDim, fact *storage.Table, pks []int64, counters *cost.Counters) (starDimState, []int32, error) {
 	ix, ok := ctx.Indexes.Lookup(j.Fact, d.FactFK)
 	if !ok {
 		return starDimState{}, nil, fmt.Errorf("engine: StarSemiJoin: no index on %s.%s", j.Fact, d.FactFK)
 	}
-	byPK := make(map[int64]value.Row, len(dimRows))
+	byPK := make(map[int64]int32, len(pks))
 	var rids []int32
-	for _, row := range dimRows {
-		pk := row[pkIdx].I
-		byPK[pk] = row
+	for r, pk := range pks {
+		byPK[pk] = int32(r)
 		counters.IndexSeeks++
 		matches, scanned := ix.Equal(pk)
 		counters.IndexEntries += int64(scanned)
@@ -749,19 +769,21 @@ func (j *StarSemiJoin) semijoinDim(ctx *Context, d StarDim, fact *storage.Table,
 	if fkIdx < 0 {
 		return starDimState{}, nil, fmt.Errorf("engine: fact table %q has no column %q", j.Fact, d.FactFK)
 	}
-	return starDimState{rowsByPK: byPK, fkIdx: fkIdx}, rids, nil
+	return starDimState{posByPK: byPK, fkIdx: fkIdx}, rids, nil
 }
 
 // starSemiJoinOp runs every dimension semijoin and the RID intersection at
-// Open (the semijoins are inherently blocking), then streams the surviving
-// fact-row fetches a RID window at a time, charging each random page as
-// the row is pulled and filtering the window's combined rows by the
-// residual at once.
+// Open (the semijoins are inherently blocking), draining each dimension
+// scan into typed vectors, then streams the surviving fact-row fetches a
+// RID window at a time, charging each random page as the row is pulled
+// and filtering the window's combined rows by the residual at once.
 //
-// The combined rows are built in wide: the projected fact columns, the
-// dimension rows, then the fact columns only the residual or a foreign-key
-// lookup reads. out is the view of wide's projected prefix that Next
-// hands up.
+// A window's matches are (fact RID, dimension positions) pairs, kept in
+// rids and each state's pos: a fact row whose foreign keys all find a
+// dimension row. The combined rows are gathered into wide from them: the
+// projected fact columns, the dimension rows, then the fact columns only
+// the residual reads. out is the view of wide's projected prefix that
+// Next hands up.
 type starSemiJoinOp struct {
 	node      *StarSemiJoin
 	counters  *cost.Counters
@@ -770,14 +792,11 @@ type starSemiJoinOp struct {
 	surviving []int32
 	next      int
 	pred      *expr.Bound
-	// factRead are the fact table ordinals each fetch reads into factBuf:
-	// the projection, then the rest; fkPos[i] is dimension i's foreign key
-	// in factBuf.
+	// factRead are the fact table ordinals each fetch reads: the
+	// projection, then the rest.
 	factRead []int
-	fkPos    []int
 	nEmit    int
-	factBuf  value.Row
-	combined value.Row
+	rids     []int32
 	sel      []int
 	wide     *Batch
 	out      Batch
@@ -808,27 +827,19 @@ func (o *starSemiJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 		if err != nil {
 			return err
 		}
-		dimRows, err := openAndDrain(ctx, d.Scan, counters)
+		cols, n, err := drainVecs(ctx, d.Scan, dimSchema, counters)
 		if err != nil {
 			return err
 		}
-		st, rids, err := j.semijoinDim(ctx, d, fact, pkIdx, dimRows, counters)
+		st, rids, err := j.semijoinDim(ctx, d, fact, cols[pkIdx].I[:n], counters)
 		if err != nil {
 			return err
 		}
-		states[i] = st
-		ridLists[i] = rids
+		st.cols, st.fk.Kind, st.pos = cols, factFull.Fields[st.fkIdx].Type, make([]int32, 0, BatchSize)
+		states[i], ridLists[i] = st, rids
 		dimsSchema = dimsSchema.Concat(dimSchema)
 	}
-	refs := expr.Columns(j.Residual)
-	for _, d := range j.Dims {
-		refs = append(refs, expr.ColumnRef{Table: j.Fact, Column: d.FactFK})
-	}
-	o.factRead = withReads(emit, factFull, refs)
-	o.fkPos = make([]int, len(states))
-	for i, st := range states {
-		o.fkPos[i] = slices.Index(o.factRead, st.fkIdx)
-	}
+	o.factRead = withReads(emit, factFull, expr.Columns(j.Residual))
 	o.nEmit = len(emit)
 	outSchema := pickFields(factFull, emit).Concat(dimsSchema)
 	wideSchema := outSchema.Concat(pickFields(factFull, o.factRead[o.nEmit:]))
@@ -840,39 +851,67 @@ func (o *starSemiJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	o.fact = fact
 	o.states = states
 	o.surviving = index.Intersect(ridLists...)
-	o.factBuf = make(value.Row, len(o.factRead))
-	o.combined = make(value.Row, 0, len(wideSchema.Fields))
+	o.rids = make([]int32, 0, BatchSize)
 	o.wide = getBatch(wideSchema)
 	o.out = Batch{Schema: outSchema, cols: o.wide.cols[:len(outSchema.Fields)]}
 	return nil
 }
 
+// Next fetches the next window of surviving fact rows: it reads each
+// dimension's foreign key over the window, keeps the rows whose keys all
+// find a dimension row, gathers the combined rows one typed column at a
+// time, and filters them by the residual.
+//
+//qo:hotpath
 func (o *starSemiJoinOp) Next() (*Batch, error) {
 	for o.next < len(o.surviving) {
-		end := o.next + BatchSize
-		if end > len(o.surviving) {
-			end = len(o.surviving)
+		window := o.surviving[o.next:min(o.next+BatchSize, len(o.surviving))]
+		o.next += len(window)
+		o.counters.RandPages += int64(len(window))
+		o.counters.Tuples += int64(len(window))
+		for i := range o.states {
+			st := &o.states[i]
+			st.fk.Truncate(0)
+			o.fact.AppendColumnRows(&st.fk, st.fkIdx, window)
+			st.pos = st.pos[:0]
 		}
-		o.wide.Reset()
-		for _, rid := range o.surviving[o.next:end] {
-			o.counters.RandPages++
-			o.counters.Tuples++
-			o.fact.ReadCols(int(rid), o.factRead, o.factBuf)
-			combined := append(o.combined[:0], o.factBuf[:o.nEmit]...)
-			complete := true
-			for i, st := range o.states {
-				dimRow, ok := st.rowsByPK[o.factBuf[o.fkPos[i]].I]
+		o.rids = o.rids[:0]
+		for k, rid := range window {
+			i := 0
+			for ; i < len(o.states); i++ {
+				st := &o.states[i]
+				pos, ok := st.posByPK[st.fk.I[k]]
 				if !ok {
-					complete = false
 					break
 				}
-				combined = append(combined, dimRow...)
+				st.pos = append(st.pos, pos)
 			}
-			if complete {
-				o.wide.AppendRow(append(combined, o.factBuf[o.nEmit:]...))
+			if i < len(o.states) {
+				// A dimension row is missing: drop the row's partial match.
+				for d := range i {
+					o.states[d].pos = o.states[d].pos[:len(o.rids)]
+				}
+				continue
 			}
+			o.rids = append(o.rids, rid)
 		}
-		o.next = end
+		o.wide.Reset()
+		c := o.nEmit
+		for i := range o.states {
+			st := &o.states[i]
+			for d := range st.cols {
+				value.AppendSel(&o.wide.cols[c+d], &st.cols[d], st.pos)
+			}
+			c += len(st.cols)
+		}
+		for i, col := range o.factRead {
+			at := i
+			if i >= o.nEmit {
+				at += c - o.nEmit // the residual's columns follow the dimensions'
+			}
+			o.fact.AppendColumnRows(&o.wide.cols[at], col, o.rids)
+		}
+		o.wide.n = len(o.rids)
 		var err error
 		if o.sel, err = o.wide.filterTail(0, o.pred, o.sel); err != nil {
 			return nil, err

@@ -55,7 +55,7 @@ func (o *benchRowsOp) Next() (*Batch, error) {
 	end := min(o.next+BatchSize, len(rows))
 	o.out.Reset()
 	for _, r := range rows[o.next:end] {
-		o.out.AppendRow(r)
+		addRow(o.out, r)
 	}
 	o.next = end
 	return o.out, nil

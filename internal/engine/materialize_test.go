@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 
+	"robustqo/internal/catalog"
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/index"
@@ -33,7 +35,7 @@ func eachWindow(rows []value.Row, schema expr.RelSchema, fn func(b *Batch, sel [
 		window := rows[lo:min(lo+BatchSize, len(rows))]
 		b.Reset()
 		for _, row := range window {
-			b.AppendRow(row)
+			addRow(b, row)
 		}
 		sel = storage.RangeSel(sel, 0, len(window))
 		if err := fn(b, sel, window); err != nil {
@@ -57,7 +59,7 @@ type rowFilter struct {
 
 // add queues row, which the caller may reuse afterwards.
 func (f *rowFilter) add(row value.Row) {
-	f.b.AppendRow(row)
+	addRow(f.b, row)
 	if f.b.Len() == BatchSize {
 		f.done()
 	}
@@ -70,7 +72,7 @@ func (f *rowFilter) done() ([]value.Row, error) {
 		f.sel, f.err = f.b.filterTail(0, f.pred, f.sel)
 	}
 	for r := 0; f.err == nil && r < f.b.Len(); r++ {
-		f.rows = append(f.rows, f.b.CloneRow(r))
+		f.rows = append(f.rows, cloneRow(f.b, r))
 	}
 	f.b.Reset()
 	return f.rows, f.err
@@ -318,6 +320,7 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 	counters.HashBuilds += int64(len(in.Rows))
 
 	groups := make(map[string]*aggState)
+	keyVals := make(map[string]value.Row)
 	var order []string
 	keyOf := func(row value.Row) string {
 		if len(groupIdxs) == 0 {
@@ -347,8 +350,13 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 			k := keyOf(row)
 			st, ok := groups[k]
 			if !ok {
-				st = a.newAggState(groupIdxs, row)
+				st = a.newAggState()
 				groups[k] = st
+				vals := make(value.Row, len(groupIdxs))
+				for i, gi := range groupIdxs {
+					vals[i] = row[gi]
+				}
+				keyVals[k] = vals
 				order = append(order, k)
 			}
 			st.count++
@@ -368,13 +376,20 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 	}
 	// A global aggregate over empty input still yields one row.
 	if len(groupIdxs) == 0 && len(groups) == 0 {
-		groups[""] = a.newAggState(groupIdxs, nil)
+		groups[""] = a.newAggState()
 		order = append(order, "")
 	}
 	sort.Strings(order) // deterministic output order
+	aggSchema := expr.RelSchema{Fields: outSchema.Fields[len(groupIdxs):]}
 	rows := make([]value.Row, 0, len(order))
 	for _, k := range order {
-		rows = append(rows, a.finalize(groups[k], len(outSchema.Fields)))
+		aggs := vecsFor(aggSchema)
+		a.finalize(groups[k], aggs)
+		row := slices.Clone(keyVals[k])
+		for i := range aggs {
+			row = append(row, aggs[i].At(0))
+		}
+		rows = append(rows, row)
 	}
 	return &Result{Schema: outSchema, Rows: rows}, nil
 }
@@ -431,9 +446,7 @@ func (s *Sort) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, 
 	counters.SortTuples += int64(len(rows))
 	sort.SliceStable(rows, func(a, b int) bool {
 		for ki, idx := range idxs {
-			// Comparability was validated above, so the error is
-			// impossible here (incomparable pairs sort as equal).
-			c, _ := value.Compare(rows[a][idx], rows[b][idx])
+			c := sortCompare(rows[a][idx], rows[b][idx])
 			if c == 0 {
 				continue
 			}
@@ -450,6 +463,26 @@ func (s *Sort) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, 
 		rows = rows[:s.TopK]
 	}
 	return &Result{Schema: in.Schema, Rows: rows}, nil
+}
+
+// sortCompare is the reference ORDER BY order of two values of one
+// column: value.Compare's, which never fails once comparability has been
+// validated, except that a Float NaN sorts after every number and ties
+// another NaN, so the order is total.
+func sortCompare(x, y value.Value) int {
+	if x.Kind == catalog.Float {
+		xNaN, yNaN := math.IsNaN(x.F), math.IsNaN(y.F)
+		switch {
+		case xNaN && yNaN:
+			return 0
+		case xNaN:
+			return 1
+		case yNaN:
+			return -1
+		}
+	}
+	c, _ := value.Compare(x, y)
+	return c
 }
 
 func (l *Limit) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, error) {
@@ -612,6 +645,7 @@ func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*
 	}
 	outSchema := factSchema
 	states := make([]starDimState, len(j.Dims))
+	dimRows := make([][]value.Row, len(j.Dims))
 	ridLists := make([][]int32, len(j.Dims))
 	for i, d := range j.Dims {
 		dimRes, err := ExecuteMaterialized(ctx, d.Scan, counters)
@@ -622,11 +656,15 @@ func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*
 		if err != nil {
 			return nil, err
 		}
-		st, rids, err := j.semijoinDim(ctx, d, fact, pkIdx, dimRes.Rows, counters)
+		pks := make([]int64, len(dimRes.Rows))
+		for r, row := range dimRes.Rows {
+			pks[r] = row[pkIdx].I
+		}
+		st, rids, err := j.semijoinDim(ctx, d, fact, pks, counters)
 		if err != nil {
 			return nil, err
 		}
-		states[i] = st
+		states[i], dimRows[i] = st, dimRes.Rows
 		ridLists[i] = rids
 		outSchema = outSchema.Concat(dimRes.Schema)
 	}
@@ -644,13 +682,13 @@ func (j *StarSemiJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*
 		fact.ReadRow(int(rid), factBuf)
 		out = append(out[:0], factBuf...)
 		complete := true
-		for _, st := range states {
-			dimRow, ok := st.rowsByPK[factBuf[st.fkIdx].I]
+		for i, st := range states {
+			pos, ok := st.posByPK[factBuf[st.fkIdx].I]
 			if !ok {
 				complete = false
 				break
 			}
-			out = append(out, dimRow...)
+			out = append(out, dimRows[i][pos]...)
 		}
 		if complete {
 			f.add(out)
@@ -768,9 +806,5 @@ func narrowRows(rows []value.Row, ords []int) []value.Row {
 // NewBatch returns an empty batch for the schema with capacity for
 // BatchSize rows per column.
 func NewBatch(schema expr.RelSchema) *Batch {
-	cols := make([]value.Vec, len(schema.Fields))
-	for i, f := range schema.Fields {
-		cols[i].Kind = f.Type
-	}
-	return &Batch{Schema: schema, cols: cols}
+	return &Batch{Schema: schema, cols: vecsFor(schema)}
 }

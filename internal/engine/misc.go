@@ -311,9 +311,8 @@ func (a *Aggregate) Describe() string {
 // (f < m || m != m), so merging states in row order keeps it too, and
 // stay NaN only when every value folded was NaN.
 type aggState struct {
-	groupVals value.Row
-	count     int64
-	aggs      []aggAcc // one per aggregate
+	count int64
+	aggs  []aggAcc // one per aggregate
 }
 
 // aggAcc is one aggregate's running values; finalize reads the ones its
@@ -324,18 +323,11 @@ type aggAcc struct {
 	count    int64 // the argument values folded (for AVG)
 }
 
-// newAggState initializes accumulator state for one group, capturing the
-// group-key values from the first row seen (nil row for the empty-input
-// grand total).
-func (a *Aggregate) newAggState(groupIdxs []int, row value.Row) *aggState {
+// newAggState returns an empty state for one group, or for the grand
+// total.
+func (a *Aggregate) newAggState() *aggState {
 	st := &aggState{aggs: make([]aggAcc, len(a.Aggs))}
 	st.reset()
-	if row != nil {
-		st.groupVals = make(value.Row, len(groupIdxs))
-		for i, gi := range groupIdxs {
-			st.groupVals[i] = row[gi]
-		}
-	}
 	return st
 }
 
@@ -349,30 +341,28 @@ func (st *aggState) reset() {
 	}
 }
 
-// finalize renders one group's output row.
-func (a *Aggregate) finalize(st *aggState, width int) value.Row {
-	out := make(value.Row, 0, width)
-	out = append(out, st.groupVals...)
+// finalize appends one group's aggregates to out, one typed vector per
+// aggregate: an Int count, or a Float.
+func (a *Aggregate) finalize(st *aggState, out []value.Vec) {
 	for i, spec := range a.Aggs {
-		acc := &st.aggs[i]
+		acc, v := &st.aggs[i], &out[i]
 		switch spec.Func {
 		case Count:
 			if spec.Arg == nil {
-				out = append(out, value.Int(st.count))
+				v.I = append(v.I, st.count)
 			} else {
-				out = append(out, value.Int(acc.count))
+				v.I = append(v.I, acc.count)
 			}
 		case Sum:
-			out = append(out, value.Float(acc.sum.Float64()))
+			v.F = append(v.F, acc.sum.Float64())
 		case Min:
-			out = append(out, value.Float(acc.orZero(acc.min)))
+			v.F = append(v.F, acc.orZero(acc.min))
 		case Max:
-			out = append(out, value.Float(acc.orZero(acc.max)))
+			v.F = append(v.F, acc.orZero(acc.max))
 		case Avg:
-			out = append(out, value.Float(acc.orZero(acc.sum.Float64()/float64(acc.count))))
+			v.F = append(v.F, acc.orZero(acc.sum.Float64()/float64(acc.count)))
 		}
 	}
-	return out
 }
 
 // orZero is f, or 0 when no argument value was folded.
@@ -391,9 +381,7 @@ func (a *Aggregate) Stream() Operator { return &aggregateOp{node: a} }
 // grouped output in batches.
 type aggregateOp struct {
 	node *Aggregate
-	rows []value.Row
-	next int
-	out  *Batch
+	emitter
 }
 
 func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
@@ -435,7 +423,7 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		args[i] = &aggArg{fn: fn}
 	}
 
-	o.out = getBatch(outSchema)
+	o.src, o.out = getBatch(outSchema), getBatch(outSchema)
 	if f := newAggFold(a, inSchema); f != nil {
 		input := foldStream(a.Input, f)
 		defer input.Close()
@@ -445,7 +433,8 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		if _, _, err := input.drainFold(); err != nil {
 			return err
 		}
-		o.rows = []value.Row{a.finalize(f.st, len(outSchema.Fields))}
+		a.finalize(f.st, o.src.cols)
+		o.perm = firstRow
 		return nil
 	}
 
@@ -494,7 +483,7 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		}
 		g.fold(vecs, n, sts)
 	}
-	o.rows = g.finish(len(outSchema.Fields))
+	o.perm = g.finish(o.src.cols)
 	return nil
 }
 
@@ -549,8 +538,13 @@ type aggGroups struct {
 	global    *aggState
 	ints      map[int64]*aggState
 	strs      map[string]*aggState
-	// order lists the int64-keyed states in creation order.
-	order []*aggState
+	// states lists the groups in creation order; keys[c] holds group key
+	// c of each, and strKeys the string key of each, in the same order.
+	states  []*aggState
+	keys    []value.Vec
+	strKeys []string
+	// fresh are the rows of the batch being resolved that opened a group.
+	fresh []int32
 	// bins is the global state's SUM scratch and sel a batch's identity
 	// selection (identity).
 	bins *value.SumBins
@@ -558,14 +552,13 @@ type aggGroups struct {
 	// keyBuf holds one row's string key; a lookup by string(keyBuf) does
 	// not allocate, so only a new group's key is ever copied out.
 	keyBuf []byte
-	rowBuf value.Row
 }
 
 func newAggGroups(a *Aggregate, groupIdxs []int, in expr.RelSchema) *aggGroups {
-	g := &aggGroups{a: a, groupIdxs: groupIdxs, rowBuf: make(value.Row, len(in.Fields))}
+	g := &aggGroups{a: a, groupIdxs: groupIdxs, keys: vecsFor(pickFields(in, groupIdxs))}
 	switch {
 	case len(groupIdxs) == 0:
-		g.global = a.newAggState(groupIdxs, nil)
+		g.global = a.newAggState()
 		g.bins = sumBins.Get().(*value.SumBins)
 	case len(groupIdxs) == 1 && isIntKind(in.Fields[groupIdxs[0]].Type):
 		g.ints = make(map[int64]*aggState)
@@ -584,40 +577,53 @@ func (g *aggGroups) release() {
 }
 
 // resolve fills sts with the state of each row of b, creating states for
-// new groups. A single Int or Date key is read from its payload.
+// new groups. A single Int or Date key is read from its payload. A new
+// group takes only its key columns: the rows that opened groups are
+// gathered into keys once the batch is resolved, one column at a time.
 //
 //qo:hotpath
 func (g *aggGroups) resolve(b *Batch, sts []*aggState) []*aggState {
-	sts = sts[:0]
+	sts, g.fresh = sts[:0], g.fresh[:0]
 	cols := b.Cols()
 	if g.ints != nil {
 		for r, k := range cols[g.groupIdxs[0]].I[:b.Len()] {
 			st := g.ints[k]
 			if st == nil {
-				b.Row(r, g.rowBuf)
-				st = g.a.newAggState(g.groupIdxs, g.rowBuf)
+				g.keyBuf = append(value.AppendKey(g.keyBuf[:0], cols[g.groupIdxs[0]].At(r)), 0)
+				st = g.open(r)
 				g.ints[k] = st
-				//qo:alloc-ok once per group
-				g.order = append(g.order, st)
 			}
 			sts = append(sts, st)
 		}
-		return sts
+	} else {
+		for r := 0; r < b.Len(); r++ {
+			g.keyBuf = g.keyBuf[:0]
+			for _, gi := range g.groupIdxs {
+				g.keyBuf = append(value.AppendKey(g.keyBuf, cols[gi].At(r)), 0)
+			}
+			st, ok := g.strs[string(g.keyBuf)]
+			if !ok {
+				st = g.open(r)
+				g.strs[g.strKeys[len(g.strKeys)-1]] = st
+			}
+			sts = append(sts, st)
+		}
 	}
-	for r := 0; r < b.Len(); r++ {
-		g.keyBuf = g.keyBuf[:0]
-		for _, gi := range g.groupIdxs {
-			g.keyBuf = append(value.AppendKey(g.keyBuf, cols[gi].At(r)), 0)
-		}
-		st, ok := g.strs[string(g.keyBuf)]
-		if !ok {
-			b.Row(r, g.rowBuf)
-			st = g.a.newAggState(g.groupIdxs, g.rowBuf)
-			g.strs[string(g.keyBuf)] = st
-		}
-		sts = append(sts, st)
+	for c, gi := range g.groupIdxs {
+		//qo:alloc-ok amortized growth, once per group
+		value.AppendSel(&g.keys[c], &cols[gi], g.fresh)
 	}
 	return sts
+}
+
+// open creates the state of a group first seen at row r of the batch
+// being resolved, whose string key is in keyBuf.
+func (g *aggGroups) open(r int) *aggState {
+	st := g.a.newAggState()
+	g.states = append(g.states, st)
+	g.strKeys = append(g.strKeys, string(g.keyBuf))
+	g.fresh = append(g.fresh, int32(r))
+	return st
 }
 
 // identity returns the selection of a batch's n rows, 0 to n-1, rewriting
@@ -627,12 +633,6 @@ func (g *aggGroups) identity(n int) []int {
 		g.sel = storage.RangeSel(g.sel, 0, n)
 	}
 	return g.sel
-}
-
-// intKey is the string key of an int64-keyed group.
-func (g *aggGroups) intKey(st *aggState) string {
-	g.keyBuf = append(value.AppendKey(g.keyBuf[:0], st.groupVals[0]), 0)
-	return string(g.keyBuf)
 }
 
 // fold counts a batch's n rows and folds each aggregate's argument
@@ -697,48 +697,26 @@ func foldGroups[T int64 | float64](sts []*aggState, i int, fn AggFunc, xs []T) {
 	}
 }
 
-// finish renders every group's output row, ordered by the groups' string
-// keys.
-func (g *aggGroups) finish(width int) []value.Row {
+// firstRow is the emit order of a global aggregate's one output row.
+var firstRow = []int32{0}
+
+// finish writes every group's output row into cols, empty vectors of the
+// output schema — the group keys, then one vector per aggregate — in
+// creation order, and returns the order to emit them in: by the groups'
+// string keys.
+func (g *aggGroups) finish(cols []value.Vec) []int32 {
 	if g.global != nil {
-		return []value.Row{g.a.finalize(g.global, width)}
+		g.a.finalize(g.global, cols)
+		return firstRow
 	}
-	type keyed struct {
-		key string
-		st  *aggState
+	copy(cols, g.keys)
+	for _, st := range g.states {
+		g.a.finalize(st, cols[len(g.keys):])
 	}
-	groups := make([]keyed, 0, len(g.order)+len(g.strs))
-	for _, st := range g.order {
-		groups = append(groups, keyed{g.intKey(st), st})
+	perm := make([]int32, len(g.states))
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-	for k, st := range g.strs {
-		groups = append(groups, keyed{k, st})
-	}
-	slices.SortFunc(groups, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
-	rows := make([]value.Row, len(groups))
-	for i, kg := range groups {
-		rows[i] = g.a.finalize(kg.st, width)
-	}
-	return rows
-}
-
-func (o *aggregateOp) Next() (*Batch, error) {
-	if o.next >= len(o.rows) {
-		return nil, nil
-	}
-	end := o.next + BatchSize
-	if end > len(o.rows) {
-		end = len(o.rows)
-	}
-	o.out.Reset()
-	for _, r := range o.rows[o.next:end] {
-		o.out.AppendRow(r)
-	}
-	o.next = end
-	return o.out, nil
-}
-
-func (o *aggregateOp) Close() {
-	putBatch(o.out)
-	o.out = nil
+	slices.SortFunc(perm, func(x, y int32) int { return strings.Compare(g.strKeys[x], g.strKeys[y]) })
+	return perm
 }

@@ -178,7 +178,7 @@ func TestBatchPoolReuse(t *testing.T) {
 	}
 	row := make(value.Row, len(schema.Fields))
 	for i := 0; i < 10; i++ {
-		b.AppendRow(row)
+		addRow(b, row)
 	}
 	putBatch(b)
 	b2 := getBatch(schema)

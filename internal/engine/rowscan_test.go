@@ -30,13 +30,13 @@ func rowAtATimeScan(t *testing.T, tbl *storage.Table, filter expr.Expr) ([]value
 		b.Reset()
 		for r := lo; r < min(lo+BatchSize, tbl.NumRows()); r++ {
 			tbl.ReadRow(r, buf)
-			b.AppendRow(buf)
+			addRow(b, buf)
 		}
 		if _, err := b.filterTail(0, pred, nil); err != nil {
 			return nil, fmt.Errorf("engine: SeqScan(%s): %v", tbl.Name(), err)
 		}
 		for i := 0; i < b.Len(); i++ {
-			out = append(out, b.CloneRow(i))
+			out = append(out, cloneRow(b, i))
 		}
 	}
 	return out, nil

@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
+	"robustqo/internal/storage"
 	"robustqo/internal/value"
 )
 
@@ -55,22 +58,16 @@ func (s *Sort) Describe() string {
 // Stream implements Node.
 func (s *Sort) Stream() Operator { return &sortOp{node: s} }
 
-// sortOp is a pipeline breaker: it drains its input at Open, then emits
-// the ordered rows in batches. With TopK set it never holds more than
-// TopK rows — a bounded max-heap ordered by (sort keys, input sequence)
-// reproduces exactly the first TopK rows of the stable full sort.
+// sortOp is a pipeline breaker: it orders its input at Open, then emits
+// the ordered rows in batches. It keeps rows in a topK, which never holds
+// more than TopK rows: a bounded max-heap ordered by (sort keys, input
+// sequence) reproduces exactly the first TopK rows of the stable full
+// sort. Without TopK the bound is never reached, so the topK drains the
+// whole input into typed vectors, and sorting its slots is the full
+// sort's permutation.
 type sortOp struct {
 	node *Sort
-	rows []value.Row
-	next int
-	out  *Batch
-}
-
-// sortKeyed pairs a row with its input sequence number; the sequence
-// breaks ties exactly as a stable sort would.
-type sortKeyed struct {
-	row value.Row
-	seq int
+	emitter
 }
 
 func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
@@ -82,63 +79,23 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return err
 	}
-	idxs := make([]int, len(s.By))
+	keys := make([]sortCol, len(s.By))
 	for i, k := range s.By {
-		idxs[i], err = schema.Resolve(k.Col)
-		if err != nil {
+		keys[i].desc = k.Desc
+		if keys[i].idx, err = schema.Resolve(k.Col); err != nil {
 			return fmt.Errorf("engine: Sort key: %v", err)
 		}
 	}
-	// cmp orders row x against row y on the sort keys: value.Compare's
-	// order, which never fails on two values of one typed column.
-	cmp := func(x, y value.Row) int {
-		for ki, idx := range idxs {
-			c, _ := value.Compare(x[idx], y[idx])
-			if c == 0 {
-				continue
-			}
-			if s.By[ki].Desc {
-				return -c
-			}
-			return c
-		}
-		return 0
-	}
-	// cmpAt is cmp with row r of the batch columns cols as x, read from
-	// the typed payloads.
-	cmpAt := func(cols []value.Vec, r int, y value.Row) int {
-		for ki, idx := range idxs {
-			c := compareAt(&cols[idx], r, y[idx])
-			if c == 0 {
-				continue
-			}
-			if s.By[ki].Desc {
-				return -c
-			}
-			return c
-		}
-		return 0
-	}
-	// before reports a strictly preceding b in the output order.
-	before := func(a, b sortKeyed) bool {
-		if c := cmp(a.row, b.row); c != 0 {
-			return c < 0
-		}
-		return a.seq < b.seq
-	}
-
 	input := s.Input.Stream()
 	defer input.Close()
 	if err := input.Open(ctx, counters); err != nil {
 		return err
 	}
-	var (
-		heap  []sortKeyed // max-heap: root is the worst retained row
-		all   []sortKeyed
-		total int64
-	)
-	// A full heap compares each row with its root in the batch columns: a
-	// row that does not enter the heap is never copied.
+	o.src, o.out = getBatch(schema), getBatch(schema)
+	h := &topK{keys: keys, k: s.TopK, rows: o.src.cols}
+	if h.k <= 0 {
+		h.k = math.MaxInt
+	}
 	for {
 		b, err := input.Next()
 		if err != nil {
@@ -147,117 +104,147 @@ func (o *sortOp) Open(ctx *Context, counters *cost.Counters) error {
 		if b == nil {
 			break
 		}
-		cols := b.Cols()
-		for r := 0; r < b.Len(); r++ {
-			seq := int(total)
-			total++
-			switch {
-			case s.TopK <= 0:
-				all = append(all, sortKeyed{row: b.CloneRow(r), seq: seq})
-			case len(heap) < s.TopK:
-				heap = append(heap, sortKeyed{row: b.CloneRow(r), seq: seq})
-				siftUp(heap, len(heap)-1, before)
-			case cmpAt(cols, r, heap[0].row) < 0:
-				// Strictly ahead of the root on the keys: a tie keeps the
-				// root, whose sequence is earlier. The evicted root's row
-				// takes the entrant's values.
-				b.Row(r, heap[0].row)
-				heap[0].seq = seq
-				siftDown(heap, 0, before)
-			}
-		}
+		h.add(b)
 	}
 	// Every input row participated in the ordering work, bounded heap or
-	// not, so the sort charge matches the materialized path exactly.
-	counters.SortTuples += total
-	items := all
-	if s.TopK > 0 {
-		items = heap
-	}
-	sort.Slice(items, func(a, b int) bool { return before(items[a], items[b]) })
-	o.rows = make([]value.Row, len(items))
-	for i, it := range items {
-		o.rows[i] = it.row
-	}
-	o.out = getBatch(schema)
+	// not, so a top-K sort is charged as the full sort.
+	counters.SortTuples += h.total
+	slices.SortFunc(h.heap, h.compare)
+	o.perm = h.heap
 	return nil
 }
 
-// compareAt is value.Compare(v.At(i), y) for a y of v's kind class,
-// read from v's payload.
-func compareAt(v *value.Vec, i int, y value.Value) int {
-	switch v.Kind {
-	case catalog.Float:
-		return cmp3(v.F[i], y.F)
-	case catalog.String:
-		return cmp3(v.S[i], y.S)
-	default:
-		return cmp3(v.I[i], y.I)
-	}
+// sortCol is one resolved ORDER BY term: its column ordinal and
+// direction.
+type sortCol struct {
+	idx  int
+	desc bool
 }
 
-// cmp3 is -1, 0 or +1 as x is below, neither below nor above, or above
-// y: a NaN compares equal to everything, as in value.Compare.
-func cmp3[T int64 | float64 | string](x, y T) int {
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
+// compareRows orders row i of the vectors a against row j of b, vectors
+// of one schema, on the keys: -1, 0 or +1. Within a key, Int and Date
+// compare as int64s and strings bytewise; a Float orders NaN after every
+// number and ties NaN with NaN and -0 with +0, so the order is total.
+// DESC reverses a key's order whole, so a NaN comes first under it, as
+// in PostgreSQL.
+//
+//qo:hotpath
+func compareRows(keys []sortCol, a []value.Vec, i int, b []value.Vec, j int) int {
+	for _, k := range keys {
+		x, y := &a[k.idx], &b[k.idx]
+		var c int
+		switch x.Kind {
+		case catalog.Float:
+			c = orderFloat(x.F[i], y.F[j])
+		case catalog.String:
+			c = strings.Compare(x.S[i], y.S[j])
+		default:
+			c = cmp.Compare(x.I[i], y.I[j])
+		}
+		if c == 0 {
+			continue
+		}
+		if k.desc {
+			return -c
+		}
+		return c
 	}
 	return 0
 }
 
-// siftUp restores the max-heap property after appending at position i:
-// a parent must not precede its children under before.
-func siftUp(h []sortKeyed, i int, before func(a, b sortKeyed) bool) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(h[parent], h[i]) {
-			return
+// orderFloat is the Float sort order: numbers ascending with -0 tying
+// +0, then NaN, which ties NaN — cmp.Compare's, with NaN moved from
+// first to last.
+func orderFloat(x, y float64) int {
+	if x != x || y != y {
+		return -cmp.Compare(x, y)
+	}
+	return cmp.Compare(x, y)
+}
+
+// topK holds a Sort's rows: at most k of them, in the typed vectors
+// rows, one slot each, beside seq, each slot's input sequence number.
+// Once k rows are kept, heap orders the slots as a max-heap under
+// compare, so its root is the worst kept row, and an entrant that beats
+// the root overwrites the root's slot in place.
+type topK struct {
+	keys  []sortCol
+	k     int
+	rows  []value.Vec
+	seq   []int64
+	heap  []int32
+	sel   []int
+	total int64
+}
+
+// compare orders slot a against slot b: by the sort keys, then by input
+// sequence, the tie-break of a stable sort.
+func (h *topK) compare(a, b int32) int {
+	if c := compareRows(h.keys, h.rows, int(a), h.rows, int(b)); c != 0 {
+		return c
+	}
+	return cmp.Compare(h.seq[a], h.seq[b])
+}
+
+// add offers every row of b to the heap, in order. Until the heap holds
+// k rows they enter unconditionally, appended in one gather a column, and
+// the slots are heap-ordered once when the k-th arrives; after that each
+// row is compared with the root in the batch's columns, so a row that
+// does not enter is never copied.
+//
+//qo:hotpath
+func (h *topK) add(b *Batch) {
+	cols := b.Cols()
+	r := min(b.Len(), h.k-len(h.heap))
+	if r > 0 {
+		h.sel = storage.RangeSel(h.sel, 0, r)
+		for c := range h.rows {
+			//qo:alloc-ok amortized growth to at most k rows
+			value.AppendSel(&h.rows[c], &cols[c], h.sel)
 		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
+		for range r {
+			//qo:alloc-ok amortized growth to at most k slots
+			h.seq = append(h.seq, h.total)
+			//qo:alloc-ok amortized growth to at most k slots
+			h.heap = append(h.heap, int32(len(h.heap)))
+			h.total++
+		}
+		for i := len(h.heap)/2 - 1; len(h.heap) == h.k && i >= 0; i-- {
+			h.down(i)
+		}
+	}
+	for ; r < b.Len(); r++ {
+		root := h.heap[0]
+		// Strictly ahead of the root on the keys: a tie keeps the root,
+		// whose sequence is earlier.
+		if compareRows(h.keys, cols, r, h.rows, int(root)) < 0 {
+			for c := range h.rows {
+				h.rows[c].Set(int(root), &cols[c], r)
+			}
+			h.seq[root] = h.total
+			h.down(0)
+		}
+		h.total++
 	}
 }
 
-// siftDown restores the max-heap property after replacing the root.
-func siftDown(h []sortKeyed, i int, before func(a, b sortKeyed) bool) {
+// down sifts the slot at heap position i down to its place in the
+// max-heap: a parent must not precede its children.
+func (h *topK) down(i int) {
 	for {
 		worst := i
-		if l := 2*i + 1; l < len(h) && before(h[worst], h[l]) {
+		if l := 2*i + 1; l < len(h.heap) && h.compare(h.heap[worst], h.heap[l]) < 0 {
 			worst = l
 		}
-		if r := 2*i + 2; r < len(h) && before(h[worst], h[r]) {
+		if r := 2*i + 2; r < len(h.heap) && h.compare(h.heap[worst], h.heap[r]) < 0 {
 			worst = r
 		}
 		if worst == i {
 			return
 		}
-		h[i], h[worst] = h[worst], h[i]
+		h.heap[i], h.heap[worst] = h.heap[worst], h.heap[i]
 		i = worst
 	}
-}
-
-func (o *sortOp) Next() (*Batch, error) {
-	if o.next >= len(o.rows) {
-		return nil, nil
-	}
-	end := o.next + BatchSize
-	if end > len(o.rows) {
-		end = len(o.rows)
-	}
-	o.out.Reset()
-	for _, r := range o.rows[o.next:end] {
-		o.out.AppendRow(r)
-	}
-	o.next = end
-	return o.out, nil
-}
-
-func (o *sortOp) Close() {
-	putBatch(o.out)
-	o.out = nil
 }
 
 // Limit passes through at most N input rows. In the streaming pipeline it

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/testkit"
 )
@@ -134,4 +137,71 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestSortFloatNaNOrder holds ORDER BY on a Float column with a NaN to a
+// total order, PostgreSQL's: ascending puts the NaN after every number,
+// DESC before every number, and -0 ties +0. It sorts specialTable by c
+// (one NaN among 20,000 rows, ±0 as its least values) in full and under
+// a top-K heap, ASC and DESC, over both layouts, and holds the rows bit
+// for bit to the reference engine's.
+func TestSortFloatNaNOrder(t *testing.T) {
+	parted, flat := specialContexts(t)
+	c := expr.ColumnRef{Table: "special", Column: "c"}
+	for _, layout := range []struct {
+		name string
+		ctx  *Context
+	}{{"partitioned", parted}, {"flat", flat}} {
+		for _, desc := range []bool{false, true} {
+			for _, topK := range []int{0, 10, specialRows - 1} {
+				label := fmt.Sprintf("%s desc=%v topK=%d", layout.name, desc, topK)
+				plan := &Sort{Input: &SeqScan{Table: "special"}, By: []SortKey{{Col: c, Desc: desc}}, TopK: topK}
+				res, _, _, err := Run(layout.ctx, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := specialRows
+				if topK > 0 {
+					want = topK
+				}
+				if len(res.Rows) != want {
+					t.Fatalf("%s: %d rows, want %d", label, len(res.Rows), want)
+				}
+				idx, _ := res.Schema.Resolve(c)
+				// The NaN's place: last ascending, first descending, and
+				// outside a top-K that leaves one row out ascending.
+				nanAt := -1
+				switch {
+				case desc:
+					nanAt = 0
+				case topK == 0:
+					nanAt = specialRows - 1
+				}
+				prev := math.NaN()
+				for r, row := range res.Rows {
+					x := row[idx].F
+					if isNaN := x != x; isNaN != (r == nanAt) {
+						t.Fatalf("%s: row %d holds %v; the NaN belongs at row %d", label, r, x, nanAt)
+					}
+					if x != x {
+						continue
+					}
+					if prev == prev && (!desc && x < prev || desc && x > prev) {
+						t.Fatalf("%s: row %d holds %v after %v", label, r, x, prev)
+					}
+					prev = x
+				}
+				var rc cost.Counters
+				ref, err := ExecuteMaterialized(layout.ctx, plan, &rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := range res.Rows {
+					if got, want := bits(res.Rows[r]), bits(ref.Rows[r]); got != want {
+						t.Fatalf("%s: row %d is %s, the reference's %s", label, r, got, want)
+					}
+				}
+			}
+		}
+	}
 }

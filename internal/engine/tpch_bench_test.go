@@ -156,9 +156,15 @@ func BenchmarkMergeJoinPruned(b *testing.B) {
 // the two- and three-way merge joins under COUNT and SUM, a global
 // COUNT(*), a global SUM over a 40% l_quantity range, a GROUP BY over an
 // Int key with COUNT(*) and with SUM, MIN, MAX and AVG of a Float column,
-// a global SUM of a computed argument under a Filter, and a top-10 sort.
+// a global SUM of a computed argument under a Filter, and a top-10 sort;
+// then a full sort, a GROUP BY over l_orderkey's 15,000 groups, an
+// INLJoin into orders by primary key and into lineitem through the
+// l_partkey index, and a StarSemiJoin of lineitem with part.
 func BenchmarkPipelineBreakers(b *testing.B) {
-	ctx := tpchContext(b)
+	ctx, err := engine.NewContext(tpchContext(b).DB)
+	if err != nil {
+		b.Fatal(err)
+	}
 	scan := func(table, filter string) engine.Node {
 		s := &engine.SeqScan{Table: table}
 		if filter != "" {
@@ -225,6 +231,26 @@ func BenchmarkPipelineBreakers(b *testing.B) {
 				Input: &engine.Limit{N: 10, Input: &engine.Sort{TopK: 10,
 					By:    []engine.SortKey{{Col: ref("lineitem", "l_extendedprice"), Desc: true}},
 					Input: scan("lineitem", "l_quantity < 15")}}}
+		}},
+		{"sort-full", func() engine.Node {
+			return &engine.Sort{By: []engine.SortKey{{Col: ref("lineitem", "l_extendedprice"), Desc: true}, {Col: ref("lineitem", "l_id")}},
+				Input: scan("lineitem", "l_quantity < 15")}
+		}},
+		{"group-orderkey", func() engine.Node {
+			return &engine.Aggregate{GroupBy: []expr.ColumnRef{ref("lineitem", "l_orderkey")}, Input: scan("lineitem", ""),
+				Aggs: []engine.AggSpec{count, {Func: engine.Sum, Arg: testkit.Expr("l_extendedprice"), As: "s"}}}
+		}},
+		{"inl-pk", func() engine.Node {
+			return &engine.INLJoin{Outer: scan("lineitem", "l_quantity < 15"), OuterCol: ref("lineitem", "l_orderkey"),
+				InnerTable: "orders", InnerCol: "o_orderkey", Residual: testkit.Expr("o_totalprice < 200000")}
+		}},
+		{"inl-fk", func() engine.Node {
+			return &engine.INLJoin{Outer: scan("part", "p_size < 10"), OuterCol: ref("part", "p_partkey"),
+				InnerTable: "lineitem", InnerCol: "l_partkey", Residual: testkit.Expr("l_quantity < 25")}
+		}},
+		{"star", func() engine.Node {
+			return &engine.StarSemiJoin{Fact: "lineitem", Residual: testkit.Expr("l_quantity < 25"),
+				Dims: []engine.StarDim{{Scan: scan("part", "p_size < 10"), DimPK: ref("part", "p_partkey"), FactFK: "l_partkey"}}}
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -433,16 +433,6 @@ func (t *Table) ReadRow(row int, dst value.Row) {
 	}
 }
 
-// ReadCols is ReadRow for a subset of the columns: it fills dst[i] with
-// the value of column cols[i] of the given row.
-func (t *Table) ReadCols(row int, cols []int, dst value.Row) {
-	p, local := t.segOf(row)
-	seg := t.segs[p].cols
-	for i, c := range cols {
-		dst[i] = seg[c].at(local)
-	}
-}
-
 // Row returns a freshly allocated copy of the given row.
 func (t *Table) Row(row int) value.Row {
 	out := make(value.Row, len(t.schema.Columns))

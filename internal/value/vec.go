@@ -58,6 +58,18 @@ func (v *Vec) Append(x Value) {
 	}
 }
 
+// Set overwrites value i with value j of src, a vector of v's kind.
+func (v *Vec) Set(i int, src *Vec, j int) {
+	switch v.Kind {
+	case catalog.Float:
+		v.F[i] = src.F[j]
+	case catalog.String:
+		v.S[i] = src.S[j]
+	default:
+		v.I[i] = src.I[j]
+	}
+}
+
 // Reset empties the vector and sets its kind, keeping the capacity of
 // every payload slice.
 func (v *Vec) Reset(kind catalog.Type) {

@@ -90,3 +90,26 @@ func TestVecRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestVecSet checks that Set overwrites exactly one value, with the
+// source's payload bits, in a vector of every kind.
+func TestVecSet(t *testing.T) {
+	src := map[catalog.Type][]Value{
+		catalog.Int:    {Int(math.MinInt64), Int(7)},
+		catalog.Date:   {Date(-3), Date(9)},
+		catalog.Float:  {Float(math.NaN()), Float(math.Copysign(0, -1))},
+		catalog.String: {Str(""), Str("x")},
+	}
+	for kind, vals := range src {
+		s, v := Vec{Kind: kind}, Vec{Kind: kind}
+		for _, x := range vals {
+			s.Append(x)
+			v.Append(x)
+		}
+		v.Set(0, &s, 1)
+		v.Set(1, &s, 0)
+		if !same(v.At(0), vals[1]) || !same(v.At(1), vals[0]) || v.Len() != 2 {
+			t.Errorf("%s: after two Sets the vector holds %#v, %#v", kind, v.At(0), v.At(1))
+		}
+	}
+}
