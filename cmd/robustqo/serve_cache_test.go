@@ -112,24 +112,31 @@ func TestServePrepareExec(t *testing.T) {
 
 func TestServeOverloadShedsBounded(t *testing.T) {
 	s := newTestServer(t, 20000, 1)
-	// One execution slot, one queue seat, near-immediate queue timeout:
-	// concurrent arrivals beyond two must shed.
+	// One execution slot and one queue seat. The test holds the slot
+	// itself while the clients arrive, so the overload does not depend
+	// on how long a query runs: the first client queues, every later one
+	// finds the queue full and is shed, and the queued one is admitted
+	// once the slot is released. Its queue timeout outlasts the wait.
 	s.adm = plancache.NewAdmission(plancache.AdmissionConfig{
-		Slots: 1, MaxQueue: 1, QueueTimeout: 5 * time.Millisecond,
+		Slots: 1, MaxQueue: 1, QueueTimeout: time.Minute,
 	}, 1, s.reg)
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 
 	baseline := runtime.NumGoroutine()
+	release, err := s.adm.Admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	sql := url.QueryEscape("SELECT COUNT(*) AS n FROM lineitem, orders WHERE o_totalprice < 90000 AND l_quantity >= 10")
 	const clients = 8
 	codes := make([]int, clients)
 	var retryAfter string
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
+	var queued, arrivals sync.WaitGroup
+	client := func(wg *sync.WaitGroup, i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			resp, err := http.Get(ts.URL + "/query?sql=" + sql)
 			if err != nil {
@@ -143,9 +150,23 @@ func TestServeOverloadShedsBounded(t *testing.T) {
 				retryAfter = resp.Header.Get("Retry-After")
 				mu.Unlock()
 			}
-		}(i)
+		}()
 	}
-	wg.Wait()
+	client(&queued, 0)
+	deadline := time.Now().Add(10 * time.Second)
+	for s.adm.Waiting() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if s.adm.Waiting() == 0 {
+		release()
+		t.Fatal("the first client never queued behind the held slot")
+	}
+	for i := 1; i < clients; i++ {
+		client(&arrivals, i)
+	}
+	arrivals.Wait()
+	release()
+	queued.Wait()
 
 	var ok, shed int
 	for _, c := range codes {
@@ -179,7 +200,7 @@ func TestServeOverloadShedsBounded(t *testing.T) {
 
 	// No goroutine leak: queued waiters and shed requests all unwound.
 	http.DefaultClient.CloseIdleConnections()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline+4 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}

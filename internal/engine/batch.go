@@ -22,9 +22,9 @@ const BatchSize = 1024
 // an []float64 for Float, an []string for String — and row r of it is
 // its r-th payload. Every column has length Len(). Operators move
 // payloads between batches by copy or by index gather, from scan through
-// join, sort and aggregate; a value.Value is built only where a generic
-// expression reads a cell, and a row is boxed only where it leaves the
-// engine, in Run's drain.
+// join, sort and aggregate, and expressions evaluate over the same
+// vectors; a row is boxed only where it leaves the engine, in Run's
+// drain.
 //
 // A batch returned by Operator.Next is owned by the producer and is valid
 // only until the producer's next Next or Close call. Consumers may mutate

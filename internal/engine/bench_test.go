@@ -62,10 +62,20 @@ func BenchmarkExecStreamVsMaterialize(b *testing.B) {
 	}
 }
 
-// TestStreamLimitAllocsFarBelowMaterialized pins the issue's acceptance
-// bar as a test: the streaming path under LIMIT 10 must allocate at least
-// 10x less than the materialized path on the same plan.
+// TestStreamLimitAllocsFarBelowMaterialized pins the streaming path's
+// allocations under LIMIT 10, the bar that shows it touches one batch
+// where materialization builds every intermediate result. The bar is a
+// fixed ceiling, not a ratio to the test-only reference engine, whose
+// allocations fall whenever the reference gets leaner: the streaming run
+// made 39 allocations, against the reference's 6,253, when the ratio
+// was replaced. The headroom over 39 covers pooled batches refilled
+// after a GC empties their pool; under -race, which drops pooled batches
+// at random, runs made 39 to 45.
 func TestStreamLimitAllocsFarBelowMaterialized(t *testing.T) {
+	ceiling := 48.0
+	if raceEnabled {
+		ceiling = 64
+	}
 	_, ctx := testDB(t, 2000, 3, 10)
 	plan := benchPlan(10)
 	stream := testing.AllocsPerRun(10, func() {
@@ -73,15 +83,9 @@ func TestStreamLimitAllocsFarBelowMaterialized(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	mat := testing.AllocsPerRun(10, func() {
-		var c cost.Counters
-		if _, err := ExecuteMaterialized(ctx, plan, &c); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if stream*10 > mat {
-		t.Errorf("streaming LIMIT 10 allocated %.0f/run vs materialized %.0f/run; want >=10x reduction",
-			stream, mat)
+	t.Logf("streaming LIMIT 10 allocated %.0f/run", stream)
+	if stream > ceiling {
+		t.Errorf("streaming LIMIT 10 allocated %.0f/run; want at most %.0f", stream, ceiling)
 	}
 }
 

@@ -179,8 +179,8 @@ func foldRows(n int) *benchRowsNode {
 
 // TestGlobalAggregateFold: a global aggregate folds every argument from
 // one typed vector a batch — a plain Int, Date or Float column from the
-// batch column's payload, a computed one from its results packed into a
-// vector — and its output is bit for bit the reference engine's
+// batch column's payload, a computed one from its bound scalar's vector
+// — and its output is bit for bit the reference engine's
 // value-at-a-time fold: the same exact sums, and the same MIN/MAX over
 // NaN, ±Inf and -0. Over a non-numeric argument it fails with the
 // row-major loop's first error: the first row, and the earliest such

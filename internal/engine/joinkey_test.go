@@ -36,6 +36,9 @@ func TestJoinKeyRule(t *testing.T) {
 			"MergeJoin left", "orders.o_total is FLOAT"},
 		{&MergeJoin{Left: scan("orders"), Right: scan("lineitem"), LeftCol: col("orders", "o_orderkey"), RightCol: col("lineitem", "l_status")},
 			"MergeJoin right", "lineitem.l_status is VARCHAR"},
+		// Unqualified key references are named by their resolved field.
+		{&MergeJoin{Left: scan("orders"), Right: scan("lineitem"), LeftCol: col("", "o_orderkey"), RightCol: col("", "l_status")},
+			"MergeJoin right", "lineitem.l_status is VARCHAR"},
 		{&INLJoin{Outer: scan("orders"), OuterCol: col("orders", "o_total"), InnerTable: "lineitem", InnerCol: "l_partkey"},
 			"INLJoin outer", "orders.o_total is FLOAT"},
 		{&INLJoin{Outer: scan("lineitem"), OuterCol: col("lineitem", "l_status"), InnerTable: "part", InnerCol: "p_partkey"},

@@ -20,11 +20,12 @@ import (
 // must produce identical rows and, on full drains, byte-identical
 // cost.Counters; TestEngineDifferential and
 // BenchmarkExecStreamVsMaterialize hold the two paths against each other.
-// Its operators pass whole row slices. Expressions reach the batch
+// Its operators pass whole row slices. Predicates reach the batch
 // evaluator a window of at most BatchSize rows at a time, through one
 // reusable Batch, so the scratch an operator holds beyond its output stays
 // one batch wide: rowFilter filters rows as an operator produces them,
-// eachWindow walks rows already materialized.
+// eachWindow walks rows already materialized. Aggregate arguments do not
+// reach it: the reference interprets them itself (bindRefScalar).
 
 // eachWindow copies rows into one reusable Batch a window at a time and
 // calls fn with the batch, the selection of all its rows, and the window.
@@ -303,7 +304,7 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 			return nil, fmt.Errorf("engine: Aggregate group key: %v", err)
 		}
 	}
-	argFns := make([]*expr.BoundScalar, len(a.Aggs))
+	argFns := make([]refScalar, len(a.Aggs))
 	for i, spec := range a.Aggs {
 		if spec.Arg == nil {
 			if spec.Func != Count {
@@ -311,7 +312,7 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 			}
 			continue
 		}
-		argFns[i], err = expr.BindScalar(spec.Arg, in.Schema)
+		argFns[i], err = bindRefScalar(spec.Arg, in.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("engine: Aggregate arg: %v", err)
 		}
@@ -333,17 +334,22 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 		}
 		return sb.String()
 	}
+	// Each argument is evaluated over a window of rows before the next,
+	// as the engine evaluates each over a batch.
 	argVecs := make([][]value.Value, len(a.Aggs))
 	for i := range argVecs {
 		argVecs[i] = make([]value.Value, BatchSize)
 	}
-	err = eachWindow(in.Rows, in.Schema, func(b *Batch, sel []int, window []value.Row) error {
+	for lo := 0; lo < len(in.Rows); lo += BatchSize {
+		window := in.Rows[lo:min(lo+BatchSize, len(in.Rows))]
 		for i, fn := range argFns {
 			if fn == nil {
 				continue
 			}
-			if err := fn.EvalBatch(b.Cols(), sel, argVecs[i]); err != nil {
-				return fmt.Errorf("engine: Aggregate: %v", err)
+			for r, row := range window {
+				if argVecs[i][r], err = fn(row); err != nil {
+					return nil, fmt.Errorf("engine: Aggregate: %v", err)
+				}
 			}
 		}
 		for r, row := range window {
@@ -365,14 +371,10 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 					continue
 				}
 				if err := st.accumulate(i, spec.Func, argVecs[i][r]); err != nil {
-					return err
+					return nil, err
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	// A global aggregate over empty input still yields one row.
 	if len(groupIdxs) == 0 && len(groups) == 0 {
@@ -392,6 +394,88 @@ func (a *Aggregate) runMaterialized(ctx *Context, counters *cost.Counters) (*Res
 		rows = append(rows, row)
 	}
 	return &Result{Schema: outSchema, Rows: rows}, nil
+}
+
+// refScalar is the reference engine's own evaluator of an aggregate
+// argument over one row, independent of expr.BindScalar's typed kernels,
+// which the differential tests hold to it.
+type refScalar func(row value.Row) (value.Value, error)
+
+// bindRefScalar compiles a Col, Lit or Arith argument into a refScalar
+// that interprets it a row at a time over value.Value. Arithmetic is
+// integral unless an operand is a Float; an integral result is a Date
+// when the right operand is one and otherwise of the left operand's
+// kind. Errors are worded as the engine's.
+func bindRefScalar(e expr.Expr, schema expr.RelSchema) (refScalar, error) {
+	switch n := e.(type) {
+	case expr.Col:
+		idx, err := schema.Resolve(n.Ref)
+		if err != nil {
+			return nil, err
+		}
+		return func(row value.Row) (value.Value, error) { return row[idx], nil }, nil
+	case expr.Lit:
+		return func(value.Row) (value.Value, error) { return n.Val, nil }, nil
+	case expr.Arith:
+		l, err := bindRefScalar(n.L, schema)
+		if err != nil {
+			return nil, err
+		}
+		r, err := bindRefScalar(n.R, schema)
+		if err != nil {
+			return nil, err
+		}
+		return func(row value.Row) (value.Value, error) {
+			x, err := l(row)
+			if err != nil {
+				return value.Value{}, err
+			}
+			y, err := r(row)
+			if err != nil {
+				return value.Value{}, err
+			}
+			return refArith(n.Op, x, y)
+		}, nil
+	}
+	return nil, fmt.Errorf("expr: predicate %s used as scalar", e)
+}
+
+// refArith applies op to two values, bindRefScalar's rule.
+func refArith(op expr.ArithOp, x, y value.Value) (value.Value, error) {
+	if !x.Numeric() || !y.Numeric() {
+		return value.Value{}, fmt.Errorf("expr: arithmetic over non-numeric values %s %s %s", x, op, y)
+	}
+	if x.Kind == catalog.Float || y.Kind == catalog.Float {
+		a, b := x.AsFloat(), y.AsFloat()
+		switch op {
+		case expr.Add:
+			return value.Float(a + b), nil
+		case expr.Sub:
+			return value.Float(a - b), nil
+		case expr.Mul:
+			return value.Float(a * b), nil
+		}
+		if b == 0 {
+			return value.Value{}, fmt.Errorf("expr: division by zero")
+		}
+		return value.Float(a / b), nil
+	}
+	kind := x.Kind
+	if y.Kind == catalog.Date {
+		kind = catalog.Date
+	}
+	switch op {
+	case expr.Add:
+		return value.Value{Kind: kind, I: x.I + y.I}, nil
+	case expr.Sub:
+		return value.Value{Kind: kind, I: x.I - y.I}, nil
+	case expr.Mul:
+		return value.Value{Kind: kind, I: x.I * y.I}, nil
+	}
+	if y.I == 0 {
+		return value.Value{}, fmt.Errorf("expr: integer division by zero")
+	}
+	return value.Value{Kind: kind, I: x.I / y.I}, nil
 }
 
 // accumulate is the reference engine's own fold: one argument value at a

@@ -404,7 +404,7 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 			return fmt.Errorf("engine: Aggregate group key: %v", err)
 		}
 	}
-	args := make([]*aggArg, len(a.Aggs))
+	args := make([]*expr.BoundScalar, len(a.Aggs))
 	for i, spec := range a.Aggs {
 		if spec.Arg == nil {
 			if spec.Func != Count {
@@ -412,15 +412,9 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 			}
 			continue
 		}
-		if j := payloadArg(spec, inSchema); j >= 0 {
-			args[i] = &aggArg{col: j}
-			continue
-		}
-		fn, err := expr.BindScalar(spec.Arg, inSchema)
-		if err != nil {
+		if args[i], err = expr.BindScalar(spec.Arg, inSchema); err != nil {
 			return fmt.Errorf("engine: Aggregate arg: %v", err)
 		}
-		args[i] = &aggArg{fn: fn}
 	}
 
 	o.src, o.out = getBatch(outSchema), getBatch(outSchema)
@@ -465,8 +459,8 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 		cols := b.Cols()
 		for i, x := range args {
 			if x != nil {
-				if vecs[i], err = x.read(cols, g.identity(n)); err != nil {
-					return err
+				if vecs[i], err = x.EvalBatch(cols, g.identity(n)); err != nil {
+					return fmt.Errorf("engine: Aggregate: %v", err)
 				}
 			}
 		}
@@ -485,44 +479,6 @@ func (o *aggregateOp) Open(ctx *Context, counters *cost.Counters) error {
 	}
 	o.perm = g.finish(o.src.cols)
 	return nil
-}
-
-// aggArg reads one aggregate's argument over a batch as one typed
-// vector: a plain Int, Date or Float column (payloadArg) is the batch's
-// own column, and any other argument is its bound scalar's results
-// packed into vec. A bound scalar's kind is static (a column's, a
-// literal's, or arithmetic's Int, Date or Float), so row 0's kind is
-// every row's.
-type aggArg struct {
-	col  int               // the input ordinal of a plain column
-	fn   *expr.BoundScalar // a computed argument; nil for a plain column
-	vals []value.Value     // fn's results
-	vec  value.Vec         // vals, packed
-}
-
-// read returns the argument over a non-empty batch's columns cols; sel
-// is the batch's identity selection.
-func (x *aggArg) read(cols []value.Vec, sel []int) (*value.Vec, error) {
-	if x.fn == nil {
-		return &cols[x.col], nil
-	}
-	x.vals = slices.Grow(x.vals[:0], len(sel))[:len(sel)]
-	if err := x.fn.EvalBatch(cols, sel, x.vals); err != nil {
-		return nil, fmt.Errorf("engine: Aggregate: %v", err)
-	}
-	v := &x.vec
-	v.Reset(x.vals[0].Kind)
-	for _, val := range x.vals {
-		switch v.Kind {
-		case catalog.Float:
-			v.F = append(v.F, val.F)
-		case catalog.String:
-			v.S = append(v.S, val.S)
-		default:
-			v.I = append(v.I, val.I)
-		}
-	}
-	return v, nil
 }
 
 // aggGroups maps input rows to their groups' states in one of three

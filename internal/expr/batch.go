@@ -10,7 +10,7 @@ import (
 	"robustqo/internal/value"
 )
 
-// The predicate compiler. Every expression compiles to one closure tree
+// The expression compiler. Every expression compiles to one closure tree
 // that runs over column vectors and selection vectors: selection vectors
 // are strictly increasing row indices into the columns, and predicate
 // evaluators return the matching subset as a NEW slice (never aliasing
@@ -22,41 +22,48 @@ import (
 // term runs over its selection in row order, and the first error of the
 // first failing term is the one returned.
 //
-// Comparisons of a column against a literal — the shapes SplitPushdown
-// pushes and the estimator counts — compile to kernels that read the
-// typed columns in place instead of filling full-width scratch vectors;
-// every other shape, a column against a column included, takes the
-// generic path, which loads a column's cells into value.Values. Both
-// report the same errors.
+// A scalar evaluates to one typed vector indexed by row id, so one kind
+// holds for every row: a column is the batch's own vector, a literal one
+// vector filled once, and arithmetic one reused vector computed by a
+// generic int64 or float64 kernel per operator. Comparisons of a column
+// against a literal — the shapes SplitPushdown pushes and the estimator
+// counts — compile to kernels that read the typed column in place; every
+// other comparison compares its operands' vectors row by row. A Value is
+// built only to word an error.
 
 // batchPredFn evaluates a predicate over the rows in sel, returning the
 // indices that pass in ascending order.
 type batchPredFn func(cols []value.Vec, sel []int) ([]int, error)
 
-// batchScalarFn evaluates a scalar for the rows in sel, writing each
-// result at out[row] (out is indexed by row id, not by sel position).
-type batchScalarFn func(cols []value.Vec, sel []int, out []value.Value) error
+// batchScalarFn evaluates a scalar for the rows in sel and returns a
+// vector indexed by row id (not by sel position) whose values at the rows
+// of sel are the results; its other values are unspecified. The vector
+// is a column of cols or the closure's own scratch: callers must not
+// modify it, and it is valid until the next call or until cols change.
+type batchScalarFn func(cols []value.Vec, sel []int) (*value.Vec, error)
 
-// growVec returns a scratch vector with length n, reusing buf's storage
-// when possible.
-func growVec(buf []value.Value, n int) []value.Value {
-	if cap(buf) < n {
-		return make([]value.Value, n)
+// span returns the row-id space a result vector must cover for sel.
+func span(sel []int) int {
+	if len(sel) == 0 {
+		return 0
 	}
-	return buf[:n]
+	return sel[len(sel)-1] + 1
 }
 
-// scratchLen returns the row-id space a scratch vector must cover for the
-// given columns and selection.
-func scratchLen(cols []value.Vec, sel []int) int {
-	n := 0
-	if len(cols) > 0 {
-		n = cols[0].Len()
+// asFloat returns v's values at the rows of sel as float64s indexed by
+// row id: a Float vector's own payload, or an Int or Date vector's
+// converted into buf.
+func asFloat(v *value.Vec, sel []int, buf *[]float64) []float64 {
+	if v.Kind == catalog.Float {
+		return v.F
 	}
-	if len(sel) > 0 && sel[len(sel)-1]+1 > n {
-		n = sel[len(sel)-1] + 1
+	n := span(sel)
+	xs := slices.Grow((*buf)[:0], n)[:n]
+	*buf = xs
+	for _, r := range sel {
+		xs[r] = float64(v.I[r])
 	}
-	return n
+	return xs
 }
 
 // mergeSorted returns the ascending union of two sorted, disjoint
@@ -127,9 +134,10 @@ func holds(op CmpOp, c int) bool {
 
 // cmpColLit is the Cmp{L: Col, R: Lit} kernel.
 type cmpColLit struct {
-	col int
-	op  CmpOp
-	lit value.Value
+	col  int
+	op   CmpOp
+	lit  value.Value
+	fbuf []float64 // an Int or Date column's values as float64s
 }
 
 //qo:hotpath
@@ -140,8 +148,9 @@ func (k *cmpColLit) eval(cols []value.Vec, sel []int) ([]int, error) {
 // filter appends the rows of sel that satisfy the comparison to out,
 // which may alias sel's storage. It runs one loop per column kind over
 // the typed payload, with value.Compare's order: a Float row or literal
-// compares as float64, so a NaN is equal to everything, and a String
-// against a number fails at the first selected row with Compare's error.
+// compares as float64 (an Int or Date column converted into fbuf), so a
+// NaN is equal to everything, and a String against a number fails at the
+// first selected row with Compare's error.
 //
 //qo:hotpath
 func (k *cmpColLit) filter(cols []value.Vec, sel, out []int) ([]int, error) {
@@ -164,13 +173,7 @@ func (k *cmpColLit) filter(cols []value.Vec, sel, out []int) ([]int, error) {
 	case lit.Kind != catalog.Float:
 		return selCmp(col.I, lit.I, sel, k.op, out), nil
 	}
-	// An Int or Date column against a Float literal compares as float64.
-	for _, row := range sel {
-		if c, _ := value.Compare(col.At(row), lit); holds(k.op, c) {
-			out = append(out, row)
-		}
-	}
-	return out, nil
+	return selCmp(asFloat(col, sel, &k.fbuf), lit.F, sel, k.op, out), nil
 }
 
 // selCmp appends the rows r of sel whose xs[r] satisfies op against the
@@ -221,6 +224,28 @@ func selCmp[T int64 | float64 | string](xs []T, y T, sel []int, op CmpOp, out []
 	return out[:n0+j]
 }
 
+// selCmpVec appends the rows r of sel where xs[r] satisfies op against
+// ys[r] to out, with selCmp's order: a NaN compares equal to everything.
+// One branch-free loop serves every operator: it writes every row and
+// advances past it by op's verdict on the row's three-way comparison.
+//
+//qo:hotpath
+func selCmpVec[T int64 | float64 | string](xs, ys []T, sel []int, op CmpOp, out []int) []int {
+	var pass [3]int // op's 0/1 verdict on each three-way result, plus 1
+	for c := -1; c <= 1; c++ {
+		pass[c+1] = b2i(holds(op, c))
+	}
+	n0 := len(out)
+	out = slices.Grow(out, len(sel))
+	dst, j := out[n0:n0+len(sel)], 0
+	for _, r := range sel {
+		x, y := xs[r], ys[r]
+		dst[j] = r
+		j += pass[1+b2i(x > y)-b2i(x < y)]
+	}
+	return out[:n0+j]
+}
+
 // b2i is 1 for true and 0 for false.
 func b2i(b bool) int {
 	if b {
@@ -264,27 +289,31 @@ func bindPredBatch(e Expr, schema RelSchema) (batchPredFn, error) {
 			return nil, err
 		}
 		op := n.Op
-		var lbuf, rbuf []value.Value
+		var fbuf []float64
 		return func(cols []value.Vec, sel []int) ([]int, error) {
-			m := scratchLen(cols, sel)
-			lbuf, rbuf = growVec(lbuf, m), growVec(rbuf, m)
-			if err := l(cols, sel, lbuf); err != nil {
+			lv, err := l(cols, sel)
+			if err != nil {
 				return nil, err
 			}
-			if err := r(cols, sel, rbuf); err != nil {
+			rv, err := r(cols, sel)
+			if err != nil {
 				return nil, err
 			}
 			out := make([]int, 0, len(sel))
-			for _, row := range sel {
-				c, err := value.Compare(lbuf[row], rbuf[row])
-				if err != nil {
-					return nil, err
-				}
-				if holds(op, c) {
-					out = append(out, row)
-				}
+			if len(sel) == 0 {
+				return out, nil
 			}
-			return out, nil
+			switch {
+			case (lv.Kind == catalog.String) != (rv.Kind == catalog.String):
+				_, err := value.Compare(lv.At(sel[0]), rv.At(sel[0]))
+				return nil, err
+			case lv.Kind == catalog.String:
+				return selCmpVec(lv.S, rv.S, sel, op, out), nil
+			case lv.Kind != catalog.Float && rv.Kind != catalog.Float:
+				return selCmpVec(lv.I, rv.I, sel, op, out), nil
+			}
+			// At most one side is Int or Date, so one buffer serves.
+			return selCmpVec(asFloat(lv, sel, &fbuf), asFloat(rv, sel, &fbuf), sel, op, out), nil
 		}, nil
 	case Between:
 		if c, ok := n.E.(Col); ok {
@@ -295,7 +324,7 @@ func bindPredBatch(e Expr, schema RelSchema) (batchPredFn, error) {
 				if err != nil {
 					return nil, err
 				}
-				return (&betweenColLit{lo: cmpColLit{idx, GE, lo.Val}, hi: cmpColLit{idx, LE, hi.Val}}).eval, nil
+				return (&betweenColLit{lo: cmpColLit{col: idx, op: GE, lit: lo.Val}, hi: cmpColLit{col: idx, op: LE, lit: hi.Val}}).eval, nil
 			}
 		}
 		// Generically, e BETWEEN lo AND hi is e >= lo AND e <= hi: the And
@@ -360,18 +389,20 @@ func bindPredBatch(e Expr, schema RelSchema) (batchPredFn, error) {
 			return nil, err
 		}
 		sub := n.Substr
-		var vbuf []value.Value
 		return func(cols []value.Vec, sel []int) ([]int, error) {
-			vbuf = growVec(vbuf, scratchLen(cols, sel))
-			if err := v(cols, sel, vbuf); err != nil {
+			vec, err := v(cols, sel)
+			if err != nil {
 				return nil, err
 			}
 			out := make([]int, 0, len(sel))
+			if len(sel) == 0 {
+				return out, nil
+			}
+			if vec.Kind != catalog.String {
+				return nil, fmt.Errorf("expr: CONTAINS over non-string value %s", vec.At(sel[0]))
+			}
 			for _, row := range sel {
-				if vbuf[row].Kind != catalog.String {
-					return nil, fmt.Errorf("expr: CONTAINS over non-string value %s", vbuf[row])
-				}
-				if strings.Contains(vbuf[row].S, sub) {
+				if strings.Contains(vec.S[row], sub) {
 					out = append(out, row)
 				}
 			}
@@ -381,32 +412,15 @@ func bindPredBatch(e Expr, schema RelSchema) (batchPredFn, error) {
 		if len(n.Vals) == 0 {
 			return nil, fmt.Errorf("expr: IN with an empty value list")
 		}
-		v, err := bindScalarBatch(n.E, schema)
-		if err != nil {
-			return nil, err
+		// e IN (v1, v2, ...) is e = v1 OR e = v2 OR ...: the Or tests each
+		// candidate, in list order, against the rows no earlier one
+		// matched, so a candidate of the wrong kind fails exactly when
+		// some selected row reaches it, as a row-at-a-time loop would.
+		terms := make([]Expr, len(n.Vals))
+		for i, v := range n.Vals {
+			terms[i] = Cmp{Op: EQ, L: n.E, R: Lit{Val: v}}
 		}
-		vals := n.Vals
-		var vbuf []value.Value
-		return func(cols []value.Vec, sel []int) ([]int, error) {
-			vbuf = growVec(vbuf, scratchLen(cols, sel))
-			if err := v(cols, sel, vbuf); err != nil {
-				return nil, err
-			}
-			out := make([]int, 0, len(sel))
-			for _, row := range sel {
-				for _, candidate := range vals {
-					c, err := value.Compare(vbuf[row], candidate)
-					if err != nil {
-						return nil, err
-					}
-					if c == 0 {
-						out = append(out, row)
-						break
-					}
-				}
-			}
-			return out, nil
-		}, nil
+		return bindPredBatch(Or{Terms: terms}, schema)
 	case Col, Lit, Arith:
 		return nil, fmt.Errorf("expr: %s is not a predicate", e)
 	default:
@@ -436,34 +450,17 @@ func bindScalarBatch(e Expr, schema RelSchema) (batchScalarFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(cols []value.Vec, sel []int, out []value.Value) error {
-			col, err := column(cols, idx, sel)
-			if err != nil {
-				return err
-			}
-			switch col.Kind {
-			case catalog.Float:
-				for _, row := range sel {
-					out[row] = value.Float(col.F[row])
-				}
-			case catalog.String:
-				for _, row := range sel {
-					out[row] = value.Str(col.S[row])
-				}
-			default:
-				for _, row := range sel {
-					out[row] = value.Value{Kind: col.Kind, I: col.I[row]}
-				}
-			}
-			return nil
+		return func(cols []value.Vec, sel []int) (*value.Vec, error) {
+			return column(cols, idx, sel)
 		}, nil
 	case Lit:
-		v := n.Val
-		return func(cols []value.Vec, sel []int, out []value.Value) error {
-			for _, row := range sel {
-				out[row] = v
+		lit := n.Val
+		vec := value.Vec{Kind: lit.Kind}
+		return func(cols []value.Vec, sel []int) (*value.Vec, error) {
+			for n := span(sel); vec.Len() < n; {
+				vec.Append(lit)
 			}
-			return nil
+			return &vec, nil
 		}, nil
 	case Arith:
 		l, err := bindScalarBatch(n.L, schema)
@@ -475,28 +472,77 @@ func bindScalarBatch(e Expr, schema RelSchema) (batchScalarFn, error) {
 			return nil, err
 		}
 		op := n.Op
-		var lbuf, rbuf []value.Value
-		return func(cols []value.Vec, sel []int, out []value.Value) error {
-			m := scratchLen(cols, sel)
-			lbuf, rbuf = growVec(lbuf, m), growVec(rbuf, m)
-			if err := l(cols, sel, lbuf); err != nil {
-				return err
+		var out value.Vec
+		var fbuf []float64
+		// Integral arithmetic when neither operand is a Float, so date
+		// shifting (date + days) stays exact, which Experiment 1's
+		// template relies on; the result is a Date when the right
+		// operand is one, else of the left operand's kind.
+		return func(cols []value.Vec, sel []int) (*value.Vec, error) {
+			lv, err := l(cols, sel)
+			if err != nil {
+				return nil, err
 			}
-			if err := r(cols, sel, rbuf); err != nil {
-				return err
+			rv, err := r(cols, sel)
+			if err != nil {
+				return nil, err
 			}
-			for _, row := range sel {
-				v, err := applyArith(op, lbuf[row], rbuf[row])
-				if err != nil {
-					return err
+			m := span(sel)
+			if m == 0 {
+				return &out, nil
+			}
+			if lv.Kind == catalog.String || rv.Kind == catalog.String {
+				return nil, fmt.Errorf("expr: arithmetic over non-numeric values %s %s %s", lv.At(sel[0]), op, rv.At(sel[0]))
+			}
+			if lv.Kind == catalog.Float || rv.Kind == catalog.Float {
+				out.Kind, out.F = catalog.Float, slices.Grow(out.F[:0], m)[:m]
+				if !arith(op, asFloat(lv, sel, &fbuf), asFloat(rv, sel, &fbuf), out.F, sel) {
+					return nil, fmt.Errorf("expr: division by zero")
 				}
-				out[row] = v
+				return &out, nil
 			}
-			return nil
+			out.Kind, out.I = lv.Kind, slices.Grow(out.I[:0], m)[:m]
+			if rv.Kind == catalog.Date {
+				out.Kind = catalog.Date
+			}
+			if !arith(op, lv.I, rv.I, out.I, sel) {
+				return nil, fmt.Errorf("expr: integer division by zero")
+			}
+			return &out, nil
 		}, nil
 	case Cmp, Between, And, Or, Not, Contains, In:
 		return nil, fmt.Errorf("expr: predicate %s used as scalar", e)
 	default:
 		return nil, fmt.Errorf("expr: unsupported scalar node %T", e)
 	}
+}
+
+// arith writes xs[r] op ys[r] to out[r] for every row r of sel. It
+// reports false, having written only the rows before it, at the first
+// row whose divisor is zero.
+//
+//qo:hotpath
+func arith[T int64 | float64](op ArithOp, xs, ys, out []T, sel []int) bool {
+	switch op {
+	case Add:
+		for _, r := range sel {
+			out[r] = xs[r] + ys[r]
+		}
+	case Sub:
+		for _, r := range sel {
+			out[r] = xs[r] - ys[r]
+		}
+	case Mul:
+		for _, r := range sel {
+			out[r] = xs[r] * ys[r]
+		}
+	default:
+		for _, r := range sel {
+			if ys[r] == 0 {
+				return false
+			}
+			out[r] = xs[r] / ys[r]
+		}
+	}
+	return true
 }

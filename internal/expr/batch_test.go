@@ -215,8 +215,23 @@ func batchPredCases() []Expr {
 		cases = append(cases,
 			Cmp{Op: op, L: TC("t", "a"), R: IntLit(4)},
 			Cmp{Op: op, L: C("b"), R: IntLit(1)},
-			Cmp{Op: op, L: C("s"), R: StrLit("hello")})
+			Cmp{Op: op, L: C("s"), R: StrLit("hello")},
+			// An Int column against a Float literal compares as float64.
+			Cmp{Op: op, L: TC("t", "a"), R: FloatLit(2.5)},
+			// Column against column, Int and Float against Int; a String
+			// literal against a column; computed against a column.
+			Cmp{Op: op, L: TC("t", "a"), R: TC("u", "a")},
+			Cmp{Op: op, L: C("b"), R: TC("t", "a")},
+			Cmp{Op: op, L: StrLit("hello"), R: C("s")},
+			Cmp{Op: op, L: Arith{Op: Mul, L: C("b"), R: TC("t", "a")}, R: C("d")})
 	}
+	cases = append(cases,
+		// IN over a Float list, and over a list whose String candidate
+		// fails only the rows no earlier candidate matches.
+		In{E: TC("t", "a"), Vals: []value.Value{value.Float(2), value.Float(3.5)}},
+		In{E: TC("u", "a"), Vals: []value.Value{value.Int(1), value.Int(2), value.Str("x")}},
+		Cmp{Op: EQ, L: C("s"), R: C("d")},
+	)
 	return cases
 }
 
@@ -276,36 +291,58 @@ func TestEvalBatchAgreesWithEval(t *testing.T) {
 func TestEvalBatchScalarAgreesWithEval(t *testing.T) {
 	rng := stats.NewRNG(778)
 	schema := testRelSchema()
+	// u.a + 1 is never zero, and u.a + 0.5 never zero as a float.
+	nonZero := Arith{Op: Add, L: TC("u", "a"), R: IntLit(1)}
 	cases := []Expr{
 		TC("t", "a"),
 		C("b"),
+		C("s"),
 		IntLit(42),
 		Arith{Op: Add, L: TC("t", "a"), R: TC("u", "a")},
 		Arith{Op: Mul, L: C("b"), R: FloatLit(1.5)},
 		Arith{Op: Sub, L: Arith{Op: Add, L: C("d"), R: IntLit(3)}, R: TC("t", "a")},
+		// Division, integral (truncating, negative dividends included)
+		// and float.
+		Arith{Op: Div, L: TC("t", "a"), R: nonZero},
+		Arith{Op: Div, L: C("b"), R: Arith{Op: Add, L: TC("u", "a"), R: FloatLit(0.5)}},
+		// A Date shifted by an Int stays a Date, on either side.
+		Arith{Op: Sub, L: C("d"), R: TC("u", "a")},
+		Arith{Op: Add, L: TC("u", "a"), R: C("d")},
+		// An Int times a Float is a Float.
+		Arith{Op: Mul, L: TC("t", "a"), R: C("b")},
+		Arith{Op: Div, L: C("d"), R: FloatLit(4)},
+		// A literal on the left.
+		Arith{Op: Sub, L: IntLit(100), R: TC("t", "a")},
+		Arith{Op: Mul, L: FloatLit(2.5), R: C("d")},
+		// Nested on both sides.
+		Arith{Op: Mul, L: Arith{Op: Add, L: TC("t", "a"), R: TC("u", "a")}, R: Arith{Op: Div, L: C("d"), R: nonZero}},
 	}
+	const n = 40
 	for ci, e := range cases {
 		b, err := BindScalar(e, schema)
 		if err != nil {
 			t.Fatalf("case %d BindScalar(%s): %v", ci, e, err)
 		}
-		n := 40
-		cols, rows := batchColumns(rng, n)
-		sel := make([]int, 0, n)
-		for r := 0; r < n; r += 1 + intn(rng, 2) {
-			sel = append(sel, r)
-		}
-		out := make([]value.Value, n)
-		if err := b.EvalBatch(cols, sel, out); err != nil {
-			t.Fatalf("case %d (%s): EvalBatch: %v", ci, e, err)
-		}
-		for _, r := range sel {
-			want, err := refScalar(e, schema, rows[r])
-			if err != nil {
-				t.Fatalf("case %d (%s): reference row %d: %v", ci, e, r, err)
+		// Every row, then random gaps, then a few rows far apart, each
+		// over fresh columns through the same bound scalar.
+		for _, step := range []int{1, 2, 9} {
+			cols, rows := batchColumns(rng, n)
+			var sel []int
+			for r := intn(rng, step); r < n; r += 1 + intn(rng, step) {
+				sel = append(sel, r)
 			}
-			if out[r] != want {
-				t.Fatalf("case %d (%s): row %d batch=%v reference=%v", ci, e, r, out[r], want)
+			got, err := b.EvalBatch(cols, sel)
+			if err != nil {
+				t.Fatalf("case %d (%s): EvalBatch: %v", ci, e, err)
+			}
+			for _, r := range sel {
+				want, err := refScalar(e, schema, rows[r])
+				if err != nil {
+					t.Fatalf("case %d (%s): reference row %d: %v", ci, e, r, err)
+				}
+				if v := got.At(r); v != want {
+					t.Fatalf("case %d (%s): row %d batch=%v reference=%v", ci, e, r, v, want)
+				}
 			}
 		}
 	}
@@ -388,6 +425,50 @@ func TestEvalBatchErrorParity(t *testing.T) {
 			if fmt.Sprint(kerr) != fmt.Sprint(gerr) || fmt.Sprint(kgot) != fmt.Sprint(ggot) {
 				t.Errorf("%s input %d: kernel (%v, %v), generic (%v, %v)", p[0], ii, kgot, kerr, ggot, gerr)
 			}
+		}
+	}
+
+	// Arithmetic fails only at a row inside the selection: a zero
+	// divisor on an unselected row divides nothing, a String operand
+	// fails at the first selected row, worded with that row's values,
+	// and an empty selection fails nothing.
+	zeros := vecs([][]value.Value{
+		{value.Int(10), value.Int(10), value.Int(10), value.Int(10)},
+		{value.Float(1.5), value.Float(0), value.Float(2), value.Float(0)},
+		{value.Str("w"), value.Str("x"), value.Str("y"), value.Str("z")},
+		{value.Date(1), value.Date(2), value.Date(3), value.Date(4)},
+		{value.Int(2), value.Int(0), value.Int(5), value.Int(0)},
+	})
+	intDiv := Cmp{Op: GT, L: Arith{Op: Div, L: TC("t", "a"), R: TC("u", "a")}, R: IntLit(1)}
+	floatDiv := Cmp{Op: GT, L: Arith{Op: Div, L: TC("t", "a"), R: C("b")}, R: IntLit(1)}
+	strArith := Cmp{Op: GT, L: Arith{Op: Add, L: C("s"), R: IntLit(1)}, R: IntLit(0)}
+	for _, tc := range []struct {
+		e       Expr
+		sel     []int
+		want    string
+		wantErr string
+	}{
+		{intDiv, []int{0, 2}, "[0 2]", ""},
+		{intDiv, []int{0, 2, 3}, "", "expr: integer division by zero"},
+		{intDiv, nil, "[]", ""},
+		{floatDiv, []int{0, 2}, "[0 2]", ""},
+		{floatDiv, []int{2, 3}, "", "expr: division by zero"},
+		{floatDiv, nil, "[]", ""},
+		{strArith, []int{2, 3}, "", `expr: arithmetic over non-numeric values "y" + 1`},
+		{strArith, nil, "[]", ""},
+		{Contains{E: TC("u", "a"), Substr: "1"}, []int{1, 3}, "", "expr: CONTAINS over non-string value 0"},
+	} {
+		b, err := Bind(tc.e, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.EvalBatch(zeros, tc.sel)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%s over %v: error %v, want %q", tc.e, tc.sel, err, tc.wantErr)
+			}
+		} else if err != nil || fmt.Sprint(got) != tc.want {
+			t.Errorf("%s over %v: (%v, %v), want %s", tc.e, tc.sel, got, err, tc.want)
 		}
 	}
 }

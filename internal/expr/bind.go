@@ -136,17 +136,21 @@ func Bind(e Expr, schema RelSchema) (*Bound, error) {
 	return &Bound{evalBatch: f, src: e}, nil
 }
 
-// BoundScalar is a scalar expression compiled against a schema.
+// BoundScalar is a scalar expression compiled against a schema. Like a
+// Bound it carries evaluation scratch, so it must not be shared between
+// goroutines.
 type BoundScalar struct {
 	evalBatch batchScalarFn
 }
 
-// EvalBatch evaluates the scalar for the rows in sel, writing each result
-// at out[row]. out must cover every row id in sel.
+// EvalBatch evaluates the scalar for the rows in sel and returns one
+// typed vector indexed by row id whose values at the rows of sel are the
+// results. The vector is one of cols or scratch of b: it must not be
+// modified, and is valid until b's next EvalBatch.
 //
 //qo:hotpath
-func (b *BoundScalar) EvalBatch(cols []value.Vec, sel []int, out []value.Value) error {
-	return b.evalBatch(cols, sel, out)
+func (b *BoundScalar) EvalBatch(cols []value.Vec, sel []int) (*value.Vec, error) {
+	return b.evalBatch(cols, sel)
 }
 
 // BindScalar compiles a scalar expression against a schema.
@@ -156,49 +160,4 @@ func BindScalar(e Expr, schema RelSchema) (*BoundScalar, error) {
 		return nil, err
 	}
 	return &BoundScalar{evalBatch: f}, nil
-}
-
-func applyArith(op ArithOp, l, r value.Value) (value.Value, error) {
-	if !l.Numeric() || !r.Numeric() {
-		return value.Value{}, fmt.Errorf("expr: arithmetic over non-numeric values %s %s %s", l, op, r)
-	}
-	// Integer arithmetic when both operands are integral; this keeps date
-	// shifting (date + days) exact, which Experiment 1's template relies on.
-	if l.Kind != catalog.Float && r.Kind != catalog.Float {
-		kind := l.Kind
-		if r.Kind == catalog.Date {
-			kind = catalog.Date
-		}
-		var out int64
-		switch op {
-		case Add:
-			out = l.I + r.I
-		case Sub:
-			out = l.I - r.I
-		case Mul:
-			out = l.I * r.I
-		case Div:
-			if r.I == 0 {
-				return value.Value{}, fmt.Errorf("expr: integer division by zero")
-			}
-			out = l.I / r.I
-		}
-		return value.Value{Kind: kind, I: out}, nil
-	}
-	lf, rf := l.AsFloat(), r.AsFloat()
-	var out float64
-	switch op {
-	case Add:
-		out = lf + rf
-	case Sub:
-		out = lf - rf
-	case Mul:
-		out = lf * rf
-	case Div:
-		if rf == 0 {
-			return value.Value{}, fmt.Errorf("expr: division by zero")
-		}
-		out = lf / rf
-	}
-	return value.Float(out), nil
 }

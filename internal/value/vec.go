@@ -9,10 +9,9 @@ import (
 // Vec is one typed column vector: a Kind and the one payload slice that
 // kind lives in — I for Int and Date, F for Float, S for String. The
 // other two slices carry no values; a reused Vec may keep their
-// capacity. Batches, scan scratch and predicate kernels move values
+// capacity. Batches, scan scratch and expression kernels move values
 // between Vecs by copy or by index gather, so a payload is boxed into a
-// Value only where a row leaves the engine (At) or a generic expression
-// reads it.
+// Value only where a row leaves the engine (At) or an error names it.
 type Vec struct {
 	Kind catalog.Type
 	I    []int64
