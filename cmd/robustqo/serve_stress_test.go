@@ -117,10 +117,10 @@ func TestServeConcurrentQueries(t *testing.T) {
 }
 
 // TestServeParallelJoinStress hammers a join query at parallelism 4: the
-// lineitem scan is past the parallel cutoff, so the optimizer wraps the
-// whole scan→hashjoin pipeline in one Exchange and every request runs
-// its build and its workers' shared-table probe concurrently with its
-// siblings. Under -race this covers the read-only probe sharing and the
+// lineitem scan is past the parallel cutoff, so the optimizer wraps it in
+// an Exchange under the serial join, and every request runs its build,
+// its scan workers and its probe concurrently with its siblings. Under
+// -race this covers the worker pool under concurrent requests and the
 // hash-join metrics at once.
 func TestServeParallelJoinStress(t *testing.T) {
 	s := newTestServer(t, 25000, 4)

@@ -138,8 +138,7 @@ func (f fixture) build(t testing.TB) *Context {
 // point is one point of the axis table.
 type point struct {
 	shape, top int  // indexes into shapes and tops
-	dop        int  // 0: serial, else each Exchange's DOP
-	pipeline   bool // one Exchange over a whole hash-join pipeline, not one per scan
+	dop        int  // 0: serial, else each scan's Exchange's DOP
 	shards     int  // lineitem's range shards
 	pruned     bool // lineitem leaves read only the shards their l_ship window touches
 	clustered  bool // l_ship climbs with row position
@@ -158,7 +157,7 @@ var (
 	// topKs bound a heap by 1, by 10, and by more than any input.
 	topKs = []int{0, 1, 10, 1 << 20}
 	// radix is how many values each axis takes, in decode's order.
-	radix = [...]int{len(shapes), len(tops), len(dops), 2, len(shardCounts), 2, 2, 2, len(limits), len(topKs), 2}
+	radix = [...]int{len(shapes), len(tops), len(dops), len(shardCounts), 2, 2, 2, len(limits), len(topKs), 2}
 )
 
 // digits maps any integer onto the axis table, one mixed-radix digit per
@@ -172,8 +171,8 @@ func digits(x uint64) (d [len(radix)]int) {
 
 func decode(x uint64) point {
 	d := digits(x)
-	return point{shape: d[0], top: d[1], dop: dops[d[2]], pipeline: d[3] == 1, shards: shardCounts[d[4]],
-		pruned: d[5] == 1, clustered: d[6] == 1, columns: d[7] == 1, limit: limits[d[8]], topK: topKs[d[9]], instrumented: d[10] == 1}
+	return point{shape: d[0], top: d[1], dop: dops[d[2]], shards: shardCounts[d[3]], pruned: d[4] == 1,
+		clustered: d[5] == 1, columns: d[6] == 1, limit: limits[d[7]], topK: topKs[d[8]], instrumented: d[9] == 1}
 }
 
 // defaultTrials draws the default 1,000 trials as (seed, axes) pairs.
@@ -225,17 +224,6 @@ func (g *gen) wrap(n Node) Node {
 		return n
 	}
 	return &Exchange{Source: n, DOP: g.dop}
-}
-
-// pipe builds a hash-join pipeline: behind one Exchange with unwrapped
-// scans when the leg asks for that, else with each scan wrapped.
-func (g *gen) pipe(build func() Node) Node {
-	if dop := g.dop; g.pipeline && dop > 0 {
-		g.dop = 0
-		defer func() { g.dop = dop }()
-		return &Exchange{Source: build(), DOP: dop}
-	}
-	return build()
 }
 
 func (g *gen) ship() expr.Expr {
@@ -340,7 +328,7 @@ var shapes = []struct {
 		}
 		return &Aggregate{Input: g.leaf(0), Aggs: aggs}
 	}},
-	{"hashjoin", orderCols, func(g *gen) Node { return g.pipe(g.ordersJoin) }},
+	{"hashjoin", orderCols, func(g *gen) Node { return g.ordersJoin() }},
 	{"mergejoin", orderCols, func(g *gen) Node {
 		return &MergeJoin{Left: g.orders(), Right: g.leaf(-1), LeftCol: okey, RightCol: lkey}
 	}},
@@ -363,11 +351,11 @@ var shapes = []struct {
 	}},
 	// Multi-way FK chain: part ⋈ (orders ⋈ lineitem).
 	{"hash-chain", []expr.ColumnRef{lid, ototal, psize}, func(g *gen) Node {
-		return g.pipe(func() Node { return g.hash(g.part(), g.ordersJoin(), ppk, lpart) })
+		return g.hash(g.part(), g.ordersJoin(), ppk, lpart)
 	}},
-	// A serial join probing a parallel inner pipeline.
+	// A join over an unwrapped scan probing a join over parallel scans.
 	{"hash-over-parallel", []expr.ColumnRef{lid, psize, ototal}, func(g *gen) Node {
-		return g.hash(&SeqScan{Table: "part"}, g.pipe(g.ordersJoin), ppk, lpart)
+		return g.hash(&SeqScan{Table: "part"}, g.ordersJoin(), ppk, lpart)
 	}},
 }
 

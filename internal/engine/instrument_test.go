@@ -247,33 +247,41 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 	}
 }
 
-// TestExchangeWorkersFeedBypassedStats pins the one route by which
-// operators that run inside the worker pool — and so never see their
-// Instrumented wrapper's Next — report actuals: worker-local tallies
-// folded in at the barrier. A scan→join→join pipeline under an Exchange
-// must record, on every wrapper of the pipeline, the rows and batches
-// (non-empty windows) the serial pipeline records, at every DOP, and its
-// time on the operator that spent it rather than on the Exchange.
+// TestExchangeWorkersFeedBypassedStats pins the one route by which an
+// operator that runs inside the worker pool — and so never sees its
+// Instrumented wrapper's Next — reports actuals: worker-local tallies
+// folded in at the barrier. A join→join over an Exchange-wrapped lineitem
+// scan must record, on every wrapper, the rows and opens of the serial
+// plan, at every DOP. The bypassed scan must also record the serial
+// plan's batches (non-empty windows), and its time inside the workers;
+// the operators above the Exchange see one batch per morsel instead.
 func TestExchangeWorkersFeedBypassedStats(t *testing.T) {
 	_, ctx := testDB(t, 3000, 3, 40)
 	col := func(tab, c string) expr.ColumnRef { return expr.ColumnRef{Table: tab, Column: c} }
-	pipeline := func() Node {
+	plan := func(dop int) Node {
+		var probe Node = &SeqScan{Table: "lineitem", Filter: testkit.Expr("l_ship BETWEEN 10 AND 70")}
+		if dop > 0 {
+			probe = &Exchange{Source: probe, DOP: dop}
+		}
 		return &HashJoin{
 			Build: &SeqScan{Table: "part", Filter: testkit.Expr("p_size < 25")},
 			Probe: &HashJoin{
 				Build:    &SeqScan{Table: "orders", Filter: testkit.Expr("o_total < 600")},
-				Probe:    &SeqScan{Table: "lineitem", Filter: testkit.Expr("l_ship BETWEEN 10 AND 70")},
+				Probe:    probe,
 				BuildCol: col("orders", "o_orderkey"), ProbeCol: col("lineitem", "l_orderkey"),
 			},
 			BuildCol: col("part", "p_partkey"), ProbeCol: col("lineitem", "l_partkey"),
 		}
 	}
-	type actuals struct{ rows, batches, opens int64 }
-	collect := func(n *Instrumented) []actuals {
-		var out []actuals
+	// collect lists every wrapper's stats in pre-order, skipping the
+	// Exchange's own.
+	collect := func(n *Instrumented) []obs.OpStats {
+		var out []obs.OpStats
 		var walk func(*Instrumented)
 		walk = func(m *Instrumented) {
-			out = append(out, actuals{m.Stats.Rows, m.Stats.Batches, m.Stats.Opens})
+			if _, ok := m.Inner.(*Exchange); !ok {
+				out = append(out, *m.Stats)
+			}
 			for _, k := range m.Kids {
 				walk(k)
 			}
@@ -281,14 +289,14 @@ func TestExchangeWorkersFeedBypassedStats(t *testing.T) {
 		walk(n)
 		return out
 	}
-	serial := Instrument(pipeline())
+	serial := Instrument(plan(0))
 	_, sc, _, err := Run(ctx, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := collect(serial)
 	for _, dop := range []int{2, 4} {
-		inst := Instrument(&Exchange{Source: pipeline(), DOP: dop})
+		inst := Instrument(plan(dop))
 		_, c, _, err := Run(ctx, inst)
 		if err != nil {
 			t.Fatal(err)
@@ -296,11 +304,21 @@ func TestExchangeWorkersFeedBypassedStats(t *testing.T) {
 		if c != sc {
 			t.Fatalf("dop=%d: counters diverged", dop)
 		}
-		got := collect(inst.Kids[0])
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("dop=%d: per-operator (rows, batches, opens) under Exchange\n got %v\nwant %v", dop, got, want)
+		got := collect(inst)
+		for i := range want {
+			if got[i].Rows != want[i].Rows || got[i].Opens != want[i].Opens {
+				t.Fatalf("dop=%d: wrapper %d records %d rows, %d opens; the serial plan's %d rows, %d opens",
+					dop, i, got[i].Rows, got[i].Opens, want[i].Rows, want[i].Opens)
+			}
 		}
-		probeScan := inst.Kids[0].Kids[1].Kids[1]
+		probeScan := inst.Kids[1].Kids[1].Kids[0]
+		if _, ok := probeScan.Inner.(*SeqScan); !ok {
+			t.Fatalf("dop=%d: %s is not the lineitem scan", dop, probeScan.Inner.Describe())
+		}
+		last := len(want) - 1
+		if probeScan.Stats.Batches != want[last].Batches {
+			t.Fatalf("dop=%d: lineitem scan records %d batches, want the serial %d", dop, probeScan.Stats.Batches, want[last].Batches)
+		}
 		if probeScan.Stats.NextTime <= 0 {
 			t.Fatalf("dop=%d: lineitem scan ran in the workers but recorded no time", dop)
 		}

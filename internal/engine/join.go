@@ -69,105 +69,58 @@ func joinKey(op, role string, schema expr.RelSchema, ref expr.ColumnRef) (int, e
 	return idx, nil
 }
 
-// builtJoin is a hash join past its blocking half: the drained build
-// columns, the finished, read-only table over their key, the probe key's
-// ordinal in the probe schema, and the join's output schema.
-type builtJoin struct {
-	build  []value.Vec
-	table  *joinTable
-	pIdx   int
-	schema expr.RelSchema
+// hashJoinOp builds at Open (the build is inherently blocking) and then
+// streams the probe side, emitting matches a probe batch at a time. The
+// probe is any operator, an Exchange over a parallel scan included.
+type hashJoinOp struct {
+	node     *HashJoin
+	counters *cost.Counters
+	probe    Operator
+	// build is the drained build side, table the hash table over its key
+	// column, and pIdx the probe key's ordinal in the probe schema.
+	build []value.Vec
+	table *joinTable
+	pIdx  int
+	// bpos and ppos are scratch: the (build, probe) positions of one probe
+	// batch's matches.
+	bpos, ppos []int32
+	out        *Batch
 }
 
-// openBuild is the blocking half of a hash join, shared by the serial
-// operator and the morsel runner: resolve and check both keys, drain the
-// build side into typed vectors, build the table over its key vector,
-// and charge HashBuilds.
-func (j *HashJoin) openBuild(ctx *Context, counters *cost.Counters) (*builtJoin, error) {
+// Open resolves and checks both keys, drains the build side into typed
+// vectors, builds the table over its key vector and charges HashBuilds,
+// all before the probe side opens.
+func (o *hashJoinOp) Open(ctx *Context, counters *cost.Counters) error {
+	j := o.node
 	buildSchema, err := j.Build.Schema(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	probeSchema, err := j.Probe.Schema(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bIdx, err := joinKey("HashJoin", "build", buildSchema, j.BuildCol)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pIdx, err := joinKey("HashJoin", "probe", probeSchema, j.ProbeCol)
-	if err != nil {
-		return nil, err
+	if o.pIdx, err = joinKey("HashJoin", "probe", probeSchema, j.ProbeCol); err != nil {
+		return err
 	}
 	build, n, err := drainVecs(ctx, j.Build, buildSchema, counters)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ctx.Metrics != nil {
 		ctx.Metrics.Counter("robustqo_hashjoin_builds_total").Inc()
 	}
 	counters.HashBuilds += int64(n)
-	return &builtJoin{build: build, table: buildJoinTable(build[bIdx].I), pIdx: pIdx, schema: buildSchema.Concat(probeSchema)}, nil
-}
-
-// joinPairs is a prober's scratch: the (build, probe) positions of one
-// probe batch's matches.
-type joinPairs struct{ b, p []int32 }
-
-// probeInto joins every row of the probe batch b against the table,
-// appending matches to out: one HashProbes per probe row, one Tuples per
-// match, each key's build rows in build-input order. The probe walks b's
-// key vector and collects the matches as position pairs in pairs, and
-// the output columns are gathered from them, one typed loop a column
-// (value.AppendSel, the merge join's gather).
-//
-//qo:hotpath
-func (j *builtJoin) probeInto(out, b *Batch, pairs *joinPairs, counters *cost.Counters) {
-	counters.HashProbes += int64(b.Len())
-	t, keys := j.table, b.cols[j.pIdx].I[:b.Len()]
-	bpos, ppos := pairs.b[:0], pairs.p[:0]
-	for r, k := range keys {
-		for idx := t.first(k); idx >= 0; idx = t.next[idx] {
-			bpos = append(bpos, idx)
-			ppos = append(ppos, int32(r))
-		}
-	}
-	counters.Tuples += int64(len(bpos))
-	for c := range j.build {
-		value.AppendSel(&out.cols[c], &j.build[c], bpos)
-	}
-	for c := range b.cols {
-		value.AppendSel(&out.cols[len(j.build)+c], &b.cols[c], ppos)
-	}
-	out.n += len(bpos)
-	pairs.b, pairs.p = bpos, ppos
-}
-
-// hashJoinOp builds at Open (the build is inherently blocking) and then
-// streams the probe side, emitting matches a probe batch at a time. It
-// takes any probe input; when the probe is morselizable an Exchange runs
-// the same two halves through hashJoinMorselWorker instead.
-type hashJoinOp struct {
-	node     *HashJoin
-	counters *cost.Counters
-	probe    Operator
-	built    *builtJoin
-	pairs    joinPairs
-	out      *Batch
-}
-
-func (o *hashJoinOp) Open(ctx *Context, counters *cost.Counters) error {
-	var err error
-	if o.built, err = o.node.openBuild(ctx, counters); err != nil {
-		return err
-	}
-	o.counters = counters
-	o.probe = o.node.Probe.Stream()
+	o.build, o.table, o.counters = build, buildJoinTable(build[bIdx].I), counters
+	o.probe = j.Probe.Stream()
 	if err := o.probe.Open(ctx, counters); err != nil {
 		return err
 	}
-	o.out = getBatch(o.built.schema)
+	o.out = getBatch(buildSchema.Concat(probeSchema))
 	return nil
 }
 
@@ -184,11 +137,41 @@ func (o *hashJoinOp) Next() (*Batch, error) {
 			return nil, nil
 		}
 		o.out.Reset()
-		o.built.probeInto(o.out, b, &o.pairs, o.counters)
+		o.probeInto(b)
 		if o.out.Len() > 0 {
 			return o.out, nil
 		}
 	}
+}
+
+// probeInto joins every row of the probe batch b against the table,
+// appending matches to o.out: one HashProbes per probe row, one Tuples
+// per match, each key's build rows in build-input order. The probe walks
+// b's key vector and collects the matches as position pairs in o.bpos
+// and o.ppos, and the output columns are gathered from them, one typed
+// loop a column (value.AppendSel, the merge join's gather).
+//
+//qo:hotpath
+func (o *hashJoinOp) probeInto(b *Batch) {
+	o.counters.HashProbes += int64(b.Len())
+	t, keys := o.table, b.cols[o.pIdx].I[:b.Len()]
+	bpos, ppos := o.bpos[:0], o.ppos[:0]
+	for r, k := range keys {
+		for idx := t.first(k); idx >= 0; idx = t.next[idx] {
+			bpos = append(bpos, idx)
+			ppos = append(ppos, int32(r))
+		}
+	}
+	o.counters.Tuples += int64(len(bpos))
+	out := o.out
+	for c := range o.build {
+		value.AppendSel(&out.cols[c], &o.build[c], bpos)
+	}
+	for c := range b.cols {
+		value.AppendSel(&out.cols[len(o.build)+c], &b.cols[c], ppos)
+	}
+	out.n += len(bpos)
+	o.bpos, o.ppos = bpos, ppos
 }
 
 func (o *hashJoinOp) Close() {

@@ -106,7 +106,7 @@ func drainJoin(ctx *Context, op Operator) (int, error) {
 // int64 table whose chains thread through one next-index array, and
 // matches are gathered column-wise into a pooled batch, so a full drain
 // allocates at most once per eight joined rows — the ceiling
-// TestMorselProbeAllocs sets for the morsel workers.
+// TestMorselProbeAllocs sets for a join probing an Exchange.
 func TestVectorizedProbeAllocs(t *testing.T) {
 	ctx, node := benchJoinFixture()
 	const wantRows = 16384

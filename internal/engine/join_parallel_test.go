@@ -3,22 +3,23 @@ package engine
 import (
 	"testing"
 
-	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
 )
 
 // TestHashJoinPresizeMetrics pins the build metric: every hash-join build
-// counts once, serial or under an Exchange, whose one build on the
-// coordinator every probe worker shares.
+// counts once, whether the join probes a serial scan or an Exchange.
 func TestHashJoinPresizeMetrics(t *testing.T) {
 	_, ctx := testDB(t, 3000, 3, 40) // 3000 orders, 9000 lineitem
 	col := func(tab, c string) expr.ColumnRef { return expr.ColumnRef{Table: tab, Column: c} }
-	join := &HashJoin{
-		Build: &SeqScan{Table: "lineitem"}, Probe: &SeqScan{Table: "orders"},
-		BuildCol: col("lineitem", "l_orderkey"), ProbeCol: col("orders", "o_orderkey"),
+	join := func(probe Node) Node {
+		return &HashJoin{
+			Build: &SeqScan{Table: "lineitem"}, Probe: probe,
+			BuildCol: col("lineitem", "l_orderkey"), ProbeCol: col("orders", "o_orderkey"),
+		}
 	}
-	for _, n := range []Node{join, &Exchange{Source: join, DOP: 4}} {
+	orders := &SeqScan{Table: "orders"}
+	for _, n := range []Node{join(orders), join(&Exchange{Source: orders, DOP: 4})} {
 		reg := obs.NewRegistry()
 		ctx.Metrics = reg
 		_, _, _, err := Run(ctx, n)
@@ -32,44 +33,31 @@ func TestHashJoinPresizeMetrics(t *testing.T) {
 	}
 }
 
-// TestMorselProbeAllocs pins the allocation discipline of the parallel
-// join path on the batch contract: a worker joins each probe window
-// column-wise into a pooled morsel batch, so a full drain allocates for
-// column growth of fresh batches and nothing per match. The ceiling is one
-// allocation per eight output rows; the first morsel worker (found by
+// TestMorselProbeAllocs pins the allocation discipline of a hash join
+// probing a parallel scan, the one parallel join plan: the Exchange's
+// workers fill pooled morsel batches and the join gathers each one's
+// matches column-wise into its pooled output batch, so a full drain
+// through the operator — build, Exchange start-up and barrier included —
+// allocates for column growth and nothing per match. The ceiling is one
+// allocation per eight output rows; the first parallel join (found by
 // qolint's hotalloc analyzer) built one value.Row per match and exceeded
 // one per row.
 func TestMorselProbeAllocs(t *testing.T) {
 	_, ctx := testDB(t, 4000, 4, 40)
 	node := &HashJoin{
 		Build:    &SeqScan{Table: "orders"},
-		Probe:    &SeqScan{Table: "lineitem"},
+		Probe:    &Exchange{Source: &SeqScan{Table: "lineitem"}, DOP: 2},
 		BuildCol: expr.ColumnRef{Table: "orders", Column: "o_orderkey"},
 		ProbeCol: expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"},
 	}
-	var c cost.Counters
-	runner, err := node.openMorsels(ctx, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := runner.newWorker()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.release()
 	const wantRows = 4000 * 4
 	allocs := testing.AllocsPerRun(5, func() {
-		total := 0
-		for m := 0; m < runner.numMorsels(); m++ {
-			res := runMorsel(runner, w, m, &c)
-			if res.err != nil {
-				t.Fatal(res.err)
-			}
-			total += res.b.Len()
-			putBatch(res.b)
+		n, err := drainJoin(ctx, node.Stream())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if total != wantRows {
-			t.Fatalf("drained %d joined rows, want %d", total, wantRows)
+		if n != wantRows {
+			t.Fatalf("drained %d joined rows, want %d", n, wantRows)
 		}
 	})
 	if ceiling := float64(wantRows) / 8; allocs > ceiling {

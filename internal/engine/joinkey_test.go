@@ -7,19 +7,27 @@ import (
 
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
+	"robustqo/internal/obs"
 )
 
 // TestJoinKeyRule holds every join operator to the one key rule: a
 // Float or String key fails at Open with joinKeyError, naming the
 // operator and the column, before any input is read — serially, for a
-// hash-join pipeline under Exchange(dop=4), and in the reference engine,
-// which returns the same error.
+// hash join probing an Exchange(dop=4) scan, whose workers never start,
+// and in the reference engine, which returns the same error.
 func TestJoinKeyRule(t *testing.T) {
 	_, ctx := testDB(t, 200, 3, 10)
 	col := func(tab, c string) expr.ColumnRef { return expr.ColumnRef{Table: tab, Column: c} }
 	scan := func(tab string) Node { return &SeqScan{Table: tab} }
 	hashJoin := func(build, probe expr.ColumnRef) *HashJoin {
 		return &HashJoin{Build: scan(build.Table), Probe: scan(probe.Table), BuildCol: build, ProbeCol: probe}
+	}
+	// An Exchange traces one span per worker it starts.
+	tr := obs.NewTrace("join-keys")
+	parallelProbe := func(build, probe expr.ColumnRef) *HashJoin {
+		j := hashJoin(build, probe)
+		j.Probe = &Exchange{Source: j.Probe, DOP: 4, Trace: tr}
+		return j
 	}
 	star := func(pk expr.ColumnRef) Node {
 		return &StarSemiJoin{Fact: "lineitem", Dims: []StarDim{{Scan: scan(pk.Table), DimPK: pk, FactFK: "l_partkey"}}}
@@ -30,8 +38,8 @@ func TestJoinKeyRule(t *testing.T) {
 	}{
 		{hashJoin(col("orders", "o_total"), col("lineitem", "l_orderkey")), "HashJoin build", "orders.o_total is FLOAT"},
 		{hashJoin(col("orders", "o_orderkey"), col("lineitem", "l_status")), "HashJoin probe", "lineitem.l_status is VARCHAR"},
-		{&Exchange{Source: hashJoin(col("orders", "o_orderkey"), col("lineitem", "l_price")), DOP: 4}, "HashJoin probe", "lineitem.l_price is FLOAT"},
-		{&Exchange{Source: hashJoin(col("lineitem", "l_status"), col("orders", "o_orderkey")), DOP: 4}, "HashJoin build", "lineitem.l_status is VARCHAR"},
+		{parallelProbe(col("orders", "o_orderkey"), col("lineitem", "l_price")), "HashJoin probe", "lineitem.l_price is FLOAT"},
+		{parallelProbe(col("lineitem", "l_status"), col("orders", "o_orderkey")), "HashJoin build", "lineitem.l_status is VARCHAR"},
 		{&MergeJoin{Left: scan("orders"), Right: scan("lineitem"), LeftCol: col("orders", "o_total"), RightCol: col("lineitem", "l_orderkey")},
 			"MergeJoin left", "orders.o_total is FLOAT"},
 		{&MergeJoin{Left: scan("orders"), Right: scan("lineitem"), LeftCol: col("orders", "o_orderkey"), RightCol: col("lineitem", "l_status")},
@@ -63,5 +71,8 @@ func TestJoinKeyRule(t *testing.T) {
 		if _, err := ExecuteMaterialized(ctx, tc.plan, &rc); err == nil || err.Error() != want {
 			t.Errorf("%s: reference error %v, want %q", tc.plan.Describe(), err, want)
 		}
+	}
+	if recs := tr.Records(); len(recs) > 0 {
+		t.Errorf("a worker started before the key was rejected: %+v", recs)
 	}
 }

@@ -6,9 +6,10 @@ package engine
 // a morsel at a time into rows of a Batch. Serial execution is DOP 1 of
 // this pipeline (morselScanOp in scan.go walks morsels × windows in order
 // on the caller's goroutine); under an Exchange the same workers run on a
-// goroutine pool. The blocking Open-phase work (catalog resolution, index
-// seeks, RID intersection, hash build) happens once in openMorsels,
-// charged to the shared counters before any window runs.
+// goroutine pool. The morsel sources are the leaf scans: SeqScan,
+// IndexRangeScan and IndexIntersect. The blocking Open-phase work
+// (catalog resolution, index seeks, RID intersection) happens once in
+// openMorsels, charged to the shared counters before any window runs.
 //
 // The window-worker contract: window(out, lo, hi, counters) appends the
 // survivors of the source's rows [lo, hi) to out and charges that
@@ -18,11 +19,11 @@ package engine
 // an Exchange worker fills one pooled batch per morsel and sends it to
 // the coordinator, which returns it to the pool when it advances past it
 // (or drains it on an early Close); a semaphore bounds how many such
-// batches are in flight. A worker itself owns only scratch —
-// bound predicates, selection vectors, a join's probe-side batch — so
-// workers of one runner run disjoint windows concurrently. A SeqScan's
-// worker can also fold a window's survivors straight into a global
-// aggregate's state instead of appending them (foldWorker, fold.go).
+// batches are in flight. A worker itself owns only scratch — bound
+// predicates, selection vectors, gathered columns — so workers of one
+// runner run disjoint windows concurrently. A SeqScan's worker can also
+// fold a window's survivors straight into a global aggregate's state
+// instead of appending them (foldWorker, fold.go).
 //
 // Counter exactness is the load-bearing property: a full drain produces
 // byte-identical cost.Counters at any DOP because the windows themselves
@@ -31,9 +32,9 @@ package engine
 // BatchSize windows yields the same windows whether one worker walks all
 // morsels or several split them, and every charge is a property of a
 // window (SeqScan: pages whose first tuple falls inside it) or of a row
-// (one random page per RID fetched; one probe per probe row, one tuple
-// per match). int64 addition is commutative, so merging per-worker
-// counters in any order reproduces the serial totals.
+// (one random page and one tuple per RID fetched). int64 addition is
+// commutative, so merging per-worker counters in any order reproduces the
+// serial totals.
 
 import (
 	"fmt"
@@ -93,16 +94,6 @@ func morselSourceOf(n Node) (src morselSource, stats *obs.OpStats, ok bool) {
 		}
 		n, stats = inst.Inner, inst.Stats
 	}
-	// A HashJoin is morselizable exactly when its probe side is: the
-	// build is blocking Open-phase work either way. Checked before the
-	// plain interface assertion so an ineligible probe disqualifies the
-	// join instead of failing later.
-	if hj, isJoin := n.(*HashJoin); isJoin {
-		if _, _, ok := morselSourceOf(hj.Probe); !ok {
-			return nil, nil, false
-		}
-		return hj, stats, true
-	}
 	src, ok = n.(morselSource)
 	return src, stats, ok
 }
@@ -132,10 +123,10 @@ func newMorselWorker(r morselRunner, stats *obs.OpStats) (morselWorker, error) {
 // tallyWorker records what one worker produced for one instrumented
 // source node: rows, non-empty windows (the batches a serial wrapper
 // would have counted, so Batches agrees at every DOP), and the time spent
-// inside window — inclusive of a join's probe side, as a wrapper's
-// NextTime is. The tallies are worker-local; release folds them into the
-// node's stats, which is race-free and deterministic because release
-// runs on the coordinator, after the barrier, in worker order.
+// inside window, which a serial wrapper records as NextTime. The tallies
+// are worker-local; release folds them into the node's stats, which is
+// race-free and deterministic because release runs on the coordinator,
+// after the barrier, in worker order.
 type tallyWorker struct {
 	morselWorker
 	stats         *obs.OpStats

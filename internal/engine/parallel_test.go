@@ -84,12 +84,14 @@ func TestUnbindableFilterFailsAtOpen(t *testing.T) {
 	}
 }
 
-// TestExchangeEarlyClose pins, for every morsel source, that a pipeline
-// stopping before the source is drained — a LIMIT above the Exchange, or a
-// worker failing mid-morsel — shuts the worker pool down without leaking
-// goroutines or deadlocking (undelivered morsel batches are drained back
-// to the pool on the way), and returns what the serial pipeline returns:
-// the same prefix of rows, or the same error.
+// TestExchangeEarlyClose pins, for every morsel source and for a hash
+// join probing one, that a pipeline stopping before the source is drained
+// — a LIMIT above the Exchange, or a worker failing mid-morsel — shuts the
+// worker pool down without leaking goroutines or deadlocking (undelivered
+// morsel batches are drained back to the pool on the way), and returns
+// what the serial pipeline returns: the same prefix of rows, or the same
+// error. A case's src builds its plan with wrap around the scan that runs
+// in parallel.
 func TestExchangeEarlyClose(t *testing.T) {
 	_, ctx := testDB(t, 3000, 3, 10)
 	cctx := fixture{orders: 3398, lines: 3, parts: 10, shards: 2, clustered: true}.build(t)
@@ -98,39 +100,44 @@ func TestExchangeEarlyClose(t *testing.T) {
 		name  string
 		ctx   *Context
 		limit int
-		src   func() Node
+		src   func(wrap func(Node) Node) Node
 	}{
-		{"SeqScan", ctx, BatchSize + 7, func() Node { return &SeqScan{Table: "lineitem"} }},
+		{"SeqScan", ctx, BatchSize + 7, func(wrap func(Node) Node) Node { return wrap(&SeqScan{Table: "lineitem"}) }},
 		// A pushable prefix whose zones skip the first tiles of each shard.
-		{"SeqScan/late/2-shard", cctx, BatchSize + 7, func() Node {
-			return &SeqScan{Table: "lineitem", Filter: testkit.Expr("l_ship >= 20")}
+		{"SeqScan/late/2-shard", cctx, BatchSize + 7, func(wrap func(Node) Node) Node {
+			return wrap(&SeqScan{Table: "lineitem", Filter: testkit.Expr("l_ship >= 20")})
 		}},
-		{"IndexRangeScan", ctx, BatchSize + 7, func() Node { return &IndexRangeScan{Table: "lineitem", Range: ship} }},
-		{"IndexIntersect", ctx, BatchSize + 7, func() Node {
-			return &IndexIntersect{Table: "lineitem", Ranges: []KeyRange{ship, {Column: "l_receipt", Lo: 0, Hi: 200}}}
+		{"IndexRangeScan", ctx, BatchSize + 7, func(wrap func(Node) Node) Node {
+			return wrap(&IndexRangeScan{Table: "lineitem", Range: ship})
 		}},
-		{"HashJoin", ctx, BatchSize + 7, func() Node {
+		{"IndexIntersect", ctx, BatchSize + 7, func(wrap func(Node) Node) Node {
+			return wrap(&IndexIntersect{Table: "lineitem", Ranges: []KeyRange{ship, {Column: "l_receipt", Lo: 0, Hi: 200}}})
+		}},
+		// The LIMIT stops a serial join whose probe is the Exchange.
+		{"HashJoin", ctx, BatchSize + 7, func(wrap func(Node) Node) Node {
 			return &HashJoin{
-				Build: &SeqScan{Table: "orders"}, Probe: &SeqScan{Table: "lineitem"},
+				Build: &SeqScan{Table: "orders"}, Probe: wrap(&SeqScan{Table: "lineitem"}),
 				BuildCol: expr.ColumnRef{Table: "orders", Column: "o_orderkey"},
 				ProbeCol: expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"},
 			}
 		}},
 		// Row 5000 fails, in the first window of the second morsel; the
 		// limit lies beyond it, so both pipelines must reach the error.
-		{"SeqScan/worker-error", ctx, 6000, func() Node {
-			return &SeqScan{Table: "lineitem", Filter: testkit.Expr("100 / (l_id - 5000) >= 0")}
+		{"SeqScan/worker-error", ctx, 6000, func(wrap func(Node) Node) Node {
+			return wrap(&SeqScan{Table: "lineitem", Filter: testkit.Expr("100 / (l_id - 5000) >= 0")})
 		}},
 	}
+	serial := func(n Node) Node { return n }
+	parallel := func(n Node) Node { return &Exchange{Source: n, DOP: 4} }
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sres, _, _, serr := Run(tc.ctx, &Limit{Input: tc.src(), N: tc.limit})
+			sres, _, _, serr := Run(tc.ctx, &Limit{Input: tc.src(serial), N: tc.limit})
 			if (serr != nil) != (tc.limit == 6000) || serr == nil && len(sres.Rows) != tc.limit {
 				t.Fatalf("fixture: serial returned %v, %v", sres, serr)
 			}
 			before := runtime.NumGoroutine()
 			for i := 0; i < 25; i++ {
-				plan := &Limit{Input: &Exchange{Source: tc.src(), DOP: 4}, N: tc.limit}
+				plan := &Limit{Input: tc.src(parallel), N: tc.limit}
 				pres, _, _, err := Run(tc.ctx, plan)
 				if serr != nil {
 					if err == nil || err.Error() != serr.Error() {

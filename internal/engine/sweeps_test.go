@@ -16,7 +16,6 @@ const (
 	axShape = iota
 	axTop
 	axDOP
-	axPipeline
 	axShards
 	axPruned
 	axClustered
@@ -72,11 +71,11 @@ func TestExchangeDifferentialDOPProperty(t *testing.T) {
 }
 
 // TestJoinDifferentialDOPProperty: every join shape at DOP 1, 2 and 4, with
-// an Exchange per scan or over the whole hash-join pipeline.
+// an Exchange over each scan.
 func TestJoinDifferentialDOPProperty(t *testing.T) {
 	joins := only("hashjoin", "mergejoin", "mergejoin-sorted", "inljoin", "inljoin-index", "star", "star-residual",
 		"hash-chain", "hash-over-parallel")
-	sweep(t, one, [len(radix)]int{}, func(p point) bool { return p.dop > 0 && joins(p) }, axShape, axDOP, axPipeline)
+	sweep(t, one, [len(radix)]int{}, func(p point) bool { return p.dop > 0 && joins(p) }, axShape, axDOP)
 }
 
 // TestPartitionedExchangeDifferentialProperty: every shape over 1, 2 and 4

@@ -95,8 +95,11 @@ func refPred(e Expr, schema RelSchema, row value.Row) (bool, error) {
 		return !ok, err
 	case Contains:
 		v, err := refScalar(n.E, schema, row)
-		if err != nil || v.Kind != catalog.String {
-			return false, fmt.Errorf("reference: CONTAINS over %v (%v)", v, err)
+		if err != nil {
+			return false, err
+		}
+		if v.Kind != catalog.String {
+			return false, fmt.Errorf("expr: CONTAINS over non-string value %s", v)
 		}
 		return strings.Contains(v.S, n.Substr), nil
 	case In:
@@ -231,6 +234,8 @@ func batchPredCases() []Expr {
 		In{E: TC("t", "a"), Vals: []value.Value{value.Float(2), value.Float(3.5)}},
 		In{E: TC("u", "a"), Vals: []value.Value{value.Int(1), value.Int(2), value.Str("x")}},
 		Cmp{Op: EQ, L: C("s"), R: C("d")},
+		// CONTAINS over an Int column fails at the first selected row.
+		Contains{E: TC("t", "a"), Substr: "1"},
 	)
 	return cases
 }

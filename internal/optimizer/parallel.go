@@ -30,27 +30,20 @@ func (p *planner) scanRows(s *engine.SeqScan) (int, bool) {
 	return n, true
 }
 
-// DefaultParallelCutoff is the cardinality below which a scan stays
-// serial. Fan-out has a fixed price — worker binding, channel traffic,
-// the merge barrier — so parallelism only pays once a scan moves enough
-// rows; the decision stays inside the paper's framework by comparing the
-// same confidence-threshold cardinality estimates the rest of the plan
-// search uses (see parallelize).
+// DefaultParallelCutoff is the number of rows below which a sequential
+// scan stays serial. Fan-out has a fixed price — worker binding, channel
+// traffic, the merge barrier — so parallelism only pays once a scan reads
+// enough rows; parallelize compares it with the exact rows the scan reads
+// (scanRows).
 const DefaultParallelCutoff = 20000
 
-// parallelize wraps the winning plan's eligible scans in Exchange
-// operators at the optimizer's MaxDOP. Interior nodes are mutated in
-// place — the estimates map is keyed by node pointer, and EXPLAIN
-// ANALYZE must keep resolving the original nodes.
-//
-// Eligibility is per scan kind: a SeqScan's work is the rows it reads,
-// which the zone maps give exactly — those of its surviving shards'
-// tiles that no pushed bound of its filter excludes, since the scan
-// skips the rest; the RID-list scans are gated on the optimizer's
-// cardinality estimate for the node, which under the robust estimator is
-// the posterior quantile at the query's confidence threshold T. A higher
-// T therefore both picks safer plans and parallelizes them sooner — the
-// same knob governs both decisions.
+// parallelize wraps every SeqScan of the winning plan whose exact live
+// rows (scanRows) reach DefaultParallelCutoff in an Exchange at the
+// optimizer's MaxDOP. That is its one rule: joins, RID-list scans and
+// breakers stay serial above a wrapped scan, so a HashJoin probes an
+// Exchange. Interior nodes are mutated in place — the estimates map is
+// keyed by node pointer, and EXPLAIN ANALYZE must keep resolving the
+// original nodes.
 func (p *planner) parallelize(n engine.Node) engine.Node {
 	switch t := n.(type) {
 	case *engine.Filter:
@@ -65,21 +58,6 @@ func (p *planner) parallelize(n engine.Node) engine.Node {
 		t.Input = p.parallelize(t.Input)
 	case *engine.HashJoin:
 		t.Build = p.parallelize(t.Build)
-		if p.probeChainEligible(t.Probe) {
-			// Wrap the whole scan→hashjoin pipeline in one Exchange: the
-			// engine morselizes the probe chain itself, so inner Exchanges
-			// along it would only add pointless merge barriers. Build sides
-			// hanging off the chain still parallelize independently.
-			for pr := t.Probe; ; {
-				hj, ok := pr.(*engine.HashJoin)
-				if !ok {
-					break
-				}
-				hj.Build = p.parallelize(hj.Build)
-				pr = hj.Probe
-			}
-			return p.wrapExchange(t)
-		}
 		t.Probe = p.parallelize(t.Probe)
 	case *engine.MergeJoin:
 		t.Left = p.parallelize(t.Left)
@@ -91,48 +69,18 @@ func (p *planner) parallelize(n engine.Node) engine.Node {
 			t.Dims[i].Scan = p.parallelize(t.Dims[i].Scan)
 		}
 	case *engine.SeqScan:
-		if rows, ok := p.scanRows(t); ok && rows >= DefaultParallelCutoff {
-			return p.wrapExchange(n)
+		if rows, ok := p.scanRows(t); !ok || rows < DefaultParallelCutoff {
+			return n
 		}
-	case *engine.IndexRangeScan:
-		if est, ok := p.estimates[n]; ok && est.Rows >= DefaultParallelCutoff {
-			return p.wrapExchange(n)
+		ex := &engine.Exchange{Source: n, DOP: p.opt.MaxDOP, Trace: p.opt.Trace}
+		// The Exchange inherits the scan's cardinality belief so EXPLAIN
+		// ANALYZE can report est/act for it too.
+		if est, ok := p.estimates[n]; ok {
+			p.estimates[ex] = est
 		}
-	case *engine.IndexIntersect:
-		if est, ok := p.estimates[n]; ok && est.Rows >= DefaultParallelCutoff {
-			return p.wrapExchange(n)
-		}
+		return ex
 	}
 	return n
-}
-
-// probeChainEligible reports whether a HashJoin probe side is worth
-// running through the Exchange worker pool: a chain of hash joins ending
-// in a scan that clears the parallel cutoff, judged by the same
-// estimates that gate standalone scans — exact rows read for SeqScan,
-// the posterior T-quantile estimate for the RID-list scans.
-func (p *planner) probeChainEligible(n engine.Node) bool {
-	switch t := n.(type) {
-	case *engine.SeqScan:
-		rows, ok := p.scanRows(t)
-		return ok && rows >= DefaultParallelCutoff
-	case *engine.IndexRangeScan, *engine.IndexIntersect:
-		est, ok := p.estimates[n]
-		return ok && est.Rows >= DefaultParallelCutoff
-	case *engine.HashJoin:
-		return p.probeChainEligible(t.Probe)
-	}
-	return false
-}
-
-func (p *planner) wrapExchange(n engine.Node) engine.Node {
-	ex := &engine.Exchange{Source: n, DOP: p.opt.MaxDOP, Trace: p.opt.Trace}
-	// The Exchange inherits the scan's cardinality belief so EXPLAIN
-	// ANALYZE can report est/act for it too.
-	if est, ok := p.estimates[n]; ok {
-		p.estimates[ex] = est
-	}
-	return ex
 }
 
 // quantileCacheOf unwraps the estimator (through Chain) to its posterior

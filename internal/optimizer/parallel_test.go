@@ -149,9 +149,9 @@ func TestOptimizerCacheMetrics(t *testing.T) {
 }
 
 // TestParallelizeWrapsJoinPipeline is a unit test of the post-pass over a
-// hand-built multi-way join: an eligible probe chain gets exactly one
-// Exchange around the whole pipeline — no inner Exchanges along the chain
-// — and the wrapped plan reproduces the serial rows and counters.
+// hand-built multi-way join: at MaxDOP 4 both joins stay serial, the
+// lineitem probe scan, past the cutoff, is wrapped in an Exchange, and the
+// plan reproduces the serial rows and counters.
 func TestParallelizeWrapsJoinPipeline(t *testing.T) {
 	o, _ := bayesOpt(t, 24000, 0.8)
 	o.MaxDOP = 4
@@ -173,15 +173,19 @@ func TestParallelizeWrapsJoinPipeline(t *testing.T) {
 	p := &planner{opt: o, estimates: make(map[engine.Node]obs.EstimateSnapshot)}
 	outer := mkPlan()
 	got := p.parallelize(outer)
-	ex, ok := got.(*engine.Exchange)
+	if got != engine.Node(outer) {
+		t.Fatalf("the join was wrapped: %T", got)
+	}
+	inner, ok := outer.Probe.(*engine.HashJoin)
 	if !ok {
-		t.Fatalf("eligible join pipeline not wrapped: %T", got)
+		t.Fatalf("the inner join was wrapped: %T", outer.Probe)
 	}
-	if ex.DOP != 4 || ex.Source != engine.Node(outer) {
-		t.Fatalf("Exchange wraps %T at dop=%d, want the outer join at 4", ex.Source, ex.DOP)
+	ex, ok := inner.Probe.(*engine.Exchange)
+	if !ok {
+		t.Fatalf("lineitem probe scan not wrapped:\n%s", engine.Explain(outer))
 	}
-	if strings.Contains(engine.Explain(outer), "Exchange") {
-		t.Fatalf("inner Exchange inside the wrapped pipeline:\n%s", engine.Explain(outer))
+	if scan, ok := ex.Source.(*engine.SeqScan); !ok || scan.Table != "lineitem" || ex.DOP != 4 {
+		t.Fatalf("Exchange wraps %s at dop=%d, want the lineitem scan at 4", ex.Source.Describe(), ex.DOP)
 	}
 	sres, sc, _, err := engine.Run(o.Ctx, mkPlan())
 	if err != nil {
@@ -199,8 +203,8 @@ func TestParallelizeWrapsJoinPipeline(t *testing.T) {
 	}
 }
 
-// TestParallelizeKeepsSmallJoinSerial: a probe chain ending in a scan
-// below the cutoff stays serial even at MaxDOP=4.
+// TestParallelizeKeepsSmallJoinSerial: a join whose scans are below the
+// cutoff stays serial even at MaxDOP=4.
 func TestParallelizeKeepsSmallJoinSerial(t *testing.T) {
 	o, _ := bayesOpt(t, 2000, 0.8)
 	o.MaxDOP = 4
@@ -217,8 +221,9 @@ func TestParallelizeKeepsSmallJoinSerial(t *testing.T) {
 }
 
 // TestOptimizedHashJoinsCarryBuildEstimate: the optimizer picks a hash
-// join for part⋈lineitem, and at MaxDOP=4 the whole scan→hashjoin
-// pipeline lands under one Exchange.
+// join for part⋈lineitem, and at MaxDOP=4 the join stays serial, its
+// lineitem probe scan is wrapped in an Exchange, and the plan returns the
+// serial plan's rows and counters.
 func TestOptimizedHashJoinsCarryBuildEstimate(t *testing.T) {
 	o, _ := bayesOpt(t, 24000, 0.8)
 	// part⋈lineitem on l_partkey: lineitem is not ordered by the join key,
@@ -236,29 +241,55 @@ func TestOptimizedHashJoinsCarryBuildEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(pplan.Explain(), "Exchange(dop=4, HashJoin") {
-		t.Fatalf("join pipeline not wrapped at MaxDOP=4:\n%s", pplan.Explain())
-	}
-	found := 0
-	var walk func(n engine.Node)
-	walk = func(n engine.Node) {
-		if _, ok := n.(*engine.HashJoin); ok {
-			found++
+	joins := func(root engine.Node) (found []*engine.HashJoin) {
+		var walk func(n engine.Node)
+		walk = func(n engine.Node) {
+			if hj, ok := n.(*engine.HashJoin); ok {
+				found = append(found, hj)
+			}
+			for _, k := range engine.Children(n) {
+				walk(k)
+			}
 		}
-		for _, k := range engine.Children(n) {
-			walk(k)
-		}
+		walk(root)
+		return found
 	}
-	walk(plan.Root)
-	if found == 0 {
+	if len(joins(plan.Root)) == 0 {
 		t.Fatalf("winning plan uses no hash join:\n%s", plan.Explain())
+	}
+	if strings.Contains(pplan.Explain(), "Exchange(dop=4, HashJoin") {
+		t.Fatalf("join wrapped at MaxDOP=4:\n%s", pplan.Explain())
+	}
+	wrapped := false
+	for _, hj := range joins(pplan.Root) {
+		if ex, ok := hj.Probe.(*engine.Exchange); ok && ex.DOP == 4 {
+			scan, ok := ex.Source.(*engine.SeqScan)
+			wrapped = wrapped || ok && scan.Table == "lineitem"
+		}
+	}
+	if !wrapped {
+		t.Fatalf("lineitem probe scan not wrapped at MaxDOP=4:\n%s", pplan.Explain())
+	}
+	sres, sc, _, err := engine.Run(o.Ctx, plan.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres, pc, _, err := engine.Run(o.Ctx, pplan.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sres.Rows) != len(pres.Rows) {
+		t.Fatalf("serial %d rows, parallel %d", len(sres.Rows), len(pres.Rows))
+	}
+	if sc != pc {
+		t.Fatalf("counters diverged:\nserial   %+v\nparallel %+v", sc, pc)
 	}
 }
 
 // TestPlanKeepsOnlyItsTreesEstimates: a plan keeps one cardinality
 // snapshot per node of its tree, Exchanges included, and none for the
 // losing candidates the enumerator built, so a cached plan pins no
-// losing subtree.
+// losing subtree. Every Exchange wraps a SeqScan.
 func TestPlanKeepsOnlyItsTreesEstimates(t *testing.T) {
 	o, _ := bayesOpt(t, 24000, 0.8)
 	q := &Query{
@@ -275,8 +306,11 @@ func TestPlanKeepsOnlyItsTreesEstimates(t *testing.T) {
 		var walk func(n engine.Node)
 		walk = func(n engine.Node) {
 			tree[n] = true
-			if _, ok := n.(*engine.Exchange); ok {
+			if ex, ok := n.(*engine.Exchange); ok {
 				exchanges++
+				if _, ok := ex.Source.(*engine.SeqScan); !ok {
+					t.Errorf("dop %d: Exchange over %s; only a SeqScan is wrapped", dop, ex.Source.Describe())
+				}
 			}
 			for _, k := range engine.Children(n) {
 				walk(k)
