@@ -40,7 +40,9 @@ bench:
 # proves the benchmarks still run, but a single iteration carries
 # first-touch costs, so its numbers cannot serve as before/after rows.
 # Quote those from runs at the default benchtime. BenchmarkHashJoinProbe
-# is the one join-probe number: the serial hash join's build and probe.
+# times the serial hash join's build and probe over canned inputs, once
+# per table mode (dense, sparse); BenchmarkPipelineBreakers' join rows
+# time the dashboard's and Experiment 2's joins over TPC-H-like data.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=BenchmarkExecStreamVsMaterialize -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkHashJoinProbe -benchtime=1x -benchmem ./internal/engine/

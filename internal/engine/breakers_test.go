@@ -112,37 +112,84 @@ func TestAggregateIntGroupOrder(t *testing.T) {
 	sameAsReference(t, "two keys", two)
 }
 
-// TestJoinTableIntChains: the open-addressed int64 table finds each key's
-// build positions in build order, and nothing for an absent key — over
-// negatives, zero and the int64 extremes.
+// TestJoinTableIntChains: the join table finds each key's build
+// positions in build order, and nothing for an absent key, in both of its
+// modes. The hashed key set mixes negatives, zero and the int64
+// extremes; the dense ones hold duplicates, a negative lo, and lo near
+// each int64 extreme, and are probed at lo−1, hi+1 and both extremes. The
+// mode rule is pinned on both sides: a span of 4× the slot count is
+// direct-addressed, one more is hashed.
 func TestJoinTableIntChains(t *testing.T) {
 	rng := stats.NewRNG(2005)
+	gen := func(n int, key func(i int) int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = key(i)
+		}
+		return out
+	}
 	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}
-	var keys []int64
-	want := map[int64][]int32{}
-	var distinct []int64
-	for i := 0; i < 6*MorselSize; i++ {
-		k := int64(testkit.Intn(rng, 5000)) - 2500
-		if i%97 == 0 {
-			k = extremes[i/97%len(extremes)]
-		}
-		keys = append(keys, k)
-		if want[k] == nil {
-			distinct = append(distinct, k)
-		}
-		want[k] = append(want[k], int32(i))
+	// 100 keys take 256 slots: dense up to a span of 1,024.
+	spread := func(span int64) []int64 {
+		return gen(100, func(i int) int64 { return -7 + int64(i)*(span-1)/99 })
 	}
-	absent := []int64{2500, 2501, -2501, math.MinInt64 + 1, math.MaxInt64 - 1}
-	tbl := buildJoinTable(keys)
-	for _, k := range append(distinct, absent...) {
-		var got []int32
-		for idx := tbl.first(k); idx >= 0; idx = tbl.next[idx] {
-			got = append(got, idx)
+	for _, tc := range []struct {
+		name  string
+		keys  []int64
+		dense bool
+	}{
+		{"hashed-extremes", gen(6*MorselSize, func(i int) int64 {
+			if i%97 == 0 {
+				return extremes[i/97%len(extremes)]
+			}
+			return int64(testkit.Intn(rng, 5000)) - 2500
+		}), false},
+		{"dense-duplicates", gen(3000, func(int) int64 { return int64(testkit.Intn(rng, 700)) }), true},
+		{"dense-negative-lo", gen(3000, func(int) int64 { return int64(testkit.Intn(rng, 5000)) - 9000 }), true},
+		{"dense-near-max", gen(2000, func(int) int64 { return math.MaxInt64 - int64(testkit.Intn(rng, 900)) }), true},
+		{"dense-near-min", gen(2000, func(int) int64 { return math.MinInt64 + int64(testkit.Intn(rng, 900)) }), true},
+		{"span-4x-slots", spread(1024), true},
+		{"span-4x-slots+1", spread(1025), false},
+	} {
+		keys := tc.keys
+		want := map[int64][]int32{}
+		var probes []int64
+		for i, k := range keys {
+			if want[k] == nil {
+				probes = append(probes, k)
+			}
+			want[k] = append(want[k], int32(i))
 		}
-		if !slices.Equal(got, want[k]) {
-			t.Fatalf("key %d chains rows %v, want %v", k, got, want[k])
+		lo, hi := slices.Min(keys), slices.Max(keys)
+		probes = append(probes, lo-1, hi+1, math.MinInt64, math.MaxInt64, math.MinInt64+1, math.MaxInt64-1)
+		tbl := buildJoinTable(keys)
+		if tbl.dense() != tc.dense {
+			t.Errorf("%s: span %d over %d keys: dense = %v, want %v", tc.name, uint64(hi)-uint64(lo)+1, len(keys), tbl.dense(), tc.dense)
+		}
+		for _, k := range probes {
+			if got := tableChain(tbl, k); !slices.Equal(got, want[k]) {
+				t.Fatalf("%s: key %d chains rows %v, want %v", tc.name, k, got, want[k])
+			}
 		}
 	}
+}
+
+// tableChain walks key's chain in tbl, reading either mode as
+// hashJoinOp.probeInto does.
+func tableChain(tbl *joinTable, key int64) []int32 {
+	idx := int32(-1)
+	if tbl.dense() {
+		if d := uint64(key) - uint64(tbl.lo); d < uint64(len(tbl.heads)) {
+			idx = tbl.heads[d]
+		}
+	} else {
+		idx = tbl.first(key)
+	}
+	var out []int32
+	for ; idx >= 0; idx = tbl.next[idx] {
+		out = append(out, idx)
+	}
+	return out
 }
 
 // foldRows builds the input of TestGlobalAggregateFold over n rows:

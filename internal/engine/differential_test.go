@@ -353,9 +353,17 @@ var shapes = []struct {
 	{"hash-chain", []expr.ColumnRef{lid, ototal, psize}, func(g *gen) Node {
 		return g.hash(g.part(), g.ordersJoin(), ppk, lpart)
 	}},
-	// A join over an unwrapped scan probing a join over parallel scans.
+	// A hashed build probing a join over parallel scans whose build is
+	// direct-addressed: the orders at both ends of the key range, at most
+	// 100 rows over a span of harnessOrders, which stays above 4× their
+	// table's slot count (jointable.go), against dense part keys.
 	{"hash-over-parallel", []expr.ColumnRef{lid, psize, ototal}, func(g *gen) Node {
-		return g.hash(&SeqScan{Table: "part"}, g.ordersJoin(), ppk, lpart)
+		k := expr.IntLit(1 + g.size)
+		ends := g.wrap(&SeqScan{Table: "orders", Filter: expr.Or{Terms: []expr.Expr{
+			expr.Cmp{Op: expr.LT, L: expr.C("o_orderkey"), R: k},
+			expr.Cmp{Op: expr.GE, L: expr.C("o_orderkey"), R: expr.IntLit(harnessOrders - 1 - g.size)},
+		}}})
+		return g.hash(ends, g.hash(g.part(), g.leaf(-1), ppk, lpart), okey, lkey)
 	}},
 }
 
@@ -419,6 +427,9 @@ func (g gen) plan(p point, ctx *Context) Node {
 	return n
 }
 
+// harnessOrders is the orders count of every harness layout.
+const harnessOrders = 3000
+
 // layouts caches harnessLayout's fixtures. Trials, fuzz inputs included,
 // run one at a time.
 var layouts = map[fixture][2]*Context{}
@@ -426,11 +437,13 @@ var layouts = map[fixture][2]*Context{}
 // harnessLayout returns the metered fixture for a layout and its
 // departitioned twin, built once per process.
 func harnessLayout(t testing.TB, p point) (*Context, *Context) {
-	f := fixture{orders: 3000, lines: 3, parts: 40, shards: p.shards, clustered: p.clustered}
+	f := fixture{orders: harnessOrders, lines: 3, parts: 40, shards: p.shards, clustered: p.clustered}
 	if _, ok := layouts[f]; !ok {
 		ctx := f.build(t)
 		ctx.Metrics = obs.NewRegistry()
-		layouts[f] = [2]*Context{ctx, fixture{orders: 3000, lines: 3, parts: 40, shards: p.shards, clustered: p.clustered, flat: true}.build(t)}
+		flat := f
+		flat.flat = true
+		layouts[f] = [2]*Context{ctx, flat.build(t)}
 	}
 	return layouts[f][0], layouts[f][1]
 }
@@ -607,6 +620,45 @@ func TestEngineDifferentialCoverage(t *testing.T) {
 	}
 	if !crossed {
 		t.Error("no trial crosses clustered × pruned shards × DOP 4 × pruned columns × LIMIT")
+	}
+}
+
+// TestEngineDifferentialTableModes: the default trials build hash-join
+// tables of both modes, direct-addressed and hashed, as the builds'
+// metrics count them, and every hash-over-parallel trial's orders build
+// is hashed.
+func TestEngineDifferentialTableModes(t *testing.T) {
+	var dense, hashed bool
+	for _, tr := range defaultTrials() {
+		p := decode(tr[1])
+		ends := shapes[p.shape].name == "hash-over-parallel"
+		if dense && hashed && !ends {
+			continue
+		}
+		ctx, _ := harnessLayout(t, p)
+		plan := newGen(tr[0]).plan(p, ctx)
+		builds, denseBuilds := ctx.Metrics.Counter("robustqo_hashjoin_builds_total"), ctx.Metrics.Counter("robustqo_hashjoin_dense_builds_total")
+		b0, d0 := builds.Value(), denseBuilds.Value()
+		if _, _, _, err := Run(ctx, plan); err != nil {
+			t.Fatalf("seed=%d axes=%d: %v", tr[0], tr[1], err)
+		}
+		d := denseBuilds.Value() - d0
+		dense, hashed = dense || d > 0, hashed || builds.Value()-b0 > d
+		for _, n := range nodes(plan) {
+			if j, ok := n.(*HashJoin); ok && ends && j.BuildCol == okey {
+				op := &hashJoinOp{node: j}
+				if err := op.Open(ctx, &cost.Counters{}); err != nil {
+					t.Fatal(err)
+				}
+				if op.table.dense() {
+					t.Errorf("seed=%d axes=%d: hash-over-parallel's orders build is direct-addressed", tr[0], tr[1])
+				}
+				op.Close()
+			}
+		}
+	}
+	if !dense || !hashed {
+		t.Errorf("the default trials build a direct-addressed table: %v, a hashed one: %v; want both", dense, hashed)
 	}
 }
 

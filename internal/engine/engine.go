@@ -40,7 +40,9 @@ type Context struct {
 	Indexes *index.Set
 	Model   cost.Model
 	// Metrics, when non-nil, receives the engine's operational series:
-	//   - robustqo_hashjoin_builds_total, one per hash table built;
+	//   - robustqo_hashjoin_builds_total, one per hash table built, and
+	//     robustqo_hashjoin_dense_builds_total, one per such table that is
+	//     direct-addressed (jointable.go);
 	//   - robustqo_columnar_segments_{scanned,skipped}_total, the zone
 	//     verdict of every tile a SeqScan with a pushable filter prefix
 	//     enters;

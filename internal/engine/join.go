@@ -111,11 +111,15 @@ func (o *hashJoinOp) Open(ctx *Context, counters *cost.Counters) error {
 	if err != nil {
 		return err
 	}
+	table := buildJoinTable(build[bIdx].I)
 	if ctx.Metrics != nil {
 		ctx.Metrics.Counter("robustqo_hashjoin_builds_total").Inc()
+		if table.dense() {
+			ctx.Metrics.Counter("robustqo_hashjoin_dense_builds_total").Inc()
+		}
 	}
 	counters.HashBuilds += int64(n)
-	o.build, o.table, o.counters = build, buildJoinTable(build[bIdx].I), counters
+	o.build, o.table, o.counters = build, table, counters
 	o.probe = j.Probe.Stream()
 	if err := o.probe.Open(ctx, counters); err != nil {
 		return err
@@ -147,19 +151,32 @@ func (o *hashJoinOp) Next() (*Batch, error) {
 // probeInto joins every row of the probe batch b against the table,
 // appending matches to o.out: one HashProbes per probe row, one Tuples
 // per match, each key's build rows in build-input order. The probe walks
-// b's key vector and collects the matches as position pairs in o.bpos
-// and o.ppos, and the output columns are gathered from them, one typed
-// loop a column (value.AppendSel, the merge join's gather).
+// b's key vector in one loop per table mode, chosen once per batch, and
+// collects the matches as position pairs in o.bpos and o.ppos; the output
+// columns are gathered from them, one typed loop a column
+// (value.AppendSel, the merge join's gather).
 //
 //qo:hotpath
 func (o *hashJoinOp) probeInto(b *Batch) {
 	o.counters.HashProbes += int64(b.Len())
 	t, keys := o.table, b.cols[o.pIdx].I[:b.Len()]
 	bpos, ppos := o.bpos[:0], o.ppos[:0]
-	for r, k := range keys {
-		for idx := t.first(k); idx >= 0; idx = t.next[idx] {
-			bpos = append(bpos, idx)
-			ppos = append(ppos, int32(r))
+	if heads := t.heads; heads != nil {
+		lo := uint64(t.lo)
+		for r, k := range keys {
+			if d := uint64(k) - lo; d < uint64(len(heads)) {
+				for idx := heads[d]; idx >= 0; idx = t.next[idx] {
+					bpos = append(bpos, idx)
+					ppos = append(ppos, int32(r))
+				}
+			}
+		}
+	} else {
+		for r, k := range keys {
+			for idx := t.first(k); idx >= 0; idx = t.next[idx] {
+				bpos = append(bpos, idx)
+				ppos = append(ppos, int32(r))
+			}
 		}
 	}
 	o.counters.Tuples += int64(len(bpos))
@@ -359,8 +376,9 @@ func (j *MergeJoin) chargeInput(ctx *Context, n int, declared, sorted bool, coun
 
 // radixOrder stably sorts keys ascending in place and returns the
 // permutation it applied: sorted position i held input keys[order[i]].
-// Keys spanning fewer values than there are keys — dense foreign keys —
-// take one stable counting pass over the span. Any others take an LSD
+// Keys spanning at most twice as many values as there are keys (hi−lo <
+// 2n) — dense foreign keys, even filtered to half their rows — take one
+// stable counting pass over the span. Any others take an LSD
 // radix sort of (key, position) pairs on 8-bit digits of the key with its
 // sign bit flipped, so unsigned digit order is signed key order — the
 // keys stay put and the positions ping-pong between two uint32 buffers —
@@ -376,7 +394,7 @@ func radixOrder(keys []int64) []uint32 {
 	for _, k := range keys {
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	if span := uint64(hi) - uint64(lo); span < uint64(len(keys)) {
+	if span := uint64(hi) - uint64(lo); span < 2*uint64(len(keys)) {
 		return countingOrder(keys, lo, int(span)+1)
 	}
 	src, dst := make([]uint32, len(keys)), make([]uint32, len(keys))

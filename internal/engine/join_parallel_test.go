@@ -7,8 +7,11 @@ import (
 	"robustqo/internal/obs"
 )
 
-// TestHashJoinPresizeMetrics pins the build metric: every hash-join build
-// counts once, whether the join probes a serial scan or an Exchange.
+// TestHashJoinPresizeMetrics pins the build metrics: every hash-join
+// build counts once, whether the join probes a serial scan or an
+// Exchange, and a direct-addressed one counts once more. lineitem's
+// l_orderkey spans 3,000 values over 9,000 build rows, so its table is
+// dense; four orders at the two ends of the same span are hashed.
 func TestHashJoinPresizeMetrics(t *testing.T) {
 	_, ctx := testDB(t, 3000, 3, 40) // 3000 orders, 9000 lineitem
 	col := func(tab, c string) expr.ColumnRef { return expr.ColumnRef{Table: tab, Column: c} }
@@ -19,16 +22,30 @@ func TestHashJoinPresizeMetrics(t *testing.T) {
 		}
 	}
 	orders := &SeqScan{Table: "orders"}
-	for _, n := range []Node{join(orders), join(&Exchange{Source: orders, DOP: 4})} {
+	ends := &HashJoin{
+		Build: &SeqScan{Table: "orders", Filter: expr.Or{Terms: []expr.Expr{
+			expr.Cmp{Op: expr.LT, L: expr.C("o_orderkey"), R: expr.IntLit(2)},
+			expr.Cmp{Op: expr.GT, L: expr.C("o_orderkey"), R: expr.IntLit(2997)},
+		}}},
+		Probe:    &SeqScan{Table: "lineitem"},
+		BuildCol: col("orders", "o_orderkey"), ProbeCol: col("lineitem", "l_orderkey"),
+	}
+	for _, tc := range []struct {
+		plan  Node
+		dense int64
+	}{{join(orders), 1}, {join(&Exchange{Source: orders, DOP: 4}), 1}, {ends, 0}} {
 		reg := obs.NewRegistry()
 		ctx.Metrics = reg
-		_, _, _, err := Run(ctx, n)
+		_, _, _, err := Run(ctx, tc.plan)
 		ctx.Metrics = nil
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v := reg.Counter("robustqo_hashjoin_builds_total").Value(); v != 1 {
-			t.Errorf("%s: builds = %d, want 1", n.Describe(), v)
+			t.Errorf("%s: builds = %d, want 1", tc.plan.Describe(), v)
+		}
+		if v := reg.Counter("robustqo_hashjoin_dense_builds_total").Value(); v != tc.dense {
+			t.Errorf("%s: dense builds = %d, want %d", tc.plan.Describe(), v, tc.dense)
 		}
 	}
 }

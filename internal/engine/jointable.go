@@ -1,30 +1,43 @@
 package engine
 
-// The hash-join build table: one open-addressed int64 table, chained,
-// sized from the drained build, built serially and then read-only.
+// The hash-join build table: an int64 table of chains over build
+// positions, sized from the drained build, built serially and then
+// read-only.
 //
 // Every join key is an Int or Date column (joinKey enforces it at Open),
 // so the table is keyed by the int64 payload alone: Int and Date keys
 // with equal payloads match, as MergeJoin and INLJoin match them. The
 // table indexes build positions — rows of the drained build vectors —
-// and each key's slot holds the head and tail of a chain of positions
-// threaded through a next-index array, so inserting N rows costs no
-// per-key allocation and walking a chain yields the key's rows in
-// build-input order. The build row count is known before
-// the first insert, so the table is sized once, at most half full, and
-// never grows. Once built it is only read, so any number of morsel
-// workers probe it at once.
+// and each key's chain of positions is threaded through a next-index
+// array, so inserting N rows costs no per-key allocation and walking a
+// chain yields the key's rows in build-input order. The build row count
+// is known before the first insert, so the table is sized once and never
+// grows. It takes one of two modes, fixed at build:
+//
+//   - direct-addressed, when the build keys span hi−lo+1 at most 4× the
+//     open-addressed slot count (a foreign key joined to a dense primary
+//     key): heads[k−lo] is key k's chain head, so a probe is one bounds
+//     check and one load, and the []int32 heads array is never larger
+//     than the 16-byte slots it replaces;
+//   - hashed, for any other build: linear probing over slots at most half
+//     full, indexed by the high bits of the key's mix64 hash.
+//
+// The probe loop picks its mode once per batch (hashJoinOp.probeInto).
 
-// joinSlot is one slot of a joinTable: a key and its chain of build
-// positions, head first; head < 0 marks the slot empty.
+// joinSlot is one slot of a hashed joinTable: a key and its chain of
+// build positions, head first; head < 0 marks the slot empty.
 type joinSlot struct {
 	key        int64
 	head, tail int32
 }
 
-// joinTable is the build side of a hash join: linear probing over slots,
-// indexed by the high bits of the key's mix64 hash.
+// joinTable is the build side of a hash join. heads is non-nil exactly
+// in the direct-addressed mode; slots and shift are set only in the
+// hashed one.
 type joinTable struct {
+	// heads[k-lo] is the head build position of key k's chain, or -1.
+	heads []int32
+	lo    int64
 	slots []joinSlot
 	shift uint // 64 - log2(len(slots))
 	// next[i] is the next build position sharing position i's key, or -1
@@ -39,11 +52,28 @@ func buildJoinTable(keys []int64) *joinTable {
 	for 1<<bits < 2*len(keys) {
 		bits++
 	}
-	t := &joinTable{
-		slots: make([]joinSlot, 1<<bits),
-		shift: 64 - bits,
-		next:  make([]int32, len(keys)),
+	t := &joinTable{next: make([]int32, len(keys))}
+	if len(keys) > 0 {
+		lo, hi := keys[0], keys[0]
+		for _, k := range keys {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		// hi-lo+1 <= 4<<bits, in uint64 so the full int64 range cannot
+		// overflow.
+		if uint64(hi)-uint64(lo) < 4<<bits {
+			t.lo, t.heads = lo, make([]int32, uint64(hi)-uint64(lo)+1)
+			for i := range t.heads {
+				t.heads[i] = -1
+			}
+			// Prepending in reverse leaves each chain in build-input order.
+			for i := len(keys) - 1; i >= 0; i-- {
+				h := &t.heads[uint64(keys[i])-uint64(lo)]
+				t.next[i], *h = *h, int32(i)
+			}
+			return t
+		}
 	}
+	t.slots, t.shift = make([]joinSlot, 1<<bits), 64-bits
 	for i := range t.slots {
 		t.slots[i].head = -1
 	}
@@ -60,8 +90,11 @@ func buildJoinTable(keys []int64) *joinTable {
 	return t
 }
 
-// slot returns the slot holding key, or the empty slot where it would
-// go.
+// dense reports whether the table is direct-addressed.
+func (t *joinTable) dense() bool { return t.heads != nil }
+
+// slot returns the slot of a hashed table holding key, or the empty slot
+// where it would go.
 //
 //qo:hotpath
 func (t *joinTable) slot(key int64) *joinSlot {
@@ -73,9 +106,11 @@ func (t *joinTable) slot(key int64) *joinSlot {
 	}
 }
 
-// first returns the head build position of key's chain, or -1 when no
-// build row has that key. Continue with t.next[idx]; positions come out
-// in build-input order.
+// first returns the head build position of key's chain in a hashed
+// table, or -1 when no build row has that key. Continue with
+// t.next[idx]; positions come out in build-input order. A
+// direct-addressed table is read through heads instead: keeping the mode
+// test out of first keeps first, and slot within it, inlined.
 //
 //qo:hotpath
 func (t *joinTable) first(key int64) int32 {

@@ -19,8 +19,10 @@ import (
 
 // radixKeyCases are the merge-join sort inputs the radix sort is checked
 // on: the edges of the key encoding (sign bit, extremes), the byte-skip
-// logic (keys differing in one byte only), stability (duplicates), and
-// the trivial and presorted sizes.
+// logic (keys differing in one byte only), stability (duplicates), the
+// trivial and presorted sizes, and n keys over spans of 2n−1 and 2n+1 —
+// either side of the bound below which radixOrder takes one counting
+// pass.
 func radixKeyCases() map[string][]int64 {
 	rng := stats.NewRNG(2005)
 	gen := func(n int, key func(i int) int64) []int64 {
@@ -30,6 +32,19 @@ func radixKeyCases() map[string][]int64 {
 		}
 		return out
 	}
+	// spanning draws n keys from lo on whose span hi−lo+1 is exactly
+	// span: its second and last keys are the ends.
+	spanning := func(n int, lo, span int64) []int64 {
+		return gen(n, func(i int) int64 {
+			switch i {
+			case 1:
+				return lo
+			case n - 1:
+				return lo + span - 1
+			}
+			return lo + int64(testkit.Intn(rng, int(span)))
+		})
+	}
 	return map[string][]int64{
 		"empty":      {},
 		"one":        {42},
@@ -38,10 +53,12 @@ func radixKeyCases() map[string][]int64 {
 		"extremes": gen(300, func(i int) int64 {
 			return []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64 + 1, math.MaxInt64 - 1}[testkit.Intn(rng, 7)]
 		}),
-		"sorted":   gen(300, func(i int) int64 { return int64(i / 3) }),
-		"reversed": gen(300, func(i int) int64 { return int64(300 - i) }),
-		"one-byte": gen(500, func(int) int64 { return 0x1234_5600_0000_0000 | int64(testkit.Intn(rng, 256))<<24 }),
-		"wide":     gen(1000, func(int) int64 { return int64(rng.Uint64()) }),
+		"sorted":    gen(300, func(i int) int64 { return int64(i / 3) }),
+		"reversed":  gen(300, func(i int) int64 { return int64(300 - i) }),
+		"one-byte":  gen(500, func(int) int64 { return 0x1234_5600_0000_0000 | int64(testkit.Intn(rng, 256))<<24 }),
+		"wide":      gen(1000, func(int) int64 { return int64(rng.Uint64()) }),
+		"span-2n-1": spanning(600, -300, 2*600-1),
+		"span-2n+1": spanning(600, -300, 2*600+1),
 	}
 }
 

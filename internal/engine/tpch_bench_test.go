@@ -153,7 +153,9 @@ func BenchmarkMergeJoinPruned(b *testing.B) {
 
 // BenchmarkPipelineBreakers runs the dashboard's pipeline-breaker shapes
 // with the projections PruneColumns stamps, reporting ns per lineitem row:
-// the two- and three-way merge joins under COUNT and SUM, a global
+// the two- and three-way merge joins under COUNT and SUM, Experiment 2's
+// small part build (hashed: its keys are sparse) probed by all of
+// lineitem under COUNT, a global
 // COUNT(*), a global SUM over a 40% l_quantity range, a GROUP BY over an
 // Int key with COUNT(*) and with SUM, MIN, MAX and AVG of a Float column,
 // a global SUM of a computed argument under a Filter, and a top-10 sort;
@@ -204,6 +206,12 @@ func BenchmarkPipelineBreakers(b *testing.B) {
 		{"join3-sum", func() engine.Node {
 			return &engine.Aggregate{Input: threeWay("p_attr1 < 500 AND p_attr2 BETWEEN 100 AND 499", ""),
 				Aggs: []engine.AggSpec{{Func: engine.Sum, Arg: testkit.Expr("l_extendedprice"), As: "s"}, count}}
+		}},
+		{"join-smallbuild", func() engine.Node {
+			return &engine.Aggregate{Aggs: []engine.AggSpec{count}, Input: &engine.HashJoin{
+				Build: scan("part", "p_attr1 < 40 AND p_attr2 BETWEEN 10 AND 49"), Probe: scan("lineitem", ""),
+				BuildCol: ref("part", "p_partkey"), ProbeCol: ref("lineitem", "l_partkey"),
+			}}
 		}},
 		{"count", func() engine.Node {
 			return &engine.Aggregate{Aggs: []engine.AggSpec{count}, Input: scan("lineitem", "l_quantity < 25")}
