@@ -42,11 +42,12 @@ bench:
 # Quote those from runs at the default benchtime. BenchmarkHashJoinProbe
 # times the serial hash join's build and probe over canned inputs, once
 # per table mode (dense, sparse); BenchmarkPipelineBreakers' join rows
-# time the dashboard's and Experiment 2's joins over TPC-H-like data.
+# time the dashboard's and Experiment 2's joins over TPC-H-like data, and
+# BenchmarkRidScan the two RID-list scans' index seeks and fetches.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=BenchmarkExecStreamVsMaterialize -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkHashJoinProbe -benchtime=1x -benchmem ./internal/engine/
-	$(GO) test -run=^$$ -bench='BenchmarkSeqScanRows|BenchmarkSeqScanClustered|BenchmarkMergeJoinUnsorted|BenchmarkMergeJoinPruned|BenchmarkPipelineBreakers' -benchtime=1x -benchmem ./internal/engine/
+	$(GO) test -run=^$$ -bench='BenchmarkSeqScanRows|BenchmarkSeqScanClustered|BenchmarkRidScan|BenchmarkMergeJoinUnsorted|BenchmarkMergeJoinPruned|BenchmarkPipelineBreakers' -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkScanAggregate -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkSynopsisCount -benchtime=1x -benchmem ./internal/sample/
 	$(GO) test -run=^$$ -bench=BenchmarkEvalBatch -benchtime=1x -benchmem ./internal/expr/

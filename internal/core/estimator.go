@@ -117,9 +117,9 @@ func (e *BayesEstimator) Name() string {
 
 // ConfidenceReporter is implemented by estimators whose point estimates
 // are posterior quantiles at a confidence threshold T. Consumers — the
-// optimizer tagging EXPLAIN ANALYZE snapshots, the parallelize post-pass
-// gating DOP decisions — use it to learn which T an estimate was produced
-// under without knowing the concrete estimator type.
+// optimizer, which tags EXPLAIN ANALYZE snapshots with T, and Chain,
+// which reports its first member's — use it to learn which T an estimate
+// was produced under without knowing the concrete estimator type.
 type ConfidenceReporter interface {
 	// ConfidenceLevel returns the posterior percentile point estimates are
 	// taken at; the bool is false when the estimator does not condense

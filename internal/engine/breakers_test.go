@@ -138,7 +138,7 @@ func TestJoinTableIntChains(t *testing.T) {
 		keys  []int64
 		dense bool
 	}{
-		{"hashed-extremes", gen(6*MorselSize, func(i int) int64 {
+		{"hashed-extremes", gen(24576, func(i int) int64 {
 			if i%97 == 0 {
 				return extremes[i/97%len(extremes)]
 			}

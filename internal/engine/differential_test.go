@@ -204,6 +204,8 @@ type gen struct {
 	status            string
 	leafKind, filter  int
 	twoRanges, sorted bool
+	// ends narrows the duplicate-key build to both ends of the key range.
+	ends bool
 }
 
 // leafFilters is how many filters a lineitem SeqScan leaf draws from.
@@ -216,6 +218,7 @@ func newGen(seed uint64) gen {
 		status: []string{"fill", "open", "ship", "void"}[n(4)], leafKind: n(3), filter: n(leafFilters), twoRanges: n(2) == 0, sorted: n(2) == 0}
 	g.sHi = g.sLo + int64(n(70))
 	g.cents = float64(n(10000)) / 100 // an l_price the fixture holds
+	g.ends = n(2) == 0
 	return g
 }
 
@@ -241,6 +244,8 @@ func (g *gen) priceBelow() expr.Expr {
 // leaf is the lineitem access path: kind 0 SeqScan, 1 IndexRangeScan,
 // 2 IndexIntersect, -1 the trial's draw. Every leaf but an unfiltered
 // SeqScan reads only the l_ship window, so it honours the leg's shards.
+// Only the SeqScan goes under the DOP axis's Exchange: the RID-list scans
+// always run serially.
 func (g *gen) leaf(kind int) Node {
 	if kind < 0 {
 		kind = g.leafKind
@@ -248,14 +253,14 @@ func (g *gen) leaf(kind int) Node {
 	ranges := []KeyRange{{Column: "l_ship", Lo: g.sLo, Hi: g.sHi}}
 	switch {
 	case kind == 1 && g.twoRanges:
-		return g.wrap(&IndexRangeScan{Table: "lineitem", Range: ranges[0], Residual: g.priceBelow(), Partitions: g.parts})
+		return &IndexRangeScan{Table: "lineitem", Range: ranges[0], Residual: g.priceBelow(), Partitions: g.parts}
 	case kind == 1:
-		return g.wrap(&IndexRangeScan{Table: "lineitem", Range: ranges[0], Partitions: g.parts})
+		return &IndexRangeScan{Table: "lineitem", Range: ranges[0], Partitions: g.parts}
 	case kind == 2 && g.twoRanges:
 		ranges = append(ranges, KeyRange{Column: "l_receipt", Lo: g.sLo, Hi: g.sHi + 5})
 		fallthrough
 	case kind == 2:
-		return g.wrap(&IndexIntersect{Table: "lineitem", Ranges: ranges, Partitions: g.parts})
+		return &IndexIntersect{Table: "lineitem", Ranges: ranges, Partitions: g.parts}
 	}
 	// Pushable prefixes of every length: whole, partial, empty; <>
 	// exclusions over the Int, String and Float columns among them.
@@ -284,6 +289,16 @@ func (g *gen) orders() Node { return g.wrap(&SeqScan{Table: "orders", Filter: g.
 
 func (g *gen) part() Node {
 	return g.wrap(&SeqScan{Table: "part", Filter: expr.Cmp{Op: expr.LT, L: expr.C("p_size"), R: expr.IntLit(g.size)}})
+}
+
+// keyEnds keeps the rows whose col lies below k or at least
+// harnessOrders-k: both ends of the orders key range, which keep a join
+// table built on them hashed while they hold few rows (jointable.go).
+func keyEnds(col string, k int64) expr.Expr {
+	return expr.Or{Terms: []expr.Expr{
+		expr.Cmp{Op: expr.LT, L: expr.C(col), R: expr.IntLit(k)},
+		expr.Cmp{Op: expr.GE, L: expr.C(col), R: expr.IntLit(harnessOrders - k)},
+	}}
 }
 
 func (g *gen) hash(build, probe Node, bcol, pcol expr.ColumnRef) Node {
@@ -358,12 +373,20 @@ var shapes = []struct {
 	// 100 rows over a span of harnessOrders, which stays above 4× their
 	// table's slot count (jointable.go), against dense part keys.
 	{"hash-over-parallel", []expr.ColumnRef{lid, psize, ototal}, func(g *gen) Node {
-		k := expr.IntLit(1 + g.size)
-		ends := g.wrap(&SeqScan{Table: "orders", Filter: expr.Or{Terms: []expr.Expr{
-			expr.Cmp{Op: expr.LT, L: expr.C("o_orderkey"), R: k},
-			expr.Cmp{Op: expr.GE, L: expr.C("o_orderkey"), R: expr.IntLit(harnessOrders - 1 - g.size)},
-		}}})
+		ends := g.wrap(&SeqScan{Table: "orders", Filter: keyEnds("o_orderkey", 1+g.size)})
 		return g.hash(ends, g.hash(g.part(), g.leaf(-1), ppk, lpart), okey, lkey)
+	}},
+	// A build on l_orderkey, which repeats, probed by every order, so each
+	// key's chain must come out in build-input order. The lineitem leaf's
+	// keys are dense; with ends only both ends of the key range stay, at
+	// most 240 rows over a span of harnessOrders, so the table hashes when
+	// both ends survive the leaf's filter.
+	{"hash-dup-build", orderCols, func(g *gen) Node {
+		build := g.leaf(-1)
+		if g.ends {
+			build = &Filter{Input: build, Pred: keyEnds("l_orderkey", 1+g.size*4/5)}
+		}
+		return g.hash(build, g.wrap(&SeqScan{Table: "orders"}), lkey, okey)
 	}},
 }
 
@@ -625,14 +648,17 @@ func TestEngineDifferentialCoverage(t *testing.T) {
 
 // TestEngineDifferentialTableModes: the default trials build hash-join
 // tables of both modes, direct-addressed and hashed, as the builds'
-// metrics count them, and every hash-over-parallel trial's orders build
-// is hashed.
+// metrics count them; every hash-over-parallel trial's orders build is
+// hashed; and hash-dup-build trials build tables of both modes whose
+// chains hold repeated keys.
 func TestEngineDifferentialTableModes(t *testing.T) {
 	var dense, hashed bool
+	dup := map[bool]bool{} // dense mode → some build repeats a key
 	for _, tr := range defaultTrials() {
 		p := decode(tr[1])
-		ends := shapes[p.shape].name == "hash-over-parallel"
-		if dense && hashed && !ends {
+		name := shapes[p.shape].name
+		ends, dupBuild := name == "hash-over-parallel", name == "hash-dup-build"
+		if dense && hashed && !ends && !dupBuild {
 			continue
 		}
 		ctx, _ := harnessLayout(t, p)
@@ -645,20 +671,29 @@ func TestEngineDifferentialTableModes(t *testing.T) {
 		d := denseBuilds.Value() - d0
 		dense, hashed = dense || d > 0, hashed || builds.Value()-b0 > d
 		for _, n := range nodes(plan) {
-			if j, ok := n.(*HashJoin); ok && ends && j.BuildCol == okey {
-				op := &hashJoinOp{node: j}
-				if err := op.Open(ctx, &cost.Counters{}); err != nil {
-					t.Fatal(err)
-				}
-				if op.table.dense() {
-					t.Errorf("seed=%d axes=%d: hash-over-parallel's orders build is direct-addressed", tr[0], tr[1])
-				}
-				op.Close()
+			j, ok := n.(*HashJoin)
+			if !ok || !(ends && j.BuildCol == okey || dupBuild && j.BuildCol == lkey) {
+				continue
 			}
+			op := &hashJoinOp{node: j}
+			if err := op.Open(ctx, &cost.Counters{}); err != nil {
+				t.Fatal(err)
+			}
+			if ends && op.table.dense() {
+				t.Errorf("seed=%d axes=%d: hash-over-parallel's orders build is direct-addressed", tr[0], tr[1])
+			}
+			// A chain of two or more positions is a repeated key.
+			if dupBuild && slices.ContainsFunc(op.table.next, func(i int32) bool { return i >= 0 }) {
+				dup[op.table.dense()] = true
+			}
+			op.Close()
 		}
 	}
 	if !dense || !hashed {
 		t.Errorf("the default trials build a direct-addressed table: %v, a hashed one: %v; want both", dense, hashed)
+	}
+	if !dup[true] || !dup[false] {
+		t.Errorf("hash-dup-build repeats keys in a direct-addressed table: %v, a hashed one: %v; want both", dup[true], dup[false])
 	}
 }
 

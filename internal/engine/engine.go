@@ -12,14 +12,16 @@
 // Batches (see Operator in batch.go): streaming operators charge work only
 // as batches are actually pulled, so a LIMIT terminates its inputs early,
 // while pipeline breakers (sort, aggregation, hash build, merge join, star
-// dimension arms) consume their blocking inputs at Open. The leaf scans
-// have one implementation, the morsel pipeline of parallel.go: a worker
-// turns one window of at most BatchSize rows into rows of a Batch, and
-// the same workers run serially (morselScanOp, DOP 1) or on an Exchange's
-// goroutine pool, which is why counters agree at every DOP. Run is the
-// drain: the one way to execute a plan to a Result, and the one place the
-// root's output tuples are charged. The package's tests hold it against
-// a materialize-everything reference engine kept in test code.
+// dimension arms) consume their blocking inputs at Open. A SeqScan has
+// one implementation, the morsel pipeline of parallel.go: a worker turns
+// one window of at most BatchSize rows into rows of a Batch, and the same
+// workers run serially (morselScanOp, DOP 1) or on an Exchange's
+// goroutine pool, which is why counters agree at every DOP. The RID-list
+// scans share one serial operator (ridScanOp), which an Exchange passes
+// through. Run is the drain: the one way to execute a plan to a Result,
+// and the one place the root's output tuples are charged. The package's
+// tests hold it against a materialize-everything reference engine kept in
+// test code.
 package engine
 
 import (

@@ -11,19 +11,23 @@ import (
 	"robustqo/internal/obs"
 )
 
-// Exchange runs a morselizable source on DOP worker goroutines and merges
-// their output back into the serial Open/Next/Close contract. Workers
-// claim morsels from a shared counter, run each morsel's windows into one
-// pooled Batch while accumulating into private cost.Counters, and ship
-// (morsel index, batch) to the coordinator, which re-sequences morsels by
-// index — so rows come out in the source's serial order — emits each
-// batch as it is, and returns it to the pool when it moves on. At the
-// barrier the per-worker counters fold into the shared counters exactly
-// once, in worker order. A full drain is therefore byte-identical, in
-// both rows and counters, to running the source serially.
+// Exchange runs a SeqScan on DOP worker goroutines and merges their
+// output back into the serial Open/Next/Close contract. Workers claim the
+// scan's morsels (parallel.go) from a shared counter, run each morsel's
+// windows into one pooled Batch while accumulating into private
+// cost.Counters, and ship (morsel index, batch) to the coordinator, which
+// re-sequences morsels by index — so rows come out in the source's serial
+// order — emits each batch as it is, and returns it to the pool when it
+// moves on. At the barrier the per-worker counters fold into the shared
+// counters exactly once, in worker order. A full drain is therefore
+// byte-identical, in both rows and counters, to running the source
+// serially. The workers bypass an Instrumented scan's own Stream, so the
+// Exchange feeds its wrapper's stats: the Open, and at the barrier each
+// worker's rows, non-empty windows and busy time as Rows, Batches and
+// NextTime.
 //
-// With DOP < 2, or over a source that cannot be morselized, Exchange
-// degrades to a pure pass-through of the source's own operator.
+// With DOP < 2, or over any source but a SeqScan (bare or Instrumented),
+// Exchange degrades to a pure pass-through of the source's own operator.
 //
 // Under a fused global aggregate (fold.go) the same pool folds each
 // morsel into a partial aggregate state instead of a batch, and the
@@ -49,35 +53,57 @@ func (e *Exchange) Describe() string {
 // Stream implements Node.
 func (e *Exchange) Stream() Operator { return &exchangeOp{node: e} }
 
+// seqScanOf returns the SeqScan under any Instrumented wrappers of n, or
+// nil when n is no SeqScan, and the innermost wrapper's stats, nil for a
+// bare scan.
+func seqScanOf(n Node) (*SeqScan, *obs.OpStats) {
+	var stats *obs.OpStats
+	for {
+		inst, ok := n.(*Instrumented)
+		if !ok {
+			break
+		}
+		n, stats = inst.Inner, inst.Stats
+	}
+	s, _ := n.(*SeqScan)
+	return s, stats
+}
+
 // morselResult carries one finished morsel from a worker to the
 // coordinator: its rows in a batch, or folded into a partial aggregate
 // state part. Ownership of b travels with it: the receiver puts it back
-// in the pool. b is nil when err is set. rows counts the morsel's rows.
+// in the pool. b is nil when err is set. rows counts the morsel's rows,
+// windows its non-empty windows.
 type morselResult struct {
-	m    int
-	b    *Batch
-	part *aggState
-	rows int64
-	err  error
+	m             int
+	b             *Batch
+	part          *aggState
+	rows, windows int64
+	err           error
 }
 
 // runMorsel runs every window of morsel m into one pooled batch, which
 // the caller owns on success.
-func runMorsel(r morselRunner, w morselWorker, m int, counters *cost.Counters) morselResult {
-	b := getBatch(r.schema())
-	lo, hi := r.morselSpan(m)
-	for next := lo; next < hi; next += BatchSize {
-		if err := w.window(b, next, min(next+BatchSize, hi), counters); err != nil {
+func runMorsel(w *seqMorselWorker, m int, counters *cost.Counters) morselResult {
+	b := getBatch(w.r.sch)
+	s := w.r.morsels[m]
+	var windows int64
+	for lo := s.lo; lo < s.hi; lo += BatchSize {
+		before := b.Len()
+		if err := w.window(b, lo, min(lo+BatchSize, s.hi), counters); err != nil {
 			putBatch(b)
 			return morselResult{m: m, err: err}
 		}
+		if b.Len() > before {
+			windows++
+		}
 	}
-	return morselResult{m: m, b: b, rows: int64(b.Len())}
+	return morselResult{m: m, b: b, rows: int64(b.Len()), windows: windows}
 }
 
 // foldPartial folds morsel m into a partial state, recycled from the
 // coordinator when one is free.
-func (o *exchangeOp) foldPartial(r morselRunner, w morselWorker, m int, counters *cost.Counters) morselResult {
+func (o *exchangeOp) foldPartial(w *seqMorselWorker, m int, counters *cost.Counters) morselResult {
 	var part *aggState
 	select {
 	case part = <-o.free:
@@ -85,7 +111,7 @@ func (o *exchangeOp) foldPartial(r morselRunner, w morselWorker, m int, counters
 		part = o.fold.a.newAggState()
 	}
 	res := morselResult{m: m, part: part}
-	res.rows, _, res.err = foldMorsel(r, w.(foldWorker), o.fold, part, m, counters)
+	res.rows, res.windows, res.err = foldMorsel(w, o.fold, part, m, counters)
 	return res
 }
 
@@ -95,11 +121,11 @@ func (o *exchangeOp) foldPartial(r morselRunner, w morselWorker, m int, counters
 // barrier. busy/wall are wall-clock utilization figures; they never
 // influence results or cost.Counters.
 type workerReport struct {
-	counters cost.Counters
-	morsels  int
-	rows     int64
-	busy     time.Duration
-	wall     time.Duration
+	counters      cost.Counters
+	morsels       int
+	rows, windows int64
+	busy          time.Duration
+	wall          time.Duration
 }
 
 type exchangeOp struct {
@@ -110,22 +136,24 @@ type exchangeOp struct {
 	fold *aggFold
 	free chan *aggState
 
-	// passthrough is set when the source runs serially (DOP < 2 or not
-	// morselizable); every call then delegates to it.
+	// passthrough is set when the source runs serially (DOP < 2 or no
+	// SeqScan); every call then delegates to it.
 	passthrough Operator
+
+	runner *seqMorselRunner
+	// stats is the scan's bypassed Instrumented wrapper's, nil for a bare
+	// scan.
+	stats *obs.OpStats
 
 	// metrics, when non-nil, receives the robustqo_exchange_* utilization
 	// series: per-worker busy fractions, queue depth samples, and row/
 	// shard skew. Copied from Context.Metrics at Open.
 	metrics *obs.Registry
-	// shardOf maps a morsel index to its shard; shardRows accumulates
-	// emitted rows per shard for the skew metric. Both nil unless the
-	// runner spans several shards and metrics are on.
-	shardOf   []int
+	// shardRows accumulates emitted rows per shard for the skew metric;
+	// nil unless the scan spans several shards and metrics are on.
 	shardRows []int64
 
-	workers  []morselWorker
-	nMorsels int
+	workers  []*seqMorselWorker
 	claim    atomic.Int64
 	stopCh   chan struct{}
 	inflight chan struct{} // semaphore: morsels claimed but not yet emitted
@@ -142,8 +170,8 @@ type exchangeOp struct {
 
 func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 	o.counters = counters
-	src, stats, ok := morselSourceOf(o.node.Source)
-	if o.node.DOP < 2 || !ok {
+	scan, stats := seqScanOf(o.node.Source)
+	if o.node.DOP < 2 || scan == nil {
 		if o.fold != nil {
 			o.passthrough = foldStream(o.node.Source, o.fold)
 		} else {
@@ -151,21 +179,21 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 		}
 		return o.passthrough.Open(ctx, counters)
 	}
-	runner, err := openMorselSource(ctx, src, stats, counters)
+	start := time.Now()
+	runner, err := scan.openMorsels(ctx)
+	if stats != nil {
+		stats.OpenTime += time.Since(start)
+		stats.Opens++
+	}
 	if err != nil {
 		return err
 	}
-	o.metrics = ctx.Metrics
-	if o.metrics != nil {
-		// Shards ascend, so the last morsel's is the highest.
-		if sr, ok := runner.(shardedRunner); ok {
-			if sh := sr.morselShards(); len(sh) > 0 && sh[len(sh)-1] > 0 {
-				o.shardOf, o.shardRows = sh, make([]int64, sh[len(sh)-1]+1)
-			}
-		}
+	o.runner, o.stats, o.metrics = runner, stats, ctx.Metrics
+	// Shards ascend, so the last morsel's is the highest.
+	if sh := runner.shards; o.metrics != nil && len(sh) > 0 && sh[len(sh)-1] > 0 {
+		o.shardRows = make([]int64, sh[len(sh)-1]+1)
 	}
-	o.nMorsels = runner.numMorsels()
-	nWorkers := min(o.node.DOP, o.nMorsels)
+	nWorkers := min(o.node.DOP, len(runner.morsels))
 	o.pending = make(map[int]morselResult, nWorkers)
 	o.stopCh = make(chan struct{})
 	// Two morsels per worker may be in flight — claimed but not yet
@@ -184,7 +212,7 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 	o.reports = make([]workerReport, nWorkers)
 	o.spans = make([]*obs.Span, nWorkers)
 	for w := 0; w < nWorkers; w++ {
-		mw, err := newMorselWorker(runner, stats)
+		mw, err := runner.newWorker()
 		if err != nil {
 			o.finish()
 			return err
@@ -192,7 +220,7 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 		o.workers = append(o.workers, mw)
 		o.spans[w] = o.node.Trace.StartSpanDetached(fmt.Sprintf("worker-%d", w))
 		o.wg.Add(1)
-		go func(w int, mw morselWorker) {
+		go func(w int, mw *seqMorselWorker) {
 			defer o.wg.Done()
 			// Counters stay goroutine-local; they reach the shared
 			// counters only via this worker's report slot, merged at the
@@ -200,7 +228,7 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 			// worker's whole lifetime — the busy fraction's complement is
 			// time spent waiting on the coordinator's backpressure.
 			var wc cost.Counters
-			var rows int64
+			var rows, windows int64
 			var busy time.Duration
 			morsels, wallStart := 0, time.Now()
 		claim:
@@ -211,18 +239,19 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 					break claim
 				}
 				m := int(o.claim.Add(1)) - 1
-				if m >= o.nMorsels {
+				if m >= len(o.runner.morsels) {
 					break
 				}
 				start := time.Now()
 				var res morselResult
 				if o.fold != nil {
-					res = o.foldPartial(runner, mw, m, &wc)
+					res = o.foldPartial(mw, m, &wc)
 				} else {
-					res = runMorsel(runner, mw, m, &wc)
+					res = runMorsel(mw, m, &wc)
 				}
 				busy += time.Since(start)
 				rows += res.rows
+				windows += res.windows
 				morsels++
 				o.results <- res
 				if res.err != nil {
@@ -231,7 +260,7 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 					break
 				}
 			}
-			o.reports[w] = workerReport{counters: wc, morsels: morsels, rows: rows, busy: busy, wall: time.Since(wallStart)}
+			o.reports[w] = workerReport{counters: wc, morsels: morsels, rows: rows, windows: windows, busy: busy, wall: time.Since(wallStart)}
 		}(w, mw)
 	}
 	return nil
@@ -247,7 +276,7 @@ func (o *exchangeOp) Next() (*Batch, error) {
 	for {
 		putBatch(o.cur)
 		o.cur = nil
-		if o.next >= o.nMorsels {
+		if o.next >= len(o.runner.morsels) {
 			o.finish()
 			return nil, nil
 		}
@@ -276,7 +305,7 @@ func (o *exchangeOp) await() morselResult {
 		}
 		r := <-o.results
 		if o.shardRows != nil {
-			o.shardRows[o.shardOf[r.m]] += r.rows
+			o.shardRows[o.runner.shards[r.m]] += r.rows
 		}
 		o.pending[r.m] = r
 		res, ok = o.pending[o.next]
@@ -295,7 +324,7 @@ func (o *exchangeOp) drainFold() (rows, batches int64, err error) {
 	if o.passthrough != nil {
 		return o.passthrough.(folder).drainFold()
 	}
-	for o.next < o.nMorsels {
+	for o.next < len(o.runner.morsels) {
 		res := o.await()
 		if res.err != nil {
 			return rows, batches, res.err
@@ -325,8 +354,8 @@ func (o *exchangeOp) Close() {
 // batch the exchange still holds — undelivered, out of order, or last
 // emitted — to the batch pool, and merges the per-worker counters into
 // the shared counters and the per-worker tallies into the bypassed
-// Instrumented wrappers' stats (worker.release) — exactly once, in worker
-// order, so repeated drains and early Closes both account every charge
+// Instrumented wrapper's stats — exactly once, in worker order, so
+// repeated drains and early Closes both account every charge
 // deterministically.
 func (o *exchangeOp) finish() {
 	if o.merged {
@@ -357,6 +386,11 @@ func (o *exchangeOp) finish() {
 		mw.release()
 		r := o.reports[w]
 		o.counters.Add(r.counters)
+		if o.stats != nil {
+			o.stats.Rows += r.rows
+			o.stats.Batches += r.windows
+			o.stats.NextTime += r.busy
+		}
 		totalRows += r.rows
 		totalMorsels += int64(r.morsels)
 		maxWorkerRows = max(maxWorkerRows, r.rows)
@@ -374,7 +408,7 @@ func (o *exchangeOp) finish() {
 }
 
 // exportSkew emits the drain-level utilization series: totals, the
-// max-over-mean row skew across workers, and — when the runner is
+// max-over-mean row skew across workers, and — when the scan is
 // sharded — the same skew statistic across shards. A skew of 1.0 is a
 // perfectly balanced drain; the histogram buckets (obs.SkewBuckets) top
 // out at 10x.

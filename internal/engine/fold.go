@@ -125,18 +125,12 @@ func foldStream(n Node, f *aggFold) folder {
 	}
 }
 
-// foldWorker is a morsel worker that can fold a window's survivors
-// straight into an aggregate state: it runs the window's charge and
-// filter as window does, and returns how many rows survived.
-type foldWorker interface {
-	foldWindow(f *aggFold, st *aggState, lo, hi int, counters *cost.Counters) (int, error)
-}
-
-// foldMorsel folds every window of morsel m into st.
-func foldMorsel(r morselRunner, w foldWorker, f *aggFold, st *aggState, m int, counters *cost.Counters) (rows, batches int64, err error) {
-	lo, hi := r.morselSpan(m)
-	for next := lo; next < hi; next += BatchSize {
-		n, err := w.foldWindow(f, st, next, min(next+BatchSize, hi), counters)
+// foldMorsel folds every window of morsel m into st and reports the rows
+// and non-empty windows folded.
+func foldMorsel(w *seqMorselWorker, f *aggFold, st *aggState, m int, counters *cost.Counters) (rows, batches int64, err error) {
+	s := w.r.morsels[m]
+	for lo := s.lo; lo < s.hi; lo += BatchSize {
+		n, err := w.foldWindow(f, st, lo, min(lo+BatchSize, s.hi), counters)
 		if err != nil {
 			return rows, batches, err
 		}
@@ -149,9 +143,8 @@ func foldMorsel(r morselRunner, w foldWorker, f *aggFold, st *aggState, m int, c
 // drainFold implements folder: the serial scan folds window by window,
 // in row order, into the global state.
 func (o *morselScanOp) drainFold() (rows, batches int64, err error) {
-	w := o.worker.(foldWorker)
-	for m := 0; m < o.runner.numMorsels(); m++ {
-		r, b, err := foldMorsel(o.runner, w, o.fold, o.fold.st, m, o.counters)
+	for m := range o.runner.morsels {
+		r, b, err := foldMorsel(o.worker, o.fold, o.fold.st, m, o.counters)
 		rows, batches = rows+r, batches+b
 		if err != nil {
 			return rows, batches, err
@@ -173,7 +166,9 @@ func (o *instrumentedOp) drainFold() (rows, batches int64, err error) {
 	return rows, batches, err
 }
 
-// foldWindow implements foldWorker.
+// foldWindow folds the survivors of rows [lo, hi) into st: it runs the
+// window's charge and filter as window does, and returns how many rows
+// survived.
 //
 //qo:hotpath
 func (w *seqMorselWorker) foldWindow(f *aggFold, st *aggState, lo, hi int, counters *cost.Counters) (int, error) {
@@ -208,20 +203,6 @@ func (w *seqMorselWorker) startFold(f *aggFold) {
 // sumBins recycles the SUM scratch of fused workers (value.AddSel), which
 // every use leaves empty.
 var sumBins = sync.Pool{New: func() any { return new(value.SumBins) }}
-
-// foldWindow implements foldWorker, tallying as window does.
-//
-//qo:hotpath
-func (w *tallyWorker) foldWindow(f *aggFold, st *aggState, lo, hi int, counters *cost.Counters) (int, error) {
-	start := time.Now()
-	n, err := w.morselWorker.(foldWorker).foldWindow(f, st, lo, hi, counters)
-	w.busy += time.Since(start)
-	if n > 0 {
-		w.rows += int64(n)
-		w.batches++
-	}
-	return n, err
-}
 
 // colFold folds aggregate i's typed argument payloads into st: the
 // storage.Folder of a fused window.

@@ -8,13 +8,15 @@ import (
 
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
+	"robustqo/internal/obs"
 	"robustqo/internal/testkit"
 	"robustqo/internal/value"
 )
 
-// TestExchangeSerialFallback pins the degradation contract: DOP < 2, or a
-// source that cannot be morselized, runs as a pure pass-through with the
-// source's own serial operator.
+// TestExchangeSerialFallback pins the degradation contract: DOP < 2, or
+// any source but a SeqScan, runs as a pure pass-through with the source's
+// own serial operator. Over the RID-list scans at DOP 4 that means the
+// serial scan's rows, in order, and its counters, with no worker started.
 func TestExchangeSerialFallback(t *testing.T) {
 	_, ctx := testDB(t, 300, 3, 10)
 	pred := expr.Between{E: expr.C("l_ship"), Lo: expr.IntLit(5), Hi: expr.IntLit(60)}
@@ -26,7 +28,7 @@ func TestExchangeSerialFallback(t *testing.T) {
 	cases := []Node{
 		&Exchange{Source: &SeqScan{Table: "lineitem", Filter: pred}, DOP: 1},
 		&Exchange{Source: &SeqScan{Table: "lineitem", Filter: pred}, DOP: 0},
-		// Filter is not a morselSource, so this must fall back even at DOP 4.
+		// A Filter is no SeqScan, so this must fall back even at DOP 4.
 		&Exchange{Source: &Filter{Input: &SeqScan{Table: "lineitem"}, Pred: pred}, DOP: 4},
 	}
 	for i, n := range cases[:2] {
@@ -43,6 +45,33 @@ func TestExchangeSerialFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRowMultiset(t, res.Rows, sres.Rows, "filter fallback")
+
+	// Several windows of RIDs, behind a residual and an intersection.
+	_, big := testDB(t, 3000, 3, 10)
+	ship := KeyRange{Column: "l_ship", Lo: 5, Hi: 60}
+	for _, src := range []Node{
+		&IndexRangeScan{Table: "lineitem", Range: ship, Residual: testkit.Expr("l_price < 50")},
+		&IndexIntersect{Table: "lineitem", Ranges: []KeyRange{ship, {Column: "l_receipt", Lo: 0, Hi: 40}}},
+	} {
+		want, wc, _, err := Run(big, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) <= BatchSize {
+			t.Fatalf("%s: fixture keeps %d rows, want several windows", src.Describe(), len(want.Rows))
+		}
+		tr := obs.NewTrace("fallback")
+		got, gc, _, err := Run(big, &Exchange{Source: src, DOP: 4, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, src.Describe()+" at DOP 4", got, gc, want, wc, true)
+		for _, r := range tr.Records() {
+			if strings.HasPrefix(r.Name, "worker-") {
+				t.Errorf("%s at DOP 4 started %s", src.Describe(), r.Name)
+			}
+		}
+	}
 }
 
 // TestUnbindableFilterFailsAtOpen pins where a scan binds its predicate:
@@ -84,8 +113,8 @@ func TestUnbindableFilterFailsAtOpen(t *testing.T) {
 	}
 }
 
-// TestExchangeEarlyClose pins, for every morsel source and for a hash
-// join probing one, that a pipeline stopping before the source is drained
+// TestExchangeEarlyClose pins, for a SeqScan and for a hash join probing
+// one, that a pipeline stopping before the source is drained
 // — a LIMIT above the Exchange, or a worker failing mid-morsel — shuts the
 // worker pool down without leaking goroutines or deadlocking (undelivered
 // morsel batches are drained back to the pool on the way), and returns
@@ -95,7 +124,6 @@ func TestUnbindableFilterFailsAtOpen(t *testing.T) {
 func TestExchangeEarlyClose(t *testing.T) {
 	_, ctx := testDB(t, 3000, 3, 10)
 	cctx := fixture{orders: 3398, lines: 3, parts: 10, shards: 2, clustered: true}.build(t)
-	ship := KeyRange{Column: "l_ship", Lo: 10, Hi: 90}
 	cases := []struct {
 		name  string
 		ctx   *Context
@@ -106,12 +134,6 @@ func TestExchangeEarlyClose(t *testing.T) {
 		// A pushable prefix whose zones skip the first tiles of each shard.
 		{"SeqScan/late/2-shard", cctx, BatchSize + 7, func(wrap func(Node) Node) Node {
 			return wrap(&SeqScan{Table: "lineitem", Filter: testkit.Expr("l_ship >= 20")})
-		}},
-		{"IndexRangeScan", ctx, BatchSize + 7, func(wrap func(Node) Node) Node {
-			return wrap(&IndexRangeScan{Table: "lineitem", Range: ship})
-		}},
-		{"IndexIntersect", ctx, BatchSize + 7, func(wrap func(Node) Node) Node {
-			return wrap(&IndexIntersect{Table: "lineitem", Ranges: []KeyRange{ship, {Column: "l_receipt", Lo: 0, Hi: 200}}})
 		}},
 		// The LIMIT stops a serial join whose probe is the Exchange.
 		{"HashJoin", ctx, BatchSize + 7, func(wrap func(Node) Node) Node {

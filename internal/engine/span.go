@@ -38,18 +38,23 @@ func scanSpans(t *storage.Table, parts []int) []rowSpan {
 	return spans
 }
 
-// spanMorselsShards tiles the spans into at-most-MorselSize morsels:
-// shard-major (span order), each morsel fully inside one shard and offset
-// a multiple of MorselSize from its shard's base, so a morsel's windows
-// are the same windows at any DOP. The second result is, per morsel, the
-// index of the span (shard) it was tiled from — the mapping behind the
-// Exchange's per-shard row-skew metric.
+// A morsel is a whole number of windows: SegmentRows must be a multiple
+// of BatchSize, or this constant overflows.
+const _ uint = -(storage.SegmentRows % BatchSize)
+
+// spanMorselsShards tiles the spans into morsels, one zone-map tile each:
+// shard-major (span order), each morsel fully inside one shard and cut at
+// multiples of storage.SegmentRows from its shard's base, so a morsel's
+// windows are the same windows at any DOP and never straddle a tile. The
+// second result is, per morsel, the index of the span (shard) it was
+// tiled from — the mapping behind the Exchange's per-shard row-skew
+// metric.
 func spanMorselsShards(spans []rowSpan) ([]rowSpan, []int) {
 	var out []rowSpan
 	var shard []int
 	for si, s := range spans {
-		for lo := s.lo; lo < s.hi; lo += MorselSize {
-			out = append(out, rowSpan{lo, min(lo+MorselSize, s.hi)})
+		for lo := s.lo; lo < s.hi; lo += storage.SegmentRows {
+			out = append(out, rowSpan{lo, min(lo+storage.SegmentRows, s.hi)})
 			shard = append(shard, si)
 		}
 	}

@@ -5,8 +5,9 @@ package engine_test
 // SeqScan window and the merge join over an input declared sorted that is
 // not (lineitem's l_orderkey is assigned cyclically).
 // BenchmarkSeqScanClustered measures zone-map tile skipping on
-// ship-date-clustered, partitioned data, and BenchmarkPipelineBreakers the
-// serve.dashboard plans' joins, aggregates and top-K sort.
+// ship-date-clustered, partitioned data, BenchmarkRidScan the two
+// RID-list scans, and BenchmarkPipelineBreakers the serve.dashboard plans'
+// joins, aggregates and top-K sort.
 
 import (
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"robustqo/internal/expr"
 	"robustqo/internal/testkit"
 	"robustqo/internal/tpch"
+	"robustqo/internal/value"
 )
 
 // benchLines is the lineitem size of the serve workloads.
@@ -105,6 +107,38 @@ func BenchmarkSeqScanClustered(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			runPlan(b, ctx, &engine.SeqScan{Table: "lineitem", Filter: testkit.Expr(bc.filter)}, benchLines)
+		})
+	}
+}
+
+// BenchmarkRidScan fetches lineitem rows by RID through the l_shipdate
+// and l_receiptdate indexes: an IndexRangeScan over 7 days of ship dates,
+// one over 60 days with an l_quantity residual, and an IndexIntersect of
+// 60-day ship- and receipt-date ranges. It reports ns per RID fetched.
+func BenchmarkRidScan(b *testing.B) {
+	ctx, err := engine.NewContext(tpchContext(b).DB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	day := value.DateFromCivil(1995, 3, 1)
+	ship := func(days int64) engine.KeyRange {
+		return engine.KeyRange{Column: "l_shipdate", Lo: day, Hi: day + days - 1}
+	}
+	receipt := engine.KeyRange{Column: "l_receiptdate", Lo: day + 15, Hi: day + 74}
+	for _, bc := range []struct {
+		name string
+		plan engine.Node
+	}{
+		{"range", &engine.IndexRangeScan{Table: "lineitem", Range: ship(7)}},
+		{"residual", &engine.IndexRangeScan{Table: "lineitem", Range: ship(60), Residual: testkit.Expr("l_quantity < 25")}},
+		{"intersect", &engine.IndexIntersect{Table: "lineitem", Ranges: []engine.KeyRange{ship(60), receipt}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			_, c, _, err := engine.Run(ctx, bc.plan)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runPlan(b, ctx, bc.plan, int(c.RandPages))
 		})
 	}
 }

@@ -6,21 +6,9 @@ import (
 
 	"robustqo/internal/colstore"
 	"robustqo/internal/cost"
-	"robustqo/internal/storage"
 	"robustqo/internal/testkit"
 	"robustqo/internal/value"
 )
-
-// TestSegmentRowsMatchMorselSize pins the alignment contract the zone
-// check relies on: zone-map tiles cut shard spans in MorselSize blocks,
-// so every BatchSize window a scan operator or morsel worker processes
-// lies inside exactly one tile at any DOP, and a worker meters each tile
-// at its first window there.
-func TestSegmentRowsMatchMorselSize(t *testing.T) {
-	if storage.SegmentRows != MorselSize {
-		t.Fatalf("storage.SegmentRows = %d, engine.MorselSize = %d; the scan's window/tile alignment depends on their equality", storage.SegmentRows, MorselSize)
-	}
-}
 
 // TestColumnarStaleEncodingFallsBack: a SeqScan reads the row store, and
 // columnar encodings in the context play no part — a table that grows
