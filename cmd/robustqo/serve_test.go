@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,10 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"robustqo/internal/core"
 	"robustqo/internal/engine"
 	"robustqo/internal/optimizer"
 	"robustqo/internal/plancache"
 	"robustqo/internal/sqlparse"
+	"robustqo/internal/tpch"
 )
 
 // testFlags are the database flags the tests build servers from.
@@ -235,5 +238,52 @@ func TestServeQueryErrors(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown path not 404: %d", code)
+	}
+}
+
+// TestServeTakesNoEstimateFallback: every statement shape of serve.adhoc
+// (a LIMIT over one table, part lookups joined to part, date ranges over
+// one to three tables) and of paper.crossover (the two experiment
+// queries) has a covering synopsis, so planning them at any threshold
+// counts no estimate fallback.
+func TestServeTakesNoEstimateFallback(t *testing.T) {
+	s := newTestServer(t, 5000, 1)
+	var qs []*optimizer.Query
+	for _, sql := range []string{
+		"SELECT l_quantity FROM lineitem WHERE l_extendedprice > 1000 AND l_quantity < 40 LIMIT 7",
+		"SELECT o_totalprice FROM orders WHERE o_totalprice BETWEEN 1000 AND 90000 LIMIT 3",
+		"SELECT p_size FROM part WHERE p_size < 30 LIMIT 5",
+		"SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem, part WHERE p_attr1 = 17 AND l_quantity < 30",
+		"SELECT MAX(l_quantity) FROM lineitem, orders, part WHERE p_attr2 BETWEEN 5 AND 6",
+		"SELECT COUNT(*) FROM lineitem WHERE l_partkey = 9 AND l_shipdate BETWEEN DATE '1995-03-01' AND DATE '1995-05-15'",
+		"SELECT MIN(l_id) FROM lineitem, orders WHERE l_receiptdate = DATE '1996-06-01' AND l_id < 4000",
+		"SELECT SUM(l_quantity) FROM lineitem, orders, part WHERE l_shipdate BETWEEN DATE '1994-02-03' AND DATE '1994-02-03'",
+	} {
+		q, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	for _, x := range []int64{0, 17, 39} {
+		qs = append(qs, tpch.Experiment1Query(3*x), tpch.Experiment2Query(x))
+	}
+	for _, q := range qs {
+		for _, threshold := range []core.ConfidenceThreshold{0.05, 0.8, 0.95} {
+			est, err := s.bayes.WithThreshold(threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.execute(context.Background(), request{sql: "q", q: q, est: est}); err != nil {
+				t.Fatalf("%v: %v", q, err)
+			}
+		}
+	}
+	var b strings.Builder
+	if err := s.reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "robustqo_estimate_fallback_total") {
+		t.Errorf("fallbacks counted:\n%s", b.String())
 	}
 }

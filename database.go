@@ -146,8 +146,10 @@ type EstimatorKind int
 
 const (
 	// RobustSampling is the paper's estimator: Bayesian inference over
-	// join synopses, condensed at the session's confidence threshold,
-	// with magic-number fallback for expressions lacking synopses.
+	// join synopses, condensed at the session's confidence threshold. An
+	// expression no synopsis covers falls back to per-table samples
+	// combined under independence, and to a magic number when its root
+	// has no sample (Section 3.5).
 	RobustSampling EstimatorKind = iota
 	// HistogramAVI is the conventional baseline: equi-depth histograms
 	// combined under the attribute-value-independence assumption.
@@ -155,12 +157,14 @@ const (
 )
 
 // Session runs queries under one choice of estimator, confidence
-// threshold, and prior. Sessions are cheap; statistics are shared.
+// threshold, and prior. Sessions are cheap; statistics are shared. A
+// session plans with the statistics current when it was opened.
 type Session struct {
 	db        *Database
-	kind      EstimatorKind
 	threshold ConfidenceThreshold
-	prior     Prior
+	// est is the session's estimator, built once. A robust one is copied
+	// at each query's threshold, and the copies share its quantile cache.
+	est core.Estimator
 }
 
 // Session opens a robust-estimation session at the given system-wide
@@ -172,58 +176,42 @@ func (d *Database) Session(t ConfidenceThreshold) (*Session, error) {
 // SessionWith opens a session with full control over the estimation
 // technique, threshold (ignored by HistogramAVI), and prior.
 func (d *Database) SessionWith(kind EstimatorKind, t ConfidenceThreshold, prior Prior) (*Session, error) {
-	if kind == RobustSampling {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
+	s := &Session{db: d, threshold: t}
+	switch kind {
+	case RobustSampling:
 		if err := prior.Validate(); err != nil {
 			return nil, err
 		}
 		if d.synopses == nil {
 			return nil, fmt.Errorf("robustqo: call UpdateStatistics before opening a robust session")
 		}
-	}
-	if kind == HistogramAVI && d.histograms == nil {
-		return nil, fmt.Errorf("robustqo: call UpdateStatistics before opening a histogram session")
-	}
-	return &Session{db: d, kind: kind, threshold: t, prior: prior}, nil
-}
-
-// estimator materializes the session's (or an overridden) estimator.
-func (s *Session) estimator(t ConfidenceThreshold) (core.Estimator, error) {
-	switch s.kind {
-	case RobustSampling:
-		// The full degradation chain of Section 3.5: join synopses first;
-		// per-table samples combined under independence when a synopsis
-		// does not cover the expression; magic numbers as the last resort.
-		bayes, err := core.NewBayesEstimator(s.db.synopses, t)
+		bayes, err := core.NewBayesEstimator(d.synopses, t)
 		if err != nil {
 			return nil, err
 		}
-		bayes.Prior = s.prior
-		indep := &core.IndependentSamplesEstimator{
-			Samples:   s.db.synopses,
-			Catalog:   s.db.store.Catalog,
-			Prior:     s.prior,
-			Threshold: t,
-		}
-		magic := &core.MagicEstimator{
-			Selectivity: histogram.MagicOther,
-			Catalog:     s.db.store.Catalog,
-			RowsFor: func(table string) (int, bool) {
-				tab, ok := s.db.store.Table(table)
-				if !ok {
-					return 0, false
-				}
-				return tab.NumRows(), true
-			},
-		}
-		return &core.Chain{Estimators: []core.Estimator{bayes, indep, magic}}, nil
+		bayes.Prior = prior
+		s.est = bayes
 	case HistogramAVI:
-		return core.NewHistogramEstimator(s.db.histograms, s.db.store.Catalog)
+		if d.histograms == nil {
+			return nil, fmt.Errorf("robustqo: call UpdateStatistics before opening a histogram session")
+		}
+		hist, err := core.NewHistogramEstimator(d.histograms, d.store.Catalog)
+		if err != nil {
+			return nil, err
+		}
+		s.est = hist
 	default:
-		return nil, fmt.Errorf("robustqo: unknown estimator kind %d", int(s.kind))
+		return nil, fmt.Errorf("robustqo: unknown estimator kind %d", int(kind))
 	}
+	return s, nil
+}
+
+// estimator returns the session's estimator at threshold t.
+func (s *Session) estimator(t ConfidenceThreshold) (core.Estimator, error) {
+	if b, ok := s.est.(*core.BayesEstimator); ok {
+		return b.WithThreshold(t)
+	}
+	return s.est, nil
 }
 
 // Result is a fully executed query result.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"robustqo/internal/catalog"
@@ -39,12 +40,17 @@ type Request struct {
 type Estimate struct {
 	Selectivity float64
 	Rows        float64
+	// Fallback names the degraded path that answered a request no
+	// synopsis covers: "independent" (per-table samples combined under
+	// independence) or "magic" (the root has no sample). Empty for every
+	// other estimate.
+	Fallback string
 }
 
 // Estimator is the cardinality estimation module interface the optimizer
-// calls. Implementations: BayesEstimator (the paper's technique),
-// HistogramEstimator (the conventional baseline), MagicEstimator (the
-// no-statistics fallback), and Chain.
+// calls. Implementations: BayesEstimator (the paper's technique, with
+// Section 3.5's fallback for expressions lacking samples built in) and
+// HistogramEstimator (the conventional baseline).
 type Estimator interface {
 	Estimate(req Request) (Estimate, error)
 	// Name identifies the technique in reports and experiment output.
@@ -116,10 +122,10 @@ func (e *BayesEstimator) Name() string {
 }
 
 // ConfidenceReporter is implemented by estimators whose point estimates
-// are posterior quantiles at a confidence threshold T. Consumers — the
-// optimizer, which tags EXPLAIN ANALYZE snapshots with T, and Chain,
-// which reports its first member's — use it to learn which T an estimate
-// was produced under without knowing the concrete estimator type.
+// are posterior quantiles at a confidence threshold T. The optimizer,
+// which tags EXPLAIN ANALYZE snapshots with T, uses it to learn which T
+// an estimate was produced under without knowing the concrete estimator
+// type.
 type ConfidenceReporter interface {
 	// ConfidenceLevel returns the posterior percentile point estimates are
 	// taken at; the bool is false when the estimator does not condense
@@ -136,19 +142,6 @@ func (e *BayesEstimator) ConfidenceLevel() (float64, bool) {
 		return 0, false
 	}
 	return float64(e.Threshold), true
-}
-
-// ConfidenceLevel reports the percentile of the first chained estimator
-// that exposes one.
-func (c *Chain) ConfidenceLevel() (float64, bool) {
-	for _, e := range c.Estimators {
-		if cl, ok := e.(ConfidenceReporter); ok {
-			if t, ok := cl.ConfidenceLevel(); ok {
-				return t, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // WithThreshold returns a copy of the estimator using a different
@@ -193,7 +186,9 @@ func (e *BayesEstimator) Distribution(req Request) (stats.Beta, error) {
 	return e.Prior.Posterior(k, n)
 }
 
-// Estimate implements Estimator.
+// Estimate implements Estimator. A request no synopsis covers takes the
+// fallback of Section 3.5 (see fallback); every other failure, such as a
+// predicate the sample cannot evaluate, is returned.
 func (e *BayesEstimator) Estimate(req Request) (Estimate, error) {
 	if e.Rule == RuleQuantile {
 		if err := e.Threshold.Validate(); err != nil {
@@ -202,13 +197,26 @@ func (e *BayesEstimator) Estimate(req Request) (Estimate, error) {
 	}
 	k, n, population, err := e.Observe(req)
 	if err != nil {
+		if errors.Is(err, sample.ErrNoSynopsis) {
+			return e.fallback(req)
+		}
 		return Estimate{}, err
 	}
-	post, err := e.Prior.Posterior(k, n)
+	sel, err := e.condense(k, n, req.MaxSelectivity)
 	if err != nil {
 		return Estimate{}, err
 	}
-	f := req.MaxSelectivity
+	return Estimate{Selectivity: sel, Rows: sel * float64(population)}, nil
+}
+
+// condense turns k matches among n sample tuples into the selectivity
+// the optimizer consumes, by Rule. An f in (0, 1) is an exact ceiling on
+// the selectivity.
+func (e *BayesEstimator) condense(k, n int, f float64) (float64, error) {
+	post, err := e.Prior.Posterior(k, n)
+	if err != nil {
+		return 0, err
+	}
 	bounded := f > 0 && f < 1
 	var sel float64
 	switch e.Rule {
@@ -235,16 +243,16 @@ func (e *BayesEstimator) Estimate(req Request) (Estimate, error) {
 	case RuleML:
 		sel, err = MLSelectivity(k, n)
 	default:
-		return Estimate{}, fmt.Errorf("core: unknown estimation rule %d", int(e.Rule))
+		return 0, fmt.Errorf("core: unknown estimation rule %d", int(e.Rule))
 	}
 	if err != nil {
-		return Estimate{}, err
+		return 0, err
 	}
 	if bounded && sel > f { //qolint:allow-floatcmp — hard clamp at an exact bound, not a ranking
 		// Mean/ML (and quantile rounding) respect the hard bound too.
 		sel = f
 	}
-	return Estimate{Selectivity: sel, Rows: sel * float64(population)}, nil
+	return sel, nil
 }
 
 // HistogramEstimator is the conventional baseline: equi-depth histograms
@@ -279,93 +287,6 @@ func (e *HistogramEstimator) Estimate(req Request) (Estimate, error) {
 	}
 	sel := histogram.Estimate(e.Stats, e.Catalog, req.Tables, req.Pred)
 	return Estimate{Selectivity: sel, Rows: sel * float64(rows)}, nil
-}
-
-// MagicEstimator answers every request with a fixed "magic" value — the
-// no-statistics fallback of Section 3.5. When Distribution is non-nil it
-// acts as the paper's "magic distribution" extension: the returned
-// selectivity is the distribution's quantile at Threshold, so the
-// fallback too responds to the robustness knob.
-type MagicEstimator struct {
-	Selectivity  float64
-	Distribution *stats.Beta
-	Threshold    ConfidenceThreshold
-	// RowsFor, if set, supplies root-table cardinalities so Rows can be
-	// populated; otherwise Rows is reported as 0 and callers must scale.
-	RowsFor func(table string) (int, bool)
-	// Root resolves the request's root table; defaults to the first table.
-	Catalog *catalog.Catalog
-}
-
-// Name implements Estimator.
-func (e *MagicEstimator) Name() string { return "magic" }
-
-// Estimate implements Estimator.
-func (e *MagicEstimator) Estimate(req Request) (Estimate, error) {
-	if len(req.Tables) == 0 {
-		return Estimate{}, fmt.Errorf("core: magic estimate over no tables")
-	}
-	sel := e.Selectivity
-	if e.Distribution != nil {
-		if err := e.Threshold.Validate(); err != nil {
-			return Estimate{}, err
-		}
-		q, err := e.Distribution.Quantile(float64(e.Threshold))
-		if err != nil {
-			return Estimate{}, err
-		}
-		sel = q
-	}
-	if sel < 0 || sel > 1 {
-		return Estimate{}, fmt.Errorf("core: magic selectivity %g outside [0, 1]", sel)
-	}
-	root := req.Tables[0]
-	if e.Catalog != nil {
-		if r, err := e.Catalog.RootOf(req.Tables); err == nil {
-			root = r
-		}
-	}
-	est := Estimate{Selectivity: sel}
-	if e.RowsFor != nil {
-		if n, ok := e.RowsFor(root); ok {
-			est.Rows = sel * float64(n)
-		}
-	}
-	return est, nil
-}
-
-// Chain tries estimators in order and returns the first success — the
-// paper's degradation story: per-expression fallback from join synopses
-// to single-table statistics to magic numbers, with errors confined to
-// the subexpressions lacking samples (Section 3.5).
-type Chain struct {
-	Estimators []Estimator
-}
-
-// Name implements Estimator.
-func (c *Chain) Name() string {
-	if len(c.Estimators) == 0 {
-		return "chain()"
-	}
-	return "chain(" + c.Estimators[0].Name() + ", ...)"
-}
-
-// Estimate implements Estimator.
-func (c *Chain) Estimate(req Request) (Estimate, error) {
-	var firstErr error
-	for _, e := range c.Estimators {
-		est, err := e.Estimate(req)
-		if err == nil {
-			return est, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("core: empty estimator chain")
-	}
-	return Estimate{}, firstErr
 }
 
 // EstimateGroups implements GroupsEstimator for the baseline using the

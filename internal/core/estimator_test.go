@@ -252,89 +252,35 @@ func TestHistogramEstimatorBasics(t *testing.T) {
 	}
 }
 
+// TestMagicEstimator: a root with no sample at all, here a table that was
+// empty when the synopses were built, takes the magic constant for the
+// whole expression and reports the magic fallback, with no population to
+// scale it by.
 func TestMagicEstimator(t *testing.T) {
 	db := corrDB(t, 1000, 10)
-	m := &MagicEstimator{
-		Selectivity: 0.1,
-		Catalog:     db.Catalog,
-		RowsFor: func(table string) (int, bool) {
-			if tab, ok := db.Table(table); ok {
-				return tab.NumRows(), true
-			}
-			return 0, false
-		},
+	if _, err := db.CreateTable(&catalog.TableSchema{
+		Name: "late", Columns: []catalog.Column{{Name: "x", Type: catalog.Int}}, PrimaryKey: "x",
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if m.Name() != "magic" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	est, err := m.Estimate(Request{Tables: []string{"fact"}})
+	set, err := sample.BuildAll(db, 200, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Selectivity != 0.1 || est.Rows != 100 {
-		t.Errorf("magic = %+v", est)
-	}
-	if _, err := m.Estimate(Request{}); err == nil {
-		t.Error("no tables accepted")
-	}
-	bad := &MagicEstimator{Selectivity: 2}
-	if _, err := bad.Estimate(Request{Tables: []string{"fact"}}); err == nil {
-		t.Error("selectivity 2 accepted")
-	}
-}
-
-func TestMagicDistribution(t *testing.T) {
-	d, _ := stats.NewBeta(2, 8)
-	m := &MagicEstimator{Distribution: &d, Threshold: 0.8}
-	est, err := m.Estimate(Request{Tables: []string{"t"}})
+	bayes, err := NewBayesEstimator(set, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := testkit.Quantile(d, 0.8)
-	if math.Abs(est.Selectivity-want) > 1e-9 {
-		t.Errorf("magic distribution = %g, want %g", est.Selectivity, want)
-	}
-	mBad := &MagicEstimator{Distribution: &d, Threshold: 0}
-	if _, err := mBad.Estimate(Request{Tables: []string{"t"}}); err == nil {
-		t.Error("invalid threshold accepted")
-	}
-}
-
-func TestChainFallsBack(t *testing.T) {
-	db := corrDB(t, 2000, 20)
-	bayes, hist := buildEstimators(t, db, 0.5)
-	chain := &Chain{Estimators: []Estimator{bayes, hist, &MagicEstimator{Selectivity: 0.1}}}
-	// A request the Bayes estimator can answer.
-	req := Request{Tables: []string{"fact"}, Pred: testkit.Expr("f_a < 50")}
-	est, err := chain.Estimate(req)
+	est, err := bayes.Estimate(Request{Tables: []string{"late"}, Pred: testkit.Expr("x < 5")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := bayes.Estimate(req); est != want {
-		t.Errorf("chain answered %+v, bayes %+v: bayes not used first", est, want)
+	if want := (Estimate{Selectivity: histogram.MagicOther, Fallback: "magic"}); est != want {
+		t.Errorf("magic = %+v, want %+v", est, want)
 	}
-	// A request the sample cannot bind (unknown column) falls through to
-	// the histograms, which magic-fallback on it.
-	req = Request{Tables: []string{"fact"}, Pred: testkit.Expr("mystery_column = 1")}
-	if _, _, _, err := bayes.Observe(req); err == nil {
-		t.Fatal("bayes observed an unknown column")
-	}
-	est, err = chain.Estimate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := hist.Estimate(req); est != want {
-		t.Errorf("fallback estimate %+v, histograms %+v", est, want)
-	}
-	empty := &Chain{}
-	if _, err := empty.Estimate(Request{Tables: []string{"fact"}}); err == nil {
-		t.Error("empty chain succeeded")
-	}
-	if empty.Name() != "chain()" {
-		t.Errorf("empty chain name = %q", empty.Name())
-	}
-	if !containsAll(chain.Name(), "chain", "bayes") {
-		t.Errorf("chain name = %q", chain.Name())
+	// A covered request takes no fallback.
+	if est, err := bayes.Estimate(Request{Tables: []string{"fact"}}); err != nil || est.Fallback != "" {
+		t.Errorf("covered request = %+v, %v", est, err)
 	}
 }
 

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"robustqo/internal/catalog"
@@ -99,22 +99,23 @@ func TestIndependentSamplesOnDiamond(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indep := &IndependentSamplesEstimator{
-		Samples: set, Catalog: db.Catalog, Prior: Jeffreys, Threshold: 0.5,
-	}
 	req := Request{
 		Tables: []string{"a", "b", "c"},
 		Pred:   testkit.Expr("a_attr < 50 AND b_attr < 50 AND c_attr < 50"),
 	}
-	// The join synopsis path fails on the diamond.
-	if _, err := bayes.Estimate(req); err == nil {
-		t.Fatal("bayes succeeded over a diamond join")
+	// No synopsis covers the diamond.
+	if _, _, _, err := bayes.Observe(req); !errors.Is(err, sample.ErrNoSynopsis) {
+		t.Fatalf("observed a diamond join: %v", err)
 	}
-	// The fallback succeeds and, with independent-by-construction data,
-	// lands near the true joint selectivity.
-	est, err := indep.Estimate(req)
+	// The estimate falls back to per-table samples and, with
+	// independent-by-construction data, lands near the true joint
+	// selectivity.
+	est, err := bayes.Estimate(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if est.Fallback != "independent" {
+		t.Errorf("fallback = %q, want independent", est.Fallback)
 	}
 	truth := 0.5 * 0.5 * 0.5 // attributes independent by construction
 	if math.Abs(est.Selectivity-truth) > 0.05 {
@@ -122,15 +123,6 @@ func TestIndependentSamplesOnDiamond(t *testing.T) {
 	}
 	if math.Abs(est.Rows-est.Selectivity*5000) > 1e-6 {
 		t.Errorf("rows = %g", est.Rows)
-	}
-	// The chain glues them together.
-	chain := &Chain{Estimators: []Estimator{bayes, indep}}
-	chained, err := chain.Estimate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chained.Selectivity != est.Selectivity {
-		t.Error("chain did not fall through to the independent estimator")
 	}
 }
 
@@ -140,9 +132,10 @@ func TestIndependentSamplesSingleTableStillRobust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo := &IndependentSamplesEstimator{Samples: set, Catalog: db.Catalog, Prior: Jeffreys, Threshold: 0.05}
-	hi := &IndependentSamplesEstimator{Samples: set, Catalog: db.Catalog, Prior: Jeffreys, Threshold: 0.95}
-	req := Request{Tables: []string{"a"}, Pred: testkit.Expr("a_attr = 7")}
+	lo, _ := NewBayesEstimator(set, 0.05)
+	hi, _ := lo.WithThreshold(0.95)
+	// Only a's conjunct constrains the uncovered expression.
+	req := Request{Tables: []string{"a", "b", "c"}, Pred: testkit.Expr("a_attr = 7")}
 	eLo, err := lo.Estimate(req)
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +144,8 @@ func TestIndependentSamplesSingleTableStillRobust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eLo.Selectivity >= eHi.Selectivity {
-		t.Errorf("threshold not respected: %g vs %g", eLo.Selectivity, eHi.Selectivity)
+	if eLo.Fallback != "independent" || eLo.Selectivity >= eHi.Selectivity {
+		t.Errorf("threshold not respected: %+v vs %+v", eLo, eHi)
 	}
 }
 
@@ -162,9 +155,10 @@ func TestIndependentSamplesMagicContributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &IndependentSamplesEstimator{Samples: set, Catalog: db.Catalog, Prior: Jeffreys, Threshold: 0.5}
-	// A cross-table comparison cannot be attributed to one table: it
-	// contributes the magic range constant.
+	e, _ := NewBayesEstimator(set, 0.5)
+	// a's sample covers only a, so a⋈b falls back. A cross-table
+	// comparison cannot be attributed to one table: it contributes the
+	// magic range constant.
 	est, err := e.Estimate(Request{
 		Tables: []string{"a", "b"},
 		Pred:   testkit.Expr("a_attr < b_attr"),
@@ -195,34 +189,31 @@ func TestIndependentSamplesMagicContributions(t *testing.T) {
 	}
 }
 
+// TestIndependentSamplesValidation: the fallback takes only requests no
+// synopsis covers; every other failure, its own included, is returned.
 func TestIndependentSamplesValidation(t *testing.T) {
 	db := diamondDB(t, 100)
 	set, _ := sample.BuildAll(db, 50, stats.NewRNG(3))
-	cases := []*IndependentSamplesEstimator{
-		{Samples: nil, Catalog: db.Catalog, Prior: Jeffreys, Threshold: 0.5},
-		{Samples: set, Catalog: nil, Prior: Jeffreys, Threshold: 0.5},
-		{Samples: set, Catalog: db.Catalog, Prior: Jeffreys, Threshold: 0},
+	good, _ := NewBayesEstimator(set, 0.5)
+	bad := *good
+	bad.Threshold = 0
+	if _, err := bad.Estimate(Request{Tables: []string{"a", "b"}}); err == nil {
+		t.Error("threshold 0 accepted")
 	}
-	for i, e := range cases {
-		if _, err := e.Estimate(Request{Tables: []string{"a"}}); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-	good := &IndependentSamplesEstimator{Samples: set, Catalog: db.Catalog, Prior: Jeffreys, Threshold: 0.5}
 	if _, err := good.Estimate(Request{}); err == nil {
 		t.Error("no tables accepted")
 	}
 	if _, err := good.Estimate(Request{Tables: []string{"ghost"}}); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if !strings.Contains(good.Name(), "independent-samples") {
-		t.Errorf("Name = %q", good.Name())
-	}
-	// A predicate over a known table but bad column errors at Count.
-	if _, err := good.Estimate(Request{Tables: []string{"a"}, Pred: expr.Cmp{
-		Op: expr.EQ, L: expr.TC("a", "a_attr"), R: expr.Arith{Op: expr.Div, L: expr.IntLit(1), R: expr.IntLit(0)},
-	}}); err == nil {
-		t.Error("runtime eval error not propagated")
+	// A predicate over a known table but bad column errors at Count, on
+	// the covered path and on the fallback.
+	for _, tables := range [][]string{{"a"}, {"a", "b"}} {
+		if _, err := good.Estimate(Request{Tables: tables, Pred: expr.Cmp{
+			Op: expr.EQ, L: expr.TC("a", "a_attr"), R: expr.Arith{Op: expr.Div, L: expr.IntLit(1), R: expr.IntLit(0)},
+		}}); err == nil {
+			t.Errorf("%v: runtime eval error not propagated", tables)
+		}
 	}
 }
 

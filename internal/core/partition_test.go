@@ -253,9 +253,8 @@ func TestPartitionedRootFallbacksReadStrata(t *testing.T) {
 		t.Errorf("EstimateGroups = %g, GEE over the strata = %g", groups, want)
 	}
 
-	indep := &IndependentSamplesEstimator{Samples: e.Synopses, Catalog: e.Synopses.Catalog(), Prior: Jeffreys, Threshold: 0.8}
 	pred := testkit.Expr("f_a < 30")
-	est, err := indep.Estimate(Request{Tables: []string{"fact"}, Pred: pred})
+	est, err := e.fallback(Request{Tables: []string{"fact"}, Pred: pred})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -571,14 +571,21 @@ func TestEngineDifferential(t *testing.T) {
 }
 
 // FuzzEngineDifferential explores seeds and axis points beyond the
-// default trials, which seed it. Without -fuzz those seeds are exactly
-// TestEngineDifferential's trials, so it skips.
+// default trials. It is seeded with the first default trial of each
+// shape: a seed corpus of every trial takes longer to gather baseline
+// coverage than a short fuzzing run lasts, so mutation would never start.
+// Without -fuzz the seeds are TestEngineDifferential's trials, so it
+// skips.
 func FuzzEngineDifferential(f *testing.F) {
 	if fz := flag.Lookup("test.fuzz"); fz == nil || fz.Value.String() == "" {
 		f.Skip("the seed corpus runs as TestEngineDifferential")
 	}
+	seeded := make([]bool, len(shapes))
 	for _, tr := range defaultTrials() {
-		f.Add(tr[0], tr[1])
+		if s := decode(tr[1]).shape; !seeded[s] {
+			seeded[s] = true
+			f.Add(tr[0], tr[1])
+		}
 	}
 	f.Fuzz(runTrial)
 }

@@ -186,42 +186,3 @@ func TestMergeJoinRadixSortBothEngines(t *testing.T) {
 		})
 	}
 }
-
-// TestMergeJoinNonNumericKeyBothEngines keeps the key validation: a
-// string key fails in both engines with the same error, naming the
-// column.
-func TestMergeJoinNonNumericKeyBothEngines(t *testing.T) {
-	_, ctx := testDB(t, 1000, 3, 10)
-	plan := &MergeJoin{
-		Left: &SeqScan{Table: "orders"}, Right: &SeqScan{Table: "lineitem"},
-		LeftCol: expr.ColumnRef{Column: "o_orderkey"}, RightCol: expr.ColumnRef{Column: "l_status"},
-	}
-	want := "engine: MergeJoin right key lineitem.l_status is VARCHAR; join keys must be INT or DATE"
-	if _, _, _, err := Run(ctx, plan); err == nil || err.Error() != want {
-		t.Errorf("streaming: error %v, want %q", err, want)
-	}
-	var c cost.Counters
-	if _, err := ExecuteMaterialized(ctx, plan, &c); err == nil || err.Error() != want {
-		t.Errorf("materialized: error %v, want %q", err, want)
-	}
-}
-
-// TestMergeJoinFloatKeyBothEngines: a Float key is rejected in both
-// engines, naming the column. Both engines used to order and match on
-// the unused integer payload, which is 0 for every Float, and return the
-// full cross product.
-func TestMergeJoinFloatKeyBothEngines(t *testing.T) {
-	_, ctx := testDB(t, 1000, 3, 10)
-	plan := &MergeJoin{
-		Left: &SeqScan{Table: "orders"}, Right: &SeqScan{Table: "lineitem"},
-		LeftCol: expr.ColumnRef{Column: "o_total"}, RightCol: expr.ColumnRef{Column: "l_price"},
-	}
-	want := "engine: MergeJoin left key orders.o_total is FLOAT; join keys must be INT or DATE"
-	if _, _, _, err := Run(ctx, plan); err == nil || err.Error() != want {
-		t.Errorf("streaming: error %v, want %q", err, want)
-	}
-	var c cost.Counters
-	if _, err := ExecuteMaterialized(ctx, plan, &c); err == nil || err.Error() != want {
-		t.Errorf("materialized: error %v, want %q", err, want)
-	}
-}

@@ -175,9 +175,11 @@ func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 	if o.MaxDOP >= 2 {
 		root = p.parallelize(root)
 	}
-	exportQuantileCache(o.Metrics, quantileCacheOf(o.Est))
+	if b, ok := o.Est.(*core.BayesEstimator); ok {
+		exportQuantileCache(o.Metrics, b.Quantiles)
+	}
 	return &Plan{
-		Root: root, EstCost: finalCost, EstRows: finalRows, Estimator: o.Est.Name(),
+		Root: root, EstCost: finalCost, EstRows: finalRows, Estimator: p.snap.Estimator,
 		estimates: p.estimates, confidence: p.snap.Percentile,
 	}, nil
 }
@@ -396,7 +398,11 @@ func (p *planner) estimateGroups(inRows float64) float64 {
 			return min(max(groups, 1), inRows)
 		}
 	}
-	// No estimator support: the traditional guess of a tenth of the rows.
+	// No estimator support, or no synopsis covers the tables: the
+	// traditional guess of a tenth of the rows.
+	if p.opt.Metrics != nil {
+		p.opt.Metrics.Counter("robustqo_estimate_fallback_total", obs.Label{Key: "kind", Value: "groups"}).Inc()
+	}
 	return max(inRows/10, 1)
 }
 
@@ -487,6 +493,9 @@ func (p *planner) estOf(tables uint32, cm uint64) (selEntry, error) {
 	if err != nil {
 		return selEntry{}, err
 	}
+	if est.Fallback != "" && p.opt.Metrics != nil {
+		p.opt.Metrics.Counter("robustqo_estimate_fallback_total", obs.Label{Key: "kind", Value: est.Fallback}).Inc()
+	}
 	s := est.Selectivity
 	if math.IsNaN(s) || s < 0 {
 		s = 0
@@ -498,8 +507,9 @@ func (p *planner) estOf(tables uint32, cm uint64) (selEntry, error) {
 	if math.IsNaN(e.rows) || e.rows < 0 {
 		e.rows = 0
 	}
-	// Rows == 0 with a positive selectivity means the estimator left the
-	// scaling to the caller (the Independent baseline without RowsFor).
+	// Rows == 0 with a positive selectivity means the estimator saw no
+	// population to scale by: a partition contradiction that prunes every
+	// shard, or the magic fallback for a root without a sample.
 	if e.rows == 0 && e.sel != 0 {
 		rootRows, _, err := p.tableRowsPages(root)
 		if err != nil {

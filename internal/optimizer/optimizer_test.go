@@ -35,6 +35,23 @@ func (e *exactEstimator) Estimate(req core.Request) (core.Estimate, error) {
 	return core.Estimate{Selectivity: sel, Rows: sel * float64(testkit.Table(e.db, root).NumRows())}, nil
 }
 
+// fixedEstimator answers every request with one selectivity of the
+// root's rows.
+type fixedEstimator struct {
+	db  *storage.Database
+	sel float64
+}
+
+func (e *fixedEstimator) Name() string { return "fixed" }
+
+func (e *fixedEstimator) Estimate(req core.Request) (core.Estimate, error) {
+	root, err := e.db.Catalog.RootOf(req.Tables)
+	if err != nil {
+		return core.Estimate{}, err
+	}
+	return core.Estimate{Selectivity: e.sel, Rows: e.sel * float64(testkit.Table(e.db, root).NumRows())}, nil
+}
+
 // optDB builds a correlated lineitem/orders/part database large enough
 // that the scan-vs-index crossover sits at a low selectivity.
 func optDB(t testing.TB, nLines int, corrWindow int64) (*storage.Database, *engine.Context) {
@@ -405,14 +422,7 @@ func TestOptimizerPicksMinEstimatedCost(t *testing.T) {
 	// Degenerate estimator that claims everything is empty: the index
 	// plan should always be chosen (its estimated cost collapses).
 	db, ctx := optDB(t, 5000, 40)
-	zero := &core.MagicEstimator{Selectivity: 0, Catalog: db.Catalog,
-		RowsFor: func(tab string) (int, bool) {
-			if tt, ok := db.Table(tab); ok {
-				return tt.NumRows(), true
-			}
-			return 0, false
-		}}
-	o, err := New(ctx, zero)
+	o, err := New(ctx, &fixedEstimator{db: db, sel: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +441,7 @@ func TestOptimizerPicksMinEstimatedCost(t *testing.T) {
 		t.Errorf("zero estimator chose %s", plan.Root.Describe())
 	}
 	// And an all-ones estimator must choose the scan.
-	one := &core.MagicEstimator{Selectivity: 1, Catalog: db.Catalog, RowsFor: zero.RowsFor}
-	o2, _ := New(ctx, one)
+	o2, _ := New(ctx, &fixedEstimator{db: db, sel: 1})
 	plan2, err := o2.Optimize(&Query{
 		Tables: []string{"lineitem"},
 		Pred:   testkit.Expr("l_ship BETWEEN 0 AND 999 AND l_receipt BETWEEN 0 AND 999"),

@@ -83,22 +83,6 @@ func (p *planner) parallelize(n engine.Node) engine.Node {
 	return n
 }
 
-// quantileCacheOf unwraps the estimator (through Chain) to its posterior
-// quantile cache, when it has one.
-func quantileCacheOf(est core.Estimator) *core.QuantileCache {
-	switch e := est.(type) {
-	case *core.BayesEstimator:
-		return e.Quantiles
-	case *core.Chain:
-		for _, sub := range e.Estimators {
-			if c := quantileCacheOf(sub); c != nil {
-				return c
-			}
-		}
-	}
-	return nil
-}
-
 // quantExportMu serializes the read-reconcile-add below so concurrent
 // queries exporting the same cache cannot double count.
 var quantExportMu sync.Mutex

@@ -34,17 +34,7 @@ func TestRandomQueriesMatchOracleProperty(t *testing.T) {
 		}
 		estimators = append(estimators, e)
 	}
-	rowsFor := func(tab string) (int, bool) {
-		tt, ok := db.Table(tab)
-		if !ok {
-			return 0, false
-		}
-		return tt.NumRows(), true
-	}
-	estimators = append(estimators,
-		&core.MagicEstimator{Selectivity: 0.001, Catalog: db.Catalog, RowsFor: rowsFor},
-		&core.MagicEstimator{Selectivity: 0.9, Catalog: db.Catalog, RowsFor: rowsFor},
-	)
+	estimators = append(estimators, &fixedEstimator{db: db, sel: 0.001}, &fixedEstimator{db: db, sel: 0.9})
 
 	randQuery := func() *Query {
 		mkWindow := func(col string, width int64) expr.Expr {

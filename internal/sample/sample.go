@@ -7,6 +7,7 @@
 package sample
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -339,10 +340,15 @@ func (s *Set) Add(syn *Synopsis) { s.synopses[syn.Root] = syn }
 // Catalog returns the catalog the set was built against.
 func (s *Set) Catalog() *catalog.Catalog { return s.cat }
 
+// ErrNoSynopsis is wrapped by For's error when the expression has a root
+// relation but no synopsis rooted there covers every requested table.
+var ErrNoSynopsis = errors.New("sample: no synopsis covers the expression")
+
 // For returns the synopsis appropriate for an SPJ expression over the
 // given tables: the synopsis rooted at the expression's root relation
 // (the table whose primary key is not joined away). The synopsis must
-// cover every requested table.
+// cover every requested table; when none does, the error wraps
+// ErrNoSynopsis.
 func (s *Set) For(tables []string) (*Synopsis, error) {
 	root, err := s.cat.RootOf(tables)
 	if err != nil {
@@ -350,7 +356,7 @@ func (s *Set) For(tables []string) (*Synopsis, error) {
 	}
 	syn, ok := s.synopses[root]
 	if !ok {
-		return nil, fmt.Errorf("sample: no synopsis for root table %q", root)
+		return nil, fmt.Errorf("%w: none is rooted at %q", ErrNoSynopsis, root)
 	}
 	covered := make(map[string]bool, len(syn.Tables))
 	for _, t := range syn.Tables {
@@ -358,7 +364,7 @@ func (s *Set) For(tables []string) (*Synopsis, error) {
 	}
 	for _, t := range tables {
 		if !covered[t] {
-			return nil, fmt.Errorf("sample: synopsis for %q does not cover table %q", root, t)
+			return nil, fmt.Errorf("%w: the one rooted at %q does not reach %q", ErrNoSynopsis, root, t)
 		}
 	}
 	return syn, nil

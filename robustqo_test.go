@@ -7,6 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"robustqo/internal/core"
+	"robustqo/internal/obs"
+	"robustqo/internal/optimizer"
+	"robustqo/internal/sample"
+	"robustqo/internal/stats"
 )
 
 // demoDatabase builds a small orders/lineitem database through the public
@@ -232,23 +238,162 @@ func TestHistogramSessionDiffersOnCorrelation(t *testing.T) {
 	}
 }
 
-func TestMagicFallbackThroughChain(t *testing.T) {
-	db := demoDatabase(t, 50, 2)
+// diamondDatabase builds a -> {b, c} -> d through the public API. a's
+// join synopsis is ill-defined, so UpdateStatistics keeps a plain table
+// sample of a, and no synopsis covers an expression joining a to b or c.
+func diamondDatabase(t *testing.T) *Database {
+	t.Helper()
+	db := NewDatabase()
+	mid := func(name string) *TableSchema {
+		return &TableSchema{
+			Name:       name,
+			Columns:    []Column{{Name: name + "_id", Type: Int}, {Name: name + "_attr", Type: Int}, {Name: name + "_d", Type: Int}},
+			PrimaryKey: name + "_id",
+			Foreign:    []ForeignKey{{Column: name + "_d", RefTable: "d"}},
+		}
+	}
+	for _, s := range []*TableSchema{
+		{Name: "d", Columns: []Column{{Name: "d_id", Type: Int}}, PrimaryKey: "d_id"},
+		mid("b"), mid("c"),
+		{
+			Name:       "a",
+			Columns:    []Column{{Name: "a_id", Type: Int}, {Name: "a_attr", Type: Int}, {Name: "a_b", Type: Int}, {Name: "a_c", Type: Int}},
+			PrimaryKey: "a_id",
+			Foreign:    []ForeignKey{{Column: "a_b", RefTable: "b"}, {Column: "a_c", RefTable: "c"}},
+		},
+	} {
+		if err := db.CreateTable(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert := func(table string, n int64, row func(i int64) Row) {
+		for i := range n {
+			if err := db.Insert(table, row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert("d", 10, func(i int64) Row { return Row{NewInt(i)} })
+	for _, name := range []string{"b", "c"} {
+		insert(name, 200, func(i int64) Row { return Row{NewInt(i), NewInt(i * 37 % 100), NewInt(i % 10)} })
+	}
+	insert("a", 2000, func(i int64) Row {
+		return Row{NewInt(i), NewInt(i * 31 % 100), NewInt(i * 7 % 200), NewInt(i * 13 % 200)}
+	})
 	if err := db.UpdateStatistics(StatsOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	return db
+}
+
+// TestSessionEstimateFallback: a robust session answers an expression no
+// synopsis covers from per-table samples, while a predicate the sample
+// cannot evaluate is an error rather than a magic number; planning counts
+// each degraded path in robustqo_estimate_fallback_total by kind.
+func TestSessionEstimateFallback(t *testing.T) {
+	db := diamondDatabase(t)
 	sess, err := db.Session(Moderate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A predicate the synopsis cannot evaluate (unknown column) falls
-	// back to the magic estimator instead of failing the estimate call.
-	rows, err := sess.EstimateRows([]string{"lineitem"}, MustParsePredicate("mystery = 1"))
+	rows, err := sess.EstimateRows([]string{"a", "b", "c"}, MustParsePredicate("a_attr < 50 AND b_attr < 50"))
+	if err != nil || rows <= 0 || rows > 2000 {
+		t.Errorf("diamond estimate = %g, %v", rows, err)
+	}
+	if _, err := sess.EstimateRows([]string{"a"}, MustParsePredicate("mystery = 1")); err == nil {
+		t.Error("a predicate over an unknown column was estimated")
+	}
+	ctx, err := db.context()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows <= 0 {
-		t.Errorf("magic fallback rows = %g", rows)
+	reg := obs.NewRegistry()
+	fallbacks := func(kind string) int64 {
+		return reg.Counter("robustqo_estimate_fallback_total", obs.Label{Key: "kind", Value: kind}).Value()
+	}
+	plan := func(sql string) {
+		t.Helper()
+		opt, err := optimizer.New(ctx, sess.est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Metrics = reg
+		if _, err := opt.Optimize(MustParseQuery(sql)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan("SELECT COUNT(*) FROM a WHERE a_attr < 50")
+	if n := fallbacks("independent") + fallbacks("magic") + fallbacks("groups"); n != 0 {
+		t.Errorf("a covered statement counted %d fallbacks", n)
+	}
+	// Every estimate over a subset joining a to b or c falls back: a⋈b,
+	// a⋈c and a⋈b⋈c.
+	plan("SELECT COUNT(*) FROM a, b, c WHERE a_attr < 50 AND b_attr < 50 AND c_attr < 50")
+	if got := fallbacks("independent"); got != 3 {
+		t.Errorf("independent fallbacks = %d, want 3", got)
+	}
+	plan("SELECT b_attr, COUNT(*) FROM a, b WHERE a_attr < 50 GROUP BY b_attr")
+	if got, magic := fallbacks("groups"), fallbacks("magic"); got != 1 || magic != 0 {
+		t.Errorf("groups fallbacks = %d, magic = %d; want 1 and 0", got, magic)
+	}
+}
+
+// TestGroupByEstimateMatchesServe: the library's robust session estimates
+// GROUP BY output through the synopsis (GEE), as the histogram session
+// does through its distinct counts and as serve's estimator does over the
+// same data. A 20,000-row table with 7 groups has 7 groups at T = 0.8.
+func TestGroupByEstimateMatchesServe(t *testing.T) {
+	db := NewDatabase()
+	if err := db.CreateTable(&TableSchema{
+		Name: "s", Columns: []Column{{Name: "id", Type: Int}, {Name: "g", Type: Int}}, PrimaryKey: "id",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range int64(20000) {
+		if err := db.Insert("s", Row{NewInt(i), NewInt(i % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.UpdateStatistics(StatsOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery("SELECT g, COUNT(*) FROM s GROUP BY g")
+	for _, kind := range []EstimatorKind{RobustSampling, HistogramAVI} {
+		sess, err := db.SessionWith(kind, 0.8, Jeffreys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, _, err := sess.plan(q, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.EstRows != 7 {
+			t.Errorf("%s session: EstRows %g, want 7", plan.Estimator, plan.EstRows)
+		}
+	}
+	// serve builds a bare estimator over sample.BuildAll of the database.
+	syn, err := sample.BuildAll(db.store, sample.DefaultSize, stats.NewRNG(2005^0xbeef))
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := core.NewBayesEstimator(syn, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := db.context()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := optimizer.New(ctx, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := opt.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.EstRows != 7 {
+		t.Errorf("serve's estimator: EstRows %g, want 7", plan.EstRows)
 	}
 }
 
